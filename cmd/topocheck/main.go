@@ -129,11 +129,8 @@ func main() {
 		topocon.WithRetainSpaces(*retain),
 	}
 	if *verbose {
-		fmt.Println("horizon    runs  interned  components  mixed  broadcastable    elapsed")
-		anOpts = append(anOpts, topocon.WithProgress(func(r topocon.HorizonReport) {
-			fmt.Printf("%7d  %6d  %8d  %10d  %5d  %13v  %9v\n",
-				r.Horizon, r.Runs, r.InternedRuns, r.Components, r.MixedComponents, r.Broadcastable, r.Elapsed)
-		}))
+		fmt.Println(progressHeader)
+		anOpts = append(anOpts, topocon.WithProgress(printProgress))
 	}
 	an, err := topocon.NewAnalyzer(adv, anOpts...)
 	if err != nil {
@@ -155,6 +152,16 @@ func main() {
 	fmt.Print(res.Summary())
 }
 
+// progressHeader and printProgress render the -v per-horizon table. The
+// last column is the cumulative interned view count, one per automorphism
+// orbit under the symmetry quotient.
+const progressHeader = "horizon    runs  interned  components  mixed  broadcastable    elapsed     views"
+
+func printProgress(r topocon.HorizonReport) {
+	fmt.Printf("%7d  %6d  %8d  %10d  %5d  %13v  %9v  %8d\n",
+		r.Horizon, r.Runs, r.InternedRuns, r.Components, r.MixedComponents, r.Broadcastable, r.Elapsed, r.InternedViews)
+}
+
 // ckptFlags bundles the checkpoint/paging flags shared by the session and
 // sweep paths.
 type ckptFlags struct {
@@ -171,11 +178,8 @@ type ckptFlags struct {
 func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.CheckOptions, ck ckptFlags, workers int, verbose bool) {
 	cfg := topocon.CheckpointConfig{Dir: ck.dir, HotBytes: ck.hotBytes, Every: ck.every}
 	if verbose {
-		fmt.Println("horizon    runs  interned  components  mixed  broadcastable    elapsed")
-		cfg.OnHorizon = func(r topocon.HorizonReport) {
-			fmt.Printf("%7d  %6d  %8d  %10d  %5d  %13v  %9v\n",
-				r.Horizon, r.Runs, r.InternedRuns, r.Components, r.MixedComponents, r.Broadcastable, r.Elapsed)
-		}
+		fmt.Println(progressHeader)
+		cfg.OnHorizon = printProgress
 	}
 	res, info, err := topocon.RunCheckpointed(ctx, adv, cfg, opts, workers)
 	if info.Resumed {

@@ -63,49 +63,36 @@ func (c *BivalenceCertificate) String() string {
 // adversary over the given input domain, considering chain words of up to
 // maxChainLen agreement sets. It returns (certificate, true) when consensus
 // is certifiably impossible; (nil, false) means no certificate of that size
-// exists (which does not by itself imply solvability).
+// exists (which does not by itself imply solvability). A word space of
+// more than maxChainWords longest words is declined with (nil, false).
 //
 //topocon:export
 func ProveBivalent(adv *ma.Oblivious, inputDomain, maxChainLen int) (*BivalenceCertificate, bool) {
 	if maxChainLen < 1 || adv.N() > 8 {
-		// Agreement sets are encoded as single bytes in word keys.
+		// Agreement sets are encoded as single bytes in word letters.
 		return nil, false
 	}
-	e := newChainEngine(adv, maxChainLen)
-	e.computeSurvivors()
-	if len(e.surviving) == 0 {
+	if !chainWordsFit(adv.N(), maxChainLen) {
 		return nil, false
 	}
-	inputs, word, ok := e.findAnchoredChain(inputDomain)
+	return newChainKernel(adv, maxChainLen).prove(inputDomain)
+}
+
+// prove runs the fixpoint and then looks for an anchored initial chain.
+func (k *chainKernel) prove(inputDomain int) (*BivalenceCertificate, bool) {
+	surviving := k.computeSurvivors()
+	if surviving == 0 {
+		return nil, false
+	}
+	inputs, word, ok := k.findAnchoredChain(inputDomain)
 	if !ok {
 		return nil, false
 	}
 	return &BivalenceCertificate{
 		InitialInputs: inputs,
 		InitialWord:   word,
-		Surviving:     len(e.surviving),
+		Surviving:     surviving,
 	}, true
-}
-
-// chainEngine computes the greatest fixpoint of surviving chain words.
-type chainEngine struct {
-	n      int
-	full   uint64
-	maxLen int
-	graphs []graph.Graph
-	// update[g][h] maps an agreement set A to the successor agreement set;
-	// precomputed as masks: upd(A) = {p : In_p(g)=In_p(h) ⊆ A}.
-	surviving map[string]bool
-}
-
-func newChainEngine(adv *ma.Oblivious, maxLen int) *chainEngine {
-	return &chainEngine{
-		n:         adv.N(),
-		full:      graph.AllNodes(adv.N()),
-		maxLen:    maxLen,
-		graphs:    adv.Graphs(),
-		surviving: make(map[string]bool),
-	}
 }
 
 // updateSet computes A' = {p : In_p(g) = In_p(h), In_p(g) ⊆ A}.
@@ -120,130 +107,262 @@ func updateSet(g, h graph.Graph, a uint64) uint64 {
 	return out
 }
 
-// computeSurvivors iterates S ← {w ∈ S : some successor of w is in S}
-// starting from all non-empty-agreement words of length ≤ maxLen, until a
-// fixpoint is reached.
-func (e *chainEngine) computeSurvivors() {
-	var words [][]uint64
-	var gen func(prefix []uint64)
-	gen = func(prefix []uint64) {
-		if len(prefix) > 0 {
-			words = append(words, append([]uint64(nil), prefix...))
-		}
-		if len(prefix) == e.maxLen {
-			return
-		}
-		for a := uint64(1); a <= e.full; a++ {
-			gen(append(prefix, a))
-		}
-	}
-	gen(nil)
-	for _, w := range words {
-		e.surviving[wordKey(w)] = true
-	}
-	for {
-		removed := 0
-		for _, w := range words {
-			k := wordKey(w)
-			if !e.surviving[k] {
-				continue
-			}
-			if !e.hasSurvivingSuccessor(w) {
-				delete(e.surviving, k)
-				removed++
-			}
-		}
-		if removed == 0 {
-			return
-		}
-	}
-}
+// maxChainWords caps the number of words of the longest length the search
+// enumerates (the kernel keeps a few bytes per word).
+const maxChainWords = 1 << 22
 
-// hasSurvivingSuccessor reports whether some padded-and-extended version of
-// w is currently surviving. Padding inserts full-set symbols (element
-// duplication); extension assigns one adversary graph per element and
-// updates every edge, requiring all results non-empty and the resulting
-// word to be in the surviving set. The search is a DFS over (position in
-// padded word, last element graph), with padding decided on the fly.
-func (e *chainEngine) hasSurvivingSuccessor(w []uint64) bool {
-	type state struct {
-		edge   int // next edge of w to consume
-		pads   int // padding symbols inserted so far
-		lastG  int // index into e.graphs of the previous element's graph
-		result []uint64
-	}
-	var dfs func(st state) bool
-	dfs = func(st state) bool {
-		if st.edge == len(w) {
-			if len(st.result) >= 1 && e.surviving[wordKey(st.result)] {
-				return true
-			}
-			// May still pad at the end.
-		}
-		if len(st.result) >= e.maxLen {
+// chainWordsFit reports whether the words of length maxLen over the
+// 2ⁿ−1 agreement sets stay within maxChainWords; beyond it no certificate
+// of that size is searched for.
+func chainWordsFit(n, maxLen int) bool {
+	words, full := 1, int(graph.AllNodes(n))
+	for l := 0; l < maxLen; l++ {
+		if words *= full; words > maxChainWords {
 			return false
 		}
-		// Option 1: consume the next real edge of w.
-		if st.edge < len(w) {
-			a := w[st.edge]
-			for gi := range e.graphs {
-				a2 := updateSet(e.graphs[st.lastG], e.graphs[gi], a)
-				if a2 == 0 {
-					continue
-				}
-				if dfs(state{
-					edge:   st.edge + 1,
-					pads:   st.pads,
-					lastG:  gi,
-					result: append(st.result, a2),
-				}) {
-					return true
-				}
+	}
+	return true
+}
+
+// maxSeenStates caps the successor search's visited-state table; above it
+// the search runs without the table (same answer, more re-exploration;
+// TestChainKernelMatchesOracle runs both modes).
+const maxSeenStates = 1 << 24
+
+// chainKernel computes the greatest fixpoint of surviving chain words: the
+// largest set S of words (non-empty agreement sets, length ≤ maxLen) in
+// which every word has a successor — a padded-and-extended version, see
+// search — that is again in S.
+//
+// Words are dense integer ids: the empty word is 0, and the words of
+// length l occupy [offset[l], offset[l+1]) in base-full order of their
+// letters (letter a ↦ digit a-1), so appending a letter is id arithmetic.
+// The fixpoint is a witness worklist: every word records the successor
+// that keeps it alive and sits on that successor's watcher list; a word is
+// rechecked only when its witness dies. The removal order does not change
+// the result — the greatest fixpoint of a monotone operator is unique.
+type chainKernel struct {
+	n, maxLen int
+	full      int // the full agreement set; letters are sets 1..full
+	ng        int // graph count
+	// upd[(g*ng+h)*(full+1)+a] is updateSet(graphs[g], graphs[h], a).
+	upd    []uint8
+	offset []int // offset[l] is the first id of length l; offset[maxLen+1] the id count
+	// letters[id*maxLen:][:length[id]] spells word id.
+	letters []uint8
+	length  []uint8
+	alive   []bool
+	// ext[id] counts the alive words that have word id as a prefix (itself
+	// included); a partial successor no alive word extends is pruned.
+	ext []int32
+	// watchHead[u] is the first word whose witness is u, -1 for none;
+	// watchNext chains the rest. Every word is on at most one list.
+	watchHead, watchNext []int32
+	// seen stamps explored search states (edge, last graph, partial id)
+	// with the current check's epoch; nil above maxSeenStates.
+	seen  []uint32
+	epoch uint32
+	// The word under check and the witness its search found.
+	w     []uint8
+	found int
+}
+
+func newChainKernel(adv *ma.Oblivious, maxLen int) *chainKernel {
+	n := adv.N()
+	full := int(graph.AllNodes(n))
+	graphs := adv.Graphs()
+	k := &chainKernel{n: n, full: full, maxLen: maxLen, ng: len(graphs)}
+	k.upd = make([]uint8, k.ng*k.ng*(full+1))
+	for g := range graphs {
+		for h := range graphs {
+			row := k.upd[(g*k.ng+h)*(full+1):]
+			for a := 0; a <= full; a++ {
+				row[a] = uint8(updateSet(graphs[g], graphs[h], uint64(a)))
 			}
 		}
-		// Option 2: insert a padding edge (duplicate the current element).
-		if st.pads < e.maxLen { // padding budget bounded by word capacity
-			for gi := range e.graphs {
-				a2 := updateSet(e.graphs[st.lastG], e.graphs[gi], e.full)
-				if a2 == 0 {
-					continue
-				}
-				if dfs(state{
-					edge:   st.edge,
-					pads:   st.pads + 1,
-					lastG:  gi,
-					result: append(st.result, a2),
-				}) {
-					return true
-				}
+	}
+	k.offset = make([]int, maxLen+2)
+	k.offset[1] = 1
+	size := 1
+	for l := 1; l <= maxLen; l++ {
+		size *= k.full
+		k.offset[l+1] = k.offset[l] + size
+	}
+	words := k.offset[maxLen+1]
+	k.letters = make([]uint8, words*maxLen)
+	k.length = make([]uint8, words)
+	for l := 1; l <= maxLen; l++ {
+		for id := k.offset[l]; id < k.offset[l+1]; id++ {
+			k.length[id] = uint8(l)
+			code := id - k.offset[l]
+			for i := l - 1; i >= 0; i-- {
+				k.letters[id*maxLen+i] = uint8(code%k.full + 1)
+				code /= k.full
 			}
 		}
-		return false
+	}
+	if states := (maxLen + 1) * k.ng * words; states <= maxSeenStates {
+		k.seen = make([]uint32, states)
+	}
+	return k
+}
+
+// computeSurvivors runs the witness worklist to the greatest fixpoint and
+// returns the number of surviving words.
+func (k *chainKernel) computeSurvivors() int {
+	words := k.offset[k.maxLen+1]
+	k.alive = make([]bool, words)
+	k.ext = make([]int32, words)
+	k.watchHead = make([]int32, words)
+	k.watchNext = make([]int32, words)
+	for id := 1; id < words; id++ {
+		k.alive[id] = true
+		k.watchHead[id] = -1
+		for p := id; p > 0; p = k.parent(p) {
+			k.ext[p]++
+		}
+	}
+	surviving := words - 1
+	var dead []int32
+	kill := func(id int) {
+		k.alive[id] = false
+		surviving--
+		for p := id; p > 0; p = k.parent(p) {
+			k.ext[p]--
+		}
+		dead = append(dead, int32(id))
+	}
+	check := func(id int) {
+		if k.findWitness(id) {
+			k.watchNext[id] = k.watchHead[k.found]
+			k.watchHead[k.found] = int32(id)
+		} else {
+			kill(id)
+		}
+	}
+	for id := 1; id < words; id++ {
+		if k.alive[id] {
+			check(id)
+		}
+		for len(dead) > 0 {
+			u := dead[len(dead)-1]
+			dead = dead[:len(dead)-1]
+			w := k.watchHead[u]
+			k.watchHead[u] = -1
+			for w >= 0 {
+				next := k.watchNext[w]
+				if k.alive[w] {
+					check(int(w))
+				}
+				w = next
+			}
+		}
+	}
+	return surviving
+}
+
+// parent returns the id of word id without its last letter (0 for a
+// one-letter word).
+func (k *chainKernel) parent(id int) int {
+	l := int(k.length[id])
+	return k.offset[l-1] + (id-k.offset[l])/k.full
+}
+
+// findWitness searches a surviving successor of word id, leaving it in
+// k.found.
+func (k *chainKernel) findWitness(id int) bool {
+	k.w = k.letters[id*k.maxLen : id*k.maxLen+int(k.length[id])]
+	if k.seen != nil {
+		k.epoch++
+		if k.epoch == 0 {
+			clear(k.seen)
+			k.epoch = 1
+		}
 	}
 	// The first element's graph is free.
-	for gi := range e.graphs {
-		if dfs(state{edge: 0, lastG: gi}) {
+	for g := 0; g < k.ng; g++ {
+		if k.search(0, g, 0, 0) {
 			return true
 		}
 	}
 	return false
 }
 
+// search extends a partial successor of k.w: edge letters of w consumed,
+// the previous element playing graph last, and ln letters of the result
+// spelled by code. Each step either consumes the next real edge of w or
+// inserts a padding edge (duplicating the current element, agreement set
+// full); the next element picks any graph and the edge's agreement set
+// updates, and must stay non-empty. A result that consumed all of w and is
+// alive is a witness.
+func (k *chainKernel) search(edge, last, ln, code int) bool {
+	id := k.offset[ln] + code
+	if edge == len(k.w) && ln >= 1 && k.alive[id] {
+		k.found = id
+		return true
+	}
+	if ln+len(k.w)-edge >= k.maxLen+1 || ln >= k.maxLen {
+		return false // the rest of w no longer fits
+	}
+	if k.seen != nil {
+		st := (edge*k.ng+last)*len(k.alive) + id
+		if k.seen[st] == k.epoch {
+			return false
+		}
+		k.seen[st] = k.epoch
+	}
+	base := k.offset[ln+1]
+	stride := k.full + 1
+	if edge < len(k.w) {
+		a := int(k.w[edge])
+		for g := 0; g < k.ng; g++ {
+			a2 := int(k.upd[(last*k.ng+g)*stride+a])
+			if a2 == 0 {
+				continue
+			}
+			c := code*k.full + a2 - 1
+			if k.ext[base+c] > 0 && k.search(edge+1, g, ln+1, c) {
+				return true
+			}
+		}
+	}
+	for g := 0; g < k.ng; g++ {
+		a2 := int(k.upd[(last*k.ng+g)*stride+k.full])
+		if a2 == 0 {
+			continue
+		}
+		c := code*k.full + a2 - 1
+		if k.ext[base+c] > 0 && k.search(edge, g, ln+1, c) {
+			return true
+		}
+	}
+	return false
+}
+
+// wordID returns the dense id of a word of agreement sets.
+func (k *chainKernel) wordID(word []uint64) int {
+	code := 0
+	for _, a := range word {
+		code = code*k.full + int(a) - 1
+	}
+	return k.offset[len(word)] + code
+}
+
 // findAnchoredChain looks for a surviving initial word realized by a chain
 // of input assignments from an all-v to an all-w vector (v ≠ w), where the
 // edge between consecutive assignments is their equal-coordinate set.
-func (e *chainEngine) findAnchoredChain(inputDomain int) ([][]int, []uint64, bool) {
-	vectors := allVectors(e.n, inputDomain)
+func (k *chainKernel) findAnchoredChain(inputDomain int) ([][]int, []uint64, bool) {
+	vectors := allVectors(k.n, inputDomain)
 	var inputs [][]int
 	var word []uint64
 	var dfs func(cur []int) bool
 	dfs = func(cur []int) bool {
 		if v, valent := valentValue(cur); valent && len(inputs) > 1 {
-			if v0, _ := valentValue(inputs[0]); v0 != v && e.surviving[wordKey(word)] {
+			if v0, _ := valentValue(inputs[0]); v0 != v && k.alive[k.wordID(word)] {
 				return true
 			}
 		}
-		if len(word) == e.maxLen {
+		if len(word) == k.maxLen {
 			return false
 		}
 		for _, next := range vectors {
@@ -276,15 +395,6 @@ func (e *chainEngine) findAnchoredChain(inputDomain int) ([][]int, []uint64, boo
 		}
 	}
 	return nil, nil, false
-}
-
-func wordKey(w []uint64) string {
-	var sb strings.Builder
-	sb.Grow(len(w))
-	for _, a := range w {
-		sb.WriteByte(byte(a))
-	}
-	return sb.String()
 }
 
 func allVectors(n, domain int) [][]int {

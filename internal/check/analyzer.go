@@ -42,8 +42,9 @@ type HorizonReport struct {
 	// shrinks (DESIGN.md §13). Runs/InternedRuns is the live reduction
 	// factor.
 	InternedRuns int
-	// InternedViews is the cumulative hash-consed view count, a proxy for
-	// session memory.
+	// InternedViews is the cumulative count of stored views (hash-consed
+	// cones) — one per automorphism orbit under the symmetry quotient
+	// (DESIGN.md §13) — a proxy for session memory.
 	InternedViews int
 	// Elapsed is the wall-clock cost of this horizon's extension and
 	// decomposition.

@@ -54,7 +54,10 @@ type Options struct {
 	// CertChainLen bounds the bivalence-certificate chain search for
 	// oblivious adversaries; 0 selects an adaptive default (5 for n ≤ 2,
 	// 3 for larger n — the word space grows as (2^n-1)^len); a negative
-	// value disables the search.
+	// value disables the search. A chain length whose longest words exceed
+	// 2^22 — n = 8 at the default 3, n = 5 at 5 — is declined (no
+	// certificate, so the verdict stays unknown) instead of searched;
+	// verdicts cached before that cap are retired by the v3 sweep key.
 	CertChainLen int
 	// LatencySlack is the number of rounds a non-compact adversary's runs
 	// are allowed between obligation discharge and full decision before

@@ -97,21 +97,23 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	// assigned value. ViewIDs encode owner and time, so one table over
 	// all (t, p) is sound. On quotiented spaces the fold must cover every
 	// orbit member, not just the representative: the relabeled copies
-	// contribute their own view rows (ids pushed through the relabel memo),
-	// and a view decisive among representatives alone could be mixed once
-	// a twin reaches it.
+	// contribute their own view rows (the representative's ids relabeled by
+	// Interner.Relabel, at permuted positions the fold ignores), and a view
+	// decisive among representatives alone could be mixed once a twin
+	// reaches it.
 	type bucket struct {
 		value    int
 		decisive bool
 	}
 	buckets := make(map[ptg.ViewID]bucket, s.Len()*s.N())
+	in := s.Interner
 	for i := 0; i < s.Len(); i++ {
+		views := s.ViewsOf(i)
 		for k := 0; k < mult; k++ {
 			v := m.assignment[d.CompOf[i*mult+k]]
-			views := s.PseudoViews(i, k)
 			for t := 0; t <= s.Horizon; t++ {
 				for p := 0; p < s.N(); p++ {
-					id := views.ID(t, p)
+					id := in.Relabel(views.ID(t, p), k)
 					b, seen := buckets[id]
 					switch {
 					case !seen:

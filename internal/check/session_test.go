@@ -146,8 +146,8 @@ func assertDecisionMapsEqual(t *testing.T, name string, want, got *DecisionMap) 
 		t.Fatalf("%s: decision map shape: want size %d ref %d, got size %d ref %d",
 			name, want.Size(), want.Reference(), got.Size(), got.Reference())
 	}
-	limit := want.Interner().Size()
-	if l2 := got.Interner().Size(); l2 > limit {
+	limit := want.Interner().IDBound()
+	if l2 := got.Interner().IDBound(); l2 > limit {
 		limit = l2
 	}
 	for id := 0; id < limit; id++ {

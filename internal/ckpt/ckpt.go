@@ -6,17 +6,18 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 2, line-framed like internal/store records):
+// Manifest format (version 3, line-framed like internal/store records):
 //
-//	topocon-ckpt 2
+//	topocon-ckpt 3
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 2 marks checkpoints written by the symmetry-quotient checker;
-// version-1 checkpoints (full, unquotiented frontiers) are quarantined and
-// recomputed rather than resumed (see manifestVersion).
+// Version 3 marks checkpoints written with the orbit-canonical interner;
+// older checkpoints — version 1 (full, unquotiented frontiers) and version
+// 2 (quotiented sessions under the relabel-memo ID scheme) — are
+// quarantined and recomputed rather than resumed (see manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -53,12 +54,14 @@ import (
 )
 
 const (
-	// manifestVersion 2 marks checkpoints written by the symmetry-quotient
-	// checker (DESIGN.md §13): a v1 checkpoint's pages hold the full,
-	// unquotiented frontier, which a quotiented session must not resume
-	// into (the round item counts would mis-shape every page). Version-1
+	// manifestVersion 3 marks checkpoints written with the orbit-canonical
+	// interner (DESIGN.md §13): a quotiented session's view IDs are
+	// c·|G| + ℓ, and its interner blob carries the group. A v2 checkpoint
+	// of a quotiented session holds a plain blob of the full view set
+	// under the old ID scheme, and a v1 checkpoint's pages hold the full,
+	// unquotiented frontier; resuming either would be wrong. Older
 	// manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 2
+	manifestVersion = 3
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"

@@ -197,18 +197,15 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// quotient: its pages hold the full frontier, which the quotiented
 		// checker must not resume into. Rewrite the manifest as a
 		// well-formed v1 (valid CRC) and require quarantine + recompute.
-		"stale-version": func(t *testing.T, dir string) {
-			data, err := os.ReadFile(manifestPath(dir))
-			if err != nil {
-				t.Fatal(err)
+		"stale-version": func(t *testing.T, dir string) { resealManifest(t, dir, 1) },
+		// A version-2 checkpoint of a quotiented session (LossyLink3 is
+		// quotiented by its swap) carries view IDs of the relabel-memo
+		// scheme; it must never be resumed against orbit-canonical IDs.
+		"version-2-quotiented": func(t *testing.T, dir string) {
+			if ma.Automorphisms(ma.LossyLink3()).Trivial() {
+				t.Fatal("setup session is not quotiented")
 			}
-			lines := strings.Split(string(data), "\n")
-			lines[0] = "topocon-ckpt 1"
-			body := strings.Join(lines[:4], "\n") + "\n"
-			manifest := body + fmt.Sprintf("crc32 %08x\n", crc32.ChecksumIEEE([]byte(body)))
-			if err := os.WriteFile(manifestPath(dir), []byte(manifest), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			resealManifest(t, dir, 2)
 		},
 	}
 	for name, corrupt := range cases {
@@ -232,6 +229,23 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 				t.Errorf("recomputed verdict %v, want impossible", res.Verdict)
 			}
 		})
+	}
+}
+
+// resealManifest rewrites the checkpoint's manifest under another format
+// version with a valid checksum, as an older writer would have left it.
+func resealManifest(t *testing.T, dir string, version int) {
+	t.Helper()
+	data, err := os.ReadFile(manifestPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	lines[0] = fmt.Sprintf("topocon-ckpt %d", version)
+	body := strings.Join(lines[:4], "\n") + "\n"
+	manifest := body + fmt.Sprintf("crc32 %08x\n", crc32.ChecksumIEEE([]byte(body)))
+	if err := os.WriteFile(manifestPath(dir), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,9 @@ package ptg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -10,6 +13,11 @@ import (
 // ViewID identifies a hash-consed causal cone. Two views (possibly from
 // different runs) are equal as process-time sub-DAGs if and only if their
 // ViewIDs from the same Interner are equal.
+//
+// On an orbit-canonical interner (see AdoptGroup) an ID also says where
+// the cone sits in its orbit: ID = c·|G| + ℓ, where c indexes the stored
+// canonical cone of the orbit and ℓ is the least group element that maps
+// that cone to this one (see orbit.go).
 type ViewID int32
 
 // Interner hash-conses causal cones. All runs that are to be compared must
@@ -34,15 +42,25 @@ type ViewID int32
 //     are encoded into stack buffers, arena and table growth is amortized
 //     geometric), unlike the previous string-keyed map that allocated a key
 //     string per novel cone and a hash bucket per entry;
-//   - IDs are drawn from one atomic counter, so they stay dense across
-//     shards — the decomposition machinery indexes per-ViewID scratch
-//     tables by Size().
+//   - stored cones are numbered by one atomic counter, so IDs stay dense
+//     across shards — the decomposition machinery indexes per-ViewID
+//     scratch tables by IDBound().
 //
 // IDs are assigned in insertion order; concurrent runs may assign different
 // IDs to the same cone — only equality within one Interner is meaningful.
 type Interner struct {
 	next   atomic.Int32
 	shards [internShards]internShard
+	// grp is the process permutation group the interner canonicalizes by,
+	// nil for a plain interner (the trivial group). stabs[c] is the
+	// stabilizer mask of stored canonical cone c. See orbit.go.
+	grp   *orbitGroup
+	stabs stabTable
+	// limit caps the stored cones so that every ID c·|G| + ℓ fits a ViewID
+	// (0 selects math.MaxInt32, the plain interner's cap); overflow records
+	// that a request hit the cap (see Err).
+	limit    int32
+	overflow atomic.Bool
 }
 
 // internShards is the lock-striping factor. 64 shards keep the expected
@@ -62,42 +80,75 @@ type internShard struct {
 
 // internEntry locates one interned key in the shard arena. The full hash is
 // memoized so table growth and probe comparisons never re-hash or touch the
-// arena for non-colliding entries.
+// arena for non-colliding entries. c is the stored cone's index — its ViewID
+// on a plain interner.
 type internEntry struct {
 	hash uint64
 	off  uint32
 	klen uint32
-	id   ViewID
+	c    int32
 }
 
 // internShardInitialSize is the initial open-addressing table size per
 // shard; must be a power of two.
 const internShardInitialSize = 64
 
-// NewInterner returns an empty interner.
+// ErrIDSpace reports that an interner ran out of ViewIDs: one more stored
+// cone would push an ID c·|G| + ℓ past the int32 range.
+var ErrIDSpace = errors.New("ptg: view ID space exhausted")
+
+// NewInterner returns an empty plain interner (the trivial group).
 //
 //topocon:export
 func NewInterner() *Interner {
 	return &Interner{}
 }
 
-// Size returns the number of distinct views interned so far. It is safe to
-// call concurrently with interning; every ViewID observed before the call
-// is strictly below the returned size (IDs are dense, in insertion order).
+// maxCones returns the stored-cone cap.
+func (in *Interner) maxCones() int32 {
+	if in.limit == 0 {
+		return math.MaxInt32
+	}
+	return in.limit
+}
+
+// Size returns the number of distinct cones stored so far — on an
+// orbit-canonical interner one per orbit, not one per ID. It is safe to
+// call concurrently with interning.
 func (in *Interner) Size() int {
 	return int(in.next.Load())
+}
+
+// IDBound returns an exclusive upper bound of every ViewID assigned before
+// the call: Size() on a plain interner, Size()·|G| on an orbit-canonical
+// one. Dense per-ViewID tables size themselves by it.
+func (in *Interner) IDBound() int {
+	return in.Size() * in.GroupOrder()
+}
+
+// Err returns ErrIDSpace once some Leaf or Node request could not be
+// assigned an ID (and returned -1 instead); nil otherwise. Callers that
+// intern in bulk check it once after the batch, like a size cap.
+func (in *Interner) Err() error {
+	if in.overflow.Load() {
+		return fmt.Errorf("%w: more than %d stored cones at group order %d", ErrIDSpace, in.maxCones(), in.GroupOrder())
+	}
+	return nil
 }
 
 // Leaf interns the time-0 view of process p with input x.
 //
 //topocon:allocfree
 func (in *Interner) Leaf(p, x int) ViewID {
+	if in.grp != nil {
+		return in.orbitLeaf(p, x)
+	}
 	var buf [1 + 2*binary.MaxVarintLen64]byte
 	buf[0] = 'L'
 	k := 1
 	k += binary.PutUvarint(buf[k:], uint64(p))
 	k += binary.PutVarint(buf[k:], int64(x))
-	return in.intern(buf[:k])
+	return ViewID(in.intern(buf[:k], 1))
 }
 
 // nodeKeyStackSize bounds the stack-encoded node key: owner tag plus one
@@ -114,6 +165,9 @@ const nodeKeyStackSize = 2 + binary.MaxVarintLen64 + 24*2*binary.MaxVarintLen64
 //
 //topocon:allocfree
 func (in *Interner) Node(p int, qs []int, children []ViewID) ViewID {
+	if in.grp != nil {
+		return in.orbitNode(p, qs, children)
+	}
 	var stack [nodeKeyStackSize]byte
 	buf := stack[:0]
 	if need := 2 + binary.MaxVarintLen64 + len(children)*2*binary.MaxVarintLen64; need > nodeKeyStackSize {
@@ -129,15 +183,18 @@ func (in *Interner) Node(p int, qs []int, children []ViewID) ViewID {
 		k = binary.PutUvarint(tmp[:], uint64(id))
 		buf = append(buf, tmp[:k]...)
 	}
-	return in.intern(buf)
+	return ViewID(in.intern(buf, 1))
 }
 
-// intern returns the ID of key, assigning the next dense ID on first sight.
-// key is copied into the shard arena on insertion; the caller's buffer is
-// never retained, so stack-encoded keys do not escape.
+// intern returns the stored-cone index of key, assigning the next dense
+// index on first sight and recording stab as the new cone's stabilizer mask
+// on an orbit-canonical interner. key is copied into the shard arena on
+// insertion; the caller's buffer is never retained, so stack-encoded keys
+// do not escape. A key that would need an index past the limit is not
+// stored: intern returns -1 and Err reports the overflow.
 //
 //topocon:allocfree
-func (in *Interner) intern(key []byte) ViewID {
+func (in *Interner) intern(key []byte, stab uint64) int32 {
 	h := hashKey(key)
 	sh := &in.shards[h>>(64-6)] // top 6 bits pick one of the 64 shards
 	sh.mu.Lock()
@@ -154,24 +211,49 @@ func (in *Interner) intern(key []byte) ViewID {
 		e := &sh.entries[slot-1]
 		if e.hash == h && int(e.klen) == len(key) &&
 			bytes.Equal(sh.arena[e.off:e.off+e.klen], key) {
-			id := e.id
+			c := e.c
 			sh.mu.Unlock()
-			return id
+			return c
 		}
 		i = (i + 1) & mask
 	}
+	c := in.claim()
+	if c < 0 {
+		sh.mu.Unlock()
+		return -1
+	}
+	if in.grp != nil {
+		// Recorded under the shard lock, before any caller can learn c.
+		in.stabs.set(c, stab)
+	}
 	off := len(sh.arena)
 	sh.arena = append(sh.arena, key...)
-	id := ViewID(in.next.Add(1) - 1)
 	sh.entries = append(sh.entries, internEntry{
-		hash: h, off: uint32(off), klen: uint32(len(key)), id: id,
+		hash: h, off: uint32(off), klen: uint32(len(key)), c: c,
 	})
 	sh.table[i] = int32(len(sh.entries))
 	if uint64(len(sh.entries))*4 >= (mask+1)*3 {
 		sh.grow()
 	}
 	sh.mu.Unlock()
-	return id
+	return c
+}
+
+// claim draws the next stored-cone index, or returns -1 (and records the
+// overflow) when the limit is reached; the counter never passes the limit,
+// so IDs never wrap.
+func (in *Interner) claim() int32 {
+	limit := in.maxCones()
+	for {
+		c := in.next.Load()
+		if c >= limit {
+			in.overflow.Store(true)
+			return -1
+		}
+		if in.next.CompareAndSwap(c, c+1) {
+			return c
+		}
+	}
 }
 
 // grow doubles the shard's probe table, re-seating entries from their

@@ -6,7 +6,7 @@ import (
 
 // buildSampleInterner interns a mix of leaves and nodes and returns the
 // assigned IDs in insertion order.
-func buildSampleInterner(t *testing.T) (*Interner, []ViewID) {
+func buildSampleInterner(t testing.TB) (*Interner, []ViewID) {
 	t.Helper()
 	in := NewInterner()
 	var ids []ViewID

@@ -167,6 +167,12 @@ type job struct {
 // append adds events (assigning sequence numbers) and wakes streamers.
 func (j *job) append(evts ...Event) {
 	j.mu.Lock()
+	j.appendLocked(evts...)
+	j.mu.Unlock()
+}
+
+// appendLocked is append with j.mu held.
+func (j *job) appendLocked(evts ...Event) {
 	for _, e := range evts {
 		e.Seq = len(j.events) + 1
 		e.Job = j.id
@@ -174,7 +180,24 @@ func (j *job) append(evts ...Event) {
 	}
 	close(j.changed)
 	j.changed = make(chan struct{})
-	j.mu.Unlock()
+}
+
+// finish records the job's terminal status and appends its terminal event
+// in one critical section: a streamer that observes the terminal status in
+// a snapshot always finds the terminal event in the same snapshot.
+func (j *job) finish(status, errMsg string, report *sweep.Report) {
+	evt := Event{Type: status, Error: errMsg}
+	if report != nil {
+		sum := report.Summary
+		evt.Summary = &sum
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.status = status
+	j.finished = time.Now()
+	j.report = report // may be a well-formed partial report on cancel/timeout
+	j.errMsg = errMsg
+	j.appendLocked(evt)
 }
 
 // terminal reports whether a status is final.
@@ -367,16 +390,20 @@ func (s *Service) submit(j *job) error {
 	j.changed = make(chan struct{})
 	j.submitted = time.Now()
 	j.append(Event{Type: "queued"})
+	// Persist before the send: once queued, a runner may finish the job
+	// and retire its document at any moment, and a document written after
+	// that would outlive the verdict.
+	s.persistJob(j)
 	select {
 	case s.queue <- j:
 	default:
 		s.jobsRejected.Add(1)
+		s.retireJobDoc(j) // never queued, never to run
 		return errQueueFull
 	}
 	s.jobsSubmitted.Add(1)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.persistJob(j)
 	s.evictLocked()
 	return nil
 }
@@ -424,7 +451,8 @@ func (s *Service) persistJob(j *job) {
 }
 
 // retireJobDoc removes a job's persisted document once it has reached a
-// verdict (done or failed) — the one sanctioned deletion in this package:
+// verdict (done or failed), or when a full queue rejected the job before it
+// ever ran — the one sanctioned deletion in this package:
 // the verdict now lives in the store, so the document has served its
 // purpose and holds no information worth preserving. Cancelled jobs keep
 // theirs: shutdown is exactly the case restart resume exists for.
@@ -596,18 +624,7 @@ func (s *Service) runJob(j *job) {
 		// status flip so an observed terminal status implies it happened.
 		s.retireJobDoc(j)
 	}
-	j.mu.Lock()
-	j.status = status
-	j.finished = time.Now()
-	j.report = report // may be a well-formed partial report on cancel/timeout
-	j.errMsg = errMsg
-	j.mu.Unlock()
-	evt := Event{Type: status, Error: errMsg}
-	if report != nil {
-		sum := report.Summary
-		evt.Summary = &sum
-	}
-	j.append(evt)
+	j.finish(status, errMsg, report)
 }
 
 // Shutdown stops accepting submissions, cancels in-flight jobs (the

@@ -16,11 +16,17 @@ import (
 // option bit (ns): v1 records predate the symmetry quotient and carry
 // Runs counts and cert-eligibility judgements from the unquotiented
 // checker, so they are retired wholesale rather than reinterpreted.
-const KeyEncodingVersion = 2
+//
+// v3 keeps v2's fields. It retires v2 records because the bivalence
+// certificate search now declines word spaces past its size cap (n = 8 at
+// the default chain length 3, see check.Options.CertChainLen), where the
+// v2 engine ran the search; a v2 verdict for such a cell could disagree
+// with a fresh compute.
+const KeyEncodingVersion = 3
 
 // String returns the key's canonical byte encoding:
 //
-//	v2;fp=<hex fingerprint>;gf=<hex group fingerprint>;in=<InputDomain>;
+//	v3;fp=<hex fingerprint>;gf=<hex group fingerprint>;in=<InputDomain>;
 //	mh=<MaxHorizon>;mr=<MaxRuns>;dv=<DefaultValue>;cc=<CertChainLen>;
 //	ls=<LatencySlack>;ns=<0|1>;ce=<0|1>
 //

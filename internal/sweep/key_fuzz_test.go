@@ -20,9 +20,10 @@ func FuzzKeyRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.String(), 2, 7, 0, 0, 5, 2, false, true)
+	f.Add("v3;fp=ab;gf=cd;in=1;mh=1;mr=1;dv=0;cc=-1;ls=0;ns=0;ce=0", 1, 1, 1, 0, -1, 0, false, false)
 	f.Add("v2;fp=ab;gf=cd;in=1;mh=1;mr=1;dv=0;cc=-1;ls=0;ns=0;ce=0", 1, 1, 1, 0, -1, 0, false, false)
 	f.Add("v1;fp=ab;in=1;mh=1;mr=1;dv=0;cc=-1;ls=0;ce=0", 1, 1, 1, 0, -1, 0, true, false)
-	f.Add("v2;fp=;gf=;in=;mh=;mr=;dv=;cc=;ls=;ns=;ce=", 0, 0, 0, 0, 0, 0, false, false)
+	f.Add("v3;fp=;gf=;in=;mh=;mr=;dv=;cc=;ls=;ns=;ce=", 0, 0, 0, 0, 0, 0, false, false)
 	f.Add("not a key at all", -5, 1<<30, 42, -1, 3, 9, true, true)
 
 	f.Fuzz(func(t *testing.T, s string, in, mh, mr, dv, cc, ls int, ns, ce bool) {

@@ -25,7 +25,7 @@ func TestKeyEncodingRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			enc := key.String()
-			if !strings.HasPrefix(enc, "v2;fp=") {
+			if !strings.HasPrefix(enc, "v3;fp=") {
 				t.Fatalf("encoding %q lacks the version prefix", enc)
 			}
 			back, err := ParseKey(enc)
@@ -67,9 +67,10 @@ func TestParseKeyRejects(t *testing.T) {
 	enc := valid.String()
 	bad := []string{
 		"",
-		"v2",
-		"v1;" + strings.TrimPrefix(enc, "v2;"),   // retired version
-		"v3;" + strings.TrimPrefix(enc, "v2;"),   // wrong version
+		"v3",
+		"v1;" + strings.TrimPrefix(enc, "v3;"),   // retired version
+		"v2;" + strings.TrimPrefix(enc, "v3;"),   // retired version
+		"v4;" + strings.TrimPrefix(enc, "v3;"),   // wrong version
 		strings.Replace(enc, ";in=", ";in=+", 1), // "+2" is not canonical
 		strings.Replace(enc, ";mh=3", ";mh=03", 1),             // leading zero
 		strings.Replace(enc, ";ce=", ";ce=2;x=", 1),            // bad bool + extra field

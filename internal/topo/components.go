@@ -107,9 +107,10 @@ func Decompose(s *Space) *Decomposition {
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	// Under a symmetry quotient the union-find runs over pseudo-items
 	// (i,k) = rep × group element, indexed i·m+k, whose view rows are the
-	// rep rows pushed through the chain relabel memo. With m = 1 the
-	// pseudo index IS the item index and the memo lookups vanish.
+	// rep rows relabeled by k (Interner.Relabel, ID arithmetic). With m = 1
+	// the pseudo index IS the item index and no ID is relabeled.
 	m := s.SymOrder()
+	in := s.Interner
 	pcount := s.pseudoLen()
 	u := uf.New(pcount)
 	// Bucket runs by hash-consed view ID; every bucket is a clique in the
@@ -124,7 +125,7 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 		// Sequential fast path: interned IDs are dense, so a pooled
 		// epoch-stamped array (shared with Refine) replaces the hash map.
 		sc := refineScratchPool.Get().(*refineScratch)
-		sc.acquire(s.Interner.Size(), 1)
+		sc.acquire(in.IDBound(), 1)
 		sc.epoch++
 		epoch := sc.epoch
 		stamp, firstOf := sc.stamp, sc.firstOf
@@ -136,13 +137,9 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 			}
 			row := ids[i*n : (i+1)*n]
 			for k := 0; k < m; k++ {
-				var memo []ptg.ViewID
-				if k != 0 {
-					memo = s.sym.memo[k]
-				}
 				for _, id := range row {
-					if memo != nil {
-						id = memo[id]
+					if k != 0 {
+						id = in.Relabel(id, k)
 					}
 					if stamp[id] == epoch {
 						u.Union(int(firstOf[id]), pi)
@@ -168,13 +165,9 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 			sc := scan{reps: make(map[ptg.ViewID]int, (hi-lo)*n)}
 			for pi := lo; pi < hi; pi++ {
 				i, k := pi/m, pi%m
-				var memo []ptg.ViewID
-				if k != 0 {
-					memo = s.sym.memo[k]
-				}
 				for _, id := range ids[i*n : (i+1)*n] {
-					if memo != nil {
-						id = memo[id]
+					if k != 0 {
+						id = in.Relabel(id, k)
 					}
 					if first, ok := sc.reps[id]; ok {
 						if first != pi {

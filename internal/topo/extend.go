@@ -201,14 +201,10 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.sym != nil {
-		// Fill the relabel memo for the fresh round while both its column
-		// and the parent's are guaranteed resident (the parent spills just
-		// below). Decomposition and decision-map compilation read the
-		// pseudo-item rows through this memo.
-		if err := next.relabelRound(ctx); err != nil {
-			return nil, err
-		}
+	// A view whose ID would overflow int32 fails the round like the size
+	// cap does, instead of wrapping.
+	if err := interner.Err(); err != nil {
+		return nil, err
 	}
 	if s.pager != nil {
 		// The receiver's round just stopped being the head: persist it and

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -289,12 +288,13 @@ type ChainSpec struct {
 	// SnapshotChain).
 	Rounds []ChainRound
 	// Symmetry must be the automorphism group the checkpointed session was
-	// quotiented by (nil for a full-space session). The group, stabilizer
-	// column and relabel memo are derived state — never serialized, the
-	// page format is symmetry-agnostic — so restore recomputes them by the
-	// same recurrence the original extension applied. Restoring a
-	// quotiented chain without its group (or vice versa) mis-shapes every
-	// page's item count and fails the count validation.
+	// quotiented by (nil for a full-space session), and the Interner must be
+	// orbit-canonical under it (the imported blob carries the group). The
+	// stabilizer column is derived state — never serialized, the page
+	// format is symmetry-agnostic — so restore recomputes it by the same
+	// recurrence the original extension applied. Restoring a quotiented
+	// chain without its group (or vice versa) mis-shapes every page's item
+	// count and fails the count validation.
 	Symmetry *ma.Group
 }
 
@@ -320,9 +320,12 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 	}
 	adv := spec.Adversary
 	n := adv.N()
-	s := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Parallelism, spec.Symmetry)
+	s, err := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Parallelism, spec.Symmetry)
+	if err != nil {
+		return nil, fmt.Errorf("topo: RestoreChain: %w", err)
+	}
 	s.pager = spec.Pager
-	internedViews := ptg.ViewID(spec.Interner.Size())
+	idBound := ptg.ViewID(spec.Interner.IDBound())
 	for ri, cr := range spec.Rounds {
 		if cr.Horizon != ri+1 {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d has horizon %d, want %d", ri, cr.Horizon, ri+1)
@@ -345,9 +348,9 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
 		}
 		for _, id := range f.ids {
-			if id < 0 || id >= internedViews {
-				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond interner size %d",
-					cr.Horizon, id, internedViews)
+			if id < 0 || id >= idBound {
+				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond interner ID bound %d",
+					cr.Horizon, id, idBound)
 			}
 		}
 		states := make([]ma.State, cr.Count)
@@ -379,18 +382,11 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			sym:         s.sym,
 		}
 		if s.sym != nil {
-			// Replay the stabilizer recurrence and refill the round's slice
-			// of the chain relabel memo (derived state, never serialized).
-			// The relabel pass reads the parent round's id column, which was
-			// evicted at the end of its own iteration — fault it back for
-			// the pass; it re-evicts whenever the pager needs the room.
+			// Replay the stabilizer recurrence (derived state, never
+			// serialized). Relabeled views need nothing replayed: the
+			// imported interner re-derived every cone's stabilizer from its
+			// key.
 			next.stab = replayStab(s, f)
-			if err := f.prev.ensure(); err != nil {
-				return nil, err
-			}
-			if err := next.relabelRound(context.Background()); err != nil {
-				return nil, err
-			}
 		}
 		if cr.Horizon < len(spec.Rounds) {
 			// Interior round: register it cold (the page was just validated)
@@ -447,8 +443,7 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 	}
 	if s.sym != nil {
 		// The stabilizer column is per-space derived state, replayed forward
-		// alongside the automaton states; the chain relabel memo is shared
-		// and already covers every round ≤ s.Horizon.
+		// alongside the automaton states.
 		stab = make([]uint64, base.count)
 		for i, w := range base.inputs {
 			st, _ := inputOrbitRep(w, s.sym.group)

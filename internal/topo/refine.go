@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"topocon/internal/graph"
-	"topocon/internal/ptg"
 	"topocon/internal/uf"
 )
 
@@ -110,10 +109,9 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	}
 	// Under a symmetry quotient the refinement runs over pseudo-items
 	// (components.go): the pseudo parent of child pseudo-item (c,k) is
-	// (parentOf(c), k) with the same group element, and the relabel memo —
-	// which covers every round of the chain — turns rep rows into pseudo
-	// rows on the fly. With m = 1 every pseudo index collapses to the item
-	// index and the memo lookups vanish.
+	// (parentOf(c), k) with the same group element, and Interner.Relabel
+	// turns rep rows into pseudo rows on the fly. With m = 1 every pseudo
+	// index collapses to the item index and no ID is relabeled.
 	m := child.SymOrder()
 	nItems := child.Len()
 	nPseudo := child.pseudoLen()
@@ -122,10 +120,11 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	child.fr.fault()
 	ids := child.fr.ids
 	offsets := child.parentOffsets
-	// All child views were interned during the extension (the round relabel
-	// pass interns every pseudo twin too), so their IDs are below the
-	// interner size read here.
-	tableSize := child.Interner.Size()
+	// All child views were interned during the extension, and relabeling
+	// keeps an ID's stored cone, so every pseudo-item ID is below the bound
+	// read here.
+	in := child.Interner
+	tableSize := in.IDBound()
 	if child.parallelism <= 1 {
 		sc := refineScratchPool.Get().(*refineScratch)
 		sc.acquire(tableSize, int32(len(d.Comps)))
@@ -140,16 +139,12 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 					return nil, ctx.Err()
 				}
 				pp, k := ppi/m, ppi%m
-				var memo []ptg.ViewID
-				if k != 0 {
-					memo = child.sym.memo[k]
-				}
 				for i := offsets[pp]; i < offsets[pp+1]; i++ {
 					scanned++
 					pci := i*m + k
 					for _, id := range ids[i*n : (i+1)*n] {
-						if memo != nil {
-							id = memo[id]
+						if k != 0 {
+							id = in.Relabel(id, k)
 						}
 						if stamp[id] == epoch {
 							u.Union(int(firstOf[id]), pci)
@@ -185,15 +180,11 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 				epoch := sc.epoch
 				for _, ppi := range d.Comps[ci].Members {
 					pp, k := ppi/m, ppi%m
-					var memo []ptg.ViewID
-					if k != 0 {
-						memo = child.sym.memo[k]
-					}
 					for i := offsets[pp]; i < offsets[pp+1]; i++ {
 						pci := i*m + k
 						for _, id := range ids[i*n : (i+1)*n] {
-							if memo != nil {
-								id = memo[id]
+							if k != 0 {
+								id = in.Relabel(id, k)
 							}
 							if stamp[id] == epoch {
 								if int(firstOf[id]) != pci {

@@ -136,8 +136,9 @@ type Space struct {
 
 	// sym, when non-nil, marks the chain as quotiented by the adversary's
 	// automorphism group: items are orbit representatives, stab[i] is the
-	// bitmask of group elements fixing item i, and the chain-level relabel
-	// memo backs pseudo-item decomposition. See symmetry.go / DESIGN.md §13.
+	// bitmask of group elements fixing item i, and the orbit-canonical
+	// interner's Relabel backs pseudo-item decomposition. See symmetry.go /
+	// DESIGN.md §13.
 	sym  *symState
 	stab []uint64
 }
@@ -167,8 +168,10 @@ type Config struct {
 	// given automorphism group of the adversary's graph language (from
 	// ma.Automorphisms): only one representative run per orbit is interned,
 	// with orbit sizes tracked so FullLen and the verdict accounting still
-	// report full-space numbers. Passing a group that is NOT a subgroup of
-	// the adversary's true automorphism group is unsound.
+	// report full-space numbers, and views are interned one cone per orbit
+	// (ptg.Interner.AdoptGroup; a supplied Interner must be orbit-canonical
+	// under the same group, or empty). Passing a group that is NOT a
+	// subgroup of the adversary's true automorphism group is unsound.
 	Symmetry *ma.Group
 }
 
@@ -227,7 +230,10 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 	if interner == nil {
 		interner = ptg.NewInterner()
 	}
-	s := buildBaseSym(adv, inputDomain, interner, maxRuns, cfg.Parallelism, cfg.Symmetry)
+	s, err := buildBaseSym(adv, inputDomain, interner, maxRuns, cfg.Parallelism, cfg.Symmetry)
+	if err != nil {
+		return nil, err
+	}
 	s.pager = cfg.Pager
 	for s.Horizon < horizon {
 		next, err := s.extendOne(ctx)
@@ -248,21 +254,19 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 	return s, nil
 }
 
-// buildBase constructs the horizon-0 space: one item per input vector, leaf
-// views, the adversary's start state.
-func buildBase(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns, parallelism int) *Space {
-	return buildBaseSym(adv, inputDomain, interner, maxRuns, parallelism, nil)
-}
-
-// buildBaseSym is buildBase with an optional symmetry quotient: with a
-// nontrivial group, only the numerically smallest input vector of each
-// G-orbit becomes an item, stabilizer masks are recorded, and the leaf
-// relabel memo is seeded.
-func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns, parallelism int, group *ma.Group) *Space {
+// buildBaseSym constructs the horizon-0 space: one item per input vector,
+// leaf views, the adversary's start state. With a nontrivial group only the
+// numerically smallest input vector of each G-orbit becomes an item,
+// stabilizer masks are recorded, and the interner must be orbit-canonical
+// under the group (an empty plain interner adopts it).
+func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns, parallelism int, group *ma.Group) (*Space, error) {
 	n := adv.N()
 	var sym *symState
 	if group != nil && !group.Trivial() {
-		sym = newSymState(group)
+		if err := interner.AdoptGroup(groupPerms(group)); err != nil {
+			return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
+		}
+		sym = &symState{group: group, m: group.Order()}
 	}
 	var inputs [][]int
 	var stab []uint64
@@ -317,10 +321,10 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		s.doneAt[i] = doneAt
 		s.valence[i] = valenceOf(w)
 	}
-	if sym != nil {
-		s.relabelBase()
+	if err := interner.Err(); err != nil {
+		return nil, err
 	}
-	return s
+	return s, nil
 }
 
 // valenceOf returns the common input value of a valent vector, else -1.

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"context"
 	"math/bits"
 
 	"topocon/internal/graph"
@@ -36,48 +35,27 @@ import (
 // pseudo-item shares every view with its twin, so they always land in the
 // same component, and component summaries fold them idempotently.
 //
-// Relabeled rows are never stored per item. A chain-level memo
-// (symState.memo[k][id] = id's view relabeled by element k) is filled
-// once per round by a parallel pass over the freshly interned column —
-// each distinct view relabels once per element, not once per item — and
-// serves every later round of the chain, because interned IDs and the
-// memo only ever grow.
+// Relabeled rows are never stored. The chain's interner is orbit-canonical
+// under the same group (ptg.Interner.AdoptGroup): it stores one cone per
+// orbit, and a view's ID says where in its orbit the view sits, so the
+// relabeled twin of a view is Interner.Relabel(id, k) — arithmetic on the
+// ID, with no per-view memo and no twin cone interned.
 
 // symState is the chain-level symmetry state, shared by every Space of
 // one frontier chain (extensions, restores, ancestors).
 type symState struct {
 	group *ma.Group
 	m     int // group order, ≥ 2
-	// memo[k][id] is the ViewID of view id relabeled by group element k,
-	// or -1 when not yet computed. memo[0] is nil: element 0 is the
-	// identity and is special-cased everywhere.
-	memo [][]ptg.ViewID
 }
 
-func newSymState(g *ma.Group) *symState {
-	return &symState{group: g, m: g.Order(), memo: make([][]ptg.ViewID, g.Order())}
-}
-
-// grow extends every non-identity memo table to the given interner size,
-// filling new entries with the -1 sentinel.
-func (sy *symState) grow(size int) {
-	for k := 1; k < sy.m; k++ {
-		t := sy.memo[k]
-		for len(t) < size {
-			t = append(t, -1)
-		}
-		sy.memo[k] = t
+// groupPerms lists the group's elements as image-indexed permutations, the
+// form ptg's orbit-canonical interner takes.
+func groupPerms(g *ma.Group) [][]int {
+	perms := make([][]int, g.Order())
+	for k := range perms {
+		perms[k] = g.Elem(k)
 	}
-}
-
-// relabeled returns the memoized relabeling of id under element k.
-// Element 0 is the identity. The entry must have been filled by a round
-// relabel pass; an unset entry is a chain-invariant violation.
-func (sy *symState) relabeled(id ptg.ViewID, k int) ptg.ViewID {
-	if k == 0 {
-		return id
-	}
-	return sy.memo[k][id]
+	return perms
 }
 
 // SymOrder returns the order of the chain's symmetry group (1 when the
@@ -96,16 +74,6 @@ func (s *Space) SymGroup() *ma.Group {
 		return nil
 	}
 	return s.sym.group
-}
-
-// RelabeledID returns the ViewID of view id relabeled by group element k
-// (an id that appears in any round column of this space's chain). With no
-// quotient only k = 0 is valid.
-func (s *Space) RelabeledID(id ptg.ViewID, k int) ptg.ViewID {
-	if k == 0 || s.sym == nil {
-		return id
-	}
-	return s.sym.memo[k][id]
 }
 
 // OrbitSize returns the number of full-space runs item i represents:
@@ -204,80 +172,6 @@ func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
 	return stab
 }
 
-// relabelBase fills the memo for the horizon-0 leaf views: the leaf of
-// process p with input x relabels to the leaf of σ(p) with input x.
-func (s *Space) relabelBase() {
-	sy := s.sym
-	sy.grow(s.Interner.Size())
-	n := s.fr.n
-	for k := 1; k < sy.m; k++ {
-		perm := sy.group.Elem(k)
-		memo := sy.memo[k]
-		for i, w := range s.fr.inputs {
-			for p := 0; p < n; p++ {
-				memo[s.fr.ids[i*n+p]] = s.Interner.Leaf(perm[p], w[p])
-			}
-		}
-		sy.memo[k] = memo
-	}
-}
-
-// relabelRound fills the memo for every view interned into this round's
-// column: for each group element k, the relabeled view of (i,p) is the
-// node of process σ(p) whose children are the parents' relabeled views
-// (from the previous round's memo entries) re-slotted by σ. The pass is
-// parallelized across group elements — each worker owns one memo table —
-// and runs while both this round's and the parent round's columns are
-// resident (extendOne calls it before spilling the parent).
-//
-// Interning the relabeled twins means the interner ends up holding the
-// same view set a full-space session would — the quotient shrinks the
-// item columns (the dominant cost), not the view arena.
-func (s *Space) relabelRound(ctx context.Context) error {
-	sy := s.sym
-	sy.grow(s.Interner.Size())
-	fr := s.fr
-	n := fr.n
-	prev := fr.prev
-	interner := s.Interner
-	return forEachChunk(ctx, sy.m-1, s.parallelism, func(lo, hi int) error {
-		qs := make([]int, 0, n)
-		children := make([]ptg.ViewID, 0, n)
-		slots := make([]ptg.ViewID, n)
-		for kk := lo; kk < hi; kk++ {
-			k := kk + 1
-			perm := sy.group.Elem(k)
-			memo := sy.memo[k]
-			for i := 0; i < fr.count; i++ {
-				g := fr.gs[i]
-				pids := prev.idRow(int(fr.parentOf[i]))
-				for p := 0; p < n; p++ {
-					id := fr.ids[i*n+p]
-					if memo[id] >= 0 {
-						continue
-					}
-					var mask uint64
-					for mm := g.In(p); mm != 0; mm &= mm - 1 {
-						q := bits.TrailingZeros64(mm)
-						sq := perm[q]
-						slots[sq] = memo[pids[q]]
-						mask |= 1 << uint(sq)
-					}
-					qs = qs[:0]
-					children = children[:0]
-					for ; mask != 0; mask &= mask - 1 {
-						q := bits.TrailingZeros64(mask)
-						qs = append(qs, q)
-						children = append(children, slots[q])
-					}
-					memo[id] = interner.Node(perm[p], qs, children)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 // replayStab recomputes the stabilizer column of a restored round from
 // the recorded parent links and round graphs — the same recurrence
 // extendOne applies, so a restored chain carries byte-identical orbit
@@ -321,8 +215,8 @@ func (s *Space) PseudoInput(i, k, p int) int {
 }
 
 // PseudoViews materializes the Views adapter of pseudo-item (i,k): the
-// representative's rows with every id pushed through the relabel memo and
-// every position permuted — process σ(p) of the twin holds the relabeled
+// representative's rows with every id relabeled by k and every position
+// permuted — process σ(p) of the twin holds the relabeled
 // view of the rep's process p, and its heard mask is the rep's mask with
 // the bits renamed. This is a cold path (pair scans, witness expansion);
 // per-call allocation mirrors ViewsOf.
@@ -332,7 +226,7 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 	}
 	perm := s.sym.group.Elem(k)
 	inv := s.sym.group.Inv(k)
-	memo := s.sym.memo[k]
+	in := s.Interner
 	n := s.fr.n
 	ids := make([][]ptg.ViewID, s.Horizon+1)
 	heard := make([][]uint64, s.Horizon+1)
@@ -343,7 +237,7 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 		row := make([]ptg.ViewID, n)
 		hrow := make([]uint64, n)
 		for p := 0; p < n; p++ {
-			row[p] = memo[src[inv[p]]]
+			row[p] = in.Relabel(src[inv[p]], k)
 			hrow[p] = graph.PermuteMask(srcHeard[inv[p]], perm)
 		}
 		ids[f.horizon] = row

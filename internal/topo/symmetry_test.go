@@ -144,10 +144,12 @@ func TestQuotientRefineMatchesDecompose(t *testing.T) {
 
 // TestQuotientSnapshotRestore pins the checkpoint path under a quotient:
 // the page format carries no symmetry state, so a restore handed the same
-// group must replay the stabilizer column and relabel memo to byte
-// equality — checked by comparing stab, FullLen, a further extension, and
-// the pseudo decomposition (which exercises every memo entry). AncestorAt
-// must likewise rehydrate earlier horizons with orbit accounting intact.
+// group must replay the stabilizer column to byte equality, and the
+// imported orbit-canonical interner must relabel every view as the
+// original did — checked by comparing stab, FullLen, a further extension,
+// and the pseudo decomposition (which relabels every view of the chain).
+// AncestorAt must likewise rehydrate earlier horizons with orbit
+// accounting intact.
 func TestQuotientSnapshotRestore(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {

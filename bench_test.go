@@ -396,6 +396,8 @@ func BenchmarkExtendPaged(b *testing.B) {
 // one (topocon.Decomposition.Refine). The spaces are extended once outside
 // the timer, so the pair differs only in how the partition is obtained.
 // Track the ratio in the perf trajectory; the acceptance floor is 2×.
+// "star-quotient-refine" is the same Refine chain on lossy-star-4 under its
+// S₃ quotient, where the decomposition runs over orbit representatives.
 func BenchmarkRefineVsDecompose(b *testing.B) {
 	ctx := context.Background()
 	spaces := make([]*topocon.Space, benchMaxHorizon+1)
@@ -410,50 +412,88 @@ func BenchmarkRefineVsDecompose(b *testing.B) {
 		}
 		spaces[t] = s
 	}
-	wantComps := make([]int, benchMaxHorizon+1)
-	for t := 1; t <= benchMaxHorizon; t++ {
-		wantComps[t] = len(topocon.Decompose(spaces[t]).Comps)
-	}
 	b.Run("decompose", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for t := 1; t <= benchMaxHorizon; t++ {
-				d, err := topocon.DecomposeCtx(ctx, spaces[t])
-				if err != nil || len(d.Comps) != wantComps[t] {
-					b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
-				}
-			}
-		}
+		benchDecompose(b, spaces)
 	})
 	b.Run("refine", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d, err := topocon.DecomposeCtx(ctx, spaces[1])
-			if err != nil {
+		benchRefine(b, spaces)
+	})
+	b.Run("star-quotient-refine", func(b *testing.B) {
+		star := lossyStar4(b)
+		group := topocon.Automorphisms(star)
+		if group.Order() != 6 {
+			b.Fatalf("lossy-star-4 group order %d, want 6", group.Order())
+		}
+		spaces := make([]*topocon.Space, benchMaxHorizon+1)
+		s, err := topo.BuildCtx(ctx, star, 2, 1, topo.Config{Symmetry: group})
+		if err != nil {
+			b.Fatal(err)
+		}
+		spaces[1] = s
+		for t := 2; t <= benchMaxHorizon; t++ {
+			if s, err = s.Extend(ctx, t); err != nil {
 				b.Fatal(err)
 			}
-			for t := 2; t <= benchMaxHorizon; t++ {
-				if d, err = d.Refine(ctx, spaces[t]); err != nil || len(d.Comps) != wantComps[t] {
-					b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
-				}
-			}
+			spaces[t] = s
 		}
+		b.ResetTimer()
+		benchRefine(b, spaces)
 	})
 }
 
-// BenchmarkExtendQuotient measures the symmetry quotient (DESIGN.md §13)
-// on the lossy-star-4 workload: n=4, the center may drop one spoke per
-// round, so the leaf processes are interchangeable and ma.Automorphisms
-// finds the order-6 S₃ group. The quotient sub-benchmark builds the
-// horizon-7 space with one interned representative per orbit; full builds
-// the unquotiented space. Both report their interned item count as the
-// items/op metric — the quotient's acceptance floor is a ≥3× reduction at
-// identical full-space accounting (FullLen), asserted here so a broken
-// canonicalizer cannot pass as a fast benchmark. Verdict equality across
-// the two modes is pinned separately by check.TestQuotientMatchesFullSpace
-// and the CI differential step.
-func BenchmarkExtendQuotient(b *testing.B) {
-	const starHorizon = 7
+// benchDecompose decomposes every space from scratch per iteration.
+func benchDecompose(b *testing.B, spaces []*topocon.Space) {
+	ctx := context.Background()
+	want := decompositionSizes(b, spaces)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for t := 1; t < len(spaces); t++ {
+			d, err := topocon.DecomposeCtx(ctx, spaces[t])
+			if err != nil || len(d.Comps) != want[t] {
+				b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
+			}
+		}
+	}
+}
+
+// benchRefine decomposes the first space and refines along the chain per
+// iteration.
+func benchRefine(b *testing.B, spaces []*topocon.Space) {
+	ctx := context.Background()
+	want := decompositionSizes(b, spaces)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := topocon.DecomposeCtx(ctx, spaces[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t := 2; t < len(spaces); t++ {
+			if d, err = d.Refine(ctx, spaces[t]); err != nil || len(d.Comps) != want[t] {
+				b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
+			}
+		}
+	}
+}
+
+// decompositionSizes returns the component count of each space, the
+// benchmarks' correctness check.
+func decompositionSizes(b *testing.B, spaces []*topocon.Space) []int {
+	want := make([]int, len(spaces))
+	for t := 1; t < len(spaces); t++ {
+		d, err := topocon.DecomposeCtx(context.Background(), spaces[t])
+		if err != nil {
+			b.Fatal(err)
+		}
+		want[t] = len(d.Comps)
+	}
+	return want
+}
+
+// lossyStar4 is scenarios/lossy-star-4.json's adversary: the star around
+// process 1 in both directions, and its three one-spoke-dropping variants.
+func lossyStar4(b *testing.B) topocon.Adversary {
 	specs := []string{
 		"2->1, 3->1, 4->1, 1->2, 1->3, 1->4",
 		"2->1, 3->1, 4->1, 1->3, 1->4",
@@ -472,6 +512,23 @@ func BenchmarkExtendQuotient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return star
+}
+
+// BenchmarkExtendQuotient measures the symmetry quotient (DESIGN.md §13)
+// on the lossy-star-4 workload: n=4, the center may drop one spoke per
+// round, so the leaf processes are interchangeable and ma.Automorphisms
+// finds the order-6 S₃ group. The quotient sub-benchmark builds the
+// horizon-7 space with one interned representative per orbit; full builds
+// the unquotiented space. Both report their interned item count as the
+// items/op metric — the quotient's acceptance floor is a ≥3× reduction at
+// identical full-space accounting (FullLen), asserted here so a broken
+// canonicalizer cannot pass as a fast benchmark. Verdict equality across
+// the two modes is pinned separately by check.TestQuotientMatchesFullSpace
+// and the CI differential step.
+func BenchmarkExtendQuotient(b *testing.B) {
+	const starHorizon = 7
+	star := lossyStar4(b)
 	group := topocon.Automorphisms(star)
 	if group.Order() != 6 {
 		b.Fatalf("lossy-star-4 group order %d, want 6 (S₃ on the leaves)", group.Order())

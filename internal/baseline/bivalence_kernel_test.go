@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 )
@@ -113,7 +114,7 @@ func TestChainKernelMatchesOracle(t *testing.T) {
 // lossy-star-4 (every leaf reaches the center; the center's broadcast may
 // drop one spoke) at chain length 3.
 func TestChainKernelMatchesOracleOnLossyStar(t *testing.T) {
-	adv := lossyStar4(t)
+	adv := advgen.LossyStar4()
 	wantCert, wantOK, wantSurv := oracleProveBivalent(adv, 2, 3)
 	for _, tableless := range []bool{false, true} {
 		gotCert, gotOK, gotSurv := kernelProve(adv, 2, 3, tableless)
@@ -126,28 +127,8 @@ func TestChainKernelMatchesOracleOnLossyStar(t *testing.T) {
 	}
 }
 
-// lossyStar4 builds scenarios/lossy-star-4.json's adversary: S is the
-// star around process 1 in both directions, Dq drops the spoke 1→q.
-func lossyStar4(tb testing.TB) *ma.Oblivious {
-	tb.Helper()
-	star := func(drop int) graph.Graph {
-		masks := []uint64{0b1111, 0b0011, 0b0101, 0b1001}
-		if drop > 0 {
-			masks[drop] &^= 1
-		}
-		g, err := graph.FromInMasks(4, masks)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
-	}
-	return ma.MustOblivious("lossy-star-4", star(0), star(1), star(2), star(3))
-}
-
-// BenchmarkProveBivalent times the certificate search on lossy-star-4 at
-// chain length 3, the Analyzer's default for n ≥ 3.
 func BenchmarkProveBivalent(b *testing.B) {
-	adv := lossyStar4(b)
+	adv := advgen.LossyStar4()
 	for i := 0; i < b.N; i++ {
 		ProveBivalent(adv, 2, 3)
 	}

@@ -25,7 +25,8 @@ type HorizonReport struct {
 	Horizon int
 	// Runs is the size of the horizon's prefix space.
 	Runs int
-	// Components and MixedComponents describe its decomposition.
+	// Components and MixedComponents describe its decomposition, counted
+	// in the full space even when the session quotients by symmetry.
 	Components      int
 	MixedComponents int
 	// Broadcastable reports whether every valent component of this horizon
@@ -340,8 +341,10 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	t := next.Horizon
 	res := a.res
 	res.Horizon = t
-	res.MixedComponents = len(d.MixedComponents())
-	res.Components = len(d.Comps)
+	// Component counts are full-space counts: each component orbit of a
+	// quotiented decomposition stands for OrbitSize components.
+	res.MixedComponents = d.FullMixedComponents()
+	res.Components = d.FullComponents()
 	broadcastable := d.ValentComponentsBroadcastable()
 	if a.adv.Compact() {
 		if res.SeparationHorizon < 0 && res.MixedComponents == 0 {

@@ -150,7 +150,7 @@ type Result struct {
 	// Horizon is the last horizon analysed.
 	Horizon int
 	// MixedComponents and Components describe the decomposition at the
-	// last analysed horizon.
+	// last analysed horizon, counted in the full space.
 	MixedComponents int
 	Components      int
 

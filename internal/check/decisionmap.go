@@ -18,6 +18,7 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
@@ -35,10 +36,26 @@ type DecisionMap struct {
 	interner  *ptg.Interner
 	reference int
 	domain    int
-	decide    map[ptg.ViewID]int
-	// assignment[ci] is the value assigned to component ci of the
-	// reference decomposition (-1 for mixed components).
+	// order is |G| of the interner's group: a view ID divided by it is the
+	// view's orbit id.
+	order int32
+	// orbit[c] is 1 + the value every twin of the views with orbit id c
+	// decides, or 0 when they do not all decide one value.
+	orbit []int32
+	// twin holds, by view ID, the decisive views of the orbits whose twins
+	// decide differently (only under a nontrivial group).
+	twin map[ptg.ViewID]int
+	// size is the number of decisive views of the full space.
+	size int
+	// assignment[ci] is the value assigned to the base component of
+	// component orbit ci of the reference decomposition (-1 for mixed
+	// components).
 	assignment []int
+	// twinValues[ci], when non-nil, holds the value assigned to each twin
+	// σ_g·(base component), indexed by g: the rare valence-free orbits whose
+	// uniform broadcasters hold different inputs, so that the smallest
+	// broadcaster — and with it the value — depends on the relabeling.
+	twinValues [][]int
 }
 
 // BuildDecisionMap compiles the universal algorithm from the decomposition
@@ -57,19 +74,27 @@ type DecisionMap struct {
 //     components without a broadcaster fall back to the default value;
 //  3. a view at time t ≤ reference is decisive for v iff every run
 //     compatible with it lies in a component assigned v.
+//
+// Under a symmetry quotient the map compiles once per orbit: the twins of
+// a component share its valences, and inputs travel with processes, so a
+// view orbit's twins see relabeled copies of the same runs and, almost
+// always, the same assigned values. Views are therefore bucketed by orbit
+// id (ViewID / |G|) over the representative rows, with no relabeling; only
+// an orbit that meets a component orbit whose twins are assigned different
+// values (twinValues) is decided twin by twin.
 func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	s := d.Space
-	mult := d.Mult
-	if mult <= 1 {
-		mult = 1
-	}
+	in := s.Interner
+	grp := s.Group()
+	order := int32(grp.Order())
 	m := &DecisionMap{
 		adv:        s.Adversary,
-		interner:   s.Interner,
+		interner:   in,
 		reference:  s.Horizon,
 		domain:     s.InputDomain,
-		decide:     make(map[ptg.ViewID]int, s.Len()),
+		order:      order,
 		assignment: make([]int, len(d.Comps)),
+		twinValues: make([][]int, len(d.Comps)),
 	}
 	for ci := range d.Comps {
 		c := &d.Comps[ci]
@@ -77,15 +102,10 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 		case 0:
 			m.assignment[ci] = defaultValue
 			if bc := c.Broadcasters & c.UniformInputs; bc != 0 {
-				p := 0
-				for bc&1 == 0 {
-					bc >>= 1
-					p++
-				}
-				// Members index pseudo-items on quotiented spaces
-				// (DESIGN.md §13); the broadcaster's input lives in the
-				// relabeled copy, not the representative.
-				m.assignment[ci] = s.PseudoInput(c.Members[0]/mult, c.Members[0]%mult, p)
+				// The smallest member's run lies in the base component.
+				inputs := s.Inputs(c.Members[0])
+				m.assignment[ci] = inputs[bits.TrailingZeros64(bc)]
+				m.twinValues[ci] = twinValues(s, bc, inputs)
 			}
 		case 1:
 			m.assignment[ci] = c.Valences[0]
@@ -93,44 +113,132 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 			m.assignment[ci] = -1
 		}
 	}
-	// A view bucket is decisive iff all its runs' components share one
-	// assigned value. ViewIDs encode owner and time, so one table over
-	// all (t, p) is sound. On quotiented spaces the fold must cover every
-	// orbit member, not just the representative: the relabeled copies
-	// contribute their own view rows (the representative's ids relabeled by
-	// Interner.Relabel, at permuted positions the fold ignores), and a view
-	// decisive among representatives alone could be mixed once a twin
-	// reaches it.
-	type bucket struct {
-		value    int
-		decisive bool
-	}
-	buckets := make(map[ptg.ViewID]bucket, s.Len()*s.N())
-	in := s.Interner
+	// A view is decisive iff all its runs' components share one assigned
+	// value. ViewIDs encode owner and time, so one table over all (t, p)
+	// is sound. state[c] is 0 while orbit c is unseen, 1 once its runs
+	// disagree, v+2 while they all decide v, and -1 once it is decided
+	// twin by twin in twins[c], indexed by the element reaching the twin.
+	state := make([]int32, in.Size())
+	var twins map[int32][]int32
 	for i := 0; i < s.Len(); i++ {
+		ci := d.CompOf[i]
+		v, tv := m.assignment[ci], m.twinValues[ci]
+		// Twin σ_k·(run i) lies in the twin σ_{k∘L⁻¹} of the base component.
+		li := grp.Inv(d.Labels[i])
 		views := s.ViewsOf(i)
-		for k := 0; k < mult; k++ {
-			v := m.assignment[d.CompOf[i*mult+k]]
-			for t := 0; t <= s.Horizon; t++ {
-				for p := 0; p < s.N(); p++ {
-					id := in.Relabel(views.ID(t, p), k)
-					b, seen := buckets[id]
-					switch {
-					case !seen:
-						buckets[id] = bucket{value: v, decisive: v >= 0}
-					case b.decisive && b.value != v:
-						buckets[id] = bucket{decisive: false}
+		for t := 0; t <= s.Horizon; t++ {
+			for p := 0; p < s.N(); p++ {
+				id := views.ID(t, p)
+				c := int32(id) / order
+				if tv == nil {
+					if st := state[c]; st >= 0 {
+						state[c] = mergeDecision(st, v)
+					} else {
+						for e, st := range twins[c] {
+							twins[c][e] = mergeDecision(st, v)
+						}
 					}
+					continue
+				}
+				if state[c] >= 0 {
+					if twins == nil {
+						twins = make(map[int32][]int32)
+					}
+					tw := make([]int32, order)
+					for e := range tw {
+						tw[e] = state[c]
+					}
+					twins[c], state[c] = tw, -1
+				}
+				tw := twins[c]
+				for k := 0; k < int(order); k++ {
+					e := int32(in.Relabel(id, k)) - c*order
+					tw[e] = mergeDecision(tw[e], tv[grp.Mul(uint8(k), li)])
 				}
 			}
 		}
 	}
-	for id, b := range buckets {
-		if b.decisive {
-			m.decide[id] = b.value
+	// Orbit c holds |G| / |Stab(c)| distinct views, one per coset of its
+	// stabilizer; a twin-by-twin orbit counts its decisive cosets.
+	for c, st := range state {
+		if st >= 2 {
+			m.size += grp.Index(in.OrbitStab(c))
+			state[c] = st - 1
+		} else {
+			state[c] = 0
+		}
+	}
+	m.orbit = state
+	for c, tw := range twins {
+		stab := in.OrbitStab(int(c))
+		for e, st := range tw {
+			if st >= 2 && grp.MinCoset(1, uint8(e), stab) == uint8(e) {
+				if m.twin == nil {
+					m.twin = make(map[ptg.ViewID]int)
+				}
+				m.twin[ptg.ViewID(c*order+int32(e))] = int(st - 2)
+				m.size++
+			}
 		}
 	}
 	return m
+}
+
+// mergeDecision folds one run's assigned value v (-1 for a mixed
+// component) into a view's decision state (0 unseen, 1 undecided, v+2
+// decisive for v).
+func mergeDecision(st int32, v int) int32 {
+	want := int32(1)
+	if v >= 0 {
+		want = int32(v) + 2
+	}
+	if st == 0 || st == want {
+		return want
+	}
+	return 1
+}
+
+// twinValues returns the value each twin σ_g of a valence-free base
+// component is assigned — the input of its smallest uniform broadcaster
+// σ_g(p), which is the base component's input at p — or nil when every
+// uniform broadcaster holds the same input, so every twin gets the same
+// value (always under the trivial group).
+func twinValues(s *topo.Space, bc uint64, inputs []int) []int {
+	if !s.Quotiented() {
+		return nil
+	}
+	p0 := bits.TrailingZeros64(bc)
+	uniform := true
+	for mm := bc; mm != 0; mm &= mm - 1 {
+		if inputs[bits.TrailingZeros64(mm)] != inputs[p0] {
+			uniform = false
+		}
+	}
+	if uniform {
+		return nil
+	}
+	grp := s.SymGroup()
+	out := make([]int, grp.Order())
+	for g := range out {
+		perm := grp.Elem(g)
+		best := p0
+		for mm := bc; mm != 0; mm &= mm - 1 {
+			if p := bits.TrailingZeros64(mm); perm[p] < perm[best] {
+				best = p
+			}
+		}
+		out[g] = inputs[best]
+	}
+	return out
+}
+
+// twinValue returns the value assigned to the twin σ_g of component orbit
+// ci's base component.
+func (m *DecisionMap) twinValue(ci int, g uint8) int {
+	if tv := m.twinValues[ci]; tv != nil {
+		return tv[g]
+	}
+	return m.assignment[ci]
 }
 
 // Adversary returns the adversary the map was built for.
@@ -143,12 +251,19 @@ func (m *DecisionMap) Interner() *ptg.Interner { return m.interner }
 // Reference returns the horizon of the space the map was compiled from.
 func (m *DecisionMap) Reference() int { return m.reference }
 
-// Size returns the number of decisive views.
-func (m *DecisionMap) Size() int { return len(m.decide) }
+// Size returns the number of decisive views, counted in the full space: a
+// decisive view orbit counts each of its distinct twins.
+func (m *DecisionMap) Size() int { return m.size }
 
 // Decide returns the decision value for a view, if the view is decisive.
 func (m *DecisionMap) Decide(id ptg.ViewID) (int, bool) {
-	v, ok := m.decide[id]
+	if id < 0 {
+		return 0, false
+	}
+	if c := int32(id) / m.order; int(c) < len(m.orbit) && m.orbit[c] > 0 {
+		return int(m.orbit[c] - 1), true
+	}
+	v, ok := m.twin[id]
 	return v, ok
 }
 
@@ -156,7 +271,7 @@ func (m *DecisionMap) Decide(id ptg.ViewID) (int, bool) {
 // reference space and returns, for each run, the per-process decision
 // times (-1 when a process has not decided by the reference horizon) and
 // values. On quotiented spaces (DESIGN.md §13) the rows enumerate every
-// orbit member — pseudo-item (i, k) lands at row i*SymOrder()+k — so the
+// orbit member — the twin σ_k·(run i) lands at row i*SymOrder()+k — so the
 // result covers the full space, not just the interned representatives.
 func (m *DecisionMap) DecisionRounds(s *topo.Space) ([][]int, [][]int, error) {
 	if s.Interner != m.interner {
@@ -176,7 +291,7 @@ func (m *DecisionMap) DecisionRounds(s *topo.Space) ([][]int, [][]int, error) {
 				times[pi][p] = -1
 				values[pi][p] = -1
 				for t := 0; t <= s.Horizon && t <= m.reference; t++ {
-					if v, ok := m.decide[views.ID(t, p)]; ok {
+					if v, ok := m.Decide(views.ID(t, p)); ok {
 						times[pi][p] = t
 						values[pi][p] = v
 						break
@@ -200,28 +315,28 @@ func (m *DecisionMap) CrossAssignmentLevel(d *topo.Decomposition) (int, bool) {
 	if s.Interner != m.interner || len(d.Comps) != len(m.assignment) {
 		return 0, false
 	}
-	// Materialize each assigned item's Views adapter once; the pair scan
+	// Materialize each assigned run's Views adapter once; the pair scan
 	// then touches only shared row headers. On quotiented spaces the scan
-	// covers every pseudo-item: cross-value pairs can relate two members
-	// of the same orbit, so representatives alone would overstate the
-	// separation level.
-	mult := d.Mult
-	if mult <= 1 {
-		mult = 1
-	}
-	idx := make([]int, 0, len(d.CompOf))
-	views := make([]*ptg.Views, 0, len(d.CompOf))
-	for pi := 0; pi < len(d.CompOf); pi++ {
-		if m.assignment[d.CompOf[pi]] >= 0 {
-			idx = append(idx, pi)
-			views = append(views, s.PseudoViews(pi/mult, pi%mult))
+	// covers every twin: cross-value pairs can relate two members of the
+	// same orbit, so representatives alone would overstate the separation
+	// level. Twin σ_k·(run i) lies in the twin σ_{k∘L⁻¹} of its orbit's
+	// base component.
+	grp := s.Group()
+	var vals []int
+	var views []*ptg.Views
+	for i := 0; i < s.Len(); i++ {
+		ci, li := d.CompOf[i], grp.Inv(d.Labels[i])
+		for k := 0; k < grp.Order(); k++ {
+			if v := m.twinValue(ci, grp.Mul(uint8(k), li)); v >= 0 {
+				vals = append(vals, v)
+				views = append(views, s.PseudoViews(i, k))
+			}
 		}
 	}
 	best := -1
-	for a := range idx {
-		vi := m.assignment[d.CompOf[idx[a]]]
-		for b := a + 1; b < len(idx); b++ {
-			if vj := m.assignment[d.CompOf[idx[b]]]; vj == vi {
+	for a := range vals {
+		for b := a + 1; b < len(vals); b++ {
+			if vals[b] == vals[a] {
 				continue
 			}
 			if l := ptg.MinAgreeLevel(views[a], views[b]); l > best {
@@ -236,7 +351,8 @@ func (m *DecisionMap) CrossAssignmentLevel(d *topo.Decomposition) (int, bool) {
 }
 
 // ComponentValue returns the decision value assigned to component ci of
-// the reference decomposition (-1 for mixed components).
+// the reference decomposition (-1 for mixed components) — under a
+// quotient, to the base component of orbit ci.
 func (m *DecisionMap) ComponentValue(ci int) int { return m.assignment[ci] }
 
 // CrossDecisionLevel measures the separation of a *fixed* algorithm's
@@ -253,7 +369,7 @@ func CrossDecisionLevel(m *DecisionMap, s *topo.Space) (int, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	// DecisionRounds rows enumerate pseudo-items on quotiented spaces;
+	// DecisionRounds rows enumerate every twin on quotiented spaces;
 	// mirror its indexing so every orbit member joins the pair scan.
 	mult := s.SymOrder()
 	idx := make([]int, 0, len(values))

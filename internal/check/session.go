@@ -152,8 +152,8 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 
 	res := a.res
 	res.Horizon = snap.Horizon
-	res.Components = len(decomp.Comps)
-	res.MixedComponents = len(decomp.MixedComponents())
+	res.Components = decomp.FullComponents()
+	res.MixedComponents = decomp.FullMixedComponents()
 	res.BroadcastHorizon = snap.BroadcastHorizon
 	if sep := snap.SeparationHorizon; sep >= 0 {
 		res.SeparationHorizon = sep

@@ -6,18 +6,20 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 3, line-framed like internal/store records):
+// Manifest format (version 4, line-framed like internal/store records):
 //
-//	topocon-ckpt 3
+//	topocon-ckpt 4
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 3 marks checkpoints written with the orbit-canonical interner;
-// older checkpoints — version 1 (full, unquotiented frontiers) and version
-// 2 (quotiented sessions under the relabel-memo ID scheme) — are
-// quarantined and recomputed rather than resumed (see manifestVersion).
+// Version 4 marks checkpoints whose decompositions are component orbits
+// (per-item labels and per-component stabilizers); older checkpoints —
+// version 1 (full, unquotiented frontiers), version 2 (quotiented sessions
+// under the relabel-memo ID scheme) and version 3 (decompositions over
+// pseudo-items) — are quarantined and recomputed rather than resumed (see
+// manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -54,14 +56,15 @@ import (
 )
 
 const (
-	// manifestVersion 3 marks checkpoints written with the orbit-canonical
-	// interner (DESIGN.md §13): a quotiented session's view IDs are
-	// c·|G| + ℓ, and its interner blob carries the group. A v2 checkpoint
-	// of a quotiented session holds a plain blob of the full view set
-	// under the old ID scheme, and a v1 checkpoint's pages hold the full,
-	// unquotiented frontier; resuming either would be wrong. Older
-	// manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 3
+	// manifestVersion 4 marks checkpoints whose session snapshots hold
+	// orbit decompositions (DESIGN.md §13): one component per component
+	// orbit, with per-item labels and per-component stabilizers. A v3
+	// snapshot of a quotiented session holds a pseudo-item partition
+	// (|G| labels per item), v2 view IDs of the relabel-memo scheme, and
+	// v1 pages the full, unquotiented frontier; resuming any of them would
+	// be wrong. Older manifests therefore fail decoding, quarantine, and
+	// recompute.
+	manifestVersion = 4
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"
@@ -423,6 +426,11 @@ func decodeManifest(data []byte) (fp string, blobLen int, blobCRC uint32, snap *
 	snap = new(check.SessionSnapshot)
 	if derr := dec.Decode(snap); derr != nil {
 		return "", 0, 0, nil, fmt.Errorf("decoding session meta: %v", derr)
+	}
+	// Save writes the meta with json.Marshal; anything else was not
+	// written by Save, so the manifest re-encodes byte for byte.
+	if canon, merr := json.Marshal(snap); merr != nil || string(canon) != meta {
+		return "", 0, 0, nil, errors.New("session meta is not in canonical form")
 	}
 	return fp, blobLen, blobCRC, snap, nil
 }

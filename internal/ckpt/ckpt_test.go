@@ -207,6 +207,15 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 			}
 			resealManifest(t, dir, 2)
 		},
+		// A version-3 checkpoint holds a decomposition over pseudo-items
+		// (|G| component ids per item); it must never be resumed as an
+		// orbit decomposition.
+		"version-3": func(t *testing.T, dir string) {
+			if ma.Automorphisms(ma.LossyLink3()).Trivial() {
+				t.Fatal("setup session is not quotiented")
+			}
+			resealManifest(t, dir, 3)
+		},
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -277,6 +277,30 @@ func (in *Interner) GroupOrder() int {
 	return in.grp.m
 }
 
+// trivialTable is the multiplication table of the group of order 1.
+var trivialTable = []uint8{0}
+
+// GroupTable returns the multiplication table of the interner's group —
+// mul[a·|G|+b] is the index of σ_a∘σ_b (σ_b applied first) — and the index
+// of each element's inverse. A plain interner reports the group of order
+// 1. The slices are shared; callers must not mutate them.
+func (in *Interner) GroupTable() (mul, inv []uint8) {
+	if in.grp == nil {
+		return trivialTable, trivialTable
+	}
+	return in.grp.mul, in.grp.inv
+}
+
+// OrbitStab returns the stabilizer mask of the stored cone with orbit id c
+// (a view's ID divided by |G|): bit h is set iff σ_h maps the cone to
+// itself. It is 1, the identity alone, on a plain interner.
+func (in *Interner) OrbitStab(c int) uint64 {
+	if in.grp == nil {
+		return 1
+	}
+	return in.stabs.get(int32(c))
+}
+
 // Relabel returns the ID of cone id relabeled by group element k (element 0
 // is the identity; on a plain interner only k = 0 is meaningful). The ID
 // must come from this interner; no cone is interned.

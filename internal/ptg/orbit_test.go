@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"topocon/internal/graph"
+	"topocon/internal/advgen"
 	"topocon/internal/ma"
 )
 
@@ -27,65 +27,6 @@ func groupInterner(perms [][]int) (*Interner, error) {
 		return nil, err
 	}
 	return in, nil
-}
-
-// lossyStar4 is scenarios/lossy-star-4.json's adversary: the star around
-// process 1 in both directions, and its three one-spoke-dropping variants.
-// Its automorphism group is the S₃ permuting the leaves.
-func lossyStar4(tb testing.TB) *ma.Oblivious {
-	tb.Helper()
-	star := func(drop int) graph.Graph {
-		masks := []uint64{0b1111, 0b0011, 0b0101, 0b1001}
-		if drop > 0 {
-			masks[drop] &^= 1
-		}
-		g, err := graph.FromInMasks(4, masks)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return g
-	}
-	return ma.MustOblivious("lossy-star-4", star(0), star(1), star(2), star(3))
-}
-
-// symmetricOblivious draws a random graph set on n processes and closes it
-// under a random non-identity permutation σ, so its automorphism group is
-// nontrivial.
-func symmetricOblivious(tb testing.TB, rng *rand.Rand, n int) *ma.Oblivious {
-	tb.Helper()
-	sigma := rng.Perm(n)
-	for isIdentity(sigma) {
-		sigma = rng.Perm(n)
-	}
-	full := graph.AllNodes(n)
-	var graphs []graph.Graph
-	for i := 0; i < 1+rng.Intn(3); i++ {
-		masks := make([]uint64, n)
-		for q := range masks {
-			masks[q] = rng.Uint64() & full
-		}
-		g, err := graph.FromInMasks(n, masks)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for h := g; ; { // the orbit of g under ⟨σ⟩
-			graphs = append(graphs, h)
-			h = h.Relabel(sigma)
-			if h.Key() == g.Key() {
-				break
-			}
-		}
-	}
-	return ma.MustOblivious("", graphs...)
-}
-
-func isIdentity(perm []int) bool {
-	for p, q := range perm {
-		if p != q {
-			return false
-		}
-	}
-	return true
 }
 
 // randomRun draws a run of the adversary: random binary inputs and rounds
@@ -110,9 +51,9 @@ func randomRun(rng *rand.Rand, adv *ma.Oblivious, rounds int) Run {
 // equal IDs, and the interner stores at most as many cones as the plain one.
 func TestOrbitInternerProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	advs := []*ma.Oblivious{lossyStar4(t)}
+	advs := []*ma.Oblivious{advgen.LossyStar4()}
 	for len(advs) < 13 {
-		advs = append(advs, symmetricOblivious(t, rng, 2+len(advs)%3))
+		advs = append(advs, advgen.SymmetricOblivious(rng, 2+len(advs)%3))
 	}
 	for ai, adv := range advs {
 		grp := ma.Automorphisms(adv)
@@ -165,7 +106,7 @@ func TestOrbitInternerProperties(t *testing.T) {
 // one stored cone but keep distinct IDs, and a cone fixed by the whole
 // group keeps its ID under every relabeling.
 func TestOrbitInternerStoresOnePerOrbit(t *testing.T) {
-	grp := ma.Automorphisms(lossyStar4(t))
+	grp := ma.Automorphisms(advgen.LossyStar4())
 	if grp.Order() != 6 {
 		t.Fatalf("lossy-star-4 group order %d, want 6", grp.Order())
 	}
@@ -191,7 +132,7 @@ func TestOrbitInternerStoresOnePerOrbit(t *testing.T) {
 // TestOrbitInternerIDCap: an ID that would overflow its range fails
 // (Leaf/Node return -1 and Err reports ErrIDSpace) and never wraps.
 func TestOrbitInternerIDCap(t *testing.T) {
-	grp := ma.Automorphisms(lossyStar4(t))
+	grp := ma.Automorphisms(advgen.LossyStar4())
 	in, err := groupInterner(groupPerms(grp))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +176,7 @@ func TestOrbitInternerIDCap(t *testing.T) {
 // TestOrbitInternerRepeatInternAllocationFree extends the allocation pin
 // to the orbit-canonical path: re-interning a known cone allocates nothing.
 func TestOrbitInternerRepeatInternAllocationFree(t *testing.T) {
-	in, err := groupInterner(groupPerms(ma.Automorphisms(lossyStar4(t))))
+	in, err := groupInterner(groupPerms(ma.Automorphisms(advgen.LossyStar4())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +197,7 @@ func TestOrbitInternerRepeatInternAllocationFree(t *testing.T) {
 // one may, a populated plain one may not, and an orbit-canonical one only
 // accepts its own group, in its own element order.
 func TestAdoptGroup(t *testing.T) {
-	perms := groupPerms(ma.Automorphisms(lossyStar4(t)))
+	perms := groupPerms(ma.Automorphisms(advgen.LossyStar4()))
 	in := NewInterner()
 	if err := in.AdoptGroup(perms); err != nil || in.GroupOrder() != 6 {
 		t.Fatalf("empty plain interner: %v (order %d)", err, in.GroupOrder())
@@ -298,7 +239,7 @@ func TestAdoptGroup(t *testing.T) {
 // holding the views of a few runs, and returns the runs.
 func orbitSample(tb testing.TB) (*Interner, []Run) {
 	tb.Helper()
-	adv := lossyStar4(tb)
+	adv := advgen.LossyStar4()
 	in, err := groupInterner(groupPerms(ma.Automorphisms(adv)))
 	if err != nil {
 		tb.Fatal(err)

@@ -12,21 +12,34 @@ import (
 	"topocon/internal/uf"
 )
 
-// Component is one connected component of the horizon-t prefix space in the
-// minimum topology — equivalently, the ε-approximation PS^ε (ε = 2^-t,
-// Definition 6.2) of each of its members.
+// Component is one component orbit of the horizon-t prefix space in the
+// minimum topology. A connected component of the full space — equivalently
+// the ε-approximation PS^ε (ε = 2^-t, Definition 6.2) of each of its
+// members — is mapped by every process automorphism σ onto a component
+// again (comp(σ·r) = σ·comp(r)), so components come in orbits. A
+// Component describes one component C of its orbit, its base; the orbit
+// holds |G|/|Stab| components, the twins σ·C over the cosets of Stab. Under
+// the trivial group every orbit is a single component.
 type Component struct {
-	// Members are item indices into the space, ascending.
+	// Members are the representative item indices of the orbit, ascending:
+	// item i is a member iff some twin of run i lies in C, and the twins of
+	// run i in C are σ_h·σ_g·(run i) for h in Stab, with g the item's
+	// Decomposition.Labels entry. The smallest member's run lies in C.
 	Members []int
+	// Stab is the stabilizer of C, a subgroup of the symmetry group as a
+	// bitmask over element indices: bit h is set iff σ_h·C = C. It is 1
+	// (the identity alone) under the trivial group.
+	Stab uint64
 	// Valences lists the distinct values v for which the component
-	// contains a v-valent run, ascending.
+	// contains a v-valent run, ascending. Valence is relabel-invariant, so
+	// every twin of C has the same list.
 	Valences []int
-	// Broadcasters is the bitmask of processes p such that in every member
-	// run, every process has heard p by the horizon (Definition 5.8 at
-	// finite resolution).
+	// Broadcasters is the bitmask of processes p such that in every run of
+	// C, every process has heard p by the horizon (Definition 5.8 at
+	// finite resolution). The twin σ·C has the relabeled mask.
 	Broadcasters uint64
 	// UniformInputs is the bitmask of processes p whose input x_p is the
-	// same across all members. Theorem 5.9 predicts
+	// same across all runs of C. Theorem 5.9 predicts
 	// Broadcasters ⊆ UniformInputs for connected components.
 	UniformInputs uint64
 }
@@ -35,44 +48,48 @@ type Component struct {
 // different values — the obstruction of Corollary 5.6.
 func (c *Component) Mixed() bool { return len(c.Valences) >= 2 }
 
-// Decomposition is the component structure of a space.
-//
-// Over a symmetry-quotiented space (Space.Quotiented) the decomposition
-// works on pseudo-items — pair (i,k) of representative item i and group
-// element k, indexed i·Mult+k — so that it reproduces the FULL space's
-// component structure exactly (two orbit members of one representative
-// may lie in different full-space components; decomposing representative
-// rows alone would be unsound). CompOf and Members then hold pseudo-item
-// indices; divide by Mult for the representative item.
+// Decomposition is the component structure of a space, one Component per
+// component orbit. Over a symmetry-quotiented space (Space.Quotiented) it is
+// computed on the orbit representatives alone (DESIGN.md §13); expanding
+// every orbit into its twins reproduces the full space's components
+// exactly.
 type Decomposition struct {
 	Space *Space
-	// CompOf maps each (pseudo-)item index to its component index.
+	// CompOf maps each item index to its component orbit.
 	CompOf []int
-	// Comps are the components, ordered by smallest member.
+	// Labels[i] is the group element g for which the twin σ_g·(run i) lies
+	// in the base component of orbit CompOf[i]: the least element of the
+	// double coset Stab·g·Stab(i), so 0 for each orbit's smallest member
+	// and for every item under the trivial group.
+	Labels []uint8
+	// Comps are the component orbits, ordered by smallest member.
 	Comps []Component
-	// Mult is the pseudo-item multiplier: the symmetry group's order for
-	// decompositions of quotiented spaces, and 0 or 1 otherwise.
-	Mult int
 }
 
-// mult returns the pseudo-item multiplier, treating the zero value (set
-// by pre-quotient constructors) as 1.
-func (d *Decomposition) mult() int {
-	if d.Mult <= 1 {
-		return 1
-	}
-	return d.Mult
+// OrbitSize returns the number of full-space components orbit ci stands
+// for: |G| / |Stab|.
+func (d *Decomposition) OrbitSize(ci int) int {
+	return d.Space.Group().Index(d.Comps[ci].Stab)
 }
 
-// itemViews materializes the Views adapter of a member index: the item's
-// own views for plain decompositions, the relabeled pseudo-item views
-// under a quotient.
-func (d *Decomposition) itemViews(pi int) *ptg.Views {
-	m := d.mult()
-	if m == 1 {
-		return d.Space.ViewsOf(pi)
+// FullComponents returns the number of connected components of the full
+// space, the sum of the orbit sizes.
+func (d *Decomposition) FullComponents() int {
+	total := 0
+	for ci := range d.Comps {
+		total += d.OrbitSize(ci)
 	}
-	return d.Space.PseudoViews(pi/m, pi%m)
+	return total
+}
+
+// FullMixedComponents returns the number of full-space components mixing
+// two or more valences.
+func (d *Decomposition) FullMixedComponents() int {
+	total := 0
+	for _, ci := range d.MixedComponents() {
+		total += d.OrbitSize(ci)
+	}
+	return total
 }
 
 // Decompose computes the connected components of the space at its horizon:
@@ -103,79 +120,72 @@ func Decompose(s *Space) *Decomposition {
 // ranges — the transitive closure does not depend on the order unions are
 // applied.
 //
+// Views are bucketed by their orbit id (ViewID / |G|, shared by all twins
+// of a view) in a group-labelled union-find over the representatives
+// (uf.Labelled): an item whose view has orbit label ℓ holds the twin
+// σ_ℓ of the bucket's view, so two items in one bucket are joined by the
+// quotient of their labels, and a view whose cone has a nontrivial
+// stabilizer joins its item to the conjugated twins. Under the trivial
+// group every label is the identity and the scan is a plain bucket union.
+//
 //topocon:export
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
-	// Under a symmetry quotient the union-find runs over pseudo-items
-	// (i,k) = rep × group element, indexed i·m+k, whose view rows are the
-	// rep rows relabeled by k (Interner.Relabel, ID arithmetic). With m = 1
-	// the pseudo index IS the item index and no ID is relabeled.
-	m := s.SymOrder()
 	in := s.Interner
-	pcount := s.pseudoLen()
-	u := uf.New(pcount)
-	// Bucket runs by hash-consed view ID; every bucket is a clique in the
-	// indistinguishability relation, so unioning each member to the
-	// bucket's first suffices. View IDs encode the owning process, so a
-	// single bucket table over all processes is sound.
+	grp := s.Group()
+	m := int32(grp.Order())
 	n := s.N()
 	s.fr.fault()
 	ids := s.fr.ids
 	count := s.Len()
+	u := uf.NewLabelled(count, grp)
 	if s.parallelism <= 1 {
-		// Sequential fast path: interned IDs are dense, so a pooled
+		// Sequential fast path: orbit ids are dense, so a pooled
 		// epoch-stamped array (shared with Refine) replaces the hash map.
 		sc := refineScratchPool.Get().(*refineScratch)
-		sc.acquire(in.IDBound(), 1)
+		sc.acquire(s, 1)
 		sc.epoch++
-		epoch := sc.epoch
-		stamp, firstOf := sc.stamp, sc.firstOf
-		pi := 0
-		for i := 0; i < count; i++ {
-			if i%cancelCheckInterval == 0 && ctx.Err() != nil {
-				refineScratchPool.Put(sc)
+		span, bounds := []int{0}, make([]int, 2)
+		for lo := 0; lo < count; lo += cancelCheckInterval {
+			if ctx.Err() != nil {
+				sc.release()
 				return nil, ctx.Err()
 			}
-			row := ids[i*n : (i+1)*n]
-			for k := 0; k < m; k++ {
-				for _, id := range row {
-					if k != 0 {
-						id = in.Relabel(id, k)
-					}
-					if stamp[id] == epoch {
-						u.Union(int(firstOf[id]), pi)
-					} else {
-						stamp[id] = epoch
-						firstOf[id] = int32(pi)
-					}
-				}
-				pi++
-			}
+			bounds[0], bounds[1] = lo, min(lo+cancelCheckInterval, count)
+			sc.bucket(u, span, bounds)
 		}
-		refineScratchPool.Put(sc)
+		sc.release()
 	} else {
+		type first struct {
+			item  int32
+			label uint8
+		}
 		type scan struct {
-			reps  map[ptg.ViewID]int // view id -> first in-range pseudo-item
-			edges [][2]int           // in-range (first, later) pairs sharing a view
+			reps  map[int32]first // orbit id -> first in-range item
+			edges []labelledEdge  // in-range pairs sharing a view orbit
+			stabs []stabEdge      // in-range stabilizer contributions
 		}
 		var (
 			scans   []scan
 			scansMu sync.Mutex
 		)
-		err := forEachChunk(ctx, pcount, s.parallelism, func(lo, hi int) error {
-			sc := scan{reps: make(map[ptg.ViewID]int, (hi-lo)*n)}
-			for pi := lo; pi < hi; pi++ {
-				i, k := pi/m, pi%m
+		err := forEachChunk(ctx, count, s.parallelism, func(lo, hi int) error {
+			sc := scan{reps: make(map[int32]first, (hi-lo)*n)}
+			for i := lo; i < hi; i++ {
 				for _, id := range ids[i*n : (i+1)*n] {
-					if k != 0 {
-						id = in.Relabel(id, k)
-					}
-					if first, ok := sc.reps[id]; ok {
-						if first != pi {
-							sc.edges = append(sc.edges, [2]int{first, pi})
+					c, l := orbitOf(id, m)
+					if f, ok := sc.reps[c]; ok {
+						if g := grp.Quo(l, f.label); int(f.item) != i || g != 0 {
+							sc.edges = append(sc.edges, labelledEdge{f.item, int32(i), g})
 						}
-					} else {
-						sc.reps[id] = pi
+						continue
 					}
+					sc.reps[c] = first{int32(i), l}
+					if st := in.OrbitStab(int(c)); st != 1 {
+						sc.stabs = append(sc.stabs, stabEdge{int32(i), grp.Conj(l, st)})
+					}
+				}
+				if st := s.stabOf(i); st != 1 {
+					sc.stabs = append(sc.stabs, stabEdge{int32(i), st})
 				}
 			}
 			scansMu.Lock()
@@ -186,35 +196,27 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 		if err != nil {
 			return nil, err
 		}
-		global := make(map[ptg.ViewID]int, pcount*n)
+		global := make(map[int32]first, count*n)
 		for _, sc := range scans {
 			for _, e := range sc.edges {
-				u.Union(e[0], e[1])
+				u.Union(int(e.a), int(e.b), e.g)
 			}
-			for id, rep := range sc.reps {
-				if g, ok := global[id]; ok {
-					u.Union(g, rep)
+			for _, e := range sc.stabs {
+				u.AddStab(int(e.item), e.stab)
+			}
+			for c, rep := range sc.reps {
+				if f, ok := global[c]; ok {
+					u.Union(int(f.item), int(rep.item), grp.Quo(rep.label, f.label))
 				} else {
-					global[id] = rep
+					global[c] = rep
 				}
 			}
 		}
 	}
-	groups := u.Groups()
-	d := &Decomposition{
-		Space:  s,
-		CompOf: make([]int, pcount),
-		Comps:  make([]Component, len(groups)),
-		Mult:   m,
-	}
-	for ci, members := range groups {
-		for _, i := range members {
-			d.CompOf[i] = ci
-		}
-	}
-	if err := forEachChunk(ctx, len(groups), s.parallelism, func(lo, hi int) error {
+	d := materialize(s, u, 0)
+	if err := forEachChunk(ctx, len(d.Comps), s.parallelism, func(lo, hi int) error {
 		for ci := lo; ci < hi; ci++ {
-			d.Comps[ci] = summarize(s, groups[ci])
+			d.summarize(&d.Comps[ci], 0, 0, true)
 		}
 		return nil
 	}); err != nil {
@@ -223,86 +225,180 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	return d, nil
 }
 
-// summarize folds a component's summary masks straight off the columns:
-// HeardByAll is a row fold over the heard column, inputs come through the
-// O(1) root-ancestor lookup.
-func summarize(s *Space, members []int) Component {
-	if s.sym != nil {
-		return summarizePseudo(s, members)
-	}
-	n := s.N()
-	full := graph.AllNodes(n)
-	c := Component{
-		Members:       members,
-		Broadcasters:  full,
-		UniformInputs: full,
-	}
-	// Valences are input values, so the domain is tiny; a bitmask replaces
-	// the per-component set allocation. Values ≥ 64 (domains that large
-	// never fit a prefix-space enumeration anyway) spill into a slice.
-	var vmask uint64
-	var vbig []int
-	first := s.Inputs(members[0])
-	for _, i := range members {
-		if v := s.Valence(i); v >= 0 {
-			if v < 64 {
-				vmask |= 1 << uint(v)
-			} else {
-				vbig = append(vbig, v)
-			}
-		}
-		// A process p stays a broadcaster only if everyone heard it by the
-		// horizon in this run.
-		c.Broadcasters &= s.HeardByAll(i)
-		in := s.Inputs(i)
-		for p := 0; p < n; p++ {
-			if in[p] != first[p] {
-				c.UniformInputs &^= 1 << uint(p)
-			}
-		}
-	}
-	c.Valences = valenceList(vmask, vbig)
-	return c
+// labelledEdge records σ_g·(run a) ~ run b for a deferred Union.
+type labelledEdge struct {
+	a, b int32
+	g    uint8
 }
 
-// summarizePseudo is summarize over pseudo-item members (i·m+k) of a
-// quotiented space. Valence is relabel-invariant (a run is v-valent iff
-// its inputs are uniformly v, and relabeling permutes positions without
-// changing the multiset); heard masks and input vectors permute, so the
-// folds go through pseudoHeardByAll and the inverse-permuted rep inputs.
-func summarizePseudo(s *Space, members []int) Component {
-	n := s.N()
-	m := s.sym.m
-	g := s.sym.group
-	full := graph.AllNodes(n)
-	c := Component{
-		Members:       members,
-		Broadcasters:  full,
-		UniformInputs: full,
+// stabEdge records that σ_h·(run item) ~ run item for every h in stab.
+type stabEdge struct {
+	item int32
+	stab uint64
+}
+
+// orbitOf splits a view ID into its orbit id and the element reaching it
+// from the orbit's stored cone (ptg's c·|G| + ℓ encoding).
+func orbitOf(id ptg.ViewID, m int32) (int32, uint8) {
+	if m == 1 {
+		return int32(id), 0
+	}
+	c := int32(id) / m
+	return c, uint8(int32(id) - c*m)
+}
+
+// materialize turns the labelled union-find over the space's items into
+// component orbits without the map-based grouping: roots are item indices,
+// so a dense root table and an ascending sweep yield the orbits ordered by
+// smallest member and CompOf, and a sweep over the orbits re-bases each
+// member's label onto the orbit's smallest member and reduces it to its
+// canonical coset element. Summaries are left to the caller.
+func materialize(s *Space, u *uf.Labelled, hint int) *Decomposition {
+	count := s.Len()
+	grp := s.Group()
+	d := &Decomposition{
+		Space:  s,
+		CompOf: make([]int, count),
+		Labels: make([]uint8, count),
+	}
+	rootGroup := make([]int32, count) // group id + 1 of each set root
+	sizes := make([]int32, 0, hint)
+	roots := make([]int32, 0, hint)
+	for i := 0; i < count; i++ {
+		r, g := u.Find(i)
+		gi := rootGroup[r]
+		if gi == 0 {
+			sizes = append(sizes, 0)
+			roots = append(roots, int32(r))
+			gi = int32(len(sizes))
+			rootGroup[r] = gi
+		}
+		sizes[gi-1]++
+		d.CompOf[i] = int(gi - 1)
+		d.Labels[i] = g
+	}
+	d.Comps = make([]Component, len(sizes))
+	arena := make([]int, count)
+	for gi, size := range sizes {
+		d.Comps[gi].Members, arena = arena[:0:size], arena[size:]
+	}
+	for i, gi := range d.CompOf {
+		d.Comps[gi].Members = append(d.Comps[gi].Members, i)
+	}
+	for gi := range d.Comps {
+		c := &d.Comps[gi]
+		// σ_g·run i ~ root and σ_g0·first ~ root give σ_{g0⁻¹∘g}·run i ~
+		// first: the twin of run i in the base component, whose stabilizer
+		// is the root's conjugated by g0⁻¹.
+		x := grp.Inv(d.Labels[c.Members[0]])
+		c.Stab = u.Stab(int(roots[gi]))
+		if c.Stab != 1 {
+			c.Stab = grp.Conj(x, c.Stab)
+		}
+		if x == 0 && c.Stab == 1 && s.stab == nil {
+			continue // every label is the identity already
+		}
+		for _, i := range c.Members {
+			l := d.Labels[i]
+			if x != 0 {
+				l = grp.Mul(x, l)
+			}
+			if st := s.stabOf(i); c.Stab != 1 || st != 1 {
+				l = grp.MinCoset(c.Stab, l, st)
+			}
+			d.Labels[i] = l
+		}
+	}
+	return d
+}
+
+// summarize folds component orbit c's summary masks straight off the
+// columns: HeardByAll is a row fold over the heard column, inputs come
+// through the O(1) root-ancestor lookup. Each member contributes its twin
+// in the base component — heard masks and input positions permuted by its
+// label — and the folds are then closed under the stabilizer, whose
+// elements permute the base component's runs among themselves.
+//
+// seedB and seedU are processes already known to be broadcasters /
+// uniform (Refine seeds them from the parent component, since both masks
+// only widen under refinement); only the others are rescanned. With
+// rescan false the caller has set c.Valences and c.UniformInputs (an
+// unsplit component keeps its parent's) and only Broadcasters is folded.
+func (d *Decomposition) summarize(c *Component, seedB, seedU uint64, rescan bool) {
+	s := d.Space
+	full := graph.AllNodes(s.fr.n)
+	bc := full &^ seedB
+	uc := full &^ seedU
+	if !rescan {
+		uc = 0
 	}
 	var vmask uint64
 	var vbig []int
-	fi, fk := members[0]/m, members[0]%m
-	firstIn, firstInv := s.Inputs(fi), g.Inv(fk)
-	for _, pi := range members {
-		i, k := pi/m, pi%m
-		if v := s.Valence(i); v >= 0 {
-			if v < 64 {
-				vmask |= 1 << uint(v)
-			} else {
+	var first []int
+	if uc != 0 || c.Stab != 1 {
+		first = s.Inputs(c.Members[0])
+	}
+	for _, i := range c.Members {
+		if !rescan && bc == 0 {
+			break
+		}
+		l := d.Labels[i]
+		if rescan {
+			if v := s.Valence(i); v >= 64 {
 				vbig = append(vbig, v)
+			} else if v >= 0 {
+				vmask |= 1 << uint(v)
 			}
 		}
-		c.Broadcasters &= s.pseudoHeardByAll(i, k)
-		in, inv := s.Inputs(i), g.Inv(k)
-		for p := 0; p < n; p++ {
-			if in[inv[p]] != firstIn[firstInv[p]] {
+		if bc != 0 {
+			bc &= s.permuteMask(s.HeardByAll(i), l)
+		}
+		if uc != 0 {
+			// Process p of the twin σ_l·run holds the run's input at
+			// σ_l⁻¹(p).
+			in := s.Inputs(i)
+			var inv []int
+			if l != 0 {
+				inv = s.sym.group.Inv(int(l))
+			}
+			for mm := uc; mm != 0; mm &= mm - 1 {
+				p := bits.TrailingZeros64(mm)
+				q := p
+				if inv != nil {
+					q = inv[p]
+				}
+				if in[q] != first[p] {
+					uc &^= 1 << uint(p)
+				}
+			}
+		}
+	}
+	c.Broadcasters = seedB | bc
+	if rescan {
+		c.Valences = valenceList(vmask, vbig)
+		c.UniformInputs = seedU | uc
+	}
+	if c.Stab == 1 {
+		return
+	}
+	// The base component is the union of the σ_h-images of the folded
+	// twins: p stays a broadcaster iff every σ_h(p) is one, and stays
+	// uniform iff every σ_h(p) is uniform with the same input.
+	for rest := c.Stab &^ 1; rest != 0; rest &= rest - 1 {
+		perm := s.sym.group.Elem(bits.TrailingZeros64(rest))
+		for mm := c.Broadcasters; mm != 0; mm &= mm - 1 {
+			p := bits.TrailingZeros64(mm)
+			if c.Broadcasters&(1<<uint(perm[p])) == 0 {
+				c.Broadcasters &^= 1 << uint(p)
+			}
+		}
+		for mm := c.UniformInputs; mm != 0; mm &= mm - 1 {
+			p := bits.TrailingZeros64(mm)
+			if q := perm[p]; c.UniformInputs&(1<<uint(q)) == 0 || first[q] != first[p] {
 				c.UniformInputs &^= 1 << uint(p)
 			}
 		}
 	}
-	c.Valences = valenceList(vmask, vbig)
-	return c
 }
 
 // valenceList expands the valence bitmask (plus the rare ≥ 64 spill) into
@@ -366,7 +462,8 @@ func (d *Decomposition) ValentComponentsBroadcastable() bool {
 // valence-free components are dropped up front, a pair whose components
 // share a signature is skipped on an integer compare — before any view is
 // touched — and the surviving pairs are spread over the space's worker
-// pool, with each item's Views adapter materialized exactly once.
+// pool, with each run's Views adapter materialized exactly once. Under a
+// quotient the runs are the distinct twins of every representative.
 //
 // For compact solvable adversaries this level stays bounded as the horizon
 // grows (Fig. 4: decision sets have positive distance); for non-compact
@@ -396,28 +493,32 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 		// differ, and no view needs materializing.
 		return 0, false
 	}
-	var items []int
-	for i := 0; i < len(d.CompOf); i++ {
-		if sig[d.CompOf[i]] >= 0 {
-			items = append(items, i)
+	// The scan runs over full-space runs: every distinct twin of every
+	// representative in a valent component.
+	var views []*ptg.Views
+	var sigs []int32
+	for i := 0; i < s.Len(); i++ {
+		sg := sig[d.CompOf[i]]
+		if sg < 0 {
+			continue
 		}
-	}
-	views := make([]*ptg.Views, len(items))
-	for k, i := range items {
-		views[k] = d.itemViews(i)
+		for _, k := range s.twinElems(i) {
+			views = append(views, s.PseudoViews(i, k))
+			sigs = append(sigs, sg)
+		}
 	}
 	best := -1
 	var mu sync.Mutex
 	// The background context never cancels and the workers never error, so
 	// the pool's error return is vacuous here.
-	_ = forEachChunk(context.Background(), len(items), s.parallelism, func(lo, hi int) error {
+	_ = forEachChunk(context.Background(), len(views), s.parallelism, func(lo, hi int) error {
 		local := -1
 		for a := lo; a < hi; a++ {
-			ca := d.CompOf[items[a]]
-			sa := sig[ca]
-			for b := a + 1; b < len(items); b++ {
-				cb := d.CompOf[items[b]]
-				if cb == ca || sig[cb] == sa {
+			sa := sigs[a]
+			for b := a + 1; b < len(views); b++ {
+				// Runs of one component share its valence signature, so
+				// comparing signatures also skips same-component pairs.
+				if sigs[b] == sa {
 					continue
 				}
 				if l := ptg.MinAgreeLevel(views[a], views[b]); l > local {
@@ -458,17 +559,28 @@ func sameInts(a, b []int) bool {
 // Theorem 5.9 predicts level ≥ 1 (diameter ≤ 1/2) for any connected
 // broadcastable set.
 func (d *Decomposition) DiameterLevel(ci int) (int, bool) {
-	members := d.Comps[ci].Members
-	if len(members) < 2 {
+	// The base component's runs are the twins σ_h·σ_g of each member, for
+	// h in the stabilizer and g the member's label.
+	c := &d.Comps[ci]
+	s := d.Space
+	grp := s.Group()
+	var views []*ptg.Views
+	for _, i := range c.Members {
+		var seen uint64
+		for rest := c.Stab; rest != 0; rest &= rest - 1 {
+			k := grp.MinCoset(1, grp.Mul(uint8(bits.TrailingZeros64(rest)), d.Labels[i]), s.stabOf(i))
+			if seen&(1<<k) == 0 {
+				seen |= 1 << k
+				views = append(views, s.PseudoViews(i, int(k)))
+			}
+		}
+	}
+	if len(views) < 2 {
 		return 0, false
 	}
-	views := make([]*ptg.Views, len(members))
-	for a, i := range members {
-		views[a] = d.itemViews(i)
-	}
 	worst := -1
-	for a := 0; a < len(members); a++ {
-		for b := a + 1; b < len(members); b++ {
+	for a := 0; a < len(views); a++ {
+		for b := a + 1; b < len(views); b++ {
 			l := ptg.MinAgreeLevel(views[a], views[b])
 			if worst < 0 || l < worst {
 				worst = l

@@ -244,9 +244,15 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 				name, want.Space.Horizon, i, want.CompOf[i], got.CompOf[i])
 		}
 	}
+	for i := range want.Labels {
+		if want.Labels[i] != got.Labels[i] {
+			t.Fatalf("%s horizon %d item %d: label %d vs %d",
+				name, want.Space.Horizon, i, want.Labels[i], got.Labels[i])
+		}
+	}
 	for ci := range want.Comps {
 		w, g := &want.Comps[ci], &got.Comps[ci]
-		if !sameInts(w.Members, g.Members) || !sameInts(w.Valences, g.Valences) ||
+		if !sameInts(w.Members, g.Members) || !sameInts(w.Valences, g.Valences) || w.Stab != g.Stab ||
 			w.Broadcasters != g.Broadcasters || w.UniformInputs != g.UniformInputs {
 			t.Fatalf("%s horizon %d component %d differs: %+v vs %+v",
 				name, want.Space.Horizon, ci, w, g)

@@ -303,3 +303,92 @@ func TestRestoreDecompositionRejectsBadShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreDecompositionRejectsBadOrbits pins the validation of an orbit
+// decomposition's labels and stabilizers against quotiented spaces:
+// lossy-link-2 under its swap, where one item carries a non-identity
+// label, and loss-bounded(3,1) under its S₃, where component orbits have
+// nontrivial stabilizers. Every label must be a group element in canonical
+// form, every stabilizer a subgroup, and the encoding the one
+// SnapshotDecomposition writes.
+func TestRestoreDecompositionRejectsBadOrbits(t *testing.T) {
+	ctx := context.Background()
+	snapshot := func(adv ma.Adversary) (*Space, *DecompSnapshot) {
+		s, err := BuildCtx(ctx, adv, 2, 2, Config{Symmetry: ma.Automorphisms(adv)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DecomposeCtx(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := SnapshotDecomposition(d)
+		if _, err := RestoreDecomposition(s, snap); err != nil {
+			t.Fatalf("%s: good snapshot rejected: %v", adv.Name(), err)
+		}
+		return s, snap
+	}
+	mutated := func(good *DecompSnapshot, mutate func(*DecompSnapshot)) *DecompSnapshot {
+		c := &DecompSnapshot{
+			Horizon: good.Horizon,
+			CompOf:  append([]int(nil), good.CompOf...),
+			Labels:  append([]uint8(nil), good.Labels...),
+			Comps:   append([]CompSnapshot(nil), good.Comps...),
+		}
+		mutate(c)
+		return c
+	}
+	reject := func(s *Space, cases map[string]*DecompSnapshot) {
+		for name, snap := range cases {
+			if _, err := RestoreDecomposition(s, snap); err == nil {
+				t.Errorf("%s: RestoreDecomposition accepted bad snapshot", name)
+			}
+		}
+	}
+
+	link, linkSnap := snapshot(ma.LossyLink2())
+	labeled := -1
+	for i, l := range linkSnap.Labels {
+		if l != 0 {
+			labeled = i
+		}
+	}
+	if labeled < 0 {
+		t.Fatal("lossy-link-2: no item carries a non-identity label")
+	}
+	first := 0
+	for linkSnap.CompOf[first] != linkSnap.CompOf[labeled] {
+		first++
+	}
+	reject(link, map[string]*DecompSnapshot{
+		"labelOutsideGroup": mutated(linkSnap, func(c *DecompSnapshot) { c.Labels[labeled] = 2 }),
+		"shortLabels":       mutated(linkSnap, func(c *DecompSnapshot) { c.Labels = c.Labels[:1] }),
+		"identityLabels":    mutated(linkSnap, func(c *DecompSnapshot) { c.Labels = make([]uint8, len(c.Labels)) }),
+		"firstMemberLabel":  mutated(linkSnap, func(c *DecompSnapshot) { c.Labels[first] = 1 }),
+		// Under the whole group as stabilizer only the identity label is
+		// the least of its coset.
+		"nonCanonicalLabel": mutated(linkSnap, func(c *DecompSnapshot) { c.Comps[c.CompOf[labeled]].Stab = 0b11 }),
+	})
+
+	bounded, boundedSnap := snapshot(ma.LossBounded(3, 1))
+	stabbed := -1
+	for ci, c := range boundedSnap.Comps {
+		if c.Stab != 0 {
+			stabbed = ci
+		}
+	}
+	if stabbed < 0 {
+		t.Fatal("loss-bounded(3,1): no component orbit has a nontrivial stabilizer")
+	}
+	notClosed := uint64(1)
+	for bounded.Group().IsSubgroup(notClosed) {
+		notClosed += 2
+	}
+	reject(bounded, map[string]*DecompSnapshot{
+		"stabWithoutIdentity": mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab &^= 1 }),
+		"stabNotClosed":       mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab = notClosed }),
+		"stabBeyondGroup":     mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab |= 1 << 6 }),
+		"explicitTrivialStab": mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[0].Stab = 1 }),
+		"shortCompOf":         mutated(boundedSnap, func(c *DecompSnapshot) { c.CompOf = c.CompOf[:len(c.CompOf)-1] }),
+	})
+}

@@ -36,6 +36,7 @@ import (
 	"topocon/internal/ma"
 	"topocon/internal/pager"
 	"topocon/internal/ptg"
+	"topocon/internal/uf"
 )
 
 // frontier is the dense columnar storage of one round of one prefix-space
@@ -137,7 +138,7 @@ type Space struct {
 	// sym, when non-nil, marks the chain as quotiented by the adversary's
 	// automorphism group: items are orbit representatives, stab[i] is the
 	// bitmask of group elements fixing item i, and the orbit-canonical
-	// interner's Relabel backs pseudo-item decomposition. See symmetry.go /
+	// interner's IDs carry each view's orbit. See symmetry.go /
 	// DESIGN.md §13.
 	sym  *symState
 	stab []uint64
@@ -266,7 +267,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		if err := interner.AdoptGroup(groupPerms(group)); err != nil {
 			return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
 		}
-		sym = &symState{group: group, m: group.Order()}
+		sym = &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
 	}
 	var inputs [][]int
 	var stab []uint64

@@ -6,6 +6,7 @@ import (
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
+	"topocon/internal/uf"
 )
 
 // Symmetry quotient (DESIGN.md §13). When the adversary's graph language
@@ -24,28 +25,24 @@ import (
 //     item i has |G| / popcount(stab[i]) full-space members — the weight
 //     FullLen and the verdict accounting report.
 //
-// Decomposition cannot run on representative rows alone: two orbit
-// members of one rep may lie in different full-space components, and
-// cross-orbit view sharing (rep a's twin sharing a view with rep b) must
-// still merge. DecomposeCtx/Refine therefore work on pseudo-items — the
-// pairs (i,k) for every rep i and group element k, indexed i·|G|+k —
-// whose view rows are the rep rows relabeled by element k. The pseudo
-// expansion is exactly the full space with stabilizer-induced duplicates,
-// and duplicates are harmless to a union-find partition: a duplicate
-// pseudo-item shares every view with its twin, so they always land in the
-// same component, and component summaries fold them idempotently.
+// Decomposition runs on the representatives too, with group-labelled
+// edges (components.go, uf.Labelled): components are G-equivariant, so a
+// component orbit is described by one base component, the element that
+// moves each member's run into it, and the base component's stabilizer.
 //
 // Relabeled rows are never stored. The chain's interner is orbit-canonical
 // under the same group (ptg.Interner.AdoptGroup): it stores one cone per
-// orbit, and a view's ID says where in its orbit the view sits, so the
-// relabeled twin of a view is Interner.Relabel(id, k) — arithmetic on the
-// ID, with no per-view memo and no twin cone interned.
+// orbit, and a view's ID says where in its orbit the view sits — ID / |G|
+// is the orbit, ID mod |G| the element reaching the view from the stored
+// cone — so the relabeled twin of a view is Interner.Relabel(id, k),
+// arithmetic on the ID, with no per-view memo and no twin cone interned.
 
 // symState is the chain-level symmetry state, shared by every Space of
 // one frontier chain (extensions, restores, ancestors).
 type symState struct {
 	group *ma.Group
-	m     int // group order, ≥ 2
+	m     int      // group order, ≥ 2
+	tab   uf.Group // the interner's multiplication table
 }
 
 // groupPerms lists the group's elements as image-indexed permutations, the
@@ -184,37 +181,49 @@ func replayStab(parent *Space, f *frontier) []uint64 {
 	return stab
 }
 
-// pseudoLen returns the pseudo-item count a decomposition over the space
-// works with: Len()·|G| under a quotient, Len() otherwise.
-func (s *Space) pseudoLen() int {
+// Group returns the multiplication table of the chain's symmetry group,
+// the group of order 1 when the space is not quotiented.
+func (s *Space) Group() uf.Group {
 	if s.sym == nil {
-		return s.fr.count
+		return uf.Trivial
 	}
-	return s.fr.count * s.sym.m
+	return s.sym.tab
 }
 
-// pseudoHeardByAll is HeardByAll for pseudo-item (i,k): the heard masks
-// of a relabeled run are the relabeled heard masks, so the all-processes
-// fold commutes with the relabeling.
-func (s *Space) pseudoHeardByAll(i, k int) uint64 {
-	h := s.HeardByAll(i)
-	if k == 0 {
-		return h
+// stabOf returns the stabilizer mask of item i: the group elements fixing
+// its run, 1 when the space is not quotiented.
+func (s *Space) stabOf(i int) uint64 {
+	if s.sym == nil {
+		return 1
 	}
-	return graph.PermuteMask(h, s.sym.group.Elem(k))
+	return s.stab[i]
 }
 
-// PseudoInput is Inputs(i)[p] for pseudo-item (i,k): relabeling assigns
-// rep input w[q] to process σ(q), so process p of the twin holds
-// w[σ⁻¹(p)].
-func (s *Space) PseudoInput(i, k, p int) int {
-	if k == 0 {
-		return s.Inputs(i)[p]
+// permuteMask relabels a process bitmask by group element g: bit p moves to
+// σ_g(p).
+func (s *Space) permuteMask(mask uint64, g uint8) uint64 {
+	if g == 0 {
+		return mask
 	}
-	return s.Inputs(i)[s.sym.group.Inv(k)[p]]
+	return graph.PermuteMask(mask, s.sym.group.Elem(int(g)))
 }
 
-// PseudoViews materializes the Views adapter of pseudo-item (i,k): the
+// twinElems lists one group element per distinct twin of item i — the
+// least element of each coset k·Stab(i) — so σ_k·(run i) over the list
+// enumerates the item's orbit without repeats.
+func (s *Space) twinElems(i int) []int {
+	m := s.SymOrder()
+	out := make([]int, 0, m)
+	st := s.stabOf(i)
+	for k := 0; k < m; k++ {
+		if st == 1 || s.Group().MinCoset(1, uint8(k), st) == uint8(k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// PseudoViews materializes the Views adapter of the twin σ_k·(run i): the
 // representative's rows with every id relabeled by k and every position
 // permuted — process σ(p) of the twin holds the relabeled
 // view of the rep's process p, and its heard mask is the rep's mask with
@@ -251,7 +260,7 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 	return ptg.ViewsFromRows(s.Interner, ids, heard)
 }
 
-// PseudoRun materializes the run prefix of pseudo-item (i,k): the
+// PseudoRun materializes the run prefix of the twin σ_k·(run i): the
 // representative's run relabeled by group element k.
 func (s *Space) PseudoRun(i, k int) ptg.Run {
 	r := s.RunOf(i)

@@ -11,7 +11,7 @@ import (
 
 // TestQuotientMatchesFull is the soundness property of the symmetry
 // quotient (DESIGN.md §13): for every seed adversary family, expanding the
-// quotiented space's pseudo-items through the group reproduces the full
+// quotiented space's representatives through the group reproduces the full
 // space exactly — run set, per-run views, heard masks, inputs, valences,
 // done times, orbit accounting, and the component decomposition as a
 // partition of full-space runs with identical summaries. Families whose
@@ -70,8 +70,15 @@ func TestQuotientTrivialGroupIsNoOp(t *testing.T) {
 	}
 	assertSpacesEqual(t, adv.Name(), plain, q)
 	dq := Decompose(q)
-	if dq.mult() != 1 {
-		t.Fatalf("trivial-group decomposition has mult %d", dq.mult())
+	for i, l := range dq.Labels {
+		if l != 0 {
+			t.Fatalf("trivial-group decomposition labels item %d with %d", i, l)
+		}
+	}
+	for ci := range dq.Comps {
+		if dq.Comps[ci].Stab != 1 || dq.OrbitSize(ci) != 1 {
+			t.Fatalf("trivial-group component %d has stabilizer %b", ci, dq.Comps[ci].Stab)
+		}
 	}
 	assertDecompositionsEqual(t, adv.Name(), Decompose(plain), dq)
 }
@@ -102,10 +109,10 @@ func TestQuotientShrinksSpace(t *testing.T) {
 }
 
 // TestQuotientRefineMatchesDecompose is TestRefineMatchesDecompose over
-// quotiented spaces: incremental pseudo-item refinement must equal the
-// from-scratch pseudo decomposition at every horizon.
+// quotiented spaces: incremental orbit refinement must equal the
+// from-scratch orbit decomposition at every horizon, sequentially and on
+// the worker pool.
 func TestQuotientRefineMatchesDecompose(t *testing.T) {
-	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
 		grp := ma.Automorphisms(adv)
 		if grp.Trivial() {
@@ -115,30 +122,41 @@ func TestQuotientRefineMatchesDecompose(t *testing.T) {
 		if adv.N() > 2 {
 			maxT = 3
 		}
-		q, err := BuildCtx(ctx, adv, 2, 1, Config{Symmetry: grp})
+		for _, parallelism := range []int{1, 4} {
+			assertQuotientRefineMatchesDecompose(t, adv, grp, maxT, parallelism)
+		}
+	}
+	// Deep enough for more component orbits than one worker chunk, so the
+	// parallel Refine really splits the scan.
+	assertQuotientRefineMatchesDecompose(t, ma.LossyLink2(), ma.Automorphisms(ma.LossyLink2()), 7, 4)
+}
+
+func assertQuotientRefineMatchesDecompose(t *testing.T, adv ma.Adversary, grp *ma.Group, maxT, parallelism int) {
+	t.Helper()
+	ctx := context.Background()
+	q, err := BuildCtx(ctx, adv, 2, 1, Config{Symmetry: grp, Parallelism: parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecomposeCtx(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for horizon := 2; horizon <= maxT; horizon++ {
+		next, err := q.Extend(ctx, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := DecomposeCtx(ctx, q)
+		refined, err := d.Refine(ctx, next)
+		if err != nil {
+			t.Fatalf("%s: Refine to %d: %v", adv.Name(), horizon, err)
+		}
+		scratch, err := DecomposeCtx(ctx, next)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for horizon := 2; horizon <= maxT; horizon++ {
-			next, err := q.Extend(ctx, horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refined, err := d.Refine(ctx, next)
-			if err != nil {
-				t.Fatalf("%s: Refine to %d: %v", adv.Name(), horizon, err)
-			}
-			scratch, err := DecomposeCtx(ctx, next)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertDecompositionsEqual(t, adv.Name(), scratch, refined)
-			q, d = next, refined
-		}
+		assertDecompositionsEqual(t, adv.Name(), scratch, refined)
+		q, d = next, refined
 	}
 }
 
@@ -147,7 +165,7 @@ func TestQuotientRefineMatchesDecompose(t *testing.T) {
 // group must replay the stabilizer column to byte equality, and the
 // imported orbit-canonical interner must relabel every view as the
 // original did — checked by comparing stab, FullLen, a further extension,
-// and the pseudo decomposition (which relabels every view of the chain).
+// and the orbit decomposition (which reads every view's orbit id).
 // AncestorAt must likewise rehydrate earlier horizons with orbit
 // accounting intact.
 func TestQuotientSnapshotRestore(t *testing.T) {
@@ -234,8 +252,8 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := SnapshotDecomposition(dAnc)
-		if snap.Mult != anc.SymOrder() {
-			t.Fatalf("%s: snapshot mult %d, want %d", adv.Name(), snap.Mult, anc.SymOrder())
+		if len(snap.Labels) != 0 && len(snap.Labels) != anc.Len() {
+			t.Fatalf("%s: snapshot holds %d labels for %d items", adv.Name(), len(snap.Labels), anc.Len())
 		}
 		dBack, err := RestoreDecomposition(anc, snap)
 		if err != nil {
@@ -245,9 +263,9 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 	}
 }
 
-// assertQuotientExpandsToFull expands every pseudo-item of q through the
+// assertQuotientExpandsToFull expands every representative of q through the
 // group and checks the expansion against the full space item by item, then
-// checks that the pseudo decomposition induces exactly the full space's
+// checks that the orbit decomposition induces exactly the full space's
 // partition and summaries.
 func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 	t.Helper()
@@ -260,7 +278,7 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 		fullIdx[full.RunOf(i).Key()] = i
 	}
 	n := q.N()
-	toFull := make([]int, q.pseudoLen())
+	toFull := make([]int, q.Len()*m)
 	covered := make([]bool, full.Len())
 	for i := 0; i < q.Len(); i++ {
 		orbit := make(map[int]bool, m)
@@ -268,36 +286,41 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 			r := q.PseudoRun(i, k)
 			fi, ok := fullIdx[r.Key()]
 			if !ok {
-				t.Fatalf("%s h=%d: pseudo (%d,%d) expands to run %v not in the full space", name, q.Horizon, i, k, r)
+				t.Fatalf("%s h=%d: twin (%d,%d) expands to run %v not in the full space", name, q.Horizon, i, k, r)
 			}
 			toFull[i*m+k] = fi
 			covered[fi] = true
 			orbit[fi] = true
-			// Views of the pseudo-item must equal the independent per-run
+			// Views of the twin must equal the independent per-run
 			// computation on the expanded run.
 			pv := q.PseudoViews(i, k)
 			ref := ptg.ComputeViews(q.Interner, r)
 			for tt := 0; tt <= q.Horizon; tt++ {
 				for p := 0; p < n; p++ {
 					if pv.ID(tt, p) != ref.ID(tt, p) || pv.Heard(tt, p) != ref.Heard(tt, p) {
-						t.Fatalf("%s h=%d: pseudo (%d,%d) view (%d,%b) at (t=%d,p=%d) differs from ComputeViews (%d,%b)",
+						t.Fatalf("%s h=%d: twin (%d,%d) view (%d,%b) at (t=%d,p=%d) differs from ComputeViews (%d,%b)",
 							name, q.Horizon, i, k, pv.ID(tt, p), pv.Heard(tt, p), tt, p, ref.ID(tt, p), ref.Heard(tt, p))
 					}
 				}
 			}
-			if got, want := q.pseudoHeardByAll(i, k), full.HeardByAll(fi); got != want {
-				t.Fatalf("%s h=%d: pseudo (%d,%d) heardByAll %b vs full %b", name, q.Horizon, i, k, got, want)
+			if got, want := q.permuteMask(q.HeardByAll(i), uint8(k)), full.HeardByAll(fi); got != want {
+				t.Fatalf("%s h=%d: twin (%d,%d) heardByAll %b vs full %b", name, q.Horizon, i, k, got, want)
 			}
+			// Process p of the twin holds the rep's input at σ_k⁻¹(p).
 			for p := 0; p < n; p++ {
-				if got, want := q.PseudoInput(i, k, p), full.Inputs(fi)[p]; got != want {
-					t.Fatalf("%s h=%d: pseudo (%d,%d) input[%d] %d vs full %d", name, q.Horizon, i, k, p, got, want)
+				src := p
+				if k != 0 {
+					src = q.SymGroup().Inv(k)[p]
+				}
+				if got, want := q.Inputs(i)[src], full.Inputs(fi)[p]; got != want {
+					t.Fatalf("%s h=%d: twin (%d,%d) input[%d] %d vs full %d", name, q.Horizon, i, k, p, got, want)
 				}
 			}
 			if q.Valence(i) != full.Valence(fi) {
-				t.Fatalf("%s h=%d: pseudo (%d,%d) valence %d vs full %d", name, q.Horizon, i, k, q.Valence(i), full.Valence(fi))
+				t.Fatalf("%s h=%d: twin (%d,%d) valence %d vs full %d", name, q.Horizon, i, k, q.Valence(i), full.Valence(fi))
 			}
 			if q.doneAt[i] != full.doneAt[fi] {
-				t.Fatalf("%s h=%d: pseudo (%d,%d) doneAt %d vs full %d", name, q.Horizon, i, k, q.doneAt[i], full.doneAt[fi])
+				t.Fatalf("%s h=%d: twin (%d,%d) doneAt %d vs full %d", name, q.Horizon, i, k, q.doneAt[i], full.doneAt[fi])
 			}
 		}
 		if q.OrbitSize(i) != len(orbit) {
@@ -306,28 +329,33 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 	}
 	for fi, ok := range covered {
 		if !ok {
-			t.Fatalf("%s h=%d: full run %d not covered by any pseudo-item", name, q.Horizon, fi)
+			t.Fatalf("%s h=%d: full run %d not covered by any twin", name, q.Horizon, fi)
 		}
 	}
-	// Decomposition: the pseudo partition pushed onto full items must be
-	// well-defined (all pseudo twins of one full run agree) and equal the
-	// full partition, with identical component summaries.
+	// Decomposition: the orbit decomposition expanded onto full items must
+	// be well-defined (all twins of one full run agree) and equal the full
+	// partition, with identical component summaries.
 	df := Decompose(full)
 	dq := Decompose(q)
-	if dq.mult() != m {
-		t.Fatalf("%s h=%d: decomposition mult %d, group order %d", name, q.Horizon, dq.mult(), m)
-	}
 	induced := make([]int, full.Len())
 	for i := range induced {
 		induced[i] = -1
 	}
+	sums := map[int]Component{}
 	for pi, fi := range toFull {
-		c := dq.CompOf[pi]
+		key, sum := expandTwin(dq, pi/m, pi%m)
 		if induced[fi] == -1 {
-			induced[fi] = c
-		} else if induced[fi] != c {
-			t.Fatalf("%s h=%d: full run %d lands in quotient components %d and %d", name, q.Horizon, fi, induced[fi], c)
+			induced[fi] = key
+			sums[key] = sum
+		} else if induced[fi] != key {
+			t.Fatalf("%s h=%d: full run %d lands in quotient components %d and %d", name, q.Horizon, fi, induced[fi], key)
 		}
+	}
+	if got, want := dq.FullComponents(), len(df.Comps); got != want {
+		t.Fatalf("%s h=%d: %d full components from the orbits, full space has %d", name, q.Horizon, got, want)
+	}
+	if got, want := dq.FullMixedComponents(), len(df.MixedComponents()); got != want {
+		t.Fatalf("%s h=%d: %d mixed full components from the orbits, full space has %d", name, q.Horizon, got, want)
 	}
 	wantCanon := canonPartition(df.CompOf)
 	gotCanon := canonPartition(induced)
@@ -339,10 +367,28 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 	}
 	for ci := range df.Comps {
 		fc := &df.Comps[ci]
-		qc := &dq.Comps[induced[fc.Members[0]]]
+		qc := sums[induced[fc.Members[0]]]
 		if !sameInts(fc.Valences, qc.Valences) || fc.Broadcasters != qc.Broadcasters || fc.UniformInputs != qc.UniformInputs {
 			t.Fatalf("%s h=%d: component summaries differ: full %+v vs quotient %+v", name, q.Horizon, fc, qc)
 		}
+	}
+}
+
+// expandTwin locates the twin σ_k·(run i) in the full space's components:
+// it lies in the twin σ_g, g = k∘L_i⁻¹, of its orbit's base component, and
+// σ_g names the same component for every g in the coset g·Stab. The key
+// identifies that full component (orbit and least coset element) and the
+// summary is the base component's, relabeled by σ_g.
+func expandTwin(d *Decomposition, i, k int) (int, Component) {
+	s := d.Space
+	grp := s.Group()
+	ci := d.CompOf[i]
+	c := &d.Comps[ci]
+	g := grp.MinCoset(1, grp.Mul(uint8(k), grp.Inv(d.Labels[i])), c.Stab)
+	return ci*64 + int(g), Component{
+		Valences:      c.Valences,
+		Broadcasters:  s.permuteMask(c.Broadcasters, g),
+		UniformInputs: s.permuteMask(c.UniformInputs, g),
 	}
 }
 
@@ -361,4 +407,40 @@ func canonPartition(labels []int) []int {
 		out[i] = c
 	}
 	return out
+}
+
+// TestSummarizeClosesUnderStabilizer pins the stabilizer closure of the
+// component summaries: a component whose stabilizer swaps the two
+// processes holds both the member's run and its swapped twin, so a process
+// is uniform only if the twin agrees — with inputs (0,1) neither is — and
+// a broadcaster only if it is one in both.
+func TestSummarizeClosesUnderStabilizer(t *testing.T) {
+	q, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 1, Config{Symmetry: ma.Automorphisms(ma.LossyLink2())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.SymOrder() != 2 {
+		t.Fatalf("lossy-link-2 group order %d, want 2", q.SymOrder())
+	}
+	d := &Decomposition{Space: q, CompOf: make([]int, q.Len()), Labels: make([]uint8, q.Len())}
+	checked := 0
+	for i := 0; i < q.Len(); i++ {
+		in := q.Inputs(i)
+		if in[0] == in[1] {
+			continue
+		}
+		c := Component{Members: []int{i}, Stab: 0b11}
+		d.summarize(&c, 0, 0, true)
+		if c.UniformInputs != 0 {
+			t.Errorf("item %d (inputs %v): uniform inputs %b, want none", i, in, c.UniformInputs)
+		}
+		h := q.HeardByAll(i)
+		if want := h & q.permuteMask(h, 1); c.Broadcasters != want {
+			t.Errorf("item %d: broadcasters %b, want %b", i, c.Broadcasters, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no item with distinct inputs")
+	}
 }

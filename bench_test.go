@@ -97,7 +97,12 @@ func BenchmarkE6_ComponentGap(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		s, err := topocon.BuildSpaceWithInterner(topocon.LossyLink2(), 2, 5, 0, res.Map.Interner())
+		// The map's interner is orbit-canonical under the session's group,
+		// so the space must be built under the same group.
+		s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink2(), 2, 5, topocon.SpaceConfig{
+			Interner: res.Map.Interner(),
+			Symmetry: topocon.Automorphisms(topocon.LossyLink2()),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,13 +236,16 @@ func BenchmarkAblationInternedViews(b *testing.B) {
 // BenchmarkAblationComponents contrasts union-find component computation
 // against a BFS over the indistinguishability relation.
 func BenchmarkAblationComponents(b *testing.B) {
-	s, err := topocon.BuildSpace(topocon.LossyLink3(), 2, 5, 0)
+	s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink3(), 2, 5, topocon.SpaceConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("union-find", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d := topocon.Decompose(s)
+			d, err := topocon.DecomposeCtx(context.Background(), s)
+			if err != nil {
+				b.Fatal(err)
+			}
 			sinkInt = len(d.Comps)
 		}
 	})
@@ -256,7 +264,7 @@ func BenchmarkAblationSpaceBuild(b *testing.B) {
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s, err := topocon.BuildSpace(topocon.LossyLink3(), 2, horizon, 0)
+					s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink3(), 2, horizon, topocon.SpaceConfig{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -279,11 +287,14 @@ func BenchmarkBuildFromScratch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for horizon := 1; horizon <= benchMaxHorizon; horizon++ {
-			s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, horizon, 0)
+			s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink2(), 2, horizon, topocon.SpaceConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			d := topocon.Decompose(s)
+			d, err := topocon.DecomposeCtx(context.Background(), s)
+			if err != nil {
+				b.Fatal(err)
+			}
 			sinkInt = len(d.Comps)
 		}
 	}
@@ -331,7 +342,7 @@ func BenchmarkExtendColumnar(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, 1, 0)
+		s, err := topocon.BuildSpaceCtx(ctx, topocon.LossyLink2(), 2, 1, topocon.SpaceConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -401,7 +412,7 @@ func BenchmarkExtendPaged(b *testing.B) {
 func BenchmarkRefineVsDecompose(b *testing.B) {
 	ctx := context.Background()
 	spaces := make([]*topocon.Space, benchMaxHorizon+1)
-	s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, 1, 0)
+	s, err := topocon.BuildSpaceCtx(ctx, topocon.LossyLink2(), 2, 1, topocon.SpaceConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

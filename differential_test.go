@@ -257,11 +257,14 @@ func differentialImpossible(t *testing.T, adv topocon.Adversary, res *topocon.Ch
 	// Topological persistence: a mixed component at every budgeted horizon.
 	hMax := exhaustiveHorizon(adv, opts.InputDomain, 1, opts.MaxHorizon)
 	for h := 1; h <= hMax; h++ {
-		space, err := topocon.BuildSpace(adv, opts.InputDomain, h, 0)
+		space, err := topocon.BuildSpaceCtx(context.Background(), adv, opts.InputDomain, h, topocon.SpaceConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := topocon.Decompose(space)
+		d, err := topocon.DecomposeCtx(context.Background(), space)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(d.MixedComponents()) == 0 {
 			t.Errorf("horizon %d separates the space — contradicts the impossibility certificate", h)
 		}

@@ -71,14 +71,17 @@ func ExampleNewEventuallyStable() {
 	// Output: solvable via broadcaster 1
 }
 
-// ExampleDecompose computes the ε-approximation components of
+// ExampleDecomposeCtx computes the ε-approximation components of
 // Definition 6.2 for the reduced lossy link at horizon 1.
-func ExampleDecompose() {
-	s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, 1, 0)
+func ExampleDecomposeCtx() {
+	s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink2(), 2, 1, topocon.SpaceConfig{})
 	if err != nil {
 		panic(err)
 	}
-	d := topocon.Decompose(s)
+	d, err := topocon.DecomposeCtx(context.Background(), s)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("components=%d mixed=%d\n", len(d.Comps), len(d.MixedComponents()))
 	// Output: components=4 mixed=0
 }

@@ -52,11 +52,15 @@ func distances() {
 // solvable {<-,->}.
 func components() {
 	fmt.Println("== ε-approximation components of {<-,->} at horizon 1 ==")
-	s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, 1, 0)
+	ctx := context.Background()
+	s, err := topocon.BuildSpaceCtx(ctx, topocon.LossyLink2(), 2, 1, topocon.SpaceConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	d := topocon.Decompose(s)
+	d, err := topocon.DecomposeCtx(ctx, s)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for ci := range d.Comps {
 		c := &d.Comps[ci]
 		fmt.Printf("component %d (valences %v):\n", ci, c.Valences)

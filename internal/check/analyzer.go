@@ -289,16 +289,37 @@ func (a *Analyzer) symmetry() *ma.Group {
 // no nontrivial automorphisms).
 func (a *Analyzer) Symmetry() *ma.Group { return a.symmetry() }
 
+// buildBase builds the session's horizon-0 base and decomposes it: one item
+// per input vector (orbit), whose views are the leaves (p, x_p). Every
+// later horizon refines from this partition.
+func (a *Analyzer) buildBase(ctx context.Context) error {
+	base, err := topo.BuildCtx(ctx, a.adv, a.opts.InputDomain, 0, topo.Config{
+		MaxRuns:     a.opts.MaxRuns,
+		Parallelism: a.parallelism,
+		Pager:       a.pager,
+		Symmetry:    a.symmetry(),
+	})
+	if err != nil {
+		return fmt.Errorf("check: horizon 0: %w", err)
+	}
+	d, err := topo.DecomposeCtx(ctx, base)
+	if err != nil {
+		return fmt.Errorf("check: horizon 0: %w", err)
+	}
+	a.spaces = append(a.spaces, base)
+	a.cur, a.decomp = base, d
+	return nil
+}
+
 // Step advances the session by exactly one horizon: it extends the prefix
 // space incrementally by one round, decomposes it — incrementally too,
 // refining the previous horizon's partition via topo.Decomposition.Refine
 // (components only ever split under the refinement invariant, so the child
-// partition is seeded from the parent's and splits are detected locally);
-// the first horizon, which has no parent partition, uses the from-scratch
-// topo.DecomposeCtx — applies the retention policy, updates the running
-// result, and reports. It returns ErrHorizonExhausted once MaxHorizon has
-// been analysed, and the context error on cancellation (leaving the
-// session resumable).
+// partition is seeded from the parent's and splits are detected locally;
+// the first Step refines from the horizon-0 base) — applies the retention
+// policy, updates the running result, and reports. It returns
+// ErrHorizonExhausted once MaxHorizon has been analysed, and the context
+// error on cancellation (leaving the session resumable).
 func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	if a.Horizon() >= a.opts.MaxHorizon {
 		return HorizonReport{}, ErrHorizonExhausted
@@ -308,28 +329,15 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	}
 	start := time.Now()
 	if a.cur == nil {
-		base, err := topo.BuildCtx(ctx, a.adv, a.opts.InputDomain, 0, topo.Config{
-			MaxRuns:     a.opts.MaxRuns,
-			Parallelism: a.parallelism,
-			Pager:       a.pager,
-			Symmetry:    a.symmetry(),
-		})
-		if err != nil {
-			return HorizonReport{}, fmt.Errorf("check: horizon 0: %w", err)
+		if err := a.buildBase(ctx); err != nil {
+			return HorizonReport{}, err
 		}
-		a.spaces = append(a.spaces, base)
-		a.cur = base
 	}
 	next, err := a.cur.Extend(ctx, a.cur.Horizon+1)
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", a.cur.Horizon+1, err)
 	}
-	var d *topo.Decomposition
-	if a.decomp != nil {
-		d, err = a.decomp.Refine(ctx, next)
-	} else {
-		d, err = topo.DecomposeCtx(ctx, next)
-	}
+	d, err := a.decomp.Refine(ctx, next)
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", next.Horizon, err)
 	}
@@ -504,7 +512,7 @@ func (a *Analyzer) finalizeNonCompact() {
 	// joins the candidate intersection, so the evidence — including the
 	// Notes counts — is byte-identical to a full-space session's.
 	n := s.N()
-	grp := s.SymGroup() // nil when not quotiented
+	grp := s.SymGroup()
 	morder := s.SymOrder()
 	witnesses, discharged := 0, 0
 	candidates := make([]bool, n)
@@ -527,19 +535,11 @@ func (a *Analyzer) finalizeNonCompact() {
 			deadline = t
 		}
 		heard := s.HeardByAllAt(i, deadline)
-		if grp == nil {
+		for k := 0; k < morder; k++ {
+			hk := graph.PermuteMask(heard, grp.Elem(k))
 			for p := 0; p < n; p++ {
-				if candidates[p] && heard&(1<<uint(p)) == 0 {
+				if candidates[p] && hk&(1<<uint(p)) == 0 {
 					candidates[p] = false
-				}
-			}
-		} else {
-			for k := 0; k < morder; k++ {
-				hk := graph.PermuteMask(heard, grp.Elem(k))
-				for p := 0; p < n; p++ {
-					if candidates[p] && hk&(1<<uint(p)) == 0 {
-						candidates[p] = false
-					}
 				}
 			}
 		}

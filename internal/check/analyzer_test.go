@@ -32,11 +32,14 @@ func TestAnalyzerMatchesFromScratch(t *testing.T) {
 		sepWant, bcastWant := -1, -1
 		var lastComps, lastMixed int
 		for horizon := 1; horizon <= maxHorizon; horizon++ {
-			s, err := topo.Build(adv, 2, horizon, 0)
+			s, err := topo.BuildCtx(context.Background(), adv, 2, horizon, topo.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := topo.Decompose(s)
+			d, err := topo.DecomposeCtx(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
 			lastComps = len(d.Comps)
 			lastMixed = len(d.MixedComponents())
 			if sepWant < 0 && lastMixed == 0 {
@@ -366,7 +369,7 @@ func TestAnalyzerRetention(t *testing.T) {
 			if s.Horizon != horizon {
 				t.Fatalf("SpaceAt(%d) rehydrated horizon %d", horizon, s.Horizon)
 			}
-			want, err := topo.Build(ma.LossyLink2(), 2, horizon, 0)
+			want, err := topo.BuildCtx(context.Background(), ma.LossyLink2(), 2, horizon, topo.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"testing"
 
 	"topocon/internal/combi"
@@ -286,7 +287,7 @@ func TestDecisionMapAgreementValidityProperties(t *testing.T) {
 // different interners must fail loudly.
 func TestDecisionRoundsInternerMismatch(t *testing.T) {
 	res := mustConsensus(t, ma.LossyLink2(), Options{})
-	other, err := topo.Build(ma.LossyLink2(), 2, 1, 0)
+	other, err := topo.BuildCtx(context.Background(), ma.LossyLink2(), 2, 1, topo.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,12 @@ func TestCommittedSuffixFamily(t *testing.T) {
 func TestCrossDecisionLevelStableForCompact(t *testing.T) {
 	res := mustConsensus(t, ma.LossyLink2(), Options{})
 	for horizon := 1; horizon <= 4; horizon++ {
-		s, err := topo.BuildWithInterner(ma.LossyLink2(), 2, horizon, 0, res.Map.Interner())
+		// The map's interner is orbit-canonical under the session's group,
+		// so the space must be built under the same group.
+		s, err := topo.BuildCtx(context.Background(), ma.LossyLink2(), 2, horizon, topo.Config{
+			Interner: res.Map.Interner(),
+			Symmetry: ma.Automorphisms(ma.LossyLink2()),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

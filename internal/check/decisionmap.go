@@ -204,7 +204,7 @@ func mergeDecision(st int32, v int) int32 {
 // uniform broadcaster holds the same input, so every twin gets the same
 // value (always under the trivial group).
 func twinValues(s *topo.Space, bc uint64, inputs []int) []int {
-	if !s.Quotiented() {
+	if s.SymOrder() == 1 {
 		return nil
 	}
 	p0 := bits.TrailingZeros64(bc)

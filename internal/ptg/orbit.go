@@ -8,6 +8,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"topocon/internal/graph"
 )
 
 // Orbit-canonical interning (DESIGN.md §13). When the runs under analysis
@@ -60,15 +62,20 @@ type orbitGroup struct {
 
 // newOrbitGroup validates perms as a permutation group with the identity
 // first and builds its tables. A group of order 1 yields nil (the plain
-// interner).
+// interner), at any process count a graph supports; only a nontrivial
+// group is bounded by maxOrbitProcs.
 func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 	m := len(perms)
 	if m == 0 || m > maxGroupOrder {
 		return nil, fmt.Errorf("ptg: group order %d outside 1..%d", m, maxGroupOrder)
 	}
 	n := len(perms[0])
-	if n < 1 || n > maxOrbitProcs {
-		return nil, fmt.Errorf("ptg: group acts on %d processes, want 1..%d", n, maxOrbitProcs)
+	maxN := maxOrbitProcs
+	if m == 1 {
+		maxN = graph.MaxNodes // the plain interner keeps no per-process scratch
+	}
+	if n < 1 || n > maxN {
+		return nil, fmt.Errorf("ptg: group acts on %d processes, want 1..%d", n, maxN)
 	}
 	index := make(map[string]int, m)
 	key := func(perm []int) string {

@@ -16,7 +16,7 @@ import (
 // trips the budget immediately at 128 children.
 func TestExtendAllocsPerChild(t *testing.T) {
 	ctx := context.Background()
-	s, err := Build(ma.LossyLink2(), 2, 4, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExtendAllocsPerChild(t *testing.T) {
 // pooled scratch — nothing per item·process despite the |S|·n view reads.
 func TestDecomposeAllocsBounded(t *testing.T) {
 	ctx := context.Background()
-	s, err := Build(ma.LossyLink2(), 2, 5, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 5, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,9 @@ type Component struct {
 func (c *Component) Mixed() bool { return len(c.Valences) >= 2 }
 
 // Decomposition is the component structure of a space, one Component per
-// component orbit. Over a symmetry-quotiented space (Space.Quotiented) it is
-// computed on the orbit representatives alone (DESIGN.md §13); expanding
-// every orbit into its twins reproduces the full space's components
-// exactly.
+// component orbit. It is computed on the space's orbit representatives
+// alone (DESIGN.md §13); expanding every orbit into its twins reproduces
+// the full space's components exactly.
 type Decomposition struct {
 	Space *Space
 	// CompOf maps each item index to its component orbit.
@@ -92,33 +91,19 @@ func (d *Decomposition) FullMixedComponents() int {
 	return total
 }
 
-// Decompose computes the connected components of the space at its horizon:
-// two runs are related iff some process has the same time-t view in both,
-// and components are the transitive closure classes. This is exactly the
-// iterated ball-union construction of Definition 6.2 restricted to the
-// horizon, because view equality at the horizon implies view equality at
-// all earlier times (refinement property, package ptg).
-func Decompose(s *Space) *Decomposition {
-	//topocon:allow ctxflow -- documented pre-context convenience shim; cancellable callers use DecomposeCtx
-	d, err := DecomposeCtx(context.Background(), s)
-	if err != nil {
-		// Unreachable: the background context never cancels and the
-		// decomposition has no other failure mode.
-		panic(err)
-	}
-	return d
-}
-
-// DecomposeCtx is Decompose under a context: it returns ctx.Err() on
-// cancellation, and spreads the view-bucket scan and the per-component
-// summaries over the space's worker pool when its parallelism is > 1. The
-// scan reads the horizon's ViewID column directly — no per-item view
-// objects are touched. The resulting partition is identical to the
-// sequential one: workers scan disjoint item ranges into local bucket
-// tables (recording in-range unions as edges, since the union-find is not
-// concurrency-safe), and a sequential merge closes the relation across
-// ranges — the transitive closure does not depend on the order unions are
-// applied.
+// DecomposeCtx computes the connected components of the space at its
+// horizon: two runs are related iff some process has the same time-t view
+// in both, and components are the transitive closure classes. This is
+// exactly the iterated ball-union construction of Definition 6.2
+// restricted to the horizon, because view equality at the horizon implies
+// view equality at all earlier times (refinement property, package ptg).
+// It returns ctx.Err() on cancellation.
+//
+// DecomposeCtx is the from-scratch decomposer. A session runs it once, on
+// its horizon-0 base, whose views are the leaves (p, x_p), and refines
+// every later horizon with Decomposition.Refine, which reproduces
+// DecomposeCtx exactly. The scan is sequential and reads the horizon's
+// ViewID column directly — no per-item view objects are touched.
 //
 // Views are bucketed by their orbit id (ViewID / |G|, shared by all twins
 // of a view) in a group-labelled union-find over the representatives
@@ -130,111 +115,28 @@ func Decompose(s *Space) *Decomposition {
 //
 //topocon:export
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
-	in := s.Interner
-	grp := s.Group()
-	m := int32(grp.Order())
-	n := s.N()
-	s.fr.fault()
-	ids := s.fr.ids
 	count := s.Len()
-	u := uf.NewLabelled(count, grp)
-	if s.parallelism <= 1 {
-		// Sequential fast path: orbit ids are dense, so a pooled
-		// epoch-stamped array (shared with Refine) replaces the hash map.
-		sc := refineScratchPool.Get().(*refineScratch)
-		sc.acquire(s, 1)
-		sc.epoch++
-		span, bounds := []int{0}, make([]int, 2)
-		for lo := 0; lo < count; lo += cancelCheckInterval {
-			if ctx.Err() != nil {
-				sc.release()
-				return nil, ctx.Err()
-			}
-			bounds[0], bounds[1] = lo, min(lo+cancelCheckInterval, count)
-			sc.bucket(u, span, bounds)
-		}
-		sc.release()
-	} else {
-		type first struct {
-			item  int32
-			label uint8
-		}
-		type scan struct {
-			reps  map[int32]first // orbit id -> first in-range item
-			edges []labelledEdge  // in-range pairs sharing a view orbit
-			stabs []stabEdge      // in-range stabilizer contributions
-		}
-		var (
-			scans   []scan
-			scansMu sync.Mutex
-		)
-		err := forEachChunk(ctx, count, s.parallelism, func(lo, hi int) error {
-			sc := scan{reps: make(map[int32]first, (hi-lo)*n)}
-			for i := lo; i < hi; i++ {
-				for _, id := range ids[i*n : (i+1)*n] {
-					c, l := orbitOf(id, m)
-					if f, ok := sc.reps[c]; ok {
-						if g := grp.Quo(l, f.label); int(f.item) != i || g != 0 {
-							sc.edges = append(sc.edges, labelledEdge{f.item, int32(i), g})
-						}
-						continue
-					}
-					sc.reps[c] = first{int32(i), l}
-					if st := in.OrbitStab(int(c)); st != 1 {
-						sc.stabs = append(sc.stabs, stabEdge{int32(i), grp.Conj(l, st)})
-					}
-				}
-				if st := s.stabOf(i); st != 1 {
-					sc.stabs = append(sc.stabs, stabEdge{int32(i), st})
-				}
-			}
-			scansMu.Lock()
-			scans = append(scans, sc)
-			scansMu.Unlock()
-			return nil
-		})
-		if err != nil {
+	u := uf.NewLabelled(count, s.Group())
+	s.fr.fault()
+	// Orbit ids are dense, so a pooled epoch-stamped array (shared with
+	// Refine) replaces a hash map; one epoch spans the whole space.
+	sc := refineScratchPool.Get().(*refineScratch)
+	defer sc.release()
+	sc.acquire(s, 1)
+	sc.epoch++
+	span, bounds := []int{0}, make([]int, 2)
+	for lo := 0; lo < count; lo += cancelCheckInterval {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		global := make(map[int32]first, count*n)
-		for _, sc := range scans {
-			for _, e := range sc.edges {
-				u.Union(int(e.a), int(e.b), e.g)
-			}
-			for _, e := range sc.stabs {
-				u.AddStab(int(e.item), e.stab)
-			}
-			for c, rep := range sc.reps {
-				if f, ok := global[c]; ok {
-					u.Union(int(f.item), int(rep.item), grp.Quo(rep.label, f.label))
-				} else {
-					global[c] = rep
-				}
-			}
-		}
+		bounds[0], bounds[1] = lo, min(lo+cancelCheckInterval, count)
+		sc.bucket(u, span, bounds)
 	}
 	d := materialize(s, u, 0)
-	if err := forEachChunk(ctx, len(d.Comps), s.parallelism, func(lo, hi int) error {
-		for ci := lo; ci < hi; ci++ {
-			d.summarize(&d.Comps[ci], 0, 0, true)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+	for ci := range d.Comps {
+		d.summarize(&d.Comps[ci], 0, 0, true)
 	}
 	return d, nil
-}
-
-// labelledEdge records σ_g·(run a) ~ run b for a deferred Union.
-type labelledEdge struct {
-	a, b int32
-	g    uint8
-}
-
-// stabEdge records that σ_h·(run item) ~ run item for every h in stab.
-type stabEdge struct {
-	item int32
-	stab uint64
 }
 
 // orbitOf splits a view ID into its orbit id and the element reaching it
@@ -295,15 +197,12 @@ func materialize(s *Space, u *uf.Labelled, hint int) *Decomposition {
 		if c.Stab != 1 {
 			c.Stab = grp.Conj(x, c.Stab)
 		}
-		if x == 0 && c.Stab == 1 && s.stab == nil {
-			continue // every label is the identity already
-		}
 		for _, i := range c.Members {
 			l := d.Labels[i]
 			if x != 0 {
 				l = grp.Mul(x, l)
 			}
-			if st := s.stabOf(i); c.Stab != 1 || st != 1 {
+			if st := s.stab[i]; c.Stab != 1 || st != 1 {
 				l = grp.MinCoset(c.Stab, l, st)
 			}
 			d.Labels[i] = l
@@ -568,7 +467,7 @@ func (d *Decomposition) DiameterLevel(ci int) (int, bool) {
 	for _, i := range c.Members {
 		var seen uint64
 		for rest := c.Stab; rest != 0; rest &= rest - 1 {
-			k := grp.MinCoset(1, grp.Mul(uint8(bits.TrailingZeros64(rest)), d.Labels[i]), s.stabOf(i))
+			k := grp.MinCoset(1, grp.Mul(uint8(bits.TrailingZeros64(rest)), d.Labels[i]), s.stab[i])
 			if seen&(1<<k) == 0 {
 				seen |= 1 << k
 				views = append(views, s.PseudoViews(i, int(k)))

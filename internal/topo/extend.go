@@ -30,8 +30,8 @@ import (
 // one parent appear in Choices order, parents in their own item order —
 // which is the depth-first prefix enumeration order at the deeper horizon.
 // The incremental-extension invariant (asserted by TestExtendMatchesBuild)
-// is that Build(adv, d, t) and Build(adv, d, 0).Extend(ctx, t) agree item
-// by item on runs, automaton states, obligations and view structure.
+// is that a horizon-t BuildCtx and a horizon-0 BuildCtx extended to t agree
+// item by item on runs, automaton states, obligations and view structure.
 func (s *Space) Extend(ctx context.Context, horizon int) (*Space, error) {
 	if horizon <= s.Horizon {
 		return nil, fmt.Errorf("topo: Extend to horizon %d from %d (must grow)", horizon, s.Horizon)
@@ -67,47 +67,33 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// implementations (product automata, filters) would otherwise pay for
 	// every parent twice.
 	//
-	// Under a symmetry quotient (s.sym != nil) the same pass also decides,
-	// per raw child slot, whether the round graph is its orbit's
-	// representative under the parent's stabilizer: keptStab[rawOff[i]+j]
-	// is 0 for dropped twins and the child's stabilizer mask for kept
-	// ones, and offsets count kept children only. The cap check stays in
-	// full-space runs (orbit-weighted), so quotiented and plain sessions
-	// hit MaxRuns budgets identically.
+	// Only a parent with a nontrivial stabilizer can have children that are
+	// relabeled twins of each other: for those the pass counts the round
+	// graphs that are their orbit's representative under the stabilizer,
+	// and the worker loop below re-derives the same stabilizers instead of
+	// storing one per raw child. Every other parent — all of them under
+	// the trivial group — keeps every child with stabilizer 1. The cap
+	// check stays in full-space runs (orbit-weighted), so quotiented and
+	// plain sessions hit MaxRuns budgets identically.
+	grp := s.sym.group
 	choices := make([][]graph.Graph, nParents)
 	offsets := make([]int, nParents+1)
-	var (
-		rawOff    []int
-		keptStab  []uint64
-		fullTotal int
-	)
-	if s.sym != nil {
-		rawOff = make([]int, nParents+1)
-		keptStab = make([]uint64, 0, nParents*2)
-	}
+	fullTotal := 0
 	for i := 0; i < nParents; i++ {
 		choices[i] = adv.Choices(s.states[i])
-		if s.sym == nil {
-			offsets[i+1] = offsets[i] + len(choices[i])
-			continue
-		}
-		rawOff[i+1] = rawOff[i] + len(choices[i])
-		kept := 0
-		si := s.stab[i]
-		for _, g := range choices[i] {
-			st := graphOrbitStab(g, s.sym.group, si)
-			keptStab = append(keptStab, st)
-			if st != 0 {
-				kept++
+		kept := len(choices[i])
+		if si := s.stab[i]; si != 1 {
+			kept = 0
+			for _, g := range choices[i] {
+				if graphOrbitStab(g, grp, si) != 0 {
+					kept++
+				}
 			}
 		}
 		offsets[i+1] = offsets[i] + kept
 		fullTotal += s.OrbitSize(i) * len(choices[i])
 	}
 	total := offsets[nParents]
-	if s.sym == nil {
-		fullTotal = total
-	}
 	if fullTotal > s.maxRuns {
 		return nil, fmt.Errorf("topo: space has %d runs, exceeding cap %d", fullTotal, s.maxRuns)
 	}
@@ -138,9 +124,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		parallelism:   s.parallelism,
 		pager:         s.pager,
 		sym:           s.sym,
-	}
-	if s.sym != nil {
-		next.stab = make([]uint64, total)
+		stab:          make([]uint64, total),
 	}
 	interner := s.Interner
 	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
@@ -155,12 +139,12 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 			pDoneAt := s.doneAt[i]
 			pValence := s.valence[i]
 			pRoot := s.fr.rootOf[i]
+			pStab := s.stab[i]
 			c := offsets[i] - 1
-			for j, g := range choices[i] {
-				var cStab uint64
-				if s.sym != nil {
-					cStab = keptStab[rawOff[i]+j]
-					if cStab == 0 {
+			for _, g := range choices[i] {
+				cStab := uint64(1)
+				if pStab != 1 {
+					if cStab = graphOrbitStab(g, grp, pStab); cStab == 0 {
 						continue // a relabeled twin of an earlier sibling
 					}
 				}
@@ -191,9 +175,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 				next.states[c] = state
 				next.doneAt[c] = doneAt
 				next.valence[c] = pValence
-				if s.sym != nil {
-					next.stab[c] = cStab
-				}
+				next.stab[c] = cStab
 			}
 		}
 		return nil
@@ -217,7 +199,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	return next, nil
 }
 
-// SetParallelism sets the worker count used by Extend and DecomposeCtx on
+// SetParallelism sets the worker count used by Extend and Refine on
 // this space and its descendants; w ≤ 1 selects sequential operation.
 func (s *Space) SetParallelism(w int) { s.parallelism = w }
 

@@ -27,9 +27,9 @@ func seedAdversaries(t *testing.T) []ma.Adversary {
 }
 
 // TestExtendMatchesBuild is the incremental-extension invariant: for every
-// seed adversary, Build(adv, d, t) and Build(adv, d, 1).Extend(ctx, t)
+// seed adversary, a horizon-t BuildCtx and a horizon-1 BuildCtx extended to t
 // yield identical item sequences (runs, obligations, valences, heard-sets)
-// and identical Decompose results at every horizon.
+// and identical DecomposeCtx results at every horizon.
 func TestExtendMatchesBuild(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
@@ -37,7 +37,7 @@ func TestExtendMatchesBuild(t *testing.T) {
 		if adv.N() > 2 {
 			maxT = 3 // the n=3 space grows too fast for a unit test
 		}
-		inc, err := Build(adv, 2, 1, 0)
+		inc, err := BuildCtx(context.Background(), adv, 2, 1, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build horizon 1: %v", adv.Name(), err)
 		}
@@ -46,24 +46,24 @@ func TestExtendMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Extend to %d: %v", adv.Name(), horizon, err)
 			}
-			scratch, err := Build(adv, 2, horizon, 0)
+			scratch, err := BuildCtx(context.Background(), adv, 2, horizon, Config{})
 			if err != nil {
 				t.Fatalf("%s: Build horizon %d: %v", adv.Name(), horizon, err)
 			}
 			assertSpacesEqual(t, adv.Name(), scratch, inc)
 			assertViewsMatchComputed(t, adv.Name(), scratch)
-			assertDecompositionsEqual(t, adv.Name(), Decompose(scratch), Decompose(inc))
+			assertDecompositionsEqual(t, adv.Name(), decompose(t, scratch), decompose(t, inc))
 		}
 	}
 }
 
 // TestExtendParallelMatchesSequential asserts that the worker-pool frontier
-// expansion and decomposition produce the same space and partition as the
-// sequential path.
+// expansion produces the same space, and so the same partition, as the
+// sequential path (parallel Refine is pinned by TestRefineMatchesDecompose).
 func TestExtendParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
-		seq, err := Build(adv, 2, 1, 0)
+		seq, err := BuildCtx(context.Background(), adv, 2, 1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestExtendParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSpacesEqual(t, adv.Name(), seq, par)
-		dseq := Decompose(seq)
+		dseq := decompose(t, seq)
 		dpar, err := DecomposeCtx(ctx, par)
 		if err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestExtendParallelUnionAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Build(adv, 2, 5, 0)
+	seq, err := BuildCtx(context.Background(), adv, 2, 5, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExtendParallelUnionAdversary(t *testing.T) {
 // TestFindConcurrent pins the lazily-built run index against concurrent
 // first use.
 func TestFindConcurrent(t *testing.T) {
-	s, err := Build(ma.LossyLink3(), 2, 3, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFindConcurrent(t *testing.T) {
 // TestExtendCancellation asserts that a cancelled context aborts Extend and
 // DecomposeCtx with ctx.Err() instead of returning a partial space.
 func TestExtendCancellation(t *testing.T) {
-	s, err := Build(ma.LossyLink3(), 2, 1, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

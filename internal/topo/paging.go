@@ -289,13 +289,13 @@ type ChainSpec struct {
 	// SnapshotChain).
 	Rounds []ChainRound
 	// Symmetry must be the automorphism group the checkpointed session was
-	// quotiented by (nil for a full-space session), and the Interner must be
-	// orbit-canonical under it (the imported blob carries the group). The
-	// stabilizer column is derived state — never serialized, the page
-	// format is symmetry-agnostic — so restore recomputes it by the same
-	// recurrence the original extension applied. Restoring a quotiented
-	// chain without its group (or vice versa) mis-shapes every page's item
-	// count and fails the count validation.
+	// quotiented by (nil or the trivial group for a full-space session), as
+	// in Config.Symmetry. The Interner must be orbit-canonical under it
+	// (the imported blob carries the group), so restoring a quotiented
+	// chain without its group, or a full-space chain with one, fails on
+	// the interner. The stabilizer column is derived state — never
+	// serialized, the page format is symmetry-agnostic — so restore
+	// recomputes it by the same recurrence the original extension applied.
 	Symmetry *ma.Group
 }
 
@@ -381,13 +381,11 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			parallelism: spec.Parallelism,
 			pager:       spec.Pager,
 			sym:         s.sym,
-		}
-		if s.sym != nil {
 			// Replay the stabilizer recurrence (derived state, never
 			// serialized). Relabeled views need nothing replayed: the
 			// imported interner re-derived every cone's stabilizer from its
 			// key.
-			next.stab = replayStab(s, f)
+			stab: replayStab(s, f),
 		}
 		if cr.Horizon < len(spec.Rounds) {
 			// Interior round: register it cold (the page was just validated)
@@ -431,7 +429,9 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 	states := make([]ma.State, base.count)
 	doneAt := make([]int32, base.count)
 	valence := make([]int32, base.count)
-	var stab []uint64
+	// The stabilizer column is per-space derived state, replayed forward
+	// alongside the automaton states.
+	stab := make([]uint64, base.count)
 	start := s.Adversary.Start()
 	da0 := int32(-1)
 	if s.Adversary.Done(start) {
@@ -441,15 +441,7 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		states[i] = start
 		doneAt[i] = da0
 		valence[i] = valenceOf(w)
-	}
-	if s.sym != nil {
-		// The stabilizer column is per-space derived state, replayed forward
-		// alongside the automaton states.
-		stab = make([]uint64, base.count)
-		for i, w := range base.inputs {
-			st, _ := inputOrbitRep(w, s.sym.group)
-			stab[i] = st
-		}
+		stab[i], _ = inputOrbitRep(w, s.sym.group)
 	}
 	for ri := len(path) - 2; ri >= 0; ri-- {
 		f := path[ri]
@@ -459,10 +451,7 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		nextStates := make([]ma.State, f.count)
 		nextDoneAt := make([]int32, f.count)
 		nextValence := make([]int32, f.count)
-		var nextStab []uint64
-		if s.sym != nil {
-			nextStab = make([]uint64, f.count)
-		}
+		nextStab := make([]uint64, f.count)
 		for c := 0; c < f.count; c++ {
 			pi := f.parentOf[c]
 			state := s.Adversary.Step(states[pi], f.gs[c])
@@ -473,9 +462,7 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 			nextStates[c] = state
 			nextDoneAt[c] = da
 			nextValence[c] = valence[pi]
-			if nextStab != nil {
-				nextStab[c] = graphOrbitStab(f.gs[c], s.sym.group, stab[pi])
-			}
+			nextStab[c] = graphOrbitStab(f.gs[c], s.sym.group, stab[pi])
 		}
 		states, doneAt, valence, stab = nextStates, nextDoneAt, nextValence, nextStab
 	}
@@ -608,7 +595,7 @@ func RestoreDecomposition(s *Space, snap *DecompSnapshot) (*Decomposition, error
 				return nil, fmt.Errorf("topo: RestoreDecomposition: item %d, smallest member of component %d, has label %d", i, ci, l)
 			}
 		}
-		if grp.MinCoset(d.Comps[ci].Stab, l, s.stabOf(i)) != l {
+		if grp.MinCoset(d.Comps[ci].Stab, l, s.stab[i]) != l {
 			return nil, fmt.Errorf("topo: RestoreDecomposition: item %d label %d is not canonical", i, l)
 		}
 		sizes[ci]++

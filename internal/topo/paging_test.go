@@ -36,7 +36,7 @@ func TestPagedBuildMatchesUnpaged(t *testing.T) {
 		} else {
 			horizon = 3
 		}
-		plain, err := Build(adv, 2, horizon, 0)
+		plain, err := BuildCtx(context.Background(), adv, 2, horizon, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
@@ -242,7 +242,7 @@ func TestAncestorAt(t *testing.T) {
 func TestDecompSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
-		s, err := Build(adv, 2, 2, 0)
+		s, err := BuildCtx(context.Background(), adv, 2, 2, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
@@ -273,11 +273,11 @@ func TestDecompSnapshotRoundTrip(t *testing.T) {
 
 // TestRestoreDecompositionRejectsBadShapes pins strict validation.
 func TestRestoreDecompositionRejectsBadShapes(t *testing.T) {
-	s, err := Build(ma.LossyLink2(), 2, 1, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Decompose(s)
+	d := decompose(t, s)
 	good := SnapshotDecomposition(d)
 	bad := func(mutate func(*DecompSnapshot)) *DecompSnapshot {
 		c := &DecompSnapshot{

@@ -10,11 +10,12 @@ import (
 	"topocon/internal/uf"
 )
 
-// refineScratch is the reusable dense bucket table of Refine and the
-// sequential DecomposeCtx, indexed by view orbit id (ViewID / |G|, the
+// refineScratch is the reusable dense bucket table of Refine and
+// DecomposeCtx, indexed by view orbit id (ViewID / |G|, the
 // ViewID itself under the trivial group). Entries are validated by epoch
 // instead of being cleared: the epoch counter is monotone across uses (one
-// epoch per parent component orbit), so stale entries from earlier
+// epoch per parent component orbit in Refine, one per DecomposeCtx call),
+// so stale entries from earlier
 // refinements never match. The table only ever grows (with geometric
 // headroom, so a session whose interner grows every horizon still
 // amortizes), and pooling keeps it alive across calls instead of feeding

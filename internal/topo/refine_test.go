@@ -11,7 +11,9 @@ import (
 // for every seed adversary family, refining the horizon-t partition into
 // the one-round extension equals the from-scratch DecomposeCtx of the
 // child — same partition, CompOf, component order, valences, broadcasters
-// and uniform inputs — on both the sequential and the worker-pool path.
+// and uniform inputs — with Refine on both the sequential and the
+// worker-pool path. The chain starts at the horizon-0 base, as a session
+// does, so Refine 0→1 is pinned too.
 func TestRefineMatchesDecompose(t *testing.T) {
 	ctx := context.Background()
 	for _, parallelism := range []int{1, 4} {
@@ -20,15 +22,15 @@ func TestRefineMatchesDecompose(t *testing.T) {
 			if adv.N() > 2 {
 				maxT = 3
 			}
-			s, err := BuildCtx(ctx, adv, 2, 1, Config{Parallelism: parallelism})
+			s, err := BuildCtx(ctx, adv, 2, 0, Config{Parallelism: parallelism})
 			if err != nil {
-				t.Fatalf("%s: Build horizon 1: %v", adv.Name(), err)
+				t.Fatalf("%s: BuildCtx horizon 0: %v", adv.Name(), err)
 			}
 			d, err := DecomposeCtx(ctx, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for horizon := 2; horizon <= maxT; horizon++ {
+			for horizon := 1; horizon <= maxT; horizon++ {
 				child, err := s.Extend(ctx, horizon)
 				if err != nil {
 					t.Fatalf("%s: Extend to %d: %v", adv.Name(), horizon, err)
@@ -53,13 +55,13 @@ func TestRefineMatchesDecompose(t *testing.T) {
 // decomposed space.
 func TestRefineRejectsForeignChild(t *testing.T) {
 	ctx := context.Background()
-	s, err := Build(ma.LossyLink3(), 2, 1, 0)
+	s, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Decompose(s)
+	d := decompose(t, s)
 	// A from-scratch build at the next horizon carries no parent linkage.
-	scratch, err := Build(ma.LossyLink3(), 2, 2, 0)
+	scratch, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +107,6 @@ func TestRefineCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: resumed Refine: %v", parallelism, err)
 		}
-		assertDecompositionsEqual(t, "lossy3-resume", Decompose(child), refined)
+		assertDecompositionsEqual(t, "lossy3-resume", decompose(t, child), refined)
 	}
 }

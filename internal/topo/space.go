@@ -129,22 +129,22 @@ type Space struct {
 	parentOffsets []int
 
 	maxRuns     int // size cap inherited by Extend
-	parallelism int // worker count inherited by Extend / DecomposeCtx
+	parallelism int // worker count inherited by Extend / Refine
 
 	// pager, when non-nil, spills rounds that stop being the head to disk
 	// and bounds the resident set; see paging.go.
 	pager *pager.Pager
 
-	// sym, when non-nil, marks the chain as quotiented by the adversary's
-	// automorphism group: items are orbit representatives, stab[i] is the
-	// bitmask of group elements fixing item i, and the orbit-canonical
-	// interner's IDs carry each view's orbit. See symmetry.go /
-	// DESIGN.md §13.
+	// sym is the symmetry group the chain is quotiented by — the trivial
+	// group, of order 1, when it is built without symmetry: items are
+	// orbit representatives, stab[i] is the bitmask of group elements
+	// fixing item i (1 under the trivial group), and the interner's IDs
+	// carry each view's orbit. See symmetry.go / DESIGN.md §13.
 	sym  *symState
 	stab []uint64
 }
 
-// DefaultMaxRuns bounds the size of constructed spaces; Build returns an
+// DefaultMaxRuns bounds the size of constructed spaces; BuildCtx returns an
 // error beyond it so that callers fail fast instead of thrashing.
 const DefaultMaxRuns = 4_000_000
 
@@ -153,8 +153,8 @@ const DefaultMaxRuns = 4_000_000
 type Config struct {
 	// MaxRuns caps the space size; ≤ 0 selects DefaultMaxRuns.
 	MaxRuns int
-	// Parallelism is the worker count used by Extend and DecomposeCtx on
-	// spaces derived from this build; ≤ 1 means sequential.
+	// Parallelism is the worker count used by Extend and Refine on spaces
+	// derived from this build; ≤ 1 means sequential.
 	Parallelism int
 	// Interner shares hash-consed views with other spaces or a compiled
 	// decision map; nil allocates a fresh one.
@@ -165,38 +165,25 @@ type Config struct {
 	// budget; chain-walking accessors fault pages back in transparently.
 	// Required for SnapshotChain / checkpointing.
 	Pager *pager.Pager
-	// Symmetry, when non-nil and nontrivial, quotients the chain by the
-	// given automorphism group of the adversary's graph language (from
-	// ma.Automorphisms): only one representative run per orbit is interned,
-	// with orbit sizes tracked so FullLen and the verdict accounting still
-	// report full-space numbers, and views are interned one cone per orbit
-	// (ptg.Interner.AdoptGroup; a supplied Interner must be orbit-canonical
-	// under the same group, or empty). Passing a group that is NOT a
-	// subgroup of the adversary's true automorphism group is unsound.
+	// Symmetry quotients the chain by the given automorphism group of the
+	// adversary's graph language (from ma.Automorphisms): only one
+	// representative run per orbit is interned, with orbit sizes tracked
+	// so FullLen and the verdict accounting still report full-space
+	// numbers, and views are interned one cone per orbit
+	// (ptg.Interner.AdoptGroup). nil selects the trivial group, which
+	// interns every run. A supplied Interner must be orbit-canonical under
+	// the same group — for the trivial group, a plain interner — or empty;
+	// BuildCtx rejects any other. Passing a group that is NOT a subgroup
+	// of the adversary's true automorphism group is unsound.
 	Symmetry *ma.Group
 }
 
-// Build enumerates the horizon-t prefix space of the adversary with the
-// given input domain size (≥ 2 values for consensus to be non-trivial).
-// maxRuns ≤ 0 selects DefaultMaxRuns.
-func Build(adv ma.Adversary, inputDomain, horizon, maxRuns int) (*Space, error) {
-	//topocon:allow ctxflow -- documented pre-context convenience shim; cancellable callers use BuildCtx
-	return BuildCtx(context.Background(), adv, inputDomain, horizon, Config{MaxRuns: maxRuns})
-}
-
-// BuildWithInterner is Build with a caller-supplied view interner, so that
-// views of different spaces (or of a compiled decision map) are comparable.
-// A nil interner allocates a fresh one.
-func BuildWithInterner(adv ma.Adversary, inputDomain, horizon, maxRuns int, interner *ptg.Interner) (*Space, error) {
-	//topocon:allow ctxflow -- documented pre-context convenience shim; cancellable callers use BuildCtx
-	return BuildCtx(context.Background(), adv, inputDomain, horizon,
-		Config{MaxRuns: maxRuns, Interner: interner})
-}
-
-// BuildCtx enumerates the horizon-t prefix space under a context: the
-// enumeration stops at cancellation and returns ctx.Err(). For iterative
-// deepening build the horizon-0 space once and grow it with Extend, which
-// reuses the horizon-t items instead of re-enumerating from the root.
+// BuildCtx enumerates the horizon-t prefix space of the adversary with the
+// given input domain size (≥ 2 values for consensus to be non-trivial)
+// under a context: the enumeration stops at cancellation and returns
+// ctx.Err(). For iterative deepening build the horizon-0 space once and
+// grow it with Extend, which reuses the horizon-t items instead of
+// re-enumerating from the root.
 //
 // The space is built round by round into the columnar frontier chain —
 // exactly the expansion Extend performs, which produces items in the
@@ -255,30 +242,29 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 	return s, nil
 }
 
-// buildBaseSym constructs the horizon-0 space: one item per input vector,
-// leaf views, the adversary's start state. With a nontrivial group only the
-// numerically smallest input vector of each G-orbit becomes an item,
-// stabilizer masks are recorded, and the interner must be orbit-canonical
-// under the group (an empty plain interner adopts it).
+// buildBaseSym constructs the horizon-0 space: leaf views, the
+// adversary's start state, and one item per G-orbit of input vectors — the
+// numerically smallest — with its stabilizer mask (every vector, with
+// stabilizer 1, under the trivial group). A nil group is the trivial
+// group. The interner must be orbit-canonical under the group (an empty
+// one adopts it), so a space and its interner always agree on the group.
 func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns, parallelism int, group *ma.Group) (*Space, error) {
 	n := adv.N()
-	var sym *symState
-	if group != nil && !group.Trivial() {
-		if err := interner.AdoptGroup(groupPerms(group)); err != nil {
-			return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
-		}
-		sym = &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
+	if group == nil {
+		group = ma.TrivialGroup(n)
 	}
+	if err := interner.AdoptGroup(groupPerms(group)); err != nil {
+		return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
+	}
+	sym := &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
 	var inputs [][]int
 	var stab []uint64
 	combi.Words(inputDomain, n, func(w []int) bool {
-		if sym != nil {
-			st, keep := inputOrbitRep(w, group)
-			if !keep {
-				return true
-			}
-			stab = append(stab, st)
+		st, keep := inputOrbitRep(w, group)
+		if !keep {
+			return true
 		}
+		stab = append(stab, st)
 		inputs = append(inputs, append([]int(nil), w...))
 		return true
 	})

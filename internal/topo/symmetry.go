@@ -36,12 +36,19 @@ import (
 // is the orbit, ID mod |G| the element reaching the view from the stored
 // cone — so the relabeled twin of a view is Interner.Relabel(id, k),
 // arithmetic on the ID, with no per-view memo and no twin cone interned.
+//
+// A space built without symmetry runs the same code under the trivial
+// group: every input vector and round graph is its orbit's representative,
+// every stabilizer is 1, every label the identity, and the plain interner
+// is the order-1 case of the orbit-canonical one.
 
 // symState is the chain-level symmetry state, shared by every Space of
-// one frontier chain (extensions, restores, ancestors).
+// one frontier chain (extensions, restores, ancestors). Every chain has
+// one: a space without symmetry carries the trivial group, of order 1,
+// under which every stabilizer is 1 and every orbit a single run.
 type symState struct {
 	group *ma.Group
-	m     int      // group order, ≥ 2
+	m     int      // group order, ≥ 1
 	tab   uf.Group // the interner's multiplication table
 }
 
@@ -55,52 +62,32 @@ func groupPerms(g *ma.Group) [][]int {
 	return perms
 }
 
-// SymOrder returns the order of the chain's symmetry group (1 when the
-// space is not quotiented).
-func (s *Space) SymOrder() int {
-	if s.sym == nil {
-		return 1
-	}
-	return s.sym.m
-}
+// SymOrder returns the order of the chain's symmetry group, 1 for the
+// trivial group.
+func (s *Space) SymOrder() int { return s.sym.m }
 
-// SymGroup returns the automorphism group the chain is quotiented by, or
-// nil when the space is not quotiented.
-func (s *Space) SymGroup() *ma.Group {
-	if s.sym == nil {
-		return nil
-	}
-	return s.sym.group
-}
+// SymGroup returns the automorphism group the chain is quotiented by (the
+// trivial group when the space was built without symmetry).
+func (s *Space) SymGroup() *ma.Group { return s.sym.group }
 
 // OrbitSize returns the number of full-space runs item i represents:
-// |G| / |Stab(i)|, or 1 when the space is not quotiented.
+// |G| / |Stab(i)|, 1 under the trivial group.
 func (s *Space) OrbitSize(i int) int {
-	if s.sym == nil {
-		return 1
-	}
 	return s.sym.m / bits.OnesCount64(s.stab[i])
 }
 
-// FullLen returns the number of full-space runs the space represents —
-// Len() when not quotiented, the sum of orbit sizes otherwise. Budget
-// caps, RunsExplored reporting and the BuildCtx cross-check against
+// FullLen returns the number of full-space runs the space represents, the
+// sum of orbit sizes (Len() under the trivial group). Budget caps,
+// RunsExplored reporting and the BuildCtx cross-check against
 // ma.CountPrefixes all use full-space numbers, so quotiented and plain
 // sessions account identically.
 func (s *Space) FullLen() int {
-	if s.sym == nil {
-		return s.fr.count
-	}
 	total := 0
 	for _, st := range s.stab {
 		total += s.sym.m / bits.OnesCount64(st)
 	}
 	return total
 }
-
-// Quotiented reports whether the space interns one representative per
-// automorphism orbit.
-func (s *Space) Quotiented() bool { return s.sym != nil }
 
 // inputOrbitRep decides the base-level quotient for one input vector w:
 // keep reports whether w is the numerically smallest vector of its
@@ -181,23 +168,8 @@ func replayStab(parent *Space, f *frontier) []uint64 {
 	return stab
 }
 
-// Group returns the multiplication table of the chain's symmetry group,
-// the group of order 1 when the space is not quotiented.
-func (s *Space) Group() uf.Group {
-	if s.sym == nil {
-		return uf.Trivial
-	}
-	return s.sym.tab
-}
-
-// stabOf returns the stabilizer mask of item i: the group elements fixing
-// its run, 1 when the space is not quotiented.
-func (s *Space) stabOf(i int) uint64 {
-	if s.sym == nil {
-		return 1
-	}
-	return s.stab[i]
-}
+// Group returns the multiplication table of the chain's symmetry group.
+func (s *Space) Group() uf.Group { return s.sym.tab }
 
 // permuteMask relabels a process bitmask by group element g: bit p moves to
 // σ_g(p).
@@ -214,7 +186,7 @@ func (s *Space) permuteMask(mask uint64, g uint8) uint64 {
 func (s *Space) twinElems(i int) []int {
 	m := s.SymOrder()
 	out := make([]int, 0, m)
-	st := s.stabOf(i)
+	st := s.stab[i]
 	for k := 0; k < m; k++ {
 		if st == 1 || s.Group().MinCoset(1, uint8(k), st) == uint8(k) {
 			out = append(out, k)
@@ -230,7 +202,7 @@ func (s *Space) twinElems(i int) []int {
 // the bits renamed. This is a cold path (pair scans, witness expansion);
 // per-call allocation mirrors ViewsOf.
 func (s *Space) PseudoViews(i, k int) *ptg.Views {
-	if k == 0 || s.sym == nil {
+	if k == 0 {
 		return s.ViewsOf(i)
 	}
 	perm := s.sym.group.Elem(k)
@@ -264,7 +236,7 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 // representative's run relabeled by group element k.
 func (s *Space) PseudoRun(i, k int) ptg.Run {
 	r := s.RunOf(i)
-	if k == 0 || s.sym == nil {
+	if k == 0 {
 		return r
 	}
 	return r.Relabel(s.sym.group.Elem(k))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/pager"
 	"topocon/internal/ptg"
@@ -25,7 +26,7 @@ func TestQuotientMatchesFull(t *testing.T) {
 		if adv.N() > 2 {
 			maxT = 3
 		}
-		full, err := Build(adv, 2, 1, 0)
+		full, err := BuildCtx(context.Background(), adv, 2, 1, Config{})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
@@ -33,8 +34,8 @@ func TestQuotientMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: quotient Build: %v", adv.Name(), err)
 		}
-		if grp.Trivial() != !q.Quotiented() {
-			t.Fatalf("%s: group trivial=%v but Quotiented=%v", adv.Name(), grp.Trivial(), q.Quotiented())
+		if q.SymOrder() != grp.Order() {
+			t.Fatalf("%s: group order %d but SymOrder %d", adv.Name(), grp.Order(), q.SymOrder())
 		}
 		assertQuotientExpandsToFull(t, adv.Name(), full, q)
 		for horizon := 2; horizon <= maxT; horizon++ {
@@ -53,11 +54,11 @@ func TestQuotientMatchesFull(t *testing.T) {
 
 // TestQuotientTrivialGroupIsNoOp pins the m = 1 path: an explicitly
 // trivial group must produce a space indistinguishable from a plain build
-// (no sym state, no pseudo expansion, Mult 1 decompositions).
+// (order-1 symmetry state, all-ones stabilizers, identity labels).
 func TestQuotientTrivialGroupIsNoOp(t *testing.T) {
 	ctx := context.Background()
 	adv := ma.LossyLink2()
-	plain, err := Build(adv, 2, 3, 0)
+	plain, err := BuildCtx(context.Background(), adv, 2, 3, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,16 @@ func TestQuotientTrivialGroupIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Quotiented() {
-		t.Fatal("trivial group produced a quotiented space")
+	if q.SymOrder() != 1 || plain.SymOrder() != 1 {
+		t.Fatalf("trivial group has order %d, plain build %d", q.SymOrder(), plain.SymOrder())
+	}
+	for i := range q.stab {
+		if q.stab[i] != 1 || plain.stab[i] != 1 {
+			t.Fatalf("item %d stabilizer %b (plain %b) under the trivial group", i, q.stab[i], plain.stab[i])
+		}
 	}
 	assertSpacesEqual(t, adv.Name(), plain, q)
-	dq := Decompose(q)
+	dq := decompose(t, q)
 	for i, l := range dq.Labels {
 		if l != 0 {
 			t.Fatalf("trivial-group decomposition labels item %d with %d", i, l)
@@ -80,7 +86,7 @@ func TestQuotientTrivialGroupIsNoOp(t *testing.T) {
 			t.Fatalf("trivial-group component %d has stabilizer %b", ci, dq.Comps[ci].Stab)
 		}
 	}
-	assertDecompositionsEqual(t, adv.Name(), Decompose(plain), dq)
+	assertDecompositionsEqual(t, adv.Name(), decompose(t, plain), dq)
 }
 
 // TestQuotientShrinksSpace pins the point of the exercise: for the
@@ -92,7 +98,7 @@ func TestQuotientShrinksSpace(t *testing.T) {
 	if grp.Trivial() {
 		t.Fatal("lossy-link-2 automorphism group is trivial; expected the swap")
 	}
-	full, err := Build(adv, 2, 4, 0)
+	full, err := BuildCtx(context.Background(), adv, 2, 4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +115,9 @@ func TestQuotientShrinksSpace(t *testing.T) {
 }
 
 // TestQuotientRefineMatchesDecompose is TestRefineMatchesDecompose over
-// quotiented spaces: incremental orbit refinement must equal the
-// from-scratch orbit decomposition at every horizon, sequentially and on
-// the worker pool.
+// quotiented spaces: incremental orbit refinement from the horizon-0 base
+// must equal the from-scratch orbit decomposition at every horizon, with
+// Refine sequential and on the worker pool.
 func TestQuotientRefineMatchesDecompose(t *testing.T) {
 	for _, adv := range seedAdversaries(t) {
 		grp := ma.Automorphisms(adv)
@@ -134,7 +140,7 @@ func TestQuotientRefineMatchesDecompose(t *testing.T) {
 func assertQuotientRefineMatchesDecompose(t *testing.T, adv ma.Adversary, grp *ma.Group, maxT, parallelism int) {
 	t.Helper()
 	ctx := context.Background()
-	q, err := BuildCtx(ctx, adv, 2, 1, Config{Symmetry: grp, Parallelism: parallelism})
+	q, err := BuildCtx(ctx, adv, 2, 0, Config{Symmetry: grp, Parallelism: parallelism})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func assertQuotientRefineMatchesDecompose(t *testing.T, adv ma.Adversary, grp *m
 	if err != nil {
 		t.Fatal(err)
 	}
-	for horizon := 2; horizon <= maxT; horizon++ {
+	for horizon := 1; horizon <= maxT; horizon++ {
 		next, err := q.Extend(ctx, horizon)
 		if err != nil {
 			t.Fatal(err)
@@ -210,9 +216,9 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)
 		}
 		assertSpacesEqual(t, adv.Name(), s, restored)
-		if !restored.Quotiented() || restored.FullLen() != s.FullLen() {
-			t.Fatalf("%s: restored FullLen %d (quotiented=%v), want %d",
-				adv.Name(), restored.FullLen(), restored.Quotiented(), s.FullLen())
+		if restored.SymOrder() != grp.Order() || restored.FullLen() != s.FullLen() {
+			t.Fatalf("%s: restored FullLen %d (group order %d), want %d",
+				adv.Name(), restored.FullLen(), restored.SymOrder(), s.FullLen())
 		}
 		for i := range s.stab {
 			if s.stab[i] != restored.stab[i] {
@@ -244,7 +250,7 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: AncestorAt: %v", adv.Name(), err)
 		}
-		if !anc.Quotiented() || len(anc.stab) != anc.Len() {
+		if anc.SymOrder() != grp.Order() || len(anc.stab) != anc.Len() {
 			t.Fatalf("%s: ancestor lost quotient state", adv.Name())
 		}
 		dAnc, err := DecomposeCtx(ctx, anc)
@@ -335,8 +341,8 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 	// Decomposition: the orbit decomposition expanded onto full items must
 	// be well-defined (all twins of one full run agree) and equal the full
 	// partition, with identical component summaries.
-	df := Decompose(full)
-	dq := Decompose(q)
+	df := decompose(t, full)
+	dq := decompose(t, q)
 	induced := make([]int, full.Len())
 	for i := range induced {
 		induced[i] = -1
@@ -442,5 +448,40 @@ func TestSummarizeClosesUnderStabilizer(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no item with distinct inputs")
+	}
+}
+
+// TestBuildRejectsMismatchedInterner pins that a space and its interner
+// agree on the group: a build without symmetry is a trivial-group build,
+// and an interner that adopted a nontrivial group encodes every view's
+// orbit in its ID, so the build must fail instead of mis-reading those IDs
+// in a later decomposition.
+func TestBuildRejectsMismatchedInterner(t *testing.T) {
+	ctx := context.Background()
+	adv := ma.LossyLink2()
+	q, err := BuildCtx(ctx, adv, 2, 2, Config{Symmetry: ma.Automorphisms(adv)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, grp := range map[string]*ma.Group{"nil": nil, "trivial": ma.TrivialGroup(adv.N())} {
+		s, err := BuildCtx(ctx, adv, 2, 3, Config{Interner: q.Interner, Symmetry: grp})
+		if err == nil {
+			t.Fatalf("%s symmetry on an orbit-canonical interner: built %d runs, want an error", name, s.Len())
+		}
+	}
+}
+
+// TestTrivialGroupBeyondOrbitProcs pins that the trivial group builds at
+// any process count a graph supports: only nontrivial groups are bounded
+// by the orbit-canonical interner's process limit.
+func TestTrivialGroupBeyondOrbitProcs(t *testing.T) {
+	ctx := context.Background()
+	adv := ma.MustOblivious("complete-17", graph.Complete(17))
+	s, err := BuildCtx(ctx, adv, 1, 0, Config{})
+	if err != nil {
+		t.Fatalf("n=17 horizon-0 build: %v", err)
+	}
+	if s.Len() != 1 || s.SymOrder() != 1 || s.FullLen() != 1 {
+		t.Fatalf("n=17 base: %d items, group order %d, FullLen %d; want 1, 1, 1", s.Len(), s.SymOrder(), s.FullLen())
 	}
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"context"
 	"testing"
 
 	"topocon/internal/combi"
@@ -11,11 +12,21 @@ import (
 
 func build(t *testing.T, adv ma.Adversary, domain, horizon int) *Space {
 	t.Helper()
-	s, err := Build(adv, domain, horizon, 0)
+	s, err := BuildCtx(context.Background(), adv, domain, horizon, Config{})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	return s
+}
+
+// decompose is the from-scratch reference decomposition of s.
+func decompose(t testing.TB, s *Space) *Decomposition {
+	t.Helper()
+	d, err := DecomposeCtx(context.Background(), s)
+	if err != nil {
+		t.Fatalf("DecomposeCtx: %v", err)
+	}
+	return d
 }
 
 func TestBuildSpaceSize(t *testing.T) {
@@ -36,13 +47,13 @@ func TestBuildSpaceSize(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(ma.LossyLink3(), 0, 1, 0); err == nil {
+	if _, err := BuildCtx(context.Background(), ma.LossyLink3(), 0, 1, Config{}); err == nil {
 		t.Error("domain 0: want error")
 	}
-	if _, err := Build(ma.LossyLink3(), 2, -1, 0); err == nil {
+	if _, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, -1, Config{}); err == nil {
 		t.Error("negative horizon: want error")
 	}
-	if _, err := Build(ma.LossyLink3(), 2, 5, 10); err == nil {
+	if _, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 5, Config{MaxRuns: 10}); err == nil {
 		t.Error("cap exceeded: want error")
 	}
 }
@@ -69,7 +80,7 @@ func TestFindAndValentItems(t *testing.T) {
 // appear.
 func TestLossyLink2SeparatesAtRound1(t *testing.T) {
 	s := build(t, ma.LossyLink2(), 2, 1)
-	d := Decompose(s)
+	d := decompose(t, s)
 	if mixed := d.MixedComponents(); len(mixed) != 0 {
 		t.Fatalf("mixed components at horizon 1: %v", mixed)
 	}
@@ -87,7 +98,7 @@ func TestLossyLink2SeparatesAtRound1(t *testing.T) {
 func TestLossyLink3MixedAtEveryHorizon(t *testing.T) {
 	for horizon := 1; horizon <= 4; horizon++ {
 		s := build(t, ma.LossyLink3(), 2, horizon)
-		d := Decompose(s)
+		d := decompose(t, s)
 		if mixed := d.MixedComponents(); len(mixed) == 0 {
 			t.Errorf("horizon %d: no mixed component, expected the bivalent chain", horizon)
 		}
@@ -105,7 +116,7 @@ func TestBroadcastersHaveUniformInputs(t *testing.T) {
 	combi.Subsets(int(graph.CountAll(2)), func(mask uint64) bool {
 		adv := ma.ObliviousFromMask(2, mask)
 		s := build(t, adv, 2, 3)
-		d := Decompose(s)
+		d := decompose(t, s)
 		for ci := range d.Comps {
 			c := &d.Comps[ci]
 			if c.Broadcasters&^c.UniformInputs != 0 {
@@ -124,8 +135,8 @@ func TestComponentsRefine(t *testing.T) {
 	adv := ma.LossyLink3()
 	s3 := build(t, adv, 2, 3)
 	s4 := build(t, adv, 2, 4)
-	d3 := Decompose(s3)
-	d4 := Decompose(s4)
+	d3 := decompose(t, s3)
+	d4 := decompose(t, s4)
 	for i := 0; i < s4.Len(); i++ {
 		for j := i + 1; j < s4.Len(); j++ {
 			if d4.CompOf[i] != d4.CompOf[j] {
@@ -160,7 +171,7 @@ func truncate(r ptg.Run, rounds int) ptg.Run {
 func TestCompactComponentGap(t *testing.T) {
 	for horizon := 1; horizon <= 4; horizon++ {
 		s := build(t, ma.LossyLink2(), 2, horizon)
-		d := Decompose(s)
+		d := decompose(t, s)
 		level, ok := d.CrossValenceLevel()
 		if !ok {
 			t.Fatalf("horizon %d: no cross-valence pairs", horizon)
@@ -181,7 +192,7 @@ func TestNonCompactPendingMixture(t *testing.T) {
 		[]graph.Graph{graph.Left, graph.Right}, []graph.Graph{graph.Both}, 1)
 	for horizon := 1; horizon <= 3; horizon++ {
 		s := build(t, adv, 2, horizon)
-		d := Decompose(s)
+		d := decompose(t, s)
 		if mixed := d.MixedComponents(); len(mixed) == 0 {
 			t.Errorf("horizon %d: expected a mixed (pending) component", horizon)
 		}
@@ -192,7 +203,7 @@ func TestNonCompactPendingMixture(t *testing.T) {
 // components group runs by shared input coordinates.
 func TestDecomposeSingletonHorizonZero(t *testing.T) {
 	s := build(t, ma.LossyLink2(), 2, 0)
-	d := Decompose(s)
+	d := decompose(t, s)
 	// 4 input vectors; (0,0)~(0,1)~(1,1)~(1,0) all connected through
 	// shared coordinates: a single component.
 	if len(d.Comps) != 1 {
@@ -211,7 +222,7 @@ func TestBroadcastableDiameter(t *testing.T) {
 	combi.Subsets(int(graph.CountAll(2)), func(mask uint64) bool {
 		adv := ma.ObliviousFromMask(2, mask)
 		s := build(t, adv, 2, 3)
-		d := Decompose(s)
+		d := decompose(t, s)
 		for ci := range d.Comps {
 			c := &d.Comps[ci]
 			if c.Broadcasters&c.UniformInputs == 0 {
@@ -238,7 +249,7 @@ func TestDecomposeLargerDomain(t *testing.T) {
 	if s.Len() != 9*2 {
 		t.Fatalf("space size %d, want 18", s.Len())
 	}
-	d := Decompose(s)
+	d := decompose(t, s)
 	if mixed := d.MixedComponents(); len(mixed) != 0 {
 		t.Fatalf("mixed components with domain 3: %v", mixed)
 	}
@@ -257,7 +268,7 @@ func TestSeparationMonotoneQuick(t *testing.T) {
 		separated := false
 		for horizon := 1; horizon <= 4; horizon++ {
 			s := build(t, adv, 2, horizon)
-			d := Decompose(s)
+			d := decompose(t, s)
 			now := len(d.MixedComponents()) == 0
 			if separated && !now {
 				t.Fatalf("adversary %s: separation lost at horizon %d", adv.Name(), horizon)

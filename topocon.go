@@ -413,19 +413,13 @@ type (
 type SpaceConfig = topo.Config
 
 var (
-	// BuildSpace enumerates the prefix space of an adversary.
-	BuildSpace = topo.Build
-	// BuildSpaceWithInterner shares views across spaces and maps.
-	BuildSpaceWithInterner = topo.BuildWithInterner
 	// BuildSpaceCtx enumerates a prefix space under a context; grow the
 	// result one round at a time with Space.Extend instead of rebuilding.
 	BuildSpaceCtx = topo.BuildCtx
-	// Decompose computes the ε-approximation components.
-	Decompose = topo.Decompose
-	// DecomposeCtx is Decompose with cancellation and worker-pool support;
+	// DecomposeCtx computes the ε-approximation components from scratch;
 	// refine its result into the next horizon with Decomposition.Refine
-	// instead of re-decomposing from scratch (components only ever split
-	// under the refinement invariant).
+	// instead of re-decomposing (components only ever split under the
+	// refinement invariant).
 	DecomposeCtx = topo.DecomposeCtx
 	// CrossDecisionLevel measures a fixed algorithm's decision-set
 	// separation over a space (Corollary 6.1).

@@ -1,6 +1,7 @@
 package topocon_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -66,11 +67,14 @@ func TestFacadeLasso(t *testing.T) {
 
 // TestFacadeTopology exercises spaces, decompositions and renderings.
 func TestFacadeTopology(t *testing.T) {
-	s, err := topocon.BuildSpace(topocon.LossyLink2(), 2, 2, 0)
+	s, err := topocon.BuildSpaceCtx(context.Background(), topocon.LossyLink2(), 2, 2, topocon.SpaceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := topocon.Decompose(s)
+	d, err := topocon.DecomposeCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(d.MixedComponents()) != 0 {
 		t.Error("unexpected mixed components under {<-,->}")
 	}

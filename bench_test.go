@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"topocon"
+	"topocon/internal/advgen"
+	"topocon/internal/check"
+	"topocon/internal/ckpt"
 	"topocon/internal/ma"
 	"topocon/internal/topo"
 )
@@ -396,6 +399,39 @@ func BenchmarkExtendPaged(b *testing.B) {
 		st := pg.Stats()
 		if st.PagesSpilled == 0 {
 			b.Fatal("budget never forced a spill; the bench is not measuring paging")
+		}
+	}
+}
+
+// BenchmarkCheckpointSave times ckpt.Save alone on the star-durable shape:
+// lossy-star-4 without the symmetry quotient, analysed to horizon 6 (65,536
+// runs) under a 256 KiB pager outside the timer. Every iteration saves the
+// same session again, so it pays what a periodic checkpoint pays: encoding
+// the resident head round (its page file is kept once written), exporting
+// the whole interner and writing the blob and the manifest.
+func BenchmarkCheckpointSave(b *testing.B) {
+	const horizon = 6
+	ctx := context.Background()
+	dir := b.TempDir()
+	pg, err := ckpt.Fresh(dir, 256<<10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	an, err := check.NewAnalyzer(advgen.LossyStar4(),
+		check.WithOptions(check.Options{MaxHorizon: horizon, NoSymmetry: true}), check.WithPager(pg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for an.Horizon() < horizon {
+		if _, err := an.Step(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ckpt.Save(dir, an); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -21,6 +21,21 @@ func newSessionPager(t *testing.T, dir string, budget int64) *pager.Pager {
 	return pg
 }
 
+// reimport exports the interner and imports the blob into a fresh one, as
+// a resuming process does.
+func reimport(t *testing.T, in *ptg.Interner) *ptg.Interner {
+	t.Helper()
+	blob, err := in.Export()
+	if err != nil {
+		t.Fatalf("Export: %v", err)
+	}
+	in2, err := ptg.ImportInterner(blob)
+	if err != nil {
+		t.Fatalf("ImportInterner: %v", err)
+	}
+	return in2
+}
+
 // sessionSeedAdversaries covers both finalize routes: compact families with
 // early and late separation, and a non-compact eventually-stable family.
 func sessionSeedAdversaries() []ma.Adversary {
@@ -77,7 +92,10 @@ func TestSessionSnapshotResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Snapshot: %v", adv.Name(), err)
 		}
-		blob := a.SpaceAt(a.Horizon()).Interner.Export()
+		blob, err := a.SpaceAt(a.Horizon()).Interner.Export()
+		if err != nil {
+			t.Fatalf("%s: Export: %v", adv.Name(), err)
+		}
 
 		// "Fresh process": everything below uses only the page directory,
 		// the interner blob and the JSON form of the snapshot.
@@ -195,10 +213,7 @@ func TestSessionSnapshotMidRunPeriodic(t *testing.T) {
 	if taken != 3 || last.Horizon != 3 {
 		t.Fatalf("took %d snapshots, deepest at horizon %d; want 3 at 3", taken, last.Horizon)
 	}
-	in, err := ptg.ImportInterner(a.SpaceAt(3).Interner.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := reimport(t, a.SpaceAt(3).Interner)
 	b, err := RestoreAnalyzer(adv, last, in, newSessionPager(t, dir, 1))
 	if err != nil {
 		t.Fatalf("RestoreAnalyzer from periodic snapshot: %v", err)
@@ -267,10 +282,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := ptg.ImportInterner(a.SpaceAt(a.Horizon()).Interner.Export())
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := reimport(t, a.SpaceAt(a.Horizon()).Interner)
 		pg := newSessionPager(t, dir, 0)
 		if _, err := RestoreAnalyzer(ma.LossyLink2(), nil, in, pg); err == nil {
 			t.Error("nil snapshot accepted")

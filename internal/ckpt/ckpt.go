@@ -33,7 +33,9 @@
 // clean recompute; an adversary-fingerprint or options mismatch is a hard
 // error (ErrFingerprintMismatch / ErrConfigMismatch) — the checkpoint is
 // intact but belongs to a different analysis, and silently recomputing
-// would mask the misconfiguration.
+// would mask the misconfiguration. Page files the snapshot does not
+// reference — rounds a crashed run spilled past its last checkpoint — are
+// quarantined before the resumed session can read them.
 package ckpt
 
 import (
@@ -184,7 +186,10 @@ func Save(dir string, a *check.Analyzer) error {
 	if space == nil {
 		return errors.New("ckpt: deepest space unavailable")
 	}
-	blob := space.Interner.Export()
+	blob, err := space.Interner.Export()
+	if err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
 	if err := writeAtomic(internerPath(dir), blob); err != nil {
 		return err
 	}
@@ -236,6 +241,15 @@ func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerO
 	}
 	pg, err := pager.New(pager.Config{Dir: PagesDir(dir), HotBytes: hotBytes})
 	if err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	// A crash between checkpoints leaves pages of rounds past the
+	// snapshot's horizon; they must not outlive it into the resumed run.
+	keep := make([]string, len(snap.Rounds))
+	for i, cr := range snap.Rounds {
+		keep[i] = cr.PageID
+	}
+	if _, err := pg.QuarantineUnlisted(keep); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	a, err := check.RestoreAnalyzer(adv, snap, interner, pg, extra...)

@@ -13,6 +13,7 @@ import (
 	"topocon/internal/check"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
+	"topocon/internal/ptg"
 )
 
 func seedAdversaries() []ma.Adversary {
@@ -338,5 +339,99 @@ func TestRunCheckEveryBatchesCheckpoints(t *testing.T) {
 	}
 	if a.Horizon() != 4 {
 		t.Errorf("checkpoint at horizon %d, want 4 (interruption made durable)", a.Horizon())
+	}
+}
+
+// TestResumeQuarantinesStalePages: a crash between checkpoints leaves the
+// page files of the rounds the crashed run spilled past the checkpoint's
+// horizon. Page files are named by round number and the pager keeps a file
+// that already exists, so unless Load moves those pages aside, the resumed
+// session's own round is served from the crashed run's bytes — ViewIDs the
+// resumed interner assigned differently. Load must quarantine (preserve,
+// not delete) every page its snapshot does not reference.
+func TestResumeQuarantinesStalePages(t *testing.T) {
+	adv := ma.LossyLink3()
+	const budget = 1 << 10
+	opts := check.WithOptions(check.Options{MaxHorizon: 6, NoSymmetry: true})
+	ctx := context.Background()
+	step := func(a *check.Analyzer, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := a.Step(ctx); err != nil {
+				t.Fatalf("step to horizon %d: %v", a.Horizon()+1, err)
+			}
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	pg, err := Fresh(dir, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed, err := check.NewAnalyzer(adv, opts, check.WithPager(pg), check.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(crashed, 3)
+	if err := Save(dir, crashed); err != nil {
+		t.Fatal(err)
+	}
+	// The crashed run's IDs past the checkpoint follow its interning order,
+	// which under parallelism > 1 is up to the scheduler. One extra view
+	// interned before horizon 4 makes them differ from the resumed run's
+	// deterministically.
+	crashed.SpaceAt(3).Interner.Leaf(0, 7)
+	step(crashed, 2) // spills round 4; the crash loses horizons 4 and 5
+	stale := filepath.Join(PagesDir(dir), "round-004.page")
+	staleBytes, err := os.ReadFile(stale)
+	if err != nil {
+		t.Fatalf("the crashed run left no round-4 page: %v", err)
+	}
+
+	resumed, err := Load(dir, adv, budget, check.WithParallelism(2))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("round-4 page of the crashed run still in place after Load (stat: %v)", err)
+	}
+	var preserved bool
+	filepath.Walk(filepath.Join(PagesDir(dir), quarantineName), func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && info.Name() == "round-004.page" {
+			got, rerr := os.ReadFile(path)
+			preserved = rerr == nil && string(got) == string(staleBytes)
+		}
+		return nil
+	})
+	if !preserved {
+		t.Fatal("the stale round-4 page was not preserved in quarantine")
+	}
+	step(resumed, 1)
+	head := resumed.SpaceAt(4)
+	want := make([]ptg.ViewID, 0, head.Len()*head.N())
+	for i := 0; i < head.Len(); i++ {
+		for p := 0; p < head.N(); p++ {
+			want = append(want, head.ViewAt(i, p))
+		}
+	}
+	step(resumed, 1) // spills round 4 through the pager
+	// Rehydrating horizon 4 faults rounds 1–3 under the 1 KiB budget, which
+	// evicts round 4, so its views come back from its page file.
+	cold := resumed.SpaceAt(4)
+	if cold == nil || cold == head {
+		t.Fatal("horizon 4 was not rehydrated from its pages")
+	}
+	differ := 0
+	for i := 0; i < cold.Len(); i++ {
+		for p := 0; p < cold.N(); p++ {
+			if cold.ViewAt(i, p) != want[i*cold.N()+p] {
+				differ++
+			}
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d round-4 views read back from disk differ from the session's own", differ, len(want))
+	}
+	if st := resumed.Pager().Stats(); st.PagesFaulted == 0 {
+		t.Fatalf("round 4 never faulted: %+v", st)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -165,13 +166,19 @@ func (g Graph) Equal(h Graph) bool {
 	return true
 }
 
-// Key returns a compact canonical representation usable as a map key.
+// Key returns a compact canonical representation usable as a map key: the
+// node count in decimal, a colon, then each in-mask in lowercase hex followed
+// by a dot. Fingerprints, sweep keys and store keys embed it, so the form is
+// frozen.
 func (g Graph) Key() string {
 	var sb strings.Builder
 	sb.Grow(2 + g.n*3)
-	fmt.Fprintf(&sb, "%d:", g.n)
+	var digits [16]byte
+	sb.Write(strconv.AppendInt(digits[:0], int64(g.n), 10))
+	sb.WriteByte(':')
 	for q := 0; q < g.n; q++ {
-		fmt.Fprintf(&sb, "%x.", g.in[q])
+		sb.Write(strconv.AppendUint(digits[:0], g.in[q], 16))
+		sb.WriteByte('.')
 	}
 	return sb.String()
 }

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/bits"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,6 +195,42 @@ func TestKeyDistinguishesGraphs(t *testing.T) {
 	})
 	if len(seen) != int(CountAll(3)) {
 		t.Errorf("enumerated %d distinct keys, want %d", len(seen), CountAll(3))
+	}
+}
+
+// fmtKey renders Key's form with fmt: the reference Key must match byte
+// for byte, because fingerprints, sweep keys and store keys embed it.
+func fmtKey(g Graph) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d:", g.n)
+	for q := 0; q < g.n; q++ {
+		fmt.Fprintf(&sb, "%x.", g.in[q])
+	}
+	return sb.String()
+}
+
+// TestKeyMatchesFmtForm pins Key against fmtKey for every node count 1..64:
+// self-loops only, the complete graph, and random masks.
+func TestKeyMatchesFmtForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 1; n <= MaxNodes; n++ {
+		gs := []Graph{New(n), Complete(n)}
+		for i := 0; i < 8; i++ {
+			masks := make([]uint64, n)
+			for q := range masks {
+				masks[q] = rng.Uint64() & AllNodes(n)
+			}
+			g, err := FromInMasks(n, masks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, g)
+		}
+		for _, g := range gs {
+			if got, want := g.Key(), fmtKey(g); got != want {
+				t.Fatalf("n=%d: Key() = %q, want %q", n, got, want)
+			}
+		}
 	}
 }
 

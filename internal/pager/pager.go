@@ -21,7 +21,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"time"
 
 	"topocon/internal/fsx"
 )
@@ -153,7 +155,9 @@ func encodePage(id string, payload []byte) []byte {
 }
 
 // decodePage validates a page file read for the given id and returns the
-// payload. Every framing violation is an error; nothing is guessed.
+// payload. Every framing violation is an error, a non-minimal length
+// varint included; nothing is guessed, so an accepted file is exactly
+// encodePage(id, payload).
 func decodePage(id string, data []byte) ([]byte, error) {
 	if len(data) < len(pageMagic)+4 {
 		return nil, errors.New("short page file")
@@ -167,7 +171,7 @@ func decodePage(id string, data []byte) ([]byte, error) {
 	}
 	rest := body[len(pageMagic):]
 	idLen, k := binary.Uvarint(rest)
-	if k <= 0 || idLen > uint64(len(rest)-k) {
+	if !minimalUvarint(rest, k) || idLen > uint64(len(rest)-k) {
 		return nil, errors.New("bad id length")
 	}
 	rest = rest[k:]
@@ -176,10 +180,16 @@ func decodePage(id string, data []byte) ([]byte, error) {
 	}
 	rest = rest[idLen:]
 	payLen, k := binary.Uvarint(rest)
-	if k <= 0 || payLen != uint64(len(rest)-k) {
+	if !minimalUvarint(rest, k) || payLen != uint64(len(rest)-k) {
 		return nil, errors.New("bad payload length")
 	}
 	return rest[k:], nil
+}
+
+// minimalUvarint reports whether binary.Uvarint read a well-formed,
+// minimally encoded varint of k bytes from the front of b.
+func minimalUvarint(b []byte, k int) bool {
+	return k > 0 && (k == 1 || b[k-1] != 0)
 }
 
 // Put persists a new page and registers it resident. onEvict is invoked
@@ -212,7 +222,10 @@ func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
 
 // persist writes the framed page file atomically (fsx.AtomicWrite: temp
 // sibling, sync, rename). An existing file for the id is left untouched:
-// pages are content-stable, so re-persisting after a resume is a no-op.
+// page ids name rounds, and a round a resumed session re-registers has the
+// bytes its checkpoint referenced. Pages a checkpoint does not reference
+// must be moved aside before the session runs (QuarantineUnlisted), or a
+// re-extended round would be served from an older run's file.
 func (pg *Pager) persist(id string, payload []byte) error {
 	if err := validID(id); err != nil {
 		return err
@@ -258,6 +271,43 @@ func (pg *Pager) ReadPage(id string) ([]byte, error) {
 		return nil, fmt.Errorf("pager: page %q corrupt (quarantined): %w", id, err)
 	}
 	return payload, nil
+}
+
+// QuarantineUnlisted moves every page file in the directory whose id is
+// not in keep into a fresh stamped subdirectory of quarantine/ (bytes
+// preserved, never deleted) and returns the ids it moved. It is the resume
+// path's guard: a crash between checkpoints leaves the pages of rounds the
+// crashed run spilled past the checkpoint, and since persist keeps an
+// existing file, the resumed session's own round of that number would be
+// served from the crashed run's bytes. Call it before any page is
+// registered.
+func (pg *Pager) QuarantineUnlisted(keep []string) ([]string, error) {
+	entries, err := os.ReadDir(pg.dir)
+	if err != nil {
+		return nil, fmt.Errorf("pager: %w", err)
+	}
+	listed := make(map[string]bool, len(keep))
+	for _, id := range keep {
+		listed[id] = true
+	}
+	var moved []string
+	qdir := filepath.Join(pg.dir, "quarantine", fmt.Sprintf("unlisted.%d", time.Now().UnixNano()))
+	for _, e := range entries {
+		id, ok := strings.CutSuffix(e.Name(), ".page")
+		if !ok || !e.Type().IsRegular() || listed[id] {
+			continue
+		}
+		if len(moved) == 0 {
+			if err := os.MkdirAll(qdir, 0o755); err != nil {
+				return nil, fmt.Errorf("pager: quarantine: %w", err)
+			}
+		}
+		if err := os.Rename(filepath.Join(pg.dir, e.Name()), filepath.Join(qdir, e.Name())); err != nil {
+			return moved, fmt.Errorf("pager: quarantine page %q: %w", id, err)
+		}
+		moved = append(moved, id)
+	}
+	return moved, nil
 }
 
 // SizeOf returns the payload size of a registered page.

@@ -118,6 +118,45 @@ func TestFaultCorruptPageQuarantines(t *testing.T) {
 	}
 }
 
+// TestQuarantineUnlistedMovesStalePages: every page file not listed moves
+// into a stamped quarantine subdirectory with its bytes intact; listed
+// pages, the quarantine directory and non-page files stay in place, and a
+// second call finds nothing left to move.
+func TestQuarantineUnlistedMovesStalePages(t *testing.T) {
+	pg := newTestPager(t, 0)
+	for _, id := range []string{"round-001", "round-002", "round-003"} {
+		if err := pg.Persist(id, []byte("payload of "+id)); err != nil {
+			t.Fatalf("Persist: %v", err)
+		}
+	}
+	stale, err := os.ReadFile(filepath.Join(pg.Dir(), "round-003.page"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(pg.Dir(), "notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := pg.QuarantineUnlisted([]string{"round-001", "round-002"})
+	if err != nil || len(moved) != 1 || moved[0] != "round-003" {
+		t.Fatalf("QuarantineUnlisted moved %v, err %v; want [round-003]", moved, err)
+	}
+	for _, name := range []string{"round-001.page", "round-002.page", "notes.txt"} {
+		if _, err := os.Stat(filepath.Join(pg.Dir(), name)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	found, _ := filepath.Glob(filepath.Join(pg.Dir(), "quarantine", "*", "round-003.page"))
+	if len(found) != 1 {
+		t.Fatalf("quarantined copies of round-003: %v", found)
+	}
+	if got, err := os.ReadFile(found[0]); err != nil || !bytes.Equal(got, stale) {
+		t.Fatalf("quarantined page bytes changed (err %v)", err)
+	}
+	if moved, err := pg.QuarantineUnlisted([]string{"round-001", "round-002"}); err != nil || len(moved) != 0 {
+		t.Fatalf("second call moved %v, err %v", moved, err)
+	}
+}
+
 func TestAdoptThenFault(t *testing.T) {
 	dir := t.TempDir()
 	pg1, err := New(Config{Dir: dir})

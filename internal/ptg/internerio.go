@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // groupBlobMagic opens the export of an orbit-canonical interner. A plain
@@ -25,14 +24,20 @@ var groupBlobMagic = [2]byte{0x00, 'G'}
 //
 // Export is safe to call concurrently with interning; it captures the
 // cones stored before the call (cones interned concurrently may or may not
-// be included, but the exported prefix is always self-consistent).
-func (in *Interner) Export() []byte {
+// be included, but the exported prefix is always self-consistent). It
+// fails only if that prefix has a gap, which would break the dense
+// numbering the blob rests on; no gap can arise (see below), so the error
+// is a guard, and a caller that gets one must not write the blob.
+func (in *Interner) Export() ([]byte, error) {
+	// Cone indices are dense, so every key goes straight to its slot: no
+	// sort. count is loaded before any shard lock is taken, and intern
+	// claims c and appends c's entry under one hold of c's shard lock. The
+	// load sees the claim of every c < count, so that hold began before
+	// the load; the shard lock is taken below after the load, so it is
+	// acquired only once the hold has ended, with c's entry appended.
 	count := in.next.Load()
-	type exported struct {
-		c   int32
-		key []byte
-	}
-	all := make([]exported, 0, count)
+	keys := make([][]byte, count)
+	size := binary.MaxVarintLen64
 	for si := range in.shards {
 		sh := &in.shards[si]
 		sh.mu.Lock()
@@ -44,14 +49,10 @@ func (in *Interner) Export() []byte {
 		for ei := range entries {
 			e := &entries[ei]
 			if e.c < count {
-				all = append(all, exported{c: e.c, key: arena[e.off : e.off+e.klen]})
+				keys[e.c] = arena[e.off : e.off+e.klen]
+				size += binary.MaxVarintLen32 + int(e.klen)
 			}
 		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].c < all[j].c })
-	size := binary.MaxVarintLen64
-	for _, e := range all {
-		size += binary.MaxVarintLen32 + len(e.key)
 	}
 	var buf []byte
 	if g := in.grp; g != nil {
@@ -67,12 +68,17 @@ func (in *Interner) Export() []byte {
 	} else {
 		buf = make([]byte, 0, size)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(all)))
-	for _, e := range all {
-		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-		buf = append(buf, e.key...)
+	buf = binary.AppendUvarint(buf, uint64(count))
+	for c, key := range keys {
+		if len(key) == 0 {
+			// Every stored key is non-empty (it starts with its tag byte),
+			// so an empty slot is a cone below count with no entry.
+			return nil, fmt.Errorf("ptg: interner export: cone %d of %d has no stored key", c, count)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(key)))
+		buf = append(buf, key...)
 	}
-	return buf
+	return buf, nil
 }
 
 // blobReader decodes an export strictly: every uvarint must be minimally

@@ -13,20 +13,20 @@ import (
 func FuzzImportInterner(f *testing.F) {
 	plain, _ := buildSampleInterner(f)
 	orbit, _ := orbitSample(f)
-	f.Add(NewInterner().Export())
-	f.Add(plain.Export())
-	f.Add(orbit.Export())
+	f.Add(mustExport(f, NewInterner()))
+	f.Add(mustExport(f, plain))
+	f.Add(mustExport(f, orbit))
 	empty, err := groupInterner([][]int{{0, 1}, {1, 0}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(empty.Export())
+	f.Add(mustExport(f, empty))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ImportInterner(data)
 		if err != nil {
 			return
 		}
-		if out := in.Export(); !bytes.Equal(out, data) {
+		if out := mustExport(t, in); !bytes.Equal(out, data) {
 			t.Fatalf("import/export not byte-identical:\n in  %x\n out %x", data, out)
 		}
 	})

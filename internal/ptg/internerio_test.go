@@ -22,9 +22,19 @@ func buildSampleInterner(t testing.TB) (*Interner, []ViewID) {
 	return in, ids
 }
 
+// mustExport is Export for interners whose numbering is known dense.
+func mustExport(tb testing.TB, in *Interner) []byte {
+	tb.Helper()
+	blob, err := in.Export()
+	if err != nil {
+		tb.Fatalf("Export: %v", err)
+	}
+	return blob
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	in, ids := buildSampleInterner(t)
-	blob := in.Export()
+	blob := mustExport(t, in)
 	got, err := ImportInterner(blob)
 	if err != nil {
 		t.Fatalf("ImportInterner: %v", err)
@@ -56,7 +66,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportRejectsCorruptBlobs(t *testing.T) {
 	in, _ := buildSampleInterner(t)
-	blob := in.Export()
+	blob := mustExport(t, in)
 	cases := map[string][]byte{
 		"empty":     {},
 		"truncated": blob[:len(blob)-3],

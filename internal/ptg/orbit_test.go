@@ -259,12 +259,12 @@ func orbitSample(tb testing.TB) (*Interner, []Run) {
 // byte-identically; corrupt or non-canonical blobs are rejected.
 func TestOrbitExportImportRoundTrip(t *testing.T) {
 	in, runs := orbitSample(t)
-	blob := in.Export()
+	blob := mustExport(t, in)
 	got, err := ImportInterner(blob)
 	if err != nil {
 		t.Fatalf("ImportInterner: %v", err)
 	}
-	if got.Size() != in.Size() || got.GroupOrder() != in.GroupOrder() || !bytes.Equal(got.Export(), blob) {
+	if got.Size() != in.Size() || got.GroupOrder() != in.GroupOrder() || !bytes.Equal(mustExport(t, got), blob) {
 		t.Fatalf("round trip: size %d/%d, order %d/%d", got.Size(), in.Size(), got.GroupOrder(), in.GroupOrder())
 	}
 	for c := int32(0); c < int32(got.Size()); c++ {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"topocon/internal/graph"
@@ -82,7 +83,13 @@ func (f *frontier) ensure() error {
 // ids, heard, a deduplicated round-graph dictionary plus per-item indices
 // (one round's graphs come from a small Choices menu, so the dictionary
 // keeps decoded rounds sharing graph backing arrays), parentOf and rootOf.
-// All integers are varint-coded; framing and checksums are the pager's job.
+// The dictionary lists graphs in order of first occurrence. All integers
+// are varint-coded; framing and checksums are the pager's job.
+//
+// The cost is linear in the bytes written: the dictionary is keyed by the
+// graph's raw in-mask words, appended into one reused buffer, and a map
+// lookup by string(buf) does not allocate — only a new dictionary entry
+// does.
 func (f *frontier) encodeColumns() []byte {
 	n, count := f.n, f.count
 	buf := make([]byte, 0, 16+count*(2*n+3)*2)
@@ -98,12 +105,13 @@ func (f *frontier) encodeColumns() []byte {
 	dict := make([]graph.Graph, 0, 16)
 	dictIdx := make(map[string]int, 16)
 	gidx := make([]int, count)
+	key := make([]byte, 0, 8*n)
 	for i, g := range f.gs {
-		key := g.Key()
-		di, ok := dictIdx[key]
+		key = appendMaskKey(key[:0], g)
+		di, ok := dictIdx[string(key)]
 		if !ok {
 			di = len(dict)
-			dictIdx[key] = di
+			dictIdx[string(key)] = di
 			dict = append(dict, g)
 		}
 		gidx[i] = di
@@ -126,7 +134,19 @@ func (f *frontier) encodeColumns() []byte {
 	return buf
 }
 
-// pageDecoder reads back-to-back uvarints with strict bounds.
+// appendMaskKey appends the graph's in-mask words, little-endian, as the
+// dictionary key of a page's graph; within one round n is fixed, so the
+// key identifies the graph exactly as Graph.Key does.
+func appendMaskKey(buf []byte, g graph.Graph) []byte {
+	for q := 0; q < g.N(); q++ {
+		buf = binary.LittleEndian.AppendUint64(buf, g.In(q))
+	}
+	return buf
+}
+
+// pageDecoder reads back-to-back uvarints with strict bounds. Every uvarint
+// must be minimally encoded, so an accepted payload re-encodes byte for
+// byte.
 type pageDecoder struct {
 	data []byte
 	err  error
@@ -137,8 +157,8 @@ func (d *pageDecoder) uvarint() uint64 {
 		return 0
 	}
 	v, k := binary.Uvarint(d.data)
-	if k <= 0 {
-		d.err = errors.New("topo: truncated frontier page")
+	if k <= 0 || (k > 1 && d.data[k-1] == 0) {
+		d.err = errors.New("topo: truncated or non-minimal varint in frontier page")
 		return 0
 	}
 	d.data = d.data[k:]
@@ -147,53 +167,81 @@ func (d *pageDecoder) uvarint() uint64 {
 
 // decodeColumns rebuilds the columns from an encodeColumns payload,
 // validating the header against the frontier's immutable identity (which
-// survives eviction) and every index against its column's range.
+// survives eviction) and every index against its column's range. It
+// accepts exactly what encodeColumns writes — minimal varints, ViewIDs in
+// range, graphs with their self-loops, a duplicate-free dictionary in
+// first-occurrence order with every entry used — so an accepted payload
+// re-encodes byte for byte.
 func (f *frontier) decodeColumns(payload []byte) error {
 	d := &pageDecoder{data: payload}
-	h, n, count := int(d.uvarint()), int(d.uvarint()), int(d.uvarint())
-	if d.err == nil && (h != f.horizon || n != f.n || count != f.count) {
+	h, n, count := d.uvarint(), d.uvarint(), d.uvarint()
+	if d.err == nil && (h != uint64(f.horizon) || n != uint64(f.n) || count != uint64(f.count)) {
 		return fmt.Errorf("topo: frontier page header (h=%d n=%d count=%d) does not match round (h=%d n=%d count=%d)",
 			h, n, count, f.horizon, f.n, f.count)
 	}
-	ids := make([]ptg.ViewID, count*n)
+	ids := make([]ptg.ViewID, f.count*f.n)
 	for i := range ids {
-		ids[i] = ptg.ViewID(d.uvarint())
+		id := d.uvarint()
+		if id > math.MaxInt32 {
+			return fmt.Errorf("topo: frontier page view ID %d out of range", id)
+		}
+		ids[i] = ptg.ViewID(id)
 	}
-	heard := make([]uint64, count*n)
+	heard := make([]uint64, f.count*f.n)
 	for i := range heard {
 		heard[i] = d.uvarint()
 	}
-	dictLen := int(d.uvarint())
+	dictLen := d.uvarint()
 	if d.err != nil {
 		return d.err
 	}
-	if dictLen < 0 || dictLen > count {
+	if dictLen > count {
 		return fmt.Errorf("topo: frontier page graph dictionary of %d entries for %d items", dictLen, count)
 	}
 	dict := make([]graph.Graph, dictLen)
-	masks := make([]uint64, n)
+	seen := make(map[string]bool, dictLen)
+	masks := make([]uint64, f.n)
+	var key []byte
 	for i := range dict {
-		for q := 0; q < n; q++ {
+		for q := range masks {
 			masks[q] = d.uvarint()
+			if d.err == nil && masks[q]&(1<<uint(q)) == 0 {
+				return fmt.Errorf("topo: frontier page graph %d lacks the self-loop of node %d", i, q)
+			}
 		}
 		if d.err != nil {
 			return d.err
 		}
-		g, err := graph.FromInMasks(n, masks)
+		g, err := graph.FromInMasks(f.n, masks)
 		if err != nil {
 			return fmt.Errorf("topo: frontier page graph %d: %w", i, err)
 		}
+		key = appendMaskKey(key[:0], g)
+		if seen[string(key)] {
+			return fmt.Errorf("topo: frontier page graph %d repeats an earlier dictionary entry", i)
+		}
+		seen[string(key)] = true
 		dict[i] = g
 	}
-	gs := make([]graph.Graph, count)
+	gs := make([]graph.Graph, f.count)
+	used := uint64(0)
 	for i := range gs {
 		di := d.uvarint()
-		if d.err == nil && di >= uint64(dictLen) {
-			return fmt.Errorf("topo: frontier page graph index %d out of %d", di, dictLen)
+		if d.err != nil {
+			return d.err
+		}
+		switch {
+		case di > used || di >= dictLen:
+			return fmt.Errorf("topo: frontier page graph index %d out of order (%d of %d entries seen)", di, used, dictLen)
+		case di == used:
+			used++
 		}
 		gs[i] = dict[di]
 	}
-	parentOf := make([]int32, count)
+	if used != dictLen {
+		return fmt.Errorf("topo: frontier page graph dictionary has %d unused entries", dictLen-used)
+	}
+	parentOf := make([]int32, f.count)
 	prevCount := 0
 	if f.prev != nil {
 		prevCount = f.prev.count
@@ -205,7 +253,7 @@ func (f *frontier) decodeColumns(payload []byte) error {
 		}
 		parentOf[i] = int32(p)
 	}
-	rootOf := make([]int32, count)
+	rootOf := make([]int32, f.count)
 	baseCount := f.base.count
 	for i := range rootOf {
 		r := d.uvarint()

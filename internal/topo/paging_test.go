@@ -86,6 +86,21 @@ func TestPagedHotBudgetCeiling(t *testing.T) {
 	}
 }
 
+// reimport exports the interner and imports the blob into a fresh one, as
+// a resuming process does.
+func reimport(t *testing.T, in *ptg.Interner) *ptg.Interner {
+	t.Helper()
+	blob, err := in.Export()
+	if err != nil {
+		t.Fatalf("Export: %v", err)
+	}
+	in2, err := ptg.ImportInterner(blob)
+	if err != nil {
+		t.Fatalf("ImportInterner: %v", err)
+	}
+	return in2
+}
+
 func mustSnapshotChain(t *testing.T, s *Space) []ChainRound {
 	t.Helper()
 	rounds, err := s.SnapshotChain()
@@ -120,13 +135,9 @@ func TestSnapshotRestoreChain(t *testing.T) {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
 		rounds := mustSnapshotChain(t, s)
-		blob := in.Export()
 
 		// "New process": fresh interner, fresh pager over the same dir.
-		in2, err := ptg.ImportInterner(blob)
-		if err != nil {
-			t.Fatalf("%s: ImportInterner: %v", adv.Name(), err)
-		}
+		in2 := reimport(t, in)
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: budget})
 		if err != nil {
 			t.Fatal(err)
@@ -185,10 +196,7 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 	// Swap two rounds' references: header validation must catch it.
 	swapped := append([]ChainRound(nil), rounds...)
 	swapped[0].PageID, swapped[1].PageID = swapped[1].PageID, swapped[0].PageID
-	in2, err := ptg.ImportInterner(in.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
+	in2 := reimport(t, in)
 	pg2, err := pager.New(pager.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

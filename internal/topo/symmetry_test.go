@@ -196,10 +196,7 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
 		rounds := mustSnapshotChain(t, s)
-		in2, err := ptg.ImportInterner(in.Export())
-		if err != nil {
-			t.Fatal(err)
-		}
+		in2 := reimport(t, in)
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
 		if err != nil {
 			t.Fatal(err)

@@ -5,14 +5,18 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench . -benchmem ./... | benchjson -o BENCH.json
+//	go test -run xxx -bench . -benchmem -count 5 ./... | benchjson -o BENCH.json
 //	benchjson -o BENCH.json bench-output.txt
 //
 // Input is read from the file arguments, or stdin when none are given. Lines
 // that are not benchmark results (build noise, PASS/ok trailers) are ignored;
 // context lines (goos/goarch/pkg/cpu) are captured into the header and
-// attached to the results that follow them. Exits non-zero if no benchmark
-// line was found — a smoke guard against silently-empty perf artifacts.
+// attached to the results that follow them. The result lines of one
+// benchmark in one package — several under `go test -count N` — are
+// aggregated into one entry: the median, min and max ns/op, the median
+// B/op and allocs/op, and the number of runs. Exits non-zero if no
+// benchmark line was found — a smoke guard against silently-empty perf
+// artifacts.
 package main
 
 import (
@@ -22,11 +26,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark's measurements, aggregated over its runs.
 type Result struct {
 	// Name is the full benchmark name including sub-benchmark path and
 	// GOMAXPROCS suffix, e.g. "BenchmarkRefineVsDecompose/refine-8".
@@ -34,13 +39,27 @@ type Result struct {
 	// Pkg is the package the benchmark ran in, from the preceding "pkg:"
 	// context line (empty if none was seen).
 	Pkg string `json:"pkg,omitempty"`
-	// Iterations is b.N of the measured run.
+	// Runs is the number of result lines aggregated (N under -count N).
+	Runs int `json:"runs"`
+	// Iterations is b.N summed over the runs.
 	Iterations int64 `json:"iterations"`
-	// NsPerOp is the wall-clock cost per operation in nanoseconds.
-	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp and AllocsPerOp are present when -benchmem was on.
+	// NsPerOp is the median wall-clock cost per operation in nanoseconds
+	// (the mean of the two middle runs for an even count); NsPerOpMin and
+	// NsPerOpMax bound the runs.
+	NsPerOp    float64 `json:"ns_per_op"`
+	NsPerOpMin float64 `json:"ns_per_op_min"`
+	NsPerOpMax float64 `json:"ns_per_op_max"`
+	// BytesPerOp and AllocsPerOp are medians, present when -benchmem was
+	// on for every run.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+}
+
+// run is one parsed result line.
+type run struct {
+	iters             int64
+	ns                float64
+	bytesOp, allocsOp *float64
 }
 
 // Document is the emitted JSON artifact.
@@ -99,10 +118,14 @@ func fail(err error) {
 }
 
 // parse scans `go test -bench` output: context lines set the header fields,
-// "Benchmark..." lines become Results.
+// "Benchmark..." lines become runs, aggregated per (package, name) in order
+// of first appearance.
 func parse(r io.Reader) (*Document, error) {
 	doc := &Document{}
 	pkg := ""
+	type bench struct{ pkg, name string }
+	var order []bench
+	runs := map[bench][]run{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -117,15 +140,59 @@ func parse(r io.Reader) (*Document, error) {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			res, ok := parseBenchLine(line)
+			name, res, ok := parseBenchLine(line)
 			if !ok {
 				continue
 			}
-			res.Pkg = pkg
-			doc.Benchmarks = append(doc.Benchmarks, res)
+			b := bench{pkg, name}
+			if _, seen := runs[b]; !seen {
+				order = append(order, b)
+			}
+			runs[b] = append(runs[b], res)
 		}
 	}
+	for _, b := range order {
+		doc.Benchmarks = append(doc.Benchmarks, aggregate(b.name, b.pkg, runs[b]))
+	}
 	return doc, sc.Err()
+}
+
+// aggregate folds one benchmark's runs into a Result.
+func aggregate(name, pkg string, runs []run) Result {
+	res := Result{Name: name, Pkg: pkg, Runs: len(runs)}
+	ns := make([]float64, len(runs))
+	var bytesOp, allocsOp []float64
+	for i, r := range runs {
+		res.Iterations += r.iters
+		ns[i] = r.ns
+		if r.bytesOp != nil {
+			bytesOp = append(bytesOp, *r.bytesOp)
+		}
+		if r.allocsOp != nil {
+			allocsOp = append(allocsOp, *r.allocsOp)
+		}
+	}
+	res.NsPerOp, res.NsPerOpMin, res.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+	if len(bytesOp) == len(runs) {
+		m := median(bytesOp)
+		res.BytesPerOp = &m
+	}
+	if len(allocsOp) == len(runs) {
+		m := median(allocsOp)
+		res.AllocsPerOp = &m
+	}
+	return res
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count); it sorts xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
 }
 
 // parseBenchLine parses one result line of the standard form
@@ -134,20 +201,20 @@ func parse(r io.Reader) (*Document, error) {
 //
 // Unparseable lines are skipped (ok = false) rather than fatal: `-bench`
 // output can interleave with log lines from the benchmarks themselves.
-func parseBenchLine(line string) (Result, bool) {
+func parseBenchLine(line string) (string, run, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
-		return Result{}, false
+		return "", run{}, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return "", run{}, false
 	}
 	ns, err := strconv.ParseFloat(fields[2], 64)
 	if err != nil {
-		return Result{}, false
+		return "", run{}, false
 	}
-	res := Result{Name: fields[0], Iterations: iters, NsPerOp: ns}
+	res := run{iters: iters, ns: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -155,10 +222,10 @@ func parseBenchLine(line string) (Result, bool) {
 		}
 		switch fields[i+1] {
 		case "B/op":
-			res.BytesPerOp = &v
+			res.bytesOp = &v
 		case "allocs/op":
-			res.AllocsPerOp = &v
+			res.allocsOp = &v
 		}
 	}
-	return res, true
+	return fields[0], res, true
 }

@@ -61,3 +61,47 @@ func TestParseRejectsNothing(t *testing.T) {
 		t.Errorf("parsed %d benchmarks from noise", len(doc.Benchmarks))
 	}
 }
+
+// countSample is `go test -count 3` output over two packages that share a
+// benchmark name: each package's runs aggregate separately.
+const countSample = `pkg: topocon
+BenchmarkExtendQuotient/quotient-2 	 9	 72000000 ns/op	 44204 items	 13890874 B/op	 2190 allocs/op
+BenchmarkExtendColumnar-2 	 600	 1000000 ns/op	 336000 B/op	 942 allocs/op
+BenchmarkExtendQuotient/quotient-2 	 8	 78000000 ns/op	 44204 items	 13890800 B/op	 2189 allocs/op
+BenchmarkExtendColumnar-2 	 650	 900000 ns/op	 336100 B/op	 942 allocs/op
+BenchmarkExtendQuotient/quotient-2 	 8	 74000000 ns/op	 44204 items	 13890900 B/op	 2190 allocs/op
+BenchmarkExtendColumnar-2 	 700	 500000 ns/op	 336200 B/op	 940 allocs/op
+BenchmarkExtendColumnar-2 	 710	 600000 ns/op	 336300 B/op	 941 allocs/op
+PASS
+pkg: topocon/internal/ma
+BenchmarkExtendColumnar-2 	 1000	 1234.5 ns/op
+`
+
+func TestParseAggregatesCount(t *testing.T) {
+	doc, err := parse(strings.NewReader(countSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("aggregated into %d benchmarks, want 3", len(doc.Benchmarks))
+	}
+	q := doc.Benchmarks[0]
+	if q.Name != "BenchmarkExtendQuotient/quotient-2" || q.Runs != 3 || q.Iterations != 25 ||
+		q.NsPerOp != 74e6 || q.NsPerOpMin != 72e6 || q.NsPerOpMax != 78e6 {
+		t.Errorf("odd count: %+v", q)
+	}
+	if q.AllocsPerOp == nil || *q.AllocsPerOp != 2190 || q.BytesPerOp == nil || *q.BytesPerOp != 13890874 {
+		t.Errorf("odd count memory medians: %+v", q)
+	}
+	c := doc.Benchmarks[1]
+	if c.Runs != 4 || c.NsPerOp != 750000 || c.NsPerOpMin != 500000 || c.NsPerOpMax != 1e6 {
+		t.Errorf("even count (median of the middle two): %+v", c)
+	}
+	if c.AllocsPerOp == nil || *c.AllocsPerOp != 941.5 {
+		t.Errorf("even count allocs median: %+v", c)
+	}
+	if ma := doc.Benchmarks[2]; ma.Pkg != "topocon/internal/ma" || ma.Runs != 1 ||
+		ma.NsPerOp != 1234.5 || ma.NsPerOpMin != 1234.5 || ma.NsPerOpMax != 1234.5 {
+		t.Errorf("same name in another package merged or misread: %+v", ma)
+	}
+}

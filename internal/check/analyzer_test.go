@@ -3,9 +3,11 @@ package check
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/pager"
@@ -72,28 +74,56 @@ func TestAnalyzerMatchesFromScratch(t *testing.T) {
 }
 
 // TestAnalyzerParallelMatchesSequential asserts verdict equality between
-// sequential and worker-pool sessions.
+// sequential and worker-pool sessions, and equal full-space component and
+// mixed counts at every horizon. The corpus star (quotiented and not) and
+// generated symmetric adversaries run the in-mask memo of frontier
+// extension on concurrent workers sharing one interner.
 func TestAnalyzerParallelMatchesSequential(t *testing.T) {
 	stable := ma.MustEventuallyStable("",
 		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 2)
-	for _, adv := range []ma.Adversary{ma.LossyLink2(), ma.LossyLink3(), stable} {
-		seq, err := Consensus(adv, Options{MaxHorizon: 5})
+	type tc struct {
+		adv  ma.Adversary
+		opts []AnalyzerOption
+	}
+	cases := []tc{{adv: ma.LossyLink2()}, {adv: ma.LossyLink3()}, {adv: stable},
+		{adv: advgen.LossyStar4()}, {adv: advgen.LossyStar4(), opts: []AnalyzerOption{WithNoSymmetry()}}}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 3; i++ {
+		cases = append(cases, tc{adv: advgen.SymmetricOblivious(rng, 3+i%2), opts: []AnalyzerOption{WithMaxHorizon(3)}})
+	}
+	session := func(c tc, workers int) (*Result, []HorizonReport) {
+		var reps []HorizonReport
+		opts := append([]AnalyzerOption{WithMaxHorizon(5), WithParallelism(workers),
+			WithProgress(func(r HorizonReport) { reps = append(reps, r) })}, c.opts...)
+		a, err := NewAnalyzer(c.adv, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := NewAnalyzer(adv, WithMaxHorizon(5), WithParallelism(4))
+		res, err := a.Check(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := a.Check(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Verdict != par.Verdict || seq.SeparationHorizon != par.SeparationHorizon ||
-			seq.Broadcaster != par.Broadcaster {
-			t.Errorf("%s: sequential %v/%d/%d vs parallel %v/%d/%d", adv.Name(),
-				seq.Verdict, seq.SeparationHorizon, seq.Broadcaster,
-				par.Verdict, par.SeparationHorizon, par.Broadcaster)
+		return res, reps
+	}
+	for ci, c := range cases {
+		seq, seqReps := session(c, 1)
+		for _, workers := range []int{2, 4} {
+			par, parReps := session(c, workers)
+			if seq.Verdict != par.Verdict || seq.SeparationHorizon != par.SeparationHorizon ||
+				seq.Broadcaster != par.Broadcaster {
+				t.Errorf("case %d %s, %d workers: sequential %v/%d/%d vs parallel %v/%d/%d", ci, c.adv.Name(), workers,
+					seq.Verdict, seq.SeparationHorizon, seq.Broadcaster,
+					par.Verdict, par.SeparationHorizon, par.Broadcaster)
+			}
+			if len(seqReps) != len(parReps) {
+				t.Fatalf("case %d %s, %d workers: %d horizons vs %d", ci, c.adv.Name(), workers, len(seqReps), len(parReps))
+			}
+			for h, r := range seqReps {
+				if p := parReps[h]; r.Components != p.Components || r.MixedComponents != p.MixedComponents {
+					t.Errorf("case %d %s, %d workers, horizon %d: components/mixed %d/%d vs parallel %d/%d", ci, c.adv.Name(),
+						workers, r.Horizon, r.Components, r.MixedComponents, p.Components, p.MixedComponents)
+				}
+			}
 		}
 	}
 }

@@ -284,7 +284,8 @@ func encodeLease(lease Lease) []byte {
 }
 
 // decodeLease parses and fully validates lease bytes: framing, version,
-// checksum, canonical key round-trip, state and numeric fields.
+// checksum, canonical key round-trip, state and numeric fields, and that
+// the bytes are exactly the lease's canonical encoding.
 func decodeLease(data []byte) (Lease, error) {
 	var zero Lease
 	lines := strings.Split(string(data), "\n")
@@ -338,13 +339,19 @@ func decodeLease(data []byte) (Lease, error) {
 	if err != nil {
 		return zero, fmt.Errorf("store: bad lease expiry %q", expStr)
 	}
-	return Lease{
+	lease := Lease{
 		Key:     key,
 		Holder:  holder,
 		State:   state,
 		Attempt: attempt,
 		Expires: time.Unix(0, expNano),
-	}, nil
+	}
+	// strconv accepts a sign and leading zeros ("attempt +05"): only the
+	// bytes encodeLease would write for this lease are a valid lease.
+	if !bytes.Equal(encodeLease(lease), data) {
+		return zero, fmt.Errorf("store: lease is not in canonical form")
+	}
+	return lease, nil
 }
 
 // quarantine moves a bad lease file into the quarantine subdirectory.

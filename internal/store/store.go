@@ -210,7 +210,8 @@ func encodeRecord(key sweep.Key, out sweep.Outcome) ([]byte, error) {
 }
 
 // decodeRecord parses and fully validates record bytes: framing, version,
-// checksum, canonical key round-trip, outcome JSON strictness.
+// checksum, canonical key round-trip, outcome JSON strictness, and that the
+// bytes are exactly the record's canonical encoding.
 func decodeRecord(data []byte) (sweep.Key, sweep.Outcome, error) {
 	var zero sweep.Key
 	var zeroOut sweep.Outcome
@@ -250,6 +251,13 @@ func decodeRecord(data []byte) (sweep.Key, sweep.Outcome, error) {
 	var out sweep.Outcome
 	if err := dec.Decode(&out); err != nil {
 		return zero, zeroOut, fmt.Errorf("store: decoding outcome: %w", err)
+	}
+	// Decode reads one JSON value and ignores what follows it, and JSON
+	// allows other spellings of the same value. The other lines are
+	// already checked exactly, so comparing the payload with the one
+	// encodeRecord writes makes the record's bytes canonical.
+	if canon, err := json.Marshal(out); err != nil || string(canon) != payload {
+		return zero, zeroOut, fmt.Errorf("store: outcome is not in canonical form")
 	}
 	return key, out, nil
 }

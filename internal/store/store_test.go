@@ -14,7 +14,7 @@ import (
 	"topocon/internal/sweep"
 )
 
-func testKey(t *testing.T, maxHorizon int) sweep.Key {
+func testKey(t testing.TB, maxHorizon int) sweep.Key {
 	t.Helper()
 	key, err := sweep.KeyFor(ma.LossyLink3(), check.Options{MaxHorizon: maxHorizon})
 	if err != nil {

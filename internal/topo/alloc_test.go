@@ -4,47 +4,66 @@ import (
 	"context"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/ma"
 )
 
 // TestExtendAllocsPerChild is the allocation-regression pin on the columnar
 // frontier expansion: extending a space must cost a bounded number of
 // allocations per call — the child columns, the choice layout and the
-// per-chunk scratch — and nothing per extended item. The pre-columnar
+// per-round in-mask memo — and nothing per extended item. The pre-columnar
 // layout allocated a Views clone, two row slices and a Run copy per child
 // (≈ 12 allocations each); a reintroduction of any per-child allocation
-// trips the budget immediately at 128 children.
+// trips the budget immediately at 128 children. The quotient case runs the
+// orbit-canonical interner and the stabilizer filter on lossy-star-4 under
+// its S₃.
 func TestExtendAllocsPerChild(t *testing.T) {
-	ctx := context.Background()
-	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 4, Config{})
-	if err != nil {
-		t.Fatal(err)
+	star := advgen.LossyStar4()
+	cases := []struct {
+		name    string
+		adv     ma.Adversary
+		sym     *ma.Group
+		horizon int
+	}{
+		{"lossylink2", ma.LossyLink2(), nil, 4},
+		{"lossy-star-4/S3", star, ma.Automorphisms(star), 3},
 	}
-	children := 2 * s.Len() // LossyLink2 branches twice per item
-	// Warm up so every child view of the measured rounds is already
-	// interned: re-interning is allocation-free, which isolates extendOne's
-	// own allocations from the (amortized, first-sight-only) interner
-	// growth.
-	if _, err := s.extendOne(ctx); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		next, err := s.extendOne(ctx)
-		if err != nil {
-			t.Fatalf("extendOne: %v", err)
-		}
-		if next.Len() != children {
-			t.Fatalf("extendOne: %d children, want %d", next.Len(), children)
-		}
-	})
-	// Budget: the fixed per-call allocations (8 column slices, choices +
-	// offsets layout, Space + frontier headers, pool scratch) plus strictly
-	// less than one quarter allocation per child — i.e. per-child cost must
-	// be zero, with headroom only in the fixed part.
-	const fixedBudget = 24
-	if ceiling := fixedBudget + float64(children)/4; avg > ceiling {
-		t.Errorf("extendOne allocations = %.1f for %d children, budget %.1f (per-child cost must stay 0)",
-			avg, children, ceiling)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			s, err := BuildCtx(ctx, c.adv, 2, c.horizon, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm up so every child view of the measured rounds is already
+			// interned: re-interning is allocation-free, which isolates
+			// extendOne's own allocations from the (amortized,
+			// first-sight-only) interner growth.
+			warm, err := s.extendOne(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			children := warm.Len()
+			avg := testing.AllocsPerRun(20, func() {
+				next, err := s.extendOne(ctx)
+				if err != nil {
+					t.Fatalf("extendOne: %v", err)
+				}
+				if next.Len() != children {
+					t.Fatalf("extendOne: %d children, want %d", next.Len(), children)
+				}
+			})
+			// Budget: the fixed per-call allocations (8 column slices,
+			// choices + offsets layout, Space + frontier headers, memo)
+			// plus strictly less than one quarter allocation per child —
+			// i.e. per-child cost must be zero, with headroom only in the
+			// fixed part.
+			const fixedBudget = 24
+			if ceiling := fixedBudget + float64(children)/4; avg > ceiling {
+				t.Errorf("extendOne allocations = %.1f for %d children, budget %.1f (per-child cost must stay 0)",
+					avg, children, ceiling)
+			}
+		})
 	}
 }
 

@@ -78,10 +78,11 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	grp := s.sym.group
 	choices := make([][]graph.Graph, nParents)
 	offsets := make([]int, nParents+1)
-	fullTotal := 0
+	fullTotal, widest := 0, 0
 	for i := 0; i < nParents; i++ {
 		choices[i] = adv.Choices(s.states[i])
 		kept := len(choices[i])
+		widest = max(widest, kept)
 		if si := s.stab[i]; si != 1 {
 			kept = 0
 			for _, g := range choices[i] {
@@ -127,11 +128,21 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		stab:          make([]uint64, total),
 	}
 	interner := s.Interner
-	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
-		// Per-worker scratch for the in-neighbour pair lists; reused across
-		// every child of the chunk, so the per-child allocation count is 0.
-		qs := make([]int, 0, n)
-		children := make([]ptg.ViewID, 0, n)
+	// The in-mask memo (DESIGN.md §5.1), for every worker at once. For the
+	// parent worker w is extending, seen[p] counts the distinct in-masks
+	// g.In(p) met among its children so far, and slots[p*widest+j] holds
+	// the j-th with the view and heard word it produced. A process has at
+	// most one distinct in-mask per child, so widest slots suffice.
+	workers := poolWorkers(nParents, s.parallelism)
+	memoSeen := make([]int, workers*n)
+	memoSlots := make([]inMaskSlot, workers*n*widest)
+	err := forEachChunk(ctx, nParents, s.parallelism, func(w, lo, hi int) error {
+		seen := memoSeen[w*n : (w+1)*n]
+		slots := memoSlots[w*n*widest : (w+1)*n*widest]
+		// Pair-list scratch for Interner.Node; neither slice outlives the
+		// call, so both stay on this goroutine's stack.
+		var qsBuf [graph.MaxNodes]int
+		var childBuf [graph.MaxNodes]ptg.ViewID
 		for i := lo; i < hi; i++ {
 			prevIDs := s.fr.idRow(i)
 			prevHeard := s.fr.heardRow(i)
@@ -140,6 +151,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 			pValence := s.valence[i]
 			pRoot := s.fr.rootOf[i]
 			pStab := s.stab[i]
+			clear(seen)
 			c := offsets[i] - 1
 			for _, g := range choices[i] {
 				cStab := uint64(1)
@@ -152,17 +164,31 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 				dstIDs := nf.ids[c*n : (c+1)*n]
 				dstHeard := nf.heard[c*n : (c+1)*n]
 				for p := 0; p < n; p++ {
-					qs = qs[:0]
-					children = children[:0]
+					// The view of p is fixed by the parent's row and p's
+					// in-mask: a sibling with the same mask already interned
+					// it, so copy that sibling's cell (DESIGN.md §5.1).
+					in := g.In(p)
+					row := slots[p*widest : p*widest+seen[p]]
+					j := 0
+					for j < len(row) && row[j].in != in {
+						j++
+					}
+					if j < len(row) {
+						dstIDs[p], dstHeard[p] = row[j].id, row[j].heard
+						continue
+					}
+					qs, children := qsBuf[:0], childBuf[:0]
 					var h uint64
-					for m := g.In(p); m != 0; m &= m - 1 {
+					for m := in; m != 0; m &= m - 1 {
 						q := bits.TrailingZeros64(m)
 						qs = append(qs, q)
 						children = append(children, prevIDs[q])
 						h |= prevHeard[q]
 					}
-					dstIDs[p] = interner.Node(p, qs, children)
-					dstHeard[p] = h
+					id := interner.Node(p, qs, children)
+					dstIDs[p], dstHeard[p] = id, h
+					slots[p*widest+seen[p]] = inMaskSlot{in: in, heard: h, id: id}
+					seen[p]++
 				}
 				state := adv.Step(pState, g)
 				doneAt := pDoneAt
@@ -197,6 +223,13 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		}
 	}
 	return next, nil
+}
+
+// inMaskSlot is one entry of extendOne's in-mask memo: an in-mask and the
+// child view and heard word it produced under the current parent.
+type inMaskSlot struct {
+	in, heard uint64
+	id        ptg.ViewID
 }
 
 // SetParallelism sets the worker count used by Extend and Refine on

@@ -1,10 +1,16 @@
 package topo
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
@@ -257,5 +263,179 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 			t.Fatalf("%s horizon %d component %d differs: %+v vs %+v",
 				name, want.Space.Horizon, ci, w, g)
 		}
+	}
+}
+
+// extendOneReference is extendOne without the in-mask memo: it interns
+// every kept child's view of every process with its own Interner.Node call,
+// as extension did before the memo existed. It runs sequentially, without
+// pager or size cap, and is the oracle the memo must match byte for byte.
+func extendOneReference(s *Space) *Space {
+	adv, grp, n := s.Adversary, s.sym.group, s.fr.n
+	nf := &frontier{horizon: s.Horizon + 1, n: n, prev: s.fr, base: s.fr.base}
+	next := &Space{
+		Adversary:     adv,
+		InputDomain:   s.InputDomain,
+		Horizon:       s.Horizon + 1,
+		Interner:      s.Interner,
+		fr:            nf,
+		parentOffsets: []int{0},
+		maxRuns:       s.maxRuns,
+		parallelism:   1,
+		sym:           s.sym,
+	}
+	for i := 0; i < s.Len(); i++ {
+		prevIDs, prevHeard := s.fr.idRow(i), s.fr.heardRow(i)
+		for _, g := range adv.Choices(s.states[i]) {
+			cStab := uint64(1)
+			if s.stab[i] != 1 {
+				if cStab = graphOrbitStab(g, grp, s.stab[i]); cStab == 0 {
+					continue
+				}
+			}
+			for p := 0; p < n; p++ {
+				var qs []int
+				var children []ptg.ViewID
+				var h uint64
+				for m := g.In(p); m != 0; m &= m - 1 {
+					q := bits.TrailingZeros64(m)
+					qs = append(qs, q)
+					children = append(children, prevIDs[q])
+					h |= prevHeard[q]
+				}
+				nf.ids = append(nf.ids, s.Interner.Node(p, qs, children))
+				nf.heard = append(nf.heard, h)
+			}
+			state := adv.Step(s.states[i], g)
+			doneAt := s.doneAt[i]
+			if doneAt < 0 && adv.Done(state) {
+				doneAt = int32(next.Horizon)
+			}
+			nf.gs = append(nf.gs, g)
+			nf.parentOf = append(nf.parentOf, int32(i))
+			nf.rootOf = append(nf.rootOf, s.fr.rootOf[i])
+			next.states = append(next.states, state)
+			next.doneAt = append(next.doneAt, doneAt)
+			next.valence = append(next.valence, s.valence[i])
+			next.stab = append(next.stab, cStab)
+		}
+		next.parentOffsets = append(next.parentOffsets, len(nf.gs))
+	}
+	nf.count = len(nf.gs)
+	return next
+}
+
+// memoCase is one adversary and symmetry group the in-mask memo is pinned
+// on, with the horizon its spaces are extended to.
+type memoCase struct {
+	name    string
+	adv     ma.Adversary
+	sym     *ma.Group
+	horizon int
+}
+
+// memoCases covers the corpus's symmetric star with and without its S₃,
+// LossyLink3 under the trivial group and its swap, and generated
+// adversaries closed under a permutation (advgen), each extended as deep
+// as a unit test affords.
+func memoCases() []memoCase {
+	star, ll3 := advgen.LossyStar4(), ma.LossyLink3()
+	cases := []memoCase{
+		{"lossy-star-4/trivial", star, ma.TrivialGroup(4), 5},
+		{"lossy-star-4/S3", star, ma.Automorphisms(star), 6},
+		{"lossylink3/trivial", ll3, ma.TrivialGroup(2), 6},
+		{"lossylink3/auto", ll3, ma.Automorphisms(ll3), 6},
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 6; i++ {
+		adv := advgen.SymmetricOblivious(rng, 2+i%3)
+		h := 1
+		for h < 5 && ma.CountPrefixes(adv, h+1) <= 4096 {
+			h++
+		}
+		cases = append(cases, memoCase{fmt.Sprintf("advgen-%d/n=%d", i, adv.N()), adv, ma.Automorphisms(adv), h})
+	}
+	return cases
+}
+
+// TestExtendMemoMatchesReference pins that the in-mask memo cannot change
+// a byte: sequential extension must give, round by round, the reference
+// extender's view-ID and heard columns, the same full-space accounting and
+// — since it interns in the same first-occurrence order — a byte-identical
+// Interner.Export blob.
+func TestExtendMemoMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range memoCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 1; h <= c.horizon; h++ {
+				if got, err = got.extendOne(ctx); err != nil {
+					t.Fatal(err)
+				}
+				ref = extendOneReference(ref)
+				if got.Len() != ref.Len() || got.FullLen() != ref.FullLen() {
+					t.Fatalf("h=%d: %d items (%d full), reference %d (%d full)",
+						h, got.Len(), got.FullLen(), ref.Len(), ref.FullLen())
+				}
+				for i, id := range ref.fr.ids {
+					if got.fr.ids[i] != id || got.fr.heard[i] != ref.fr.heard[i] {
+						t.Fatalf("h=%d item %d process %d: view (%d, %b), reference (%d, %b)",
+							h, i/got.N(), i%got.N(), got.fr.ids[i], got.fr.heard[i], id, ref.fr.heard[i])
+					}
+				}
+				if !slices.Equal(got.stab, ref.stab) || !slices.Equal(got.parentOffsets, ref.parentOffsets) {
+					t.Fatalf("h=%d: stabilizers or child layout differ from the reference", h)
+				}
+			}
+			gb, err := got.Interner.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := ref.Interner.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb, rb) {
+				t.Fatalf("interner blob (%d bytes) differs from the reference's (%d bytes)", len(gb), len(rb))
+			}
+		})
+	}
+}
+
+// TestExtendMemoParallelMatchesReference runs the memo on two workers,
+// where interning order is no longer deterministic: the decomposition must
+// still have the reference's full-space component and mixed counts at
+// every horizon.
+func TestExtendMemoParallelMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range memoCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 1; h <= c.horizon; h++ {
+				if got, err = got.extendOne(ctx); err != nil {
+					t.Fatal(err)
+				}
+				ref = extendOneReference(ref)
+				dg, dr := decompose(t, got), decompose(t, ref)
+				if dg.FullComponents() != dr.FullComponents() || dg.FullMixedComponents() != dr.FullMixedComponents() {
+					t.Fatalf("h=%d: %d components (%d mixed), reference %d (%d mixed)", h,
+						dg.FullComponents(), dg.FullMixedComponents(), dr.FullComponents(), dr.FullMixedComponents())
+				}
+			}
+		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // TestExtendAllocsPerChild is the allocation-regression pin on the columnar
 // frontier expansion: extending a space must cost a bounded number of
 // allocations per call — the child columns, the choice layout and the
-// per-round in-mask memo — and nothing per extended item. The pre-columnar
+// pooled per-worker scratch — and nothing per extended item. The pre-columnar
 // layout allocated a Views clone, two row slices and a Run copy per child
 // (≈ 12 allocations each); a reintroduction of any per-child allocation
 // trips the budget immediately at 128 children. The quotient case runs the
@@ -24,9 +24,14 @@ func TestExtendAllocsPerChild(t *testing.T) {
 		adv     ma.Adversary
 		sym     *ma.Group
 		horizon int
+		// children is the expected child count of s, from a source
+		// independent of extendOne.
+		children func(s *Space) int
 	}{
-		{"lossylink2", ma.LossyLink2(), nil, 4},
-		{"lossy-star-4/S3", star, ma.Automorphisms(star), 3},
+		{"lossylink2", ma.LossyLink2(), nil, 4,
+			func(s *Space) int { return 2 * s.Len() }}, // LossyLink2 branches twice per item
+		{"lossy-star-4/S3", star, ma.Automorphisms(star), 3,
+			func(s *Space) int { return extendOneReference(s).Len() }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -35,15 +40,14 @@ func TestExtendAllocsPerChild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			children := c.children(s)
 			// Warm up so every child view of the measured rounds is already
 			// interned: re-interning is allocation-free, which isolates
 			// extendOne's own allocations from the (amortized,
 			// first-sight-only) interner growth.
-			warm, err := s.extendOne(ctx)
-			if err != nil {
+			if _, err := s.extendOne(ctx); err != nil {
 				t.Fatal(err)
 			}
-			children := warm.Len()
 			avg := testing.AllocsPerRun(20, func() {
 				next, err := s.extendOne(ctx)
 				if err != nil {
@@ -54,10 +58,10 @@ func TestExtendAllocsPerChild(t *testing.T) {
 				}
 			})
 			// Budget: the fixed per-call allocations (8 column slices,
-			// choices + offsets layout, Space + frontier headers, memo)
-			// plus strictly less than one quarter allocation per child —
-			// i.e. per-child cost must be zero, with headroom only in the
-			// fixed part.
+			// choices + offsets layout, Space + frontier headers, pool
+			// scratch) plus strictly less than one quarter allocation per
+			// child — i.e. per-child cost must be zero, with headroom only
+			// in the fixed part.
 			const fixedBudget = 24
 			if ceiling := fixedBudget + float64(children)/4; avg > ceiling {
 				t.Errorf("extendOne allocations = %.1f for %d children, budget %.1f (per-child cost must stay 0)",

@@ -410,7 +410,7 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	var mu sync.Mutex
 	// The background context never cancels and the workers never error, so
 	// the pool's error return is vacuous here.
-	_ = forEachChunk(context.Background(), len(views), s.parallelism, func(_, lo, hi int) error {
+	_ = forEachChunk(context.Background(), len(views), s.parallelism, func(lo, hi int) error {
 		local := -1
 		for a := lo; a < hi; a++ {
 			sa := sigs[a]

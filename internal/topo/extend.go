@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -128,21 +130,15 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		stab:          make([]uint64, total),
 	}
 	interner := s.Interner
-	// The in-mask memo (DESIGN.md §5.1), for every worker at once. For the
-	// parent worker w is extending, seen[p] counts the distinct in-masks
-	// g.In(p) met among its children so far, and slots[p*widest+j] holds
-	// the j-th with the view and heard word it produced. A process has at
-	// most one distinct in-mask per child, so widest slots suffice.
-	workers := poolWorkers(nParents, s.parallelism)
-	memoSeen := make([]int, workers*n)
-	memoSlots := make([]inMaskSlot, workers*n*widest)
-	err := forEachChunk(ctx, nParents, s.parallelism, func(w, lo, hi int) error {
-		seen := memoSeen[w*n : (w+1)*n]
-		slots := memoSlots[w*n*widest : (w+1)*n*widest]
-		// Pair-list scratch for Interner.Node; neither slice outlives the
-		// call, so both stay on this goroutine's stack.
-		var qsBuf [graph.MaxNodes]int
-		var childBuf [graph.MaxNodes]ptg.ViewID
+	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
+		// Per-worker scratch — the in-mask memo and the pair lists for
+		// Interner.Node — pooled across chunks and rounds, so the per-child
+		// allocation count is 0.
+		sc := extendScratchPool.Get().(*extendScratch)
+		width := min(widest, memoWidth)
+		sc.acquire(n, width)
+		defer extendScratchPool.Put(sc)
+		seen, ins, outs := sc.seen, sc.ins, sc.outs
 		for i := lo; i < hi; i++ {
 			prevIDs := s.fr.idRow(i)
 			prevHeard := s.fr.heardRow(i)
@@ -168,16 +164,12 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 					// in-mask: a sibling with the same mask already interned
 					// it, so copy that sibling's cell (DESIGN.md §5.1).
 					in := g.In(p)
-					row := slots[p*widest : p*widest+seen[p]]
-					j := 0
-					for j < len(row) && row[j].in != in {
-						j++
-					}
-					if j < len(row) {
-						dstIDs[p], dstHeard[p] = row[j].id, row[j].heard
+					if j := slices.Index(ins[p*width:p*width+seen[p]], in); j >= 0 {
+						o := outs[p*width+j]
+						dstIDs[p], dstHeard[p] = o.id, o.heard
 						continue
 					}
-					qs, children := qsBuf[:0], childBuf[:0]
+					qs, children := sc.qs[:0], sc.children[:0]
 					var h uint64
 					for m := in; m != 0; m &= m - 1 {
 						q := bits.TrailingZeros64(m)
@@ -187,8 +179,10 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 					}
 					id := interner.Node(p, qs, children)
 					dstIDs[p], dstHeard[p] = id, h
-					slots[p*widest+seen[p]] = inMaskSlot{in: in, heard: h, id: id}
-					seen[p]++
+					if k := seen[p]; k < width {
+						ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
+						seen[p]++
+					}
 				}
 				state := adv.Step(pState, g)
 				doneAt := pDoneAt
@@ -225,11 +219,48 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	return next, nil
 }
 
-// inMaskSlot is one entry of extendOne's in-mask memo: an in-mask and the
-// child view and heard word it produced under the current parent.
-type inMaskSlot struct {
-	in, heard uint64
-	id        ptg.ViewID
+// memoWidth caps the distinct in-masks the memo keeps per process and
+// parent, and with it the scan; once a process's slots are full, its
+// further new masks are interned directly. Eight masks fill one cache line
+// and hold every in-mask a process of an n ≤ 4 adversary can have (it
+// always hears itself, so it has at most 2^(n-1)); on wide rounds that
+// share no mask, an unbounded scan only added cost (EXPERIMENTS.md).
+const memoWidth = 8
+
+// extendScratch is one worker's scratch for extendOne. The in-mask memo
+// (DESIGN.md §5.1): for the parent being extended, seen[p] counts the
+// distinct in-masks g.In(p) kept among its children so far, ins[p*width+j]
+// is the j-th and outs[p*width+j] the view and heard word it produced.
+type extendScratch struct {
+	seen []int
+	ins  []uint64
+	outs []memoOut
+	// Pair-list scratch for Interner.Node.
+	qs       [graph.MaxNodes]int
+	children [graph.MaxNodes]ptg.ViewID
+}
+
+// memoOut is the child view and heard word an in-mask produced under the
+// current parent.
+type memoOut struct {
+	heard uint64
+	id    ptg.ViewID
+}
+
+var extendScratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
+
+// acquire sizes the memo for n processes with width slots each, growing
+// it only when a round outgrows every earlier one.
+func (sc *extendScratch) acquire(n, width int) {
+	if cap(sc.seen) < n {
+		sc.seen = make([]int, n)
+	}
+	sc.seen = sc.seen[:n]
+	if cap(sc.ins) < n*width {
+		sc.ins = make([]uint64, n*width)
+		sc.outs = make([]memoOut, n*width)
+	}
+	sc.ins, sc.outs = sc.ins[:n*width], sc.outs[:n*width]
 }
 
 // SetParallelism sets the worker count used by Extend and Refine on

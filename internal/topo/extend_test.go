@@ -335,10 +335,10 @@ type memoCase struct {
 }
 
 // memoCases covers the corpus's symmetric star with and without its S₃,
-// LossyLink3 under the trivial group and its swap, and generated
-// adversaries closed under a permutation (advgen), each extended as deep
-// as a unit test affords.
-func memoCases() []memoCase {
+// LossyLink3 under the trivial group and its swap, a random five-process
+// adversary wider than the memo, and generated adversaries closed under a
+// permutation (advgen), each extended as deep as a unit test affords.
+func memoCases(t *testing.T) []memoCase {
 	star, ll3 := advgen.LossyStar4(), ma.LossyLink3()
 	cases := []memoCase{
 		{"lossy-star-4/trivial", star, ma.TrivialGroup(4), 5},
@@ -347,6 +347,21 @@ func memoCases() []memoCase {
 		{"lossylink3/auto", ll3, ma.Automorphisms(ll3), 6},
 	}
 	rng := rand.New(rand.NewSource(16))
+	// Five processes over 24 random graphs: most processes meet more
+	// in-masks under one parent than the memo keeps (memoWidth).
+	wide := make([]graph.Graph, 24)
+	for k := range wide {
+		in := make([]uint64, 5)
+		for p := range in {
+			in[p] = uint64(rng.Intn(1 << 5))
+		}
+		g, err := graph.FromInMasks(5, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide[k] = g
+	}
+	cases = append(cases, memoCase{"wide-5/trivial", ma.MustOblivious("wide-5", wide...), ma.TrivialGroup(5), 2})
 	for i := 0; i < 6; i++ {
 		adv := advgen.SymmetricOblivious(rng, 2+i%3)
 		h := 1
@@ -365,7 +380,7 @@ func memoCases() []memoCase {
 // Interner.Export blob.
 func TestExtendMemoMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	for _, c := range memoCases() {
+	for _, c := range memoCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
 			if err != nil {
@@ -415,7 +430,7 @@ func TestExtendMemoMatchesReference(t *testing.T) {
 // every horizon.
 func TestExtendMemoParallelMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	for _, c := range memoCases() {
+	for _, c := range memoCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym, Parallelism: 2})
 			if err != nil {
@@ -434,6 +449,61 @@ func TestExtendMemoParallelMatchesReference(t *testing.T) {
 				if dg.FullComponents() != dr.FullComponents() || dg.FullMixedComponents() != dr.FullMixedComponents() {
 					t.Fatalf("h=%d: %d components (%d mixed), reference %d (%d mixed)", h,
 						dg.FullComponents(), dg.FullMixedComponents(), dr.FullComponents(), dr.FullMixedComponents())
+				}
+			}
+		})
+	}
+}
+
+// noSharing returns an oblivious adversary on n processes whose 2^(n-1)
+// graphs give every process a different in-mask each: the in-mask memo
+// never hits, and without its width cap every cell would scan all the
+// masks met so far.
+func noSharing(b *testing.B, n int) ma.Adversary {
+	gs := make([]graph.Graph, 1<<(n-1))
+	for k := range gs {
+		in := make([]uint64, n)
+		for p := range in {
+			i := 0
+			for q := 0; q < n; q++ {
+				if q == p {
+					continue
+				}
+				if k>>i&1 == 1 {
+					in[p] |= 1 << q
+				}
+				i++
+			}
+		}
+		g, err := graph.FromInMasks(n, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs[k] = g
+	}
+	return ma.MustOblivious(fmt.Sprintf("no-sharing-%d", n), gs...)
+}
+
+// BenchmarkExtendNoSharing times one warm extension round of the memo's
+// worst case, an adversary whose siblings share no in-mask, at n = 5, 6
+// and 7 (16, 32 and 64 graphs; 655,360, 393,216 and 57,344 cells).
+func BenchmarkExtendNoSharing(b *testing.B) {
+	for _, c := range []struct{ n, horizon int }{{5, 2}, {6, 1}, {7, 0}} {
+		b.Run(fmt.Sprintf("n=%d", c.n), func(b *testing.B) {
+			ctx := context.Background()
+			s, err := BuildCtx(ctx, noSharing(b, c.n), 2, c.horizon, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The first round interns every view; the timed ones only
+			// look them up.
+			if _, err := s.extendOne(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				if _, err := s.extendOne(ctx); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -11,19 +11,18 @@ const minChunk = 64
 
 // forEachChunk partitions [0, n) into contiguous chunks and applies fn to
 // each, using up to `workers` goroutines. fn must be safe to call
-// concurrently on disjoint ranges. It also receives the index w of the
-// goroutine running it, in [0, poolWorkers(n, workers)): calls with the
-// same w never overlap, so scratch indexed by w is private to one worker
-// and can be allocated once per call of forEachChunk rather than once per
-// chunk. The first error wins; cancellation of ctx stops the remaining
-// chunks and returns ctx.Err().
-func forEachChunk(ctx context.Context, n, workers int, fn func(w, lo, hi int) error) error {
+// concurrently on disjoint ranges. The first error wins; cancellation of
+// ctx stops the remaining chunks and returns ctx.Err().
+func forEachChunk(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	chunk := poolChunk(n, workers)
-	if chunk == 0 {
+	if workers <= 1 || n < 2*minChunk {
 		return forEachChunkSeq(ctx, n, fn)
+	}
+	chunk := (n + workers - 1) / workers
+	if chunk < minChunk {
+		chunk = minChunk
 	}
 	var (
 		wg       sync.WaitGroup
@@ -43,16 +42,16 @@ func forEachChunk(ctx context.Context, n, workers int, fn func(w, lo, hi int) er
 			hi = n
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
 			if ctx.Err() != nil {
 				setErr(ctx.Err())
 				return
 			}
-			if err := fn(w, lo, hi); err != nil {
+			if err := fn(lo, hi); err != nil {
 				setErr(err)
 			}
-		}(lo/chunk, lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -61,29 +60,9 @@ func forEachChunk(ctx context.Context, n, workers int, fn func(w, lo, hi int) er
 	return ctx.Err()
 }
 
-// poolChunk returns the chunk size forEachChunk gives each goroutine, or 0
-// when it runs [0, n) sequentially on the calling goroutine.
-func poolChunk(n, workers int) int {
-	if workers <= 1 || n < 2*minChunk {
-		return 0
-	}
-	return max((n+workers-1)/workers, minChunk)
-}
-
-// poolWorkers returns the number of distinct worker indexes forEachChunk
-// passes to fn for n elements.
-func poolWorkers(n, workers int) int {
-	chunk := poolChunk(n, workers)
-	if chunk == 0 {
-		return 1
-	}
-	return (n + chunk - 1) / chunk
-}
-
 // forEachChunkSeq is the sequential fallback, still chunked so that the
-// context is polled between batches rather than per element. Every batch
-// runs as worker 0.
-func forEachChunkSeq(ctx context.Context, n int, fn func(w, lo, hi int) error) error {
+// context is polled between batches rather than per element.
+func forEachChunkSeq(ctx context.Context, n int, fn func(lo, hi int) error) error {
 	for lo := 0; lo < n; lo += minChunk {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -92,7 +71,7 @@ func forEachChunkSeq(ctx context.Context, n int, fn func(w, lo, hi int) error) e
 		if hi > n {
 			hi = n
 		}
-		if err := fn(0, lo, hi); err != nil {
+		if err := fn(lo, hi); err != nil {
 			return err
 		}
 	}

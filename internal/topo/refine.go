@@ -176,7 +176,7 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	// cross parent component orbits, so every class lies within one chunk:
 	// parallel workers share the union-find, each touching only its own
 	// chunk's children (uf.Labelled allows that for disjoint classes).
-	if err := forEachChunk(ctx, len(d.Comps), child.parallelism, func(_, lo, hi int) error {
+	if err := forEachChunk(ctx, len(d.Comps), child.parallelism, func(lo, hi int) error {
 		sc := refineScratchPool.Get().(*refineScratch)
 		sc.acquire(child, int32(hi-lo))
 		defer sc.release()
@@ -209,7 +209,7 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	// parent item q — lies in the twin σ_{L_q}⁻¹ of the parent's base
 	// component, so the parent's masks are relabeled by L_q⁻¹ first.
 	grp := child.Group()
-	if err := forEachChunk(ctx, len(res.Comps), child.parallelism, func(_, lo, hi int) error {
+	if err := forEachChunk(ctx, len(res.Comps), child.parallelism, func(lo, hi int) error {
 		for gi := lo; gi < hi; gi++ {
 			c := &res.Comps[gi]
 			q := int(parentOf[c.Members[0]])

@@ -7,6 +7,7 @@
 //
 //	go test -run xxx -bench . -benchmem -count 5 ./... | benchjson -o BENCH.json
 //	benchjson -o BENCH.json bench-output.txt
+//	benchjson -compare BENCH_PREV.json -o BENCH.json bench-output.txt
 //
 // Input is read from the file arguments, or stdin when none are given. Lines
 // that are not benchmark results (build noise, PASS/ok trailers) are ignored;
@@ -17,6 +18,15 @@
 // B/op and allocs/op, and the number of runs. Exits non-zero if no
 // benchmark line was found — a smoke guard against silently-empty perf
 // artifacts.
+//
+// With -compare, the document goes only to -o, and stdout gets a table
+// comparing each benchmark with the one of the same package and name in
+// the given earlier document. A benchmark is flagged "slower" or "faster"
+// only when its median moved by more than the two runs' combined min–max
+// spread, (max − min) of the earlier run plus (max − min) of this one:
+// under -count N every run of either side lies within that distance of
+// its own median, so a smaller move is not told apart from noise.
+// Benchmarks present on one side only are listed as "new" or "gone".
 package main
 
 import (
@@ -29,6 +39,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Result is one benchmark's measurements, aggregated over its runs.
@@ -71,7 +82,8 @@ type Document struct {
 }
 
 func main() {
-	out := flag.String("o", "", "output file (default stdout)")
+	out := flag.String("o", "", "output file (default stdout, or none with -compare)")
+	prev := flag.String("compare", "", "earlier benchjson document to compare with")
 	flag.Parse()
 
 	var in io.Reader
@@ -103,13 +115,102 @@ func main() {
 		fail(err)
 	}
 	data = append(data, '\n')
-	if *out == "" {
+	if *prev != "" {
+		raw, err := os.ReadFile(*prev)
+		if err != nil {
+			fail(err)
+		}
+		var old Document
+		if err := json.Unmarshal(raw, &old); err != nil {
+			fail(fmt.Errorf("%s: %w", *prev, err))
+		}
+		if err := writeComparison(os.Stdout, compare(&old, doc)); err != nil {
+			fail(err)
+		}
+	}
+	switch {
+	case *out != "":
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			fail(err)
+		}
+	case *prev == "":
 		os.Stdout.Write(data)
-		return
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fail(err)
+}
+
+// Comparison is one benchmark of the earlier document (Old) against the
+// same package and name in the new one (New); either is nil when the
+// benchmark ran on one side only.
+type Comparison struct {
+	Old, New *Result
+	// Flag is "slower" or "faster" when the median moved by more than
+	// Spread, "new" or "gone" for a one-sided benchmark, and empty
+	// otherwise.
+	Flag string
+	// Spread is the combined min–max spread of the two runs in ns/op.
+	Spread float64
+}
+
+// compare pairs the benchmarks of two documents by package and name, in
+// the new document's order followed by those it no longer has.
+func compare(old, cur *Document) []Comparison {
+	type key struct{ pkg, name string }
+	prev := make(map[key]*Result, len(old.Benchmarks))
+	for i := range old.Benchmarks {
+		r := &old.Benchmarks[i]
+		prev[key{r.Pkg, r.Name}] = r
 	}
+	var out []Comparison
+	for i := range cur.Benchmarks {
+		r := &cur.Benchmarks[i]
+		o, ok := prev[key{r.Pkg, r.Name}]
+		if !ok {
+			out = append(out, Comparison{New: r, Flag: "new"})
+			continue
+		}
+		delete(prev, key{r.Pkg, r.Name})
+		c := Comparison{Old: o, New: r, Spread: (o.NsPerOpMax - o.NsPerOpMin) + (r.NsPerOpMax - r.NsPerOpMin)}
+		switch d := r.NsPerOp - o.NsPerOp; {
+		case d > c.Spread:
+			c.Flag = "slower"
+		case -d > c.Spread:
+			c.Flag = "faster"
+		}
+		out = append(out, c)
+	}
+	for i := range old.Benchmarks {
+		if o := &old.Benchmarks[i]; prev[key{o.Pkg, o.Name}] == o {
+			out = append(out, Comparison{Old: o, Flag: "gone"})
+		}
+	}
+	return out
+}
+
+// writeComparison prints the comparison as an aligned table: medians in
+// ns/op, the change of the median, and the combined spread, both relative
+// to the earlier median.
+func writeComparison(w io.Writer, cmp []Comparison) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "pkg\tbenchmark\told ns/op\tnew ns/op\tchange\tspread\tflag")
+	for _, c := range cmp {
+		r := c.New
+		if r == nil {
+			r = c.Old
+		}
+		oldNs, newNs, change, spread := "-", "-", "-", "-"
+		if c.Old != nil {
+			oldNs = strconv.FormatFloat(c.Old.NsPerOp, 'g', 4, 64)
+		}
+		if c.New != nil {
+			newNs = strconv.FormatFloat(c.New.NsPerOp, 'g', 4, 64)
+		}
+		if c.Old != nil && c.New != nil && c.Old.NsPerOp > 0 {
+			change = fmt.Sprintf("%+.1f%%", 100*(c.New.NsPerOp-c.Old.NsPerOp)/c.Old.NsPerOp)
+			spread = fmt.Sprintf("%.1f%%", 100*c.Spread/c.Old.NsPerOp)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", r.Pkg, r.Name, oldNs, newNs, change, spread, c.Flag)
+	}
+	return tw.Flush()
 }
 
 func fail(err error) {

@@ -105,3 +105,60 @@ func TestParseAggregatesCount(t *testing.T) {
 		t.Errorf("same name in another package merged or misread: %+v", ma)
 	}
 }
+
+// TestCompareFlagsOnlyOutsideCombinedSpread: a median that moved by more
+// than the two runs' combined min–max spread is flagged, a smaller move is
+// not, and benchmarks on one side only are listed as new or gone.
+func TestCompareFlagsOnlyOutsideCombinedSpread(t *testing.T) {
+	res := func(pkg, name string, med, lo, hi float64) Result {
+		return Result{Pkg: pkg, Name: name, Runs: 5, NsPerOp: med, NsPerOpMin: lo, NsPerOpMax: hi}
+	}
+	old := &Document{Benchmarks: []Result{
+		res("p", "BenchmarkSlower", 100, 95, 105),
+		res("p", "BenchmarkFaster", 100, 95, 105),
+		res("p", "BenchmarkNoisy", 100, 60, 140),
+		res("p", "BenchmarkEdge", 100, 95, 105),
+		res("q", "BenchmarkSlower", 100, 95, 105),
+		res("p", "BenchmarkGone", 100, 95, 105),
+	}}
+	cur := &Document{Benchmarks: []Result{
+		res("p", "BenchmarkSlower", 125, 121, 129), // +25 against a spread of 18
+		res("p", "BenchmarkFaster", 80, 78, 82),    // −20 against 14
+		res("p", "BenchmarkNoisy", 50, 45, 55),     // −50 against 90
+		res("p", "BenchmarkEdge", 118, 114, 122),   // +18 against 18: not beyond it
+		res("q", "BenchmarkSlower", 101, 100, 102), // other package, its own pair
+		res("p", "BenchmarkNew", 100, 95, 105),
+	}}
+	want := []struct{ name, pkg, flag string }{
+		{"BenchmarkSlower", "p", "slower"},
+		{"BenchmarkFaster", "p", "faster"},
+		{"BenchmarkNoisy", "p", ""},
+		{"BenchmarkEdge", "p", ""},
+		{"BenchmarkSlower", "q", ""},
+		{"BenchmarkNew", "p", "new"},
+		{"BenchmarkGone", "p", "gone"},
+	}
+	got := compare(old, cur)
+	if len(got) != len(want) {
+		t.Fatalf("%d comparisons, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		r := got[i].New
+		if r == nil {
+			r = got[i].Old
+		}
+		if r.Name != w.name || r.Pkg != w.pkg || got[i].Flag != w.flag {
+			t.Errorf("comparison %d = %s %s %q, want %s %s %q", i, r.Pkg, r.Name, got[i].Flag, w.pkg, w.name, w.flag)
+		}
+	}
+	if got[0].Spread != 18 {
+		t.Errorf("combined spread %v, want 18", got[0].Spread)
+	}
+	var out strings.Builder
+	if err := writeComparison(&out, got); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "+25.0%") || !strings.Contains(out.String(), "slower") {
+		t.Errorf("table lacks the slower row:\n%s", out.String())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -37,11 +38,12 @@ type ViewID int32
 //
 //   - the table is split into 64 shards selected by the top bits of the key
 //     hash, so workers interning unrelated cones take disjoint locks;
-//   - each shard is an open-addressing table whose keys live in one
-//     append-only byte arena — interning allocates nothing per call (keys
-//     are encoded into stack buffers, arena and table growth is amortized
-//     geometric), unlike the previous string-keyed map that allocated a key
-//     string per novel cone and a hash bucket per entry;
+//   - each shard is an open-addressing table of hash-tagged slots over one
+//     append-only arena of key records, so a lookup reads one slot and one
+//     record — interning allocates nothing per call (keys are encoded into
+//     stack buffers, arena and table growth is amortized geometric), unlike
+//     the previous string-keyed map that allocated a key string per novel
+//     cone and a hash bucket per entry;
 //   - stored cones are numbered by one atomic counter, so IDs stay dense
 //     across shards — the decomposition machinery indexes per-ViewID
 //     scratch tables by IDBound().
@@ -69,24 +71,19 @@ type Interner struct {
 // against the interned data itself.
 const internShards = 64
 
-// internShard is one stripe: an open-addressing hash table (1-based indices
-// into entries, 0 = empty) over keys stored back-to-back in arena.
+// internShard is one stripe: an open-addressing probe table over an
+// append-only arena of records. A record is
+//
+//	[uvarint key length][key bytes][stored-cone index, 4 bytes LE]
+//
+// and a slot packs the key's 32-bit hash tag above the record's arena
+// offset + 1 (0 = empty). A probe reads the arena only when the tags match,
+// and then finds the key and its cone index in the same record.
 type internShard struct {
-	mu      sync.Mutex
-	table   []int32
-	entries []internEntry
-	arena   []byte
-}
-
-// internEntry locates one interned key in the shard arena. The full hash is
-// memoized so table growth and probe comparisons never re-hash or touch the
-// arena for non-colliding entries. c is the stored cone's index — its ViewID
-// on a plain interner.
-type internEntry struct {
-	hash uint64
-	off  uint32
-	klen uint32
-	c    int32
+	mu    sync.Mutex
+	table []uint64
+	arena []byte
+	count int // records in arena
 }
 
 // internShardInitialSize is the initial open-addressing table size per
@@ -151,37 +148,33 @@ func (in *Interner) Leaf(p, x int) ViewID {
 	return ViewID(in.intern(buf[:k], 1))
 }
 
-// nodeKeyStackSize bounds the stack-encoded node key: owner tag plus one
-// uvarint pair per child. 24 children cover every realistic process count
-// without heap fallback (the uvarint pairs of small ids are 2-4 bytes, so
-// even n = 64 usually fits; the cap below is on the worst case).
-const nodeKeyStackSize = 2 + binary.MaxVarintLen64 + 24*2*binary.MaxVarintLen64
+// nodeKeyStackSize is the stack buffer a node key is encoded into: owner
+// tag and process plus 8 (q, child ID) pairs, each a one-byte q and an ID
+// of at most 5 bytes. A wider key spills to the heap.
+const nodeKeyStackSize = 1 + binary.MaxVarintLen64 + 8*(1+binary.MaxVarintLen32)
 
 // Node interns the time-t view of process p whose round-t in-neighbours
-// (ascending process order) have the time-(t-1) views children. The caller
-// must pass children aligned with the ascending order of the in-neighbour
-// set; the neighbour identities are part of the encoding via their own
-// leaf/node process labels plus position, so the pair list is (q, id).
+// are the set bits q of mask, each with time-(t-1) view row[q]; row is
+// indexed by process and only its masked entries are read. The key is
+// 'N', p and the (q, row[q]) pairs in ascending q. A child without an ID
+// (-1, from a request that hit the ID cap) yields -1.
 //
 //topocon:allocfree
-func (in *Interner) Node(p int, qs []int, children []ViewID) ViewID {
+func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 	if in.grp != nil {
-		return in.orbitNode(p, qs, children)
+		return in.orbitNode(p, mask, row)
 	}
 	var stack [nodeKeyStackSize]byte
-	buf := stack[:0]
-	if need := 2 + binary.MaxVarintLen64 + len(children)*2*binary.MaxVarintLen64; need > nodeKeyStackSize {
-		buf = make([]byte, 0, need)
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	buf = append(buf, 'N')
-	k := binary.PutUvarint(tmp[:], uint64(p))
-	buf = append(buf, tmp[:k]...)
-	for i, id := range children {
-		k = binary.PutUvarint(tmp[:], uint64(qs[i]))
-		buf = append(buf, tmp[:k]...)
-		k = binary.PutUvarint(tmp[:], uint64(id))
-		buf = append(buf, tmp[:k]...)
+	buf := append(stack[:0], 'N')
+	buf = binary.AppendUvarint(buf, uint64(p))
+	for m := mask; m != 0; m &= m - 1 {
+		q := bits.TrailingZeros64(m)
+		id := row[q]
+		if id < 0 {
+			return -1
+		}
+		buf = append(buf, byte(q)) // q < 64 is its own one-byte uvarint
+		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	return ViewID(in.intern(buf, 1))
 }
@@ -193,29 +186,39 @@ func (in *Interner) Node(p int, qs []int, children []ViewID) ViewID {
 // do not escape. A key that would need an index past the limit is not
 // stored: intern returns -1 and Err reports the overflow.
 //
+// The top 6 hash bits pick the shard and the low 32 are the slot tag; the
+// home of a key in a 2^b-slot table is its tag's top b bits.
+//
 //topocon:allocfree
 func (in *Interner) intern(key []byte, stab uint64) int32 {
 	h := hashKey(key)
-	sh := &in.shards[h>>(64-6)] // top 6 bits pick one of the 64 shards
+	tag := uint64(uint32(h))
+	sh := &in.shards[h>>(64-6)]
 	sh.mu.Lock()
 	if sh.table == nil {
-		sh.table = make([]int32, internShardInitialSize)
+		sh.table = make([]uint64, internShardInitialSize)
 	}
-	mask := uint64(len(sh.table) - 1)
-	i := h & mask
+	mask := len(sh.table) - 1
+	i := int(tag >> homeShift(len(sh.table)))
 	for {
 		slot := sh.table[i]
 		if slot == 0 {
 			break
 		}
-		e := &sh.entries[slot-1]
-		if e.hash == h && int(e.klen) == len(key) &&
-			bytes.Equal(sh.arena[e.off:e.off+e.klen], key) {
-			c := e.c
-			sh.mu.Unlock()
-			return c
+		if slot>>32 == tag {
+			if stored, c, _ := recordAt(sh.arena, int(uint32(slot)-1)); bytes.Equal(stored, key) {
+				sh.mu.Unlock()
+				return c
+			}
 		}
 		i = (i + 1) & mask
+	}
+	// The new record's offset + 1 must fit the slot's low 32 bits; past
+	// that a shard stores nothing more, like a full ID space.
+	if uint64(len(sh.arena)) >= math.MaxUint32 {
+		in.overflow.Store(true)
+		sh.mu.Unlock()
+		return -1
 	}
 	c := in.claim()
 	if c < 0 {
@@ -227,12 +230,12 @@ func (in *Interner) intern(key []byte, stab uint64) int32 {
 		in.stabs.set(c, stab)
 	}
 	off := len(sh.arena)
+	sh.arena = binary.AppendUvarint(sh.arena, uint64(len(key)))
 	sh.arena = append(sh.arena, key...)
-	sh.entries = append(sh.entries, internEntry{
-		hash: h, off: uint32(off), klen: uint32(len(key)), c: c,
-	})
-	sh.table[i] = int32(len(sh.entries))
-	if uint64(len(sh.entries))*4 >= (mask+1)*3 {
+	sh.arena = binary.LittleEndian.AppendUint32(sh.arena, uint32(c))
+	sh.table[i] = tag<<32 | uint64(off+1)
+	sh.count++
+	if sh.count*4 >= len(sh.table)*3 {
 		sh.grow()
 	}
 	sh.mu.Unlock()
@@ -256,24 +259,36 @@ func (in *Interner) claim() int32 {
 	}
 }
 
-// grow doubles the shard's probe table, re-seating entries from their
-// memoized hashes. Amortized over insertions this is O(1) per intern.
+// grow doubles the shard's probe table. A slot's home is the top bits of
+// its own tag, so every slot is re-seated from the table alone: no record
+// is read and no key re-hashed. Amortized over insertions this is O(1) per
+// intern.
 func (sh *internShard) grow() {
-	next := make([]int32, 2*len(sh.table))
-	mask := uint64(len(next) - 1)
-	for ei := range sh.entries {
-		i := sh.entries[ei].hash & mask
+	next := make([]uint64, 2*len(sh.table))
+	shift, mask := homeShift(len(next)), len(next)-1
+	for _, slot := range sh.table {
+		if slot == 0 {
+			continue
+		}
+		i := int(slot >> 32 >> shift)
 		for next[i] != 0 {
 			i = (i + 1) & mask
 		}
-		next[i] = int32(ei + 1)
+		next[i] = slot
 	}
 	sh.table = next
 }
 
-// hashKey is FNV-1a over the canonical key encoding: cheap, dependency-free
-// and good enough that shard selection (top bits) and probe position (low
-// bits) stay decorrelated.
+// homeShift returns 32-b for a table of 2^b slots: a tag shifted right by
+// it is the tag's top b bits, the slot's home.
+func homeShift(size int) uint {
+	return uint(33 - bits.Len(uint(size)))
+}
+
+// hashKey is FNV-1a over the canonical key encoding, finished with the
+// 64-bit MurmurHash3 finalizer (fmix64). Both the shard (top bits) and the
+// probe home (the tag's top bits) are taken from high bits, where bare
+// FNV-1a is poorly mixed for short keys that differ in their last bytes.
 func hashKey(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -284,5 +299,10 @@ func hashKey(key []byte) uint64 {
 		h ^= uint64(b)
 		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

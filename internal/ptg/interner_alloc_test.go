@@ -11,11 +11,10 @@ func TestInternerRepeatInternAllocationFree(t *testing.T) {
 	in := NewInterner()
 	l0 := in.Leaf(0, 0)
 	l1 := in.Leaf(1, 1)
-	qs := []int{0, 1}
-	children := []ViewID{l0, l1}
-	node := in.Node(0, qs, children)
+	row := []ViewID{l0, l1}
+	node := in.Node(0, 0b11, row)
 	if avg := testing.AllocsPerRun(200, func() {
-		if in.Leaf(0, 0) != l0 || in.Node(0, qs, children) != node {
+		if in.Leaf(0, 0) != l0 || in.Node(0, 0b11, row) != node {
 			t.Fatal("intern identity broken")
 		}
 	}); avg != 0 {
@@ -24,7 +23,7 @@ func TestInternerRepeatInternAllocationFree(t *testing.T) {
 }
 
 // TestInternerFreshInternAmortizedAllocs pins the amortized cost of
-// first-sight interning: arena, entry and probe-table growth are geometric,
+// first-sight interning: arena and probe-table growth are geometric,
 // so interning k fresh cones costs well under one allocation each on
 // average. The pre-sharded interner paid ≥ 2 (key string + map bucket).
 func TestInternerFreshInternAmortizedAllocs(t *testing.T) {

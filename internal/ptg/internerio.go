@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"topocon/internal/graph"
 )
 
 // groupBlobMagic opens the export of an orbit-canonical interner. A plain
@@ -31,27 +33,28 @@ var groupBlobMagic = [2]byte{0x00, 'G'}
 func (in *Interner) Export() ([]byte, error) {
 	// Cone indices are dense, so every key goes straight to its slot: no
 	// sort. count is loaded before any shard lock is taken, and intern
-	// claims c and appends c's entry under one hold of c's shard lock. The
+	// claims c and appends c's record under one hold of c's shard lock. The
 	// load sees the claim of every c < count, so that hold began before
 	// the load; the shard lock is taken below after the load, so it is
-	// acquired only once the hold has ended, with c's entry appended.
+	// acquired only once the hold has ended, with c's record appended.
 	count := in.next.Load()
 	keys := make([][]byte, count)
 	size := binary.MaxVarintLen64
 	for si := range in.shards {
 		sh := &in.shards[si]
 		sh.mu.Lock()
-		entries := sh.entries
 		arena := sh.arena
 		sh.mu.Unlock()
-		// entries and arena are append-only: the captured headers cover an
-		// immutable prefix even if interning continues concurrently.
-		for ei := range entries {
-			e := &entries[ei]
-			if e.c < count {
-				keys[e.c] = arena[e.off : e.off+e.klen]
-				size += binary.MaxVarintLen32 + int(e.klen)
+		// The arena is append-only and records are appended whole under
+		// the lock: the captured header covers an immutable prefix of
+		// complete records even if interning continues concurrently.
+		for off := 0; off < len(arena); {
+			key, c, next := recordAt(arena, off)
+			if c < count {
+				keys[c] = key
+				size += binary.MaxVarintLen32 + len(key)
 			}
+			off = next
 		}
 	}
 	var buf []byte
@@ -72,13 +75,22 @@ func (in *Interner) Export() ([]byte, error) {
 	for c, key := range keys {
 		if len(key) == 0 {
 			// Every stored key is non-empty (it starts with its tag byte),
-			// so an empty slot is a cone below count with no entry.
+			// so an empty slot is a cone below count with no record.
 			return nil, fmt.Errorf("ptg: interner export: cone %d of %d has no stored key", c, count)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(key)))
 		buf = append(buf, key...)
 	}
 	return buf, nil
+}
+
+// recordAt decodes the shard arena record at off (see internShard): its
+// key, its stored-cone index and the offset of the next record.
+func recordAt(arena []byte, off int) (key []byte, c int32, next int) {
+	klen, k := binary.Uvarint(arena[off:])
+	start := off + k
+	end := start + int(klen)
+	return arena[start:end], int32(binary.LittleEndian.Uint32(arena[end:])), end + 4
 }
 
 // blobReader decodes an export strictly: every uvarint must be minimally
@@ -98,12 +110,13 @@ func (r *blobReader) uvarint() (uint64, bool) {
 
 // ImportInterner rebuilds an interner from an Export payload — plain or
 // orbit-canonical, as the blob says — verifying that re-interning
-// reproduces the dense cone numbering exactly. An orbit-canonical import
-// re-derives every cone's canonical form and stabilizer from the imported
-// keys, so a key that is not the least of its orbit, or that references a
-// later cone, is rejected. Any framing violation, non-minimal varint or
-// numbering mismatch is an error; a partially-imported interner is never
-// returned.
+// reproduces the dense cone numbering exactly. Every key is decoded and
+// re-interned through Leaf or Node (see importKey), so a key no interner
+// produces — an unknown tag, unsorted children, a child that references
+// its own or a later cone, or on an orbit-canonical import a key that is
+// not the least of its orbit — is rejected. Any framing violation,
+// non-minimal varint or numbering mismatch is an error; a
+// partially-imported interner is never returned.
 func ImportInterner(data []byte) (*Interner, error) {
 	r := &blobReader{data: data}
 	in := NewInterner()
@@ -137,13 +150,7 @@ func ImportInterner(data []byte) (*Interner, error) {
 		if len(key) == 0 {
 			return nil, fmt.Errorf("ptg: interner import: empty key at cone %d", i)
 		}
-		if in.grp == nil {
-			if c := in.intern(key, 1); c != int32(i) {
-				return nil, fmt.Errorf("ptg: interner import: key %d re-interned as cone %d (duplicate key?)", i, c)
-			}
-			continue
-		}
-		if err := in.importCanonical(key, int32(i)); err != nil {
+		if err := in.importKey(key, int32(i)); err != nil {
 			return nil, fmt.Errorf("ptg: interner import: key %d: %w", i, err)
 		}
 	}
@@ -174,17 +181,24 @@ func (r *blobReader) group() ([][]int, error) {
 	return perms, nil
 }
 
-// importCanonical re-interns one key of an orbit-canonical export as cone
-// c. The key is decoded strictly and requested through orbitLeaf/orbitNode;
-// it is accepted only when that stores it fresh as cone c with coset label
-// 0 — i.e. the key is the least relabeling of its cone, so the stored key
-// is byte-identical to the imported one — and the stabilizer is re-derived
-// on the way.
-func (in *Interner) importCanonical(key []byte, c int32) error {
+// importKey re-interns one exported key as cone c. The key is decoded
+// strictly — tag 'L' or 'N', minimal varints, an owner (and on an
+// orbit-canonical interner every q) inside the group's process range, q
+// below 64 and strictly ascending, and every child an ID the interner
+// handed out before cone c — and requested through Leaf or Node. It is
+// accepted only when that stores it fresh as cone c with coset label 0,
+// which re-encodes it byte-identically: on an orbit-canonical interner
+// this means the key is the least relabeling of its cone, and the
+// stabilizer is re-derived on the way.
+func (in *Interner) importKey(key []byte, c int32) error {
 	g := in.grp
+	m, nProcs := int32(1), uint64(graph.MaxNodes)
+	if g != nil {
+		m, nProcs = int32(g.m), uint64(g.n)
+	}
 	r := &blobReader{data: key[1:]}
 	p, ok := r.uvarint()
-	if !ok || p >= uint64(g.n) {
+	if !ok || (g != nil && p >= nProcs) {
 		return errors.New("bad owner")
 	}
 	var id ViewID
@@ -194,32 +208,34 @@ func (in *Interner) importCanonical(key []byte, c int32) error {
 		if k <= 0 || (k > 1 && r.data[k-1] == 0) || k != len(r.data) {
 			return errors.New("bad leaf input")
 		}
-		id = in.orbitLeaf(int(p), int(v))
+		id = in.Leaf(int(p), int(v))
 	case 'N':
-		var qs []int
-		var children []ViewID
-		bound := uint64(c) * uint64(g.m)
+		var mask uint64
+		var row [graph.MaxNodes]ViewID
+		bound := uint64(c) * uint64(m)
 		for len(r.data) > 0 {
 			q, ok1 := r.uvarint()
 			child, ok2 := r.uvarint()
-			if !ok1 || !ok2 || q >= uint64(g.n) || (len(qs) > 0 && int(q) <= qs[len(qs)-1]) || child >= bound {
+			if !ok1 || !ok2 || q >= nProcs || mask>>q != 0 || child >= bound {
 				return errors.New("bad child pair")
 			}
 			// A child ID's coset label must be the least of its coset, as
 			// every ID the interner hands out is.
-			cc := int32(child) / int32(g.m)
-			if l := uint8(int32(child) - cc*int32(g.m)); g.cosetMin(l, in.stabs.get(cc)) != l {
-				return errors.New("child ID is not canonical")
+			if g != nil {
+				cc := int32(child) / m
+				if l := uint8(int32(child) - cc*m); g.cosetMin(l, in.stabs.get(cc)) != l {
+					return errors.New("child ID is not canonical")
+				}
 			}
-			qs = append(qs, int(q))
-			children = append(children, ViewID(child))
+			mask |= 1 << q
+			row[q] = ViewID(child)
 		}
-		id = in.orbitNode(int(p), qs, children)
+		id = in.Node(int(p), mask, row[:])
 	default:
 		return fmt.Errorf("unknown key tag %q", key[0])
 	}
-	if id != ViewID(c*int32(g.m)) {
-		return fmt.Errorf("not a fresh least relabeling (interned as %d, want %d)", id, c*int32(g.m))
+	if id != ViewID(c*m) {
+		return fmt.Errorf("not a fresh canonical key (interned as %d, want %d)", id, c*m)
 	}
 	return nil
 }

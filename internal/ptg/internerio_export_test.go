@@ -12,7 +12,7 @@ import (
 	"topocon/internal/ma"
 )
 
-// sortedExport is the reference export: every shard's entries below the
+// sortedExport is the reference export: every shard's records below the
 // cone count, sorted by cone index, in Export's blob layout.
 func sortedExport(in *Interner) []byte {
 	count := in.next.Load()
@@ -23,10 +23,14 @@ func sortedExport(in *Interner) []byte {
 	var all []exported
 	for si := range in.shards {
 		sh := &in.shards[si]
-		for _, e := range sh.entries {
-			if e.c < count {
-				all = append(all, exported{c: e.c, key: sh.arena[e.off : e.off+e.klen]})
+		for rest := sh.arena; len(rest) > 0; {
+			klen, k := binary.Uvarint(rest)
+			key := rest[k : k+int(klen)]
+			c := int32(binary.LittleEndian.Uint32(rest[k+int(klen):]))
+			if c < count {
+				all = append(all, exported{c: c, key: key})
 			}
+			rest = rest[k+int(klen)+4:]
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].c < all[j].c })

@@ -353,24 +353,28 @@ func (in *Interner) orbitLeaf(p, x int) ViewID {
 // its orbit's least process compete (the owner is compared first).
 //
 //topocon:allocfree
-func (in *Interner) orbitNode(p int, qs []int, children []ViewID) ViewID {
+func (in *Interner) orbitNode(p int, mask uint64, row []ViewID) ViewID {
 	g := in.grp
 	m := int32(g.m)
-	deg := len(children)
-	// Each child's stored cone, coset label and stabilizer, read once and
-	// reused by every relabeling.
+	// Each child's process, stored cone, coset label and stabilizer, read
+	// once and reused by every relabeling.
 	var (
-		cc [maxOrbitProcs]int32
-		cl [maxOrbitProcs]uint8
-		cs [maxOrbitProcs]uint64
+		qs  [maxOrbitProcs]int
+		cc  [maxOrbitProcs]int32
+		cl  [maxOrbitProcs]uint8
+		cs  [maxOrbitProcs]uint64
+		deg int
 	)
-	for i, id := range children {
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		q := bits.TrailingZeros64(rest)
+		id := row[q]
 		if id < 0 {
 			return -1 // a child that hit the ID cap
 		}
 		c := int32(id) / m
-		cc[i], cl[i] = c, uint8(int32(id)-c*m)
-		cs[i] = in.stabs.get(c)
+		qs[deg], cc[deg], cl[deg] = q, c, uint8(int32(id)-c*m)
+		cs[deg] = in.stabs.get(c)
+		deg++
 	}
 	// A candidate entry packs (σ_k(q), child ID) as q<<32 | id, so integer
 	// order is the pair order; entries are insertion-sorted by σ_k(q).
@@ -380,9 +384,9 @@ func (in *Interner) orbitNode(p int, qs []int, children []ViewID) ViewID {
 	for rest := g.toLeast[p]; rest != 0; rest &= rest - 1 {
 		k := bits.TrailingZeros64(rest)
 		perm := g.perms[k]
-		row := g.mul[k*g.m : (k+1)*g.m]
+		mul := g.mul[k*g.m : (k+1)*g.m]
 		for i, q := range qs[:deg] {
-			e := row[cl[i]]
+			e := mul[cl[i]]
 			if cs[i] != 1 {
 				e = g.cosetMin(e, cs[i])
 			}

@@ -158,7 +158,7 @@ func TestOrbitInternerIDCap(t *testing.T) {
 	if err := in.Err(); !errors.Is(err, ErrIDSpace) {
 		t.Fatalf("Err() = %v, want ErrIDSpace", err)
 	}
-	if id := in.Node(0, []int{0, 1}, []ViewID{last, -1}); id != -1 {
+	if id := in.Node(0, 0b11, []ViewID{last, -1}); id != -1 {
 		t.Fatalf("node over an overflowed child: id %d, want -1", id)
 	}
 	if in.Leaf(0, 4) != last {
@@ -180,12 +180,11 @@ func TestOrbitInternerRepeatInternAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := []int{0, 1, 2, 3}
-	children := []ViewID{in.Leaf(0, 0), in.Leaf(1, 1), in.Leaf(2, 0), in.Leaf(3, 1)}
-	node := in.Node(0, qs, children)
+	row := []ViewID{in.Leaf(0, 0), in.Leaf(1, 1), in.Leaf(2, 0), in.Leaf(3, 1)}
+	node := in.Node(0, 0b1111, row)
 	leaf := in.Leaf(2, 1)
 	if avg := testing.AllocsPerRun(200, func() {
-		if in.Leaf(2, 1) != leaf || in.Node(0, qs, children) != node {
+		if in.Leaf(2, 1) != leaf || in.Node(0, 0b1111, row) != node {
 			t.Fatal("intern identity broken")
 		}
 	}); avg != 0 {

@@ -2,6 +2,7 @@ package ptg
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"topocon/internal/graph"
@@ -89,22 +90,13 @@ func (v *Views) Extend(g graph.Graph) {
 	prevHeard := v.heard[len(v.heard)-1]
 	ids := make([]ViewID, v.n)
 	heard := make([]uint64, v.n)
-	qs := make([]int, 0, v.n)
-	children := make([]ViewID, 0, v.n)
 	for p := 0; p < v.n; p++ {
-		qs = qs[:0]
-		children = children[:0]
 		var h uint64
 		in := g.In(p)
-		for q := 0; q < v.n; q++ {
-			if in&(1<<uint(q)) == 0 {
-				continue
-			}
-			qs = append(qs, q)
-			children = append(children, prevIDs[q])
-			h |= prevHeard[q]
+		for m := in; m != 0; m &= m - 1 {
+			h |= prevHeard[bits.TrailingZeros64(m)]
 		}
-		ids[p] = v.interner.Node(p, qs, children)
+		ids[p] = v.interner.Node(p, in, prevIDs)
 		heard[p] = h
 	}
 	v.ids = append(v.ids, ids)

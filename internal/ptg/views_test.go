@@ -30,15 +30,16 @@ func TestInternerNodeConsistency(t *testing.T) {
 	in := NewInterner()
 	l0 := in.Leaf(0, 0)
 	l1 := in.Leaf(1, 0)
-	a := in.Node(0, []int{0, 1}, []ViewID{l0, l1})
-	b := in.Node(0, []int{0, 1}, []ViewID{l0, l1})
+	row := []ViewID{l0, l1}
+	a := in.Node(0, 0b11, row)
+	b := in.Node(0, 0b11, row)
 	if a != b {
 		t.Error("identical nodes interned to different IDs")
 	}
-	if c := in.Node(0, []int{0}, []ViewID{l0}); c == a {
+	if c := in.Node(0, 0b01, row); c == a {
 		t.Error("different child sets interned to the same ID")
 	}
-	if c := in.Node(1, []int{0, 1}, []ViewID{l0, l1}); c == a {
+	if c := in.Node(1, 0b11, row); c == a {
 		t.Error("different owners interned to the same ID")
 	}
 }

@@ -143,15 +143,13 @@ func (f *FullInfo) viewID(in *ptg.Interner) ptg.ViewID {
 			out = in.Leaf(node.Proc, f.inputs[node.Proc])
 		} else {
 			mask := f.inEdges[node]
-			qs := make([]int, 0, f.n)
-			children := make([]ptg.ViewID, 0, f.n)
+			row := make([]ptg.ViewID, f.n)
 			for q := 0; q < f.n; q++ {
 				if mask&(1<<uint(q)) != 0 {
-					qs = append(qs, q)
-					children = append(children, id(ptg.TimeNode{Proc: q, Time: node.Time - 1}))
+					row[q] = id(ptg.TimeNode{Proc: q, Time: node.Time - 1})
 				}
 			}
-			out = in.Node(node.Proc, qs, children)
+			out = in.Node(node.Proc, mask, row)
 		}
 		memo[node] = out
 		return out

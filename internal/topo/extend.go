@@ -131,9 +131,8 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	}
 	interner := s.Interner
 	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
-		// Per-worker scratch — the in-mask memo and the pair lists for
-		// Interner.Node — pooled across chunks and rounds, so the per-child
-		// allocation count is 0.
+		// Per-worker scratch — the in-mask memo — pooled across chunks and
+		// rounds, so the per-child allocation count is 0.
 		sc := extendScratchPool.Get().(*extendScratch)
 		width := min(widest, memoWidth)
 		sc.acquire(n, width)
@@ -169,15 +168,11 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 						dstIDs[p], dstHeard[p] = o.id, o.heard
 						continue
 					}
-					qs, children := sc.qs[:0], sc.children[:0]
 					var h uint64
 					for m := in; m != 0; m &= m - 1 {
-						q := bits.TrailingZeros64(m)
-						qs = append(qs, q)
-						children = append(children, prevIDs[q])
-						h |= prevHeard[q]
+						h |= prevHeard[bits.TrailingZeros64(m)]
 					}
-					id := interner.Node(p, qs, children)
+					id := interner.Node(p, in, prevIDs)
 					dstIDs[p], dstHeard[p] = id, h
 					if k := seen[p]; k < width {
 						ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
@@ -235,9 +230,6 @@ type extendScratch struct {
 	seen []int
 	ins  []uint64
 	outs []memoOut
-	// Pair-list scratch for Interner.Node.
-	qs       [graph.MaxNodes]int
-	children [graph.MaxNodes]ptg.ViewID
 }
 
 // memoOut is the child view and heard word an in-mask produced under the

@@ -294,16 +294,11 @@ func extendOneReference(s *Space) *Space {
 				}
 			}
 			for p := 0; p < n; p++ {
-				var qs []int
-				var children []ptg.ViewID
 				var h uint64
 				for m := g.In(p); m != 0; m &= m - 1 {
-					q := bits.TrailingZeros64(m)
-					qs = append(qs, q)
-					children = append(children, prevIDs[q])
-					h |= prevHeard[q]
+					h |= prevHeard[bits.TrailingZeros64(m)]
 				}
-				nf.ids = append(nf.ids, s.Interner.Node(p, qs, children))
+				nf.ids = append(nf.ids, s.Interner.Node(p, g.In(p), prevIDs))
 				nf.heard = append(nf.heard, h)
 			}
 			state := adv.Step(s.states[i], g)

@@ -27,6 +27,12 @@
 // under -count N every run of either side lies within that distance of
 // its own median, so a smaller move is not told apart from noise.
 // Benchmarks present on one side only are listed as "new" or "gone".
+//
+// With -pair, benchjson instead runs two compiled test binaries, the
+// parent's and the change's, alternately for -rounds rounds under one
+// -bench regex and prints a paired table (see pair.go):
+//
+//	benchjson -pair OLD.test NEW.test -bench 'BenchmarkExtendQuotient' -rounds 10
 package main
 
 import (
@@ -84,14 +90,36 @@ type Document struct {
 func main() {
 	out := flag.String("o", "", "output file (default stdout, or none with -compare)")
 	prev := flag.String("compare", "", "earlier benchjson document to compare with")
-	flag.Parse()
+	pair := flag.Bool("pair", false, "alternate the test binaries OLD and NEW (the two arguments)")
+	bench := flag.String("bench", ".", "with -pair: the -test.bench regex")
+	benchtime := flag.String("benchtime", "1s", "with -pair: the -test.benchtime of each run")
+	rounds := flag.Int("rounds", 10, "with -pair: rounds, each running both binaries once")
+	args := parseInterleaved(os.Args[1:])
+
+	if *pair {
+		if len(args) != 2 || *rounds < 1 {
+			fail(fmt.Errorf("-pair wants two test binaries and -rounds ≥ 1"))
+		}
+		runArgs := []string{"-test.run", "^$", "-test.bench", *bench, "-test.benchtime", *benchtime}
+		series, err := runPair(args[0], args[1], runArgs, *rounds, execBinary)
+		if err != nil {
+			fail(err)
+		}
+		if len(series) == 0 {
+			fail(fmt.Errorf("no benchmark ran on both sides in every round"))
+		}
+		if err := writePairTable(os.Stdout, series); err != nil {
+			fail(err)
+		}
+		return
+	}
 
 	var in io.Reader
-	if flag.NArg() == 0 {
+	if len(args) == 0 {
 		in = os.Stdin
 	} else {
-		readers := make([]io.Reader, 0, flag.NArg())
-		for _, path := range flag.Args() {
+		readers := make([]io.Reader, 0, len(args))
+		for _, path := range args {
 			f, err := os.Open(path)
 			if err != nil {
 				fail(err)
@@ -211,6 +239,20 @@ func writeComparison(w io.Writer, cmp []Comparison) error {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", r.Pkg, r.Name, oldNs, newNs, change, spread, c.Flag)
 	}
 	return tw.Flush()
+}
+
+// parseInterleaved parses the command line's flags wherever they stand
+// among the positional arguments, which it returns.
+func parseInterleaved(args []string) []string {
+	var pos []string
+	for {
+		_ = flag.CommandLine.Parse(args) // ExitOnError: a bad flag exits
+		args = flag.Args()
+		if len(args) == 0 {
+			return pos
+		}
+		pos, args = append(pos, args[0]), args[1:]
+	}
 }
 
 func fail(err error) {

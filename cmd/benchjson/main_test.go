@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -160,5 +161,80 @@ func TestCompareFlagsOnlyOutsideCombinedSpread(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "+25.0%") || !strings.Contains(out.String(), "slower") {
 		t.Errorf("table lacks the slower row:\n%s", out.String())
+	}
+}
+
+// TestQuartilesMatchSpreadPy pins quartiles to Python's
+// statistics.quantiles(n=4), which topobench/spread.py reports.
+func TestQuartilesMatchSpreadPy(t *testing.T) {
+	for _, c := range []struct {
+		xs        []float64
+		q1, m, q3 float64
+	}{
+		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 2.75, 5.5, 8.25},
+		{[]float64{3, 1, 2}, 1, 2, 3},
+		{[]float64{5, 9}, 4, 7, 10},
+		{[]float64{4}, 4, 4, 4},
+	} {
+		if q1, m, q3 := quartiles(c.xs); q1 != c.q1 || m != c.m || q3 != c.q3 {
+			t.Errorf("quartiles(%v) = %v %v %v, want %v %v %v", c.xs, q1, m, q3, c.q1, c.m, c.q3)
+		}
+	}
+}
+
+// TestPairAlternatesAndTabulates runs the pair mode over canned outputs:
+// the old binary runs first in odd rounds, a benchmark one side lacks is
+// dropped, and the table reports quartiles, wins and the IQR reading.
+func TestPairAlternatesAndTabulates(t *testing.T) {
+	const rounds = 4
+	oldNs := []float64{100, 104, 96, 102}
+	newNs := []float64{90, 95, 97, 88}
+	var order []string
+	run := func(bin string, args []string) ([]byte, error) {
+		if strings.Join(args, " ") != "-test.bench X" {
+			t.Fatalf("args %q", args)
+		}
+		r := len(order) / 2
+		order = append(order, bin)
+		ns := oldNs[r]
+		extra := "BenchmarkOnlyOld-2 \t 10\t 5 ns/op\n"
+		if bin == "new.test" {
+			ns, extra = newNs[r], ""
+		}
+		return []byte(fmt.Sprintf("pkg: topocon\nBenchmarkX/quotient-2 \t 10\t %g ns/op\n%sPASS\n", ns, extra)), nil
+	}
+	series, err := runPair("old.test", "new.test", []string{"-test.bench", "X"}, rounds, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "old.test new.test new.test old.test old.test new.test new.test old.test"; strings.Join(order, " ") != want {
+		t.Fatalf("run order %v, want %s", order, want)
+	}
+	if len(series) != 1 || series[0].Name != "BenchmarkX/quotient-2" || series[0].Pkg != "topocon" {
+		t.Fatalf("series %+v", series)
+	}
+	var buf strings.Builder
+	if err := writePairTable(&buf, series); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("table:\n%s", buf.String())
+	}
+	// Old 96/100/102/104: Q1 97, median 101, Q3 103.5 (IQR 6.5); new
+	// 88/90/95/97: Q1 88.5, median 92.5, Q3 96.5. The new side wins three
+	// rounds (97 > 96 in the third), and the 8.5 gap exceeds the IQR.
+	for _, want := range []string{"97 / 101 / 103.5", "88.5 / 92.5 / 96.5", "-8.4%", "3/4", "yes"} {
+		if !strings.Contains(lines[1], want) {
+			t.Errorf("row %q lacks %q", lines[1], want)
+		}
+	}
+	series[0].New = []float64{99, 101, 103, 100}
+	buf.Reset()
+	if err := writePairTable(&buf, series); err != nil {
+		t.Fatal(err)
+	}
+	if row := strings.Split(strings.TrimSpace(buf.String()), "\n")[1]; !strings.HasSuffix(row, "no") {
+		t.Errorf("a gap inside the old IQR reads resolved: %q", row)
 	}
 }

@@ -46,7 +46,8 @@ type Config struct {
 
 // Stats is a snapshot of the pager counters.
 type Stats struct {
-	// PagesWritten counts Put calls that persisted a new page file.
+	// PagesWritten counts the page files Put and Persist wrote; a call
+	// that found the file already on disk does not count.
 	PagesWritten int64 `json:"pagesWritten"`
 	// PagesSpilled counts evictions of resident pages from the hot set.
 	PagesSpilled int64 `json:"pagesSpilled"`
@@ -197,15 +198,32 @@ func minimalUvarint(b []byte, k int) bool {
 // it must drop the owner's decoded copy so the next access faults. Put on
 // an already-registered id is a programming error.
 func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
-	if err := pg.persist(id, payload); err != nil {
+	wrote, err := pg.persist(id, payload)
+	if err != nil {
 		return err
 	}
+	return pg.register(id, int64(len(payload)), onEvict, wrote)
+}
+
+// Register registers the page file a Persist of size payload bytes wrote
+// for id as resident, exactly as Put of that payload would, without
+// re-encoding or rewriting it.
+func (pg *Pager) Register(id string, size int64, onEvict func()) error {
+	if err := validID(id); err != nil {
+		return err
+	}
+	return pg.register(id, size, onEvict, false)
+}
+
+// register adds a resident entry; wrote says whether the caller just wrote
+// the page file, which counts it in PagesWritten.
+func (pg *Pager) register(id string, size int64, onEvict func(), wrote bool) error {
 	pg.mu.Lock()
 	if _, ok := pg.entries[id]; ok {
 		pg.mu.Unlock()
 		return fmt.Errorf("pager: page %q already registered", id)
 	}
-	e := &entry{id: id, size: int64(len(payload)), resident: true, onEvict: onEvict}
+	e := &entry{id: id, size: size, resident: true, onEvict: onEvict}
 	pg.entries[id] = e
 	pg.pushFront(e)
 	pg.hotBytes += e.size
@@ -213,7 +231,9 @@ func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
 		pg.peakHotBytes = pg.hotBytes
 	}
 	pg.diskBytes += e.size
-	pg.written++
+	if wrote {
+		pg.written++
+	}
 	evicted := pg.evictOverBudget(e)
 	pg.mu.Unlock()
 	runEvicts(evicted)
@@ -221,31 +241,34 @@ func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
 }
 
 // persist writes the framed page file atomically (fsx.AtomicWrite: temp
-// sibling, sync, rename). An existing file for the id is left untouched:
-// page ids name rounds, and a round a resumed session re-registers has the
-// bytes its checkpoint referenced. Pages a checkpoint does not reference
-// must be moved aside before the session runs (QuarantineUnlisted), or a
-// re-extended round would be served from an older run's file.
-func (pg *Pager) persist(id string, payload []byte) error {
+// sibling, sync, rename) and reports whether it wrote one. An existing
+// file for the id is left untouched: page ids name rounds, and a round a
+// resumed session re-registers has the bytes its checkpoint referenced.
+// Pages a checkpoint does not reference must be moved aside before the
+// session runs (QuarantineUnlisted), or a re-extended round would be
+// served from an older run's file.
+func (pg *Pager) persist(id string, payload []byte) (bool, error) {
 	if err := validID(id); err != nil {
-		return err
+		return false, err
 	}
 	path := pg.pagePath(id)
 	if _, err := os.Stat(path); err == nil {
-		return nil
+		return false, nil
 	}
 	if err := fsx.AtomicWrite(path, encodePage(id, payload), 0o644); err != nil {
-		return fmt.Errorf("pager: write page %q: %w", id, err)
+		return false, fmt.Errorf("pager: write page %q: %w", id, err)
 	}
-	return nil
+	return true, nil
 }
 
 // Persist writes a page file without registering it in the hot set. It is
 // the checkpoint path for pages whose owner keeps them unconditionally
 // resident (the head frontier round): the file makes the page restorable,
-// and a later Put of the same id registers it without rewriting.
+// and a later Register of the same id (or Put, which skips the write)
+// registers it without rewriting.
 func (pg *Pager) Persist(id string, payload []byte) error {
-	if err := pg.persist(id, payload); err != nil {
+	wrote, err := pg.persist(id, payload)
+	if err != nil || !wrote {
 		return err
 	}
 	pg.mu.Lock()

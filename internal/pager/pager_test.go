@@ -37,6 +37,42 @@ func TestPutFaultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistedPageCountsOneWrite: a page Persist wrote is one file and one
+// write, whether it is then registered with Register or handed to Put
+// (whose write the existing file skips), and both register it alike.
+func TestPersistedPageCountsOneWrite(t *testing.T) {
+	payload := []byte("the checkpointed head round")
+	for _, viaPut := range []bool{false, true} {
+		pg := newTestPager(t, 0)
+		if err := pg.Persist("r1", payload); err != nil {
+			t.Fatalf("Persist: %v", err)
+		}
+		var err error
+		if viaPut {
+			err = pg.Put("r1", payload, nil)
+		} else {
+			err = pg.Register("r1", int64(len(payload)), nil)
+		}
+		if err != nil {
+			t.Fatalf("register (Put %v): %v", viaPut, err)
+		}
+		files, _ := filepath.Glob(filepath.Join(pg.Dir(), "*.page"))
+		st := pg.Stats()
+		if len(files) != 1 || st.PagesWritten != 1 {
+			t.Fatalf("Put %v: %d page files, %d written; want 1 and 1", viaPut, len(files), st.PagesWritten)
+		}
+		if st.HotBytes != int64(len(payload)) || st.DiskBytes != int64(len(payload)) || st.TotalPages != 1 {
+			t.Fatalf("Put %v: stats %+v", viaPut, st)
+		}
+		if got, err := pg.Fault("r1", nil); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Put %v: Fault = %q, %v", viaPut, got, err)
+		}
+		if err := pg.Register("r1", 1, nil); err == nil {
+			t.Fatal("Register of a registered page succeeded")
+		}
+	}
+}
+
 func TestBudgetEvictsLRU(t *testing.T) {
 	pg := newTestPager(t, 25)
 	evicted := map[string]bool{}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"topocon/internal/graph"
 )
@@ -18,10 +16,11 @@ import (
 // (σ(p), t) and keeps leaf inputs. An interner given the group by
 // AdoptGroup stores one cone per orbit:
 //
-//   - Leaf and Node compute the requested cone's |G| relabelings from the
-//     children's IDs, pick the least one C (owner first, then the sorted
-//     (process, child ID) pairs), and intern only C — its stored index c
-//     is dense, so Size() counts orbits;
+//   - Leaf and Node find the least C of the requested cone's |G|
+//     relabelings (owner first, then the sorted (process, child ID)
+//     pairs; Node prunes the candidates position by position rather than
+//     building each one, see orbitNodeKey) and intern only C — its stored
+//     index c is dense, so Size() counts orbits;
 //   - C's stabilizer Stab(C) = {h : σ_h·C = C} is recorded as a bitmask;
 //   - the returned ID is c·|G| + ℓ, where ℓ is the least element of the
 //     coset {g : σ_g·C = requested cone} = ℓ·Stab(C).
@@ -58,6 +57,10 @@ type orbitGroup struct {
 	// can be a cone's least relabeling.
 	least   []int
 	toLeast []uint64
+	// pinv[k*n+r] is σ_k⁻¹(r), the process element k maps to r.
+	pinv []uint8
+	// full is the mask of the whole group.
+	full uint64
 }
 
 // newOrbitGroup validates perms as a permutation group with the identity
@@ -111,6 +114,12 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 		m: m, n: n, perms: perms,
 		inv: make([]uint8, m), mul: make([]uint8, m*m),
 		least: make([]int, n), toLeast: make([]uint64, n),
+		pinv: make([]uint8, m*n), full: ^uint64(0) >> uint(64-m),
+	}
+	for k, perm := range perms {
+		for p, q := range perm {
+			g.pinv[k*n+q] = uint8(p)
+		}
 	}
 	comp := make([]int, n)
 	for a := 0; a < m; a++ {
@@ -163,8 +172,15 @@ func (g *orbitGroup) equal(perms [][]int) bool {
 }
 
 // cosetMin returns the least element of the coset e·H, where H is the
-// subgroup with bitmask stab (which always holds the identity).
+// subgroup with bitmask stab (which always holds the identity): e itself
+// when H = {e}, and element 0 when H is the whole group.
 func (g *orbitGroup) cosetMin(e uint8, stab uint64) uint8 {
+	switch stab {
+	case 1:
+		return e
+	case g.full:
+		return 0
+	}
 	best := e
 	row := g.mul[int(e)*g.m : int(e+1)*g.m]
 	for rest := stab &^ 1; rest != 0; rest &= rest - 1 {
@@ -191,58 +207,6 @@ func (g *orbitGroup) orbitLabel(arg uint64, star int) (stab uint64, l uint8) {
 		}
 	}
 	return stab, l
-}
-
-// stabChunkBits sizes the stabilizer table's chunks (4096 masks, 32 KiB).
-const stabChunkBits = 12
-
-type stabChunk [1 << stabChunkBits]uint64
-
-// stabTable maps stored-cone indices to stabilizer masks. Chunks never
-// move once allocated, and the chunk directory is swapped atomically, so
-// readers take no lock: a cone's mask is written under its shard lock
-// before the cone's index is handed to anyone.
-type stabTable struct {
-	mu  sync.Mutex
-	dir atomic.Pointer[[]*stabChunk]
-}
-
-func (t *stabTable) get(c int32) uint64 {
-	return (*t.dir.Load())[c>>stabChunkBits][c&(1<<stabChunkBits-1)]
-}
-
-func (t *stabTable) set(c int32, stab uint64) {
-	ci := int(c >> stabChunkBits)
-	d := t.dir.Load()
-	if d == nil || ci >= len(*d) {
-		d = t.grow(ci)
-	}
-	(*d)[ci][c&(1<<stabChunkBits-1)] = stab
-}
-
-// grow makes chunk ci addressable. Chunks are appended within spare
-// directory capacity (readers of the old directory never index them) and
-// the directory is reallocated only when that capacity runs out.
-func (t *stabTable) grow(ci int) *[]*stabChunk {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var dir []*stabChunk
-	if d := t.dir.Load(); d != nil {
-		dir = *d
-	}
-	if ci < len(dir) {
-		return t.dir.Load()
-	}
-	if ci >= cap(dir) {
-		grown := make([]*stabChunk, len(dir), 2*(ci+1))
-		copy(grown, dir)
-		dir = grown
-	}
-	for len(dir) <= ci {
-		dir = append(dir, new(stabChunk))
-	}
-	t.dir.Store(&dir)
-	return &dir
 }
 
 // AdoptGroup makes an empty plain interner orbit-canonical under the
@@ -318,10 +282,7 @@ func (in *Interner) Relabel(id ViewID, k int) ViewID {
 	}
 	m := int32(g.m)
 	c := int32(id) / m
-	e := g.mul[k*g.m+int(int32(id)-c*m)]
-	if st := in.stabs.get(c); st != 1 {
-		e = g.cosetMin(e, st)
-	}
+	e := g.cosetMin(g.mul[k*g.m+int(int32(id)-c*m)], in.stabs.get(c))
 	return ViewID(c*m + int32(e))
 }
 
@@ -346,91 +307,87 @@ func (in *Interner) orbitLeaf(p, x int) ViewID {
 	return ViewID(c*int32(g.m) + int32(l))
 }
 
-// orbitNode is Node on an orbit-canonical interner. The relabeling of the
-// node by element k is the node of σ_k(p) whose children are the children
-// relabeled by k, re-slotted at σ_k(q); candidates are compared as the
-// ascending (σ_k(q), child ID) sequence, and only elements that map p to
-// its orbit's least process compete (the owner is compared first).
+// orbitNode is Node on an orbit-canonical interner: it interns the key
+// orbitNodeKey picks.
 //
 //topocon:allocfree
 func (in *Interner) orbitNode(p int, mask uint64, row []ViewID) ViewID {
+	var stack [nodeKeyStackSize]byte
+	key, arg, ok := in.orbitNodeKey(stack[:0], p, mask, row)
+	if !ok {
+		return -1
+	}
+	g := in.grp
+	stab, l := g.orbitLabel(arg, bits.TrailingZeros64(arg))
+	c := in.intern(key, stab)
+	if c < 0 {
+		return -1
+	}
+	return ViewID(c*int32(g.m) + int32(l))
+}
+
+// orbitNodeKey appends to buf the key of the least relabeling of the node
+// of p over the masked children in row, and returns the set arg of the
+// elements that map the node to it; ok is false when a child has no ID.
+// The relabeling by element k is the node of σ_k(p) whose children are the
+// children relabeled by k, re-slotted at σ_k(q); relabelings compare as
+// their ascending (σ_k(q), child ID) sequences, and only elements that map
+// p to its orbit's least process compete.
+//
+// The candidates are pruned position by position instead of enumerated:
+// at image process r = 0, 1, … a candidate k has the pair
+// (r, relabel_k(row[σ_k⁻¹(r)])) when σ_k⁻¹(r) is masked. Every surviving
+// candidate agrees on all pairs before r, so one with a pair at r is less
+// than one without (whose next pair sits at a larger process), and among
+// those with a pair the least relabeled ID is least. Survivors keep only
+// those; ties survive. This is the lexicographic order over the same
+// sequences, so the key and arg are those of enumerating every candidate.
+//
+//topocon:allocfree
+func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID) (key []byte, arg uint64, ok bool) {
 	g := in.grp
 	m := int32(g.m)
-	// Each child's process, stored cone, coset label and stabilizer, read
-	// once and reused by every relabeling.
+	// Each child's stored cone, coset label and stabilizer, indexed by
+	// process and read once for every candidate.
 	var (
-		qs  [maxOrbitProcs]int
-		cc  [maxOrbitProcs]int32
-		cl  [maxOrbitProcs]uint8
-		cs  [maxOrbitProcs]uint64
-		deg int
+		cc [maxOrbitProcs]int32
+		cl [maxOrbitProcs]uint8
+		cs [maxOrbitProcs]uint64
 	)
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		q := bits.TrailingZeros64(rest)
 		id := row[q]
 		if id < 0 {
-			return -1 // a child that hit the ID cap
+			return buf, 0, false // a child that hit the ID cap
 		}
 		c := int32(id) / m
-		qs[deg], cc[deg], cl[deg] = q, c, uint8(int32(id)-c*m)
-		cs[deg] = in.stabs.get(c)
-		deg++
+		cc[q], cl[q], cs[q] = c, uint8(int32(id)-c*m), in.stabs.get(c)
 	}
-	// A candidate entry packs (σ_k(q), child ID) as q<<32 | id, so integer
-	// order is the pair order; entries are insertion-sorted by σ_k(q).
-	var best, cand [maxOrbitProcs]uint64
-	var arg uint64
-	star := -1
-	for rest := g.toLeast[p]; rest != 0; rest &= rest - 1 {
-		k := bits.TrailingZeros64(rest)
-		perm := g.perms[k]
-		mul := g.mul[k*g.m : (k+1)*g.m]
-		for i, q := range qs[:deg] {
-			e := mul[cl[i]]
-			if cs[i] != 1 {
-				e = g.cosetMin(e, cs[i])
-			}
-			x := uint64(perm[q])<<32 | uint64(cc[i]*m+int32(e))
-			j := i
-			for ; j > 0 && cand[j-1] > x; j-- {
-				cand[j] = cand[j-1]
-			}
-			cand[j] = x
-		}
-		cmp := -1
-		if star >= 0 {
-			cmp = 0
-			for i := 0; i < deg; i++ {
-				if cand[i] != best[i] {
-					if cand[i] < best[i] {
-						cmp = -1
-					} else {
-						cmp = 1
-					}
-					break
-				}
-			}
-		}
-		switch cmp {
-		case -1:
-			best = cand
-			arg, star = 1<<uint(k), k
-		case 0:
-			arg |= 1 << uint(k)
-		}
-	}
-	var stack [nodeKeyStackSize]byte
-	buf := stack[:0]
 	buf = append(buf, 'N')
 	buf = binary.AppendUvarint(buf, uint64(g.least[p]))
-	for _, e := range best[:deg] {
-		buf = binary.AppendUvarint(buf, e>>32)
-		buf = binary.AppendUvarint(buf, e&math.MaxUint32)
+	arg = g.toLeast[p]
+	for r := 0; r < g.n; r++ {
+		var has uint64
+		var least int32
+		for rest := arg; rest != 0; rest &= rest - 1 {
+			k := bits.TrailingZeros64(rest)
+			q := g.pinv[k*g.n+r]
+			if mask&(1<<q) == 0 {
+				continue
+			}
+			e := g.cosetMin(g.mul[k*g.m+int(cl[q])], cs[q])
+			switch id := cc[q]*m + int32(e); {
+			case has == 0 || id < least:
+				has, least = 1<<uint(k), id
+			case id == least:
+				has |= 1 << uint(k)
+			}
+		}
+		if has != 0 {
+			arg = has
+			buf = append(buf, byte(r)) // r < 16 is its own one-byte uvarint
+			buf = binary.AppendUvarint(buf, uint64(least))
+		}
 	}
-	stab, l := g.orbitLabel(arg, star)
-	c := in.intern(buf, stab)
-	if c < 0 {
-		return -1
-	}
-	return ViewID(c*m + int32(l))
+	return buf, arg, true
 }

@@ -2,7 +2,11 @@ package ptg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -304,4 +308,272 @@ func TestOrbitExportImportRoundTrip(t *testing.T) {
 			t.Errorf("%s: import succeeded", name)
 		}
 	}
+}
+
+// refOrbitNodeKey is the enumerate-and-sort canonicalization that
+// orbitNodeKey's position-by-position pruning replaced, kept as its
+// reference: it builds every candidate relabeling's (σ_k(q), child ID)
+// pairs, insertion-sorts them, keeps the least sequence and returns its
+// key and the elements reaching it. Coset minima are full scans.
+func refOrbitNodeKey(in *Interner, p int, mask uint64, row []ViewID) (key []byte, arg uint64, ok bool) {
+	g := in.grp
+	m := int32(g.m)
+	var (
+		qs  [maxOrbitProcs]int
+		cc  [maxOrbitProcs]int32
+		cl  [maxOrbitProcs]uint8
+		cs  [maxOrbitProcs]uint64
+		deg int
+	)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		q := bits.TrailingZeros64(rest)
+		id := row[q]
+		if id < 0 {
+			return nil, 0, false
+		}
+		c := int32(id) / m
+		qs[deg], cc[deg], cl[deg] = q, c, uint8(int32(id)-c*m)
+		cs[deg] = in.stabs.get(c)
+		deg++
+	}
+	// A candidate entry packs (σ_k(q), child ID) as q<<32 | id, so integer
+	// order is the pair order; entries are insertion-sorted by σ_k(q).
+	var best, cand [maxOrbitProcs]uint64
+	star := -1
+	for rest := g.toLeast[p]; rest != 0; rest &= rest - 1 {
+		k := bits.TrailingZeros64(rest)
+		perm := g.perms[k]
+		for i, q := range qs[:deg] {
+			e0 := g.mul[k*g.m+int(cl[i])]
+			e := e0
+			for h := cs[i]; h != 0; h &= h - 1 {
+				if x := g.mul[int(e0)*g.m+bits.TrailingZeros64(h)]; x < e {
+					e = x
+				}
+			}
+			x := uint64(perm[q])<<32 | uint64(cc[i]*m+int32(e))
+			j := i
+			for ; j > 0 && cand[j-1] > x; j-- {
+				cand[j] = cand[j-1]
+			}
+			cand[j] = x
+		}
+		cmp := -1
+		if star >= 0 {
+			cmp = 0
+			for i := 0; i < deg; i++ {
+				if cand[i] != best[i] {
+					if cand[i] < best[i] {
+						cmp = -1
+					} else {
+						cmp = 1
+					}
+					break
+				}
+			}
+		}
+		switch cmp {
+		case -1:
+			best = cand
+			arg, star = 1<<uint(k), k
+		case 0:
+			arg |= 1 << uint(k)
+		}
+	}
+	key = append(key, 'N')
+	key = binary.AppendUvarint(key, uint64(g.least[p]))
+	for _, e := range best[:deg] {
+		key = binary.AppendUvarint(key, e>>32)
+		key = binary.AppendUvarint(key, e&math.MaxUint32)
+	}
+	return key, arg, true
+}
+
+// checkOrbitNode compares orbitNodeKey with the reference on one request
+// — key bytes and the elements reaching the key — and then Node's ID and
+// the stored stabilizer with the reference key's.
+func checkOrbitNode(in *Interner, p int, mask uint64, row []ViewID) error {
+	wantKey, wantArg, wantOK := refOrbitNodeKey(in, p, mask, row)
+	key, arg, ok := in.orbitNodeKey(nil, p, mask, row)
+	if ok != wantOK || !bytes.Equal(key, wantKey) || arg != wantArg {
+		return fmt.Errorf("node (p=%d, mask=%b, row=%v): key %x, arg %b, ok %v; reference %x, %b, %v",
+			p, mask, row, key, arg, ok, wantKey, wantArg, wantOK)
+	}
+	if !ok {
+		return nil
+	}
+	g := in.grp
+	id := in.Node(p, mask, row)
+	stab, l := g.orbitLabel(wantArg, bits.TrailingZeros64(wantArg))
+	c := in.intern(wantKey, stab)
+	if want := ViewID(c*int32(g.m) + int32(l)); id != want || in.OrbitStab(int(c)) != stab {
+		return fmt.Errorf("node (p=%d, mask=%b, row=%v): id %d, stabilizer %b; reference %d, %b",
+			p, mask, row, id, in.OrbitStab(int(c)), want, stab)
+	}
+	return nil
+}
+
+// nodeCase is an interner with, per process q, a pool of IDs of views of
+// q to draw node rows from.
+type nodeCase struct {
+	name  string
+	in    *Interner
+	pools [][]ViewID
+}
+
+// newNodeCase fills an interner under perms (plain for a group of order
+// 1) with the views of random runs of adv, when given, and with three
+// layers of random nodes over every process's leaves, and pools them.
+func newNodeCase(tb testing.TB, name string, perms [][]int, adv *ma.Oblivious, rng *rand.Rand) nodeCase {
+	tb.Helper()
+	in, err := groupInterner(perms)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	n := len(perms[0])
+	pools := make([][]ViewID, n)
+	if adv != nil {
+		for run := 0; run < 12; run++ {
+			r := randomRun(rng, adv, rng.Intn(5))
+			v := ComputeViews(in, r)
+			for tt := 0; tt <= r.Rounds(); tt++ {
+				for q := 0; q < n; q++ {
+					pools[q] = append(pools[q], v.ID(tt, q))
+				}
+			}
+		}
+	}
+	for q := 0; q < n; q++ {
+		pools[q] = append(pools[q], in.Leaf(q, 0), in.Leaf(q, 1))
+	}
+	for layer := 0; layer < 3; layer++ {
+		var fresh [][2]int
+		for i := 0; i < 8*n; i++ {
+			p := rng.Intn(n)
+			mask := uint64(rng.Intn(1<<n)) | 1<<p
+			row := make([]ViewID, n)
+			for q := range row {
+				row[q] = pools[q][rng.Intn(len(pools[q]))]
+			}
+			fresh = append(fresh, [2]int{p, int(in.Node(p, mask, row))})
+		}
+		for _, f := range fresh {
+			pools[f[0]] = append(pools[f[0]], ViewID(f[1]))
+		}
+	}
+	return nodeCase{name: name, in: in, pools: pools}
+}
+
+// orbitNodeCases returns orbit-canonical node cases for lossy-star-4's
+// S₃, the automorphism groups of generated symmetric adversaries with
+// n ≤ 4, and the cyclic group of order 4 and S₄ on 4 processes.
+func orbitNodeCases(tb testing.TB) []nodeCase {
+	rng := rand.New(rand.NewSource(29))
+	star := advgen.LossyStar4()
+	cases := []nodeCase{newNodeCase(tb, "lossy-star-4", groupPerms(ma.Automorphisms(star)), star, rng)}
+	for i := 0; i < 6; i++ {
+		adv := advgen.SymmetricOblivious(rng, 2+i%3)
+		cases = append(cases, newNodeCase(tb, fmt.Sprintf("symmetric-%d", i), groupPerms(ma.Automorphisms(adv)), adv, rng))
+	}
+	cyclic := [][]int{{0, 1, 2, 3}, {1, 2, 3, 0}, {2, 3, 0, 1}, {3, 0, 1, 2}}
+	cases = append(cases, newNodeCase(tb, "cyclic-4", cyclic, nil, rng))
+	var sym4 [][]int
+	for _, perm := range permutations(4) {
+		sym4 = append(sym4, perm)
+	}
+	cases = append(cases, newNodeCase(tb, "symmetric-group-4", sym4, nil, rng))
+	return cases
+}
+
+// permutations lists the permutations of n points, the identity first.
+func permutations(n int) [][]int {
+	var out [][]int
+	var gen func(p []int, used int)
+	gen = func(p []int, used int) {
+		if len(p) == n {
+			out = append(out, append([]int(nil), p...))
+			return
+		}
+		for q := 0; q < n; q++ {
+			if used&(1<<q) == 0 {
+				gen(append(p, q), used|1<<q)
+			}
+		}
+	}
+	gen(nil, 0)
+	return out
+}
+
+// randomRow draws a node request of case c: an owner, an in-mask holding
+// it (self-only in about one request in four) and each masked child from
+// its process's pool.
+func (c nodeCase) randomRow(rng *rand.Rand) (p int, mask uint64, row []ViewID) {
+	n := len(c.pools)
+	p = rng.Intn(n)
+	mask = 1 << p
+	if rng.Intn(4) > 0 {
+		mask |= uint64(rng.Intn(1 << n))
+	}
+	row = make([]ViewID, n)
+	for q := range row {
+		row[q] = c.pools[q][rng.Intn(len(c.pools[q]))]
+	}
+	return p, mask, row
+}
+
+// TestOrbitNodeMatchesReference compares the pruned canonicalization with
+// the enumerate-and-sort reference on random rows of every orbit node
+// case: key bytes, the elements reaching the key, the returned ID and the
+// stored stabilizer. The cases must draw rows whose children have
+// nontrivial stabilizers, and rows where several candidates tie (neither
+// occurs under a group no element of which fixes a process).
+func TestOrbitNodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	stabbed, tied := 0, 0
+	for _, c := range orbitNodeCases(t) {
+		for i := 0; i < 2000; i++ {
+			p, mask, row := c.randomRow(rng)
+			if err := checkOrbitNode(c.in, p, mask, row); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			for rest := mask; rest != 0; rest &= rest - 1 {
+				if c.in.OrbitStab(int(row[bits.TrailingZeros64(rest)])/c.in.GroupOrder()) != 1 {
+					stabbed++
+					break
+				}
+			}
+			if _, arg, _ := c.in.orbitNodeKey(nil, p, mask, row); bits.OnesCount64(arg) > 1 {
+				tied++
+			}
+		}
+	}
+	if stabbed < 500 || tied < 500 {
+		t.Fatalf("%d rows with a stabilized child, %d with tied candidates; want 500 of each", stabbed, tied)
+	}
+}
+
+// FuzzOrbitNode compares the pruned canonicalization with the reference
+// on fuzzed requests: a node case, an owner, an in-mask and one byte per
+// masked child picking it from its process's pool.
+func FuzzOrbitNode(f *testing.F) {
+	cases := orbitNodeCases(f)
+	f.Add(uint8(0), uint8(0), uint16(0b1111), []byte{0, 1, 2, 3})
+	f.Add(uint8(0), uint8(2), uint16(0b0100), []byte{5})
+	f.Add(uint8(8), uint8(1), uint16(0b1011), []byte{1, 1, 1})
+	f.Fuzz(func(t *testing.T, ci, p uint8, mask uint16, picks []byte) {
+		c := cases[int(ci)%len(cases)]
+		n := len(c.pools)
+		owner, in := int(p)%n, uint64(mask)&(1<<n-1)
+		row := make([]ViewID, n)
+		for q := range row {
+			var b byte
+			if in&(1<<q) != 0 && len(picks) > 0 {
+				b, picks = picks[0], picks[1:]
+			}
+			row[q] = c.pools[q][int(b)%len(c.pools[q])]
+		}
+		if err := checkOrbitNode(c.in, owner, in, row); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	})
 }

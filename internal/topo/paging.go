@@ -38,7 +38,15 @@ func (f *frontier) spill(pg *pager.Pager) error {
 		return nil
 	}
 	id := roundPageID(f.horizon)
-	if err := pg.Put(id, f.encodeColumns(), f.evict); err != nil {
+	var err error
+	if f.pageBytes > 0 {
+		// A checkpoint (or the resume that restored it) already has the
+		// round's page on disk: register it, do not encode it again.
+		err = pg.Register(id, f.pageBytes, f.evict)
+	} else {
+		err = pg.Put(id, f.encodeColumns(), f.evict)
+	}
+	if err != nil {
 		return err
 	}
 	f.pg = pg
@@ -315,6 +323,7 @@ func (s *Space) SnapshotChain() ([]ChainRound, error) {
 			if err := s.pager.Persist(cr.PageID, payload); err != nil {
 				return nil, err
 			}
+			f.pageBytes = cr.Bytes
 		}
 		rounds[f.horizon-1] = cr
 	}
@@ -445,6 +454,8 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			f.pg = spec.Pager
 			f.pageID = cr.PageID
 			f.evict()
+		} else {
+			f.pageBytes = int64(len(payload)) // the head's page is on disk already
 		}
 		s = next
 	}

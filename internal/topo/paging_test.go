@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"topocon/internal/ma"
@@ -83,6 +86,65 @@ func TestPagedHotBudgetCeiling(t *testing.T) {
 	}
 	if st := pg.Stats(); st.PeakHotBytes > budget+maxPage {
 		t.Fatalf("peak hot bytes %d exceed budget %d + largest page %d", st.PeakHotBytes, budget, maxPage)
+	}
+}
+
+// TestSnapshottedHeadSpillsWithoutRewrite: the head round a checkpoint
+// persisted is registered, not encoded and written again, when the next
+// round makes it cold — every page file is written once, and its bytes are
+// the ones the checkpoint referenced.
+func TestSnapshottedHeadSpillsWithoutRewrite(t *testing.T) {
+	ctx := context.Background()
+	pg := newTestChainPager(t, 256)
+	s, err := BuildCtx(ctx, ma.LossyLink2(), 2, 3, Config{Pager: pg})
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	rounds := mustSnapshotChain(t, s)
+	head, err := os.ReadFile(filepath.Join(pg.Dir(), rounds[2].PageID+".page"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = s.Extend(ctx, 5); err != nil {
+		t.Fatalf("Extend: %v", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(pg.Dir(), "*.page"))
+	if st := pg.Stats(); st.PagesWritten != int64(len(files)) || len(files) != 4 {
+		t.Fatalf("%d page files, %d written; want 4 and 4", len(files), st.PagesWritten)
+	}
+	if size, ok := pg.SizeOf(rounds[2].PageID); !ok || size != rounds[2].Bytes {
+		t.Fatalf("head page registered with %d bytes (%v), checkpoint says %d", size, ok, rounds[2].Bytes)
+	}
+	if again, err := os.ReadFile(filepath.Join(pg.Dir(), rounds[2].PageID+".page")); err != nil || !bytes.Equal(again, head) {
+		t.Fatalf("head page file changed after the spill (err %v)", err)
+	}
+	if got := mustSnapshotChain(t, s); got[2] != rounds[2] {
+		t.Fatalf("head round reference %+v after the spill, %+v before", got[2], rounds[2])
+	}
+
+	// A resume restores round 3 as its head from the page on disk; its
+	// spill registers that page too, so only round 4 is written again.
+	pg2, err := pager.New(pager.Config{Dir: pg.Dir(), HotBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pg2.QuarantineUnlisted([]string{rounds[0].PageID, rounds[1].PageID, rounds[2].PageID}); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreChain(ChainSpec{
+		Adversary: ma.LossyLink2(), InputDomain: 2, Interner: reimport(t, s.Interner), Pager: pg2, Rounds: rounds,
+	})
+	if err != nil {
+		t.Fatalf("RestoreChain: %v", err)
+	}
+	if _, err := restored.Extend(ctx, 5); err != nil {
+		t.Fatalf("Extend after restore: %v", err)
+	}
+	if st := pg2.Stats(); st.PagesWritten != 1 {
+		t.Fatalf("resumed session wrote %d pages, want 1", st.PagesWritten)
+	}
+	if again, err := os.ReadFile(filepath.Join(pg.Dir(), rounds[2].PageID+".page")); err != nil || !bytes.Equal(again, head) {
+		t.Fatalf("head page file changed after the resumed spill (err %v)", err)
 	}
 }
 

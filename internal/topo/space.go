@@ -74,6 +74,11 @@ type frontier struct {
 	// resident. nil pg means the round is not paged.
 	pg     *pager.Pager
 	pageID string
+	// pageBytes is the payload size of the round's page file when it is on
+	// disk before the round is spilled — written by SnapshotChain, or read
+	// back by RestoreChain — and 0 otherwise; spill then registers that
+	// file instead of encoding the round again.
+	pageBytes int64
 }
 
 // idRow returns the ViewID row of item i (aliases the column; read-only).

@@ -81,8 +81,12 @@ func (g Group) IsSubgroup(h uint64) bool {
 	return g.Closure(h) == h
 }
 
-// MinCoset returns the least element of the double coset H·x·S.
+// MinCoset returns the least element of the double coset H·x·S: the
+// identity, without a scan, when H or S is the whole group.
 func (g Group) MinCoset(h uint64, x uint8, s uint64) uint8 {
+	if full := ^uint64(0) >> uint(64-g.m); h == full || s == full {
+		return 0
+	}
 	best := x
 	for a := h; a != 0; a &= a - 1 {
 		hx := g.Mul(uint8(bits.TrailingZeros64(a)), x)

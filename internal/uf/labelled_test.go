@@ -23,6 +23,35 @@ func symmetricGroup(n int) Group {
 		}
 	}
 	gen(nil, 0)
+	return permGroup(perms)
+}
+
+// dihedralGroup returns the multiplication table of the 8 symmetries of a
+// square (its corners 0..3 in cyclic order), identity first: the closure
+// of a quarter turn and a reflection.
+func dihedralGroup() Group {
+	perms := [][]int{{0, 1, 2, 3}}
+	index := map[[4]int]bool{{0, 1, 2, 3}: true}
+	gens := [][]int{{1, 2, 3, 0}, {0, 3, 2, 1}}
+	for i := 0; i < len(perms); i++ {
+		for _, g := range gens {
+			var comp [4]int
+			for x := range comp {
+				comp[x] = g[perms[i][x]]
+			}
+			if !index[comp] {
+				index[comp] = true
+				perms = append(perms, comp[:])
+			}
+		}
+	}
+	return permGroup(perms)
+}
+
+// permGroup returns the multiplication table of a closed set of
+// permutations of at most 8 points, the identity first.
+func permGroup(perms [][]int) Group {
+	n := len(perms[0])
 	index := map[[8]int]int{}
 	key := func(p []int) (k [8]int) {
 		copy(k[:], p)
@@ -105,7 +134,8 @@ func TestLabelledMatchesTwinUnionFind(t *testing.T) {
 	}
 }
 
-// TestGroupCosets pins the subgroup helpers on S₃.
+// TestGroupCosets pins the subgroup helpers on S₃ (MinCoset has its own
+// test below).
 func TestGroupCosets(t *testing.T) {
 	g := symmetricGroup(3)
 	if g.Order() != 6 || !g.IsSubgroup(1) || !g.IsSubgroup(1<<6-1) {
@@ -124,15 +154,43 @@ func TestGroupCosets(t *testing.T) {
 			if !g.IsSubgroup(conj) || bits.OnesCount64(conj) != bits.OnesCount64(h) {
 				t.Fatalf("conjugate of %b by %d is %b", h, x, conj)
 			}
-			least := g.MinCoset(h, uint8(x), 1)
-			for a := h; a != 0; a &= a - 1 {
-				if e := g.Mul(uint8(bits.TrailingZeros64(a)), uint8(x)); e < least {
-					t.Fatalf("MinCoset(%b, %d) = %d but %d is in the coset", h, x, least, e)
-				}
-			}
 		}
 	}
 	if g.IsSubgroup(1 | 1<<1 | 1<<3) {
 		t.Fatal("a non-closed set passes as a subgroup")
+	}
+}
+
+// TestMinCosetMatchesBruteForce compares MinCoset with the least element
+// of the double coset H·x·S built element by element, for every pair of
+// subgroups H, S (the whole group among them) and every x of S₃ and of the
+// dihedral group of order 8.
+func TestMinCosetMatchesBruteForce(t *testing.T) {
+	for _, g := range []Group{symmetricGroup(3), dihedralGroup()} {
+		m := g.Order()
+		var subs []uint64
+		for h := uint64(1); h < 1<<m; h += 2 {
+			if g.IsSubgroup(h) {
+				subs = append(subs, h)
+			}
+		}
+		if want := map[int]int{6: 6, 8: 10}[m]; len(subs) != want {
+			t.Fatalf("order %d: %d subgroups, want %d", m, len(subs), want)
+		}
+		for _, h := range subs {
+			for _, s := range subs {
+				for x := 0; x < m; x++ {
+					least := uint8(m)
+					for a := h; a != 0; a &= a - 1 {
+						for b := s; b != 0; b &= b - 1 {
+							least = min(least, g.Mul(g.Mul(uint8(bits.TrailingZeros64(a)), uint8(x)), uint8(bits.TrailingZeros64(b))))
+						}
+					}
+					if got := g.MinCoset(h, uint8(x), s); got != least {
+						t.Fatalf("order %d: MinCoset(%b, %d, %b) = %d, want %d", m, h, x, s, got, least)
+					}
+				}
+			}
+		}
 	}
 }

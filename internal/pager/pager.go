@@ -202,37 +202,43 @@ func (pg *Pager) Put(id string, payload []byte, onEvict func()) error {
 	if err != nil {
 		return err
 	}
-	return pg.register(id, int64(len(payload)), onEvict, wrote)
+	return pg.register(id, int64(len(payload)), onEvict, true, wrote)
 }
 
 // Register registers the page file a Persist of size payload bytes wrote
 // for id as resident, exactly as Put of that payload would, without
 // re-encoding or rewriting it.
 func (pg *Pager) Register(id string, size int64, onEvict func()) error {
+	return pg.register(id, size, onEvict, true, false)
+}
+
+// register adds an entry for id's page file, which is on disk: a resident
+// page enters the hot set as the most recently used, a cold one waits for
+// its first Fault. wrote says whether the caller just wrote the file,
+// which counts it in PagesWritten.
+func (pg *Pager) register(id string, size int64, onEvict func(), resident, wrote bool) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	return pg.register(id, size, onEvict, false)
-}
-
-// register adds a resident entry; wrote says whether the caller just wrote
-// the page file, which counts it in PagesWritten.
-func (pg *Pager) register(id string, size int64, onEvict func(), wrote bool) error {
 	pg.mu.Lock()
 	if _, ok := pg.entries[id]; ok {
 		pg.mu.Unlock()
 		return fmt.Errorf("pager: page %q already registered", id)
 	}
-	e := &entry{id: id, size: size, resident: true, onEvict: onEvict}
+	e := &entry{id: id, size: size, resident: resident, onEvict: onEvict}
 	pg.entries[id] = e
-	pg.pushFront(e)
-	pg.hotBytes += e.size
-	if pg.hotBytes > pg.peakHotBytes {
-		pg.peakHotBytes = pg.hotBytes
-	}
-	pg.diskBytes += e.size
+	pg.diskBytes += size
 	if wrote {
 		pg.written++
+	}
+	if !resident {
+		pg.mu.Unlock()
+		return nil
+	}
+	pg.pushFront(e)
+	pg.hotBytes += size
+	if pg.hotBytes > pg.peakHotBytes {
+		pg.peakHotBytes = pg.hotBytes
 	}
 	evicted := pg.evictOverBudget(e)
 	pg.mu.Unlock()
@@ -348,17 +354,7 @@ func (pg *Pager) SizeOf(id string) (int64, bool) {
 // resumed) as cold. size is the payload byte count recorded alongside the
 // page reference; the file itself is validated on first Fault.
 func (pg *Pager) Adopt(id string, size int64, onEvict func()) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	if _, ok := pg.entries[id]; ok {
-		return fmt.Errorf("pager: page %q already registered", id)
-	}
-	pg.entries[id] = &entry{id: id, size: size, onEvict: onEvict}
-	pg.diskBytes += size
-	return nil
+	return pg.register(id, size, onEvict, false, false)
 }
 
 // Fault reads a registered page back from disk, verifies its framing and

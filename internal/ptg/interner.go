@@ -57,10 +57,7 @@ type Interner struct {
 	// nil for a plain interner (the trivial group). stabs[c] is the
 	// stabilizer mask of stored canonical cone c. See orbit.go.
 	grp   *orbitGroup
-	stabs coneTable
-	// succ[c] answers self-only Node requests over stored cone c (see
-	// selfNode); 0 until the first such request is interned.
-	succ coneTable
+	stabs stabTable
 	// limit caps the stored cones so that every ID c·|G| + ℓ fits a ViewID
 	// (0 selects math.MaxInt32, the plain interner's cap); overflow records
 	// that a request hit the cap (see Err).
@@ -162,33 +159,11 @@ const nodeKeyStackSize = 1 + binary.MaxVarintLen64 + 8*(1+binary.MaxVarintLen32)
 // 'N', p and the (q, row[q]) pairs in ascending q. A child without an ID
 // (-1, from a request that hit the ID cap) yields -1.
 //
-// A self-only request (mask = {p}: p heard only itself) is answered from
-// the successor table once its cone has been requested before (selfNode).
-//
 //topocon:allocfree
 func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
-	self := mask == 1<<uint(p)
-	if self {
-		if id, ok := in.selfNode(p, row[p]); ok {
-			return id
-		}
-	}
-	var id ViewID
 	if in.grp != nil {
-		id = in.orbitNode(p, mask, row)
-	} else {
-		id = in.plainNode(p, mask, row)
+		return in.orbitNode(p, mask, row)
 	}
-	if self && id >= 0 {
-		in.setSelfNode(p, row[p], id)
-	}
-	return id
-}
-
-// plainNode is Node's key encoding and intern on a plain interner.
-//
-//topocon:allocfree
-func (in *Interner) plainNode(p int, mask uint64, row []ViewID) ViewID {
 	var stack [nodeKeyStackSize]byte
 	buf := append(stack[:0], 'N')
 	buf = binary.AppendUvarint(buf, uint64(p))
@@ -202,56 +177,6 @@ func (in *Interner) plainNode(p int, mask uint64, row []ViewID) ViewID {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
 	return ViewID(in.intern(buf, 1))
-}
-
-// The successor table (DESIGN.md §5.2). A self-only view of p is a
-// function of p's previous view prev alone. Write prev = σ_ℓ·C for its
-// stored cone C (ℓ = 0 on a plain interner): then p's next view is
-// σ_ℓ·succ(C), where succ(C) is the self-only successor of C for C's own
-// owner σ_ℓ⁻¹(p). succ[c] records succ(C)'s ID, in C's frame, and that
-// owner; a request is answered from it only when it implies the same
-// owner, so the table returns exactly what the key path would for any
-// (p, prev) — even one whose prev is not a view of p — and it is filled
-// only after the key path has interned the answer, so the first request
-// for every key takes the key path and interning order is unchanged.
-
-// selfNode looks up the self-only view of p over its previous view prev in
-// the successor table; ok is false on a miss. A prev without an ID yields
-// -1, as the key path would.
-func (in *Interner) selfNode(p int, prev ViewID) (id ViewID, ok bool) {
-	if prev < 0 {
-		return -1, true
-	}
-	c, l, owner := in.selfFrame(p, prev)
-	cell := in.succ.get(c)
-	if cell == 0 || int(cell>>32)-1 != owner {
-		return 0, false
-	}
-	return in.Relabel(ViewID(uint32(cell)), l), true
-}
-
-// setSelfNode records id, the self-only view of p over prev that the key
-// path returned, in prev's successor cell. Concurrent fills of one cell
-// write the same value.
-func (in *Interner) setSelfNode(p int, prev, id ViewID) {
-	c, l, owner := in.selfFrame(p, prev)
-	if l != 0 {
-		id = in.Relabel(id, int(in.grp.inv[l]))
-	}
-	in.succ.set(c, uint64(owner+1)<<32|uint64(uint32(id)))
-}
-
-// selfFrame splits prev = c·|G| + ℓ and returns the owner σ_ℓ⁻¹(p) its
-// stored cone has when prev is a view of p.
-func (in *Interner) selfFrame(p int, prev ViewID) (c int32, l, owner int) {
-	g := in.grp
-	if g == nil {
-		return int32(prev), 0, p
-	}
-	m := int32(g.m)
-	c = int32(prev) / m
-	l = int(int32(prev) - c*m)
-	return c, l, int(g.pinv[l*g.n+p])
 }
 
 // intern returns the stored-cone index of key, assigning the next dense
@@ -380,66 +305,4 @@ func hashKey(key []byte) uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
-}
-
-// coneChunkBits sizes a cone table's chunks (256 cells, 2 KiB). Every
-// interner allocates a chunk for its first successor, and many interners
-// hold only a few thousand cones (one per daemon job), so chunks are small.
-const coneChunkBits = 8
-
-type coneChunk [1 << coneChunkBits]atomic.Uint64
-
-// coneTable is a dense table of one 64-bit cell per stored-cone index: the
-// stabilizer masks of an orbit-canonical interner, and the successor
-// cells. Chunks never move once allocated and the chunk directory is
-// swapped atomically; cells are atomic, so readers take no lock. A cell
-// reads 0 until it is set. A stabilizer is set under its cone's shard
-// lock, before the cone's index is handed to anyone; a successor cell is
-// set after its cone is published and read by parallel workers.
-type coneTable struct {
-	mu  sync.Mutex
-	dir atomic.Pointer[[]*coneChunk]
-}
-
-func (t *coneTable) get(c int32) uint64 {
-	ci := int(c >> coneChunkBits)
-	d := t.dir.Load()
-	if d == nil || ci >= len(*d) {
-		return 0
-	}
-	return (*d)[ci][c&(1<<coneChunkBits-1)].Load()
-}
-
-func (t *coneTable) set(c int32, v uint64) {
-	ci := int(c >> coneChunkBits)
-	d := t.dir.Load()
-	if d == nil || ci >= len(*d) {
-		d = t.grow(ci)
-	}
-	(*d)[ci][c&(1<<coneChunkBits-1)].Store(v)
-}
-
-// grow makes chunk ci addressable. Chunks are appended within spare
-// directory capacity (readers of the old directory never index them) and
-// the directory is reallocated only when that capacity runs out.
-func (t *coneTable) grow(ci int) *[]*coneChunk {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var dir []*coneChunk
-	if d := t.dir.Load(); d != nil {
-		dir = *d
-	}
-	if ci < len(dir) {
-		return t.dir.Load()
-	}
-	if ci >= cap(dir) {
-		grown := make([]*coneChunk, len(dir), 2*(ci+1))
-		copy(grown, dir)
-		dir = grown
-	}
-	for len(dir) <= ci {
-		dir = append(dir, new(coneChunk))
-	}
-	t.dir.Store(&dir)
-	return &dir
 }

@@ -2,10 +2,7 @@ package ptg
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-
-	"topocon/internal/advgen"
 )
 
 // TestInternerProbeTable pins the probe table through growth: 200k random
@@ -74,159 +71,4 @@ func TestInternerProbeTable(t *testing.T) {
 		t.Errorf("mean probe distance %.3f extra slots, want ≤ 1.25", dist)
 	}
 	t.Logf("shards: min %d / max %d records, mean %.0f; mean probe distance %.3f", minRecs, maxRecs, mean, dist)
-}
-
-// keyPathNode is Node without the successor table.
-func keyPathNode(in *Interner, p int, mask uint64, row []ViewID) ViewID {
-	if in.grp != nil {
-		return in.orbitNode(p, mask, row)
-	}
-	return in.plainNode(p, mask, row)
-}
-
-// selfNodeCases returns a plain interner holding lossy-star-4's views and
-// every orbit node case.
-func selfNodeCases(t *testing.T) []nodeCase {
-	rng := rand.New(rand.NewSource(37))
-	plain := newNodeCase(t, "plain lossy-star-4", [][]int{{0, 1, 2, 3}}, advgen.LossyStar4(), rng)
-	return append([]nodeCase{plain}, orbitNodeCases(t)...)
-}
-
-// TestSelfNodeTable pins the successor table behind self-only Node
-// requests (in-mask {p}): a cold and a warm table give the key path's ID,
-// also when the previous view is another process's (the table then
-// answers only the owner it was filled for), and the table fills.
-func TestSelfNodeTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, c := range selfNodeCases(t) {
-		n := len(c.pools)
-		row := make([]ViewID, n)
-		for i := 0; i < 3000; i++ {
-			p, q := rng.Intn(n), rng.Intn(n)
-			if rng.Intn(4) > 0 {
-				q = p
-			}
-			row[p] = c.pools[q][rng.Intn(len(c.pools[q]))]
-			cold := c.in.Node(p, 1<<p, row)
-			warm := c.in.Node(p, 1<<p, row)
-			if want := keyPathNode(c.in, p, 1<<p, row); cold != want || warm != want {
-				t.Fatalf("%s: self-only node of %d over a view of %d (%d): cold %d, warm %d, key path %d",
-					c.name, p, q, row[p], cold, warm, want)
-			}
-			if cone, _, _ := c.in.selfFrame(p, row[p]); c.in.succ.get(cone) == 0 {
-				t.Fatalf("%s: cone %d has no successor cell after a request", c.name, cone)
-			}
-		}
-	}
-}
-
-// TestSelfNodeRelabel: under a group, relabeling the self-only view of p
-// by k gives the self-only view of σ_k(p) over p's previous view relabeled
-// by k — whichever of the two requests fills the table first.
-func TestSelfNodeRelabel(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, c := range orbitNodeCases(t) {
-		g := c.in.grp
-		n := len(c.pools)
-		row, twin := make([]ViewID, n), make([]ViewID, n)
-		for i := 0; i < 1000; i++ {
-			p := rng.Intn(n)
-			row[p] = c.pools[p][rng.Intn(len(c.pools[p]))]
-			for _, k := range rng.Perm(g.m) {
-				kp := g.perms[k][p]
-				twin[kp] = c.in.Relabel(row[p], k)
-				var a, b ViewID
-				if rng.Intn(2) == 0 {
-					a = c.in.Relabel(c.in.Node(p, 1<<p, row), k)
-					b = c.in.Node(kp, 1<<kp, twin)
-				} else {
-					b = c.in.Node(kp, 1<<kp, twin)
-					a = c.in.Relabel(c.in.Node(p, 1<<p, row), k)
-				}
-				if a != b {
-					t.Fatalf("%s: Relabel(Node(%d, {%d}, %d), %d) = %d, node of %d over the relabeled view = %d",
-						c.name, p, p, row[p], k, a, kp, b)
-				}
-			}
-		}
-	}
-}
-
-// TestSelfNodeAfterImport: an interner re-imported from an export — whose
-// table the import's own Node calls fill — answers every request of the
-// original identically, self-only or not, without interning anything.
-func TestSelfNodeAfterImport(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, c := range selfNodeCases(t) {
-		type request struct {
-			p    int
-			mask uint64
-			row  []ViewID
-			id   ViewID
-		}
-		var reqs []request
-		for i := 0; i < 500; i++ {
-			p, mask, row := c.randomRow(rng)
-			reqs = append(reqs, request{p, mask, row, c.in.Node(p, mask, row)})
-		}
-		imported, err := ImportInterner(mustExport(t, c.in))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		for _, r := range reqs {
-			if got := imported.Node(r.p, r.mask, r.row); got != r.id {
-				t.Fatalf("%s: node (p=%d, mask=%b, row=%v): imported %d, original %d", c.name, r.p, r.mask, r.row, got, r.id)
-			}
-		}
-		if imported.Size() != c.in.Size() {
-			t.Fatalf("%s: the import grew to %d cones from %d", c.name, imported.Size(), c.in.Size())
-		}
-	}
-}
-
-// TestSelfNodeConcurrent requests the same self-only views from four
-// goroutines at once, each in its own order, so that cells are filled
-// and read concurrently: every answer must be the one a sequential
-// request gets afterwards.
-func TestSelfNodeConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, c := range selfNodeCases(t)[:2] {
-		n := len(c.pools)
-		type request struct {
-			p    int
-			prev ViewID
-		}
-		var reqs []request
-		for q := 0; q < n; q++ {
-			for _, prev := range c.pools[q] {
-				reqs = append(reqs, request{q, prev})
-			}
-		}
-		got := make([][]ViewID, 4)
-		var wg sync.WaitGroup
-		for w := range got {
-			got[w] = make([]ViewID, len(reqs))
-			order := rng.Perm(len(reqs))
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				row := make([]ViewID, n)
-				for _, i := range order {
-					row[reqs[i].p] = reqs[i].prev
-					got[w][i] = c.in.Node(reqs[i].p, 1<<reqs[i].p, row)
-				}
-			}()
-		}
-		wg.Wait()
-		row := make([]ViewID, n)
-		for i, r := range reqs {
-			row[r.p] = r.prev
-			want := c.in.Node(r.p, 1<<r.p, row)
-			for w := range got {
-				if got[w][i] != want {
-					t.Fatalf("%s: worker %d: self-only node of %d over %d = %d, sequential %d", c.name, w, r.p, r.prev, got[w][i], want)
-				}
-			}
-		}
-	}
 }

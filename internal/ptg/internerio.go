@@ -182,9 +182,9 @@ func (r *blobReader) group() ([][]int, error) {
 }
 
 // importKey re-interns one exported key as cone c. The key is decoded
-// strictly — tag 'L' or 'N', minimal varints, an owner (and on an
-// orbit-canonical interner every q) inside the group's process range, q
-// below 64 and strictly ascending, and every child an ID the interner
+// strictly — tag 'L' or 'N', minimal varints, an owner and every q
+// inside the process range (below 64, below n on an orbit-canonical
+// interner), q strictly ascending, and every child an ID the interner
 // handed out before cone c — and requested through Leaf or Node. It is
 // accepted only when that stores it fresh as cone c with coset label 0,
 // which re-encodes it byte-identically: on an orbit-canonical interner
@@ -198,7 +198,7 @@ func (in *Interner) importKey(key []byte, c int32) error {
 	}
 	r := &blobReader{data: key[1:]}
 	p, ok := r.uvarint()
-	if !ok || (g != nil && p >= nProcs) {
+	if !ok || p >= nProcs {
 		return errors.New("bad owner")
 	}
 	var id ViewID

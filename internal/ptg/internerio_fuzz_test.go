@@ -40,9 +40,10 @@ func FuzzImportInterner(f *testing.F) {
 
 // producibleKeys checks, independently of the interner, that every key of
 // an export blob is one Leaf or Node can produce: tag 'L' or 'N', minimal
-// varints, a leaf input filling the rest of its key, node children with q
-// strictly ascending and below 64 (below n on an orbit-canonical blob),
-// and each child ID below the key's own cone index times |G|.
+// varints, an owner below 64 (below n on an orbit-canonical blob), a leaf
+// input filling the rest of its key, node children with q strictly
+// ascending and below the same bound, and each child ID below the key's
+// own cone index times |G|.
 func producibleKeys(blob []byte) error {
 	r := &blobReader{data: blob}
 	m, n := uint64(1), uint64(64)
@@ -72,7 +73,7 @@ func producibleKeys(blob []byte) error {
 		key := &blobReader{data: r.data[1:klen]}
 		tag := r.data[0]
 		r.data = r.data[klen:]
-		if _, ok := key.uvarint(); !ok {
+		if p, ok := key.uvarint(); !ok || p >= n {
 			return fmt.Errorf("cone %d: bad owner", c)
 		}
 		switch tag {

@@ -109,6 +109,8 @@ func TestImportRejectsUnproducibleKeys(t *testing.T) {
 		"leaf with a trailing byte":     blob(1, []byte{4, 'L', 0, 0, 0}),
 		"leaf without an input":         blob(1, []byte{2, 'L', 0}),
 		"node child without an ID":      blob(2, leaf0, []byte{3, 'N', 0, 0}),
+		"node owner past 63":            blob(1, []byte{2, 'N', 64}),
+		"leaf owner past 63":            blob(1, []byte{3, 'L', 64, 0}),
 	}
 	for name, data := range cases {
 		if _, err := ImportInterner(data); err == nil {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"topocon/internal/graph"
 )
@@ -207,6 +209,58 @@ func (g *orbitGroup) orbitLabel(arg uint64, star int) (stab uint64, l uint8) {
 		}
 	}
 	return stab, l
+}
+
+// stabChunkBits sizes the stabilizer table's chunks (4096 masks, 32 KiB).
+const stabChunkBits = 12
+
+type stabChunk [1 << stabChunkBits]uint64
+
+// stabTable maps stored-cone indices to stabilizer masks. Chunks never
+// move once allocated, and the chunk directory is swapped atomically, so
+// readers take no lock: a cone's mask is written under its shard lock
+// before the cone's index is handed to anyone.
+type stabTable struct {
+	mu  sync.Mutex
+	dir atomic.Pointer[[]*stabChunk]
+}
+
+func (t *stabTable) get(c int32) uint64 {
+	return (*t.dir.Load())[c>>stabChunkBits][c&(1<<stabChunkBits-1)]
+}
+
+func (t *stabTable) set(c int32, stab uint64) {
+	ci := int(c >> stabChunkBits)
+	d := t.dir.Load()
+	if d == nil || ci >= len(*d) {
+		d = t.grow(ci)
+	}
+	(*d)[ci][c&(1<<stabChunkBits-1)] = stab
+}
+
+// grow makes chunk ci addressable. Chunks are appended within spare
+// directory capacity (readers of the old directory never index them) and
+// the directory is reallocated only when that capacity runs out.
+func (t *stabTable) grow(ci int) *[]*stabChunk {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var dir []*stabChunk
+	if d := t.dir.Load(); d != nil {
+		dir = *d
+	}
+	if ci < len(dir) {
+		return t.dir.Load()
+	}
+	if ci >= cap(dir) {
+		grown := make([]*stabChunk, len(dir), 2*(ci+1))
+		copy(grown, dir)
+		dir = grown
+	}
+	for len(dir) <= ci {
+		dir = append(dir, new(stabChunk))
+	}
+	t.dir.Store(&dir)
+	return &dir
 }
 
 // AdoptGroup makes an empty plain interner orbit-canonical under the

@@ -1,7 +1,7 @@
 // Package advgen generates adversaries for property tests and benchmarks:
 // the lossy-star-4 corpus adversary and random oblivious adversaries closed
-// under a process permutation, so that their automorphism group is
-// nontrivial.
+// under a process permutation, or under all of them, so that their
+// automorphism group is nontrivial.
 package advgen
 
 import (
@@ -56,6 +56,36 @@ func SymmetricOblivious(rng *rand.Rand, n int) *ma.Oblivious {
 			}
 		}
 	}
+	return ma.MustOblivious("", graphs...)
+}
+
+// FullySymmetricOblivious draws one random graph on n processes and
+// closes it under every permutation of the processes, so its automorphism
+// group is the whole symmetric group S_n. Each edge is kept with
+// probability 1/4, so many in-neighbourhoods are the process itself.
+func FullySymmetricOblivious(rng *rand.Rand, n int) *ma.Oblivious {
+	masks := make([]uint64, n)
+	for q := range masks {
+		masks[q] = rng.Uint64() & rng.Uint64() & graph.AllNodes(n)
+	}
+	g, err := graph.FromInMasks(n, masks)
+	if err != nil {
+		panic(err) // self-loops are added, any mask is valid
+	}
+	var graphs []graph.Graph // relabelings repeat; MustOblivious drops them
+	var permute func(perm []int, used int)
+	permute = func(perm []int, used int) {
+		if len(perm) == n {
+			graphs = append(graphs, g.Relabel(perm))
+			return
+		}
+		for q := 0; q < n; q++ {
+			if used&(1<<q) == 0 {
+				permute(append(perm, q), used|1<<q)
+			}
+		}
+	}
+	permute(make([]int, 0, n), 0)
 	return ma.MustOblivious("", graphs...)
 }
 

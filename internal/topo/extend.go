@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -113,6 +114,13 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		prev:     s.fr,
 		base:     s.fr.base,
 	}
+	interner := s.Interner
+	// The successor table covers the cones the parent round stored first
+	// (DESIGN.md §5.1); this round's own range is recorded for the next.
+	order := uint32(interner.GroupOrder())
+	coneLo, cones := s.fr.idLo/int(order), (s.fr.idHi-s.fr.idLo)/int(order)
+	round := extendRounds.Add(1)
+	nf.idLo = interner.IDBound()
 	next := &Space{
 		Adversary:     adv,
 		InputDomain:   s.InputDomain,
@@ -129,15 +137,15 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		sym:           s.sym,
 		stab:          make([]uint64, total),
 	}
-	interner := s.Interner
 	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
-		// Per-worker scratch — the in-mask memo — pooled across chunks and
-		// rounds, so the per-child allocation count is 0.
+		// Per-worker scratch — the in-mask memo and the successor table —
+		// pooled across chunks and rounds, so the per-child allocation
+		// count is 0.
 		sc := extendScratchPool.Get().(*extendScratch)
 		width := min(widest, memoWidth)
-		sc.acquire(n, width)
+		sc.acquire(n, width, round, cones)
 		defer extendScratchPool.Put(sc)
-		seen, ins, outs := sc.seen, sc.ins, sc.outs
+		seen, ins, outs, succ := sc.seen, sc.ins, sc.outs, sc.succ
 		for i := lo; i < hi; i++ {
 			prevIDs := s.fr.idRow(i)
 			prevHeard := s.fr.heardRow(i)
@@ -168,11 +176,28 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 						dstIDs[p], dstHeard[p] = o.id, o.heard
 						continue
 					}
+					var id ptg.ViewID
 					var h uint64
-					for m := in; m != 0; m &= m - 1 {
-						h |= prevHeard[bits.TrailingZeros64(m)]
+					if in == 1<<uint(p) {
+						// p heard only itself: its view is a function of
+						// its previous view alone, which another parent
+						// of this round may already have extended. A view
+						// outside the parent round's cone range (or -1)
+						// indexes no cell and takes the Node path.
+						prev := prevIDs[p]
+						h = prevHeard[p]
+						k := int(uint32(prev)/order) - coneLo
+						if uint(k) < uint(len(succ)) && succ[k].prev == prev {
+							id = succ[k].id
+						} else if id = interner.Node(p, in, prevIDs); uint(k) < uint(len(succ)) && id >= 0 {
+							succ[k] = succCell{prev: prev, id: id}
+						}
+					} else {
+						for m := in; m != 0; m &= m - 1 {
+							h |= prevHeard[bits.TrailingZeros64(m)]
+						}
+						id = interner.Node(p, in, prevIDs)
 					}
-					id := interner.Node(p, in, prevIDs)
 					dstIDs[p], dstHeard[p] = id, h
 					if k := seen[p]; k < width {
 						ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
@@ -198,6 +223,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	if err != nil {
 		return nil, err
 	}
+	nf.idHi = interner.IDBound()
 	// A view whose ID would overflow int32 fails the round like the size
 	// cap does, instead of wrapping.
 	if err := interner.Err(); err != nil {
@@ -222,14 +248,25 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 // share no mask, an unbounded scan only added cost (EXPERIMENTS.md).
 const memoWidth = 8
 
-// extendScratch is one worker's scratch for extendOne. The in-mask memo
-// (DESIGN.md §5.1): for the parent being extended, seen[p] counts the
-// distinct in-masks g.In(p) kept among its children so far, ins[p*width+j]
-// is the j-th and outs[p*width+j] the view and heard word it produced.
+// extendScratch is one worker's scratch for extendOne.
+//
+// The in-mask memo (DESIGN.md §5.1): for the parent being extended,
+// seen[p] counts the distinct in-masks g.In(p) kept among its children so
+// far, ins[p*width+j] is the j-th and outs[p*width+j] the view and heard
+// word it produced.
+//
+// The successor table (DESIGN.md §5.1) answers self-only requests across
+// the parents of one round: succ[k] holds the child view of the parent
+// round's view prev, for the cone k = prev/|G| − coneLo. Cells belong to
+// the round numbered round; a scratch taken up by another round starts
+// from empty cells. The number, rather than the frontier itself, keeps a
+// pooled scratch from holding a finished session's chain alive.
 type extendScratch struct {
-	seen []int
-	ins  []uint64
-	outs []memoOut
+	seen  []int
+	ins   []uint64
+	outs  []memoOut
+	round uint64
+	succ  []succCell
 }
 
 // memoOut is the child view and heard word an in-mask produced under the
@@ -239,11 +276,25 @@ type memoOut struct {
 	id    ptg.ViewID
 }
 
+// succCell is one successor table cell: the self-only child view id of
+// the parent view prev. An empty cell has prev −1, which no view in a
+// cone range has; id is never −1.
+type succCell struct {
+	prev, id ptg.ViewID
+}
+
+// extendRounds numbers extendOne calls process-wide, so that a pooled
+// scratch can tell whether its successor cells belong to the caller's
+// round.
+var extendRounds atomic.Uint64
+
 var extendScratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
 
-// acquire sizes the memo for n processes with width slots each, growing
-// it only when a round outgrows every earlier one.
-func (sc *extendScratch) acquire(n, width int) {
+// acquire sizes the memo for n processes with width slots each and, when
+// the scratch comes from another round, empties a successor table of
+// cones cells for this one. Both grow only when a round outgrows every
+// earlier one.
+func (sc *extendScratch) acquire(n, width int, round uint64, cones int) {
 	if cap(sc.seen) < n {
 		sc.seen = make([]int, n)
 	}
@@ -253,6 +304,17 @@ func (sc *extendScratch) acquire(n, width int) {
 		sc.outs = make([]memoOut, n*width)
 	}
 	sc.ins, sc.outs = sc.ins[:n*width], sc.outs[:n*width]
+	if sc.round == round {
+		return
+	}
+	sc.round = round
+	if cap(sc.succ) < cones {
+		sc.succ = make([]succCell, cones)
+	}
+	sc.succ = sc.succ[:cones]
+	for k := range sc.succ {
+		sc.succ[k] = succCell{prev: -1}
+	}
 }
 
 // SetParallelism sets the worker count used by Extend and Refine on

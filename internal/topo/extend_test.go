@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"topocon/internal/advgen"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
+	"topocon/internal/pager"
 	"topocon/internal/ptg"
 )
 
@@ -269,7 +272,8 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 // extendOneReference is extendOne without the in-mask memo: it interns
 // every kept child's view of every process with its own Interner.Node call,
 // as extension did before the memo existed. It runs sequentially, without
-// pager or size cap, and is the oracle the memo must match byte for byte.
+// size cap, and hands the pager on without spilling; it is the oracle the
+// memo and the successor table must match byte for byte.
 func extendOneReference(s *Space) *Space {
 	adv, grp, n := s.Adversary, s.sym.group, s.fr.n
 	nf := &frontier{horizon: s.Horizon + 1, n: n, prev: s.fr, base: s.fr.base}
@@ -282,6 +286,7 @@ func extendOneReference(s *Space) *Space {
 		parentOffsets: []int{0},
 		maxRuns:       s.maxRuns,
 		parallelism:   1,
+		pager:         s.pager,
 		sym:           s.sym,
 	}
 	for i := 0; i < s.Len(); i++ {
@@ -320,26 +325,37 @@ func extendOneReference(s *Space) *Space {
 	return next
 }
 
-// memoCase is one adversary and symmetry group the in-mask memo is pinned
-// on, with the horizon its spaces are extended to.
+// memoCase is one adversary and symmetry group the in-mask memo and the
+// successor table are pinned on, with the horizon its spaces are extended
+// to. start, when set, builds the space extension starts from, running
+// any rounds it needs with the given extender; nil starts from a fresh
+// horizon-0 space.
 type memoCase struct {
 	name    string
 	adv     ma.Adversary
 	sym     *ma.Group
 	horizon int
+	start   func(t *testing.T, cfg Config, extend func(*Space) *Space) *Space
 }
 
 // memoCases covers the corpus's symmetric star with and without its S₃,
 // LossyLink3 under the trivial group and its swap, a random five-process
-// adversary wider than the memo, and generated adversaries closed under a
-// permutation (advgen), each extended as deep as a unit test affords.
+// adversary wider than the memo, generated adversaries closed under a
+// permutation (advgen) and one closed under all of S₄, each extended as
+// deep as a unit test affords; and two starts whose views lie outside the
+// successor table's cone range: a head restored by RestoreChain, and a
+// space whose interner an earlier space filled.
 func memoCases(t *testing.T) []memoCase {
 	star, ll3 := advgen.LossyStar4(), ma.LossyLink3()
+	starS3 := ma.Automorphisms(star)
 	cases := []memoCase{
-		{"lossy-star-4/trivial", star, ma.TrivialGroup(4), 5},
-		{"lossy-star-4/S3", star, ma.Automorphisms(star), 6},
-		{"lossylink3/trivial", ll3, ma.TrivialGroup(2), 6},
-		{"lossylink3/auto", ll3, ma.Automorphisms(ll3), 6},
+		{"lossy-star-4/trivial", star, ma.TrivialGroup(4), 5, nil},
+		{"lossy-star-4/S3", star, starS3, 6, nil},
+		{"lossylink3/trivial", ll3, ma.TrivialGroup(2), 6, nil},
+		{"lossylink3/auto", ll3, ma.Automorphisms(ll3), 6, nil},
+		{"lossy-star-4/S3/restored", star, starS3, 5, restoredStart(star, 3)},
+		{"lossy-star-4/trivial/restored", star, ma.TrivialGroup(4), 4, restoredStart(star, 2)},
+		{"lossy-star-4/S3/shared-interner", star, starS3, 6, sharedInternerStart(star, 4)},
 	}
 	rng := rand.New(rand.NewSource(16))
 	// Five processes over 24 random graphs: most processes meet more
@@ -356,40 +372,138 @@ func memoCases(t *testing.T) []memoCase {
 		}
 		wide[k] = g
 	}
-	cases = append(cases, memoCase{"wide-5/trivial", ma.MustOblivious("wide-5", wide...), ma.TrivialGroup(5), 2})
+	cases = append(cases, memoCase{"wide-5/trivial", ma.MustOblivious("wide-5", wide...), ma.TrivialGroup(5), 2, nil})
 	for i := 0; i < 6; i++ {
 		adv := advgen.SymmetricOblivious(rng, 2+i%3)
 		h := 1
 		for h < 5 && ma.CountPrefixes(adv, h+1) <= 4096 {
 			h++
 		}
-		cases = append(cases, memoCase{fmt.Sprintf("advgen-%d/n=%d", i, adv.N()), adv, ma.Automorphisms(adv), h})
+		cases = append(cases, memoCase{fmt.Sprintf("advgen-%d/n=%d", i, adv.N()), adv, ma.Automorphisms(adv), h, nil})
 	}
+	// Under S₄ a stored cone stands for up to 24 IDs c·24 + ℓ: the table's
+	// cell index is c, and only the exact-ID tag tells the ℓ apart.
+	s4 := advgen.FullySymmetricOblivious(rand.New(rand.NewSource(3)), 4)
+	if grp := ma.Automorphisms(s4); grp.Order() != 24 || !hasSelfOnlyMask(s4) {
+		t.Fatalf("advgen S₄ adversary: group order %d, self-only in-mask %v", grp.Order(), hasSelfOnlyMask(s4))
+	}
+	cases = append(cases, memoCase{"advgen-S4/n=4", s4, ma.Automorphisms(s4), 3, nil})
 	return cases
 }
 
-// TestExtendMemoMatchesReference pins that the in-mask memo cannot change
-// a byte: sequential extension must give, round by round, the reference
-// extender's view-ID and heard columns, the same full-space accounting and
-// — since it interns in the same first-occurrence order — a byte-identical
-// Interner.Export blob.
+// hasSelfOnlyMask reports whether some graph of adv gives some process
+// the in-neighbourhood of itself alone.
+func hasSelfOnlyMask(adv ma.Adversary) bool {
+	for _, g := range adv.Choices(adv.Start()) {
+		for p := 0; p < adv.N(); p++ {
+			if g.In(p) == 1<<p {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// restoredStart extends a paged space to the given horizon, checkpoints
+// its chain and interner, and restores both into fresh objects, as a
+// resumed session does. The restored head records no cone range.
+func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(*Space) *Space) *Space {
+	return func(t *testing.T, cfg Config, extend func(*Space) *Space) *Space {
+		dir := t.TempDir()
+		pg, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Pager = pg
+		s, err := BuildCtx(context.Background(), adv, 2, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s.Horizon < horizon {
+			s = extend(s)
+		}
+		rounds := mustSnapshotChain(t, s)
+		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreChain(ChainSpec{
+			Adversary:   adv,
+			InputDomain: 2,
+			Parallelism: cfg.Parallelism,
+			Interner:    reimport(t, s.Interner),
+			Pager:       pg2,
+			Rounds:      rounds,
+			Symmetry:    cfg.Symmetry,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return restored
+	}
+}
+
+// sharedInternerStart extends one space to the given horizon and starts a
+// second from horizon 0 on the same interner: the second space's views up
+// to that horizon are all stored already, below its rounds' cone ranges.
+func sharedInternerStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(*Space) *Space) *Space {
+	return func(t *testing.T, cfg Config, extend func(*Space) *Space) *Space {
+		first, err := BuildCtx(context.Background(), adv, 2, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for first.Horizon < horizon {
+			first = extend(first)
+		}
+		cfg.Interner = first.Interner
+		s, err := BuildCtx(context.Background(), adv, 2, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+}
+
+// startSpace returns the space case c extends from under cfg.
+func (c memoCase) startSpace(t *testing.T, cfg Config, extend func(*Space) *Space) *Space {
+	t.Helper()
+	cfg.Symmetry = c.sym
+	if c.start != nil {
+		return c.start(t, cfg, extend)
+	}
+	s, err := BuildCtx(context.Background(), c.adv, 2, 0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// mustExtendOne returns extendOne's space, failing t on an error.
+func mustExtendOne(t *testing.T) func(*Space) *Space {
+	return func(s *Space) *Space {
+		t.Helper()
+		next, err := s.extendOne(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+}
+
+// TestExtendMemoMatchesReference pins that the in-mask memo and the
+// successor table cannot change a byte: sequential extension must give,
+// round by round, the reference extender's view-ID and heard columns, the
+// same full-space accounting and — since it interns in the same
+// first-occurrence order — a byte-identical Interner.Export blob.
 func TestExtendMemoMatchesReference(t *testing.T) {
-	ctx := context.Background()
 	for _, c := range memoCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for h := 1; h <= c.horizon; h++ {
-				if got, err = got.extendOne(ctx); err != nil {
-					t.Fatal(err)
-				}
+			got := c.startSpace(t, Config{}, mustExtendOne(t))
+			ref := c.startSpace(t, Config{}, extendOneReference)
+			for got.Horizon < c.horizon {
+				got = mustExtendOne(t)(got)
 				ref = extendOneReference(ref)
+				h := got.Horizon
 				if got.Len() != ref.Len() || got.FullLen() != ref.FullLen() {
 					t.Fatalf("h=%d: %d items (%d full), reference %d (%d full)",
 						h, got.Len(), got.FullLen(), ref.Len(), ref.FullLen())
@@ -419,35 +533,54 @@ func TestExtendMemoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExtendMemoParallelMatchesReference runs the memo on two workers,
-// where interning order is no longer deterministic: the decomposition must
-// still have the reference's full-space component and mixed counts at
-// every horizon.
+// TestExtendMemoParallelMatchesReference runs the memo and the successor
+// table on two workers, where interning order is no longer deterministic:
+// the decomposition must still have the reference's full-space component
+// and mixed counts at every horizon.
 func TestExtendMemoParallelMatchesReference(t *testing.T) {
-	ctx := context.Background()
 	for _, c := range memoCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym, Parallelism: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := BuildCtx(ctx, c.adv, 2, 0, Config{Symmetry: c.sym})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for h := 1; h <= c.horizon; h++ {
-				if got, err = got.extendOne(ctx); err != nil {
-					t.Fatal(err)
-				}
+			got := c.startSpace(t, Config{Parallelism: 2}, mustExtendOne(t))
+			ref := c.startSpace(t, Config{}, extendOneReference)
+			for got.Horizon < c.horizon {
+				got = mustExtendOne(t)(got)
 				ref = extendOneReference(ref)
 				dg, dr := decompose(t, got), decompose(t, ref)
 				if dg.FullComponents() != dr.FullComponents() || dg.FullMixedComponents() != dr.FullMixedComponents() {
-					t.Fatalf("h=%d: %d components (%d mixed), reference %d (%d mixed)", h,
+					t.Fatalf("h=%d: %d components (%d mixed), reference %d (%d mixed)", got.Horizon,
 						dg.FullComponents(), dg.FullMixedComponents(), dr.FullComponents(), dr.FullMixedComponents())
 				}
 			}
 		})
 	}
+}
+
+// TestExtendReleasesFrontiers pins that extension keeps no session alive:
+// the pooled scratch stamps its successor cells with a round number, not
+// a frontier, so once the caller drops a space one collection reclaims
+// its chain even while the scratch sits in the pool.
+func TestExtendReleasesFrontiers(t *testing.T) {
+	head, parent := extendedChain(t)
+	runtime.GC()
+	if head.Value() != nil || parent.Value() != nil {
+		t.Fatal("an extended session's frontiers survived a collection after Extend returned")
+	}
+}
+
+// extendedChain extends a lossy-star-4 session under its S₃ two rounds
+// past horizon 2 and returns weak pointers to the head frontier and to
+// its parent, the round the last successor table covered.
+func extendedChain(t *testing.T) (head, parent weak.Pointer[frontier]) {
+	star := advgen.LossyStar4()
+	s, err := BuildCtx(context.Background(), star, 2, 2, Config{Symmetry: ma.Automorphisms(star)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Extend(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(next.fr), weak.Make(next.fr.prev)
 }
 
 // noSharing returns an oblivious adversary on n processes whose 2^(n-1)

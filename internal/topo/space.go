@@ -67,6 +67,12 @@ type frontier struct {
 	// base is the horizon-0 frontier of the chain (itself at horizon 0),
 	// cached so input lookups need no chain walk.
 	base *frontier
+	// idLo and idHi are Interner.IDBound() before and after the round that
+	// built this frontier, so every view the round stored first lies in
+	// [idLo, idHi). They size the next round's successor table (extend.go)
+	// and are equal (an empty range) on a frontier the round did not build
+	// itself, such as a head restored by RestoreChain.
+	idLo, idHi int
 
 	// Out-of-core state (see paging.go): once spilled, pg/pageID locate the
 	// persisted copy of the columns, and ids == nil marks them evicted. The
@@ -284,6 +290,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		inputs:  inputs,
 	}
 	fr.base = fr
+	fr.idLo = interner.IDBound()
 	s := &Space{
 		Adversary:   adv,
 		InputDomain: inputDomain,
@@ -313,6 +320,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		s.doneAt[i] = doneAt
 		s.valence[i] = valenceOf(w)
 	}
+	fr.idHi = interner.IDBound()
 	if err := interner.Err(); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Command topoconvet runs the repo's custom analyzer suite (internal/lint):
 // atomicwrite, quarantine, ctxflow, allocfree and facadesync — the
-// project's durability, hygiene, cancellation, hot-path and facade
-// invariants as compile-time checks.
+// project's durability, hygiene, cancellation, hot-path and "facade only
+// re-exports" invariants as compile-time checks.
 //
 // It speaks two protocols:
 //

@@ -65,8 +65,6 @@ func (c *BivalenceCertificate) String() string {
 // is certifiably impossible; (nil, false) means no certificate of that size
 // exists (which does not by itself imply solvability). A word space of
 // more than maxChainWords longest words is declined with (nil, false).
-//
-//topocon:export
 func ProveBivalent(adv *ma.Oblivious, inputDomain, maxChainLen int) (*BivalenceCertificate, bool) {
 	if maxChainLen < 1 || adv.N() > 8 {
 		// Agreement sets are encoded as single bytes in word letters.

@@ -125,8 +125,6 @@ func WithProgress(fn func(HorizonReport)) AnalyzerOption {
 // evicted under its hot-set budget, chain walks fault them back in
 // transparently, and the session becomes checkpointable (Snapshot) and
 // SpaceAt can rehydrate evicted horizons. One pager serves one session.
-//
-//topocon:export
 func WithPager(pg *pager.Pager) AnalyzerOption {
 	return func(a *Analyzer) { a.pager = pg }
 }
@@ -170,8 +168,6 @@ type Analyzer struct {
 // NewAnalyzer creates an analysis session for the adversary. It validates
 // the configuration (negative InputDomain, MaxHorizon, MaxRuns,
 // LatencySlack or retention are rejected) without building any space yet.
-//
-//topocon:export
 func NewAnalyzer(adv ma.Adversary, options ...AnalyzerOption) (*Analyzer, error) {
 	a := &Analyzer{adv: adv, parallelism: 1, retain: 1}
 	for _, o := range options {

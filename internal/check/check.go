@@ -190,8 +190,6 @@ type Result struct {
 // It is a convenience shim over an Analyzer session run to completion with
 // a background context; use NewAnalyzer directly for cancellation,
 // progress reporting or one-horizon stepping.
-//
-//topocon:export
 func Consensus(adv ma.Adversary, opts Options) (*Result, error) {
 	a, err := NewAnalyzer(adv, WithOptions(opts))
 	if err != nil {

@@ -25,8 +25,6 @@ import (
 //
 // The returned horizon is the checkpoint's deepest analysed horizon, for
 // provenance logging.
-//
-//topocon:export
 func Adopt(srcDir, dstDir string) (int, error) {
 	if srcDir == "" || dstDir == "" {
 		return 0, errors.New("ckpt: adopt needs both source and destination directories")

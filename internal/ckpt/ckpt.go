@@ -164,8 +164,6 @@ func quarantineState(dir string, names []string) error {
 // by the snapshot itself; Save then writes the interner blob and finally
 // the manifest, each atomically. Saving is only meaningful mid-run:
 // Analyzer.Snapshot rejects unstarted and finished sessions.
-//
-//topocon:export
 func Save(dir string, a *check.Analyzer) error {
 	pg := a.Pager()
 	if pg == nil {
@@ -203,8 +201,6 @@ func Save(dir string, a *check.Analyzer) error {
 // the new process's observers (WithProgress, WithParallelism); the analysis
 // configuration always comes from the checkpoint. See the package comment
 // for the validation and error contract.
-//
-//topocon:export
 func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerOption) (*check.Analyzer, error) {
 	data, err := os.ReadFile(manifestPath(dir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -304,8 +300,6 @@ type Info struct {
 // checkpoint directory once the verdict is in. On a context cancellation
 // the last completed horizon is checkpointed before returning, so a killed
 // run loses at most the horizon in flight.
-//
-//topocon:export
 func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Options, parallelism int) (*check.Result, *Info, error) {
 	every := cfg.Every
 	if every <= 0 {

@@ -148,8 +148,6 @@ type cellWork struct {
 // The error is non-nil only for whole-run failures — an empty fleet, a
 // template that cannot expand, a cancelled context; per-cell failures are
 // recorded in the report, never returned.
-//
-//topocon:export
 func Run(ctx context.Context, tpl *scenario.Template, cfg Config) (*sweep.Report, *Stats, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {

@@ -40,8 +40,6 @@ type Edge struct {
 // New returns the graph on n nodes containing only the self-loops.
 // It panics if n is out of range; graph construction with invalid n is a
 // programming error, not a runtime condition.
-//
-//topocon:export
 func New(n int) Graph {
 	if n <= 0 || n > MaxNodes {
 		panic(fmt.Sprintf("graph: node count %d out of range [1,%d]", n, MaxNodes))

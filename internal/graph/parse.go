@@ -10,8 +10,6 @@ import (
 // process ids, e.g. "1->2, 2->3, 3->1". The tokens "p<->q" and "p--q" add
 // both directions; an empty string (or "[]") yields the self-loop-only
 // graph.
-//
-//topocon:export
 func Parse(n int, s string) (Graph, error) {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "[")

@@ -38,8 +38,6 @@ type Analysis struct {
 
 // Analyze builds the exact analysis of the finite adversary given by the
 // words over the input domain {0..inputDomain-1}.
-//
-//topocon:export
 func Analyze(words []ma.GraphWord, inputDomain int) (*Analysis, error) {
 	if len(words) == 0 {
 		return nil, fmt.Errorf("lasso: no words to analyze")

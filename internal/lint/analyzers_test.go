@@ -47,7 +47,7 @@ func TestParseAllow(t *testing.T) {
 		malformed bool
 	}{
 		{"// a normal comment", nil, false},
-		{"//topocon:export", nil, false},
+		{"//topocon:allocfree", nil, false},
 		{"//topocon:allow quarantine -- reason given", []string{"quarantine"}, false},
 		{"//topocon:allow ctxflow,allocfree -- two at once", []string{"ctxflow", "allocfree"}, false},
 		{"//topocon:allow quarantine", nil, true},

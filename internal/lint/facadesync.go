@@ -2,33 +2,20 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
-// exportTag marks an internal symbol that must be reachable through the
-// facade package.
-const exportTag = "//topocon:export"
-
-// FacadeSync keeps the root facade package and the internal tree honest
-// with each other, in both directions:
+// FacadeSync keeps the root facade package a pure re-export layer: every
+// exported symbol the facade declares must reference at least one internal
+// symbol. A facade-local declaration — a constant, variable, type or
+// function defined in the facade itself — is reported, since the facade
+// only re-exports. (A facade alias whose target was renamed away needs no
+// check here: the facade would not compile.)
 //
-//   - every exported symbol the facade declares must resolve to at least
-//     one live internal symbol (a facade alias whose target was renamed
-//     away would otherwise only surface as a downstream build break);
-//   - every internal symbol tagged //topocon:export must be referenced
-//     from the facade (the tag records "this is public API surface" at
-//     the definition site, where refactors happen).
-//
-// The analyzer only runs on the module root package ("topocon"); the
-// internal tree is re-parsed from disk so the check sees the whole
-// repository even though the facade unit compiles alone.
+// The analyzer only runs on the module root package ("topocon").
 var FacadeSync = &Analyzer{
 	Name: "facadesync",
-	Doc:  "keep the facade package and //topocon:export-tagged internal symbols in sync",
+	Doc:  "every exported facade symbol must re-export an internal symbol",
 	Run:  runFacadeSync,
 }
 
@@ -37,24 +24,6 @@ func runFacadeSync(pass *Pass) {
 		return
 	}
 	internalPrefix := pass.Path + "/internal/"
-
-	// Every object the facade pulls out of the internal tree, keyed
-	// "pkgpath.Name" — direction B's evidence, collected once.
-	used := make(map[string]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if obj := pass.Info.Uses[id]; obj != nil && obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
-				used[obj.Pkg().Path()+"."+obj.Name()] = true
-			}
-			return true
-		})
-	}
-
-	// Direction A: exported facade decls must reference internal symbols.
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -84,13 +53,6 @@ func runFacadeSync(pass *Pass) {
 			}
 		}
 	}
-
-	// Direction B: tagged internal symbols must appear in the facade.
-	for _, tagged := range collectExportTags(pass) {
-		if !used[tagged.pkgPath+"."+tagged.name] {
-			pass.Reportf(tagged.pos, "%s.%s is tagged %s but the facade does not re-export it", pathBase(tagged.pkgPath), tagged.name, exportTag)
-		}
-	}
 }
 
 // refsInternal reports whether any identifier under n resolves to a
@@ -108,79 +70,4 @@ func refsInternal(pass *Pass, n ast.Node, internalPrefix string) bool {
 		return !found
 	})
 	return found
-}
-
-type taggedSymbol struct {
-	pkgPath string
-	name    string
-	pos     token.Pos
-}
-
-// collectExportTags parses the internal tree from disk (non-test files
-// only) and returns every symbol whose doc comment carries the export tag.
-// Positions are registered in pass.Fset so reports resolve normally.
-func collectExportTags(pass *Pass) []taggedSymbol {
-	var out []taggedSymbol
-	root := filepath.Join(pass.Dir, "internal")
-	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || isTestFile(path) {
-			return nil
-		}
-		f, perr := parser.ParseFile(pass.Fset, path, nil, parser.ParseComments)
-		if perr != nil {
-			return nil // a broken file fails the build elsewhere
-		}
-		rel, rerr := filepath.Rel(pass.Dir, filepath.Dir(path))
-		if rerr != nil {
-			return nil
-		}
-		pkgPath := pass.Path + "/" + filepath.ToSlash(rel)
-		for _, decl := range f.Decls {
-			switch dcl := decl.(type) {
-			case *ast.FuncDecl:
-				if dcl.Recv == nil && hasExportTag(dcl.Doc) {
-					out = append(out, taggedSymbol{pkgPath, dcl.Name.Name, dcl.Name.Pos()})
-				}
-			case *ast.GenDecl:
-				declTagged := hasExportTag(dcl.Doc)
-				for _, spec := range dcl.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if declTagged || hasExportTag(s.Doc) {
-							out = append(out, taggedSymbol{pkgPath, s.Name.Name, s.Name.Pos()})
-						}
-					case *ast.ValueSpec:
-						if declTagged || hasExportTag(s.Doc) {
-							for _, name := range s.Names {
-								out = append(out, taggedSymbol{pkgPath, name.Name, name.Pos()})
-							}
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
-	return out
-}
-
-func hasExportTag(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.TrimSpace(c.Text) == exportTag {
-			return true
-		}
-	}
-	return false
 }

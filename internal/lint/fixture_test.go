@@ -141,7 +141,7 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 		return nil, fmt.Errorf("no fixture sources in %s", dir)
 	}
 	sort.Strings(matches)
-	pkg, err := typecheckFiles(l.fset, path, dir, matches, l, "")
+	pkg, err := typecheckFiles(l.fset, path, matches, l, "")
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +150,7 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 }
 
 // runFixture analyzes one fixture package and checks its diagnostics
-// against the `// want` expectations of every file under its directory
-// (recursively, so facadesync's internal-tree findings are covered too).
+// against the `// want` expectations of every file under its directory.
 func runFixture(t *testing.T, path string, analyzers ...*Analyzer) {
 	t.Helper()
 	l := sharedLoader(t)

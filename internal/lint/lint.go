@@ -1,7 +1,7 @@
 // Package lint is the repo's custom static-analysis suite: five analyzers
 // that turn the invariants the runtime tests pin — durable atomic writes,
 // quarantine-never-delete, context threading, allocation-free hot paths,
-// facade/internal symbol sync — into compile-time checks. The suite runs
+// facade only re-exports — into compile-time checks. The suite runs
 // three ways: standalone over package patterns (via go list, see load.go),
 // as a `go vet -vettool=` backend speaking the vet unit protocol (see
 // unit.go), and in-process from tests (fixtures and the repo meta-test).
@@ -55,7 +55,6 @@ func (d Diagnostic) String() string {
 type Package struct {
 	Fset *token.FileSet
 	Path string // import path
-	Dir  string // directory on disk
 	// Files are the non-test source files — what analyzers inspect.
 	// AllFiles additionally includes in-package _test.go files when the
 	// unit was compiled with them (the go vet ptest variant); they
@@ -72,7 +71,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Path     string
-	Dir      string
 	Pkg      *types.Package
 	Info     *types.Info
 
@@ -113,7 +111,6 @@ func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Path:     pkg.Path,
-			Dir:      pkg.Dir,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			allow:    allow,

@@ -75,7 +75,7 @@ func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
 		if len(t.GoFiles) == 0 || len(t.CgoFiles) > 0 {
 			continue
 		}
-		pkg, err := typecheckFiles(fset, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles), imp, "")
+		pkg, err := typecheckFiles(fset, t.ImportPath, absFiles(t.Dir, t.GoFiles), imp, "")
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func exportImporter(fset *token.FileSet, resolve func(path string) (string, bool
 // include _test.go files (the vet ptest variant); they take part in type
 // checking but are excluded from Package.Files, so analyzers never see
 // them. goVersion, when non-empty, pins the language version ("go1.24").
-func typecheckFiles(fset *token.FileSet, path, dir string, goFiles []string, imp types.Importer, goVersion string) (*Package, error) {
+func typecheckFiles(fset *token.FileSet, path string, goFiles []string, imp types.Importer, goVersion string) (*Package, error) {
 	var all, nonTest []*ast.File
 	for _, gf := range goFiles {
 		f, err := parser.ParseFile(fset, gf, nil, parser.ParseComments)
@@ -168,7 +168,6 @@ func typecheckFiles(fset *token.FileSet, path, dir string, goFiles []string, imp
 	return &Package{
 		Fset:     fset,
 		Path:     path,
-		Dir:      dir,
 		Files:    nonTest,
 		AllFiles: all,
 		Types:    tpkg,

@@ -1,18 +1,8 @@
-// Fixture internal package for facadesync's direction B: tagged symbols
-// must be re-exported by the facade.
+// Fixture internal package the facade fixture re-exports from.
 package eng
 
 // Engine is the fixture engine type.
-//
-//topocon:export
 type Engine struct{}
 
 // New builds an Engine.
-//
-//topocon:export
 func New() *Engine { return &Engine{} }
-
-// Forgotten is tagged for export but the facade does not re-export it.
-//
-//topocon:export
-func Forgotten() {} // want `eng.Forgotten is tagged //topocon:export but the facade does not re-export it`

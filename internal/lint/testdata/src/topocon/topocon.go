@@ -1,5 +1,6 @@
 // Fixture facade: the facadesync analyzer runs only on the package with
-// import path "topocon" and checks both directions of the facade contract.
+// import path "topocon" and checks that each exported symbol re-exports an
+// internal one.
 package topocon
 
 import "topocon/internal/eng"

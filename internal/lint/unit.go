@@ -64,7 +64,7 @@ func RunUnit(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int {
 		file, ok := cfg.PackageFile[path]
 		return file, ok
 	})
-	pkg, err := typecheckFiles(fset, cfg.ImportPath, cfg.Dir, absFiles(cfg.Dir, cfg.GoFiles), imp, cfg.GoVersion)
+	pkg, err := typecheckFiles(fset, cfg.ImportPath, absFiles(cfg.Dir, cfg.GoFiles), imp, cfg.GoVersion)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			writeVetx(cfg)

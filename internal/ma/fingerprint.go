@@ -27,8 +27,6 @@ import (
 // The expression tree is normalized first (see Normalize): algebraic
 // identity spellings like Intersect(a, Unrestricted) hash exactly like a,
 // so they share one sweep-cache entry instead of re-solving.
-//
-//topocon:export
 func Fingerprint(a Adversary, depth int) string {
 	a = Normalize(a)
 	h := sha256.New()

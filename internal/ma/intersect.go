@@ -39,8 +39,6 @@ type productState struct {
 // the product start state must admit an infinite walk that discharges both
 // operands' obligations. Violations — including jointly unsatisfiable
 // liveness obligations — are construction errors.
-//
-//topocon:export
 func NewIntersect(name string, a, b Adversary) (*Intersect, error) {
 	if a.N() != b.N() {
 		return nil, fmt.Errorf("ma: intersect operands have node counts %d and %d", a.N(), b.N())

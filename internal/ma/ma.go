@@ -164,8 +164,6 @@ func dedupGraphs(graphs []graph.Graph) []graph.Graph {
 // graphs must have the right node count, Done must be absorbing, and
 // compact adversaries must be Done everywhere. It returns an error
 // describing the first violation.
-//
-//topocon:export
 func Validate(a Adversary, depth int) error {
 	type item struct {
 		s    State

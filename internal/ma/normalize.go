@@ -12,8 +12,6 @@ import "topocon/internal/graph"
 // Rewrites apply recursively; combinators whose operands rewrite are
 // rebuilt. Adversaries the rewriter does not recognize pass through
 // unchanged, so Normalize is total and never alters behaviour.
-//
-//topocon:export
 func Normalize(a Adversary) Adversary {
 	switch x := a.(type) {
 	case *Intersect:

@@ -21,8 +21,6 @@ var _ Adversary = (*Oblivious)(nil)
 // NewOblivious returns the oblivious adversary over the given non-empty
 // graph set. All graphs must have the same node count; duplicates are
 // dropped (Choices must be duplicate-free).
-//
-//topocon:export
 func NewOblivious(name string, graphs []graph.Graph) (*Oblivious, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("ma: oblivious adversary needs at least one graph")

@@ -109,8 +109,6 @@ func (g *Group) Fingerprint() string { return g.fp }
 // degenerates to the identity — happen when n > 7 (enumeration cost),
 // when the group order would exceed MaxGroupOrder, or when an automaton
 // is too large to verify within the exploration cap.
-//
-//topocon:export
 func Automorphisms(a Adversary) *Group {
 	a = Normalize(a)
 	n := a.N()

@@ -98,8 +98,6 @@ type Pager struct {
 }
 
 // New opens a pager over cfg.Dir, creating the directory if needed.
-//
-//topocon:export
 func New(cfg Config) (*Pager, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("pager: empty directory")

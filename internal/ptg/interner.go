@@ -95,8 +95,6 @@ const internShardInitialSize = 64
 var ErrIDSpace = errors.New("ptg: view ID space exhausted")
 
 // NewInterner returns an empty plain interner (the trivial group).
-//
-//topocon:export
 func NewInterner() *Interner {
 	return &Interner{}
 }

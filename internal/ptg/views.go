@@ -22,8 +22,6 @@ type Views struct {
 
 // ComputeViews computes the views of every process at every time 0..Rounds
 // of the run.
-//
-//topocon:export
 func ComputeViews(in *Interner, r Run) *Views {
 	n := r.N()
 	v := &Views{

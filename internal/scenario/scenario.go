@@ -170,8 +170,6 @@ func Parse(data []byte) (*Scenario, error) {
 }
 
 // Load reads and parses a scenario file.
-//
-//topocon:export
 func Load(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -113,8 +113,6 @@ func IsTemplate(data []byte) bool {
 // resolve to a declared parameter, and every declared parameter must be
 // referenced. The first grid cell is built eagerly so a structurally broken
 // body fails at parse time, not at expansion time.
-//
-//topocon:export
 func ParseTemplate(data []byte) (*Template, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()

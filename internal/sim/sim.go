@@ -77,8 +77,6 @@ func (tr *Trace) LastDecisionRound() int {
 // run's graph sequence and returns the trace. It panics if a process
 // revokes or changes a decision (a broken algorithm is a programming
 // error, and hiding it would invalidate every experiment built on top).
-//
-//topocon:export
 func Execute(factory func() Process, run ptg.Run) *Trace {
 	n := run.N()
 	procs := make([]Process, n)

@@ -128,8 +128,6 @@ type Leases struct {
 // OpenLeases creates the lease directory if needed. write nil means
 // fsx.AtomicWrite. Leftover temp files from crashed writers are
 // quarantined at open, like Store's.
-//
-//topocon:export
 func OpenLeases(dir string, write WriteFunc) (*Leases, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty lease directory")

@@ -84,8 +84,6 @@ type Store struct {
 // in-memory index. Leftover temp files and invalid records are quarantined
 // (never deleted, never fatal); only I/O failures on the directory itself
 // error.
-//
-//topocon:export
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")

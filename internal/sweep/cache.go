@@ -175,8 +175,6 @@ func NewCache() *Cache { return &Cache{m: make(map[Key]*cacheEntry)} }
 
 // NewTieredCache returns an empty verdict cache backed by the tier (nil
 // behaves like NewCache).
-//
-//topocon:export
 func NewTieredCache(tier Tier) *Cache {
 	c := NewCache()
 	c.tier = tier

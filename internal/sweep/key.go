@@ -53,8 +53,6 @@ func (k Key) String() string {
 // order, spacing, non-canonical integers ("01", "+1"), a fingerprint that
 // is not lowercase hex — is an error, so parse-then-reencode is always the
 // identity and encoded keys are safe content addresses.
-//
-//topocon:export
 func ParseKey(s string) (Key, error) {
 	parts := strings.Split(s, ";")
 	if len(parts) != 11 {

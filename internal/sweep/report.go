@@ -117,8 +117,6 @@ type Report struct {
 // Summarize aggregates externally-produced cell results — the
 // coordinator's merged multi-worker reports. With no cache to consult,
 // DistinctKeys is the number of distinct cell fingerprints.
-//
-//topocon:export
 func Summarize(cells []CellResult) Summary {
 	s := summarize(cells, nil)
 	fps := make(map[string]struct{}, len(cells))

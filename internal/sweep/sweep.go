@@ -103,8 +103,6 @@ type Config struct {
 // cancellation it returns the partial report together with the context
 // error: finished cells keep their results and unstarted cells report
 // StatusCancelled, so a cancelled sweep still yields a well-formed report.
-//
-//topocon:export
 func Run(ctx context.Context, tpl *scenario.Template, cfg Config) (*Report, error) {
 	cells, err := tpl.Expand()
 	if err != nil {
@@ -125,8 +123,6 @@ func Run(ctx context.Context, tpl *scenario.Template, cfg Config) (*Report, erro
 // cache, session-pool slot, timeout and progress machinery exactly like a
 // template cell, so daemons and CLIs can serve both document kinds with
 // one code path and one shared verdict corpus.
-//
-//topocon:export
 func RunScenario(ctx context.Context, sc *scenario.Scenario, cfg Config) (*Report, error) {
 	report := &Report{
 		Template: sc.Name,
@@ -406,8 +402,6 @@ func cellDirName(key Key) string {
 // checkpoint subdirectory name and the basename lease/verdict records
 // derive from. Coordinators use it to locate a dead worker's checkpoint
 // for adoption.
-//
-//topocon:export
 func CellDir(key Key) string { return cellDirName(key) }
 
 func millis(d time.Duration) float64 {

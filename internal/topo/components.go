@@ -112,8 +112,6 @@ func (d *Decomposition) FullMixedComponents() int {
 // quotient of their labels, and a view whose cone has a nontrivial
 // stabilizer joins its item to the conjugated twins. Under the trivial
 // group every label is the identity and the scan is a plain bucket union.
-//
-//topocon:export
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	count := s.Len()
 	u := uf.NewLabelled(count, s.Group())

@@ -342,9 +342,10 @@ type memoCase struct {
 // LossyLink3 under the trivial group and its swap, a random five-process
 // adversary wider than the memo, generated adversaries closed under a
 // permutation (advgen) and one closed under all of S₄, each extended as
-// deep as a unit test affords; and two starts whose views lie outside the
-// successor table's cone range: a head restored by RestoreChain, and a
-// space whose interner an earlier space filled.
+// deep as a unit test affords; and two starts the successor table does not
+// build itself: a head restored by RestoreChain, whose cone range is
+// rebuilt from its views, and a space whose interner an earlier space
+// filled, whose views lie outside its rounds' cone ranges.
 func memoCases(t *testing.T) []memoCase {
 	star, ll3 := advgen.LossyStar4(), ma.LossyLink3()
 	starS3 := ma.Automorphisms(star)
@@ -406,7 +407,7 @@ func hasSelfOnlyMask(adv ma.Adversary) bool {
 
 // restoredStart extends a paged space to the given horizon, checkpoints
 // its chain and interner, and restores both into fresh objects, as a
-// resumed session does. The restored head records no cone range.
+// resumed session does.
 func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(*Space) *Space) *Space {
 	return func(t *testing.T, cfg Config, extend func(*Space) *Space) *Space {
 		dir := t.TempDir()
@@ -440,6 +441,50 @@ func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(
 			t.Fatal(err)
 		}
 		return restored
+	}
+}
+
+// TestRestoreChainRecordsConeRange pins that every round RestoreChain
+// reads from a page records the cone range its original extension
+// recorded, so the first round after a resume answers self-only repeats
+// from the successor table. (Horizon 0 is rebuilt, not restored.)
+func TestRestoreChainRecordsConeRange(t *testing.T) {
+	ctx := context.Background()
+	star := advgen.LossyStar4()
+	for _, sym := range []*ma.Group{ma.Automorphisms(star), ma.TrivialGroup(4)} {
+		for horizon := 1; horizon <= 4; horizon++ {
+			dir := t.TempDir()
+			pg, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := BuildCtx(ctx, star, 2, horizon, Config{Pager: pg, Symmetry: sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds := mustSnapshotChain(t, s)
+			pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := RestoreChain(ChainSpec{
+				Adversary:   star,
+				InputDomain: 2,
+				Interner:    reimport(t, s.Interner),
+				Pager:       pg2,
+				Rounds:      rounds,
+				Symmetry:    sym,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for f, g := s.fr, restored.fr; f.horizon > 0; f, g = f.prev, g.prev {
+				if f.idLo != g.idLo || f.idHi != g.idHi {
+					t.Errorf("|G|=%d horizon %d round %d: restored range [%d, %d), extension recorded [%d, %d)",
+						sym.Order(), horizon, f.horizon, g.idLo, g.idHi, f.idLo, f.idHi)
+				}
+			}
+		}
 	}
 }
 

@@ -384,6 +384,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 	}
 	s.pager = spec.Pager
 	idBound := ptg.ViewID(spec.Interner.IDBound())
+	order := ptg.ViewID(spec.Interner.GroupOrder())
 	for ri, cr := range spec.Rounds {
 		if cr.Horizon != ri+1 {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d has horizon %d, want %d", ri, cr.Horizon, ri+1)
@@ -405,12 +406,18 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		if err := f.decodeColumns(payload); err != nil {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
 		}
+		lo, hi := idBound, ptg.ViewID(-1)
 		for _, id := range f.ids {
 			if id < 0 || id >= idBound {
 				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond interner ID bound %d",
 					cr.Horizon, id, idBound)
 			}
+			lo, hi = min(lo, id), max(hi, id)
 		}
+		// The round's cone range, whole orbits from its least to its
+		// greatest view: what the original extension recorded, since a
+		// round stores only views of its own depth.
+		f.idLo, f.idHi = int(lo/order*order), int((hi/order+1)*order)
 		states := make([]ma.State, cr.Count)
 		doneAt := make([]int32, cr.Count)
 		valence := make([]int32, cr.Count)

@@ -69,9 +69,9 @@ type frontier struct {
 	base *frontier
 	// idLo and idHi are Interner.IDBound() before and after the round that
 	// built this frontier, so every view the round stored first lies in
-	// [idLo, idHi). They size the next round's successor table (extend.go)
-	// and are equal (an empty range) on a frontier the round did not build
-	// itself, such as a head restored by RestoreChain.
+	// [idLo, idHi). They size the next round's successor table (extend.go).
+	// RestoreChain records the same range from the round's least and
+	// greatest view, rounded out to whole orbits.
 	idLo, idHi int
 
 	// Out-of-core state (see paging.go): once spilled, pg/pageID locate the
@@ -202,8 +202,6 @@ type Config struct {
 // order, parents in item order). The final item count is cross-checked
 // against the automaton's independent ma.CountPrefixes; a from-scratch
 // build carries no Refine parent linkage (see Decomposition.Refine).
-//
-//topocon:export
 func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, cfg Config) (*Space, error) {
 	if inputDomain < 1 {
 		return nil, fmt.Errorf("topo: input domain size %d < 1", inputDomain)

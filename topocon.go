@@ -51,7 +51,6 @@ import (
 	"topocon/internal/baseline"
 	"topocon/internal/check"
 	"topocon/internal/ckpt"
-	"topocon/internal/coord"
 	"topocon/internal/graph"
 	"topocon/internal/lasso"
 	"topocon/internal/ma"
@@ -189,8 +188,6 @@ var (
 	// (DESIGN.md §13). Falls back to the trivial group when detection is
 	// out of budget.
 	Automorphisms = ma.Automorphisms
-	// TrivialGroup is the identity-only symmetry group on n processes.
-	TrivialGroup = ma.TrivialGroup
 )
 
 // Group is a process-permutation group under which an adversary is
@@ -236,31 +233,6 @@ type (
 	// SweepCache is the concurrency-safe fingerprint-keyed verdict cache;
 	// share one across sweeps to reuse verdicts between templates.
 	SweepCache = sweep.Cache
-	// SweepKey identifies one unit of solvability work up to behavioural
-	// isomorphism: (adversary fingerprint, resolved options, certificate
-	// eligibility). Its String method renders the versioned canonical
-	// encoding (parse it back with ParseSweepKey).
-	SweepKey = sweep.Key
-	// SweepOutcome is one cached/stored verdict: the solved fields of a
-	// cell, independent of which scenario asked.
-	SweepOutcome = sweep.Outcome
-	// SweepTier is a persistent cache tier under a SweepCache (the verdict
-	// store implements it).
-	SweepTier = sweep.Tier
-	// SweepHitTier attributes a cache answer to its origin tier.
-	SweepHitTier = sweep.HitTier
-	// SweepCacheStats counts a cache's hits by tier, computes and tier
-	// write failures.
-	SweepCacheStats = sweep.CacheStats
-	// SweepPagingSummary aggregates a sweep's out-of-core paging and
-	// checkpoint gauges (all-zero without a CheckpointDir).
-	SweepPagingSummary = sweep.PagingSummary
-	// VerdictStore is the disk-backed content-addressed verdict store:
-	// one checksummed record per SweepKey, written atomically, quarantined
-	// when corrupt. It implements SweepTier.
-	VerdictStore = store.Store
-	// VerdictStoreStats sizes a store (records, bytes, quarantined).
-	VerdictStoreStats = store.Stats
 )
 
 var (
@@ -284,11 +256,6 @@ var (
 	// NewTieredSweepCache returns a cache layered over a persistent tier:
 	// memory → tier → compute, with write-behind of computed verdicts.
 	NewTieredSweepCache = sweep.NewTieredCache
-	// SweepKeyFor computes the verdict-cache key of one workload.
-	SweepKeyFor = sweep.KeyFor
-	// ParseSweepKey parses a canonical key encoding (SweepKey.String),
-	// strictly: accepted inputs re-encode byte-identically.
-	ParseSweepKey = sweep.ParseKey
 	// OpenVerdictStore opens (creating if needed) a verdict store
 	// directory and loads its record index; corrupt records are
 	// quarantined, never fatal.
@@ -300,71 +267,6 @@ const (
 	SweepStatusDone      = sweep.StatusDone
 	SweepStatusError     = sweep.StatusError
 	SweepStatusCancelled = sweep.StatusCancelled
-)
-
-// Cache-hit origin tiers (SweepCellResult.CacheTier renders these).
-const (
-	SweepTierNone   = sweep.TierNone
-	SweepTierMemory = sweep.TierMemory
-	SweepTierDisk   = sweep.TierDisk
-)
-
-// SweepKeyEncodingVersion is the canonical key encoding's version tag.
-const SweepKeyEncodingVersion = sweep.KeyEncodingVersion
-
-// Coordinated multi-worker sweeps: durable cell leases, checkpoint
-// adoption, and the fleet coordinator (see internal/coord and
-// cmd/topoconcoord).
-type (
-	// CoordConfig tunes a coordinated sweep run: fleet URLs, lease TTL,
-	// per-cell circuit-breaker budget, dispatch concurrency and backoff.
-	CoordConfig = coord.Config
-	// CoordStats counts a coordinated run's dispatch traffic — retries,
-	// steals, breaker trips, dead workers.
-	CoordStats = coord.Stats
-	// CellLease is one durable per-cell lease record in a fleet's shared
-	// checkpoint directory.
-	CellLease = store.Lease
-	// CellLeases manages a content-addressed lease directory (one
-	// checksummed record per SweepKey; see OpenLeases).
-	CellLeases = store.Leases
-	// CellLeaseStats counts a lease directory's acquire/renew/release and
-	// quarantine traffic.
-	CellLeaseStats = store.LeaseStats
-)
-
-var (
-	// CoordinateSweep expands a template grid once and dispatches its
-	// cells across a fleet of topoconsvc workers; dead workers' cells are
-	// stolen through expired leases and adopted checkpoints, and the
-	// merged report comes back in grid order, as if one process had run
-	// the sweep.
-	CoordinateSweep = coord.Run
-	// OpenLeases opens (creating if needed) a shared cell-lease directory.
-	OpenLeases = store.OpenLeases
-	// AdoptCheckpoint moves a dead worker's per-cell checkpoint into a
-	// successor's namespace — validate first, rename with the manifest
-	// last — so the successor resumes with zero horizon re-extension.
-	AdoptCheckpoint = ckpt.Adopt
-	// SummarizeSweepCells aggregates externally-produced cell results,
-	// e.g. a coordinator's merged multi-worker report.
-	SummarizeSweepCells = sweep.Summarize
-	// SweepCellDir is the content-addressed checkpoint subdirectory name
-	// of one cell key.
-	SweepCellDir = sweep.CellDir
-)
-
-// Lease states (CellLease.State) and fencing errors.
-const (
-	LeaseHeld     = store.LeaseHeld
-	LeaseReleased = store.LeaseReleased
-)
-
-var (
-	// ErrLeaseHeld: another holder's lease is still live (retry after its
-	// expiry). ErrLeaseLost: a peer took the cell over; stand down.
-	ErrLeaseHeld = store.ErrLeaseHeld
-	ErrLeaseLost = store.ErrLeaseLost
 )
 
 // Runs, process-time graphs and views.
@@ -498,17 +400,9 @@ type (
 	Pager = pager.Pager
 	// PagerConfig configures NewPager (directory, hot-set budget).
 	PagerConfig = pager.Config
-	// PagerStats are a pager's cumulative spill/fault/residency gauges.
-	PagerStats = pager.Stats
-	// SessionSnapshot is an Analyzer session's serializable state; see
-	// Analyzer.Snapshot and RestoreAnalyzer.
-	SessionSnapshot = check.SessionSnapshot
 	// CheckpointConfig tunes RunCheckpointed (directory, hot-set budget,
 	// checkpoint cadence).
 	CheckpointConfig = ckpt.Config
-	// CheckpointInfo reports what RunCheckpointed did (resume point,
-	// checkpoints written, pager traffic).
-	CheckpointInfo = ckpt.Info
 )
 
 var (
@@ -516,27 +410,10 @@ var (
 	NewPager = pager.New
 	// WithPager attaches a paging layer to an Analyzer session.
 	WithPager = check.WithPager
-	// RestoreAnalyzer rebuilds an Analyzer from a SessionSnapshot.
-	RestoreAnalyzer = check.RestoreAnalyzer
-	// SaveCheckpoint / LoadCheckpoint / RemoveCheckpoint manage a whole
-	// session checkpoint directory; CheckpointExists probes one.
-	SaveCheckpoint   = ckpt.Save
-	LoadCheckpoint   = ckpt.Load
-	RemoveCheckpoint = ckpt.Remove
-	CheckpointExists = ckpt.Exists
 	// RunCheckpointed runs a full analysis resume-or-fresh: it continues
 	// from a checkpoint when one matches, checkpoints periodically as it
 	// refines, saves on interruption, and cleans up on success.
 	RunCheckpointed = ckpt.RunCheck
-)
-
-// Checkpoint error taxonomy: a missing or corrupt (quarantined) checkpoint
-// is ErrNoCheckpoint — recompute fresh; an intact checkpoint for the wrong
-// adversary or options is a hard mismatch error — never silently recompute.
-var (
-	ErrNoCheckpoint                  = ckpt.ErrNoCheckpoint
-	ErrCheckpointFingerprintMismatch = ckpt.ErrFingerprintMismatch
-	ErrCheckpointConfigMismatch      = ckpt.ErrConfigMismatch
 )
 
 // Verdicts.

@@ -69,7 +69,6 @@ func main() {
 		domain       = flag.Int("domain", 2, "input domain size")
 		window       = flag.Int("window", 1, "stability window for -preset stable")
 		deadline     = flag.Int("deadline", 2, "deadline for -preset committed")
-		workers      = flag.Int("workers", 1, "worker-pool size for frontier expansion and decomposition")
 		retain       = flag.Int("retain", 1, "prefix spaces kept alive besides the separation horizon's (bounds session memory); 0 retains every horizon")
 		verbose      = flag.Bool("v", false, "print per-horizon decomposition statistics as the session refines (with -sweep: per-cell progress lines)")
 		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint/resume directory: the session checkpoints there as it refines and a rerun resumes from the last completed horizon instead of starting over; with -sweep: per-cell checkpoints under it")
@@ -114,18 +113,17 @@ func main() {
 		return
 	}
 	// Interrupting a long session (Ctrl-C) cancels the analysis cleanly at
-	// the next frontier chunk instead of killing the process mid-print.
+	// its next cancellation check instead of killing the process mid-print.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	if ckpt.dir != "" {
-		runCheckpointed(ctx, adv, opts, ckpt, *workers, *verbose)
+		runCheckpointed(ctx, adv, opts, ckpt, *verbose)
 		return
 	}
 
 	anOpts := []topocon.AnalyzerOption{
 		topocon.WithCheckOptions(opts),
-		topocon.WithParallelism(*workers),
 		topocon.WithRetainSpaces(*retain),
 	}
 	if *verbose {
@@ -175,13 +173,13 @@ type ckptFlags struct {
 // its last completed horizon, and a rerun resumes there — re-extending
 // nothing it already analysed. Exit status mirrors the plain path (130 on
 // interrupt), plus 1 on hard checkpoint mismatches.
-func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.CheckOptions, ck ckptFlags, workers int, verbose bool) {
+func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.CheckOptions, ck ckptFlags, verbose bool) {
 	cfg := topocon.CheckpointConfig{Dir: ck.dir, HotBytes: ck.hotBytes, Every: ck.every}
 	if verbose {
 		fmt.Println(progressHeader)
 		cfg.OnHorizon = printProgress
 	}
-	res, info, err := topocon.RunCheckpointed(ctx, adv, cfg, opts, workers)
+	res, info, err := topocon.RunCheckpointed(ctx, adv, cfg, opts, 0)
 	if info.Resumed {
 		fmt.Fprintf(os.Stderr, "topocheck: resumed at horizon %d from %s\n", info.ResumedAt, ck.dir)
 	}

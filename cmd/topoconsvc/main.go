@@ -45,7 +45,6 @@ func main() {
 		workers     = flag.Int("workers", 2, "global session pool: max concurrently running Analyzer sessions across all jobs")
 		maxQueue    = flag.Int("max-queue", 64, "max jobs accepted but not yet running; beyond it submissions get 429")
 		maxBody     = flag.Int64("max-body-bytes", 1<<20, "max submission body size in bytes")
-		cellPar     = flag.Int("cell-parallelism", 1, "per-session Analyzer worker-pool size")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell analysis wall-time budget (0 = unbounded)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-time budget (0 = unbounded)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight jobs")
@@ -77,7 +76,6 @@ func main() {
 		Workers:         *workers,
 		MaxQueue:        *maxQueue,
 		MaxBodyBytes:    *maxBody,
-		CellParallelism: *cellPar,
 		CellTimeout:     *cellTimeout,
 		JobTimeout:      *jobTimeout,
 		CheckpointDir:   *ckptDir,

@@ -23,10 +23,8 @@ func main() {
 		{4, 1, 2},
 	} {
 		adv := topocon.LossBounded(c.n, c.f)
-		// The n=4 space grows fast; a worker pool spreads the frontier
-		// expansion, and the session is cancellable via ctx.
-		an, err := topocon.NewAnalyzer(adv,
-			topocon.WithMaxHorizon(c.horizon), topocon.WithParallelism(4))
+		// The n=4 space grows fast; the session is cancellable via ctx.
+		an, err := topocon.NewAnalyzer(adv, topocon.WithMaxHorizon(c.horizon))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -88,10 +88,13 @@ func WithLatencySlack(r int) AnalyzerOption {
 	return func(a *Analyzer) { a.opts.LatencySlack = r }
 }
 
-// WithParallelism spreads frontier expansion and decomposition over w
-// workers (default 1, sequential).
-func WithParallelism(w int) AnalyzerOption {
-	return func(a *Analyzer) { a.parallelism = w }
+// WithParallelism returns an option that changes nothing.
+//
+// Deprecated: a session runs on the goroutine that calls Step or Check, so
+// the worker count is ignored. The option stays only because the benchmark
+// module in topobench/ still passes it.
+func WithParallelism(int) AnalyzerOption {
+	return func(*Analyzer) {}
 }
 
 // WithNoSymmetry disables the automorphism quotient; see
@@ -148,12 +151,11 @@ func WithOptions(o Options) AnalyzerOption {
 // keeps its completed horizons and can be resumed with a fresh context.
 // An Analyzer is not safe for concurrent use.
 type Analyzer struct {
-	adv         ma.Adversary
-	opts        Options
-	parallelism int
-	retain      int // spaces kept besides the separation horizon; 0 = all
-	progress    func(HorizonReport)
-	pager       *pager.Pager // nil = all-hot, not checkpointable
+	adv      ma.Adversary
+	opts     Options
+	retain   int // spaces kept besides the separation horizon; 0 = all
+	progress func(HorizonReport)
+	pager    *pager.Pager // nil = all-hot, not checkpointable
 
 	// spaces[t] is the horizon-t prefix space, or nil once evicted by the
 	// retention policy; retained spaces all share one interner.
@@ -169,7 +171,7 @@ type Analyzer struct {
 // the configuration (negative InputDomain, MaxHorizon, MaxRuns,
 // LatencySlack or retention are rejected) without building any space yet.
 func NewAnalyzer(adv ma.Adversary, options ...AnalyzerOption) (*Analyzer, error) {
-	a := &Analyzer{adv: adv, parallelism: 1, retain: 1}
+	a := &Analyzer{adv: adv, retain: 1}
 	for _, o := range options {
 		o(a)
 	}
@@ -290,10 +292,9 @@ func (a *Analyzer) Symmetry() *ma.Group { return a.symmetry() }
 // later horizon refines from this partition.
 func (a *Analyzer) buildBase(ctx context.Context) error {
 	base, err := topo.BuildCtx(ctx, a.adv, a.opts.InputDomain, 0, topo.Config{
-		MaxRuns:     a.opts.MaxRuns,
-		Parallelism: a.parallelism,
-		Pager:       a.pager,
-		Symmetry:    a.symmetry(),
+		MaxRuns:  a.opts.MaxRuns,
+		Pager:    a.pager,
+		Symmetry: a.symmetry(),
 	})
 	if err != nil {
 		return fmt.Errorf("check: horizon 0: %w", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"topocon/internal/advgen"
@@ -73,11 +74,15 @@ func TestAnalyzerMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestAnalyzerParallelMatchesSequential asserts verdict equality between
-// sequential and worker-pool sessions, and equal full-space component and
-// mixed counts at every horizon. The corpus star (quotiented and not) and
-// generated symmetric adversaries run the in-mask memo of frontier
-// extension on concurrent workers sharing one interner.
+// TestAnalyzerParallelMatchesSequential runs three sessions at once, each
+// on its own goroutine as topoconsvc's workers and a sweep's cells run
+// them, and asserts that each has the verdict and the per-horizon runs,
+// full-space component and mixed counts and interned views of a session
+// run alone. The sessions share the engine's pooled scratch and one
+// adversary value, which the Adversary contract allows; run it under
+// -race. The corpus star (quotiented and not) and generated
+// symmetric adversaries run the in-mask memo and the successor table of
+// frontier extension.
 func TestAnalyzerParallelMatchesSequential(t *testing.T) {
 	stable := ma.MustEventuallyStable("",
 		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 2)
@@ -85,43 +90,66 @@ func TestAnalyzerParallelMatchesSequential(t *testing.T) {
 		adv  ma.Adversary
 		opts []AnalyzerOption
 	}
-	cases := []tc{{adv: ma.LossyLink2()}, {adv: ma.LossyLink3()}, {adv: stable},
+	// Union memoizes its product states in a locked cache, which the
+	// sessions share.
+	free, commit := []graph.Graph{graph.Left, graph.Right, graph.Both}, []graph.Graph{graph.Left, graph.Right}
+	union := ma.MustUnion("", ma.MustCommittedSuffix("", free, commit, 2), ma.MustCommittedSuffix("", free, commit, 3))
+	cases := []tc{{adv: ma.LossyLink2()}, {adv: ma.LossyLink3()}, {adv: stable}, {adv: union},
 		{adv: advgen.LossyStar4()}, {adv: advgen.LossyStar4(), opts: []AnalyzerOption{WithNoSymmetry()}}}
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 3; i++ {
 		cases = append(cases, tc{adv: advgen.SymmetricOblivious(rng, 3+i%2), opts: []AnalyzerOption{WithMaxHorizon(3)}})
 	}
-	session := func(c tc, workers int) (*Result, []HorizonReport) {
-		var reps []HorizonReport
-		opts := append([]AnalyzerOption{WithMaxHorizon(5), WithParallelism(workers),
-			WithProgress(func(r HorizonReport) { reps = append(reps, r) })}, c.opts...)
+	type outcome struct {
+		res  *Result
+		reps []HorizonReport
+		err  error
+	}
+	session := func(c tc) outcome {
+		var out outcome
+		opts := append([]AnalyzerOption{WithMaxHorizon(5),
+			WithProgress(func(r HorizonReport) { out.reps = append(out.reps, r) })}, c.opts...)
 		a, err := NewAnalyzer(c.adv, opts...)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			out.res, err = a.Check(context.Background())
 		}
-		res, err := a.Check(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, reps
+		out.err = err
+		return out
 	}
 	for ci, c := range cases {
-		seq, seqReps := session(c, 1)
-		for _, workers := range []int{2, 4} {
-			par, parReps := session(c, workers)
-			if seq.Verdict != par.Verdict || seq.SeparationHorizon != par.SeparationHorizon ||
-				seq.Broadcaster != par.Broadcaster {
-				t.Errorf("case %d %s, %d workers: sequential %v/%d/%d vs parallel %v/%d/%d", ci, c.adv.Name(), workers,
-					seq.Verdict, seq.SeparationHorizon, seq.Broadcaster,
-					par.Verdict, par.SeparationHorizon, par.Broadcaster)
+		seq := session(c)
+		if seq.err != nil {
+			t.Fatal(seq.err)
+		}
+		var par [3]outcome
+		var wg sync.WaitGroup
+		for w := range par {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				par[w] = session(c)
+			}()
+		}
+		wg.Wait()
+		for w, p := range par {
+			if p.err != nil {
+				t.Fatalf("case %d %s, session %d: %v", ci, c.adv.Name(), w, p.err)
 			}
-			if len(seqReps) != len(parReps) {
-				t.Fatalf("case %d %s, %d workers: %d horizons vs %d", ci, c.adv.Name(), workers, len(seqReps), len(parReps))
+			if seq.res.Verdict != p.res.Verdict || seq.res.SeparationHorizon != p.res.SeparationHorizon ||
+				seq.res.Broadcaster != p.res.Broadcaster {
+				t.Errorf("case %d %s, session %d: alone %v/%d/%d vs in parallel %v/%d/%d", ci, c.adv.Name(), w,
+					seq.res.Verdict, seq.res.SeparationHorizon, seq.res.Broadcaster,
+					p.res.Verdict, p.res.SeparationHorizon, p.res.Broadcaster)
 			}
-			for h, r := range seqReps {
-				if p := parReps[h]; r.Components != p.Components || r.MixedComponents != p.MixedComponents {
-					t.Errorf("case %d %s, %d workers, horizon %d: components/mixed %d/%d vs parallel %d/%d", ci, c.adv.Name(),
-						workers, r.Horizon, r.Components, r.MixedComponents, p.Components, p.MixedComponents)
+			if len(seq.reps) != len(p.reps) {
+				t.Fatalf("case %d %s, session %d: %d horizons vs %d", ci, c.adv.Name(), w, len(seq.reps), len(p.reps))
+			}
+			for h, r := range seq.reps {
+				if q := p.reps[h]; r.Components != q.Components || r.MixedComponents != q.MixedComponents ||
+					r.Runs != q.Runs || r.InternedViews != q.InternedViews {
+					t.Errorf("case %d %s, session %d, horizon %d: runs/components/mixed/views %d/%d/%d/%d vs in parallel %d/%d/%d/%d",
+						ci, c.adv.Name(), w, r.Horizon, r.Runs, r.Components, r.MixedComponents, r.InternedViews,
+						q.Runs, q.Components, q.MixedComponents, q.InternedViews)
 				}
 			}
 		}

@@ -26,9 +26,8 @@ type SessionSnapshot struct {
 	// Options are the session's resolved options; a resume must run under
 	// exactly these (the checkpoint is only valid for the configuration
 	// that produced it).
-	Options     Options `json:"options"`
-	Parallelism int     `json:"parallelism"`
-	Retain      int     `json:"retain"`
+	Options Options `json:"options"`
+	Retain  int     `json:"retain"`
 
 	// Horizon is the deepest fully-analysed horizon; Rounds reference its
 	// frontier chain's persisted pages, horizons 1..Horizon ascending.
@@ -68,7 +67,6 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	}
 	snap := &SessionSnapshot{
 		Options:           a.opts,
-		Parallelism:       a.parallelism,
 		Retain:            a.retain,
 		Horizon:           a.cur.Horizon,
 		Rounds:            rounds,
@@ -114,7 +112,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 	}
 	options := append([]AnalyzerOption{
 		WithOptions(snap.Options),
-		WithParallelism(snap.Parallelism),
 		WithRetainSpaces(snap.Retain),
 		WithPager(pg),
 	}, extra...)
@@ -129,7 +126,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 		Adversary:   adv,
 		InputDomain: a.opts.InputDomain,
 		MaxRuns:     a.opts.MaxRuns,
-		Parallelism: a.parallelism,
 		Interner:    interner,
 		Pager:       pg,
 		Rounds:      snap.Rounds,

@@ -6,20 +6,21 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 4, line-framed like internal/store records):
+// Manifest format (version 5, line-framed like internal/store records):
 //
-//	topocon-ckpt 4
+//	topocon-ckpt 5
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 4 marks checkpoints whose decompositions are component orbits
-// (per-item labels and per-component stabilizers); older checkpoints —
-// version 1 (full, unquotiented frontiers), version 2 (quotiented sessions
-// under the relabel-memo ID scheme) and version 3 (decompositions over
-// pseudo-items) — are quarantined and recomputed rather than resumed (see
-// manifestVersion).
+// Version 5 drops the session meta's worker count; its decompositions are
+// component orbits (per-item labels and per-component stabilizers), as in
+// version 4. Older checkpoints — version 1 (full, unquotiented frontiers),
+// version 2 (quotiented sessions under the relabel-memo ID scheme),
+// version 3 (decompositions over pseudo-items) and version 4 (meta with a
+// "parallelism" field) — are quarantined and recomputed rather than
+// resumed (see manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -58,15 +59,16 @@ import (
 )
 
 const (
-	// manifestVersion 4 marks checkpoints whose session snapshots hold
-	// orbit decompositions (DESIGN.md §13): one component per component
-	// orbit, with per-item labels and per-component stabilizers. A v3
-	// snapshot of a quotiented session holds a pseudo-item partition
-	// (|G| labels per item), v2 view IDs of the relabel-memo scheme, and
-	// v1 pages the full, unquotiented frontier; resuming any of them would
-	// be wrong. Older manifests therefore fail decoding, quarantine, and
-	// recompute.
-	manifestVersion = 4
+	// manifestVersion 5 marks checkpoints whose session meta has no
+	// "parallelism" field; decoding rejects unknown fields, so a v4 meta
+	// would not decode anyway. v4 and v5 snapshots hold orbit
+	// decompositions (DESIGN.md §13): one component per component orbit,
+	// with per-item labels and per-component stabilizers. A v3 snapshot of
+	// a quotiented session holds a pseudo-item partition (|G| labels per
+	// item), v2 view IDs of the relabel-memo scheme, and v1 pages the
+	// full, unquotiented frontier; resuming any of them would be wrong.
+	// Older manifests therefore fail decoding, quarantine, and recompute.
+	manifestVersion = 5
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"
@@ -93,13 +95,6 @@ func PagesDir(dir string) string { return filepath.Join(dir, pagesDirName) }
 
 func manifestPath(dir string) string { return filepath.Join(dir, manifestName) }
 func internerPath(dir string) string { return filepath.Join(dir, internerName) }
-
-// Exists reports whether dir holds a (syntactically present, not yet
-// validated) checkpoint manifest.
-func Exists(dir string) bool {
-	_, err := os.Stat(manifestPath(dir))
-	return err == nil
-}
 
 // Fresh prepares dir for a brand-new checkpointable session and returns its
 // pager. Any previous checkpoint state — manifest, interner blob, page
@@ -198,7 +193,7 @@ func Save(dir string, a *check.Analyzer) error {
 
 // Load resumes the session checkpointed in dir for the given adversary,
 // with a fresh pager under the given hot-set budget. Extra options are for
-// the new process's observers (WithProgress, WithParallelism); the analysis
+// the new process's observers (WithProgress); the analysis
 // configuration always comes from the checkpoint. See the package comment
 // for the validation and error contract.
 func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerOption) (*check.Analyzer, error) {
@@ -300,7 +295,9 @@ type Info struct {
 // checkpoint directory once the verdict is in. On a context cancellation
 // the last completed horizon is checkpointed before returning, so a killed
 // run loses at most the horizon in flight.
-func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Options, parallelism int) (*check.Result, *Info, error) {
+func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Options,
+	_ int, // Deprecated: once the session's worker count, now ignored; it stays only because the benchmark module in topobench/ still passes it.
+) (*check.Result, *Info, error) {
 	every := cfg.Every
 	if every <= 0 {
 		every = 1
@@ -324,7 +321,7 @@ func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Opti
 		}
 	})
 
-	a, err := Load(cfg.Dir, adv, cfg.HotBytes, check.WithParallelism(parallelism), progress)
+	a, err := Load(cfg.Dir, adv, cfg.HotBytes, progress)
 	switch {
 	case err == nil:
 		info.Resumed = true
@@ -335,7 +332,7 @@ func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Opti
 			return nil, info, ferr
 		}
 		a, ferr = check.NewAnalyzer(adv,
-			check.WithOptions(opts), check.WithParallelism(parallelism), check.WithPager(pg), progress)
+			check.WithOptions(opts), check.WithPager(pg), progress)
 		if ferr != nil {
 			return nil, info, ferr
 		}

@@ -16,6 +16,13 @@ import (
 	"topocon/internal/ptg"
 )
 
+// Exists reports whether dir holds a (syntactically present, not yet
+// validated) checkpoint manifest.
+func Exists(dir string) bool {
+	_, err := os.Stat(manifestPath(dir))
+	return err == nil
+}
+
 func seedAdversaries() []ma.Adversary {
 	stable := ma.MustEventuallyStable("",
 		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 1)
@@ -217,6 +224,9 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 			}
 			resealManifest(t, dir, 3)
 		},
+		// A version-4 checkpoint's meta carries the retired "parallelism"
+		// field; it must be recomputed, not resumed.
+		"version-4": func(t *testing.T, dir string) { resealManifest(t, dir, 4) },
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -367,7 +377,7 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := check.NewAnalyzer(adv, opts, check.WithPager(pg), check.WithParallelism(2))
+	crashed, err := check.NewAnalyzer(adv, opts, check.WithPager(pg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +385,8 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 	if err := Save(dir, crashed); err != nil {
 		t.Fatal(err)
 	}
-	// The crashed run's IDs past the checkpoint follow its interning order,
-	// which under parallelism > 1 is up to the scheduler. One extra view
-	// interned before horizon 4 makes them differ from the resumed run's
-	// deterministically.
+	// One extra view interned before horizon 4 makes the crashed run's IDs
+	// past the checkpoint differ from the resumed run's.
 	crashed.SpaceAt(3).Interner.Leaf(0, 7)
 	step(crashed, 2) // spills round 4; the crash loses horizons 4 and 5
 	stale := filepath.Join(PagesDir(dir), "round-004.page")
@@ -387,7 +395,7 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 		t.Fatalf("the crashed run left no round-4 page: %v", err)
 	}
 
-	resumed, err := Load(dir, adv, budget, check.WithParallelism(2))
+	resumed, err := Load(dir, adv, budget)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -30,7 +30,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(encodeManifest("fp", 0, 0, []byte(`{}`)))
-	f.Add([]byte("topocon-ckpt 4\n"))
+	f.Add([]byte("topocon-ckpt 5\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fp, blobLen, blobCRC, snap, err := decodeManifest(data)
 		if err != nil {

@@ -33,8 +33,8 @@ type State any
 // Adversary is a message adversary presented as a deterministic graph
 // automaton.
 //
-// Choices, Step and Done must be safe for concurrent calls: the parallel
-// frontier expansion in internal/topo invokes them from a worker pool.
+// Choices, Step and Done must be safe for concurrent calls, so that
+// analysis sessions on several goroutines may share one adversary value.
 // Pure-value state machines satisfy this for free; implementations that
 // memoize (e.g. Union) must synchronize their caches.
 type Adversary interface {

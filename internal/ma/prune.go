@@ -34,8 +34,7 @@ const maxPrunedStates = 1 << 20
 //
 // The exploration table doubles as the reachable-state dedup and as the
 // pruned-choices memo. All methods are safe for concurrent use after
-// analyze; the parallel frontier expansion in internal/topo calls Choices
-// from a worker pool.
+// analyze, as the Adversary contract requires of Choices.
 type pruner struct {
 	choices func(State) []graph.Graph
 	step    func(State, graph.Graph) State

@@ -115,9 +115,6 @@ func New(cfg Config) (*Pager, error) {
 // Dir returns the page directory.
 func (pg *Pager) Dir() string { return pg.dir }
 
-// HotBudget returns the configured hot-set budget (≤ 0 = unlimited).
-func (pg *Pager) HotBudget() int64 { return pg.budget }
-
 // validID rejects ids that could escape the page directory or collide with
 // the quarantine subdirectory.
 func validID(id string) error {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 )
 
 // ViewID identifies a hash-consed causal cone. Two views (possibly from
@@ -32,63 +30,59 @@ type ViewID int32
 // unfolding of a cone determines the cone, because the in-neighbourhood of
 // every cone node within the cone appears at each of its occurrences.
 //
-// An Interner is safe for concurrent use and engineered for the parallel
-// frontier expansion in internal/topo, where every one of the |S|·n interns
-// per extended round would otherwise serialize:
+// An Interner belongs to one analysis session and is not safe for
+// concurrent use: a session extends its prefix space on one goroutine, and
+// everything that reads or grows its interner — extension, decomposition,
+// decision maps, the simulator's view reconstruction and checkpoint saves
+// from the progress hook — runs on that goroutine. Concurrent sessions
+// each own their interner. Interning allocates nothing per call beyond
+// amortized growth:
 //
-//   - the table is split into 64 shards selected by the top bits of the key
-//     hash, so workers interning unrelated cones take disjoint locks;
-//   - each shard is an open-addressing table of hash-tagged slots over one
-//     append-only arena of key records, so a lookup reads one slot and one
-//     record — interning allocates nothing per call (keys are encoded into
-//     stack buffers, arena and table growth is amortized geometric), unlike
-//     the previous string-keyed map that allocated a key string per novel
-//     cone and a hash bucket per entry;
-//   - stored cones are numbered by one atomic counter, so IDs stay dense
-//     across shards — the decomposition machinery indexes per-ViewID
-//     scratch tables by IDBound().
-//
-// IDs are assigned in insertion order; concurrent runs may assign different
-// IDs to the same cone — only equality within one Interner is meaningful.
+//   - one open-addressing table of hash-tagged slots points into an arena
+//     of key records, so a lookup reads one slot and one record, and keys
+//     are encoded into stack buffers;
+//   - the arena is a list of fixed-size blocks, so once past its first
+//     block it grows without copying the records stored so far;
+//   - stored cones are numbered densely in insertion order — the
+//     decomposition machinery indexes per-ViewID scratch tables by
+//     IDBound(), and Export relies on the order.
 type Interner struct {
-	next   atomic.Int32
-	shards [internShards]internShard
+	// table is the probe table; a slot packs the key's 32-bit hash tag
+	// above its record's location + 1 (0 = empty), where a location is
+	// block·internBlockSize + offset.
+	table []uint64
+	// blocks hold the records, appended whole in insertion order, so in
+	// cone order:
+	//
+	//	[uvarint key length][key bytes][stored-cone index, 4 bytes LE]
+	//
+	// A record never straddles two blocks, and records go to the last
+	// block only. The first block starts small and grows to
+	// internBlockSize; every later one is allocated at that size.
+	blocks [][]byte
+	next   int32
 	// grp is the process permutation group the interner canonicalizes by,
 	// nil for a plain interner (the trivial group). stabs[c] is the
 	// stabilizer mask of stored canonical cone c. See orbit.go.
 	grp   *orbitGroup
-	stabs stabTable
+	stabs []uint64
 	// limit caps the stored cones so that every ID c·|G| + ℓ fits a ViewID
 	// (0 selects math.MaxInt32, the plain interner's cap); overflow records
 	// that a request hit the cap (see Err).
 	limit    int32
-	overflow atomic.Bool
+	overflow bool
 }
 
-// internShards is the lock-striping factor. 64 shards keep the expected
-// contention of even a 64-worker expansion below one waiter per lock; the
-// per-shard footprint (one slice header triple + mutex) is negligible
-// against the interned data itself.
-const internShards = 64
+// internBlockBits sizes the arena blocks (64 KiB). A record is at most a
+// few hundred bytes: Leaf and Node build every key, and a node key holds at
+// most graph.MaxNodes child pairs.
+const (
+	internBlockBits = 16
+	internBlockSize = 1 << internBlockBits
+)
 
-// internShard is one stripe: an open-addressing probe table over an
-// append-only arena of records. A record is
-//
-//	[uvarint key length][key bytes][stored-cone index, 4 bytes LE]
-//
-// and a slot packs the key's 32-bit hash tag above the record's arena
-// offset + 1 (0 = empty). A probe reads the arena only when the tags match,
-// and then finds the key and its cone index in the same record.
-type internShard struct {
-	mu    sync.Mutex
-	table []uint64
-	arena []byte
-	count int // records in arena
-}
-
-// internShardInitialSize is the initial open-addressing table size per
-// shard; must be a power of two.
-const internShardInitialSize = 64
+// internInitialSize is the initial probe table size; a power of two.
+const internInitialSize = 256
 
 // ErrIDSpace reports that an interner ran out of ViewIDs: one more stored
 // cone would push an ID c·|G| + ℓ past the int32 range.
@@ -108,10 +102,9 @@ func (in *Interner) maxCones() int32 {
 }
 
 // Size returns the number of distinct cones stored so far — on an
-// orbit-canonical interner one per orbit, not one per ID. It is safe to
-// call concurrently with interning.
+// orbit-canonical interner one per orbit, not one per ID.
 func (in *Interner) Size() int {
-	return int(in.next.Load())
+	return int(in.next)
 }
 
 // IDBound returns an exclusive upper bound of every ViewID assigned before
@@ -125,7 +118,7 @@ func (in *Interner) IDBound() int {
 // assigned an ID (and returned -1 instead); nil otherwise. Callers that
 // intern in bulk check it once after the batch, like a size cap.
 func (in *Interner) Err() error {
-	if in.overflow.Load() {
+	if in.overflow {
 		return fmt.Errorf("%w: more than %d stored cones at group order %d", ErrIDSpace, in.maxCones(), in.GroupOrder())
 	}
 	return nil
@@ -179,92 +172,88 @@ func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 
 // intern returns the stored-cone index of key, assigning the next dense
 // index on first sight and recording stab as the new cone's stabilizer mask
-// on an orbit-canonical interner. key is copied into the shard arena on
+// on an orbit-canonical interner. key is copied into the arena on
 // insertion; the caller's buffer is never retained, so stack-encoded keys
 // do not escape. A key that would need an index past the limit is not
 // stored: intern returns -1 and Err reports the overflow.
 //
-// The top 6 hash bits pick the shard and the low 32 are the slot tag; the
-// home of a key in a 2^b-slot table is its tag's top b bits.
+// The low 32 hash bits are the slot tag; the home of a key in a 2^b-slot
+// table is its tag's top b bits.
 //
 //topocon:allocfree
 func (in *Interner) intern(key []byte, stab uint64) int32 {
-	h := hashKey(key)
-	tag := uint64(uint32(h))
-	sh := &in.shards[h>>(64-6)]
-	sh.mu.Lock()
-	if sh.table == nil {
-		sh.table = make([]uint64, internShardInitialSize)
+	tag := uint64(uint32(hashKey(key)))
+	if in.table == nil {
+		in.table = make([]uint64, internInitialSize)
 	}
-	mask := len(sh.table) - 1
-	i := int(tag >> homeShift(len(sh.table)))
+	mask := len(in.table) - 1
+	i := int(tag >> homeShift(len(in.table)))
 	for {
-		slot := sh.table[i]
+		slot := in.table[i]
 		if slot == 0 {
 			break
 		}
 		if slot>>32 == tag {
-			if stored, c, _ := recordAt(sh.arena, int(uint32(slot)-1)); bytes.Equal(stored, key) {
-				sh.mu.Unlock()
+			if stored, c, _ := in.recordAt(uint32(slot) - 1); bytes.Equal(stored, key) {
 				return c
 			}
 		}
 		i = (i + 1) & mask
 	}
-	// The new record's offset + 1 must fit the slot's low 32 bits; past
-	// that a shard stores nothing more, like a full ID space.
-	if uint64(len(sh.arena)) >= math.MaxUint32 {
-		in.overflow.Store(true)
-		sh.mu.Unlock()
+	// The record goes to the last block, or to a new one when it does not
+	// fit. Its location + 1 must fit the slot's low 32 bits; past that the
+	// interner stores nothing more, like a full ID space.
+	need := binary.MaxVarintLen16 + len(key) + 4
+	b := len(in.blocks) - 1
+	if b < 0 || len(in.blocks[b])+need > internBlockSize {
+		var blk []byte
+		if b >= 0 {
+			blk = make([]byte, 0, internBlockSize)
+		}
+		in.blocks = append(in.blocks, blk)
+		b++
+	}
+	loc := uint64(b)<<internBlockBits + uint64(len(in.blocks[b]))
+	if loc >= math.MaxUint32 || in.next >= in.maxCones() {
+		in.overflow = true
 		return -1
 	}
-	c := in.claim()
-	if c < 0 {
-		sh.mu.Unlock()
-		return -1
-	}
+	c := in.next
+	in.next++
 	if in.grp != nil {
-		// Recorded under the shard lock, before any caller can learn c.
-		in.stabs.set(c, stab)
+		in.stabs = append(in.stabs, stab)
 	}
-	off := len(sh.arena)
-	sh.arena = binary.AppendUvarint(sh.arena, uint64(len(key)))
-	sh.arena = append(sh.arena, key...)
-	sh.arena = binary.LittleEndian.AppendUint32(sh.arena, uint32(c))
-	sh.table[i] = tag<<32 | uint64(off+1)
-	sh.count++
-	if sh.count*4 >= len(sh.table)*3 {
-		sh.grow()
+	blk := binary.AppendUvarint(in.blocks[b], uint64(len(key)))
+	blk = append(blk, key...)
+	in.blocks[b] = binary.LittleEndian.AppendUint32(blk, uint32(c))
+	in.table[i] = tag<<32 | (loc + 1)
+	if int(in.next)*4 >= len(in.table)*3 {
+		in.grow()
 	}
-	sh.mu.Unlock()
 	return c
 }
 
-// claim draws the next stored-cone index, or returns -1 (and records the
-// overflow) when the limit is reached; the counter never passes the limit,
-// so IDs never wrap.
-func (in *Interner) claim() int32 {
-	limit := in.maxCones()
-	for {
-		c := in.next.Load()
-		if c >= limit {
-			in.overflow.Store(true)
-			return -1
-		}
-		if in.next.CompareAndSwap(c, c+1) {
-			return c
-		}
-	}
+// recordAt decodes the record at arena location loc: its key, its
+// stored-cone index and the offset of the next record in its block.
+func (in *Interner) recordAt(loc uint32) (key []byte, c int32, next int) {
+	return recordAt(in.blocks[loc>>internBlockBits], int(loc&(internBlockSize-1)))
 }
 
-// grow doubles the shard's probe table. A slot's home is the top bits of
-// its own tag, so every slot is re-seated from the table alone: no record
-// is read and no key re-hashed. Amortized over insertions this is O(1) per
-// intern.
-func (sh *internShard) grow() {
-	next := make([]uint64, 2*len(sh.table))
+// recordAt decodes the record of blk at off (see Interner.blocks).
+func recordAt(blk []byte, off int) (key []byte, c int32, next int) {
+	klen, k := binary.Uvarint(blk[off:])
+	start := off + k
+	end := start + int(klen)
+	return blk[start:end], int32(binary.LittleEndian.Uint32(blk[end:])), end + 4
+}
+
+// grow doubles the probe table. A slot's home is the top bits of its own
+// tag, so every slot is re-seated from the table alone: no record is read
+// and no key re-hashed. Amortized over insertions this is O(1) per intern.
+func (in *Interner) grow() {
+	next := make([]uint64, 2*len(in.table))
 	shift, mask := homeShift(len(next)), len(next)-1
-	for _, slot := range sh.table {
+	for _, slot := range in.table {
 		if slot == 0 {
 			continue
 		}
@@ -274,7 +263,7 @@ func (sh *internShard) grow() {
 		}
 		next[i] = slot
 	}
-	sh.table = next
+	in.table = next
 }
 
 // homeShift returns 32-b for a table of 2^b slots: a tag shifted right by
@@ -284,9 +273,9 @@ func homeShift(size int) uint {
 }
 
 // hashKey is FNV-1a over the canonical key encoding, finished with the
-// 64-bit MurmurHash3 finalizer (fmix64). Both the shard (top bits) and the
-// probe home (the tag's top bits) are taken from high bits, where bare
-// FNV-1a is poorly mixed for short keys that differ in their last bytes.
+// 64-bit MurmurHash3 finalizer (fmix64). The probe home is taken from the
+// tag's top bits, where bare FNV-1a is poorly mixed for short keys that
+// differ in their last bytes.
 func hashKey(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037

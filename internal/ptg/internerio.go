@@ -24,38 +24,17 @@ var groupBlobMagic = [2]byte{0x00, 'G'}
 // the determinism checkpoint/resume rests on. A plain interner's export is
 // unchanged by the group support.
 //
-// Export is safe to call concurrently with interning; it captures the
-// cones stored before the call (cones interned concurrently may or may not
-// be included, but the exported prefix is always self-consistent). It
-// fails only if that prefix has a gap, which would break the dense
-// numbering the blob rests on; no gap can arise (see below), so the error
-// is a guard, and a caller that gets one must not write the blob.
+// The arena holds the records in cone order, so Export walks its blocks
+// once. It fails if a record is out of place or a cone below the count has
+// none, which would break the dense numbering the blob rests on; intern
+// never leaves such a gap, so the error is a guard, and a caller that gets
+// one must not write the blob.
 func (in *Interner) Export() ([]byte, error) {
-	// Cone indices are dense, so every key goes straight to its slot: no
-	// sort. count is loaded before any shard lock is taken, and intern
-	// claims c and appends c's record under one hold of c's shard lock. The
-	// load sees the claim of every c < count, so that hold began before
-	// the load; the shard lock is taken below after the load, so it is
-	// acquired only once the hold has ended, with c's record appended.
-	count := in.next.Load()
-	keys := make([][]byte, count)
+	// Each arena record is its exported key plus 4 bytes, so the arena's
+	// size bounds the blob's.
 	size := binary.MaxVarintLen64
-	for si := range in.shards {
-		sh := &in.shards[si]
-		sh.mu.Lock()
-		arena := sh.arena
-		sh.mu.Unlock()
-		// The arena is append-only and records are appended whole under
-		// the lock: the captured header covers an immutable prefix of
-		// complete records even if interning continues concurrently.
-		for off := 0; off < len(arena); {
-			key, c, next := recordAt(arena, off)
-			if c < count {
-				keys[c] = key
-				size += binary.MaxVarintLen32 + len(key)
-			}
-			off = next
-		}
+	for _, blk := range in.blocks {
+		size += len(blk)
 	}
 	var buf []byte
 	if g := in.grp; g != nil {
@@ -71,26 +50,24 @@ func (in *Interner) Export() ([]byte, error) {
 	} else {
 		buf = make([]byte, 0, size)
 	}
+	count := in.next
 	buf = binary.AppendUvarint(buf, uint64(count))
-	for c, key := range keys {
-		if len(key) == 0 {
-			// Every stored key is non-empty (it starts with its tag byte),
-			// so an empty slot is a cone below count with no record.
-			return nil, fmt.Errorf("ptg: interner export: cone %d of %d has no stored key", c, count)
+	var c int32
+	for _, blk := range in.blocks {
+		for off := 0; off < len(blk); c++ {
+			key, stored, next := recordAt(blk, off)
+			if stored != c {
+				return nil, fmt.Errorf("ptg: interner export: record %d holds cone %d", c, stored)
+			}
+			buf = binary.AppendUvarint(buf, uint64(len(key)))
+			buf = append(buf, key...)
+			off = next
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
+	}
+	if c != count {
+		return nil, fmt.Errorf("ptg: interner export: cone %d of %d has no stored key", c, count)
 	}
 	return buf, nil
-}
-
-// recordAt decodes the shard arena record at off (see internShard): its
-// key, its stored-cone index and the offset of the next record.
-func recordAt(arena []byte, off int) (key []byte, c int32, next int) {
-	klen, k := binary.Uvarint(arena[off:])
-	start := off + k
-	end := start + int(klen)
-	return arena[start:end], int32(binary.LittleEndian.Uint32(arena[end:])), end + 4
 }
 
 // blobReader decodes an export strictly: every uvarint must be minimally
@@ -223,7 +200,7 @@ func (in *Interner) importKey(key []byte, c int32) error {
 			// every ID the interner hands out is.
 			if g != nil {
 				cc := int32(child) / m
-				if l := uint8(int32(child) - cc*m); g.cosetMin(l, in.stabs.get(cc)) != l {
+				if l := uint8(int32(child) - cc*m); g.cosetMin(l, in.stabs[cc]) != l {
 					return errors.New("child ID is not canonical")
 				}
 			}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"topocon/internal/graph"
 )
@@ -211,58 +209,6 @@ func (g *orbitGroup) orbitLabel(arg uint64, star int) (stab uint64, l uint8) {
 	return stab, l
 }
 
-// stabChunkBits sizes the stabilizer table's chunks (4096 masks, 32 KiB).
-const stabChunkBits = 12
-
-type stabChunk [1 << stabChunkBits]uint64
-
-// stabTable maps stored-cone indices to stabilizer masks. Chunks never
-// move once allocated, and the chunk directory is swapped atomically, so
-// readers take no lock: a cone's mask is written under its shard lock
-// before the cone's index is handed to anyone.
-type stabTable struct {
-	mu  sync.Mutex
-	dir atomic.Pointer[[]*stabChunk]
-}
-
-func (t *stabTable) get(c int32) uint64 {
-	return (*t.dir.Load())[c>>stabChunkBits][c&(1<<stabChunkBits-1)]
-}
-
-func (t *stabTable) set(c int32, stab uint64) {
-	ci := int(c >> stabChunkBits)
-	d := t.dir.Load()
-	if d == nil || ci >= len(*d) {
-		d = t.grow(ci)
-	}
-	(*d)[ci][c&(1<<stabChunkBits-1)] = stab
-}
-
-// grow makes chunk ci addressable. Chunks are appended within spare
-// directory capacity (readers of the old directory never index them) and
-// the directory is reallocated only when that capacity runs out.
-func (t *stabTable) grow(ci int) *[]*stabChunk {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var dir []*stabChunk
-	if d := t.dir.Load(); d != nil {
-		dir = *d
-	}
-	if ci < len(dir) {
-		return t.dir.Load()
-	}
-	if ci >= cap(dir) {
-		grown := make([]*stabChunk, len(dir), 2*(ci+1))
-		copy(grown, dir)
-		dir = grown
-	}
-	for len(dir) <= ci {
-		dir = append(dir, new(stabChunk))
-	}
-	t.dir.Store(&dir)
-	return &dir
-}
-
 // AdoptGroup makes an empty plain interner orbit-canonical under the
 // process permutation group perms, or checks that the interner already
 // canonicalizes by exactly that group — element order included, since
@@ -271,7 +217,7 @@ func (t *stabTable) grow(ci int) *[]*stabChunk {
 // must be closed under composition, with at most 64 elements on at most
 // 16 processes; a group of order 1 leaves the interner plain. It errors on
 // an invalid group, on a mismatch, and on a non-empty plain interner asked
-// for a nontrivial group. Not safe for concurrent use with interning.
+// for a nontrivial group.
 func (in *Interner) AdoptGroup(perms [][]int) error {
 	g, err := newOrbitGroup(perms)
 	if err != nil {
@@ -323,7 +269,7 @@ func (in *Interner) OrbitStab(c int) uint64 {
 	if in.grp == nil {
 		return 1
 	}
-	return in.stabs.get(int32(c))
+	return in.stabs[c]
 }
 
 // Relabel returns the ID of cone id relabeled by group element k (element 0
@@ -336,7 +282,7 @@ func (in *Interner) Relabel(id ViewID, k int) ViewID {
 	}
 	m := int32(g.m)
 	c := int32(id) / m
-	e := g.cosetMin(g.mul[k*g.m+int(int32(id)-c*m)], in.stabs.get(c))
+	e := g.cosetMin(g.mul[k*g.m+int(int32(id)-c*m)], in.stabs[c])
 	return ViewID(c*m + int32(e))
 }
 
@@ -415,7 +361,7 @@ func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID) (
 			return buf, 0, false // a child that hit the ID cap
 		}
 		c := int32(id) / m
-		cc[q], cl[q], cs[q] = c, uint8(int32(id)-c*m), in.stabs.get(c)
+		cc[q], cl[q], cs[q] = c, uint8(int32(id)-c*m), in.stabs[c]
 	}
 	buf = append(buf, 'N')
 	buf = binary.AppendUvarint(buf, uint64(g.least[p]))

@@ -271,8 +271,8 @@ func TestOrbitExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: size %d/%d, order %d/%d", got.Size(), in.Size(), got.GroupOrder(), in.GroupOrder())
 	}
 	for c := int32(0); c < int32(got.Size()); c++ {
-		if got.stabs.get(c) != in.stabs.get(c) {
-			t.Fatalf("cone %d: imported stabilizer %b, original %b", c, got.stabs.get(c), in.stabs.get(c))
+		if got.stabs[c] != in.stabs[c] {
+			t.Fatalf("cone %d: imported stabilizer %b, original %b", c, got.stabs[c], in.stabs[c])
 		}
 	}
 	for _, r := range runs {
@@ -333,7 +333,7 @@ func refOrbitNodeKey(in *Interner, p int, mask uint64, row []ViewID) (key []byte
 		}
 		c := int32(id) / m
 		qs[deg], cc[deg], cl[deg] = q, c, uint8(int32(id)-c*m)
-		cs[deg] = in.stabs.get(c)
+		cs[deg] = in.stabs[c]
 		deg++
 	}
 	// A candidate entry packs (σ_k(q), child ID) as q<<32 | id, so integer

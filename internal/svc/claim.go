@@ -217,7 +217,6 @@ func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {
 	defer func() { cancel(); <-renewDone }()
 
 	cfg := sweep.Config{
-		CellParallelism: s.cfg.CellParallelism,
 		CellTimeout:     s.cfg.CellTimeout,
 		Cache:           s.cache,
 		OnAnalyzerBuilt: func(string) { s.analyzersBuilt.Add(1) },

@@ -44,8 +44,6 @@ type Config struct {
 	MaxQueue int
 	// MaxBodyBytes bounds a submission body (≤ 0: 1 MiB).
 	MaxBodyBytes int64
-	// CellParallelism is each session's Analyzer worker-pool size (≤ 0: 1).
-	CellParallelism int
 	// CellTimeout bounds one cell's analysis (0: unbounded).
 	CellTimeout time.Duration
 	// JobTimeout bounds one job's whole run (0: unbounded). A timed-out
@@ -566,7 +564,6 @@ func (s *Service) runJob(j *job) {
 		// Workers feeds cells to the shared pool; Slots bounds how many
 		// actually hold sessions at once, across every concurrent job.
 		Workers:         s.cfg.Workers,
-		CellParallelism: s.cfg.CellParallelism,
 		CellTimeout:     s.cfg.CellTimeout,
 		Cache:           s.cache,
 		Slots:           s.slots,

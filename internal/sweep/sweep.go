@@ -47,9 +47,6 @@ const (
 type Config struct {
 	// Workers bounds the number of concurrently running cells (≤ 0: 1).
 	Workers int
-	// CellParallelism is each cell's Analyzer worker-pool size (≤ 0: 1).
-	// It does not enter the cache key: parallelism never changes results.
-	CellParallelism int
 	// CellTimeout bounds one cell's analysis wall time (0: unbounded). A
 	// timed-out cell reports StatusError; its key is not cached, so the
 	// timeout of one cell does not poison later isomorphic cells.
@@ -335,10 +332,6 @@ func (st *sweepState) runCell(ctx context.Context, cell scenario.Cell) CellResul
 // names a CheckpointDir (then the returned ckpt.Info carries the cell's
 // paging and resume traffic).
 func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key Key) (Outcome, *ckpt.Info, error) {
-	parallelism := st.cfg.CellParallelism
-	if parallelism <= 0 {
-		parallelism = 1
-	}
 	runs := 0
 	onHorizon := func(r check.HorizonReport) {
 		runs = r.Runs
@@ -353,7 +346,7 @@ func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key 
 			HotBytes:  st.cfg.PagerHotBytes,
 			Every:     st.cfg.CheckpointEvery,
 			OnHorizon: onHorizon,
-		}, sc.Options, parallelism)
+		}, sc.Options, 0)
 		if err != nil {
 			return Outcome{}, info, err
 		}
@@ -367,7 +360,6 @@ func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key 
 	}
 	an, err := check.NewAnalyzer(sc.Adversary,
 		check.WithOptions(sc.Options),
-		check.WithParallelism(parallelism),
 		check.WithProgress(onHorizon))
 	if err != nil {
 		return Outcome{}, nil, err

@@ -11,7 +11,7 @@ import (
 // TestExtendAllocsPerChild is the allocation-regression pin on the columnar
 // frontier expansion: extending a space must cost a bounded number of
 // allocations per call — the child columns, the choice layout and the
-// pooled per-worker scratch — and nothing per extended item. The pre-columnar
+// pooled scratch — and nothing per extended item. The pre-columnar
 // layout allocated a Views clone, two row slices and a Run copy per child
 // (≈ 12 allocations each); a reintroduction of any per-child allocation
 // trips the budget immediately at 128 children. The quotient case runs the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"topocon/internal/graph"
 	"topocon/internal/ptg"
@@ -354,19 +353,16 @@ func (d *Decomposition) ValentComponentsBroadcastable() bool {
 // decision-relevant regions is 2^-L. It returns 0 if there are no such
 // pairs (then the second return is false).
 //
-// The O(|S|²) pair scan is pre-filtered and parallelized: each component's
-// valence set is canonicalized to a small signature id, items in
-// valence-free components are dropped up front, a pair whose components
-// share a signature is skipped on an integer compare — before any view is
-// touched — and the surviving pairs are spread over the space's worker
-// pool, with each run's Views adapter materialized exactly once. Under a
-// quotient the runs are the distinct twins of every representative.
+// The O(|S|²) pair scan is pre-filtered: each component's valence set is
+// canonicalized to a small signature id, items in valence-free components
+// are dropped up front, a pair whose components share a signature is
+// skipped on an integer compare — before any view is touched — and each
+// run's Views adapter is materialized exactly once. Under a quotient the
+// runs are the distinct twins of every representative.
 //
 // For compact solvable adversaries this level stays bounded as the horizon
 // grows (Fig. 4: decision sets have positive distance); for non-compact
 // adversaries it grows without bound (Fig. 5: distance-0 limits).
-//
-//topocon:allow ctxflow -- pre-context API over a bounded CPU-only scan; the worker pool's context parameter is vacuous here (no cancellation point, no error path)
 func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	s := d.Space
 	sig := make([]int32, len(d.Comps))
@@ -405,31 +401,18 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 		}
 	}
 	best := -1
-	var mu sync.Mutex
-	// The background context never cancels and the workers never error, so
-	// the pool's error return is vacuous here.
-	_ = forEachChunk(context.Background(), len(views), s.parallelism, func(lo, hi int) error {
-		local := -1
-		for a := lo; a < hi; a++ {
-			sa := sigs[a]
-			for b := a + 1; b < len(views); b++ {
-				// Runs of one component share its valence signature, so
-				// comparing signatures also skips same-component pairs.
-				if sigs[b] == sa {
-					continue
-				}
-				if l := ptg.MinAgreeLevel(views[a], views[b]); l > local {
-					local = l
-				}
+	for a, sa := range sigs {
+		for b := a + 1; b < len(views); b++ {
+			// Runs of one component share its valence signature, so
+			// comparing signatures also skips same-component pairs.
+			if sigs[b] == sa {
+				continue
+			}
+			if l := ptg.MinAgreeLevel(views[a], views[b]); l > best {
+				best = l
 			}
 		}
-		mu.Lock()
-		if local > best {
-			best = local
-		}
-		mu.Unlock()
-		return nil
-	})
+	}
 	if best < 0 {
 		return 0, false
 	}

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -26,8 +25,7 @@ import (
 //
 // The receiver is not modified and stays valid, so iterative-deepening
 // callers can retain every horizon they visited. The child space inherits
-// the receiver's size cap and parallelism (frontier expansion is spread
-// over a worker pool when parallelism > 1).
+// the receiver's size cap.
 //
 // Extend produces items in exactly the order BuildCtx would: children of
 // one parent appear in Choices order, parents in their own item order —
@@ -63,17 +61,16 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	adv := s.Adversary
 	s.fr.fault() // a resumed head is resident, but rehydrated ancestors may not be
 	nParents := s.Len()
-	// Lay out child slots with a prefix sum over per-parent branching, so
-	// workers write disjoint, deterministic ranges. The per-parent choice
-	// slices are kept for the worker loop below: Choices is part of the
-	// adversary contract, not guaranteed to be cheap — allocating
+	// Lay out child slots with a prefix sum over per-parent branching. The
+	// per-parent choice slices are kept for the loop below: Choices is part
+	// of the adversary contract, not guaranteed to be cheap — allocating
 	// implementations (product automata, filters) would otherwise pay for
 	// every parent twice.
 	//
 	// Only a parent with a nontrivial stabilizer can have children that are
 	// relabeled twins of each other: for those the pass counts the round
 	// graphs that are their orbit's representative under the stabilizer,
-	// and the worker loop below re-derives the same stabilizers instead of
+	// and the loop below re-derives the same stabilizers instead of
 	// storing one per raw child. Every other parent — all of them under
 	// the trivial group — keeps every child with stabilizer 1. The cap
 	// check stays in full-space runs (orbit-weighted), so quotiented and
@@ -119,7 +116,6 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// (DESIGN.md §5.1); this round's own range is recorded for the next.
 	order := uint32(interner.GroupOrder())
 	coneLo, cones := s.fr.idLo/int(order), (s.fr.idHi-s.fr.idLo)/int(order)
-	round := extendRounds.Add(1)
 	nf.idLo = interner.IDBound()
 	next := &Space{
 		Adversary:     adv,
@@ -132,96 +128,91 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		valence:       make([]int32, total),
 		parentOffsets: offsets,
 		maxRuns:       s.maxRuns,
-		parallelism:   s.parallelism,
 		pager:         s.pager,
 		sym:           s.sym,
 		stab:          make([]uint64, total),
 	}
-	err := forEachChunk(ctx, nParents, s.parallelism, func(lo, hi int) error {
-		// Per-worker scratch — the in-mask memo and the successor table —
-		// pooled across chunks and rounds, so the per-child allocation
-		// count is 0.
-		sc := extendScratchPool.Get().(*extendScratch)
-		width := min(widest, memoWidth)
-		sc.acquire(n, width, round, cones)
-		defer extendScratchPool.Put(sc)
-		seen, ins, outs, succ := sc.seen, sc.ins, sc.outs, sc.succ
-		for i := lo; i < hi; i++ {
-			prevIDs := s.fr.idRow(i)
-			prevHeard := s.fr.heardRow(i)
-			pState := s.states[i]
-			pDoneAt := s.doneAt[i]
-			pValence := s.valence[i]
-			pRoot := s.fr.rootOf[i]
-			pStab := s.stab[i]
-			clear(seen)
-			c := offsets[i] - 1
-			for _, g := range choices[i] {
-				cStab := uint64(1)
-				if pStab != 1 {
-					if cStab = graphOrbitStab(g, grp, pStab); cStab == 0 {
-						continue // a relabeled twin of an earlier sibling
-					}
-				}
-				c++
-				dstIDs := nf.ids[c*n : (c+1)*n]
-				dstHeard := nf.heard[c*n : (c+1)*n]
-				for p := 0; p < n; p++ {
-					// The view of p is fixed by the parent's row and p's
-					// in-mask: a sibling with the same mask already interned
-					// it, so copy that sibling's cell (DESIGN.md §5.1).
-					in := g.In(p)
-					if j := slices.Index(ins[p*width:p*width+seen[p]], in); j >= 0 {
-						o := outs[p*width+j]
-						dstIDs[p], dstHeard[p] = o.id, o.heard
-						continue
-					}
-					var id ptg.ViewID
-					var h uint64
-					if in == 1<<uint(p) {
-						// p heard only itself: its view is a function of
-						// its previous view alone, which another parent
-						// of this round may already have extended. A view
-						// outside the parent round's cone range (or -1)
-						// indexes no cell and takes the Node path.
-						prev := prevIDs[p]
-						h = prevHeard[p]
-						k := int(uint32(prev)/order) - coneLo
-						if uint(k) < uint(len(succ)) && succ[k].prev == prev {
-							id = succ[k].id
-						} else if id = interner.Node(p, in, prevIDs); uint(k) < uint(len(succ)) && id >= 0 {
-							succ[k] = succCell{prev: prev, id: id}
-						}
-					} else {
-						for m := in; m != 0; m &= m - 1 {
-							h |= prevHeard[bits.TrailingZeros64(m)]
-						}
-						id = interner.Node(p, in, prevIDs)
-					}
-					dstIDs[p], dstHeard[p] = id, h
-					if k := seen[p]; k < width {
-						ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
-						seen[p]++
-					}
-				}
-				state := adv.Step(pState, g)
-				doneAt := pDoneAt
-				if doneAt < 0 && adv.Done(state) {
-					doneAt = int32(next.Horizon)
-				}
-				nf.gs[c] = g
-				nf.parentOf[c] = int32(i)
-				nf.rootOf[c] = pRoot
-				next.states[c] = state
-				next.doneAt[c] = doneAt
-				next.valence[c] = pValence
-				next.stab[c] = cStab
-			}
+	// The scratch — the in-mask memo and the successor table — is pooled
+	// across rounds, so the per-child allocation count is 0.
+	sc := extendScratchPool.Get().(*extendScratch)
+	defer extendScratchPool.Put(sc)
+	width := min(widest, memoWidth)
+	sc.acquire(n, width, cones)
+	seen, ins, outs, succ := sc.seen, sc.ins, sc.outs, sc.succ
+	for i := 0; i < nParents; i++ {
+		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		prevIDs := s.fr.idRow(i)
+		prevHeard := s.fr.heardRow(i)
+		pState := s.states[i]
+		pDoneAt := s.doneAt[i]
+		pValence := s.valence[i]
+		pRoot := s.fr.rootOf[i]
+		pStab := s.stab[i]
+		clear(seen)
+		c := offsets[i] - 1
+		for _, g := range choices[i] {
+			cStab := uint64(1)
+			if pStab != 1 {
+				if cStab = graphOrbitStab(g, grp, pStab); cStab == 0 {
+					continue // a relabeled twin of an earlier sibling
+				}
+			}
+			c++
+			dstIDs := nf.ids[c*n : (c+1)*n]
+			dstHeard := nf.heard[c*n : (c+1)*n]
+			for p := 0; p < n; p++ {
+				// The view of p is fixed by the parent's row and p's
+				// in-mask: a sibling with the same mask already interned
+				// it, so copy that sibling's cell (DESIGN.md §5.1).
+				in := g.In(p)
+				if j := slices.Index(ins[p*width:p*width+seen[p]], in); j >= 0 {
+					o := outs[p*width+j]
+					dstIDs[p], dstHeard[p] = o.id, o.heard
+					continue
+				}
+				var id ptg.ViewID
+				var h uint64
+				if in == 1<<uint(p) {
+					// p heard only itself: its view is a function of its
+					// previous view alone, which another parent of this
+					// round may already have extended. A view outside the
+					// parent round's cone range (or -1) indexes no cell
+					// and takes the Node path.
+					prev := prevIDs[p]
+					h = prevHeard[p]
+					k := int(uint32(prev)/order) - coneLo
+					if uint(k) < uint(len(succ)) && succ[k].prev == prev {
+						id = succ[k].id
+					} else if id = interner.Node(p, in, prevIDs); uint(k) < uint(len(succ)) && id >= 0 {
+						succ[k] = succCell{prev: prev, id: id}
+					}
+				} else {
+					for m := in; m != 0; m &= m - 1 {
+						h |= prevHeard[bits.TrailingZeros64(m)]
+					}
+					id = interner.Node(p, in, prevIDs)
+				}
+				dstIDs[p], dstHeard[p] = id, h
+				if k := seen[p]; k < width {
+					ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
+					seen[p]++
+				}
+			}
+			state := adv.Step(pState, g)
+			doneAt := pDoneAt
+			if doneAt < 0 && adv.Done(state) {
+				doneAt = int32(next.Horizon)
+			}
+			nf.gs[c] = g
+			nf.parentOf[c] = int32(i)
+			nf.rootOf[c] = pRoot
+			next.states[c] = state
+			next.doneAt[c] = doneAt
+			next.valence[c] = pValence
+			next.stab[c] = cStab
+		}
 	}
 	nf.idHi = interner.IDBound()
 	// A view whose ID would overflow int32 fails the round like the size
@@ -248,7 +239,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 // share no mask, an unbounded scan only added cost (EXPERIMENTS.md).
 const memoWidth = 8
 
-// extendScratch is one worker's scratch for extendOne.
+// extendScratch is extendOne's scratch.
 //
 // The in-mask memo (DESIGN.md §5.1): for the parent being extended,
 // seen[p] counts the distinct in-masks g.In(p) kept among its children so
@@ -257,16 +248,13 @@ const memoWidth = 8
 //
 // The successor table (DESIGN.md §5.1) answers self-only requests across
 // the parents of one round: succ[k] holds the child view of the parent
-// round's view prev, for the cone k = prev/|G| − coneLo. Cells belong to
-// the round numbered round; a scratch taken up by another round starts
-// from empty cells. The number, rather than the frontier itself, keeps a
-// pooled scratch from holding a finished session's chain alive.
+// round's view prev, for the cone k = prev/|G| − coneLo. It holds view IDs
+// only, so a pooled scratch keeps no finished session's chain alive.
 type extendScratch struct {
-	seen  []int
-	ins   []uint64
-	outs  []memoOut
-	round uint64
-	succ  []succCell
+	seen []int
+	ins  []uint64
+	outs []memoOut
+	succ []succCell
 }
 
 // memoOut is the child view and heard word an in-mask produced under the
@@ -283,18 +271,12 @@ type succCell struct {
 	prev, id ptg.ViewID
 }
 
-// extendRounds numbers extendOne calls process-wide, so that a pooled
-// scratch can tell whether its successor cells belong to the caller's
-// round.
-var extendRounds atomic.Uint64
-
 var extendScratchPool = sync.Pool{New: func() any { return new(extendScratch) }}
 
-// acquire sizes the memo for n processes with width slots each and, when
-// the scratch comes from another round, empties a successor table of
-// cones cells for this one. Both grow only when a round outgrows every
-// earlier one.
-func (sc *extendScratch) acquire(n, width int, round uint64, cones int) {
+// acquire sizes the memo for n processes with width slots each and
+// empties a successor table of cones cells. Both grow only when a round
+// outgrows every earlier one.
+func (sc *extendScratch) acquire(n, width, cones int) {
 	if cap(sc.seen) < n {
 		sc.seen = make([]int, n)
 	}
@@ -304,10 +286,6 @@ func (sc *extendScratch) acquire(n, width int, round uint64, cones int) {
 		sc.outs = make([]memoOut, n*width)
 	}
 	sc.ins, sc.outs = sc.ins[:n*width], sc.outs[:n*width]
-	if sc.round == round {
-		return
-	}
-	sc.round = round
 	if cap(sc.succ) < cones {
 		sc.succ = make([]succCell, cones)
 	}
@@ -316,10 +294,3 @@ func (sc *extendScratch) acquire(n, width int, round uint64, cones int) {
 		sc.succ[k] = succCell{prev: -1}
 	}
 }
-
-// SetParallelism sets the worker count used by Extend and Refine on
-// this space and its descendants; w ≤ 1 selects sequential operation.
-func (s *Space) SetParallelism(w int) { s.parallelism = w }
-
-// Parallelism returns the configured worker count.
-func (s *Space) Parallelism() int { return s.parallelism }

@@ -66,68 +66,6 @@ func TestExtendMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestExtendParallelMatchesSequential asserts that the worker-pool frontier
-// expansion produces the same space, and so the same partition, as the
-// sequential path (parallel Refine is pinned by TestRefineMatchesDecompose).
-func TestExtendParallelMatchesSequential(t *testing.T) {
-	ctx := context.Background()
-	for _, adv := range seedAdversaries(t) {
-		seq, err := BuildCtx(context.Background(), adv, 2, 1, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := BuildCtx(ctx, adv, 2, 1, Config{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		horizon := 4
-		if adv.N() > 2 {
-			horizon = 3
-		}
-		seq, err = seq.Extend(ctx, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err = par.Extend(ctx, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSpacesEqual(t, adv.Name(), seq, par)
-		dseq := decompose(t, seq)
-		dpar, err := DecomposeCtx(ctx, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertDecompositionsEqual(t, adv.Name(), dseq, dpar)
-	}
-}
-
-// TestExtendParallelUnionAdversary exercises concurrent Choices/Step/Done
-// on a memoizing adversary (Union interns state vectors in a cache): under
-// -race this pins the Adversary concurrency contract the worker pool
-// relies on.
-func TestExtendParallelUnionAdversary(t *testing.T) {
-	free := []graph.Graph{graph.Left, graph.Right, graph.Both}
-	commit := []graph.Graph{graph.Left, graph.Right}
-	adv := ma.MustUnion("",
-		ma.MustCommittedSuffix("", free, commit, 2),
-		ma.MustCommittedSuffix("", free, commit, 3))
-	ctx := context.Background()
-	par, err := BuildCtx(ctx, adv, 2, 1, Config{Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err = par.Extend(ctx, 5) // >128 items per round, engages the pool
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := BuildCtx(context.Background(), adv, 2, 5, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSpacesEqual(t, adv.Name(), seq, par)
-}
-
 // TestFindConcurrent pins the lazily-built run index against concurrent
 // first use.
 func TestFindConcurrent(t *testing.T) {
@@ -285,7 +223,6 @@ func extendOneReference(s *Space) *Space {
 		fr:            nf,
 		parentOffsets: []int{0},
 		maxRuns:       s.maxRuns,
-		parallelism:   1,
 		pager:         s.pager,
 		sym:           s.sym,
 	}
@@ -431,7 +368,6 @@ func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(
 		restored, err := RestoreChain(ChainSpec{
 			Adversary:   adv,
 			InputDomain: 2,
-			Parallelism: cfg.Parallelism,
 			Interner:    reimport(t, s.Interner),
 			Pager:       pg2,
 			Rounds:      rounds,
@@ -578,22 +514,54 @@ func TestExtendMemoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExtendMemoParallelMatchesReference runs the memo and the successor
-// table on two workers, where interning order is no longer deterministic:
-// the decomposition must still have the reference's full-space component
-// and mixed counts at every horizon.
+// TestExtendMemoParallelMatchesReference runs every case in two sessions
+// at once, each on its own goroutine with its own interner, as concurrent
+// jobs of the daemon and a sweep's cells run: the extension scratch is
+// pooled process-wide, so each session must still give the reference
+// extender's view-ID and heard columns and a byte-identical export. Run it
+// under -race.
 func TestExtendMemoParallelMatchesReference(t *testing.T) {
 	for _, c := range memoCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			got := c.startSpace(t, Config{Parallelism: 2}, mustExtendOne(t))
 			ref := c.startSpace(t, Config{}, extendOneReference)
-			for got.Horizon < c.horizon {
-				got = mustExtendOne(t)(got)
+			for ref.Horizon < c.horizon {
 				ref = extendOneReference(ref)
-				dg, dr := decompose(t, got), decompose(t, ref)
-				if dg.FullComponents() != dr.FullComponents() || dg.FullMixedComponents() != dr.FullMixedComponents() {
-					t.Fatalf("h=%d: %d components (%d mixed), reference %d (%d mixed)", got.Horizon,
-						dg.FullComponents(), dg.FullMixedComponents(), dr.FullComponents(), dr.FullMixedComponents())
+			}
+			want, err := ref.Interner.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spaces [2]*Space
+			var errs [2]error
+			for w := range spaces {
+				spaces[w] = c.startSpace(t, Config{}, mustExtendOne(t))
+			}
+			var wg sync.WaitGroup
+			for w := range spaces {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for spaces[w].Horizon < c.horizon {
+						next, err := spaces[w].extendOne(context.Background())
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						spaces[w] = next
+					}
+				}()
+			}
+			wg.Wait()
+			for w, got := range spaces {
+				if errs[w] != nil {
+					t.Fatalf("session %d: %v", w, errs[w])
+				}
+				if !slices.Equal(got.fr.ids, ref.fr.ids) || !slices.Equal(got.fr.heard, ref.fr.heard) {
+					t.Fatalf("session %d: horizon-%d view columns differ from the reference", w, c.horizon)
+				}
+				if blob, err := got.Interner.Export(); err != nil || !bytes.Equal(blob, want) {
+					t.Fatalf("session %d: interner blob (%d bytes, %v) differs from the reference's (%d bytes)",
+						w, len(blob), err, len(want))
 				}
 			}
 		})
@@ -601,9 +569,9 @@ func TestExtendMemoParallelMatchesReference(t *testing.T) {
 }
 
 // TestExtendReleasesFrontiers pins that extension keeps no session alive:
-// the pooled scratch stamps its successor cells with a round number, not
-// a frontier, so once the caller drops a space one collection reclaims
-// its chain even while the scratch sits in the pool.
+// the pooled scratch holds view IDs only, not a frontier, so once the
+// caller drops a space one collection reclaims its chain even while the
+// scratch sits in the pool.
 func TestExtendReleasesFrontiers(t *testing.T) {
 	head, parent := extendedChain(t)
 	runtime.GC()

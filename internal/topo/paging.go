@@ -335,7 +335,6 @@ type ChainSpec struct {
 	Adversary   ma.Adversary
 	InputDomain int
 	MaxRuns     int // ≤ 0 selects DefaultMaxRuns
-	Parallelism int
 	// Interner must be the imported interner of the checkpointed session:
 	// restore re-derives nothing, so the page's ViewIDs are only meaningful
 	// against the arena they were interned into.
@@ -378,7 +377,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 	}
 	adv := spec.Adversary
 	n := adv.N()
-	s, err := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Parallelism, spec.Symmetry)
+	s, err := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Symmetry)
 	if err != nil {
 		return nil, fmt.Errorf("topo: RestoreChain: %w", err)
 	}
@@ -442,7 +441,6 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			doneAt:      doneAt,
 			valence:     valence,
 			maxRuns:     maxRuns,
-			parallelism: spec.Parallelism,
 			pager:       spec.Pager,
 			sym:         s.sym,
 			// Replay the stabilizer recurrence (derived state, never
@@ -542,7 +540,6 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		doneAt:      doneAt,
 		valence:     valence,
 		maxRuns:     s.maxRuns,
-		parallelism: s.parallelism,
 		pager:       s.pager,
 		sym:         s.sym,
 		stab:        stab,

@@ -145,10 +145,7 @@ func (sc *refineScratch) bucket(u *uf.Labelled, spans, offsets []int) {
 // and the scenarios/ corpus).
 //
 // The receiver and child are not modified; on cancellation Refine returns
-// ctx.Err() and can simply be called again. When the child's parallelism
-// is > 1, the scan is spread over the worker pool by parent component
-// orbit; no merge across chunks is needed because related children never
-// cross parent component orbits.
+// ctx.Err() and can simply be called again.
 //
 // Refine errors if child was not produced by a one-round Extend of the
 // decomposed space (from-scratch builds carry no parent linkage).
@@ -172,24 +169,15 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	u := uf.NewLabelled(child.Len(), child.Group())
 	child.fr.fault()
 	offsets := child.parentOffsets
-	// Chunks are whole parent component orbits, and related children never
-	// cross parent component orbits, so every class lies within one chunk:
-	// parallel workers share the union-find, each touching only its own
-	// chunk's children (uf.Labelled allows that for disjoint classes).
-	if err := forEachChunk(ctx, len(d.Comps), child.parallelism, func(lo, hi int) error {
-		sc := refineScratchPool.Get().(*refineScratch)
-		sc.acquire(child, int32(hi-lo))
-		defer sc.release()
-		for ci := lo; ci < hi; ci++ {
-			if (ci-lo)%minChunk == minChunk-1 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			sc.epoch++
-			sc.bucket(u, d.Comps[ci].Members, offsets)
+	sc := refineScratchPool.Get().(*refineScratch)
+	sc.acquire(child, int32(len(d.Comps)))
+	defer sc.release()
+	for ci := range d.Comps {
+		if ci%cancelCheckInterval == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		sc.epoch++
+		sc.bucket(u, d.Comps[ci].Members, offsets)
 	}
 	res := materialize(child, u, 2*len(d.Comps))
 	// Each child orbit lies in the parent orbit of its smallest member's
@@ -209,17 +197,12 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	// parent item q — lies in the twin σ_{L_q}⁻¹ of the parent's base
 	// component, so the parent's masks are relabeled by L_q⁻¹ first.
 	grp := child.Group()
-	if err := forEachChunk(ctx, len(res.Comps), child.parallelism, func(lo, hi int) error {
-		for gi := lo; gi < hi; gi++ {
-			c := &res.Comps[gi]
-			q := int(parentOf[c.Members[0]])
-			pc := &d.Comps[d.CompOf[q]]
-			split := splits[d.CompOf[q]] > 1 || bits.OnesCount64(c.Stab) != bits.OnesCount64(pc.Stab)
-			res.refreshSummary(c, pc, grp.Inv(d.Labels[q]), split)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+	for gi := range res.Comps {
+		c := &res.Comps[gi]
+		q := int(parentOf[c.Members[0]])
+		pc := &d.Comps[d.CompOf[q]]
+		split := splits[d.CompOf[q]] > 1 || bits.OnesCount64(c.Stab) != bits.OnesCount64(pc.Stab)
+		res.refreshSummary(c, pc, grp.Inv(d.Labels[q]), split)
 	}
 	return res, nil
 }

@@ -11,41 +11,38 @@ import (
 // for every seed adversary family, refining the horizon-t partition into
 // the one-round extension equals the from-scratch DecomposeCtx of the
 // child — same partition, CompOf, component order, valences, broadcasters
-// and uniform inputs — with Refine on both the sequential and the
-// worker-pool path. The chain starts at the horizon-0 base, as a session
-// does, so Refine 0→1 is pinned too.
+// and uniform inputs. The chain starts at the horizon-0 base, as a
+// session does, so Refine 0→1 is pinned too.
 func TestRefineMatchesDecompose(t *testing.T) {
 	ctx := context.Background()
-	for _, parallelism := range []int{1, 4} {
-		for _, adv := range seedAdversaries(t) {
-			maxT := 4
-			if adv.N() > 2 {
-				maxT = 3
-			}
-			s, err := BuildCtx(ctx, adv, 2, 0, Config{Parallelism: parallelism})
+	for _, adv := range seedAdversaries(t) {
+		maxT := 4
+		if adv.N() > 2 {
+			maxT = 3
+		}
+		s, err := BuildCtx(ctx, adv, 2, 0, Config{})
+		if err != nil {
+			t.Fatalf("%s: BuildCtx horizon 0: %v", adv.Name(), err)
+		}
+		d, err := DecomposeCtx(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for horizon := 1; horizon <= maxT; horizon++ {
+			child, err := s.Extend(ctx, horizon)
 			if err != nil {
-				t.Fatalf("%s: BuildCtx horizon 0: %v", adv.Name(), err)
+				t.Fatalf("%s: Extend to %d: %v", adv.Name(), horizon, err)
 			}
-			d, err := DecomposeCtx(ctx, s)
+			refined, err := d.Refine(ctx, child)
+			if err != nil {
+				t.Fatalf("%s: Refine to %d: %v", adv.Name(), horizon, err)
+			}
+			scratch, err := DecomposeCtx(ctx, child)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for horizon := 1; horizon <= maxT; horizon++ {
-				child, err := s.Extend(ctx, horizon)
-				if err != nil {
-					t.Fatalf("%s: Extend to %d: %v", adv.Name(), horizon, err)
-				}
-				refined, err := d.Refine(ctx, child)
-				if err != nil {
-					t.Fatalf("%s: Refine to %d (parallelism %d): %v", adv.Name(), horizon, parallelism, err)
-				}
-				scratch, err := DecomposeCtx(ctx, child)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertDecompositionsEqual(t, adv.Name(), scratch, refined)
-				s, d = child, refined
-			}
+			assertDecompositionsEqual(t, adv.Name(), scratch, refined)
+			s, d = child, refined
 		}
 	}
 }
@@ -83,30 +80,28 @@ func TestRefineRejectsForeignChild(t *testing.T) {
 // and that the aborted refinement is resumable: calling Refine again with a
 // fresh context yields the exact from-scratch decomposition.
 func TestRefineCancellation(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		s, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 2, Config{Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DecomposeCtx(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		child, err := s.Extend(context.Background(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := d.Refine(cancelled, child); err != context.Canceled {
-			t.Errorf("parallelism %d: Refine with cancelled context: err = %v, want context.Canceled", parallelism, err)
-		}
-		// Resume: the inputs are untouched, so a retry must agree with the
-		// from-scratch reference.
-		refined, err := d.Refine(context.Background(), child)
-		if err != nil {
-			t.Fatalf("parallelism %d: resumed Refine: %v", parallelism, err)
-		}
-		assertDecompositionsEqual(t, "lossy3-resume", decompose(t, child), refined)
+	s, err := BuildCtx(context.Background(), ma.LossyLink3(), 2, 2, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	d, err := DecomposeCtx(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := s.Extend(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.Refine(cancelled, child); err != context.Canceled {
+		t.Errorf("Refine with cancelled context: err = %v, want context.Canceled", err)
+	}
+	// Resume: the inputs are untouched, so a retry must agree with the
+	// from-scratch reference.
+	refined, err := d.Refine(context.Background(), child)
+	if err != nil {
+		t.Fatalf("resumed Refine: %v", err)
+	}
+	assertDecompositionsEqual(t, "lossy3-resume", decompose(t, child), refined)
 }

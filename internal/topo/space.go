@@ -95,8 +95,8 @@ func (f *frontier) heardRow(i int) []uint64 { return f.heard[i*f.n : (i+1)*f.n] 
 
 // Item is one admissible run prefix of a Space, materialized by Space.Item
 // for callers that want the pre-columnar object view. The hot paths never
-// build Items; use the columnar accessors (ViewAt, HeardAt, State, DoneAt,
-// Valence, Inputs) when only single fields are needed.
+// build Items; use the columnar accessors (ViewAt, State, DoneAt, Valence,
+// Inputs) when only single fields are needed.
 type Item struct {
 	// Run is the input assignment plus graph prefix.
 	Run ptg.Run
@@ -139,8 +139,7 @@ type Space struct {
 	// what Decomposition.Refine seeds the child partition from.
 	parentOffsets []int
 
-	maxRuns     int // size cap inherited by Extend
-	parallelism int // worker count inherited by Extend / Refine
+	maxRuns int // size cap inherited by Extend
 
 	// pager, when non-nil, spills rounds that stop being the head to disk
 	// and bounds the resident set; see paging.go.
@@ -160,12 +159,15 @@ type Space struct {
 const DefaultMaxRuns = 4_000_000
 
 // Config collects the optional knobs of BuildCtx. The zero value selects
-// the defaults: DefaultMaxRuns, a fresh interner, sequential construction.
+// the defaults: DefaultMaxRuns and a fresh interner.
 type Config struct {
 	// MaxRuns caps the space size; ≤ 0 selects DefaultMaxRuns.
 	MaxRuns int
-	// Parallelism is the worker count used by Extend and Refine on spaces
-	// derived from this build; ≤ 1 means sequential.
+	// Parallelism is ignored.
+	//
+	// Deprecated: a space is extended and decomposed on its caller's
+	// goroutine. The field stays only because the benchmark module in
+	// topobench/ still sets it.
 	Parallelism int
 	// Interner shares hash-consed views with other spaces or a compiled
 	// decision map; nil allocates a fresh one.
@@ -227,7 +229,7 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 	if interner == nil {
 		interner = ptg.NewInterner()
 	}
-	s, err := buildBaseSym(adv, inputDomain, interner, maxRuns, cfg.Parallelism, cfg.Symmetry)
+	s, err := buildBaseSym(adv, inputDomain, interner, maxRuns, cfg.Symmetry)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +259,7 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 // stabilizer 1, under the trivial group). A nil group is the trivial
 // group. The interner must be orbit-canonical under the group (an empty
 // one adopts it), so a space and its interner always agree on the group.
-func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns, parallelism int, group *ma.Group) (*Space, error) {
+func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns int, group *ma.Group) (*Space, error) {
 	n := adv.N()
 	if group == nil {
 		group = ma.TrivialGroup(n)
@@ -299,7 +301,6 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		doneAt:      make([]int32, count),
 		valence:     make([]int32, count),
 		maxRuns:     maxRuns,
-		parallelism: parallelism,
 		sym:         sym,
 		stab:        stab,
 	}
@@ -356,12 +357,6 @@ func (s *Space) N() int { return s.Adversary.N() }
 func (s *Space) ViewAt(i, p int) ptg.ViewID {
 	s.fr.fault()
 	return s.fr.ids[i*s.fr.n+p]
-}
-
-// HeardAt returns the heard-bitmask of process p in item i at the horizon.
-func (s *Space) HeardAt(i, p int) uint64 {
-	s.fr.fault()
-	return s.fr.heard[i*s.fr.n+p]
 }
 
 // HeardByAll returns the bitmask of processes heard by every process in

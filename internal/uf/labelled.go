@@ -109,10 +109,6 @@ func (g Group) MinCoset(h uint64, x uint8, s uint64) uint8 {
 // the class orbit of r consists of |G|/|H| distinct classes, one per coset
 // of H. With the trivial group every label is the identity, every H is
 // {e}, and Labelled is a plain union-find with union by rank.
-//
-// Operations on disjoint classes touch disjoint state, so callers that
-// partition the elements into groups no union crosses may run them
-// concurrently, one goroutine per group.
 type Labelled struct {
 	g     Group
 	nodes []node

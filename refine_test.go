@@ -13,9 +13,8 @@ import (
 // full scenarios/ corpus — concrete specs and every sweep-template grid
 // cell: for every workload, refining the horizon-t partition into the
 // one-round extension must equal the from-scratch decomposition at t+1 —
-// same partition, valences, broadcasters and uniform inputs — on both the
-// sequential and the worker-pool path, at every horizon of the spec's own
-// analysis budget.
+// same partition, valences, broadcasters and uniform inputs — at every
+// horizon of the spec's own analysis budget.
 func TestRefineMatchesDecompose(t *testing.T) {
 	type workload struct {
 		name string
@@ -59,55 +58,53 @@ func TestRefineMatchesDecompose(t *testing.T) {
 			if maxHorizon == 0 {
 				maxHorizon = 5
 			}
-			for _, parallelism := range []int{1, 4} {
-				s, err := topocon.BuildSpaceCtx(ctx, sc.Adversary, domain, 1,
-					topocon.SpaceConfig{MaxRuns: sc.Options.MaxRuns, Parallelism: parallelism})
+			s, err := topocon.BuildSpaceCtx(ctx, sc.Adversary, domain, 1,
+				topocon.SpaceConfig{MaxRuns: sc.Options.MaxRuns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := topocon.DecomposeCtx(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for horizon := 2; horizon <= maxHorizon; horizon++ {
+				child, err := s.Extend(ctx, horizon)
+				if err != nil {
+					t.Fatalf("Extend to %d: %v", horizon, err)
+				}
+				refined, err := d.Refine(ctx, child)
+				if err != nil {
+					t.Fatalf("Refine to %d: %v", horizon, err)
+				}
+				scratch, err := topocon.DecomposeCtx(ctx, child)
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := topocon.DecomposeCtx(ctx, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for horizon := 2; horizon <= maxHorizon; horizon++ {
-					child, err := s.Extend(ctx, horizon)
-					if err != nil {
-						t.Fatalf("Extend to %d: %v", horizon, err)
-					}
-					refined, err := d.Refine(ctx, child)
-					if err != nil {
-						t.Fatalf("Refine to %d (parallelism %d): %v", horizon, parallelism, err)
-					}
-					scratch, err := topocon.DecomposeCtx(ctx, child)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameDecomposition(t, horizon, parallelism, scratch, refined)
-					s, d = child, refined
-				}
+				assertSameDecomposition(t, horizon, scratch, refined)
+				s, d = child, refined
 			}
 		})
 	}
 }
 
-func assertSameDecomposition(t *testing.T, horizon, parallelism int, want, got *topocon.Decomposition) {
+func assertSameDecomposition(t *testing.T, horizon int, want, got *topocon.Decomposition) {
 	t.Helper()
 	if len(want.Comps) != len(got.Comps) {
-		t.Fatalf("horizon %d parallelism %d: %d components, refine found %d",
-			horizon, parallelism, len(want.Comps), len(got.Comps))
+		t.Fatalf("horizon %d: %d components, refine found %d",
+			horizon, len(want.Comps), len(got.Comps))
 	}
 	for i := range want.CompOf {
 		if want.CompOf[i] != got.CompOf[i] {
-			t.Fatalf("horizon %d parallelism %d item %d: component %d vs %d",
-				horizon, parallelism, i, want.CompOf[i], got.CompOf[i])
+			t.Fatalf("horizon %d item %d: component %d vs %d",
+				horizon, i, want.CompOf[i], got.CompOf[i])
 		}
 	}
 	for ci := range want.Comps {
 		w, g := &want.Comps[ci], &got.Comps[ci]
 		if !equalInts(w.Members, g.Members) || !equalInts(w.Valences, g.Valences) ||
 			w.Broadcasters != g.Broadcasters || w.UniformInputs != g.UniformInputs {
-			t.Fatalf("horizon %d parallelism %d component %d differs:\nscratch %+v\nrefined %+v",
-				horizon, parallelism, ci, w, g)
+			t.Fatalf("horizon %d component %d differs:\nscratch %+v\nrefined %+v",
+				horizon, ci, w, g)
 		}
 	}
 }

@@ -37,7 +37,6 @@
 //
 //	an, err := topocon.NewAnalyzer(adv,
 //	    topocon.WithMaxHorizon(9),
-//	    topocon.WithParallelism(8),
 //	    topocon.WithProgress(func(r topocon.HorizonReport) {
 //	        log.Printf("horizon %d: %d runs, %d components", r.Horizon, r.Runs, r.Components)
 //	    }))
@@ -374,9 +373,6 @@ var (
 	// representative per orbit. Verdicts and reports are identical either
 	// way; use it for differential testing and symmetry-bug triage.
 	WithNoSymmetry = check.WithNoSymmetry
-	// WithParallelism spreads frontier expansion and decomposition over a
-	// worker pool.
-	WithParallelism = check.WithParallelism
 	// WithRetainSpaces bounds session memory: keep the k deepest prefix
 	// spaces plus, always, the separation-horizon space; evicted horizons
 	// return nil from SpaceAt. Default 1 (deepest + separation); 0 retains
@@ -412,7 +408,8 @@ var (
 	WithPager = check.WithPager
 	// RunCheckpointed runs a full analysis resume-or-fresh: it continues
 	// from a checkpoint when one matches, checkpoints periodically as it
-	// refines, saves on interruption, and cleans up on success.
+	// refines, saves on interruption, and cleans up on success. Its
+	// trailing int is ignored.
 	RunCheckpointed = ckpt.RunCheck
 )
 

@@ -436,19 +436,32 @@ func BenchmarkCheckpointSave(b *testing.B) {
 	}
 }
 
-// BenchmarkRefineVsDecompose isolates the per-horizon decomposition cost
-// of a session walking LossyLink2 horizons 1..benchMaxHorizon: "decompose"
-// re-buckets every horizon from scratch (topocon.DecomposeCtx, the
-// reference), "refine" seeds each horizon's partition from the previous
-// one (topocon.Decomposition.Refine). The spaces are extended once outside
-// the timer, so the pair differs only in how the partition is obtained.
-// Track the ratio in the perf trajectory; the acceptance floor is 2×.
-// "star-quotient-refine" is the same Refine chain on lossy-star-4 under its
-// S₃ quotient, where the decomposition runs over orbit representatives.
-func BenchmarkRefineVsDecompose(b *testing.B) {
+// BenchmarkDecompose isolates the per-horizon decomposition cost of a
+// session: each iteration decomposes horizons 1..benchMaxHorizon of a chain
+// with topocon.DecomposeCtx, as Analyzer.Step does. The spaces are
+// extended once outside the timer. "lossylink2" walks LossyLink2;
+// "star-quotient" walks lossy-star-4 under its S₃ quotient, where the
+// decomposition runs over orbit representatives.
+func BenchmarkDecompose(b *testing.B) {
+	b.Run("lossylink2", func(b *testing.B) {
+		benchDecompose(b, benchChain(b, topocon.LossyLink2(), topocon.SpaceConfig{}))
+	})
+	b.Run("star-quotient", func(b *testing.B) {
+		star := lossyStar4(b)
+		group := topocon.Automorphisms(star)
+		if group.Order() != 6 {
+			b.Fatalf("lossy-star-4 group order %d, want 6", group.Order())
+		}
+		benchDecompose(b, benchChain(b, star, topocon.SpaceConfig{Symmetry: group}))
+	})
+}
+
+// benchChain builds the adversary's chain of spaces at horizons
+// 1..benchMaxHorizon by extension; index 0 is unused.
+func benchChain(b *testing.B, adv topocon.Adversary, cfg topocon.SpaceConfig) []*topocon.Space {
 	ctx := context.Background()
 	spaces := make([]*topocon.Space, benchMaxHorizon+1)
-	s, err := topocon.BuildSpaceCtx(ctx, topocon.LossyLink2(), 2, 1, topocon.SpaceConfig{})
+	s, err := topocon.BuildSpaceCtx(ctx, adv, 2, 1, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -459,33 +472,7 @@ func BenchmarkRefineVsDecompose(b *testing.B) {
 		}
 		spaces[t] = s
 	}
-	b.Run("decompose", func(b *testing.B) {
-		benchDecompose(b, spaces)
-	})
-	b.Run("refine", func(b *testing.B) {
-		benchRefine(b, spaces)
-	})
-	b.Run("star-quotient-refine", func(b *testing.B) {
-		star := lossyStar4(b)
-		group := topocon.Automorphisms(star)
-		if group.Order() != 6 {
-			b.Fatalf("lossy-star-4 group order %d, want 6", group.Order())
-		}
-		spaces := make([]*topocon.Space, benchMaxHorizon+1)
-		s, err := topo.BuildCtx(ctx, star, 2, 1, topo.Config{Symmetry: group})
-		if err != nil {
-			b.Fatal(err)
-		}
-		spaces[1] = s
-		for t := 2; t <= benchMaxHorizon; t++ {
-			if s, err = s.Extend(ctx, t); err != nil {
-				b.Fatal(err)
-			}
-			spaces[t] = s
-		}
-		b.ResetTimer()
-		benchRefine(b, spaces)
-	})
+	return spaces
 }
 
 // benchDecompose decomposes every space from scratch per iteration.
@@ -498,26 +485,6 @@ func benchDecompose(b *testing.B, spaces []*topocon.Space) {
 		for t := 1; t < len(spaces); t++ {
 			d, err := topocon.DecomposeCtx(ctx, spaces[t])
 			if err != nil || len(d.Comps) != want[t] {
-				b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
-			}
-		}
-	}
-}
-
-// benchRefine decomposes the first space and refines along the chain per
-// iteration.
-func benchRefine(b *testing.B, spaces []*topocon.Space) {
-	ctx := context.Background()
-	want := decompositionSizes(b, spaces)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := topocon.DecomposeCtx(ctx, spaces[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		for t := 2; t < len(spaces); t++ {
-			if d, err = d.Refine(ctx, spaces[t]); err != nil || len(d.Comps) != want[t] {
 				b.Fatalf("horizon %d: %d components, err %v", t, len(d.Comps), err)
 			}
 		}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math/bits"
 	"testing"
 
 	"topocon/internal/graph"
@@ -199,4 +200,21 @@ func TestBivalenceCertificateString(t *testing.T) {
 	if s == "" || cert.Surviving == 0 {
 		t.Errorf("degenerate rendering %q (surviving %d)", s, cert.Surviving)
 	}
+}
+
+// KernelSize returns the minimum, over the adversary's graphs, of the
+// number of processes in root components — a quick structural statistic
+// used in sweep reports.
+func KernelSize(adv *ma.Oblivious) int {
+	best := adv.N() + 1
+	for _, g := range adv.Graphs() {
+		total := 0
+		for _, c := range g.RootComponents() {
+			total += bits.OnesCount64(c.Members)
+		}
+		if total < best {
+			best = total
+		}
+	}
+	return best
 }

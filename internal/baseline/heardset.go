@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"math/bits"
-
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 )
@@ -100,21 +98,4 @@ func GuaranteedBroadcasters(adv *ma.Oblivious) (uint64, int) {
 		}
 	}
 	return mask, worst
-}
-
-// KernelSize returns the minimum, over the adversary's graphs, of the
-// number of processes in root components — a quick structural statistic
-// used in sweep reports.
-func KernelSize(adv *ma.Oblivious) int {
-	best := adv.N() + 1
-	for _, g := range adv.Graphs() {
-		total := 0
-		for _, c := range g.RootComponents() {
-			total += bits.OnesCount64(c.Members)
-		}
-		if total < best {
-			best = total
-		}
-	}
-	return best
 }

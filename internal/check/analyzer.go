@@ -287,9 +287,8 @@ func (a *Analyzer) symmetry() *ma.Group {
 // no nontrivial automorphisms).
 func (a *Analyzer) Symmetry() *ma.Group { return a.symmetry() }
 
-// buildBase builds the session's horizon-0 base and decomposes it: one item
-// per input vector (orbit), whose views are the leaves (p, x_p). Every
-// later horizon refines from this partition.
+// buildBase builds the session's horizon-0 base: one item per input
+// vector (orbit), whose views are the leaves (p, x_p).
 func (a *Analyzer) buildBase(ctx context.Context) error {
 	base, err := topo.BuildCtx(ctx, a.adv, a.opts.InputDomain, 0, topo.Config{
 		MaxRuns:  a.opts.MaxRuns,
@@ -299,24 +298,16 @@ func (a *Analyzer) buildBase(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("check: horizon 0: %w", err)
 	}
-	d, err := topo.DecomposeCtx(ctx, base)
-	if err != nil {
-		return fmt.Errorf("check: horizon 0: %w", err)
-	}
 	a.spaces = append(a.spaces, base)
-	a.cur, a.decomp = base, d
+	a.cur = base
 	return nil
 }
 
 // Step advances the session by exactly one horizon: it extends the prefix
-// space incrementally by one round, decomposes it — incrementally too,
-// refining the previous horizon's partition via topo.Decomposition.Refine
-// (components only ever split under the refinement invariant, so the child
-// partition is seeded from the parent's and splits are detected locally;
-// the first Step refines from the horizon-0 base) — applies the retention
-// policy, updates the running result, and reports. It returns
-// ErrHorizonExhausted once MaxHorizon has been analysed, and the context
-// error on cancellation (leaving the session resumable).
+// space incrementally by one round, decomposes it with topo.DecomposeCtx,
+// applies the retention policy, updates the running result, and reports.
+// It returns ErrHorizonExhausted once MaxHorizon has been analysed, and
+// the context error on cancellation (leaving the session resumable).
 func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	if a.Horizon() >= a.opts.MaxHorizon {
 		return HorizonReport{}, ErrHorizonExhausted
@@ -334,7 +325,7 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", a.cur.Horizon+1, err)
 	}
-	d, err := a.decomp.Refine(ctx, next)
+	d, err := topo.DecomposeCtx(ctx, next)
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", next.Horizon, err)
 	}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -16,12 +17,14 @@ import (
 // and are carried by reference (internal/ckpt frames, checksums and
 // validates the whole on disk).
 //
-// Automaton states are deliberately absent (ma.State is opaque); restore
-// recomputes them by deterministic replay over the persisted round graphs,
-// and the decision map — when a separation horizon was already found — is
-// recompiled from the restored separation-horizon decomposition, which
-// reproduces it exactly (BuildDecisionMap is deterministic and the
-// imported interner reassigns identical ViewIDs).
+// Automaton states and decompositions are deliberately absent (ma.State is
+// opaque, and a decomposition is a function of its space): restore
+// recomputes the states by deterministic replay over the persisted round
+// graphs, decomposes the restored head, and — when a separation horizon
+// was already found — decomposes that horizon and recompiles the decision
+// map from it, which reproduces it exactly (DecomposeCtx and
+// BuildDecisionMap are deterministic and the imported interner reassigns
+// identical ViewIDs).
 type SessionSnapshot struct {
 	// Options are the session's resolved options; a resume must run under
 	// exactly these (the checkpoint is only valid for the configuration
@@ -33,13 +36,6 @@ type SessionSnapshot struct {
 	// frontier chain's persisted pages, horizons 1..Horizon ascending.
 	Horizon int               `json:"horizon"`
 	Rounds  []topo.ChainRound `json:"rounds"`
-
-	// Decomp is the decomposition at Horizon (the Refine parent of the next
-	// Step). SepDecomp is the separation-horizon decomposition when
-	// separation was found strictly earlier; nil if unseen or equal to
-	// Decomp.
-	Decomp    *topo.DecompSnapshot `json:"decomp"`
-	SepDecomp *topo.DecompSnapshot `json:"sepDecomp,omitempty"`
 
 	SeparationHorizon int `json:"separationHorizon"`
 	BroadcastHorizon  int `json:"broadcastHorizon"`
@@ -55,7 +51,7 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	if a.pager == nil {
 		return nil, errors.New("check: Snapshot requires a pager (WithPager)")
 	}
-	if a.cur == nil || a.cur.Horizon == 0 || a.decomp == nil {
+	if a.cur == nil || a.cur.Horizon == 0 {
 		return nil, errors.New("check: Snapshot before the first completed Step")
 	}
 	if a.finished {
@@ -70,15 +66,8 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 		Retain:            a.retain,
 		Horizon:           a.cur.Horizon,
 		Rounds:            rounds,
-		Decomp:            topo.SnapshotDecomposition(a.decomp),
 		SeparationHorizon: a.res.SeparationHorizon,
 		BroadcastHorizon:  a.res.BroadcastHorizon,
-	}
-	if sep := a.res.SeparationHorizon; sep >= 0 && sep != a.cur.Horizon {
-		if a.res.Decomposition == nil {
-			return nil, fmt.Errorf("check: Snapshot: separation horizon %d found but its decomposition is gone", sep)
-		}
-		snap.SepDecomp = topo.SnapshotDecomposition(a.res.Decomposition)
 	}
 	return snap, nil
 }
@@ -87,24 +76,22 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 // imported interner of the checkpointed session, and a pager over the page
 // directory the snapshot's rounds reference. The restored session continues
 // with plain Step/Check calls; the next Step extends from the restored
-// horizon — already-checkpointed horizons are never re-extended (the
-// restored chain satisfies Refine's parent-linkage precondition by
-// construction).
+// horizon — already-checkpointed horizons are never re-extended. The
+// restored head is decomposed once, and so is the separation horizon when
+// it came earlier: the resumed verdict rests on the validated pages and
+// interner alone.
 //
-// Validation is strict and structural: chain shape, decomposition shape and
-// page checksums all fail the restore cleanly. Caller-level validation —
-// adversary fingerprint, options match — is internal/ckpt's job; pass extra
-// options (WithProgress, …) for the new process's observers only, never to
-// change the analysis configuration.
+// Validation is strict and structural: chain shape and page checksums
+// fail the restore cleanly. Caller-level validation — adversary
+// fingerprint, options match — is internal/ckpt's job; pass extra options
+// (WithProgress, …) for the new process's observers only, never to change
+// the analysis configuration.
 func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Interner, pg *pager.Pager, extra ...AnalyzerOption) (*Analyzer, error) {
 	if snap == nil || interner == nil || pg == nil {
 		return nil, errors.New("check: RestoreAnalyzer: snapshot, interner and pager are required")
 	}
 	if snap.Horizon < 1 || len(snap.Rounds) != snap.Horizon {
 		return nil, fmt.Errorf("check: RestoreAnalyzer: snapshot at horizon %d carries %d rounds", snap.Horizon, len(snap.Rounds))
-	}
-	if snap.Decomp == nil {
-		return nil, errors.New("check: RestoreAnalyzer: snapshot carries no decomposition")
 	}
 	if snap.SeparationHorizon > snap.Horizon || snap.BroadcastHorizon > snap.Horizon {
 		return nil, fmt.Errorf("check: RestoreAnalyzer: separation/broadcast horizons (%d, %d) beyond snapshot horizon %d",
@@ -137,7 +124,9 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 	if err != nil {
 		return nil, err
 	}
-	decomp, err := topo.RestoreDecomposition(cur, snap.Decomp)
+	//topocon:allow ctxflow -- pre-context bootstrap path behind ckpt.Load, like topo.RestoreChain; work is bounded by the already-checkpointed chain, with no external waits to cancel
+	ctx := context.Background()
+	decomp, err := topo.DecomposeCtx(ctx, cur)
 	if err != nil {
 		return nil, err
 	}
@@ -156,13 +145,10 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 		sepSpace := cur
 		sepDecomp := decomp
 		if sep != snap.Horizon {
-			if snap.SepDecomp == nil {
-				return nil, fmt.Errorf("check: RestoreAnalyzer: separation at %d < horizon %d but no separation decomposition", sep, snap.Horizon)
-			}
 			if sepSpace, err = cur.AncestorAt(sep); err != nil {
 				return nil, err
 			}
-			if sepDecomp, err = topo.RestoreDecomposition(sepSpace, snap.SepDecomp); err != nil {
+			if sepDecomp, err = topo.DecomposeCtx(ctx, sepSpace); err != nil {
 				return nil, err
 			}
 			a.spaces[sep] = sepSpace

@@ -301,12 +301,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		}
 		cases := map[string]*SessionSnapshot{
 			"rounds-mismatch": mangle(func(s *SessionSnapshot) { s.Rounds = s.Rounds[:1] }),
-			"no-decomp":       mangle(func(s *SessionSnapshot) { s.Decomp = nil }),
 			"sep-beyond":      mangle(func(s *SessionSnapshot) { s.SeparationHorizon = s.Horizon + 1 }),
-			"sep-no-decomp": mangle(func(s *SessionSnapshot) {
-				s.SeparationHorizon = s.Horizon - 1
-				s.SepDecomp = nil
-			}),
 		}
 		for name, bad := range cases {
 			if _, err := RestoreAnalyzer(ma.LossyLink2(), bad, in, pg); err == nil {

@@ -6,21 +6,22 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 5, line-framed like internal/store records):
+// Manifest format (version 6, line-framed like internal/store records):
 //
-//	topocon-ckpt 5
+//	topocon-ckpt 6
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 5 drops the session meta's worker count; its decompositions are
-// component orbits (per-item labels and per-component stabilizers), as in
-// version 4. Older checkpoints — version 1 (full, unquotiented frontiers),
-// version 2 (quotiented sessions under the relabel-memo ID scheme),
-// version 3 (decompositions over pseudo-items) and version 4 (meta with a
-// "parallelism" field) — are quarantined and recomputed rather than
-// resumed (see manifestVersion).
+// Version 6 drops the session meta's decompositions: a resumed session
+// decomposes its restored head, and its separation horizon when that came
+// earlier, from the pages and the interner alone. Older checkpoints —
+// version 1 (full, unquotiented frontiers), version 2 (quotiented sessions
+// under the relabel-memo ID scheme), version 3 (decompositions over
+// pseudo-items), version 4 (meta with a "parallelism" field) and version 5
+// (meta with "decomp" and "sepDecomp" fields) — are quarantined and
+// recomputed rather than resumed (see manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -59,16 +60,15 @@ import (
 )
 
 const (
-	// manifestVersion 5 marks checkpoints whose session meta has no
-	// "parallelism" field; decoding rejects unknown fields, so a v4 meta
-	// would not decode anyway. v4 and v5 snapshots hold orbit
-	// decompositions (DESIGN.md §13): one component per component orbit,
-	// with per-item labels and per-component stabilizers. A v3 snapshot of
-	// a quotiented session holds a pseudo-item partition (|G| labels per
-	// item), v2 view IDs of the relabel-memo scheme, and v1 pages the
-	// full, unquotiented frontier; resuming any of them would be wrong.
-	// Older manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 5
+	// manifestVersion 6 marks checkpoints whose session meta holds no
+	// decomposition; decoding rejects unknown fields, so a v5 meta (with
+	// "decomp") or a v4 meta (with "parallelism") would not decode anyway.
+	// A v3 snapshot of a quotiented session holds a pseudo-item partition
+	// (|G| labels per item), v2 view IDs of the relabel-memo scheme, and
+	// v1 pages the full, unquotiented frontier; resuming any of them would
+	// be wrong. Older manifests therefore fail decoding, quarantine, and
+	// recompute.
+	manifestVersion = 6
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"

@@ -227,6 +227,10 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// A version-4 checkpoint's meta carries the retired "parallelism"
 		// field; it must be recomputed, not resumed.
 		"version-4": func(t *testing.T, dir string) { resealManifest(t, dir, 4) },
+		// A version-5 checkpoint's meta carries the session's decompositions
+		// ("decomp", "sepDecomp"), which a resume no longer reads; it must
+		// be recomputed, not resumed.
+		"version-5": func(t *testing.T, dir string) { resealManifest(t, dir, 5) },
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"topocon/internal/advgen"
 	"topocon/internal/check"
+	"topocon/internal/combi"
 	"topocon/internal/ma"
+	"topocon/internal/ptg"
+	"topocon/internal/uf"
 )
 
 // FuzzEngineEquivalence checks that the engine's optimizations cannot
@@ -22,7 +26,9 @@ import (
 // back, is cancelled after horizon k and resumes from its checkpoint. Both
 // must agree on the verdict, the separation and broadcast horizons, the
 // final component counts and every horizon's runs, components and mixed
-// components. The horizon is lowered until a space holds at most 512
+// components, and every horizon's component and mixed-component counts
+// must equal naiveComponents', which shares no code with the engine's
+// decomposer. The horizon is lowered until a space holds at most 512
 // prefixes per input vector, so a case takes milliseconds.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Shapes 6, 7, 14, 15, 22 and 23 ask for horizon 4 with k = 1, 2 and 3
@@ -89,6 +95,67 @@ func FuzzEngineEquivalence(f *testing.F) {
 					adv.N(), horizon, k, i, g.Horizon, g.Runs, g.Components, g.MixedComponents,
 					w.Horizon, w.Runs, w.Components, w.MixedComponents)
 			}
+			if w.Runs > naiveMaxRuns {
+				continue
+			}
+			comps, mixed := naiveComponents(adv, ref.Options().InputDomain, w.Horizon)
+			if w.Components != comps || w.MixedComponents != mixed {
+				t.Fatalf("n=%d horizon %d: the engine reports comps=%d mixed=%d, the naive oracle %d and %d",
+					adv.N(), w.Horizon, w.Components, w.MixedComponents, comps, mixed)
+			}
 		}
 	})
+}
+
+// naiveMaxRuns bounds the full spaces naiveComponents is asked about.
+const naiveMaxRuns = 4096
+
+// naiveComponents is the reference decomposition of FuzzEngineEquivalence,
+// built from the paper's definitions alone: it enumerates the full
+// horizon-t space (every admissible prefix under every input vector),
+// computes every process's view of every run with ptg.ComputeViews on a
+// fresh plain interner, and joins runs that share a (process, view) pair
+// in a plain union-find (Definition 6.2 at the horizon). It returns the
+// number of components and of mixed ones, which hold v-valent runs (every
+// input v) for two values v.
+func naiveComponents(adv ma.Adversary, domain, t int) (comps, mixed int) {
+	n := adv.N()
+	var runs []ptg.Run
+	ma.EnumeratePrefixes(adv, t, func(p ma.Prefix) bool {
+		combi.Words(domain, n, func(inputs []int) bool {
+			runs = append(runs, ptg.Run{Inputs: slices.Clone(inputs), Graphs: slices.Clone(p.Graphs)})
+			return true
+		})
+		return true
+	})
+	in := ptg.NewInterner()
+	u := uf.New(len(runs))
+	holder := make(map[[2]int]int) // (process, view) -> the first run holding it
+	for i, r := range runs {
+		views := ptg.ComputeViews(in, r)
+		for p := 0; p < n; p++ {
+			key := [2]int{p, int(views.ID(t, p))}
+			if j, ok := holder[key]; ok {
+				u.Union(i, j)
+			} else {
+				holder[key] = i
+			}
+		}
+	}
+	valences := make(map[int]map[int]bool) // root -> the valences of its runs
+	for i, r := range runs {
+		root := u.Find(i)
+		if _, ok := valences[root]; !ok {
+			valences[root] = make(map[int]bool)
+		}
+		if v := r.Inputs[0]; !slices.ContainsFunc(r.Inputs, func(x int) bool { return x != v }) {
+			valences[root][v] = true
+		}
+	}
+	for _, vs := range valences {
+		if len(vs) >= 2 {
+			mixed++
+		}
+	}
+	return len(valences), mixed
 }

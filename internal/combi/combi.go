@@ -38,25 +38,6 @@ func CountWords(base, k int) int {
 	return total
 }
 
-// WordIndex returns the position of word in the Words enumeration order.
-func WordIndex(base int, word []int) int {
-	idx := 0
-	for _, w := range word {
-		idx = idx*base + w
-	}
-	return idx
-}
-
-// WordAt fills dst with the word at position idx in the Words order and
-// returns dst.
-func WordAt(base, idx int, dst []int) []int {
-	for i := len(dst) - 1; i >= 0; i-- {
-		dst[i] = idx % base
-		idx /= base
-	}
-	return dst
-}
-
 // Subsets calls yield with every non-empty subset of {0,...,n-1}, encoded
 // as a bitmask, in increasing mask order. Enumeration stops early when
 // yield returns false.
@@ -67,15 +48,4 @@ func Subsets(n int, yield func(uint64) bool) {
 			return
 		}
 	}
-}
-
-// Pick returns the elements of mask as indices, appended to dst.
-func Pick(mask uint64, dst []int) []int {
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			dst = append(dst, i)
-		}
-		mask >>= 1
-	}
-	return dst
 }

@@ -14,7 +14,6 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -63,16 +62,6 @@ func FromEdges(n int, edges []Edge) (Graph, error) {
 		in[e.To] |= 1 << uint(e.From)
 	}
 	return Graph{n: n, in: in}, nil
-}
-
-// MustFromEdges is FromEdges for statically-known edge lists; it panics on
-// invalid input.
-func MustFromEdges(n int, edges []Edge) Graph {
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // FromInMasks builds a graph directly from per-node in-neighbour masks.
@@ -336,15 +325,4 @@ func FormatNodeSet(mask uint64) string {
 		parts[i] = fmt.Sprint(p + 1)
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// SortEdges orders edges by (From, To); it is a convenience for tests and
-// deterministic output.
-func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -355,4 +356,25 @@ func TestSortEdges(t *testing.T) {
 			t.Fatalf("SortEdges = %v, want %v", edges, want)
 		}
 	}
+}
+
+// MustFromEdges is FromEdges for statically-known edge lists; it panics on
+// invalid input.
+func MustFromEdges(n int, edges []Edge) Graph {
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// SortEdges orders edges by (From, To); it is a convenience for tests and
+// deterministic output.
+func SortEdges(edges []Edge) {
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].From != edges[j].From {
+			return edges[i].From < edges[j].From
+		}
+		return edges[i].To < edges[j].To
+	})
 }

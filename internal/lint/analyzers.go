@@ -4,13 +4,3 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{AtomicWrite, Quarantine, CtxFlow, AllocFree, FacadeSync}
 }
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

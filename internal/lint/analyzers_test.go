@@ -112,3 +112,13 @@ func TestVetToolProtocol(t *testing.T) {
 		t.Fatalf("go vet -vettool should pass on the clean repo: %v\n%s", err, out)
 	}
 }
+
+// ByName returns the analyzer with the given name, or nil.
+func ByName(name string) *Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}

@@ -10,11 +10,15 @@ package lint
 // else (os, context, fmt) comes from the build cache's export data.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -250,4 +254,34 @@ func checkExpectations(t *testing.T, diags []Diagnostic, wants map[wantKey][]*wa
 			}
 		}
 	}
+}
+
+// ListExports returns the gc export-data files of the named packages and
+// every dependency, keyed by import path — the resolver feed for
+// exportImporter when the source being type-checked is not part of a
+// module (analyzer fixtures).
+func ListExports(dir string, pkgs []string) (map[string]string, error) {
+	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Export"}, pkgs...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("go list %v: %v\n%s", pkgs, err, stderr.Bytes())
+	}
+	exports := make(map[string]string)
+	dec := json.NewDecoder(&stdout)
+	for {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("decoding go list output: %w", err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports, nil
 }

@@ -174,27 +174,3 @@ func CheckConsensus(tr *Trace, requireTermination bool) []Violation {
 	}
 	return out
 }
-
-// CheckStrongValidity verifies the strong validity condition the paper
-// mentions after Definition 5.1: every decided value must be the input of
-// some process in the run.
-func CheckStrongValidity(tr *Trace) []Violation {
-	inputs := make(map[int]bool, len(tr.Run.Inputs))
-	for _, x := range tr.Run.Inputs {
-		inputs[x] = true
-	}
-	var out []Violation
-	for p := range tr.DecisionRound {
-		if tr.DecisionRound[p] < 0 {
-			continue
-		}
-		if !inputs[tr.Value[p]] {
-			out = append(out, Violation{
-				Property: "strong-validity",
-				Detail: fmt.Sprintf("process %d decided %d, not an input of %v",
-					p+1, tr.Value[p], tr.Run),
-			})
-		}
-	}
-	return out
-}

@@ -58,7 +58,7 @@ func TestExtendAllocsPerChild(t *testing.T) {
 				}
 			})
 			// Budget: the fixed per-call allocations (8 column slices,
-			// choices + offsets layout, Space + frontier headers, pool
+			// choice layout, Space + frontier headers, pool
 			// scratch) plus strictly less than one quarter allocation per
 			// child — i.e. per-child cost must be zero, with headroom only
 			// in the fixed part.

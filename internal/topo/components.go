@@ -3,8 +3,10 @@ package topo
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"topocon/internal/graph"
 	"topocon/internal/ptg"
@@ -98,42 +100,116 @@ func (d *Decomposition) FullMixedComponents() int {
 // view equality at all earlier times (refinement property, package ptg).
 // It returns ctx.Err() on cancellation.
 //
-// DecomposeCtx is the from-scratch decomposer. A session runs it once, on
-// its horizon-0 base, whose views are the leaves (p, x_p), and refines
-// every later horizon with Decomposition.Refine, which reproduces
-// DecomposeCtx exactly. The scan is sequential and reads the horizon's
-// ViewID column directly — no per-item view objects are touched.
+// DecomposeCtx is the only decomposer: a session decomposes every horizon
+// with it, and a resumed session decomposes its restored head. The scan is
+// sequential and reads the horizon's ViewID column directly — no per-item
+// view objects are touched.
 //
 // Views are bucketed by their orbit id (ViewID / |G|, shared by all twins
 // of a view) in a group-labelled union-find over the representatives
-// (uf.Labelled): an item whose view has orbit label ℓ holds the twin
-// σ_ℓ of the bucket's view, so two items in one bucket are joined by the
-// quotient of their labels, and a view whose cone has a nontrivial
-// stabilizer joins its item to the conjugated twins. Under the trivial
-// group every label is the identity and the scan is a plain bucket union.
+// (uf.Labelled). A view with ID c·|G|+ℓ is the twin σ_ℓ of its orbit's
+// stored cone C, so σ_ℓ⁻¹·(run i) holds C: the item joins the bucket's
+// first item f by σ_{ℓ∘ℓ_f⁻¹}·(run f) ~ run i. The first item of a bucket
+// also records the cone's stabilizer, conjugated by ℓ — twins of run i
+// that fix its copy of the view share it — and every item records its own
+// stabilizer. Under the trivial group every label is the identity and the
+// scan is a plain bucket union.
+//
+//topocon:allocfree
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
-	count := s.Len()
-	u := uf.NewLabelled(count, s.Group())
+	count, n := s.Len(), s.N()
+	grp := s.Group()
+	m := int32(grp.Order())
+	u := uf.NewLabelled(count, grp)
 	s.fr.fault()
-	// Orbit ids are dense, so a pooled epoch-stamped array (shared with
-	// Refine) replaces a hash map; one epoch spans the whole space.
-	sc := refineScratchPool.Get().(*refineScratch)
-	defer sc.release()
-	sc.acquire(s, 1)
-	sc.epoch++
-	span, bounds := []int{0}, make([]int, 2)
-	for lo := 0; lo < count; lo += cancelCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Orbit ids are dense, so a pooled epoch-stamped table replaces a hash
+	// map; one epoch spans the whole space.
+	sc := bucketScratchPool.Get().(*bucketScratch)
+	defer bucketScratchPool.Put(sc)
+	entries, epoch := sc.acquire(s.Interner.Size())
+	ids := s.fr.ids
+	for i := 0; i < count; i++ {
+		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		bounds[0], bounds[1] = lo, min(lo+cancelCheckInterval, count)
-		sc.bucket(u, span, bounds)
+		for _, id := range ids[i*n : (i+1)*n] {
+			c, l := orbitOf(id, m)
+			if e := &entries[c]; e.epoch == epoch {
+				u.Union(int(e.first), i, grp.Quo(l, e.label))
+				continue
+			}
+			entries[c] = bucketEntry{epoch, int32(i), l}
+			if m > 1 {
+				if st := s.Interner.OrbitStab(int(c)); st != 1 {
+					u.AddStab(i, grp.Conj(l, st))
+				}
+			}
+		}
+		if m > 1 {
+			u.AddStab(i, s.stab[i])
+		}
 	}
-	d := materialize(s, u, 0)
+	d := materialize(s, u)
 	for ci := range d.Comps {
-		d.summarize(&d.Comps[ci], 0, 0, true)
+		d.summarize(&d.Comps[ci])
 	}
 	return d, nil
+}
+
+// Refine returns DecomposeCtx(ctx, child).
+//
+// Deprecated: every horizon is decomposed from scratch with DecomposeCtx.
+// Refine stays only because the benchmark module in topobench/ still
+// calls it.
+func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decomposition, error) {
+	return DecomposeCtx(ctx, child)
+}
+
+// bucketScratch is the reusable dense bucket table of DecomposeCtx,
+// indexed by view orbit id (ViewID / |G|, the ViewID itself under the
+// trivial group). Entries are validated by epoch instead of being cleared:
+// the epoch counter is monotone across calls (one epoch per call), so
+// stale entries from earlier scans never match. The table only ever grows
+// (with geometric headroom, so a session whose interner grows every
+// horizon still amortizes), and pooling keeps it alive across calls
+// instead of feeding the garbage collector a table-sized allocation per
+// horizon.
+type bucketScratch struct {
+	entries []bucketEntry
+	epoch   int32
+}
+
+// bucketEntry is one bucket of the scratch table, packed so that a lookup
+// touches one cache line.
+type bucketEntry struct {
+	epoch int32 // epoch of the entry's last write
+	first int32 // bucket representative (item index)
+	// label is the element reaching the bucket's view from its orbit's
+	// stored cone, for first.
+	label uint8
+}
+
+var bucketScratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
+
+// acquire readies the table for size orbit ids (the interner's orbit
+// count: every view of the scanned space is interned by now) and returns
+// it with a fresh epoch, re-zeroing only on int32 epoch wraparound (once
+// per ~2 billion scans).
+func (sc *bucketScratch) acquire(size int) ([]bucketEntry, int32) {
+	if cap(sc.entries) < size {
+		// No copy: stale entries are unreadable by design (their epochs
+		// are below every future epoch), so a fresh zeroed table is
+		// equivalent and cheaper.
+		sc.entries = make([]bucketEntry, size, size+size/4+64)
+	} else {
+		sc.entries = sc.entries[:size]
+	}
+	if sc.epoch == math.MaxInt32 {
+		clear(sc.entries[:cap(sc.entries)])
+		sc.epoch = 0
+	}
+	sc.epoch++
+	return sc.entries, sc.epoch
 }
 
 // orbitOf splits a view ID into its orbit id and the element reaching it
@@ -152,7 +228,7 @@ func orbitOf(id ptg.ViewID, m int32) (int32, uint8) {
 // smallest member and CompOf, and a sweep over the orbits re-bases each
 // member's label onto the orbit's smallest member and reduces it to its
 // canonical coset element. Summaries are left to the caller.
-func materialize(s *Space, u *uf.Labelled, hint int) *Decomposition {
+func materialize(s *Space, u *uf.Labelled) *Decomposition {
 	count := s.Len()
 	grp := s.Group()
 	d := &Decomposition{
@@ -161,8 +237,7 @@ func materialize(s *Space, u *uf.Labelled, hint int) *Decomposition {
 		Labels: make([]uint8, count),
 	}
 	rootGroup := make([]int32, count) // group id + 1 of each set root
-	sizes := make([]int32, 0, hint)
-	roots := make([]int32, 0, hint)
+	var sizes, roots []int32
 	for i := 0; i < count; i++ {
 		r, g := u.Find(i)
 		gi := rootGroup[r]
@@ -214,40 +289,30 @@ func materialize(s *Space, u *uf.Labelled, hint int) *Decomposition {
 // in the base component — heard masks and input positions permuted by its
 // label — and the folds are then closed under the stabilizer, whose
 // elements permute the base component's runs among themselves.
-//
-// seedB and seedU are processes already known to be broadcasters /
-// uniform (Refine seeds them from the parent component, since both masks
-// only widen under refinement); only the others are rescanned. With
-// rescan false the caller has set c.Valences and c.UniformInputs (an
-// unsplit component keeps its parent's) and only Broadcasters is folded.
-func (d *Decomposition) summarize(c *Component, seedB, seedU uint64, rescan bool) {
+func (d *Decomposition) summarize(c *Component) {
 	s := d.Space
-	full := graph.AllNodes(s.fr.n)
-	bc := full &^ seedB
-	uc := full &^ seedU
-	if !rescan {
-		uc = 0
-	}
+	bc := graph.AllNodes(s.fr.n)
+	uc := bc
 	var vmask uint64
 	var vbig []int
-	var first []int
-	if uc != 0 || c.Stab != 1 {
-		first = s.Inputs(c.Members[0])
-	}
+	first := s.Inputs(c.Members[0])
+	prevRoot, prevL := int32(-1), uint8(0)
 	for _, i := range c.Members {
-		if !rescan && bc == 0 {
-			break
-		}
 		l := d.Labels[i]
-		if rescan {
-			if v := s.Valence(i); v >= 64 {
-				vbig = append(vbig, v)
-			} else if v >= 0 {
-				vmask |= 1 << uint(v)
-			}
-		}
 		if bc != 0 {
 			bc &= s.permuteMask(s.HeardByAll(i), l)
+		}
+		// Inputs and valence are the root's, so a member repeating the
+		// previous member's root and label adds nothing to them.
+		r := s.fr.rootOf[i]
+		if r == prevRoot && l == prevL {
+			continue
+		}
+		prevRoot, prevL = r, l
+		if v := s.Valence(i); v >= 64 {
+			vbig = append(vbig, v)
+		} else if v >= 0 {
+			vmask |= 1 << uint(v)
 		}
 		if uc != 0 {
 			// Process p of the twin σ_l·run holds the run's input at
@@ -269,11 +334,9 @@ func (d *Decomposition) summarize(c *Component, seedB, seedU uint64, rescan bool
 			}
 		}
 	}
-	c.Broadcasters = seedB | bc
-	if rescan {
-		c.Valences = valenceList(vmask, vbig)
-		c.UniformInputs = seedU | uc
-	}
+	c.Broadcasters = bc
+	c.Valences = valenceList(vmask, vbig)
+	c.UniformInputs = uc
 	if c.Stab == 1 {
 		return
 	}

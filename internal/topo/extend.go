@@ -61,9 +61,9 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	adv := s.Adversary
 	s.fr.fault() // a resumed head is resident, but rehydrated ancestors may not be
 	nParents := s.Len()
-	// Lay out child slots with a prefix sum over per-parent branching. The
-	// per-parent choice slices are kept for the loop below: Choices is part
-	// of the adversary contract, not guaranteed to be cheap — allocating
+	// Count the child slots over per-parent branching. The per-parent
+	// choice slices are kept for the loop below: Choices is part of the
+	// adversary contract, not guaranteed to be cheap — allocating
 	// implementations (product automata, filters) would otherwise pay for
 	// every parent twice.
 	//
@@ -77,8 +77,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// plain sessions hit MaxRuns budgets identically.
 	grp := s.sym.group
 	choices := make([][]graph.Graph, nParents)
-	offsets := make([]int, nParents+1)
-	fullTotal, widest := 0, 0
+	total, fullTotal, widest := 0, 0, 0
 	for i := 0; i < nParents; i++ {
 		choices[i] = adv.Choices(s.states[i])
 		kept := len(choices[i])
@@ -91,10 +90,9 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 				}
 			}
 		}
-		offsets[i+1] = offsets[i] + kept
+		total += kept
 		fullTotal += s.OrbitSize(i) * len(choices[i])
 	}
-	total := offsets[nParents]
 	if fullTotal > s.maxRuns {
 		return nil, fmt.Errorf("topo: space has %d runs, exceeding cap %d", fullTotal, s.maxRuns)
 	}
@@ -118,19 +116,18 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	coneLo, cones := s.fr.idLo/int(order), (s.fr.idHi-s.fr.idLo)/int(order)
 	nf.idLo = interner.IDBound()
 	next := &Space{
-		Adversary:     adv,
-		InputDomain:   s.InputDomain,
-		Horizon:       s.Horizon + 1,
-		Interner:      s.Interner,
-		fr:            nf,
-		states:        make([]ma.State, total),
-		doneAt:        make([]int32, total),
-		valence:       make([]int32, total),
-		parentOffsets: offsets,
-		maxRuns:       s.maxRuns,
-		pager:         s.pager,
-		sym:           s.sym,
-		stab:          make([]uint64, total),
+		Adversary:   adv,
+		InputDomain: s.InputDomain,
+		Horizon:     s.Horizon + 1,
+		Interner:    s.Interner,
+		fr:          nf,
+		states:      make([]ma.State, total),
+		doneAt:      make([]int32, total),
+		valence:     make([]int32, total),
+		maxRuns:     s.maxRuns,
+		pager:       s.pager,
+		sym:         s.sym,
+		stab:        make([]uint64, total),
 	}
 	// The scratch — the in-mask memo and the successor table — is pooled
 	// across rounds, so the per-child allocation count is 0.
@@ -139,6 +136,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	width := min(widest, memoWidth)
 	sc.acquire(n, width, cones)
 	seen, ins, outs, succ := sc.seen, sc.ins, sc.outs, sc.succ
+	c := -1 // the last child slot written; children fill the slots in parent order
 	for i := 0; i < nParents; i++ {
 		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -151,7 +149,6 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		pRoot := s.fr.rootOf[i]
 		pStab := s.stab[i]
 		clear(seen)
-		c := offsets[i] - 1
 		for _, g := range choices[i] {
 			cStab := uint64(1)
 			if pStab != 1 {

@@ -216,15 +216,14 @@ func extendOneReference(s *Space) *Space {
 	adv, grp, n := s.Adversary, s.sym.group, s.fr.n
 	nf := &frontier{horizon: s.Horizon + 1, n: n, prev: s.fr, base: s.fr.base}
 	next := &Space{
-		Adversary:     adv,
-		InputDomain:   s.InputDomain,
-		Horizon:       s.Horizon + 1,
-		Interner:      s.Interner,
-		fr:            nf,
-		parentOffsets: []int{0},
-		maxRuns:       s.maxRuns,
-		pager:         s.pager,
-		sym:           s.sym,
+		Adversary:   adv,
+		InputDomain: s.InputDomain,
+		Horizon:     s.Horizon + 1,
+		Interner:    s.Interner,
+		fr:          nf,
+		maxRuns:     s.maxRuns,
+		pager:       s.pager,
+		sym:         s.sym,
 	}
 	for i := 0; i < s.Len(); i++ {
 		prevIDs, prevHeard := s.fr.idRow(i), s.fr.heardRow(i)
@@ -256,7 +255,6 @@ func extendOneReference(s *Space) *Space {
 			next.valence = append(next.valence, s.valence[i])
 			next.stab = append(next.stab, cStab)
 		}
-		next.parentOffsets = append(next.parentOffsets, len(nf.gs))
 	}
 	nf.count = len(nf.gs)
 	return next
@@ -495,7 +493,7 @@ func TestExtendMemoMatchesReference(t *testing.T) {
 							h, i/got.N(), i%got.N(), got.fr.ids[i], got.fr.heard[i], id, ref.fr.heard[i])
 					}
 				}
-				if !slices.Equal(got.stab, ref.stab) || !slices.Equal(got.parentOffsets, ref.parentOffsets) {
+				if !slices.Equal(got.stab, ref.stab) || !slices.Equal(got.fr.parentOf, ref.fr.parentOf) {
 					t.Fatalf("h=%d: stabilizers or child layout differ from the reference", h)
 				}
 			}

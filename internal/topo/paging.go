@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -544,138 +543,4 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		sym:         s.sym,
 		stab:        stab,
 	}, nil
-}
-
-// CompSnapshot is the serializable summary of one component orbit; Members
-// are not stored — they are rebuilt from CompOf (whose ascending sweep
-// restores the ordered-by-smallest-member layout).
-type CompSnapshot struct {
-	Valences      []int  `json:"valences,omitempty"`
-	Broadcasters  uint64 `json:"broadcasters,string"`
-	UniformInputs uint64 `json:"uniformInputs,string"`
-	// Stab is the orbit's stabilizer mask, omitted (0) when it is the
-	// identity alone — always under the trivial group.
-	Stab uint64 `json:"stab,string,omitempty"`
-}
-
-// DecompSnapshot is the serializable form of a Decomposition, relative to a
-// space restored separately.
-type DecompSnapshot struct {
-	Horizon int   `json:"horizon"`
-	CompOf  []int `json:"compOf"`
-	// Labels are the per-item labels, omitted when every label is the
-	// identity — always under the trivial group.
-	Labels []uint8        `json:"labels,omitempty"`
-	Comps  []CompSnapshot `json:"comps"`
-}
-
-// SnapshotDecomposition captures a decomposition for a checkpoint.
-func SnapshotDecomposition(d *Decomposition) *DecompSnapshot {
-	snap := &DecompSnapshot{
-		Horizon: d.Space.Horizon,
-		CompOf:  append([]int(nil), d.CompOf...),
-		Comps:   make([]CompSnapshot, len(d.Comps)),
-	}
-	for _, l := range d.Labels {
-		if l != 0 {
-			snap.Labels = append([]uint8(nil), d.Labels...)
-			break
-		}
-	}
-	for ci := range d.Comps {
-		c := &d.Comps[ci]
-		snap.Comps[ci] = CompSnapshot{
-			Valences:      append([]int(nil), c.Valences...),
-			Broadcasters:  c.Broadcasters,
-			UniformInputs: c.UniformInputs,
-		}
-		if c.Stab != 1 {
-			snap.Comps[ci].Stab = c.Stab
-		}
-	}
-	return snap
-}
-
-// RestoreDecomposition rebuilds a Decomposition over a restored space,
-// validating the snapshot's shape strictly: the partition must label every
-// item, reference every component, and keep components ordered by smallest
-// member (the invariant Refine's seeding relies on); every stabilizer must
-// be a subgroup of the space's symmetry group, and every label an element
-// of it in canonical form — the least of its double coset, the identity for
-// each orbit's smallest member. The encoding must be the one
-// SnapshotDecomposition writes (trivial stabilizers and all-identity labels
-// omitted), so a restored decomposition snapshots back to the same JSON.
-func RestoreDecomposition(s *Space, snap *DecompSnapshot) (*Decomposition, error) {
-	if snap.Horizon != s.Horizon {
-		return nil, fmt.Errorf("topo: RestoreDecomposition: snapshot at horizon %d, space at %d", snap.Horizon, s.Horizon)
-	}
-	if len(snap.CompOf) != s.Len() {
-		return nil, fmt.Errorf("topo: RestoreDecomposition: %d component ids for %d items", len(snap.CompOf), s.Len())
-	}
-	if len(snap.Labels) != 0 && len(snap.Labels) != s.Len() {
-		return nil, fmt.Errorf("topo: RestoreDecomposition: %d labels for %d items", len(snap.Labels), s.Len())
-	}
-	grp := s.Group()
-	d := &Decomposition{
-		Space:  s,
-		CompOf: append([]int(nil), snap.CompOf...),
-		Labels: make([]uint8, s.Len()),
-		Comps:  make([]Component, len(snap.Comps)),
-	}
-	copy(d.Labels, snap.Labels)
-	if len(snap.Labels) != 0 && !slices.ContainsFunc(snap.Labels, func(l uint8) bool { return l != 0 }) {
-		return nil, errors.New("topo: RestoreDecomposition: identity labels must be omitted")
-	}
-	for ci := range snap.Comps {
-		st := snap.Comps[ci].Stab
-		switch st {
-		case 0:
-			st = 1
-		case 1:
-			return nil, fmt.Errorf("topo: RestoreDecomposition: component %d: a trivial stabilizer must be omitted", ci)
-		}
-		if !grp.IsSubgroup(st) {
-			return nil, fmt.Errorf("topo: RestoreDecomposition: component %d stabilizer %#x is not a subgroup of the order-%d symmetry group", ci, st, grp.Order())
-		}
-		d.Comps[ci].Stab = st
-	}
-	sizes := make([]int, len(snap.Comps))
-	nextNew := 0
-	for i, ci := range d.CompOf {
-		if ci < 0 || ci >= len(snap.Comps) {
-			return nil, fmt.Errorf("topo: RestoreDecomposition: item %d labeled %d of %d components", i, ci, len(snap.Comps))
-		}
-		if ci > nextNew {
-			return nil, fmt.Errorf("topo: RestoreDecomposition: components not ordered by smallest member (item %d labeled %d before %d appeared)", i, ci, nextNew)
-		}
-		l := d.Labels[i]
-		if int(l) >= grp.Order() {
-			return nil, fmt.Errorf("topo: RestoreDecomposition: item %d label %d outside the order-%d symmetry group", i, l, grp.Order())
-		}
-		if ci == nextNew {
-			nextNew++
-			if l != 0 {
-				return nil, fmt.Errorf("topo: RestoreDecomposition: item %d, smallest member of component %d, has label %d", i, ci, l)
-			}
-		}
-		if grp.MinCoset(d.Comps[ci].Stab, l, s.stab[i]) != l {
-			return nil, fmt.Errorf("topo: RestoreDecomposition: item %d label %d is not canonical", i, l)
-		}
-		sizes[ci]++
-	}
-	if nextNew != len(snap.Comps) {
-		return nil, fmt.Errorf("topo: RestoreDecomposition: %d of %d components have no members", len(snap.Comps)-nextNew, len(snap.Comps))
-	}
-	arena := make([]int, len(d.CompOf))
-	for ci := range d.Comps {
-		d.Comps[ci].Members = arena[:0:sizes[ci]]
-		d.Comps[ci].Valences = append([]int(nil), snap.Comps[ci].Valences...)
-		d.Comps[ci].Broadcasters = snap.Comps[ci].Broadcasters
-		d.Comps[ci].UniformInputs = snap.Comps[ci].UniformInputs
-		arena = arena[sizes[ci]:]
-	}
-	for i, ci := range d.CompOf {
-		d.Comps[ci].Members = append(d.Comps[ci].Members, i)
-	}
-	return d, nil
 }

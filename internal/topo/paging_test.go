@@ -307,158 +307,58 @@ func TestAncestorAt(t *testing.T) {
 	}
 }
 
-// TestDecompSnapshotRoundTrip pins that a restored decomposition is
-// indistinguishable from the original — including as a Refine parent.
+// TestDecompSnapshotRoundTrip pins that a checkpoint needs no stored
+// decomposition: decomposing a chain restored from its pages and interner
+// export (as a resumed session does) reproduces the original's
+// decomposition, at the restored head and one round further.
 func TestDecompSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
-		s, err := BuildCtx(context.Background(), adv, 2, 2, Config{})
+		dir := t.TempDir()
+		pg, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := ptg.NewInterner()
+		s, err := BuildCtx(ctx, adv, 2, 2, Config{Pager: pg, Interner: in})
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
-		d, err := DecomposeCtx(ctx, s)
+		rounds := mustSnapshotChain(t, s)
+		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := RestoreDecomposition(s, SnapshotDecomposition(d))
+		restored, err := RestoreChain(ChainSpec{
+			Adversary:   adv,
+			InputDomain: 2,
+			Interner:    reimport(t, in),
+			Pager:       pg2,
+			Rounds:      rounds,
+		})
 		if err != nil {
-			t.Fatalf("%s: RestoreDecomposition: %v", adv.Name(), err)
+			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)
 		}
-		assertDecompositionsEqual(t, adv.Name(), d, restored)
-		child, err := s.Extend(ctx, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refWant, err := d.Refine(ctx, child)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refGot, err := restored.Refine(ctx, child)
-		if err != nil {
-			t.Fatalf("%s: Refine from restored: %v", adv.Name(), err)
-		}
-		assertDecompositionsEqual(t, adv.Name()+" refined", refWant, refGot)
-	}
-}
-
-// TestRestoreDecompositionRejectsBadShapes pins strict validation.
-func TestRestoreDecompositionRejectsBadShapes(t *testing.T) {
-	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 1, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := decompose(t, s)
-	good := SnapshotDecomposition(d)
-	bad := func(mutate func(*DecompSnapshot)) *DecompSnapshot {
-		c := &DecompSnapshot{
-			Horizon: good.Horizon,
-			CompOf:  append([]int(nil), good.CompOf...),
-			Comps:   append([]CompSnapshot(nil), good.Comps...),
-		}
-		mutate(c)
-		return c
-	}
-	cases := map[string]*DecompSnapshot{
-		"horizon":     bad(func(c *DecompSnapshot) { c.Horizon++ }),
-		"shortCompOf": bad(func(c *DecompSnapshot) { c.CompOf = c.CompOf[:1] }),
-		"outOfRange":  bad(func(c *DecompSnapshot) { c.CompOf[0] = len(c.Comps) }),
-		"emptyComp":   bad(func(c *DecompSnapshot) { c.Comps = append(c.Comps, CompSnapshot{}) }),
-	}
-	if len(good.Comps) >= 2 {
-		cases["unordered"] = bad(func(c *DecompSnapshot) { c.CompOf[0] = 1 })
-	}
-	for name, snap := range cases {
-		if _, err := RestoreDecomposition(s, snap); err == nil {
-			t.Errorf("%s: RestoreDecomposition accepted bad snapshot", name)
-		}
-	}
-}
-
-// TestRestoreDecompositionRejectsBadOrbits pins the validation of an orbit
-// decomposition's labels and stabilizers against quotiented spaces:
-// lossy-link-2 under its swap, where one item carries a non-identity
-// label, and loss-bounded(3,1) under its S₃, where component orbits have
-// nontrivial stabilizers. Every label must be a group element in canonical
-// form, every stabilizer a subgroup, and the encoding the one
-// SnapshotDecomposition writes.
-func TestRestoreDecompositionRejectsBadOrbits(t *testing.T) {
-	ctx := context.Background()
-	snapshot := func(adv ma.Adversary) (*Space, *DecompSnapshot) {
-		s, err := BuildCtx(ctx, adv, 2, 2, Config{Symmetry: ma.Automorphisms(adv)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DecomposeCtx(ctx, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := SnapshotDecomposition(d)
-		if _, err := RestoreDecomposition(s, snap); err != nil {
-			t.Fatalf("%s: good snapshot rejected: %v", adv.Name(), err)
-		}
-		return s, snap
-	}
-	mutated := func(good *DecompSnapshot, mutate func(*DecompSnapshot)) *DecompSnapshot {
-		c := &DecompSnapshot{
-			Horizon: good.Horizon,
-			CompOf:  append([]int(nil), good.CompOf...),
-			Labels:  append([]uint8(nil), good.Labels...),
-			Comps:   append([]CompSnapshot(nil), good.Comps...),
-		}
-		mutate(c)
-		return c
-	}
-	reject := func(s *Space, cases map[string]*DecompSnapshot) {
-		for name, snap := range cases {
-			if _, err := RestoreDecomposition(s, snap); err == nil {
-				t.Errorf("%s: RestoreDecomposition accepted bad snapshot", name)
+		for _, pair := range [][2]*Space{{s, restored}, {mustExtend(t, s), mustExtend(t, restored)}} {
+			want, err := DecomposeCtx(ctx, pair[0])
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := DecomposeCtx(ctx, pair[1])
+			if err != nil {
+				t.Fatalf("%s: DecomposeCtx of the restored chain: %v", adv.Name(), err)
+			}
+			assertDecompositionsEqual(t, adv.Name(), want, got)
 		}
 	}
+}
 
-	link, linkSnap := snapshot(ma.LossyLink2())
-	labeled := -1
-	for i, l := range linkSnap.Labels {
-		if l != 0 {
-			labeled = i
-		}
+// mustExtend extends s by one round.
+func mustExtend(t *testing.T, s *Space) *Space {
+	t.Helper()
+	next, err := s.Extend(context.Background(), s.Horizon+1)
+	if err != nil {
+		t.Fatalf("%s: Extend to %d: %v", s.Adversary.Name(), s.Horizon+1, err)
 	}
-	if labeled < 0 {
-		t.Fatal("lossy-link-2: no item carries a non-identity label")
-	}
-	first := 0
-	for linkSnap.CompOf[first] != linkSnap.CompOf[labeled] {
-		first++
-	}
-	reject(link, map[string]*DecompSnapshot{
-		"labelOutsideGroup": mutated(linkSnap, func(c *DecompSnapshot) { c.Labels[labeled] = 2 }),
-		"shortLabels":       mutated(linkSnap, func(c *DecompSnapshot) { c.Labels = c.Labels[:1] }),
-		"identityLabels":    mutated(linkSnap, func(c *DecompSnapshot) { c.Labels = make([]uint8, len(c.Labels)) }),
-		"firstMemberLabel":  mutated(linkSnap, func(c *DecompSnapshot) { c.Labels[first] = 1 }),
-		// Under the whole group as stabilizer only the identity label is
-		// the least of its coset.
-		"nonCanonicalLabel": mutated(linkSnap, func(c *DecompSnapshot) { c.Comps[c.CompOf[labeled]].Stab = 0b11 }),
-	})
-
-	bounded, boundedSnap := snapshot(ma.LossBounded(3, 1))
-	stabbed := -1
-	for ci, c := range boundedSnap.Comps {
-		if c.Stab != 0 {
-			stabbed = ci
-		}
-	}
-	if stabbed < 0 {
-		t.Fatal("loss-bounded(3,1): no component orbit has a nontrivial stabilizer")
-	}
-	notClosed := uint64(1)
-	for bounded.Group().IsSubgroup(notClosed) {
-		notClosed += 2
-	}
-	reject(bounded, map[string]*DecompSnapshot{
-		"stabWithoutIdentity": mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab &^= 1 }),
-		"stabNotClosed":       mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab = notClosed }),
-		"stabBeyondGroup":     mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[stabbed].Stab |= 1 << 6 }),
-		"explicitTrivialStab": mutated(boundedSnap, func(c *DecompSnapshot) { c.Comps[0].Stab = 1 }),
-		"shortCompOf":         mutated(boundedSnap, func(c *DecompSnapshot) { c.CompOf = c.CompOf[:len(c.CompOf)-1] }),
-	})
+	return next
 }

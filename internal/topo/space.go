@@ -133,12 +133,6 @@ type Space struct {
 	indexOnce sync.Once
 	index     map[string]int // run key -> item index, built lazily by Find
 
-	// parentOffsets links a space produced by extendOne to its parent:
-	// the children of parent item i occupy [parentOffsets[i],
-	// parentOffsets[i+1]). It is nil on spaces built from scratch and is
-	// what Decomposition.Refine seeds the child partition from.
-	parentOffsets []int
-
 	maxRuns int // size cap inherited by Extend
 
 	// pager, when non-nil, spills rounds that stop being the head to disk
@@ -202,8 +196,7 @@ type Config struct {
 // exactly the expansion Extend performs, which produces items in the
 // depth-first prefix-enumeration order (children of one parent in Choices
 // order, parents in item order). The final item count is cross-checked
-// against the automaton's independent ma.CountPrefixes; a from-scratch
-// build carries no Refine parent linkage (see Decomposition.Refine).
+// against the automaton's independent ma.CountPrefixes.
 func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, cfg Config) (*Space, error) {
 	if inputDomain < 1 {
 		return nil, fmt.Errorf("topo: input domain size %d < 1", inputDomain)
@@ -247,9 +240,6 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 		return nil, fmt.Errorf("topo: built %d runs at horizon %d, automaton counts %d",
 			s.FullLen(), horizon, total)
 	}
-	// From-scratch builds expose no parent linkage: Refine requires a space
-	// produced by a one-round Extend of the decomposed space.
-	s.parentOffsets = nil
 	return s, nil
 }
 

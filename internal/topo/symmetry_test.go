@@ -114,9 +114,10 @@ func TestQuotientShrinksSpace(t *testing.T) {
 	}
 }
 
-// TestQuotientRefineMatchesDecompose is TestRefineMatchesDecompose over
-// quotiented spaces: incremental orbit refinement from the horizon-0 base
-// must equal the from-scratch orbit decomposition at every horizon.
+// TestQuotientRefineMatchesDecompose pins the orbit decomposition of an
+// extended chain: decomposing each horizon of a chain grown round by round
+// from the horizon-0 base must equal decomposing a from-scratch build of
+// that horizon, which shares no interner with the chain.
 func TestQuotientRefineMatchesDecompose(t *testing.T) {
 	for _, adv := range seedAdversaries(t) {
 		grp := ma.Automorphisms(adv)
@@ -140,25 +141,23 @@ func assertQuotientRefineMatchesDecompose(t *testing.T, adv ma.Adversary, grp *m
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DecomposeCtx(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for horizon := 1; horizon <= maxT; horizon++ {
-		next, err := q.Extend(ctx, horizon)
+		if q, err = q.Extend(ctx, horizon); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecomposeCtx(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: DecomposeCtx at %d: %v", adv.Name(), horizon, err)
+		}
+		built, err := BuildCtx(ctx, adv, 2, horizon, Config{Symmetry: grp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refined, err := d.Refine(ctx, next)
-		if err != nil {
-			t.Fatalf("%s: Refine to %d: %v", adv.Name(), horizon, err)
-		}
-		scratch, err := DecomposeCtx(ctx, next)
+		want, err := DecomposeCtx(ctx, built)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertDecompositionsEqual(t, adv.Name(), scratch, refined)
-		q, d = next, refined
+		assertDecompositionsEqual(t, adv.Name(), want, got)
 	}
 }
 
@@ -246,17 +245,17 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 		if anc.SymOrder() != grp.Order() || len(anc.stab) != anc.Len() {
 			t.Fatalf("%s: ancestor lost quotient state", adv.Name())
 		}
+		rAnc, err := rNext.AncestorAt(horizon - 1)
+		if err != nil {
+			t.Fatalf("%s: restored AncestorAt: %v", adv.Name(), err)
+		}
 		dAnc, err := DecomposeCtx(ctx, anc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := SnapshotDecomposition(dAnc)
-		if len(snap.Labels) != 0 && len(snap.Labels) != anc.Len() {
-			t.Fatalf("%s: snapshot holds %d labels for %d items", adv.Name(), len(snap.Labels), anc.Len())
-		}
-		dBack, err := RestoreDecomposition(anc, snap)
+		dBack, err := DecomposeCtx(ctx, rAnc)
 		if err != nil {
-			t.Fatalf("%s: RestoreDecomposition: %v", adv.Name(), err)
+			t.Fatal(err)
 		}
 		assertDecompositionsEqual(t, adv.Name()+" ancestor", dAnc, dBack)
 	}
@@ -429,7 +428,7 @@ func TestSummarizeClosesUnderStabilizer(t *testing.T) {
 			continue
 		}
 		c := Component{Members: []int{i}, Stab: 0b11}
-		d.summarize(&c, 0, 0, true)
+		d.summarize(&c)
 		if c.UniformInputs != 0 {
 			t.Errorf("item %d (inputs %v): uniform inputs %b, want none", i, in, c.UniformInputs)
 		}

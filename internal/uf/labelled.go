@@ -11,9 +11,6 @@ type Group struct {
 	inv []uint8
 }
 
-// Trivial is the group of order 1.
-var Trivial = Group{m: 1, mul: []uint8{0}, inv: []uint8{0}}
-
 // NewGroup wraps a multiplication table mul (mul[a·m+b] = a∘b) and the
 // inverse index of every element; m is len(inv).
 func NewGroup(mul, inv []uint8) Group {
@@ -70,15 +67,6 @@ func (g Group) Closure(h uint64) uint64 {
 		}
 		h = next
 	}
-}
-
-// IsSubgroup reports whether h names elements of the group only, holds
-// the identity, and is closed under products.
-func (g Group) IsSubgroup(h uint64) bool {
-	if h&1 == 0 || (g.m < 64 && h>>uint(g.m) != 0) {
-		return false
-	}
-	return g.Closure(h) == h
 }
 
 // MinCoset returns the least element of the double coset H·x·S: the

@@ -194,3 +194,15 @@ func TestMinCosetMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// Trivial is the group of order 1.
+var Trivial = Group{m: 1, mul: []uint8{0}, inv: []uint8{0}}
+
+// IsSubgroup reports whether h names elements of the group only, holds
+// the identity, and is closed under products.
+func (g Group) IsSubgroup(h uint64) bool {
+	if h&1 == 0 || (g.m < 64 && h>>uint(g.m) != 0) {
+		return false
+	}
+	return g.Closure(h) == h
+}

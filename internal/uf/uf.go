@@ -28,9 +28,6 @@ func New(n int) *UF {
 // Len returns the number of elements.
 func (u *UF) Len() int { return len(u.parent) }
 
-// Sets returns the current number of disjoint sets.
-func (u *UF) Sets() int { return u.sets }
-
 // Find returns the canonical representative of x's set.
 func (u *UF) Find(x int) int {
 	root := x
@@ -59,9 +56,6 @@ func (u *UF) Union(x, y int) bool {
 	u.sets--
 	return true
 }
-
-// Same reports whether x and y are in the same set.
-func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 
 // Groups returns the sets as slices of members, each sorted ascending, in
 // ascending order of their smallest member. It is O(n) plus sorting already

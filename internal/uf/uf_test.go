@@ -114,3 +114,9 @@ func TestEquivalenceQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Sets returns the current number of disjoint sets.
+func (u *UF) Sets() int { return u.sets }
+
+// Same reports whether x and y are in the same set.
+func (u *UF) Same(x, y int) bool { return u.Find(x) == u.Find(y) }

@@ -317,10 +317,9 @@ var (
 	// BuildSpaceCtx enumerates a prefix space under a context; grow the
 	// result one round at a time with Space.Extend instead of rebuilding.
 	BuildSpaceCtx = topo.BuildCtx
-	// DecomposeCtx computes the ε-approximation components from scratch;
-	// refine its result into the next horizon with Decomposition.Refine
-	// instead of re-decomposing (components only ever split under the
-	// refinement invariant).
+	// DecomposeCtx computes the ε-approximation components of a space
+	// (Definition 6.2) in one scan of its views; it is the decomposer
+	// every Analyzer horizon runs.
 	DecomposeCtx = topo.DecomposeCtx
 	// CrossDecisionLevel measures a fixed algorithm's decision-set
 	// separation over a space (Corollary 6.1).

@@ -1,7 +1,7 @@
 // Package advgen generates adversaries for property tests and benchmarks:
-// the lossy-star-4 corpus adversary and random oblivious adversaries closed
+// the lossy-star-4 corpus adversary, random oblivious adversaries closed
 // under a process permutation, or under all of them, so that their
-// automorphism group is nontrivial.
+// automorphism group is nontrivial, and stateful wrappings of them.
 package advgen
 
 import (
@@ -57,6 +57,15 @@ func SymmetricOblivious(rng *rand.Rand, n int) *ma.Oblivious {
 		}
 	}
 	return ma.MustOblivious("", graphs...)
+}
+
+// WindowStableSymmetric draws a SymmetricOblivious set and wraps it in
+// ma.WindowStable with a window of 2 or 3 rounds. The wrapper tracks the
+// previous round's graph and its streak, so the automaton has more than one
+// state, while relabeling a run by an automorphism of the set preserves its
+// repetitions, so the automorphism group stays nontrivial.
+func WindowStableSymmetric(rng *rand.Rand, n int) *ma.WindowStable {
+	return ma.MustWindowStable(SymmetricOblivious(rng, n), 2+rng.Intn(2))
 }
 
 // FullySymmetricOblivious draws one random graph on n processes and

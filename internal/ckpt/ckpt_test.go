@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -200,7 +202,11 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		"interner-bitflip":   func(t *testing.T, dir string) { mutate(t, internerPath(dir), false) },
 		"page-truncated":     func(t *testing.T, dir string) { mutate(t, pageFile(t, dir), true) },
 		"page-bitflip":       func(t *testing.T, dir string) { mutate(t, pageFile(t, dir), false) },
-		"interner-missing":   func(t *testing.T, dir string) { os.Remove(internerPath(dir)) },
+		// A well-formed page with a valid checksum whose round plays a
+		// graph the adversary never offers (LossyLink3 never drops both
+		// messages) must not resume.
+		"page-unoffered-graph": func(t *testing.T, dir string) { playEmptyGraph(t, pageFile(t, dir)) },
+		"interner-missing":     func(t *testing.T, dir string) { os.Remove(internerPath(dir)) },
 		// A version-1 checkpoint is intact but predates the symmetry
 		// quotient: its pages hold the full frontier, which the quotiented
 		// checker must not resume into. Rewrite the manifest as a
@@ -253,6 +259,50 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 				t.Errorf("recomputed verdict %v, want impossible", res.Verdict)
 			}
 		})
+	}
+}
+
+// playEmptyGraph rewrites the first graph of a two-process frontier
+// page's graph dictionary as the graph without messages and reseals the
+// page file with a valid checksum. The payload layout is the frontier
+// page's: uvarint horizon, n and count, count·n view IDs and heard masks,
+// the dictionary length, then each graph's n in-masks. Two-process masks
+// are one-byte uvarints, so the payload keeps its length.
+func playEmptyGraph(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file is the magic line, the uvarint-framed page id and payload,
+	// then the CRC32 of everything before it.
+	pos := bytes.IndexByte(data, '\n') + 1
+	uvarint := func() uint64 {
+		v, k := binary.Uvarint(data[pos:])
+		if k <= 0 {
+			t.Fatalf("%s: bad uvarint at offset %d", path, pos)
+		}
+		pos += k
+		return v
+	}
+	pos += int(uvarint()) // the page id
+	uvarint()             // the payload length
+	_, n, count := uvarint(), uvarint(), uvarint()
+	if n != 2 {
+		t.Fatalf("%s: %d-process page, want 2", path, n)
+	}
+	for i := uint64(0); i < 2*count*n; i++ {
+		uvarint()
+	}
+	uvarint() // the dictionary length
+	if data[pos] >= 0x80 || data[pos+1] >= 0x80 {
+		t.Fatalf("%s: the first graph's masks are not one-byte uvarints", path)
+	}
+	data[pos], data[pos+1] = 0b01, 0b10 // each process hears only itself
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -19,26 +20,37 @@ import (
 // FuzzEngineEquivalence checks that the engine's optimizations cannot
 // change an answer on generated adversaries. The fuzz input picks a seed
 // for advgen.SymmetricOblivious (a random graph set on n ∈ {2, 3}
-// processes, closed under a permutation, so the quotient is nontrivial), a
-// horizon ≤ 4 and an interruption point k. The reference run analyses the
+// processes, closed under a permutation, so the quotient is nontrivial) or,
+// when bit 5 of the shape is set, for advgen.WindowStableSymmetric (the
+// same set behind a repetition obligation, an automaton with several
+// states, so a wrong compiled state table shows), a horizon ≤ 4 and an
+// interruption point k. The reference run analyses the
 // full space in memory (WithNoSymmetry). The candidate runs the quotient
 // through RunCheck under a 1 KiB pager budget, so rounds spill and fault
 // back, is cancelled after horizon k and resumes from its checkpoint. Both
 // must agree on the verdict, the separation and broadcast horizons, the
 // final component counts and every horizon's runs, components and mixed
-// components, and every horizon's component and mixed-component counts
-// must equal naiveComponents', which shares no code with the engine's
-// decomposer. The horizon is lowered until a space holds at most 512
-// prefixes per input vector, so a case takes milliseconds.
+// components. Every horizon's run, component and mixed-component counts
+// must equal naiveSpace's, which shares no code with the engine's
+// decomposer or its compiled adversary, and so must the reference's last
+// space's discharge rounds (Space.DoneAt, counted per round), which read
+// the compiled table's Done flags. The horizon is lowered until a space
+// holds at most 512 prefixes per input vector, so a case takes
+// milliseconds.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Shapes 6, 7, 14, 15, 22 and 23 ask for horizon 4 with k = 1, 2 and 3
 	// on two and three processes. Three of these cases are cancelled and
-	// resume; the other three finish by horizon k.
-	for i, shape := range []uint8{6, 7, 14, 15, 22, 23} {
+	// resume; the other three finish by horizon k. Shapes 38 to 55 ask the
+	// same of stateful adversaries.
+	for i, shape := range []uint8{6, 7, 14, 15, 22, 23, 38, 39, 46, 47, 54, 55} {
 		f.Add(int64(i+1), shape)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
-		adv := advgen.SymmetricOblivious(rand.New(rand.NewSource(seed)), 2+int(shape&1))
+		rng, n := rand.New(rand.NewSource(seed)), 2+int(shape&1)
+		var adv ma.Adversary = advgen.SymmetricOblivious(rng, n)
+		if shape&32 != 0 {
+			adv = advgen.WindowStableSymmetric(rng, n)
+		}
 		horizon := 1 + int(shape>>1)%4
 		for horizon > 1 && ma.CountPrefixes(adv, horizon) > 512 {
 			horizon--
@@ -98,32 +110,55 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if w.Runs > naiveMaxRuns {
 				continue
 			}
-			comps, mixed := naiveComponents(adv, ref.Options().InputDomain, w.Horizon)
-			if w.Components != comps || w.MixedComponents != mixed {
-				t.Fatalf("n=%d horizon %d: the engine reports comps=%d mixed=%d, the naive oracle %d and %d",
-					adv.N(), w.Horizon, w.Components, w.MixedComponents, comps, mixed)
+			nv := naiveSpace(adv, ref.Options().InputDomain, w.Horizon)
+			if w.Runs != nv.runs || w.Components != nv.comps || w.MixedComponents != nv.mixed {
+				t.Fatalf("n=%d horizon %d: the engine reports runs=%d comps=%d mixed=%d, the naive oracle %d, %d and %d",
+					adv.N(), w.Horizon, w.Runs, w.Components, w.MixedComponents, nv.runs, nv.comps, nv.mixed)
+			}
+			if w.Horizon != ref.Horizon() {
+				continue
+			}
+			last := ref.SpaceAt(w.Horizon)
+			doneAt := make(map[int]int)
+			for i := 0; i < last.Len(); i++ {
+				doneAt[last.DoneAt(i)]++
+			}
+			if !maps.Equal(doneAt, nv.doneAt) {
+				t.Fatalf("n=%d horizon %d: the engine's runs discharge at rounds %v, the naive oracle's at %v",
+					adv.N(), w.Horizon, doneAt, nv.doneAt)
 			}
 		}
 	})
 }
 
-// naiveMaxRuns bounds the full spaces naiveComponents is asked about.
+// naiveMaxRuns bounds the full spaces naiveSpace is asked about.
 const naiveMaxRuns = 4096
 
-// naiveComponents is the reference decomposition of FuzzEngineEquivalence,
+// naiveCounts is what naiveSpace derives of a horizon-t space.
+type naiveCounts struct {
+	runs, comps, mixed int
+	// doneAt counts the runs by the round their obligations were
+	// discharged at, -1 for pending.
+	doneAt map[int]int
+}
+
+// naiveSpace is the reference decomposition of FuzzEngineEquivalence,
 // built from the paper's definitions alone: it enumerates the full
-// horizon-t space (every admissible prefix under every input vector),
-// computes every process's view of every run with ptg.ComputeViews on a
-// fresh plain interner, and joins runs that share a (process, view) pair
-// in a plain union-find (Definition 6.2 at the horizon). It returns the
-// number of components and of mixed ones, which hold v-valent runs (every
-// input v) for two values v.
-func naiveComponents(adv ma.Adversary, domain, t int) (comps, mixed int) {
+// horizon-t space (every admissible prefix of the adversary's interface
+// under every input vector), computes every process's view of every run
+// with ptg.ComputeViews on a fresh plain interner, and joins runs that
+// share a (process, view) pair in a plain union-find (Definition 6.2 at
+// the horizon). It counts the runs, the components and the mixed ones,
+// which hold v-valent runs (every input v) for two values v, and the runs
+// per discharge round.
+func naiveSpace(adv ma.Adversary, domain, t int) naiveCounts {
 	n := adv.N()
 	var runs []ptg.Run
+	doneAt := make(map[int]int)
 	ma.EnumeratePrefixes(adv, t, func(p ma.Prefix) bool {
 		combi.Words(domain, n, func(inputs []int) bool {
 			runs = append(runs, ptg.Run{Inputs: slices.Clone(inputs), Graphs: slices.Clone(p.Graphs)})
+			doneAt[p.DoneAt]++
 			return true
 		})
 		return true
@@ -152,10 +187,11 @@ func naiveComponents(adv ma.Adversary, domain, t int) (comps, mixed int) {
 			valences[root][v] = true
 		}
 	}
+	mixed := 0
 	for _, vs := range valences {
 		if len(vs) >= 2 {
 			mixed++
 		}
 	}
-	return len(valences), mixed
+	return naiveCounts{runs: len(runs), comps: len(valences), mixed: mixed, doneAt: doneAt}
 }

@@ -17,6 +17,16 @@
 //     every finite prefix is extendable; the limits that stay not-Done
 //     forever are precisely the excluded "fair/unfair" sequences of
 //     Definition 5.16.
+//
+// The interface is how adversaries are defined and composed; an analysis
+// session does not run it per run. Compile turns an adversary into a
+// Table private to one session: dense int32 IDs for the reachable states,
+// int32 letters for the distinct graphs they offer, and per state a row of
+// its choices as letters with the successor state of each. Rows are
+// compiled lazily, on the first run that reaches a state, so a session
+// asks the interface once per reachable (state, choice). CountPrefixes,
+// EnumeratePrefixes and Fingerprint keep walking the interface, so they
+// stay independent cross-checks of the table.
 package ma
 
 import (

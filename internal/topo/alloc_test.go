@@ -10,8 +10,8 @@ import (
 
 // TestExtendAllocsPerChild is the allocation-regression pin on the columnar
 // frontier expansion: extending a space must cost a bounded number of
-// allocations per call — the child columns, the choice layout and the
-// pooled scratch — and nothing per extended item. The pre-columnar
+// allocations per call — the child columns and the pooled scratch — and
+// nothing per extended item. The pre-columnar
 // layout allocated a Views clone, two row slices and a Run copy per child
 // (≈ 12 allocations each); a reintroduction of any per-child allocation
 // trips the budget immediately at 128 children. The quotient case runs the
@@ -58,10 +58,9 @@ func TestExtendAllocsPerChild(t *testing.T) {
 				}
 			})
 			// Budget: the fixed per-call allocations (8 column slices,
-			// choice layout, Space + frontier headers, pool
-			// scratch) plus strictly less than one quarter allocation per
-			// child — i.e. per-child cost must be zero, with headroom only
-			// in the fixed part.
+			// Space + frontier headers, pool scratch) plus strictly less
+			// than one quarter allocation per child — i.e. per-child cost
+			// must be zero, with headroom only in the fixed part.
 			const fixedBudget = 24
 			if ceiling := fixedBudget + float64(children)/4; avg > ceiling {
 				t.Errorf("extendOne allocations = %.1f for %d children, budget %.1f (per-child cost must stay 0)",

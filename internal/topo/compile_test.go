@@ -1,0 +1,218 @@
+package topo
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"topocon/internal/graph"
+	"topocon/internal/ma"
+	"topocon/internal/pager"
+	"topocon/internal/ptg"
+)
+
+// countingAdversary counts the calls a chain makes into the adversary it
+// wraps: Choices per state, Step per (state, graph) and Done per state.
+type countingAdversary struct {
+	ma.Adversary
+	choices map[ma.State]int
+	steps   map[stepKey]int
+	dones   map[ma.State]int
+}
+
+type stepKey struct {
+	s ma.State
+	g string
+}
+
+func newCountingAdversary(adv ma.Adversary) *countingAdversary {
+	return &countingAdversary{Adversary: adv, choices: map[ma.State]int{}, steps: map[stepKey]int{}, dones: map[ma.State]int{}}
+}
+
+func (c *countingAdversary) Choices(s ma.State) []graph.Graph {
+	c.choices[s]++
+	return c.Adversary.Choices(s)
+}
+
+func (c *countingAdversary) Step(s ma.State, g graph.Graph) ma.State {
+	c.steps[stepKey{s, g.Key()}]++
+	return c.Adversary.Step(s, g)
+}
+
+func (c *countingAdversary) Done(s ma.State) bool {
+	c.dones[s]++
+	return c.Adversary.Done(s)
+}
+
+// assertOncePerChoice fails unless every state was asked for its choices
+// and its Done flag at most once, and every choice of a state asked was
+// stepped exactly once.
+func (c *countingAdversary) assertOncePerChoice(t *testing.T, name string) {
+	t.Helper()
+	if len(c.choices) == 0 {
+		t.Fatalf("%s: Choices was never called", name)
+	}
+	for s, k := range c.choices {
+		if k != 1 {
+			t.Errorf("%s: Choices(%v) called %d times", name, s, k)
+		}
+		for _, g := range c.Adversary.Choices(s) {
+			if k := c.steps[stepKey{s, g.Key()}]; k != 1 {
+				t.Errorf("%s: Step(%v, %v) called %d times", name, s, g, k)
+			}
+		}
+	}
+	for s, k := range c.dones {
+		if k != 1 {
+			t.Errorf("%s: Done(%v) called %d times", name, s, k)
+		}
+	}
+	steps := 0
+	for _, k := range c.steps {
+		steps += k
+	}
+	want := 0
+	for s := range c.choices {
+		want += len(c.Adversary.Choices(s))
+	}
+	if steps != want {
+		t.Errorf("%s: %d Step calls, want one per choice of an asked state (%d)", name, steps, want)
+	}
+}
+
+// statefulAdversaries returns adversaries whose automata have several
+// states with different choices.
+func statefulAdversaries() []ma.Adversary {
+	stable := ma.MustEventuallyStable("stable-w1",
+		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 1)
+	return []ma.Adversary{
+		ma.MustDeadlineStable(stable, 2),
+		ma.MustWindowStable(ma.LossyLink3(), 2),
+	}
+}
+
+// TestTableCallsPerChoice pins the compiled adversary's contract with the
+// interface: over a session — extension to horizon 5, rehydrating an
+// ancestor, materializing runs and items, snapshotting — the chain calls
+// Choices and Done once per reached state and Step once per (state,
+// choice). A chain restored from the snapshot compiles its own table, with
+// the same bound, and replays no state through the interface.
+func TestTableCallsPerChoice(t *testing.T) {
+	ctx := context.Background()
+	for _, base := range statefulAdversaries() {
+		adv := newCountingAdversary(base)
+		pg := newTestChainPager(t, 1<<10)
+		in := ptg.NewInterner()
+		s, err := BuildCtx(ctx, adv, 2, 0, Config{Pager: pg, Interner: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err = s.Extend(ctx, 5); err != nil {
+			t.Fatal(err)
+		}
+		anc, err := s.AncestorAt(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.Len(); i += 7 {
+			s.Item(i)
+		}
+		for i := 0; i < anc.Len(); i++ {
+			anc.RunOf(i)
+		}
+		rounds := mustSnapshotChain(t, s)
+		if len(adv.choices) < 2 {
+			t.Fatalf("%s: %d states reached, want a stateful adversary", base.Name(), len(adv.choices))
+		}
+		adv.assertOncePerChoice(t, base.Name())
+
+		restoredAdv := newCountingAdversary(base)
+		pg2, err := pager.New(pager.Config{Dir: pg.Dir(), HotBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreChain(ChainSpec{
+			Adversary: restoredAdv, InputDomain: 2, Interner: reimport(t, in), Pager: pg2, Rounds: rounds,
+		})
+		if err != nil {
+			t.Fatalf("%s: RestoreChain: %v", base.Name(), err)
+		}
+		if _, err := restored.Extend(ctx, 6); err != nil {
+			t.Fatal(err)
+		}
+		restoredAdv.assertOncePerChoice(t, base.Name()+" restored")
+	}
+}
+
+// TestRestoreChainRejectsUnofferedGraph pins that a restore checks every
+// round graph against the automaton: a page that is well formed, with a
+// valid checksum, but plays a graph some state offers while the run's
+// parent state does not, fails RestoreChain instead of resuming a run the
+// adversary does not admit.
+func TestRestoreChainRejectsUnofferedGraph(t *testing.T) {
+	ctx := context.Background()
+	adv := statefulAdversaries()[0]
+	in := ptg.NewInterner()
+	s, err := BuildCtx(ctx, adv, 2, 4, Config{Pager: newTestChainPager(t, 0), Interner: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := mustSnapshotChain(t, s)
+	auto := s.fr.base.auto
+	// Find the deepest round with a run whose parent state does not offer
+	// some graph of the alphabet, and play that graph instead.
+	target := -1
+	var payload []byte
+	for f := s.fr; f.horizon > 1 && target < 0; f = f.prev {
+		parents, err := s.AncestorAt(f.horizon - 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ensure(); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < f.count && target < 0; c++ {
+			ps := parents.state[f.parentOf[c]]
+			for l := range auto.Alphabet() {
+				if _, ok := auto.Step(ps, int32(l)); !ok {
+					bad := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
+						ids: f.ids, heard: f.heard, parentOf: f.parentOf, rootOf: f.rootOf,
+						letter: append([]int32(nil), f.letter...)}
+					bad.letter[c] = int32(l)
+					payload, target = bad.encodeColumns(), f.horizon
+					break
+				}
+			}
+		}
+	}
+	if target < 0 {
+		t.Fatalf("%s: every state offers every graph; the test needs one that does not", adv.Name())
+	}
+	dir := t.TempDir()
+	pg, err := pager.New(pager.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := s.fr; f.horizon > 0; f = f.prev {
+		cr := &rounds[f.horizon-1]
+		p := payload
+		if f.horizon != target {
+			if err := f.ensure(); err != nil {
+				t.Fatal(err)
+			}
+			p = f.encodeColumns()
+		}
+		cr.Bytes = int64(len(p))
+		if err := pg.Persist(cr.PageID, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg2, err := pager.New(pager.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg2, Rounds: rounds})
+	if err == nil || !strings.Contains(err.Error(), "does not offer") {
+		t.Fatalf("RestoreChain of a round-%d page playing an unoffered graph: %v, want a rejection", target, err)
+	}
+}

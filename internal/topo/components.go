@@ -309,7 +309,7 @@ func (d *Decomposition) summarize(c *Component) {
 			continue
 		}
 		prevRoot, prevL = r, l
-		if v := s.Valence(i); v >= 64 {
+		if v := int(s.fr.base.valence[r]); v >= 64 {
 			vbig = append(vbig, v)
 		} else if v >= 0 {
 			vmask |= 1 << uint(v)

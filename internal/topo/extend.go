@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"topocon/internal/graph"
-	"topocon/internal/ma"
 	"topocon/internal/ptg"
 )
 
@@ -19,8 +17,10 @@ import (
 //   - the horizon-t frontier: a child only computes its one new view row,
 //     written straight into the child space's dense columns; all earlier
 //     rounds are reached through the frontier chain, shared, never copied;
-//   - the adversary automaton states: children step the parent's stored
-//     state, so prefix admissibility is never re-derived;
+//   - the chain's compiled adversary (ma.Table): a parent's state ID
+//     indexes its row of choices and successor states, compiled the first
+//     time a parent reaches that state, so the adversary is asked about
+//     each reachable state once per chain;
 //   - the shared Interner, keeping views comparable across all horizons.
 //
 // The receiver is not modified and stays valid, so iterative-deepening
@@ -32,7 +32,7 @@ import (
 // which is the depth-first prefix enumeration order at the deeper horizon.
 // The incremental-extension invariant (asserted by TestExtendMatchesBuild)
 // is that a horizon-t BuildCtx and a horizon-0 BuildCtx extended to t agree
-// item by item on runs, automaton states, obligations and view structure.
+// item by item on runs, obligations and view structure.
 func (s *Space) Extend(ctx context.Context, horizon int) (*Space, error) {
 	if horizon <= s.Horizon {
 		return nil, fmt.Errorf("topo: Extend to horizon %d from %d (must grow)", horizon, s.Horizon)
@@ -49,8 +49,8 @@ func (s *Space) Extend(ctx context.Context, horizon int) (*Space, error) {
 }
 
 // extendOne builds the horizon+1 space from s. The per-child cost is the
-// core of the checker's wall clock: one interned view row, one automaton
-// step, and column writes — no Views clone, no Run copy, no per-child
+// core of the checker's wall clock: one interned view row, one table
+// lookup, and column writes — no Views clone, no Run copy, no per-child
 // allocation (pinned by TestExtendAllocsPerChild).
 //
 //topocon:allocfree
@@ -58,14 +58,12 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	adv := s.Adversary
 	s.fr.fault() // a resumed head is resident, but rehydrated ancestors may not be
 	nParents := s.Len()
-	// Count the child slots over per-parent branching. The per-parent
-	// choice slices are kept for the loop below: Choices is part of the
-	// adversary contract, not guaranteed to be cheap — allocating
-	// implementations (product automata, filters) would otherwise pay for
-	// every parent twice.
+	auto := s.fr.base.auto
+	// Count the child slots over per-parent branching. This pass compiles
+	// the row of every state a parent reaches for the first time, so the
+	// loop below only reads the table.
 	//
 	// Only a parent with a nontrivial stabilizer can have children that are
 	// relabeled twins of each other: for those the pass counts the round
@@ -76,23 +74,23 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// check stays in full-space runs (orbit-weighted), so quotiented and
 	// plain sessions hit MaxRuns budgets identically.
 	grp := s.sym.group
-	choices := make([][]graph.Graph, nParents)
 	total, fullTotal, widest := 0, 0, 0
 	for i := 0; i < nParents; i++ {
-		choices[i] = adv.Choices(s.states[i])
-		kept := len(choices[i])
+		letters := auto.Row(s.state[i]).Letters
+		kept := len(letters)
 		widest = max(widest, kept)
 		if si := s.stab[i]; si != 1 {
 			kept = 0
-			for _, g := range choices[i] {
-				if graphOrbitStab(g, grp, si) != 0 {
+			for _, l := range letters {
+				if graphOrbitStab(auto.Graph(l), grp, si) != 0 {
 					kept++
 				}
 			}
 		}
 		total += kept
-		fullTotal += s.OrbitSize(i) * len(choices[i])
+		fullTotal += s.OrbitSize(i) * len(letters)
 	}
+	alphabet := auto.Alphabet() // complete for this round: every parent's row is compiled
 	if fullTotal > s.maxRuns {
 		return nil, fmt.Errorf("topo: space has %d runs, exceeding cap %d", fullTotal, s.maxRuns)
 	}
@@ -103,7 +101,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		count:    total,
 		ids:      make([]ptg.ViewID, total*n),
 		heard:    make([]uint64, total*n),
-		gs:       make([]graph.Graph, total),
+		letter:   make([]int32, total),
 		parentOf: make([]int32, total),
 		rootOf:   make([]int32, total),
 		prev:     s.fr,
@@ -116,14 +114,13 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	coneLo, cones := s.fr.idLo/int(order), (s.fr.idHi-s.fr.idLo)/int(order)
 	nf.idLo = interner.IDBound()
 	next := &Space{
-		Adversary:   adv,
+		Adversary:   s.Adversary,
 		InputDomain: s.InputDomain,
 		Horizon:     s.Horizon + 1,
 		Interner:    s.Interner,
 		fr:          nf,
-		states:      make([]ma.State, total),
+		state:       make([]int32, total),
 		doneAt:      make([]int32, total),
-		valence:     make([]int32, total),
 		maxRuns:     s.maxRuns,
 		pager:       s.pager,
 		sym:         s.sym,
@@ -143,13 +140,13 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		}
 		prevIDs := s.fr.idRow(i)
 		prevHeard := s.fr.heardRow(i)
-		pState := s.states[i]
+		row := auto.Row(s.state[i])
 		pDoneAt := s.doneAt[i]
-		pValence := s.valence[i]
 		pRoot := s.fr.rootOf[i]
 		pStab := s.stab[i]
 		clear(seen)
-		for _, g := range choices[i] {
+		for j, l := range row.Letters {
+			g := alphabet[l]
 			cStab := uint64(1)
 			if pStab != 1 {
 				if cStab = graphOrbitStab(g, grp, pStab); cStab == 0 {
@@ -197,17 +194,16 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 					seen[p]++
 				}
 			}
-			state := adv.Step(pState, g)
+			state := row.Next[j]
 			doneAt := pDoneAt
-			if doneAt < 0 && adv.Done(state) {
+			if doneAt < 0 && auto.Done(state) {
 				doneAt = int32(next.Horizon)
 			}
-			nf.gs[c] = g
+			nf.letter[c] = l
 			nf.parentOf[c] = int32(i)
 			nf.rootOf[c] = pRoot
-			next.states[c] = state
+			next.state[c] = state
 			next.doneAt[c] = doneAt
-			next.valence[c] = pValence
 			next.stab[c] = cStab
 		}
 	}

@@ -213,10 +213,10 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 // size cap, and hands the pager on without spilling; it is the oracle the
 // memo and the successor table must match byte for byte.
 func extendOneReference(s *Space) *Space {
-	adv, grp, n := s.Adversary, s.sym.group, s.fr.n
+	grp, n := s.sym.group, s.fr.n
 	nf := &frontier{horizon: s.Horizon + 1, n: n, prev: s.fr, base: s.fr.base}
 	next := &Space{
-		Adversary:   adv,
+		Adversary:   s.Adversary,
 		InputDomain: s.InputDomain,
 		Horizon:     s.Horizon + 1,
 		Interner:    s.Interner,
@@ -225,9 +225,12 @@ func extendOneReference(s *Space) *Space {
 		pager:       s.pager,
 		sym:         s.sym,
 	}
+	auto := s.fr.base.auto
 	for i := 0; i < s.Len(); i++ {
 		prevIDs, prevHeard := s.fr.idRow(i), s.fr.heardRow(i)
-		for _, g := range adv.Choices(s.states[i]) {
+		row := auto.Row(s.state[i])
+		for j, l := range row.Letters {
+			g := auto.Graph(l)
 			cStab := uint64(1)
 			if s.stab[i] != 1 {
 				if cStab = graphOrbitStab(g, grp, s.stab[i]); cStab == 0 {
@@ -242,21 +245,20 @@ func extendOneReference(s *Space) *Space {
 				nf.ids = append(nf.ids, s.Interner.Node(p, g.In(p), prevIDs))
 				nf.heard = append(nf.heard, h)
 			}
-			state := adv.Step(s.states[i], g)
+			state := row.Next[j]
 			doneAt := s.doneAt[i]
-			if doneAt < 0 && adv.Done(state) {
+			if doneAt < 0 && auto.Done(state) {
 				doneAt = int32(next.Horizon)
 			}
-			nf.gs = append(nf.gs, g)
+			nf.letter = append(nf.letter, l)
 			nf.parentOf = append(nf.parentOf, int32(i))
 			nf.rootOf = append(nf.rootOf, s.fr.rootOf[i])
-			next.states = append(next.states, state)
+			next.state = append(next.state, state)
 			next.doneAt = append(next.doneAt, doneAt)
-			next.valence = append(next.valence, s.valence[i])
 			next.stab = append(next.stab, cStab)
 		}
 	}
-	nf.count = len(nf.gs)
+	nf.count = len(nf.letter)
 	return next
 }
 

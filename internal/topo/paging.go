@@ -57,7 +57,7 @@ func (f *frontier) spill(pg *pager.Pager) error {
 // Invoked by the pager (outside its lock) when the page falls out of the
 // hot set.
 func (f *frontier) evict() {
-	f.ids, f.heard, f.gs, f.parentOf, f.rootOf = nil, nil, nil, nil, nil
+	f.ids, f.heard, f.letter, f.parentOf, f.rootOf = nil, nil, nil, nil, nil
 }
 
 // fault makes the frontier's columns resident, re-reading the page from
@@ -89,14 +89,15 @@ func (f *frontier) ensure() error {
 // encodeColumns serializes the round's columns: header (horizon, n, count),
 // ids, heard, a deduplicated round-graph dictionary plus per-item indices
 // (one round's graphs come from a small Choices menu, so the dictionary
-// keeps decoded rounds sharing graph backing arrays), parentOf and rootOf.
-// The dictionary lists graphs in order of first occurrence. All integers
-// are varint-coded; framing and checksums are the pager's job.
+// keeps pages small), parentOf and rootOf. The dictionary lists graphs in
+// order of first occurrence. All integers are varint-coded; framing and
+// checksums are the pager's job.
 //
-// The cost is linear in the bytes written: the dictionary is keyed by the
-// graph's raw in-mask words, appended into one reused buffer, and a map
-// lookup by string(buf) does not allocate — only a new dictionary entry
-// does.
+// Pages hold graphs, not letters: letters number the graphs of one
+// session's compiled adversary, while a checkpoint may be resumed by any
+// adversary with the same ma.Fingerprint, whose Choices may list them in
+// another order. The dictionary is built from the letters through a
+// per-letter array, so the cost is linear in the bytes written.
 func (f *frontier) encodeColumns() []byte {
 	n, count := f.n, f.count
 	buf := make([]byte, 0, 16+count*(2*n+3)*2)
@@ -109,44 +110,31 @@ func (f *frontier) encodeColumns() []byte {
 	for _, h := range f.heard {
 		buf = binary.AppendUvarint(buf, h)
 	}
-	dict := make([]graph.Graph, 0, 16)
-	dictIdx := make(map[string]int, 16)
-	gidx := make([]int, count)
-	key := make([]byte, 0, 8*n)
-	for i, g := range f.gs {
-		key = appendMaskKey(key[:0], g)
-		di, ok := dictIdx[string(key)]
-		if !ok {
-			di = len(dict)
-			dictIdx[string(key)] = di
-			dict = append(dict, g)
+	alphabet := f.base.auto.Alphabet()
+	// entry[l] is 1 + the dictionary index of letter l, 0 while unseen.
+	entry := make([]uint32, len(alphabet))
+	dict := make([]int32, 0, 16)
+	for _, l := range f.letter {
+		if entry[l] == 0 {
+			dict = append(dict, l)
+			entry[l] = uint32(len(dict))
 		}
-		gidx[i] = di
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, g := range dict {
+	for _, l := range dict {
+		g := alphabet[l]
 		for q := 0; q < n; q++ {
 			buf = binary.AppendUvarint(buf, g.In(q))
 		}
 	}
-	for _, di := range gidx {
-		buf = binary.AppendUvarint(buf, uint64(di))
+	for _, l := range f.letter {
+		buf = binary.AppendUvarint(buf, uint64(entry[l]-1))
 	}
 	for _, p := range f.parentOf {
 		buf = binary.AppendUvarint(buf, uint64(p))
 	}
 	for _, r := range f.rootOf {
 		buf = binary.AppendUvarint(buf, uint64(r))
-	}
-	return buf
-}
-
-// appendMaskKey appends the graph's in-mask words, little-endian, as the
-// dictionary key of a page's graph; within one round n is fixed, so the
-// key identifies the graph exactly as Graph.Key does.
-func appendMaskKey(buf []byte, g graph.Graph) []byte {
-	for q := 0; q < g.N(); q++ {
-		buf = binary.LittleEndian.AppendUint64(buf, g.In(q))
 	}
 	return buf
 }
@@ -174,11 +162,13 @@ func (d *pageDecoder) uvarint() uint64 {
 
 // decodeColumns rebuilds the columns from an encodeColumns payload,
 // validating the header against the frontier's immutable identity (which
-// survives eviction) and every index against its column's range. It
-// accepts exactly what encodeColumns writes — minimal varints, ViewIDs in
-// range, graphs with their self-loops, a duplicate-free dictionary in
-// first-occurrence order with every entry used — so an accepted payload
-// re-encodes byte for byte.
+// survives eviction) and every index against its column's range, and maps
+// each dictionary graph back to its letter in the chain's compiled
+// adversary. It accepts exactly what encodeColumns writes — minimal
+// varints, ViewIDs in range, graphs with their self-loops that some
+// compiled row offers, a duplicate-free dictionary in first-occurrence
+// order with every entry used — so an accepted payload re-encodes byte for
+// byte.
 func (f *frontier) decodeColumns(payload []byte) error {
 	d := &pageDecoder{data: payload}
 	h, n, count := d.uvarint(), d.uvarint(), d.uvarint()
@@ -202,13 +192,14 @@ func (f *frontier) decodeColumns(payload []byte) error {
 	if d.err != nil {
 		return d.err
 	}
-	if dictLen > count {
-		return fmt.Errorf("topo: frontier page graph dictionary of %d entries for %d items", dictLen, count)
+	auto := f.base.auto
+	if dictLen > count || dictLen > uint64(len(auto.Alphabet())) {
+		return fmt.Errorf("topo: frontier page graph dictionary of %d entries for %d items over %d graphs",
+			dictLen, count, len(auto.Alphabet()))
 	}
-	dict := make([]graph.Graph, dictLen)
-	seen := make(map[string]bool, dictLen)
+	dict := make([]int32, dictLen)
+	seen := make([]bool, len(auto.Alphabet()))
 	masks := make([]uint64, f.n)
-	var key []byte
 	for i := range dict {
 		for q := range masks {
 			masks[q] = d.uvarint()
@@ -223,16 +214,19 @@ func (f *frontier) decodeColumns(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("topo: frontier page graph %d: %w", i, err)
 		}
-		key = appendMaskKey(key[:0], g)
-		if seen[string(key)] {
+		l, ok := auto.Letter(g)
+		if !ok {
+			return fmt.Errorf("topo: frontier page graph %d (%v) is not offered by the adversary", i, g)
+		}
+		if seen[l] {
 			return fmt.Errorf("topo: frontier page graph %d repeats an earlier dictionary entry", i)
 		}
-		seen[string(key)] = true
-		dict[i] = g
+		seen[l] = true
+		dict[i] = l
 	}
-	gs := make([]graph.Graph, f.count)
+	letter := make([]int32, f.count)
 	used := uint64(0)
-	for i := range gs {
+	for i := range letter {
 		di := d.uvarint()
 		if d.err != nil {
 			return d.err
@@ -243,7 +237,7 @@ func (f *frontier) decodeColumns(payload []byte) error {
 		case di == used:
 			used++
 		}
-		gs[i] = dict[di]
+		letter[i] = dict[di]
 	}
 	if used != dictLen {
 		return fmt.Errorf("topo: frontier page graph dictionary has %d unused entries", dictLen-used)
@@ -275,7 +269,7 @@ func (f *frontier) decodeColumns(payload []byte) error {
 	if len(d.data) != 0 {
 		return fmt.Errorf("topo: frontier page has %d trailing bytes", len(d.data))
 	}
-	f.ids, f.heard, f.gs, f.parentOf, f.rootOf = ids, heard, gs, parentOf, rootOf
+	f.ids, f.heard, f.letter, f.parentOf, f.rootOf = ids, heard, letter, parentOf, rootOf
 	return nil
 }
 
@@ -357,13 +351,14 @@ type ChainSpec struct {
 // RestoreChain rebuilds the frontier chain of a checkpointed session and
 // returns the space at the deepest horizon, ready to Extend further.
 //
-// The automaton states are not serialized (ma.State is opaque by design);
-// they are recomputed by deterministic replay: round by round, every page
-// is read and checksum-verified exactly once, the adversary is stepped
-// along the recorded round graphs, and the round is then registered with
-// the pager and evicted again — so restore memory stays at ~two rounds
-// plus one state column regardless of depth, and a corrupt page surfaces
-// here as a clean error, never as a wrong resume.
+// The automaton states are not serialized: round by round, every page is
+// read and checksum-verified exactly once, each run's state is looked up in
+// the chain's compiled adversary from its parent's state and its recorded
+// round graph, and the round is then registered with the pager and evicted
+// again — so restore memory stays at ~two rounds plus one state column
+// regardless of depth. A round graph the parent's state does not offer, or
+// one that is not its orbit's representative, fails the restore, so a
+// corrupt page surfaces here as a clean error, never as a wrong resume.
 //
 //topocon:allow ctxflow -- pre-context bootstrap path behind ckpt.Load/RestoreAnalyzer; work is bounded by the already-checkpointed chain, with no external waits to cancel
 func RestoreChain(spec ChainSpec) (*Space, error) {
@@ -381,6 +376,8 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		return nil, fmt.Errorf("topo: RestoreChain: %w", err)
 	}
 	s.pager = spec.Pager
+	auto := s.fr.base.auto
+	grp := s.sym.group
 	idBound := ptg.ViewID(spec.Interner.IDBound())
 	order := ptg.ViewID(spec.Interner.GroupOrder())
 	for ri, cr := range spec.Rounds {
@@ -389,6 +386,10 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		}
 		if cr.Count <= 0 || cr.Count > maxRuns {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d count %d out of range", cr.Horizon, cr.Count)
+		}
+		// The parents' rows letter every graph this round may play.
+		for _, st := range s.state {
+			auto.Row(st)
 		}
 		payload, err := spec.Pager.ReadPage(cr.PageID)
 		if err != nil {
@@ -416,19 +417,29 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		// greatest view: what the original extension recorded, since a
 		// round stores only views of its own depth.
 		f.idLo, f.idHi = int(lo/order*order), int((hi/order+1)*order)
-		states := make([]ma.State, cr.Count)
+		// States, obligations and stabilizers are derived state, never
+		// serialized: replay extendOne's recurrences. Relabeled views need
+		// nothing replayed: the imported interner re-derived every cone's
+		// stabilizer from its key.
+		state := make([]int32, cr.Count)
 		doneAt := make([]int32, cr.Count)
-		valence := make([]int32, cr.Count)
+		stab := make([]uint64, cr.Count)
 		for c := 0; c < cr.Count; c++ {
-			pi := f.parentOf[c]
-			state := adv.Step(s.states[pi], f.gs[c])
+			pi, l := f.parentOf[c], f.letter[c]
+			st, ok := auto.Step(s.state[pi], l)
+			if !ok {
+				return nil, fmt.Errorf("topo: RestoreChain: round %d run %d plays %v, which its parent's automaton state does not offer",
+					cr.Horizon, c, auto.Graph(l))
+			}
+			if stab[c] = graphOrbitStab(auto.Graph(l), grp, s.stab[pi]); stab[c] == 0 {
+				return nil, fmt.Errorf("topo: RestoreChain: round %d run %d plays %v, which is not its orbit's representative",
+					cr.Horizon, c, auto.Graph(l))
+			}
 			da := s.doneAt[pi]
-			if da < 0 && adv.Done(state) {
+			if da < 0 && auto.Done(st) {
 				da = int32(cr.Horizon)
 			}
-			states[c] = state
-			doneAt[c] = da
-			valence[c] = s.valence[pi]
+			state[c], doneAt[c] = st, da
 		}
 		next := &Space{
 			Adversary:   adv,
@@ -436,17 +447,12 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 			Horizon:     cr.Horizon,
 			Interner:    spec.Interner,
 			fr:          f,
-			states:      states,
+			state:       state,
 			doneAt:      doneAt,
-			valence:     valence,
 			maxRuns:     maxRuns,
 			pager:       spec.Pager,
 			sym:         s.sym,
-			// Replay the stabilizer recurrence (derived state, never
-			// serialized). Relabeled views need nothing replayed: the
-			// imported interner re-derived every cone's stabilizer from its
-			// key.
-			stab: replayStab(s, f),
+			stab:        stab,
 		}
 		if cr.Horizon < len(spec.Rounds) {
 			// Interior round: register it cold (the page was just validated)
@@ -467,11 +473,12 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 }
 
 // AncestorAt materializes the space at an earlier horizon t of the chain,
-// faulting spilled rounds as needed and replaying the automaton states from
-// the base (states are per-space, not per-frontier, so an evicted horizon
-// has none). It is the rehydration path behind check.Analyzer.SpaceAt for
-// evicted horizons; a cold reporting/debugging operation, O(chain) page
-// reads and steps.
+// faulting spilled rounds as needed and replaying the automaton state IDs
+// through the chain's compiled adversary from the base (states are
+// per-space, not per-frontier, so an evicted horizon has none). It is the
+// rehydration path behind check.Analyzer.SpaceAt for evicted horizons; a
+// cold reporting/debugging operation, O(chain) page reads and table
+// lookups.
 func (s *Space) AncestorAt(t int) (*Space, error) {
 	if t == s.Horizon {
 		return s, nil
@@ -489,21 +496,18 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		path = append(path, f)
 	}
 	base := path[len(path)-1]
-	states := make([]ma.State, base.count)
+	auto := base.auto
+	state := make([]int32, base.count) // every run starts in state 0
 	doneAt := make([]int32, base.count)
-	valence := make([]int32, base.count)
 	// The stabilizer column is per-space derived state, replayed forward
 	// alongside the automaton states.
 	stab := make([]uint64, base.count)
-	start := s.Adversary.Start()
 	da0 := int32(-1)
-	if s.Adversary.Done(start) {
+	if auto.Done(auto.Start()) {
 		da0 = 0
 	}
 	for i, w := range base.inputs {
-		states[i] = start
 		doneAt[i] = da0
-		valence[i] = valenceOf(w)
 		stab[i], _ = inputOrbitRep(w, s.sym.group)
 	}
 	for ri := len(path) - 2; ri >= 0; ri-- {
@@ -511,23 +515,21 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		if err := f.ensure(); err != nil {
 			return nil, err
 		}
-		nextStates := make([]ma.State, f.count)
+		nextState := make([]int32, f.count)
 		nextDoneAt := make([]int32, f.count)
-		nextValence := make([]int32, f.count)
 		nextStab := make([]uint64, f.count)
 		for c := 0; c < f.count; c++ {
-			pi := f.parentOf[c]
-			state := s.Adversary.Step(states[pi], f.gs[c])
+			pi, l := f.parentOf[c], f.letter[c]
+			st, _ := auto.Step(state[pi], l) // the chain was built or restored through the table
 			da := doneAt[pi]
-			if da < 0 && s.Adversary.Done(state) {
+			if da < 0 && auto.Done(st) {
 				da = int32(f.horizon)
 			}
-			nextStates[c] = state
+			nextState[c] = st
 			nextDoneAt[c] = da
-			nextValence[c] = valence[pi]
-			nextStab[c] = graphOrbitStab(f.gs[c], s.sym.group, stab[pi])
+			nextStab[c] = graphOrbitStab(auto.Graph(l), s.sym.group, stab[pi])
 		}
-		states, doneAt, valence, stab = nextStates, nextDoneAt, nextValence, nextStab
+		state, doneAt, stab = nextState, nextDoneAt, nextStab
 	}
 	return &Space{
 		Adversary:   s.Adversary,
@@ -535,9 +537,8 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		Horizon:     t,
 		Interner:    s.Interner,
 		fr:          target,
-		states:      states,
+		state:       state,
 		doneAt:      doneAt,
-		valence:     valence,
 		maxRuns:     s.maxRuns,
 		pager:       s.pager,
 		sym:         s.sym,

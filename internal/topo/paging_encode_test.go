@@ -29,7 +29,8 @@ func keyEncodeColumns(f *frontier) []byte {
 	var dict []graph.Graph
 	dictIdx := map[string]int{}
 	gidx := make([]int, f.count)
-	for i, g := range f.gs {
+	for i, l := range f.letter {
+		g := f.base.auto.Graph(l)
 		di, ok := dictIdx[g.Key()]
 		if !ok {
 			di = len(dict)
@@ -123,13 +124,16 @@ func TestEncodeColumnsMatchesKeyReference(t *testing.T) {
 		}
 		pool[i] = g
 	}
-	base := &frontier{n: n, count: 1}
+	// The round's letters spell the pool through a table whose start state
+	// offers every pool graph.
+	base := &frontier{n: n, count: 1, auto: ma.Compile(ma.MustOblivious("pool", pool...))}
 	base.base = base
+	letters := base.auto.Row(base.auto.Start()).Letters
 	f := &frontier{
 		horizon: 1, n: n, count: count, prev: base, base: base,
 		ids:      make([]ptg.ViewID, count*n),
 		heard:    make([]uint64, count*n),
-		gs:       make([]graph.Graph, count),
+		letter:   make([]int32, count),
 		parentOf: make([]int32, count),
 		rootOf:   make([]int32, count),
 	}
@@ -137,8 +141,8 @@ func TestEncodeColumnsMatchesKeyReference(t *testing.T) {
 		f.ids[i] = ptg.ViewID(rng.Int31())
 		f.heard[i] = rng.Uint64()
 	}
-	for i := range f.gs {
-		f.gs[i] = pool[rng.Intn(distinct)]
+	for i := range f.letter {
+		f.letter[i] = letters[rng.Intn(distinct)]
 	}
 	assertPageEncodings(t, "n=64", f)
 }

@@ -17,10 +17,13 @@
 // # Memory layout
 //
 // A Space is columnar (structure of arrays): the newest round lives in
-// dense per-space columns — ids and heard of length Len()·n, plus state,
-// doneAt, valence, round-graph and parent-link columns of length Len() —
-// and earlier rounds are reached through the chain of frontiers the space
-// was extended from. There is no per-item object: a run's Views, Run and
+// dense per-space columns — ids and heard of length Len()·n, plus letter,
+// state, doneAt, stabilizer and parent-link columns of length Len() — and
+// earlier rounds are reached through the chain of frontiers the space was
+// extended from. No per-run column holds a pointer: round graphs are
+// letters and automaton states are IDs of the chain's compiled adversary
+// (ma.Table), and a run's valence is its root's, kept once per input vector
+// on the base frontier. There is no per-item object: a run's Views, Run and
 // Item are thin adapters materialized on demand (O(Horizon) slice headers,
 // zero copying), while the hot loops — frontier expansion, decomposition
 // bucket scans, summary folds — read the columns directly. See DESIGN.md §5.
@@ -41,11 +44,11 @@ import (
 
 // frontier is the dense columnar storage of one round of one prefix-space
 // chain: row i of ids/heard (the n-element segment at i·n) is the newest
-// view row of item i, and parentOf/gs link the item to the previous round's
-// frontier. Frontiers are immutable once built and shared between a space
-// and its extensions, so earlier rounds are never copied — the chain is the
-// columnar replacement of the per-item cloned row headers the pre-columnar
-// layout carried.
+// view row of item i, and parentOf/letter link the item to the previous
+// round's frontier. Frontiers are immutable once built and shared between
+// a space and its extensions, so earlier rounds are never copied — the
+// chain is the columnar replacement of the per-item cloned row headers
+// the pre-columnar layout carried.
 type frontier struct {
 	horizon int
 	n       int
@@ -54,16 +57,23 @@ type frontier struct {
 	// heard[i*n+p] its heard-bitmask.
 	ids   []ptg.ViewID
 	heard []uint64
-	// gs[i] is the round-horizon graph of item i; nil at horizon 0.
-	gs []graph.Graph
+	// letter[i] is the letter of item i's round-horizon graph in the
+	// chain's compiled adversary (base.auto); nil at horizon 0.
+	letter []int32
 	// parentOf[i] is the item index of i's parent in prev; nil at horizon 0.
 	parentOf []int32
 	// rootOf[i] is the index of i's horizon-0 ancestor — the input-vector
 	// index, giving O(1) access to the run's inputs at any depth.
 	rootOf []int32
-	// inputs[r] is input vector r; set only on the horizon-0 frontier.
-	inputs [][]int
-	prev   *frontier
+	// inputs[r] is input vector r and valence[r] its common value, or -1
+	// when it is not valent; set only on the horizon-0 frontier. A run's
+	// inputs and valence are its root's.
+	inputs  [][]int
+	valence []int32
+	// auto is the chain's compiled adversary; set only on the horizon-0
+	// frontier. Every round's letters and every space's states index it.
+	auto *ma.Table
+	prev *frontier
 	// base is the horizon-0 frontier of the chain (itself at horizon 0),
 	// cached so input lookups need no chain walk.
 	base *frontier
@@ -95,15 +105,13 @@ func (f *frontier) heardRow(i int) []uint64 { return f.heard[i*f.n : (i+1)*f.n] 
 
 // Item is one admissible run prefix of a Space, materialized by Space.Item
 // for callers that want the pre-columnar object view. The hot paths never
-// build Items; use the columnar accessors (ViewAt, State, DoneAt, Valence,
+// build Items; use the columnar accessors (ViewAt, DoneAt, Valence,
 // Inputs) when only single fields are needed.
 type Item struct {
 	// Run is the input assignment plus graph prefix.
 	Run ptg.Run
 	// Views holds the hash-consed views of all processes at all times.
 	Views *ptg.Views
-	// State is the adversary automaton state after the prefix.
-	State ma.State
 	// Done records whether the adversary's liveness obligations are
 	// discharged on this prefix.
 	Done bool
@@ -125,10 +133,11 @@ type Space struct {
 
 	// fr is the newest-round frontier; earlier rounds via fr.prev.
 	fr *frontier
-	// Per-item columns of the newest round, indexed by item.
-	states  []ma.State
-	doneAt  []int32
-	valence []int32
+	// Per-item columns of the newest round, indexed by item: the automaton
+	// state's ID in fr.base.auto and the round its obligations were
+	// discharged at, or -1.
+	state  []int32
+	doneAt []int32
 
 	indexOnce sync.Once
 	index     map[string]int // run key -> item index, built lazily by Find
@@ -259,6 +268,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	}
 	sym := &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
 	var inputs [][]int
+	var valence []int32
 	var stab []uint64
 	combi.Words(inputDomain, n, func(w []int) bool {
 		st, keep := inputOrbitRep(w, group)
@@ -267,6 +277,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		}
 		stab = append(stab, st)
 		inputs = append(inputs, append([]int(nil), w...))
+		valence = append(valence, valenceOf(w))
 		return true
 	})
 	count := len(inputs)
@@ -278,6 +289,8 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		heard:   make([]uint64, count*n),
 		rootOf:  make([]int32, count),
 		inputs:  inputs,
+		valence: valence,
+		auto:    ma.Compile(adv),
 	}
 	fr.base = fr
 	fr.idLo = interner.IDBound()
@@ -287,16 +300,14 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		Horizon:     0,
 		Interner:    interner,
 		fr:          fr,
-		states:      make([]ma.State, count),
+		state:       make([]int32, count), // every run starts in state 0
 		doneAt:      make([]int32, count),
-		valence:     make([]int32, count),
 		maxRuns:     maxRuns,
 		sym:         sym,
 		stab:        stab,
 	}
-	start := adv.Start()
 	doneAt := int32(-1)
-	if adv.Done(start) {
+	if fr.auto.Done(fr.auto.Start()) {
 		doneAt = 0
 	}
 	for i, w := range inputs {
@@ -305,9 +316,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 			fr.heard[i*n+p] = 1 << uint(p)
 		}
 		fr.rootOf[i] = int32(i)
-		s.states[i] = start
 		s.doneAt[i] = doneAt
-		s.valence[i] = valenceOf(w)
 	}
 	fr.idHi = interner.IDBound()
 	if err := interner.Err(); err != nil {
@@ -379,9 +388,6 @@ func (s *Space) HeardByAllAt(i, t int) uint64 {
 	return acc
 }
 
-// State returns the adversary automaton state of item i.
-func (s *Space) State(i int) ma.State { return s.states[i] }
-
 // Done reports whether item i's liveness obligations are discharged.
 func (s *Space) Done(i int) bool { return s.doneAt[i] >= 0 }
 
@@ -389,8 +395,12 @@ func (s *Space) Done(i int) bool { return s.doneAt[i] >= 0 }
 // discharged, or -1 while pending.
 func (s *Space) DoneAt(i int) int { return int(s.doneAt[i]) }
 
-// Valence returns the common input value of item i if it is valent, else -1.
-func (s *Space) Valence(i int) int { return int(s.valence[i]) }
+// Valence returns the common input value of item i if it is valent, else
+// -1: its root's, read through the root-ancestor column.
+func (s *Space) Valence(i int) int {
+	s.fr.fault()
+	return int(s.fr.base.valence[s.fr.rootOf[i]])
+}
 
 // Inputs returns the input vector of item i — an O(1) lookup through the
 // root-ancestor column and the chain's cached horizon-0 frontier. The
@@ -423,13 +433,14 @@ func (s *Space) ViewsOf(i int) *ptg.Views {
 }
 
 // RunOf materializes the run prefix of item i: inputs via the root column,
-// graphs by walking the frontier chain.
+// graphs by walking the frontier chain and spelling its letters.
 func (s *Space) RunOf(i int) ptg.Run {
 	graphs := make([]graph.Graph, s.Horizon)
+	auto := s.fr.base.auto
 	f, idx := s.fr, i
 	for f.prev != nil {
 		f.fault()
-		graphs[f.horizon-1] = f.gs[idx]
+		graphs[f.horizon-1] = auto.Graph(f.letter[idx])
 		idx = int(f.parentOf[idx])
 		f = f.prev
 	}
@@ -443,10 +454,9 @@ func (s *Space) Item(i int) Item {
 	return Item{
 		Run:     s.RunOf(i),
 		Views:   s.ViewsOf(i),
-		State:   s.states[i],
 		Done:    s.doneAt[i] >= 0,
 		DoneAt:  int(s.doneAt[i]),
-		Valence: int(s.valence[i]),
+		Valence: s.Valence(i),
 	}
 }
 
@@ -471,9 +481,10 @@ func (s *Space) Find(r ptg.Run) int {
 // ValentItems returns the indices of the v-valent runs (the z_v of the
 // paper).
 func (s *Space) ValentItems(v int) []int {
+	s.fr.fault()
 	var out []int
-	for i, val := range s.valence {
-		if int(val) == v {
+	for i, r := range s.fr.rootOf {
+		if int(s.fr.base.valence[r]) == v {
 			out = append(out, i)
 		}
 	}

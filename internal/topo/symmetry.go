@@ -156,18 +156,6 @@ func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
 	return stab
 }
 
-// replayStab recomputes the stabilizer column of a restored round from
-// the recorded parent links and round graphs — the same recurrence
-// extendOne applies, so a restored chain carries byte-identical orbit
-// accounting. stab/sym are derived state and are never serialized.
-func replayStab(parent *Space, f *frontier) []uint64 {
-	stab := make([]uint64, f.count)
-	for c := 0; c < f.count; c++ {
-		stab[c] = graphOrbitStab(f.gs[c], parent.sym.group, parent.stab[int(f.parentOf[c])])
-	}
-	return stab
-}
-
 // Group returns the multiplication table of the chain's symmetry group.
 func (s *Space) Group() uf.Group { return s.sym.tab }
 

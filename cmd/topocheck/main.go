@@ -69,10 +69,8 @@ func main() {
 		domain       = flag.Int("domain", 2, "input domain size")
 		window       = flag.Int("window", 1, "stability window for -preset stable")
 		deadline     = flag.Int("deadline", 2, "deadline for -preset committed")
-		retain       = flag.Int("retain", 1, "prefix spaces kept alive besides the separation horizon's (bounds session memory); 0 retains every horizon")
 		verbose      = flag.Bool("v", false, "print per-horizon decomposition statistics as the session refines (with -sweep: per-cell progress lines)")
 		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint/resume directory: the session checkpoints there as it refines and a rerun resumes from the last completed horizon instead of starting over; with -sweep: per-cell checkpoints under it")
-		ckptEvery    = flag.Int("checkpoint-every", 1, "with -checkpoint-dir: checkpoint cadence in horizons")
 		hotBytes     = flag.Int64("pager-hot-bytes", 0, "with -checkpoint-dir: frontier hot-set budget in bytes — colder rounds spill to page files and fault back on demand (0 = unlimited)")
 		noSymmetry   = flag.Bool("no-symmetry", false, "analyse the full prefix space instead of quotienting by the adversary's process automorphisms; verdicts are identical, only interned-run counts differ (differential testing)")
 	)
@@ -82,7 +80,7 @@ func main() {
 		listScenarios()
 		return
 	}
-	ckpt := ckptFlags{dir: *ckptDir, every: *ckptEvery, hotBytes: *hotBytes}
+	ckpt := ckptFlags{dir: *ckptDir, hotBytes: *hotBytes}
 	if *sweepPath != "" {
 		runSweep(*sweepPath, *sweepWorkers, *sweepTimeout, *cacheDir, *out, *validate, *verbose, *noSymmetry, ckpt)
 		return
@@ -122,10 +120,7 @@ func main() {
 		return
 	}
 
-	anOpts := []topocon.AnalyzerOption{
-		topocon.WithCheckOptions(opts),
-		topocon.WithRetainSpaces(*retain),
-	}
+	anOpts := []topocon.AnalyzerOption{topocon.WithCheckOptions(opts)}
 	if *verbose {
 		fmt.Println(progressHeader)
 		anOpts = append(anOpts, topocon.WithProgress(printProgress))
@@ -164,17 +159,16 @@ func printProgress(r topocon.HorizonReport) {
 // sweep paths.
 type ckptFlags struct {
 	dir      string
-	every    int
 	hotBytes int64
 }
 
 // runCheckpointed drives one scenario to a verdict with checkpoint/resume:
-// the session checkpoints into dir as it refines, an interrupted run saves
-// its last completed horizon, and a rerun resumes there — re-extending
+// the session checkpoints into dir after every horizon it refines, and a
+// rerun resumes from the last completed one — re-extending
 // nothing it already analysed. Exit status mirrors the plain path (130 on
 // interrupt), plus 1 on hard checkpoint mismatches.
 func runCheckpointed(ctx context.Context, adv topocon.Adversary, opts topocon.CheckOptions, ck ckptFlags, verbose bool) {
-	cfg := topocon.CheckpointConfig{Dir: ck.dir, HotBytes: ck.hotBytes, Every: ck.every}
+	cfg := topocon.CheckpointConfig{Dir: ck.dir, HotBytes: ck.hotBytes}
 	if verbose {
 		fmt.Println(progressHeader)
 		cfg.OnHorizon = printProgress
@@ -232,12 +226,11 @@ func runSweep(path string, workers int, timeout time.Duration, cacheDir, out str
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	cfg := topocon.SweepConfig{
-		Workers:         workers,
-		CellTimeout:     timeout,
-		CheckpointDir:   ck.dir,
-		CheckpointEvery: ck.every,
-		PagerHotBytes:   ck.hotBytes,
-		NoSymmetry:      noSymmetry,
+		Workers:       workers,
+		CellTimeout:   timeout,
+		CheckpointDir: ck.dir,
+		PagerHotBytes: ck.hotBytes,
+		NoSymmetry:    noSymmetry,
 	}
 	if cacheDir != "" {
 		st, err := topocon.OpenVerdictStore(cacheDir)

@@ -49,7 +49,6 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-time budget (0 = unbounded)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight jobs")
 		ckptDir     = flag.String("checkpoint-dir", "", "durability directory: per-cell session checkpoints and accepted job documents; leftover jobs are re-submitted at startup (empty = off)")
-		ckptEvery   = flag.Int("checkpoint-every", 1, "cell checkpoint cadence in horizons (with -checkpoint-dir)")
 		hotBytes    = flag.Int64("pager-hot-bytes", 0, "per-cell frontier hot-set budget in bytes; colder rounds spill to the checkpoint dir (0 = unlimited, with -checkpoint-dir)")
 		workerID    = flag.String("worker-id", "", "coordinated worker mode: this daemon's id in a fleet sharing one -store-dir/-checkpoint-dir; enables the /v1/cells claim endpoints (needs -checkpoint-dir)")
 		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "cell-lease duration in coordinated worker mode; claims renew every third of it")
@@ -72,18 +71,17 @@ func main() {
 	}
 
 	service, err := svc.New(svc.Config{
-		StoreDir:        *storeDir,
-		Workers:         *workers,
-		MaxQueue:        *maxQueue,
-		MaxBodyBytes:    *maxBody,
-		CellTimeout:     *cellTimeout,
-		JobTimeout:      *jobTimeout,
-		CheckpointDir:   *ckptDir,
-		CheckpointEvery: *ckptEvery,
-		PagerHotBytes:   *hotBytes,
-		WorkerID:        *workerID,
-		LeaseTTL:        *leaseTTL,
-		Faults:          faults,
+		StoreDir:      *storeDir,
+		Workers:       *workers,
+		MaxQueue:      *maxQueue,
+		MaxBodyBytes:  *maxBody,
+		CellTimeout:   *cellTimeout,
+		JobTimeout:    *jobTimeout,
+		CheckpointDir: *ckptDir,
+		PagerHotBytes: *hotBytes,
+		WorkerID:      *workerID,
+		LeaseTTL:      *leaseTTL,
+		Faults:        faults,
 	})
 	if err != nil {
 		log.Fatalf("topoconsvc: %v", err)

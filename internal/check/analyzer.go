@@ -103,18 +103,6 @@ func WithNoSymmetry() AnalyzerOption {
 	return func(a *Analyzer) { a.opts.NoSymmetry = true }
 }
 
-// WithRetainSpaces sets the session's space-retention policy: the k deepest
-// prefix spaces stay alive, plus — always — the separation-horizon space
-// once it is found (the compiled decision map's reference). Evicted
-// horizons are released to the garbage collector and SpaceAt returns nil
-// for them. The default is k = 1 (deepest + separation), which bounds a
-// session's live item memory to two horizons instead of Σ_t |PS^t|;
-// k = 0 retains every analysed horizon (the pre-retention behaviour);
-// negative k is a configuration error.
-func WithRetainSpaces(k int) AnalyzerOption {
-	return func(a *Analyzer) { a.retain = k }
-}
-
 // WithProgress registers a callback invoked after every analysed horizon,
 // from the goroutine running Step or Check. The callback fires after the
 // horizon's state is fully committed, so it is the safe hook for periodic
@@ -126,8 +114,8 @@ func WithProgress(fn func(HorizonReport)) AnalyzerOption {
 // WithPager attaches an out-of-core pager to the session: frontier rounds
 // that stop being the newest are spilled to the pager's page directory and
 // evicted under its hot-set budget, chain walks fault them back in
-// transparently, and the session becomes checkpointable (Snapshot) and
-// SpaceAt can rehydrate evicted horizons. One pager serves one session.
+// transparently, and the session becomes checkpointable (Snapshot). One
+// pager serves one session.
 func WithPager(pg *pager.Pager) AnalyzerOption {
 	return func(a *Analyzer) { a.pager = pg }
 }
@@ -150,17 +138,19 @@ func WithOptions(o Options) AnalyzerOption {
 // reports it. Both accept a context for cancellation; a cancelled session
 // keeps its completed horizons and can be resumed with a fresh context.
 // An Analyzer is not safe for concurrent use.
+//
+// A session holds two spaces: the deepest one, which the next Step
+// extends and the non-compact route (Theorem 6.7) reads, and the
+// separation horizon's, from which the compact route (Theorem 6.6)
+// compiles the universal algorithm (Result.Space). SpaceAt replays any
+// other horizon from the frontier chain the deepest space reaches.
 type Analyzer struct {
 	adv      ma.Adversary
 	opts     Options
-	retain   int // spaces kept besides the separation horizon; 0 = all
 	progress func(HorizonReport)
 	pager    *pager.Pager // nil = all-hot, not checkpointable
 
-	// spaces[t] is the horizon-t prefix space, or nil once evicted by the
-	// retention policy; retained spaces all share one interner.
-	spaces   []*topo.Space
-	cur      *topo.Space         // deepest space, never evicted
+	cur      *topo.Space         // deepest space
 	decomp   *topo.Decomposition // decomposition at the deepest horizon
 	sym      *ma.Group           // quotient group, computed at first Step
 	res      *Result
@@ -168,15 +158,12 @@ type Analyzer struct {
 }
 
 // NewAnalyzer creates an analysis session for the adversary. It validates
-// the configuration (negative InputDomain, MaxHorizon, MaxRuns,
-// LatencySlack or retention are rejected) without building any space yet.
+// the configuration (negative InputDomain, MaxHorizon, MaxRuns or
+// LatencySlack are rejected) without building any space yet.
 func NewAnalyzer(adv ma.Adversary, options ...AnalyzerOption) (*Analyzer, error) {
-	a := &Analyzer{adv: adv, retain: 1}
+	a := &Analyzer{adv: adv}
 	for _, o := range options {
 		o(a)
-	}
-	if a.retain < 0 {
-		return nil, fmt.Errorf("check: negative space retention %d", a.retain)
 	}
 	opts, err := a.opts.withDefaults()
 	if err != nil {
@@ -208,44 +195,29 @@ func (a *Analyzer) Horizon() int {
 	return a.cur.Horizon
 }
 
-// SpaceAt returns the retained prefix space at horizon t, or nil if that
-// horizon has not been analysed or was evicted by the retention policy
-// (WithRetainSpaces): by default only the deepest space and, once found,
-// the separation-horizon space are served. With a pager attached
-// (WithPager), an evicted horizon is rehydrated from the spilled frontier
-// pages instead — automaton states replayed from the base, O(chain) page
-// reads — and the rehydrated space is not cached: every call pays the
-// rehydration, and dropping the result releases the memory again. Without
-// a pager, evicted horizons return nil, as before. All returned spaces
-// share one interner, so views are comparable across horizons and with the
-// compiled decision map.
+// SpaceAt returns the prefix space at horizon t, or nil if t is negative
+// or beyond the deepest analysed horizon. The deepest space and the
+// separation horizon's (Result.Space) are returned as they are; any other
+// horizon is replayed from the frontier chain (topo.Space.AncestorAt):
+// automaton states from the base, spilled rounds faulted back under a
+// pager (WithPager). A replayed space is not cached: every call pays the
+// replay, and dropping the result releases its memory again. All returned
+// spaces share one interner, so views are comparable across horizons and
+// with the compiled decision map.
 func (a *Analyzer) SpaceAt(t int) *topo.Space {
-	if t < 0 || t >= len(a.spaces) {
+	switch {
+	case a.cur == nil || t < 0 || t > a.cur.Horizon:
+		return nil
+	case t == a.cur.Horizon:
+		return a.cur
+	case t == a.res.SeparationHorizon:
+		return a.res.Space
+	}
+	s, err := a.cur.AncestorAt(t)
+	if err != nil {
 		return nil
 	}
-	if s := a.spaces[t]; s != nil {
-		return s
-	}
-	if a.pager != nil && a.cur != nil && t <= a.cur.Horizon {
-		s, err := a.cur.AncestorAt(t)
-		if err != nil {
-			return nil
-		}
-		return s
-	}
-	return nil
-}
-
-// RetainedHorizons returns the horizons whose spaces are still alive, in
-// ascending order — the exact set SpaceAt serves.
-func (a *Analyzer) RetainedHorizons() []int {
-	var out []int
-	for t := range a.spaces {
-		if a.spaces[t] != nil {
-			out = append(out, t)
-		}
-	}
-	return out
+	return s
 }
 
 // Decomposition returns the decomposition at the deepest analysed horizon,
@@ -298,14 +270,13 @@ func (a *Analyzer) buildBase(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("check: horizon 0: %w", err)
 	}
-	a.spaces = append(a.spaces, base)
 	a.cur = base
 	return nil
 }
 
 // Step advances the session by exactly one horizon: it extends the prefix
 // space incrementally by one round, decomposes it with topo.DecomposeCtx,
-// applies the retention policy, updates the running result, and reports.
+// updates the running result, and reports.
 // It returns ErrHorizonExhausted once MaxHorizon has been analysed, and
 // the context error on cancellation (leaving the session resumable).
 func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
@@ -329,10 +300,8 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", next.Horizon, err)
 	}
-	a.spaces = append(a.spaces, next)
 	a.cur = next
 	a.decomp = d
-	a.evict()
 
 	t := next.Horizon
 	res := a.res
@@ -376,23 +345,6 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 		a.progress(rep)
 	}
 	return rep, nil
-}
-
-// evict applies the retention policy after a completed horizon: every
-// space shallower than the retain window is released, except the
-// separation-horizon space (the decision map's reference, which SpaceAt
-// keeps serving). retain = 0 keeps every horizon.
-func (a *Analyzer) evict() {
-	if a.retain <= 0 {
-		return
-	}
-	keepFrom := len(a.spaces) - a.retain
-	for t := 0; t < keepFrom; t++ {
-		if t == a.res.SeparationHorizon {
-			continue
-		}
-		a.spaces[t] = nil
-	}
 }
 
 // Check runs the analysis to a verdict: it advances horizons with Step

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"topocon/internal/advgen"
 	"topocon/internal/graph"
@@ -300,10 +302,11 @@ func TestAnalyzerRejectsNegativeOptions(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSharedInterner asserts every retained space and the compiled
-// decision map share one interner, so views are comparable across horizons.
+// TestAnalyzerSharedInterner asserts every space SpaceAt serves and the
+// compiled decision map share one interner, so views are comparable across
+// horizons.
 func TestAnalyzerSharedInterner(t *testing.T) {
-	a, err := NewAnalyzer(ma.LossyLink2(), WithMaxHorizon(3), WithRetainSpaces(0))
+	a, err := NewAnalyzer(ma.LossyLink2(), WithMaxHorizon(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +318,10 @@ func TestAnalyzerSharedInterner(t *testing.T) {
 		t.Fatalf("verdict %v, map %v", res.Verdict, res.Map)
 	}
 	in := res.Map.Interner()
-	// retain = 0 keeps every horizon alive.
 	for horizon := 0; horizon <= a.Horizon(); horizon++ {
 		s := a.SpaceAt(horizon)
 		if s == nil {
-			t.Fatalf("SpaceAt(%d) = nil under retain-all", horizon)
+			t.Fatalf("SpaceAt(%d) = nil", horizon)
 		}
 		if s.Interner != in {
 			t.Errorf("horizon %d: interner differs from decision map's", horizon)
@@ -330,20 +332,18 @@ func TestAnalyzerSharedInterner(t *testing.T) {
 	}
 }
 
-// TestAnalyzerRetention pins the space-retention contract: a deep session
-// under the default policy holds at most two spaces alive (the deepest and
-// the separation horizon's), SpaceAt serves exactly those, WithRetainSpaces
-// widens or disables the window, and negative retention is rejected.
+// TestAnalyzerRetention pins the session shape: a deep session keeps two
+// spaces reachable, the deepest and the separation horizon's, and SpaceAt
+// returns those two as they are and replays every other horizon, with or
+// without a pager, to a space the size of a from-scratch build's.
 func TestAnalyzerRetention(t *testing.T) {
 	const maxHorizon = 8
-	runDeep := func(t *testing.T, opts ...AnalyzerOption) *Analyzer {
+	// runDeep steps a LossyLink2 session to maxHorizon, calling each after
+	// every Step.
+	runDeep := func(t *testing.T, each func(*Analyzer), opts ...AnalyzerOption) *Analyzer {
 		t.Helper()
 		a, err := NewAnalyzer(ma.LossyLink2(), append([]AnalyzerOption{WithMaxHorizon(maxHorizon)}, opts...)...)
 		if err != nil {
-			t.Fatal(err)
-		}
-		// Check stops at the separation horizon; keep stepping to depth.
-		if _, err := a.Check(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for {
@@ -353,93 +353,74 @@ func TestAnalyzerRetention(t *testing.T) {
 				}
 				t.Fatal(err)
 			}
+			each(a)
 		}
 		if a.Horizon() != maxHorizon {
 			t.Fatalf("deep session stopped at horizon %d", a.Horizon())
 		}
+		if a.Result().SeparationHorizon < 0 {
+			t.Fatal("LossyLink2 must separate")
+		}
 		return a
 	}
-
-	t.Run("default", func(t *testing.T) {
-		a := runDeep(t)
-		retained := a.RetainedHorizons()
-		if len(retained) > 2 {
-			t.Fatalf("default retention holds %d spaces (%v), want at most 2", len(retained), retained)
-		}
-		sep := a.Result().SeparationHorizon
-		if sep < 0 {
-			t.Fatalf("LossyLink2 must separate")
-		}
-		if a.SpaceAt(sep) == nil {
-			t.Errorf("separation-horizon space (t=%d) evicted", sep)
-		}
-		if a.SpaceAt(maxHorizon) == nil {
-			t.Error("deepest space evicted")
-		}
-		for horizon := 0; horizon < maxHorizon; horizon++ {
-			if horizon != sep && a.SpaceAt(horizon) != nil {
-				t.Errorf("SpaceAt(%d) alive, want evicted", horizon)
-			}
-		}
-		// The retained reference space still backs the decision map.
-		if a.Result().Space != a.SpaceAt(sep) {
-			t.Error("Result.Space disagrees with SpaceAt(separation)")
-		}
-	})
-	t.Run("retain-all", func(t *testing.T) {
-		a := runDeep(t, WithRetainSpaces(0))
-		if got := len(a.RetainedHorizons()); got != maxHorizon+1 {
-			t.Errorf("retain-all holds %d spaces, want %d", got, maxHorizon+1)
-		}
-	})
-	t.Run("retain-3", func(t *testing.T) {
-		a := runDeep(t, WithRetainSpaces(3))
-		want := map[int]bool{maxHorizon: true, maxHorizon - 1: true, maxHorizon - 2: true,
-			a.Result().SeparationHorizon: true}
-		for horizon := 0; horizon <= maxHorizon; horizon++ {
-			if alive := a.SpaceAt(horizon) != nil; alive != want[horizon] {
-				t.Errorf("SpaceAt(%d) alive=%v, want %v", horizon, alive, want[horizon])
-			}
-		}
-	})
-	t.Run("negative", func(t *testing.T) {
-		if _, err := NewAnalyzer(ma.LossyLink2(), WithRetainSpaces(-1)); err == nil {
-			t.Error("negative retention: want error")
-		}
-	})
-	// With a pager attached, SpaceAt rehydrates evicted horizons from the
-	// spilled frontier pages instead of returning nil; the retained set
-	// itself stays as small as before.
-	t.Run("pager-rehydrates", func(t *testing.T) {
-		pg, err := pager.New(pager.Config{Dir: t.TempDir(), HotBytes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := runDeep(t, WithPager(pg))
-		if retained := a.RetainedHorizons(); len(retained) > 2 {
-			t.Fatalf("pager session retains %d spaces (%v), want at most 2", len(retained), retained)
-		}
+	// replaysEveryHorizon checks SpaceAt over the whole session.
+	replaysEveryHorizon := func(t *testing.T, a *Analyzer) {
+		t.Helper()
 		for horizon := 0; horizon <= maxHorizon; horizon++ {
 			s := a.SpaceAt(horizon)
 			if s == nil {
-				t.Fatalf("SpaceAt(%d) = nil with pager attached", horizon)
+				t.Fatalf("SpaceAt(%d) = nil", horizon)
 			}
 			if s.Horizon != horizon {
-				t.Fatalf("SpaceAt(%d) rehydrated horizon %d", horizon, s.Horizon)
+				t.Fatalf("SpaceAt(%d) served horizon %d", horizon, s.Horizon)
 			}
 			want, err := topo.BuildCtx(context.Background(), ma.LossyLink2(), 2, horizon, topo.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The session quotients by the lossy-link swap symmetry, so the
-			// rehydrated space interns representatives; its orbit-weighted
+			// replayed space interns representatives; its orbit-weighted
 			// size must match the full from-scratch build.
 			if s.FullLen() != want.Len() {
 				t.Errorf("SpaceAt(%d): %d full-space runs, from-scratch build has %d", horizon, s.FullLen(), want.Len())
 			}
 		}
-		if a.SpaceAt(maxHorizon+1) != nil {
-			t.Error("SpaceAt beyond the analysed horizon served a space")
+		if sep := a.Result().SeparationHorizon; a.SpaceAt(sep) != a.Result().Space {
+			t.Errorf("SpaceAt(%d) is not the separation space Result.Space", sep)
+		}
+		if a.SpaceAt(maxHorizon+1) != nil || a.SpaceAt(-1) != nil {
+			t.Error("SpaceAt outside 0..Horizon served a space")
+		}
+	}
+
+	t.Run("default", func(t *testing.T) {
+		var spaces []weak.Pointer[topo.Space] // spaces[t-1]: the horizon-t head
+		a := runDeep(t, func(a *Analyzer) { spaces = append(spaces, weak.Make(a.SpaceAt(a.Horizon()))) })
+		runtime.GC()
+		sep := a.Result().SeparationHorizon
+		for i, w := range spaces {
+			horizon := i + 1
+			if alive, want := w.Value() != nil, horizon == sep || horizon == maxHorizon; alive != want {
+				t.Errorf("horizon-%d space reachable=%v after a collection, want %v", horizon, alive, want)
+			}
+		}
+		if a.SpaceAt(maxHorizon) != spaces[maxHorizon-1].Value() || a.SpaceAt(sep) != spaces[sep-1].Value() {
+			t.Error("SpaceAt does not return the session's own head and separation spaces")
+		}
+	})
+	t.Run("no-pager", func(t *testing.T) {
+		replaysEveryHorizon(t, runDeep(t, func(*Analyzer) {}))
+	})
+	// Under a 1-byte budget every interior round is spilled, so the replay
+	// faults each one back from its page.
+	t.Run("pager-rehydrates", func(t *testing.T) {
+		pg, err := pager.New(pager.Config{Dir: t.TempDir(), HotBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replaysEveryHorizon(t, runDeep(t, func(*Analyzer) {}, WithPager(pg)))
+		if st := pg.Stats(); st.PagesFaulted == 0 {
+			t.Errorf("no page faulted: %+v", st)
 		}
 	})
 }

@@ -30,7 +30,6 @@ type SessionSnapshot struct {
 	// exactly these (the checkpoint is only valid for the configuration
 	// that produced it).
 	Options Options `json:"options"`
-	Retain  int     `json:"retain"`
 
 	// Horizon is the deepest fully-analysed horizon; Rounds reference its
 	// frontier chain's persisted pages, horizons 1..Horizon ascending.
@@ -63,7 +62,6 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	}
 	snap := &SessionSnapshot{
 		Options:           a.opts,
-		Retain:            a.retain,
 		Horizon:           a.cur.Horizon,
 		Rounds:            rounds,
 		SeparationHorizon: a.res.SeparationHorizon,
@@ -99,7 +97,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 	}
 	options := append([]AnalyzerOption{
 		WithOptions(snap.Options),
-		WithRetainSpaces(snap.Retain),
 		WithPager(pg),
 	}, extra...)
 	a, err := NewAnalyzer(adv, options...)
@@ -130,8 +127,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 	if err != nil {
 		return nil, err
 	}
-	a.spaces = make([]*topo.Space, snap.Horizon+1)
-	a.spaces[snap.Horizon] = cur
 	a.cur = cur
 	a.decomp = decomp
 
@@ -151,7 +146,6 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 			if sepDecomp, err = topo.DecomposeCtx(ctx, sepSpace); err != nil {
 				return nil, err
 			}
-			a.spaces[sep] = sepSpace
 		}
 		res.Space = sepSpace
 		res.Decomposition = sepDecomp

@@ -6,21 +6,21 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 6, line-framed like internal/store records):
+// Manifest format (version 7, line-framed like internal/store records):
 //
-//	topocon-ckpt 6
+//	topocon-ckpt 7
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 6 drops the session meta's decompositions: a resumed session
-// decomposes its restored head, and its separation horizon when that came
-// earlier, from the pages and the interner alone. Older checkpoints —
-// version 1 (full, unquotiented frontiers), version 2 (quotiented sessions
-// under the relabel-memo ID scheme), version 3 (decompositions over
-// pseudo-items), version 4 (meta with a "parallelism" field) and version 5
-// (meta with "decomp" and "sepDecomp" fields) — are quarantined and
+// Version 7 drops the session meta's "retain" field: a session keeps only
+// its deepest and separation spaces, so there is no retention to restore.
+// Older checkpoints — version 1 (full, unquotiented frontiers), version 2
+// (quotiented sessions under the relabel-memo ID scheme), version 3
+// (decompositions over pseudo-items), version 4 (meta with a
+// "parallelism" field), version 5 (meta with "decomp" and "sepDecomp"
+// fields) and version 6 (meta with a "retain" field) — are quarantined and
 // recomputed rather than resumed (see manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
@@ -60,15 +60,15 @@ import (
 )
 
 const (
-	// manifestVersion 6 marks checkpoints whose session meta holds no
-	// decomposition; decoding rejects unknown fields, so a v5 meta (with
-	// "decomp") or a v4 meta (with "parallelism") would not decode anyway.
-	// A v3 snapshot of a quotiented session holds a pseudo-item partition
-	// (|G| labels per item), v2 view IDs of the relabel-memo scheme, and
-	// v1 pages the full, unquotiented frontier; resuming any of them would
-	// be wrong. Older manifests therefore fail decoding, quarantine, and
-	// recompute.
-	manifestVersion = 6
+	// manifestVersion 7 marks checkpoints whose session meta holds neither
+	// a retention count nor a decomposition; decoding rejects unknown
+	// fields, so a v6 meta (with "retain"), a v5 meta (with "decomp") or a
+	// v4 meta (with "parallelism") would not decode anyway. A v3 snapshot
+	// of a quotiented session holds a pseudo-item partition (|G| labels
+	// per item), v2 view IDs of the relabel-memo scheme, and v1 pages the
+	// full, unquotiented frontier; resuming any of them would be wrong.
+	// Older manifests therefore fail decoding, quarantine, and recompute.
+	manifestVersion = 7
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"
@@ -264,11 +264,11 @@ type Config struct {
 	Dir string
 	// HotBytes is the pager's hot-set budget (≤ 0: unlimited).
 	HotBytes int64
-	// Every checkpoints after every Every-th analysed horizon (default 1).
+	// Every is ignored: RunCheck checkpoints after every analysed horizon.
+	//
+	// Deprecated: the field stays only because the benchmark module in
+	// topobench/ still sets it.
 	Every int
-	// Keep leaves the checkpoint directory in place after a successful
-	// verdict instead of removing it.
-	Keep bool
 	// OnHorizon, if set, observes every analysed horizon (resumed sessions
 	// only report horizons they actually analyse — checkpointed ones are
 	// never re-extended).
@@ -288,37 +288,35 @@ type Info struct {
 	PagerStats pager.Stats `json:"pagerStats"`
 }
 
-// RunCheck runs one adversary to a verdict with periodic checkpointing:
-// resume from cfg.Dir when a valid checkpoint for this adversary and these
-// options exists, start fresh otherwise, checkpoint every cfg.Every
-// horizons from the progress hook, and — unless cfg.Keep — remove the
-// checkpoint directory once the verdict is in. On a context cancellation
-// the last completed horizon is checkpointed before returning, so a killed
-// run loses at most the horizon in flight.
+// RunCheck runs one adversary to a verdict with a checkpoint after every
+// horizon: resume from cfg.Dir when a valid checkpoint for this adversary
+// and these options exists, start fresh otherwise, checkpoint from the
+// progress hook after each analysed horizon, and remove the checkpoint
+// directory once the verdict is in. A killed run loses at most the horizon
+// in flight and the save in progress; on a context cancellation a failed
+// save of the last completed horizon is retried before returning.
 func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Options,
 	_ int, // Deprecated: once the session's worker count, now ignored; it stays only because the benchmark module in topobench/ still passes it.
 ) (*check.Result, *Info, error) {
-	every := cfg.Every
-	if every <= 0 {
-		every = 1
-	}
 	info := &Info{ResumedAt: -1}
 	var a *check.Analyzer
-	sinceCkpt := 0
+	// save checkpoints the session and reports whether it succeeded.
+	save := func() bool {
+		if err := Save(cfg.Dir, a); err != nil {
+			if info.SaveErr == nil {
+				info.SaveErr = err
+			}
+			return false
+		}
+		info.Written++
+		return true
+	}
+	unsaved := false // the last analysed horizon's save failed
 	progress := check.WithProgress(func(r check.HorizonReport) {
 		if cfg.OnHorizon != nil {
 			cfg.OnHorizon(r)
 		}
-		if sinceCkpt++; sinceCkpt >= every {
-			if err := Save(cfg.Dir, a); err != nil {
-				if info.SaveErr == nil {
-					info.SaveErr = err
-				}
-			} else {
-				info.Written++
-				sinceCkpt = 0
-			}
-		}
+		unsaved = !save()
 	})
 
 	a, err := Load(cfg.Dir, adv, cfg.HotBytes, progress)
@@ -350,24 +348,16 @@ func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Opti
 	res, err := a.Check(ctx)
 	info.PagerStats = a.Pager().Stats()
 	if err != nil {
-		// Make the interruption durable: the last fully-analysed horizon may
-		// postdate the last periodic checkpoint when Every > 1.
-		if sinceCkpt > 0 && a.Horizon() > 0 && !a.Finished() {
-			if serr := Save(cfg.Dir, a); serr == nil {
-				info.Written++
-			} else if info.SaveErr == nil {
-				info.SaveErr = serr
-			}
+		if unsaved {
+			save()
 		}
 		return nil, info, err
 	}
 	if s := a.SpaceAt(a.Horizon()); s != nil {
 		info.Runs = s.Len()
 	}
-	if !cfg.Keep {
-		if rerr := Remove(cfg.Dir); rerr == nil {
-			info.Removed = true
-		}
+	if rerr := Remove(cfg.Dir); rerr == nil {
+		info.Removed = true
 	}
 	return res, info, nil
 }

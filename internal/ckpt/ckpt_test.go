@@ -205,8 +205,30 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// A well-formed page with a valid checksum whose round plays a
 		// graph the adversary never offers (LossyLink3 never drops both
 		// messages) must not resume.
-		"page-unoffered-graph": func(t *testing.T, dir string) { playEmptyGraph(t, pageFile(t, dir)) },
-		"interner-missing":     func(t *testing.T, dir string) { os.Remove(internerPath(dir)) },
+		"page-unoffered-graph": func(t *testing.T, dir string) {
+			rewritePage(t, pageFile(t, dir), func(p *framedPage) {
+				p.dict[0] = []uint64{0b01, 0b10} // each process hears only itself
+			})
+		},
+		// A well-formed page with a valid checksum in which a run repeats
+		// its sibling — same graph, same views — in place of another run
+		// keeps the round's size and plays only offered graphs, but is
+		// not what extension produces; it must not resume. The parent
+		// has three children, so its stabilizer is trivial and every
+		// child's is too: only the order of the runs gives the page away.
+		"page-duplicate-child": func(t *testing.T, dir string) {
+			rewritePage(t, pageFile(t, dir), func(p *framedPage) {
+				c := 0
+				for p.parentOf[c] != p.parentOf[c+2] || p.graph[c] == p.graph[c+1] {
+					c++
+				}
+				n := len(p.dict[0])
+				copy(p.ids[(c+1)*n:(c+2)*n], p.ids[c*n:(c+1)*n])
+				copy(p.heard[(c+1)*n:(c+2)*n], p.heard[c*n:(c+1)*n])
+				p.graph[c+1] = p.graph[c]
+			})
+		},
+		"interner-missing": func(t *testing.T, dir string) { os.Remove(internerPath(dir)) },
 		// A version-1 checkpoint is intact but predates the symmetry
 		// quotient: its pages hold the full frontier, which the quotiented
 		// checker must not resume into. Rewrite the manifest as a
@@ -237,6 +259,9 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// ("decomp", "sepDecomp"), which a resume no longer reads; it must
 		// be recomputed, not resumed.
 		"version-5": func(t *testing.T, dir string) { resealManifest(t, dir, 5) },
+		// A version-6 checkpoint's meta carries the retired space-retention
+		// count ("retain"); it must be recomputed, not resumed.
+		"version-6": func(t *testing.T, dir string) { resealManifest(t, dir, 6) },
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -262,20 +287,28 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
-// playEmptyGraph rewrites the first graph of a two-process frontier
-// page's graph dictionary as the graph without messages and reseals the
-// page file with a valid checksum. The payload layout is the frontier
-// page's: uvarint horizon, n and count, count·n view IDs and heard masks,
-// the dictionary length, then each graph's n in-masks. Two-process masks
-// are one-byte uvarints, so the payload keeps its length.
-func playEmptyGraph(t *testing.T, path string) {
+// framedPage is a frontier page's payload, decoded: the header, the
+// per-run view IDs and heard masks (n per run), the graph dictionary (n
+// in-masks per graph), each run's dictionary index, parent and root.
+type framedPage struct {
+	header                []uint64
+	ids, heard            []uint64
+	dict                  [][]uint64
+	graph, parentOf, root []uint64
+}
+
+// rewritePage decodes a frontier page file, lets edit change the payload,
+// and writes it back as the page writer would: the dictionary rebuilt in
+// first-occurrence order over the graphs the runs use, and the file
+// resealed with a valid checksum. The file is the magic line, the
+// uvarint-framed page id and payload, then the CRC32 of everything before
+// it.
+func rewritePage(t *testing.T, path string, edit func(*framedPage)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The file is the magic line, the uvarint-framed page id and payload,
-	// then the CRC32 of everything before it.
 	pos := bytes.IndexByte(data, '\n') + 1
 	uvarint := func() uint64 {
 		v, k := binary.Uvarint(data[pos:])
@@ -285,23 +318,56 @@ func playEmptyGraph(t *testing.T, path string) {
 		pos += k
 		return v
 	}
+	list := func(k uint64) []uint64 {
+		out := make([]uint64, k)
+		for i := range out {
+			out[i] = uvarint()
+		}
+		return out
+	}
 	pos += int(uvarint()) // the page id
-	uvarint()             // the payload length
-	_, n, count := uvarint(), uvarint(), uvarint()
-	if n != 2 {
-		t.Fatalf("%s: %d-process page, want 2", path, n)
+	framed := pos
+	uvarint() // the payload length
+	p := &framedPage{header: list(3)}
+	n, count := p.header[1], p.header[2]
+	p.ids, p.heard = list(count*n), list(count*n)
+	p.dict = make([][]uint64, uvarint())
+	for i := range p.dict {
+		p.dict[i] = list(n)
 	}
-	for i := uint64(0); i < 2*count*n; i++ {
-		uvarint()
+	p.graph, p.parentOf, p.root = list(count), list(count), list(count)
+	edit(p)
+
+	var payload []byte
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			payload = binary.AppendUvarint(payload, v)
+		}
 	}
-	uvarint() // the dictionary length
-	if data[pos] >= 0x80 || data[pos+1] >= 0x80 {
-		t.Fatalf("%s: the first graph's masks are not one-byte uvarints", path)
+	put(p.header...)
+	put(p.ids...)
+	put(p.heard...)
+	entry := map[uint64]uint64{} // old dictionary index -> new
+	var dict []uint64
+	for _, g := range p.graph {
+		if _, ok := entry[g]; !ok {
+			entry[g] = uint64(len(dict))
+			dict = append(dict, g)
+		}
 	}
-	data[pos], data[pos+1] = 0b01, 0b10 // each process hears only itself
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	put(uint64(len(dict)))
+	for _, g := range dict {
+		put(p.dict[g]...)
+	}
+	for _, g := range p.graph {
+		put(entry[g])
+	}
+	put(p.parentOf...)
+	put(p.root...)
+	out := binary.AppendUvarint(data[:framed:framed], uint64(len(payload)))
+	out = append(out, payload...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -375,17 +441,16 @@ func TestFreshArchivesStaleState(t *testing.T) {
 	}
 }
 
-// TestRunCheckEveryBatchesCheckpoints pins the Every knob: with Every = 3
-// over 4 analysed horizons, only one periodic checkpoint is written
-// mid-run, and a cancellation right after an unsaved horizon still makes it
-// durable via the final best-effort save.
-func TestRunCheckEveryBatchesCheckpoints(t *testing.T) {
+// TestRunCheckCheckpointsEveryHorizon pins the checkpoint cadence: a run
+// cancelled right after horizon 4 has written one checkpoint per analysed
+// horizon, and its directory loads at horizon 4.
+func TestRunCheckCheckpointsEveryHorizon(t *testing.T) {
 	adv := ma.LossyLink3()
 	opts := check.Options{MaxHorizon: 6}
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, info, err := RunCheck(ctx, adv, Config{Dir: dir, Every: 3, OnHorizon: func(r check.HorizonReport) {
+	_, info, err := RunCheck(ctx, adv, Config{Dir: dir, OnHorizon: func(r check.HorizonReport) {
 		if r.Horizon == 4 {
 			cancel()
 		}
@@ -393,16 +458,15 @@ func TestRunCheckEveryBatchesCheckpoints(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run: %v, want context.Canceled", err)
 	}
-	// Horizon 3 was the periodic checkpoint; horizon 4 the interruption save.
-	if info.Written != 2 {
-		t.Errorf("wrote %d checkpoints, want 2", info.Written)
+	if info.Written != 4 || info.SaveErr != nil {
+		t.Errorf("wrote %d checkpoints (save error %v), want 4", info.Written, info.SaveErr)
 	}
 	a, err := Load(dir, adv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Horizon() != 4 {
-		t.Errorf("checkpoint at horizon %d, want 4 (interruption made durable)", a.Horizon())
+		t.Errorf("checkpoint at horizon %d, want 4", a.Horizon())
 	}
 }
 

@@ -17,8 +17,20 @@ import (
 // panic.
 func FuzzDecodeManifest(f *testing.F) {
 	dir := f.TempDir()
-	opts := check.Options{MaxHorizon: 4}
-	if _, _, err := RunCheck(context.Background(), ma.LossyLink3(), Config{Dir: dir, Every: 1, Keep: true}, opts, 1); err != nil {
+	pg, err := Fresh(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	a, err := check.NewAnalyzer(ma.LossyLink3(), check.WithMaxHorizon(4), check.WithPager(pg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for a.Horizon() < 3 {
+		if _, err := a.Step(context.Background()); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := Save(dir, a); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(manifestPath(dir))
@@ -30,7 +42,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(encodeManifest("fp", 0, 0, []byte(`{}`)))
-	f.Add([]byte("topocon-ckpt 6\n"))
+	f.Add([]byte("topocon-ckpt 7\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fp, blobLen, blobCRC, snap, err := decodeManifest(data)
 		if err != nil {

@@ -392,20 +392,6 @@ func (pg *Pager) Fault(id string, onEvict func()) ([]byte, error) {
 	return payload, nil
 }
 
-// Release drops a page from the hot set without invoking its eviction
-// callback (the owner already dropped its copy).
-func (pg *Pager) Release(id string) {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	if e, ok := pg.entries[id]; ok && e.resident {
-		pg.unlink(e)
-		e.resident = false
-		e.onEvict = nil
-		pg.hotBytes -= e.size
-		pg.spilled++
-	}
-}
-
 // quarantine moves a damaged page file into the quarantine/ subdirectory,
 // best-effort: recovery must never be blocked by cleanup failures — but a
 // failed move is logged and counted, never swallowed, because a page that

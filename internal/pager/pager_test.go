@@ -18,12 +18,15 @@ func newTestPager(t *testing.T, budget int64) *Pager {
 }
 
 func TestPutFaultRoundTrip(t *testing.T) {
-	pg := newTestPager(t, 0)
 	payload := []byte("hello columnar world")
-	if err := pg.Put("round-001", payload, nil); err != nil {
-		t.Fatalf("Put: %v", err)
+	// The budget holds one page: the second Put evicts the first, and
+	// faulting the first back evicts the second.
+	pg := newTestPager(t, int64(len(payload)))
+	for _, id := range []string{"round-001", "round-002"} {
+		if err := pg.Put(id, payload, nil); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
 	}
-	pg.Release("round-001")
 	got, err := pg.Fault("round-001", nil)
 	if err != nil {
 		t.Fatalf("Fault: %v", err)
@@ -32,8 +35,8 @@ func TestPutFaultRoundTrip(t *testing.T) {
 		t.Fatalf("Fault returned %q, want %q", got, payload)
 	}
 	st := pg.Stats()
-	if st.PagesWritten != 1 || st.PagesFaulted != 1 || st.PagesSpilled != 1 {
-		t.Fatalf("stats = %+v, want 1 written / 1 faulted / 1 spilled", st)
+	if st.PagesWritten != 2 || st.PagesFaulted != 1 || st.PagesSpilled != 2 {
+		t.Fatalf("stats = %+v, want 2 written / 1 faulted / 2 spilled", st)
 	}
 }
 
@@ -127,10 +130,13 @@ func TestFaultCorruptPageQuarantines(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			pg := newTestPager(t, 0)
-			if err := pg.Put("victim", []byte("some page payload bytes"), nil); err != nil {
-				t.Fatalf("Put: %v", err)
+			payload := []byte("some page payload bytes")
+			if err := pg.Persist("victim", payload); err != nil {
+				t.Fatalf("Persist: %v", err)
 			}
-			pg.Release("victim")
+			if err := pg.Adopt("victim", int64(len(payload)), nil); err != nil {
+				t.Fatalf("Adopt: %v", err)
+			}
 			path := filepath.Join(pg.Dir(), "victim.page")
 			data, err := os.ReadFile(path)
 			if err != nil {

@@ -221,7 +221,6 @@ func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {
 		Cache:           s.cache,
 		OnAnalyzerBuilt: func(string) { s.analyzersBuilt.Add(1) },
 		CheckpointDir:   s.cellsDir(),
-		CheckpointEvery: s.cfg.CheckpointEvery,
 		PagerHotBytes:   s.cfg.PagerHotBytes,
 		// The horizon fault seam, scoped by cell name: a stall rule freezes
 		// this worker mid-cell with its lease still on disk — the chaos

@@ -61,9 +61,6 @@ type Config struct {
 	// at startup leftover documents are re-submitted automatically and
 	// counted in the metrics' resumed-jobs gauge.
 	CheckpointDir string
-	// CheckpointEvery is the per-cell checkpoint cadence in horizons
-	// (≤ 0: 1). Only meaningful with CheckpointDir.
-	CheckpointEvery int
 	// PagerHotBytes is each checkpointed cell's pager hot-set budget
 	// (≤ 0: unlimited). Only meaningful with CheckpointDir.
 	PagerHotBytes int64
@@ -585,7 +582,6 @@ func (s *Service) runJob(j *job) {
 		// Cell checkpoints are content-addressed by sweep key, so one cells/
 		// dir is safely shared by every job, past and concurrent.
 		cfg.CheckpointDir = s.cellsDir()
-		cfg.CheckpointEvery = s.cfg.CheckpointEvery
 		cfg.PagerHotBytes = s.cfg.PagerHotBytes
 	}
 

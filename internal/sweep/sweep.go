@@ -76,14 +76,11 @@ type Config struct {
 	// CheckpointDir, when set, makes every solved cell checkpointable: the
 	// cell runs out-of-core under a pager (hot-set budget PagerHotBytes)
 	// rooted in its own content-addressed subdirectory
-	// (sha256 of the cache key), checkpoints every CheckpointEvery horizons
-	// (default 1), resumes from a valid checkpoint left by a killed run,
-	// and removes its directory once the verdict is in. Cache hits never
+	// (sha256 of the cache key), checkpoints after every horizon, resumes
+	// from a valid checkpoint left by a killed run, and removes its
+	// directory once the verdict is in. Cache hits never
 	// touch checkpoints — their sessions never run.
 	CheckpointDir string
-	// CheckpointEvery is the per-cell checkpoint cadence in horizons
-	// (≤ 0: 1). Only meaningful with CheckpointDir.
-	CheckpointEvery int
 	// PagerHotBytes is each checkpointed cell's pager hot-set budget in
 	// bytes (≤ 0: unlimited). Only meaningful with CheckpointDir.
 	PagerHotBytes int64
@@ -342,9 +339,8 @@ func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key 
 	}
 	if st.cfg.CheckpointDir != "" {
 		res, info, err := ckpt.RunCheck(ctx, sc.Adversary, ckpt.Config{
-			Dir:       filepath.Join(st.cfg.CheckpointDir, cellDirName(key)),
+			Dir:       filepath.Join(st.cfg.CheckpointDir, CellDir(key)),
 			HotBytes:  st.cfg.PagerHotBytes,
-			Every:     st.cfg.CheckpointEvery,
 			OnHorizon: onHorizon,
 		}, sc.Options, 0)
 		if err != nil {
@@ -382,19 +378,15 @@ func outcomeOf(res *check.Result, runs int) Outcome {
 	}
 }
 
-// cellDirName is a cell's checkpoint subdirectory: the content address of
-// its cache key, so retries and resumed daemons land in the same place and
-// distinct cells never collide.
-func cellDirName(key Key) string {
+// CellDir is the content address of a cell's key: the cell's checkpoint
+// subdirectory name, so retries and resumed daemons land in the same place
+// and distinct cells never collide, and the basename its lease and verdict
+// records derive from. Coordinators use it to locate a dead worker's
+// checkpoint for adoption.
+func CellDir(key Key) string {
 	sum := sha256.Sum256([]byte(key.String()))
 	return hex.EncodeToString(sum[:])
 }
-
-// CellDir is the exported content address of a cell's key — the
-// checkpoint subdirectory name and the basename lease/verdict records
-// derive from. Coordinators use it to locate a dead worker's checkpoint
-// for adoption.
-func CellDir(key Key) string { return cellDirName(key) }
 
 func millis(d time.Duration) float64 {
 	return float64(d.Microseconds()) / 1000

@@ -157,7 +157,6 @@ func TestRestoreChainRejectsUnofferedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := mustSnapshotChain(t, s)
 	auto := s.fr.base.auto
 	// Find the deepest round with a run whose parent state does not offer
 	// some graph of the alphabet, and play that graph instead.
@@ -188,30 +187,8 @@ func TestRestoreChainRejectsUnofferedGraph(t *testing.T) {
 	if target < 0 {
 		t.Fatalf("%s: every state offers every graph; the test needs one that does not", adv.Name())
 	}
-	dir := t.TempDir()
-	pg, err := pager.New(pager.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := s.fr; f.horizon > 0; f = f.prev {
-		cr := &rounds[f.horizon-1]
-		p := payload
-		if f.horizon != target {
-			if err := f.ensure(); err != nil {
-				t.Fatal(err)
-			}
-			p = f.encodeColumns()
-		}
-		cr.Bytes = int64(len(p))
-		if err := pg.Persist(cr.PageID, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pg2, err := pager.New(pager.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg2, Rounds: rounds})
+	rounds, pg := rewriteChain(t, s, target, payload)
+	_, err = RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg, Rounds: rounds})
 	if err == nil || !strings.Contains(err.Error(), "does not offer") {
 		t.Fatalf("RestoreChain of a round-%d page playing an unoffered graph: %v, want a rejection", target, err)
 	}

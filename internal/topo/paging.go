@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -352,13 +353,13 @@ type ChainSpec struct {
 // returns the space at the deepest horizon, ready to Extend further.
 //
 // The automaton states are not serialized: round by round, every page is
-// read and checksum-verified exactly once, each run's state is looked up in
-// the chain's compiled adversary from its parent's state and its recorded
-// round graph, and the round is then registered with the pager and evicted
-// again — so restore memory stays at ~two rounds plus one state column
-// regardless of depth. A round graph the parent's state does not offer, or
-// one that is not its orbit's representative, fails the restore, so a
-// corrupt page surfaces here as a clean error, never as a wrong resume.
+// read and checksum-verified exactly once and replayed against its parent
+// round (replay), which derives the states, obligations and stabilizers
+// and rejects a round that is not exactly what extension produces from the
+// restored parents. A parent round is registered with the pager and
+// evicted once its child has been replayed, so restore memory stays at
+// ~two rounds plus one state column regardless of depth, and a corrupt
+// page surfaces here as a clean error, never as a wrong resume.
 //
 //topocon:allow ctxflow -- pre-context bootstrap path behind ckpt.Load/RestoreAnalyzer; work is bounded by the already-checkpointed chain, with no external waits to cancel
 func RestoreChain(spec ChainSpec) (*Space, error) {
@@ -370,14 +371,12 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		maxRuns = DefaultMaxRuns
 	}
 	adv := spec.Adversary
-	n := adv.N()
 	s, err := buildBaseSym(adv, spec.InputDomain, spec.Interner, maxRuns, spec.Symmetry)
 	if err != nil {
 		return nil, fmt.Errorf("topo: RestoreChain: %w", err)
 	}
 	s.pager = spec.Pager
 	auto := s.fr.base.auto
-	grp := s.sym.group
 	idBound := ptg.ViewID(spec.Interner.IDBound())
 	order := ptg.ViewID(spec.Interner.GroupOrder())
 	for ri, cr := range spec.Rounds {
@@ -397,7 +396,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		}
 		f := &frontier{
 			horizon: cr.Horizon,
-			n:       n,
+			n:       adv.N(),
 			count:   cr.Count,
 			prev:    s.fr,
 			base:    s.fr.base,
@@ -417,68 +416,134 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		// greatest view: what the original extension recorded, since a
 		// round stores only views of its own depth.
 		f.idLo, f.idHi = int(lo/order*order), int((hi/order+1)*order)
-		// States, obligations and stabilizers are derived state, never
-		// serialized: replay extendOne's recurrences. Relabeled views need
-		// nothing replayed: the imported interner re-derived every cone's
-		// stabilizer from its key.
-		state := make([]int32, cr.Count)
-		doneAt := make([]int32, cr.Count)
-		stab := make([]uint64, cr.Count)
-		for c := 0; c < cr.Count; c++ {
-			pi, l := f.parentOf[c], f.letter[c]
-			st, ok := auto.Step(s.state[pi], l)
-			if !ok {
-				return nil, fmt.Errorf("topo: RestoreChain: round %d run %d plays %v, which its parent's automaton state does not offer",
-					cr.Horizon, c, auto.Graph(l))
-			}
-			if stab[c] = graphOrbitStab(auto.Graph(l), grp, s.stab[pi]); stab[c] == 0 {
-				return nil, fmt.Errorf("topo: RestoreChain: round %d run %d plays %v, which is not its orbit's representative",
-					cr.Horizon, c, auto.Graph(l))
-			}
-			da := s.doneAt[pi]
-			if da < 0 && auto.Done(st) {
-				da = int32(cr.Horizon)
-			}
-			state[c], doneAt[c] = st, da
+		next, err := s.replay(f)
+		if err != nil {
+			return nil, fmt.Errorf("topo: RestoreChain: %w", err)
 		}
-		next := &Space{
-			Adversary:   adv,
-			InputDomain: spec.InputDomain,
-			Horizon:     cr.Horizon,
-			Interner:    spec.Interner,
-			fr:          f,
-			state:       state,
-			doneAt:      doneAt,
-			maxRuns:     maxRuns,
-			pager:       spec.Pager,
-			sym:         s.sym,
-			stab:        stab,
-		}
-		if cr.Horizon < len(spec.Rounds) {
-			// Interior round: register it cold (the page was just validated)
-			// and drop the columns; walks fault them back on demand. The
-			// deepest round stays resident as the new head.
-			if err := spec.Pager.Adopt(cr.PageID, cr.Bytes, f.evict); err != nil {
+		if ri > 0 {
+			// The parent round is validated and replayed against: register
+			// it cold and drop its columns; walks fault them back on demand.
+			// The deepest round stays resident as the new head.
+			prev, pr := s.fr, spec.Rounds[ri-1]
+			if err := spec.Pager.Adopt(pr.PageID, pr.Bytes, prev.evict); err != nil {
 				return nil, err
 			}
-			f.pg = spec.Pager
-			f.pageID = cr.PageID
-			f.evict()
-		} else {
-			f.pageBytes = int64(len(payload)) // the head's page is on disk already
+			prev.pg = spec.Pager
+			prev.pageID = pr.PageID
+			prev.evict()
 		}
+		f.pageBytes = int64(len(payload)) // the round's page is on disk already
 		s = next
 	}
 	return s, nil
 }
 
-// AncestorAt materializes the space at an earlier horizon t of the chain,
-// faulting spilled rounds as needed and replaying the automaton state IDs
-// through the chain's compiled adversary from the base (states are
-// per-space, not per-frontier, so an evicted horizon has none). It is the
-// rehydration path behind check.Analyzer.SpaceAt for evicted horizons; a
-// cold reporting/debugging operation, O(chain) page reads and table
-// lookups.
+// replay returns the space over f, the round after s's in its chain. A
+// round stores no automaton states, obligations or stabilizers; replay
+// derives them from s's by extendOne's recurrences. It also checks f
+// against s the way extendOne would have built it: the runs are the
+// children of s's runs in parent order, each parent's in its row's order
+// with relabeled twins dropped, each with its parent's root and the heard
+// row its graph yields from the parent's. A round that is anything else —
+// a run whose parent's state does not offer its graph, a repeated or
+// missing sibling, a foreign root or heard mask — is an error. View IDs
+// are not checked here: the page checksum and RestoreChain's interner
+// range check guard them.
+func (s *Space) replay(f *frontier) (*Space, error) {
+	pf := s.fr
+	if err := pf.ensure(); err != nil {
+		return nil, err
+	}
+	// Locals keep the parent's columns while faulting f may evict them.
+	pHeard, pRoot := pf.heard, pf.rootOf
+	if err := f.ensure(); err != nil {
+		return nil, err
+	}
+	heard, letter, parentOf, rootOf := f.heard, f.letter, f.parentOf, f.rootOf
+	auto, grp, n := pf.base.auto, s.sym.group, f.n
+	state := make([]int32, f.count)
+	doneAt := make([]int32, f.count)
+	stab := make([]uint64, f.count)
+	c := 0
+	for i, pst := range s.state {
+		row := auto.Row(pst)
+		ph := pHeard[i*n : (i+1)*n]
+		for j, l := range row.Letters {
+			g := auto.Graph(l)
+			cStab := uint64(1)
+			if s.stab[i] != 1 {
+				if cStab = graphOrbitStab(g, grp, s.stab[i]); cStab == 0 {
+					continue // a relabeled twin of an earlier sibling
+				}
+			}
+			if c == f.count || parentOf[c] != int32(i) || letter[c] != l {
+				return nil, f.misplaced(c, auto, s.state)
+			}
+			if rootOf[c] != pRoot[i] {
+				return nil, fmt.Errorf("round %d run %d has root %d, its parent %d root %d", f.horizon, c, rootOf[c], i, pRoot[i])
+			}
+			for q, have := range heard[c*n : (c+1)*n] {
+				h := uint64(0)
+				for m := g.In(q); m != 0; m &= m - 1 {
+					h |= ph[bits.TrailingZeros64(m)]
+				}
+				if have != h {
+					return nil, fmt.Errorf("round %d run %d: process %d heard %#x, its graph yields %#x", f.horizon, c, q, have, h)
+				}
+			}
+			st, da := row.Next[j], s.doneAt[i]
+			if da < 0 && auto.Done(st) {
+				da = int32(f.horizon)
+			}
+			state[c], doneAt[c], stab[c] = st, da, cStab
+			c++
+		}
+	}
+	if c != f.count {
+		return nil, f.misplaced(c, auto, s.state)
+	}
+	return s.atRound(f, state, doneAt, stab), nil
+}
+
+// misplaced describes why run c of round f is not the child extension
+// produces next (c == f.count: the round ran out of runs).
+func (f *frontier) misplaced(c int, auto *ma.Table, parentState []int32) error {
+	if c == f.count {
+		return fmt.Errorf("round %d has %d runs, fewer than its parents' children", f.horizon, f.count)
+	}
+	l := f.letter[c]
+	if _, ok := auto.Step(parentState[f.parentOf[c]], l); !ok {
+		return fmt.Errorf("round %d run %d plays %v, which its parent's automaton state does not offer",
+			f.horizon, c, auto.Graph(l))
+	}
+	return fmt.Errorf("round %d run %d (parent %d, graph %v) is not the child extension produces next",
+		f.horizon, c, f.parentOf[c], auto.Graph(l))
+}
+
+// atRound returns the space over round f of s's chain with the given
+// per-run columns.
+func (s *Space) atRound(f *frontier, state, doneAt []int32, stab []uint64) *Space {
+	return &Space{
+		Adversary:   s.Adversary,
+		InputDomain: s.InputDomain,
+		Horizon:     f.horizon,
+		Interner:    s.Interner,
+		fr:          f,
+		state:       state,
+		doneAt:      doneAt,
+		maxRuns:     s.maxRuns,
+		pager:       s.pager,
+		sym:         s.sym,
+		stab:        stab,
+	}
+}
+
+// AncestorAt materializes the space at an earlier horizon t of the chain:
+// it replays the rounds from the base to t (replay), faulting spilled
+// rounds as needed, since states are per-space, not per-frontier. It is
+// the path behind check.Analyzer.SpaceAt for horizons other than the head
+// and the separation horizon; a cold reporting/debugging operation,
+// O(chain) page reads and table lookups.
 func (s *Space) AncestorAt(t int) (*Space, error) {
 	if t == s.Horizon {
 		return s, nil
@@ -486,62 +551,22 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 	if t < 0 || t > s.Horizon {
 		return nil, fmt.Errorf("topo: AncestorAt(%d) outside chain of horizon %d", t, s.Horizon)
 	}
-	target := s.fr
-	for target.horizon > t {
-		target = target.prev
-	}
-	// Collect the path base..target, then replay forward.
+	// Collect the path target..base, then replay forward.
 	path := make([]*frontier, 0, t+1)
-	for f := target; f != nil; f = f.prev {
-		path = append(path, f)
+	for f := s.fr; f != nil; f = f.prev {
+		if f.horizon <= t {
+			path = append(path, f)
+		}
 	}
 	base := path[len(path)-1]
-	auto := base.auto
-	state := make([]int32, base.count) // every run starts in state 0
-	doneAt := make([]int32, base.count)
-	// The stabilizer column is per-space derived state, replayed forward
-	// alongside the automaton states.
-	stab := make([]uint64, base.count)
-	da0 := int32(-1)
-	if auto.Done(auto.Start()) {
-		da0 = 0
-	}
-	for i, w := range base.inputs {
-		doneAt[i] = da0
-		stab[i], _ = inputOrbitRep(w, s.sym.group)
-	}
+	state, doneAt, stab := baseColumns(base, s.sym.group)
+	cur := s.atRound(base, state, doneAt, stab)
 	for ri := len(path) - 2; ri >= 0; ri-- {
-		f := path[ri]
-		if err := f.ensure(); err != nil {
-			return nil, err
+		next, err := cur.replay(path[ri])
+		if err != nil {
+			return nil, fmt.Errorf("topo: AncestorAt(%d): %w", t, err)
 		}
-		nextState := make([]int32, f.count)
-		nextDoneAt := make([]int32, f.count)
-		nextStab := make([]uint64, f.count)
-		for c := 0; c < f.count; c++ {
-			pi, l := f.parentOf[c], f.letter[c]
-			st, _ := auto.Step(state[pi], l) // the chain was built or restored through the table
-			da := doneAt[pi]
-			if da < 0 && auto.Done(st) {
-				da = int32(f.horizon)
-			}
-			nextState[c] = st
-			nextDoneAt[c] = da
-			nextStab[c] = graphOrbitStab(auto.Graph(l), s.sym.group, stab[pi])
-		}
-		state, doneAt, stab = nextState, nextDoneAt, nextStab
+		cur = next
 	}
-	return &Space{
-		Adversary:   s.Adversary,
-		InputDomain: s.InputDomain,
-		Horizon:     t,
-		Interner:    s.Interner,
-		fr:          target,
-		state:       state,
-		doneAt:      doneAt,
-		maxRuns:     s.maxRuns,
-		pager:       s.pager,
-		sym:         s.sym,
-		stab:        stab,
-	}, nil
+	return cur, nil
 }

@@ -3,9 +3,12 @@ package topo
 import (
 	"bytes"
 	"context"
+	"maps"
+	"slices"
 	"testing"
 
 	"topocon/internal/ma"
+	"topocon/internal/ptg"
 )
 
 // FuzzFrontierPage feeds arbitrary payloads to decodeColumns against one
@@ -30,6 +33,66 @@ func FuzzFrontierPage(f *testing.F) {
 		}
 		if out := round.encodeColumns(); !bytes.Equal(out, data) {
 			t.Fatalf("decode/encode not byte-identical:\n in  %x\n out %x", data, out)
+		}
+	})
+}
+
+// FuzzRestoreChain replaces one round's page of a small paged chain
+// (LossyLink3 at horizon 3, quotiented by its swap) with the fuzz input,
+// framed with a valid checksum by the pager: RestoreChain must fail, or
+// return a chain whose every round matches the original in all but its
+// view IDs — graphs, parents, roots, heard masks, automaton states,
+// obligations and stabilizers. View IDs are guarded by the page checksum
+// and the interner range check, not by replay.
+func FuzzRestoreChain(f *testing.F) {
+	adv := ma.LossyLink3()
+	sym := ma.Automorphisms(adv)
+	s, err := BuildCtx(context.Background(), adv, 2, 3, Config{Symmetry: sym})
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := s.Interner.Export()
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := make([]*Space, s.Horizon+1)
+	for h := range want {
+		if want[h], err = s.AncestorAt(h); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// The first input selects the round: 0 replaces round 1's page.
+	for fr := s.fr; fr.horizon > 0; fr = fr.prev {
+		f.Add(uint8(fr.horizon-1), fr.encodeColumns())
+	}
+	for _, name := range slices.Sorted(maps.Keys(foreignRuns)) {
+		f.Add(uint8(s.Horizon-1), foreignRuns[name](f, s.fr))
+	}
+	f.Fuzz(func(t *testing.T, round uint8, payload []byte) {
+		target := 1 + int(round)%s.Horizon
+		rounds, pg := rewriteChain(t, s, target, payload)
+		in, err := ptg.ImportInterner(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: in, Pager: pg, Rounds: rounds, Symmetry: sym})
+		if err != nil {
+			return
+		}
+		for h, w := range want {
+			g, err := got.AncestorAt(h)
+			if err != nil {
+				t.Fatalf("round %d replaced: AncestorAt(%d) of the restored chain: %v", target, h, err)
+			}
+			if err := g.fr.ensure(); err != nil {
+				t.Fatal(err)
+			}
+			gf, wf := g.fr, w.fr
+			if !slices.Equal(gf.heard, wf.heard) || !slices.Equal(gf.letter, wf.letter) ||
+				!slices.Equal(gf.parentOf, wf.parentOf) || !slices.Equal(gf.rootOf, wf.rootOf) ||
+				!slices.Equal(g.state, w.state) || !slices.Equal(g.doneAt, w.doneAt) || !slices.Equal(g.stab, w.stab) {
+				t.Fatalf("round %d replaced: the restored chain differs from the original at horizon %d", target, h)
+			}
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"topocon/internal/ma"
@@ -268,6 +270,107 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 	}); err == nil {
 		t.Fatal("RestoreChain accepted swapped round pages")
 	}
+}
+
+// TestRestoreChainRejectsForeignRuns pins that a restore checks each round
+// against its parent round as extension built it, not run by run. Each
+// case is a page with a valid checksum that keeps the round's size and
+// plays only offered graphs, but is not what extension produces: a child
+// that repeats its sibling (same graph, same views) in place of another,
+// a heard mask its graph does not yield, a root that is not its parent's.
+// Each must fail the restore instead of resuming a wrong chain.
+func TestRestoreChainRejectsForeignRuns(t *testing.T) {
+	adv := ma.LossyLink2()
+	in := ptg.NewInterner()
+	s, err := BuildCtx(context.Background(), adv, 2, 3, Config{Interner: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"duplicate-child": "is not the child extension produces next",
+		"foreign-heard":   "its graph yields",
+		"foreign-root":    "root",
+	} {
+		for _, f := range []*frontier{s.fr.prev, s.fr} {
+			rounds, pg := rewriteChain(t, s, f.horizon, foreignRuns[name](t, f))
+			_, err := RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg, Rounds: rounds})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: RestoreChain of a round-%d page: %v, want a rejection", name, f.horizon, err)
+			}
+		}
+	}
+}
+
+// foreignRuns rewrite a round's page into one that decodes but that
+// extension of the round's parents does not produce; runs 0 and 1 must be
+// distinct siblings.
+var foreignRuns = map[string]func(testing.TB, *frontier) []byte{
+	// Run 1 becomes a copy of run 0.
+	"duplicate-child": func(tb testing.TB, f *frontier) []byte {
+		return editRound(tb, f, func(g *frontier) {
+			copy(g.ids[f.n:2*f.n], f.ids[:f.n])
+			copy(g.heard[f.n:2*f.n], f.heard[:f.n])
+			g.letter[1] = f.letter[0]
+		})
+	},
+	// Process 0 of run 0 hears process 1 or stops hearing it.
+	"foreign-heard": func(tb testing.TB, f *frontier) []byte {
+		return editRound(tb, f, func(g *frontier) { g.heard[0] ^= 0b10 })
+	},
+	// Run 0 claims the next input vector as its root.
+	"foreign-root": func(tb testing.TB, f *frontier) []byte {
+		return editRound(tb, f, func(g *frontier) { g.rootOf[0] = (f.rootOf[0] + 1) % int32(f.base.count) })
+	},
+}
+
+// editRound returns the page of a copy of round f that edit changed.
+func editRound(tb testing.TB, f *frontier, edit func(*frontier)) []byte {
+	tb.Helper()
+	if f.parentOf[0] != f.parentOf[1] || f.letter[0] == f.letter[1] {
+		tb.Fatalf("round %d: runs 0 and 1 are not distinct siblings", f.horizon)
+	}
+	g := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
+		ids:      slices.Clone(f.ids),
+		heard:    slices.Clone(f.heard),
+		letter:   slices.Clone(f.letter),
+		parentOf: slices.Clone(f.parentOf),
+		rootOf:   slices.Clone(f.rootOf),
+	}
+	edit(g)
+	return g.encodeColumns()
+}
+
+// rewriteChain persists every round of s's chain into a fresh page
+// directory, round target's page replaced by payload, and returns the
+// round references and a fresh pager over that directory, as a resuming
+// process finds them.
+func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ([]ChainRound, *pager.Pager) {
+	tb.Helper()
+	dir := tb.TempDir()
+	pg, err := pager.New(pager.Config{Dir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rounds := make([]ChainRound, s.Horizon)
+	for f := s.fr; f.horizon > 0; f = f.prev {
+		p := payload
+		if f.horizon != target {
+			if err := f.ensure(); err != nil {
+				tb.Fatal(err)
+			}
+			p = f.encodeColumns()
+		}
+		id := roundPageID(f.horizon)
+		if err := pg.Persist(id, p); err != nil {
+			tb.Fatal(err)
+		}
+		rounds[f.horizon-1] = ChainRound{Horizon: f.horizon, Count: f.count, PageID: id, Bytes: int64(len(p))}
+	}
+	pg2, err := pager.New(pager.Config{Dir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rounds, pg2
 }
 
 // TestAncestorAt pins SpaceAt-style rehydration: the ancestor view of a

@@ -269,13 +269,10 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	sym := &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
 	var inputs [][]int
 	var valence []int32
-	var stab []uint64
 	combi.Words(inputDomain, n, func(w []int) bool {
-		st, keep := inputOrbitRep(w, group)
-		if !keep {
+		if _, keep := inputOrbitRep(w, group); !keep {
 			return true
 		}
-		stab = append(stab, st)
 		inputs = append(inputs, append([]int(nil), w...))
 		valence = append(valence, valenceOf(w))
 		return true
@@ -294,21 +291,18 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	}
 	fr.base = fr
 	fr.idLo = interner.IDBound()
+	state, doneAt, stab := baseColumns(fr, group)
 	s := &Space{
 		Adversary:   adv,
 		InputDomain: inputDomain,
 		Horizon:     0,
 		Interner:    interner,
 		fr:          fr,
-		state:       make([]int32, count), // every run starts in state 0
-		doneAt:      make([]int32, count),
+		state:       state,
+		doneAt:      doneAt,
 		maxRuns:     maxRuns,
 		sym:         sym,
 		stab:        stab,
-	}
-	doneAt := int32(-1)
-	if fr.auto.Done(fr.auto.Start()) {
-		doneAt = 0
 	}
 	for i, w := range inputs {
 		for p := 0; p < n; p++ {
@@ -316,13 +310,31 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 			fr.heard[i*n+p] = 1 << uint(p)
 		}
 		fr.rootOf[i] = int32(i)
-		s.doneAt[i] = doneAt
 	}
 	fr.idHi = interner.IDBound()
 	if err := interner.Err(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// baseColumns returns the per-run columns of the horizon-0 space over the
+// base frontier fr: every run starts in the compiled adversary's state 0,
+// its obligations discharged at round 0 exactly when that state is done,
+// with its input vector's stabilizer under the group.
+func baseColumns(fr *frontier, group *ma.Group) (state, doneAt []int32, stab []uint64) {
+	state = make([]int32, fr.count)
+	doneAt = make([]int32, fr.count)
+	stab = make([]uint64, fr.count)
+	da := int32(-1)
+	if fr.auto.Done(fr.auto.Start()) {
+		da = 0
+	}
+	for i, w := range fr.inputs {
+		doneAt[i] = da
+		stab[i], _ = inputOrbitRep(w, group)
+	}
+	return state, doneAt, stab
 }
 
 // valenceOf returns the common input value of a valent vector, else -1.

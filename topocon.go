@@ -372,11 +372,6 @@ var (
 	// representative per orbit. Verdicts and reports are identical either
 	// way; use it for differential testing and symmetry-bug triage.
 	WithNoSymmetry = check.WithNoSymmetry
-	// WithRetainSpaces bounds session memory: keep the k deepest prefix
-	// spaces plus, always, the separation-horizon space; evicted horizons
-	// return nil from SpaceAt. Default 1 (deepest + separation); 0 retains
-	// every horizon.
-	WithRetainSpaces = check.WithRetainSpaces
 	// WithProgress registers a per-horizon progress callback.
 	WithProgress = check.WithProgress
 	// WithCheckOptions bulk-applies a CheckOptions struct.
@@ -396,7 +391,7 @@ type (
 	// PagerConfig configures NewPager (directory, hot-set budget).
 	PagerConfig = pager.Config
 	// CheckpointConfig tunes RunCheckpointed (directory, hot-set budget,
-	// checkpoint cadence).
+	// per-horizon observer); its Every field is deprecated and ignored.
 	CheckpointConfig = ckpt.Config
 )
 
@@ -406,9 +401,9 @@ var (
 	// WithPager attaches a paging layer to an Analyzer session.
 	WithPager = check.WithPager
 	// RunCheckpointed runs a full analysis resume-or-fresh: it continues
-	// from a checkpoint when one matches, checkpoints periodically as it
-	// refines, saves on interruption, and cleans up on success. Its
-	// trailing int is ignored.
+	// from a checkpoint when one matches, checkpoints after every horizon
+	// it refines, so an interruption loses at most the horizon in flight,
+	// and cleans up on success. Its trailing int is ignored.
 	RunCheckpointed = ckpt.RunCheck
 )
 

@@ -281,7 +281,7 @@ type Info struct {
 	ResumedAt int   `json:"resumedAt"` // horizon the resumed session continued from; -1 if fresh
 	Written   int   `json:"checkpointsWritten"`
 	Removed   bool  `json:"removed"`
-	Runs      int   `json:"runs"` // deepest horizon's prefix-space size (successful runs)
+	Runs      int   `json:"runs"` // deepest horizon's full prefix-space size, as HorizonReport.Runs counts it (successful runs)
 	SaveErr   error `json:"-"`    // first mid-run checkpoint failure, if any (non-fatal)
 
 	// PagerStats is the session pager's final traffic.
@@ -354,7 +354,7 @@ func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Opti
 		return nil, info, err
 	}
 	if s := a.SpaceAt(a.Horizon()); s != nil {
-		info.Runs = s.Len()
+		info.Runs = s.FullLen()
 	}
 	if rerr := Remove(cfg.Dir); rerr == nil {
 		info.Removed = true

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/check"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -467,6 +468,62 @@ func TestRunCheckCheckpointsEveryHorizon(t *testing.T) {
 	}
 	if a.Horizon() != 4 {
 		t.Errorf("checkpoint at horizon %d, want 4", a.Horizon())
+	}
+}
+
+// TestRunCheckRunsCountsFullSpace pins Info.Runs of a quotiented session
+// resumed at its deepest horizon, the value a sweep reports for a cell
+// whose progress hook never fires after the resume. Lossy-star-4 under its
+// S₃ is stepped to MaxHorizon, saved and dropped, as a kill after the
+// deepest horizon's save leaves it; the resumed RunCheck must report the
+// full-space run count of the uninterrupted run's last HorizonReport, not
+// the count of orbit representatives.
+func TestRunCheckRunsCountsFullSpace(t *testing.T) {
+	adv := advgen.LossyStar4()
+	if ma.Automorphisms(adv).Trivial() {
+		t.Fatal("lossy-star-4 has a trivial automorphism group; the test needs a quotient")
+	}
+	opts := check.Options{MaxHorizon: 4}
+	ctx := context.Background()
+	var last check.HorizonReport
+	_, fresh, err := RunCheck(ctx, adv, Config{
+		Dir:       filepath.Join(t.TempDir(), "fresh"),
+		OnHorizon: func(r check.HorizonReport) { last = r },
+	}, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Horizon != opts.MaxHorizon {
+		t.Fatalf("uninterrupted run stopped at horizon %d, want %d", last.Horizon, opts.MaxHorizon)
+	}
+
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	pg, err := Fresh(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed, err := check.NewAnalyzer(adv, check.WithOptions(opts), check.WithPager(pg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for killed.Horizon() < opts.MaxHorizon {
+		if _, err := killed.Step(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := Save(dir, killed); err != nil {
+		t.Fatal(err)
+	}
+	_, resumed, err := RunCheck(ctx, adv, Config{Dir: dir}, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed.Resumed || resumed.ResumedAt != opts.MaxHorizon {
+		t.Fatalf("resumed=%v at horizon %d, want a resume at %d", resumed.Resumed, resumed.ResumedAt, opts.MaxHorizon)
+	}
+	if fresh.Runs != last.Runs || resumed.Runs != last.Runs {
+		t.Errorf("Info.Runs: uninterrupted %d, resumed %d; the last horizon report counts %d runs",
+			fresh.Runs, resumed.Runs, last.Runs)
 	}
 }
 

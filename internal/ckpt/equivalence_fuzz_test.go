@@ -3,6 +3,7 @@ package ckpt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"path/filepath"
@@ -14,12 +15,13 @@ import (
 	"topocon/internal/combi"
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
+	"topocon/internal/topo"
 	"topocon/internal/uf"
 )
 
 // FuzzEngineEquivalence checks that the engine's optimizations cannot
 // change an answer on generated adversaries. The fuzz input picks a seed
-// for advgen.SymmetricOblivious (a random graph set on n ∈ {2, 3}
+// for advgen.SymmetricOblivious (a random graph set on n ∈ {2, 3, 4}
 // processes, closed under a permutation, so the quotient is nontrivial) or,
 // when bit 5 of the shape is set, for advgen.WindowStableSymmetric (the
 // same set behind a repetition obligation, an automaton with several
@@ -34,29 +36,41 @@ import (
 // must equal naiveSpace's, which shares no code with the engine's
 // decomposer or its compiled adversary, and so must the reference's last
 // space's discharge rounds (Space.DoneAt, counted per round), which read
-// the compiled table's Done flags. The horizon is lowered until a space
-// holds at most 512 prefixes per input vector, so a case takes
-// milliseconds.
+// the compiled table's Done flags. At the last horizon every component's
+// Broadcasters must be the naive component's, whose heard masks come from
+// the explicit cones (ptg.ConeOf), not the interner: on the reference's
+// full space, and on the quotient of that horizon, where the member twins
+// each component's labels name must lie in a naive component with its
+// mask. The horizon is lowered until the full space holds at most 4096
+// runs, so a case takes milliseconds.
 func FuzzEngineEquivalence(f *testing.F) {
 	// Shapes 6, 7, 14, 15, 22 and 23 ask for horizon 4 with k = 1, 2 and 3
 	// on two and three processes. Three of these cases are cancelled and
 	// resume; the other three finish by horizon k. Shapes 38 to 55 ask the
-	// same of stateful adversaries.
-	for i, shape := range []uint8{6, 7, 14, 15, 22, 23, 38, 39, 46, 47, 54, 55} {
+	// same of stateful adversaries, and bit 6 asks for four processes.
+	for i, shape := range []uint8{6, 7, 14, 15, 22, 23, 38, 39, 46, 47, 54, 55, 70, 78, 86, 102, 110, 118} {
 		f.Add(int64(i+1), shape)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		rng, n := rand.New(rand.NewSource(seed)), 2+int(shape&1)
+		if shape&64 != 0 {
+			n = 4
+		}
 		var adv ma.Adversary = advgen.SymmetricOblivious(rng, n)
 		if shape&32 != 0 {
 			adv = advgen.WindowStableSymmetric(rng, n)
 		}
-		horizon := 1 + int(shape>>1)%4
-		for horizon > 1 && ma.CountPrefixes(adv, horizon) > 512 {
-			horizon--
+		opts := check.Options{MaxHorizon: 1 + int(shape>>1)%4}
+		resolved, err := opts.Resolved()
+		if err != nil {
+			t.Fatal(err)
 		}
+		domain := resolved.InputDomain
+		for opts.MaxHorizon > 1 && combi.CountWords(domain, n)*ma.CountPrefixes(adv, opts.MaxHorizon) > naiveMaxRuns {
+			opts.MaxHorizon--
+		}
+		horizon := opts.MaxHorizon
 		k := 1 + int(shape>>3)%horizon
-		opts := check.Options{MaxHorizon: horizon}
 
 		var wantReps []check.HorizonReport
 		ref, err := check.NewAnalyzer(adv, check.WithOptions(check.Options{MaxHorizon: horizon, NoSymmetry: true}),
@@ -110,25 +124,55 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if w.Runs > naiveMaxRuns {
 				continue
 			}
-			nv := naiveSpace(adv, ref.Options().InputDomain, w.Horizon)
+			last := w.Horizon == ref.Horizon()
+			nv := naiveSpace(adv, domain, w.Horizon, last)
 			if w.Runs != nv.runs || w.Components != nv.comps || w.MixedComponents != nv.mixed {
 				t.Fatalf("n=%d horizon %d: the engine reports runs=%d comps=%d mixed=%d, the naive oracle %d, %d and %d",
 					adv.N(), w.Horizon, w.Runs, w.Components, w.MixedComponents, nv.runs, nv.comps, nv.mixed)
 			}
-			if w.Horizon != ref.Horizon() {
+			if !last {
 				continue
 			}
-			last := ref.SpaceAt(w.Horizon)
+			space := ref.SpaceAt(w.Horizon)
 			doneAt := make(map[int]int)
-			for i := 0; i < last.Len(); i++ {
-				doneAt[last.DoneAt(i)]++
+			for i := 0; i < space.Len(); i++ {
+				doneAt[space.DoneAt(i)]++
 			}
 			if !maps.Equal(doneAt, nv.doneAt) {
 				t.Fatalf("n=%d horizon %d: the engine's runs discharge at rounds %v, the naive oracle's at %v",
 					adv.N(), w.Horizon, doneAt, nv.doneAt)
 			}
+			quotient, err := topo.BuildCtx(context.Background(), adv, domain, w.Horizon, topo.Config{Symmetry: ma.Automorphisms(adv)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*topo.Space{space, quotient} {
+				if err := checkBroadcasters(s, nv.bcast); err != nil {
+					t.Fatalf("n=%d horizon %d, group order %d: %v", adv.N(), w.Horizon, s.SymOrder(), err)
+				}
+			}
 		}
 	})
+}
+
+// checkBroadcasters decomposes s and requires every component's
+// Broadcasters to be the mask bcast gives its base's runs: the twin of
+// each member its label names lies in the base component.
+func checkBroadcasters(s *topo.Space, bcast map[string]uint64) error {
+	d, err := topo.DecomposeCtx(context.Background(), s)
+	if err != nil {
+		return err
+	}
+	for ci, c := range d.Comps {
+		for _, i := range c.Members {
+			run := s.PseudoRun(i, int(d.Labels[i]))
+			if want, ok := bcast[run.Key()]; !ok || c.Broadcasters != want {
+				return fmt.Errorf("component %d has broadcasters %#x, the naive component of its run %v %#x (found %v)",
+					ci, c.Broadcasters, run, want, ok)
+			}
+		}
+	}
+	return nil
 }
 
 // naiveMaxRuns bounds the full spaces naiveSpace is asked about.
@@ -140,6 +184,11 @@ type naiveCounts struct {
 	// doneAt counts the runs by the round their obligations were
 	// discharged at, -1 for pending.
 	doneAt map[int]int
+	// bcast maps each run's Key to its component's broadcasters: the
+	// processes whose leaf lies in every process's time-t cone in every
+	// run of the component (Definition 5.8 at the horizon). Filled only
+	// when asked for.
+	bcast map[string]uint64
 }
 
 // naiveSpace is the reference decomposition of FuzzEngineEquivalence,
@@ -150,8 +199,9 @@ type naiveCounts struct {
 // share a (process, view) pair in a plain union-find (Definition 6.2 at
 // the horizon). It counts the runs, the components and the mixed ones,
 // which hold v-valent runs (every input v) for two values v, and the runs
-// per discharge round.
-func naiveSpace(adv ma.Adversary, domain, t int) naiveCounts {
+// per discharge round; with broadcasters set, it also folds every
+// component's broadcasters from the explicit cones of ptg.ConeOf.
+func naiveSpace(adv ma.Adversary, domain, t int, broadcasters bool) naiveCounts {
 	n := adv.N()
 	var runs []ptg.Run
 	doneAt := make(map[int]int)
@@ -193,5 +243,29 @@ func naiveSpace(adv ma.Adversary, domain, t int) naiveCounts {
 			mixed++
 		}
 	}
-	return naiveCounts{runs: len(runs), comps: len(valences), mixed: mixed, doneAt: doneAt}
+	nc := naiveCounts{runs: len(runs), comps: len(valences), mixed: mixed, doneAt: doneAt}
+	if broadcasters {
+		all := uint64(1)<<uint(n) - 1
+		compMask := make(map[int]uint64) // root -> the component's broadcasters
+		for i, r := range runs {
+			m, ok := compMask[u.Find(i)]
+			if !ok {
+				m = all
+			}
+			for p := 0; p < n; p++ {
+				cone := ptg.ConeOf(r, p, t)
+				for q := 0; q < n; q++ {
+					if !cone.ContainsInitial(q) {
+						m &^= 1 << uint(q)
+					}
+				}
+			}
+			compMask[u.Find(i)] = m
+		}
+		nc.bcast = make(map[string]uint64, len(runs))
+		for i, r := range runs {
+			nc.bcast[r.Key()] = compMask[u.Find(i)]
+		}
+	}
+	return nc
 }

@@ -45,7 +45,9 @@ type ViewID int32
 //     block it grows without copying the records stored so far;
 //   - stored cones are numbered densely in insertion order — the
 //     decomposition machinery indexes per-ViewID scratch tables by
-//     IDBound(), and Export relies on the order.
+//     IDBound(), and Export relies on the order;
+//   - each stored cone carries its heard mask, set when it is stored,
+//     so a view's heard set is read from its ID (Heard).
 type Interner struct {
 	// table is the probe table; a slot packs the key's 32-bit hash tag
 	// above its record's location + 1 (0 = empty), where a location is
@@ -62,10 +64,15 @@ type Interner struct {
 	blocks [][]byte
 	next   int32
 	// grp is the process permutation group the interner canonicalizes by,
-	// nil for a plain interner (the trivial group). stabs[c] is the
+	// nil for a plain interner (the trivial group). stabs.at(c) is the
 	// stabilizer mask of stored canonical cone c. See orbit.go.
 	grp   *orbitGroup
-	stabs []uint64
+	stabs coneWords
+	// heard.at(c) is the heard mask of stored cone c: the set of processes
+	// q whose leaf lies in the cone. It is set once, when the cone is
+	// stored, from the key's own owner or children, so it can never
+	// disagree with the key. See Heard.
+	heard coneWords
 	// limit caps the stored cones so that every ID c·|G| + ℓ fits a ViewID
 	// (0 selects math.MaxInt32, the plain interner's cap); overflow records
 	// that a request hit the cap (see Err).
@@ -136,7 +143,11 @@ func (in *Interner) Leaf(p, x int) ViewID {
 	k := 1
 	k += binary.PutUvarint(buf[k:], uint64(p))
 	k += binary.PutVarint(buf[k:], int64(x))
-	return ViewID(in.intern(buf[:k], 1))
+	c, fresh := in.intern(buf[:k])
+	if fresh {
+		in.heard.add(1 << uint(p))
+	}
+	return ViewID(c)
 }
 
 // nodeKeyStackSize is the stack buffer a node key is encoded into: owner
@@ -146,9 +157,10 @@ const nodeKeyStackSize = 1 + binary.MaxVarintLen64 + 8*(1+binary.MaxVarintLen32)
 
 // Node interns the time-t view of process p whose round-t in-neighbours
 // are the set bits q of mask, each with time-(t-1) view row[q]; row is
-// indexed by process and only its masked entries are read. The key is
-// 'N', p and the (q, row[q]) pairs in ascending q. A child without an ID
-// (-1, from a request that hit the ID cap) yields -1.
+// indexed by process and only its masked entries are read. Every masked
+// child must be an ID this interner handed out, or -1: a child without an
+// ID (from a request that hit the ID cap) yields -1. The key is 'N', p
+// and the (q, row[q]) pairs in ascending q.
 //
 //topocon:allocfree
 func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
@@ -167,21 +179,81 @@ func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 		buf = append(buf, byte(q)) // q < 64 is its own one-byte uvarint
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
-	return ViewID(in.intern(buf, 1))
+	c, fresh := in.intern(buf)
+	if fresh {
+		var h uint64
+		for m := mask; m != 0; m &= m - 1 {
+			h |= in.heard.at(int32(row[bits.TrailingZeros64(m)]))
+		}
+		in.heard.add(h)
+	}
+	return ViewID(c)
+}
+
+// Heard returns the heard mask of view id: bit q is set iff process q's
+// leaf lies in the cone, that is, iff the view's owner has heard q. The ID
+// must come from this interner. On an orbit-canonical interner the stored
+// mask is the canonical cone's, relabeled here by the ID's coset label.
+//
+//topocon:allocfree
+func (in *Interner) Heard(id ViewID) uint64 {
+	g := in.grp
+	if g == nil {
+		return in.heard.at(int32(id))
+	}
+	m := int32(g.m)
+	c := int32(id) / m
+	return g.permuteMask(in.heard.at(c), int(int32(id)-c*m))
+}
+
+// coneWords is a column of one 64-bit word per stored cone — a
+// stabilizer or heard mask — read by cone index. Like the arena it is a
+// list of chunks: the first grows to coneChunkSize words and every later
+// one is allocated whole, so a small interner stays small and growth never
+// copies the words stored so far; a doubling slice copies every word at
+// each doubling, which cost about 3 % of star-quotient's CPU profile for
+// the stabilizers alone.
+type coneWords [][]uint64
+
+// coneChunkBits sizes the chunks (8192 words, 64 KiB).
+const (
+	coneChunkBits = 13
+	coneChunkSize = 1 << coneChunkBits
+)
+
+// at returns the word of cone c.
+func (w coneWords) at(c int32) uint64 {
+	return w[c>>coneChunkBits][c&(coneChunkSize-1)]
+}
+
+// add appends the word of the next cone.
+func (w *coneWords) add(v uint64) {
+	k := len(*w) - 1
+	if k < 0 || len((*w)[k]) == coneChunkSize {
+		var chunk []uint64
+		if k >= 0 {
+			chunk = make([]uint64, 0, coneChunkSize)
+		}
+		*w = append(*w, chunk)
+		k++
+	}
+	(*w)[k] = append((*w)[k], v)
 }
 
 // intern returns the stored-cone index of key, assigning the next dense
-// index on first sight and recording stab as the new cone's stabilizer mask
-// on an orbit-canonical interner. key is copied into the arena on
-// insertion; the caller's buffer is never retained, so stack-encoded keys
-// do not escape. A key that would need an index past the limit is not
-// stored: intern returns -1 and Err reports the overflow.
+// index on first sight, and reports whether it stored key just now; the
+// caller then adds the new cone's heard mask (and, on an orbit-canonical
+// interner, its stabilizer mask), so both columns stay indexed by cone.
+// key is copied into the arena on insertion; the caller's buffer is never
+// retained, so stack-encoded keys do not escape. A key that would need an
+// index past the limit is not stored: intern returns -1 and Err reports
+// the overflow.
 //
 // The low 32 hash bits are the slot tag; the home of a key in a 2^b-slot
 // table is its tag's top b bits.
 //
 //topocon:allocfree
-func (in *Interner) intern(key []byte, stab uint64) int32 {
+func (in *Interner) intern(key []byte) (c int32, fresh bool) {
 	tag := uint64(uint32(hashKey(key)))
 	if in.table == nil {
 		in.table = make([]uint64, internInitialSize)
@@ -195,7 +267,7 @@ func (in *Interner) intern(key []byte, stab uint64) int32 {
 		}
 		if slot>>32 == tag {
 			if stored, c, _ := in.recordAt(uint32(slot) - 1); bytes.Equal(stored, key) {
-				return c
+				return c, false
 			}
 		}
 		i = (i + 1) & mask
@@ -216,13 +288,10 @@ func (in *Interner) intern(key []byte, stab uint64) int32 {
 	loc := uint64(b)<<internBlockBits + uint64(len(in.blocks[b]))
 	if loc >= math.MaxUint32 || in.next >= in.maxCones() {
 		in.overflow = true
-		return -1
+		return -1, false
 	}
-	c := in.next
+	c = in.next
 	in.next++
-	if in.grp != nil {
-		in.stabs = append(in.stabs, stab)
-	}
 	blk := binary.AppendUvarint(in.blocks[b], uint64(len(key)))
 	blk = append(blk, key...)
 	in.blocks[b] = binary.LittleEndian.AppendUint32(blk, uint32(c))
@@ -230,7 +299,7 @@ func (in *Interner) intern(key []byte, stab uint64) int32 {
 	if int(in.next)*4 >= len(in.table)*3 {
 		in.grow()
 	}
-	return c
+	return c, true
 }
 
 // recordAt decodes the record at arena location loc: its key, its

@@ -9,8 +9,9 @@ import (
 // node keys push the table through at least ten doublings, and afterwards
 // each key re-interns to its original index. The mean probe distance of a
 // stored key stays near what linear probing gives at the table's load.
-// The keys' child IDs are drawn from a small range, so that they differ
-// mostly in their last bytes, as real view keys do: with bare FNV-1a,
+// The keys' child IDs are drawn from a small range of leaves interned
+// first, so that they differ mostly in their last bytes, as real view keys
+// do: with bare FNV-1a,
 // whose high bits mix those bytes poorly, homes taken from the tag's top
 // bits cluster and the mean distance here reads 7.2 extra slots, against
 // 0.83 with the finalizer.
@@ -18,6 +19,12 @@ func TestInternerProbeTable(t *testing.T) {
 	const keys = 200_000
 	in := NewInterner()
 	rng := rand.New(rand.NewSource(17))
+	const children = 64
+	for x := 0; x < children; x++ {
+		if id := in.Leaf(0, x); id != ViewID(x) {
+			t.Fatalf("leaf %d interned as %d", x, id)
+		}
+	}
 	type nodeKey struct {
 		p    int
 		mask uint64
@@ -29,7 +36,7 @@ func TestInternerProbeTable(t *testing.T) {
 		k := &nodes[i]
 		k.p, k.mask = rng.Intn(8), uint64(1+rng.Intn(255))
 		for q := range k.row {
-			k.row[q] = ViewID(rng.Intn(64))
+			k.row[q] = ViewID(rng.Intn(children))
 		}
 		k.id = in.Node(k.p, k.mask, k.row[:])
 	}

@@ -200,7 +200,7 @@ func (in *Interner) importKey(key []byte, c int32) error {
 			// every ID the interner hands out is.
 			if g != nil {
 				cc := int32(child) / m
-				if l := uint8(int32(child) - cc*m); g.cosetMin(l, in.stabs[cc]) != l {
+				if l := uint8(int32(child) - cc*m); g.cosetMin(l, in.stabs.at(cc)) != l {
 					return errors.New("child ID is not canonical")
 				}
 			}

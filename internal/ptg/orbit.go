@@ -59,6 +59,9 @@ type orbitGroup struct {
 	toLeast []uint64
 	// pinv[k*n+r] is σ_k⁻¹(r), the process element k maps to r.
 	pinv []uint8
+	// maskTab[(2k+b)*256+v] is the byte v of a process mask at byte b
+	// (processes 8b..8b+7) relabeled by element k; see permuteMask.
+	maskTab []uint16
 	// full is the mask of the whole group.
 	full uint64
 }
@@ -114,11 +117,17 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 		m: m, n: n, perms: perms,
 		inv: make([]uint8, m), mul: make([]uint8, m*m),
 		least: make([]int, n), toLeast: make([]uint64, n),
-		pinv: make([]uint8, m*n), full: ^uint64(0) >> uint(64-m),
+		pinv: make([]uint8, m*n), maskTab: make([]uint16, m*2*256),
+		full: ^uint64(0) >> uint(64-m),
 	}
 	for k, perm := range perms {
 		for p, q := range perm {
 			g.pinv[k*n+q] = uint8(p)
+			for v := 0; v < 256; v++ {
+				if v&(1<<uint(p%8)) != 0 {
+					g.maskTab[(2*k+p/8)*256+v] |= 1 << uint(q)
+				}
+			}
 		}
 	}
 	comp := make([]int, n)
@@ -189,6 +198,16 @@ func (g *orbitGroup) cosetMin(e uint8, stab uint64) uint8 {
 		}
 	}
 	return best
+}
+
+// permuteMask relabels a process mask by element k: bit p moves to
+// σ_k(p). Two byte-table lookups, since n ≤ 16.
+func (g *orbitGroup) permuteMask(mask uint64, k int) uint64 {
+	if k == 0 {
+		return mask
+	}
+	t := g.maskTab[2*k*256 : (2*k+2)*256 : (2*k+2)*256]
+	return uint64(t[uint8(mask)] | t[256+int(uint8(mask>>8))])
 }
 
 // orbitLabel turns the set arg of elements mapping a requested cone to its
@@ -269,7 +288,7 @@ func (in *Interner) OrbitStab(c int) uint64 {
 	if in.grp == nil {
 		return 1
 	}
-	return in.stabs[c]
+	return in.stabs.at(int32(c))
 }
 
 // Relabel returns the ID of cone id relabeled by group element k (element 0
@@ -282,7 +301,7 @@ func (in *Interner) Relabel(id ViewID, k int) ViewID {
 	}
 	m := int32(g.m)
 	c := int32(id) / m
-	e := g.cosetMin(g.mul[k*g.m+int(int32(id)-c*m)], in.stabs[c])
+	e := g.cosetMin(g.mul[k*g.m+int(int32(id)-c*m)], in.stabs.at(c))
 	return ViewID(c*m + int32(e))
 }
 
@@ -300,9 +319,13 @@ func (in *Interner) orbitLeaf(p, x int) ViewID {
 	n += binary.PutUvarint(buf[n:], uint64(g.least[p]))
 	n += binary.PutVarint(buf[n:], int64(x))
 	stab, l := g.orbitLabel(arg, bits.TrailingZeros64(arg))
-	c := in.intern(buf[:n], stab)
+	c, fresh := in.intern(buf[:n])
 	if c < 0 {
 		return -1
+	}
+	if fresh {
+		in.stabs.add(stab)
+		in.heard.add(1 << uint(g.least[p]))
 	}
 	return ViewID(c*int32(g.m) + int32(l))
 }
@@ -313,22 +336,45 @@ func (in *Interner) orbitLeaf(p, x int) ViewID {
 //topocon:allocfree
 func (in *Interner) orbitNode(p int, mask uint64, row []ViewID) ViewID {
 	var stack [nodeKeyStackSize]byte
-	key, arg, ok := in.orbitNodeKey(stack[:0], p, mask, row)
+	var kids orbitKids
+	key, arg, ok := in.orbitNodeKey(stack[:0], p, mask, row, &kids)
 	if !ok {
 		return -1
 	}
 	g := in.grp
-	stab, l := g.orbitLabel(arg, bits.TrailingZeros64(arg))
-	c := in.intern(key, stab)
+	star := bits.TrailingZeros64(arg)
+	stab, l := g.orbitLabel(arg, star)
+	c, fresh := in.intern(key)
 	if c < 0 {
 		return -1
 	}
+	if fresh {
+		// The stored cone is σ_star of the requested one, so its heard
+		// mask is the children's union relabeled by star.
+		var h uint64
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			q := bits.TrailingZeros64(rest)
+			h |= g.permuteMask(in.heard.at(kids.cone[q]), int(kids.label[q]))
+		}
+		in.stabs.add(stab)
+		in.heard.add(g.permuteMask(h, star))
+	}
 	return ViewID(c*int32(g.m) + int32(l))
+}
+
+// orbitKids holds, per process q, the stored cone, coset label and
+// stabilizer of a node request's child row[q], as orbitNodeKey reads
+// them.
+type orbitKids struct {
+	cone  [maxOrbitProcs]int32
+	label [maxOrbitProcs]uint8
+	stab  [maxOrbitProcs]uint64
 }
 
 // orbitNodeKey appends to buf the key of the least relabeling of the node
 // of p over the masked children in row, and returns the set arg of the
 // elements that map the node to it; ok is false when a child has no ID.
+// It leaves each masked child's stored cone, label and stabilizer in kids.
 // The relabeling by element k is the node of σ_k(p) whose children are the
 // children relabeled by k, re-slotted at σ_k(q); relabelings compare as
 // their ascending (σ_k(q), child ID) sequences, and only elements that map
@@ -344,16 +390,12 @@ func (in *Interner) orbitNode(p int, mask uint64, row []ViewID) ViewID {
 // sequences, so the key and arg are those of enumerating every candidate.
 //
 //topocon:allocfree
-func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID) (key []byte, arg uint64, ok bool) {
+func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID, kids *orbitKids) (key []byte, arg uint64, ok bool) {
 	g := in.grp
 	m := int32(g.m)
 	// Each child's stored cone, coset label and stabilizer, indexed by
 	// process and read once for every candidate.
-	var (
-		cc [maxOrbitProcs]int32
-		cl [maxOrbitProcs]uint8
-		cs [maxOrbitProcs]uint64
-	)
+	cc, cl, cs := &kids.cone, &kids.label, &kids.stab
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		q := bits.TrailingZeros64(rest)
 		id := row[q]
@@ -361,7 +403,7 @@ func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID) (
 			return buf, 0, false // a child that hit the ID cap
 		}
 		c := int32(id) / m
-		cc[q], cl[q], cs[q] = c, uint8(int32(id)-c*m), in.stabs[c]
+		cc[q], cl[q], cs[q] = c, uint8(int32(id)-c*m), in.stabs.at(c)
 	}
 	buf = append(buf, 'N')
 	buf = binary.AppendUvarint(buf, uint64(g.least[p]))

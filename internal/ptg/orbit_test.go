@@ -271,8 +271,8 @@ func TestOrbitExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: size %d/%d, order %d/%d", got.Size(), in.Size(), got.GroupOrder(), in.GroupOrder())
 	}
 	for c := int32(0); c < int32(got.Size()); c++ {
-		if got.stabs[c] != in.stabs[c] {
-			t.Fatalf("cone %d: imported stabilizer %b, original %b", c, got.stabs[c], in.stabs[c])
+		if got.stabs.at(c) != in.stabs.at(c) {
+			t.Fatalf("cone %d: imported stabilizer %b, original %b", c, got.stabs.at(c), in.stabs.at(c))
 		}
 	}
 	for _, r := range runs {
@@ -333,7 +333,7 @@ func refOrbitNodeKey(in *Interner, p int, mask uint64, row []ViewID) (key []byte
 		}
 		c := int32(id) / m
 		qs[deg], cc[deg], cl[deg] = q, c, uint8(int32(id)-c*m)
-		cs[deg] = in.stabs[c]
+		cs[deg] = in.stabs.at(c)
 		deg++
 	}
 	// A candidate entry packs (σ_k(q), child ID) as q<<32 | id, so integer
@@ -394,7 +394,7 @@ func refOrbitNodeKey(in *Interner, p int, mask uint64, row []ViewID) (key []byte
 // the stored stabilizer with the reference key's.
 func checkOrbitNode(in *Interner, p int, mask uint64, row []ViewID) error {
 	wantKey, wantArg, wantOK := refOrbitNodeKey(in, p, mask, row)
-	key, arg, ok := in.orbitNodeKey(nil, p, mask, row)
+	key, arg, ok := in.orbitNodeKey(nil, p, mask, row, new(orbitKids))
 	if ok != wantOK || !bytes.Equal(key, wantKey) || arg != wantArg {
 		return fmt.Errorf("node (p=%d, mask=%b, row=%v): key %x, arg %b, ok %v; reference %x, %b, %v",
 			p, mask, row, key, arg, ok, wantKey, wantArg, wantOK)
@@ -405,7 +405,7 @@ func checkOrbitNode(in *Interner, p int, mask uint64, row []ViewID) error {
 	g := in.grp
 	id := in.Node(p, mask, row)
 	stab, l := g.orbitLabel(wantArg, bits.TrailingZeros64(wantArg))
-	c := in.intern(wantKey, stab)
+	c, _ := in.intern(wantKey)
 	if want := ViewID(c*int32(g.m) + int32(l)); id != want || in.OrbitStab(int(c)) != stab {
 		return fmt.Errorf("node (p=%d, mask=%b, row=%v): id %d, stabilizer %b; reference %d, %b",
 			p, mask, row, id, in.OrbitStab(int(c)), want, stab)
@@ -542,7 +542,7 @@ func TestOrbitNodeMatchesReference(t *testing.T) {
 					break
 				}
 			}
-			if _, arg, _ := c.in.orbitNodeKey(nil, p, mask, row); bits.OnesCount64(arg) > 1 {
+			if _, arg, _ := c.in.orbitNodeKey(nil, p, mask, row, new(orbitKids)); bits.OnesCount64(arg) > 1 {
 				tied++
 			}
 		}

@@ -2,22 +2,19 @@ package ptg
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"topocon/internal/graph"
 )
 
-// Views holds the hash-consed views and heard-sets of one run prefix at all
-// times 0..T. Obtain one via ComputeViews and grow it with Extend.
+// Views holds the hash-consed views of one run prefix at all times 0..T.
+// Obtain one via ComputeViews and grow it with Extend. Heard sets are read
+// through the views (Interner.Heard), so a Views stores IDs alone.
 type Views struct {
 	interner *Interner
 	n        int
 	// ids[t][p] is the ViewID of process p's view at time t.
 	ids [][]ViewID
-	// heard[t][p] is the bitmask of processes q whose initial node
-	// (q,0,x_q) lies in p's time-t view — "p has heard q".
-	heard [][]uint64
 }
 
 // ComputeViews computes the views of every process at every time 0..Rounds
@@ -28,16 +25,12 @@ func ComputeViews(in *Interner, r Run) *Views {
 		interner: in,
 		n:        n,
 		ids:      make([][]ViewID, 1, r.Rounds()+1),
-		heard:    make([][]uint64, 1, r.Rounds()+1),
 	}
 	ids0 := make([]ViewID, n)
-	heard0 := make([]uint64, n)
 	for p := 0; p < n; p++ {
 		ids0[p] = in.Leaf(p, r.Inputs[p])
-		heard0[p] = 1 << uint(p)
 	}
 	v.ids[0] = ids0
-	v.heard[0] = heard0
 	for t := 1; t <= r.Rounds(); t++ {
 		v.Extend(r.Graph(t))
 	}
@@ -49,19 +42,17 @@ func ComputeViews(in *Interner, r Run) *Views {
 // each row aliases a segment of a dense per-round column, so materializing
 // the Views of one run costs O(Rounds) slice headers and copies nothing.
 // ids[t][p] must be the ViewID of process p at time t in the given
-// interner, and heard its matching heard-bitmask row; rows must never be
-// mutated afterwards (they may be shared with other runs). The result
-// supports the full read API; Extend appends fresh rows and leaves the
-// aliased ones untouched.
-func ViewsFromRows(in *Interner, ids [][]ViewID, heard [][]uint64) *Views {
-	if len(ids) == 0 || len(ids) != len(heard) {
-		panic("ptg: ViewsFromRows needs matching non-empty id and heard rows")
+// interner; rows must never be mutated afterwards (they may be shared with
+// other runs). The result supports the full read API; Extend appends fresh
+// rows and leaves the aliased ones untouched.
+func ViewsFromRows(in *Interner, ids [][]ViewID) *Views {
+	if len(ids) == 0 {
+		panic("ptg: ViewsFromRows needs non-empty id rows")
 	}
 	return &Views{
 		interner: in,
 		n:        len(ids[0]),
 		ids:      ids,
-		heard:    heard,
 	}
 }
 
@@ -74,8 +65,9 @@ func (v *Views) Rounds() int { return len(v.ids) - 1 }
 // ID returns the ViewID of process p's view at time t ≤ Rounds().
 func (v *Views) ID(t, p int) ViewID { return v.ids[t][p] }
 
-// Heard returns the bitmask of processes p has heard by time t.
-func (v *Views) Heard(t, p int) uint64 { return v.heard[t][p] }
+// Heard returns the bitmask of processes p has heard by time t: those q
+// whose initial node (q, 0, x_q) lies in p's time-t view.
+func (v *Views) Heard(t, p int) uint64 { return v.interner.Heard(v.ids[t][p]) }
 
 // Extend appends one round with communication graph g, computing the views
 // at time Rounds()+1. It panics if g has the wrong node count (programming
@@ -85,20 +77,11 @@ func (v *Views) Extend(g graph.Graph) {
 		panic(fmt.Sprintf("ptg: extending %d-process views with %d-node graph", v.n, g.N()))
 	}
 	prevIDs := v.ids[len(v.ids)-1]
-	prevHeard := v.heard[len(v.heard)-1]
 	ids := make([]ViewID, v.n)
-	heard := make([]uint64, v.n)
 	for p := 0; p < v.n; p++ {
-		var h uint64
-		in := g.In(p)
-		for m := in; m != 0; m &= m - 1 {
-			h |= prevHeard[bits.TrailingZeros64(m)]
-		}
-		ids[p] = v.interner.Node(p, in, prevIDs)
-		heard[p] = h
+		ids[p] = v.interner.Node(p, g.In(p), prevIDs)
 	}
 	v.ids = append(v.ids, ids)
-	v.heard = append(v.heard, heard)
 }
 
 // BroadcastTime returns the earliest time t ≤ Rounds() by which every
@@ -109,12 +92,7 @@ func (v *Views) Extend(g graph.Graph) {
 func (v *Views) BroadcastTime(p int) int {
 	bit := uint64(1) << uint(p)
 	t := sort.Search(v.Rounds()+1, func(t int) bool {
-		for q := 0; q < v.n; q++ {
-			if v.heard[t][q]&bit == 0 {
-				return false
-			}
-		}
-		return true
+		return v.HeardByAll(t)&bit != 0
 	})
 	if t > v.Rounds() {
 		return -1
@@ -126,8 +104,8 @@ func (v *Views) BroadcastTime(p int) int {
 // heard p by time t.
 func (v *Views) HeardByAll(t int) uint64 {
 	acc := graph.AllNodes(v.n)
-	for q := 0; q < v.n; q++ {
-		acc &= v.heard[t][q]
+	for _, id := range v.ids[t] {
+		acc &= v.interner.Heard(id)
 	}
 	return acc
 }

@@ -2,6 +2,9 @@ package topo
 
 import (
 	"context"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"topocon/internal/advgen"
@@ -57,7 +60,7 @@ func TestExtendAllocsPerChild(t *testing.T) {
 					t.Fatalf("extendOne: %d children, want %d", next.Len(), children)
 				}
 			})
-			// Budget: the fixed per-call allocations (8 column slices,
+			// Budget: the fixed per-call allocations (7 column slices,
 			// Space + frontier headers, pool scratch) plus strictly less
 			// than one quarter allocation per child — i.e. per-child cost
 			// must be zero, with headroom only in the fixed part.
@@ -66,6 +69,56 @@ func TestExtendAllocsPerChild(t *testing.T) {
 				t.Errorf("extendOne allocations = %.1f for %d children, budget %.1f (per-child cost must stay 0)",
 					avg, children, ceiling)
 			}
+		})
+	}
+}
+
+// TestExtendBytesPerChild pins the frontier layout: one round allocates
+// 4n + 28 bytes per child — the ids column (4n), the letter, parentOf,
+// rootOf, state and doneAt columns (4 each) and the stabilizer column (8)
+// — plus a fixed part for the headers and the page rounding of the large
+// column allocations. A heard column (8n) or any other per-child word
+// trips it. The garbage collector is off while it measures, so the pooled
+// scratch stays warm, and the least of five rounds counts.
+func TestExtendBytesPerChild(t *testing.T) {
+	star := advgen.LossyStar4()
+	for _, c := range []struct {
+		name    string
+		sym     *ma.Group
+		horizon int
+	}{
+		{"lossy-star-4", nil, 5},
+		{"lossy-star-4/S3", ma.Automorphisms(star), 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			s, err := BuildCtx(ctx, star, 2, c.horizon, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.extendOne(ctx); err != nil { // intern the round's views, fill the pool
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			least, children := uint64(math.MaxUint64), 0
+			for r := 0; r < 5; r++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				next, err := s.extendOne(ctx)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				children = next.Len()
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			const fixed = 64 << 10
+			perChild := 4*s.N() + 28
+			if budget := uint64(perChild*children + fixed); least > budget {
+				t.Errorf("extendOne allocated %d bytes for %d children (%.1f per child), budget %d (%d per child + %d)",
+					least, children, float64(least)/float64(children), budget, perChild, fixed)
+			}
+			t.Logf("%d bytes for %d children: %.1f per child", least, children, float64(least)/float64(children))
 		})
 	}
 }

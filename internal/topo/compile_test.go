@@ -175,7 +175,7 @@ func TestRestoreChainRejectsUnofferedGraph(t *testing.T) {
 			for l := range auto.Alphabet() {
 				if _, ok := auto.Step(ps, int32(l)); !ok {
 					bad := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
-						ids: f.ids, heard: f.heard, parentOf: f.parentOf, rootOf: f.rootOf,
+						ids: f.ids, parentOf: f.parentOf, rootOf: f.rootOf,
 						letter: append([]int32(nil), f.letter...)}
 					bad.letter[c] = int32(l)
 					payload, target = bad.encodeColumns(), f.horizon

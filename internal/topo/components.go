@@ -284,7 +284,7 @@ func materialize(s *Space, u *uf.Labelled) *Decomposition {
 }
 
 // summarize folds component orbit c's summary masks straight off the
-// columns: HeardByAll is a row fold over the heard column, inputs come
+// columns: HeardByAll folds the heard masks of one view row, inputs come
 // through the O(1) root-ancestor lookup. Each member contributes its twin
 // in the base component — heard masks and input positions permuted by its
 // label — and the folds are then closed under the stabilizer, whose

@@ -3,7 +3,6 @@ package topo
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -100,7 +99,6 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		n:        n,
 		count:    total,
 		ids:      make([]ptg.ViewID, total*n),
-		heard:    make([]uint64, total*n),
 		letter:   make([]int32, total),
 		parentOf: make([]int32, total),
 		rootOf:   make([]int32, total),
@@ -139,7 +137,6 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 			return nil, ctx.Err()
 		}
 		prevIDs := s.fr.idRow(i)
-		prevHeard := s.fr.heardRow(i)
 		row := auto.Row(s.state[i])
 		pDoneAt := s.doneAt[i]
 		pRoot := s.fr.rootOf[i]
@@ -154,20 +151,17 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 				}
 			}
 			c++
-			dstIDs := nf.ids[c*n : (c+1)*n]
-			dstHeard := nf.heard[c*n : (c+1)*n]
+			dst := nf.ids[c*n : (c+1)*n]
 			for p := 0; p < n; p++ {
 				// The view of p is fixed by the parent's row and p's
 				// in-mask: a sibling with the same mask already interned
-				// it, so copy that sibling's cell (DESIGN.md §5.1).
+				// it, so copy that sibling's view (DESIGN.md §5.1).
 				in := g.In(p)
 				if j := slices.Index(ins[p*width:p*width+seen[p]], in); j >= 0 {
-					o := outs[p*width+j]
-					dstIDs[p], dstHeard[p] = o.id, o.heard
+					dst[p] = outs[p*width+j]
 					continue
 				}
 				var id ptg.ViewID
-				var h uint64
 				if in == 1<<uint(p) {
 					// p heard only itself: its view is a function of its
 					// previous view alone, which another parent of this
@@ -175,7 +169,6 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 					// parent round's cone range (or -1) indexes no cell
 					// and takes the Node path.
 					prev := prevIDs[p]
-					h = prevHeard[p]
 					k := int(uint32(prev)/order) - coneLo
 					if uint(k) < uint(len(succ)) && succ[k].prev == prev {
 						id = succ[k].id
@@ -183,14 +176,11 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 						succ[k] = succCell{prev: prev, id: id}
 					}
 				} else {
-					for m := in; m != 0; m &= m - 1 {
-						h |= prevHeard[bits.TrailingZeros64(m)]
-					}
 					id = interner.Node(p, in, prevIDs)
 				}
-				dstIDs[p], dstHeard[p] = id, h
+				dst[p] = id
 				if k := seen[p]; k < width {
-					ins[p*width+k], outs[p*width+k] = in, memoOut{heard: h, id: id}
+					ins[p*width+k], outs[p*width+k] = in, id
 					seen[p]++
 				}
 			}
@@ -236,8 +226,8 @@ const memoWidth = 8
 //
 // The in-mask memo (DESIGN.md §5.1): for the parent being extended,
 // seen[p] counts the distinct in-masks g.In(p) kept among its children so
-// far, ins[p*width+j] is the j-th and outs[p*width+j] the view and heard
-// word it produced.
+// far, ins[p*width+j] is the j-th and outs[p*width+j] the view it
+// produced.
 //
 // The successor table (DESIGN.md §5.1) answers self-only requests across
 // the parents of one round: succ[k] holds the child view of the parent
@@ -246,15 +236,8 @@ const memoWidth = 8
 type extendScratch struct {
 	seen []int
 	ins  []uint64
-	outs []memoOut
+	outs []ptg.ViewID
 	succ []succCell
-}
-
-// memoOut is the child view and heard word an in-mask produced under the
-// current parent.
-type memoOut struct {
-	heard uint64
-	id    ptg.ViewID
 }
 
 // succCell is one successor table cell: the self-only child view id of
@@ -276,7 +259,7 @@ func (sc *extendScratch) acquire(n, width, cones int) {
 	sc.seen = sc.seen[:n]
 	if cap(sc.ins) < n*width {
 		sc.ins = make([]uint64, n*width)
-		sc.outs = make([]memoOut, n*width)
+		sc.outs = make([]ptg.ViewID, n*width)
 	}
 	sc.ins, sc.outs = sc.ins[:n*width], sc.outs[:n*width]
 	if cap(sc.succ) < cones {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -227,7 +226,7 @@ func extendOneReference(s *Space) *Space {
 	}
 	auto := s.fr.base.auto
 	for i := 0; i < s.Len(); i++ {
-		prevIDs, prevHeard := s.fr.idRow(i), s.fr.heardRow(i)
+		prevIDs := s.fr.idRow(i)
 		row := auto.Row(s.state[i])
 		for j, l := range row.Letters {
 			g := auto.Graph(l)
@@ -238,12 +237,7 @@ func extendOneReference(s *Space) *Space {
 				}
 			}
 			for p := 0; p < n; p++ {
-				var h uint64
-				for m := g.In(p); m != 0; m &= m - 1 {
-					h |= prevHeard[bits.TrailingZeros64(m)]
-				}
 				nf.ids = append(nf.ids, s.Interner.Node(p, g.In(p), prevIDs))
-				nf.heard = append(nf.heard, h)
 			}
 			state := row.Next[j]
 			doneAt := s.doneAt[i]
@@ -490,9 +484,9 @@ func TestExtendMemoMatchesReference(t *testing.T) {
 						h, got.Len(), got.FullLen(), ref.Len(), ref.FullLen())
 				}
 				for i, id := range ref.fr.ids {
-					if got.fr.ids[i] != id || got.fr.heard[i] != ref.fr.heard[i] {
-						t.Fatalf("h=%d item %d process %d: view (%d, %b), reference (%d, %b)",
-							h, i/got.N(), i%got.N(), got.fr.ids[i], got.fr.heard[i], id, ref.fr.heard[i])
+					if got.fr.ids[i] != id {
+						t.Fatalf("h=%d item %d process %d: view %d, reference %d",
+							h, i/got.N(), i%got.N(), got.fr.ids[i], id)
 					}
 				}
 				if !slices.Equal(got.stab, ref.stab) || !slices.Equal(got.fr.parentOf, ref.fr.parentOf) {
@@ -556,7 +550,7 @@ func TestExtendMemoParallelMatchesReference(t *testing.T) {
 				if errs[w] != nil {
 					t.Fatalf("session %d: %v", w, errs[w])
 				}
-				if !slices.Equal(got.fr.ids, ref.fr.ids) || !slices.Equal(got.fr.heard, ref.fr.heard) {
+				if !slices.Equal(got.fr.ids, ref.fr.ids) {
 					t.Fatalf("session %d: horizon-%d view columns differ from the reference", w, c.horizon)
 				}
 				if blob, err := got.Interner.Export(); err != nil || !bytes.Equal(blob, want) {

@@ -4,8 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
+	"slices"
 
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -58,7 +57,7 @@ func (f *frontier) spill(pg *pager.Pager) error {
 // Invoked by the pager (outside its lock) when the page falls out of the
 // hot set.
 func (f *frontier) evict() {
-	f.ids, f.heard, f.letter, f.parentOf, f.rootOf = nil, nil, nil, nil, nil
+	f.ids, f.letter, f.parentOf, f.rootOf = nil, nil, nil, nil
 }
 
 // fault makes the frontier's columns resident, re-reading the page from
@@ -88,11 +87,15 @@ func (f *frontier) ensure() error {
 }
 
 // encodeColumns serializes the round's columns: header (horizon, n, count),
-// ids, heard, a deduplicated round-graph dictionary plus per-item indices
-// (one round's graphs come from a small Choices menu, so the dictionary
-// keeps pages small), parentOf and rootOf. The dictionary lists graphs in
-// order of first occurrence. All integers are varint-coded; framing and
-// checksums are the pager's job.
+// ids, the heard mask of every view, a deduplicated round-graph dictionary
+// plus per-item indices (one round's graphs come from a small Choices
+// menu, so the dictionary keeps pages small), parentOf and rootOf. The
+// dictionary lists graphs in order of first occurrence. All integers are
+// varint-coded; framing and checksums are the pager's job.
+//
+// The round keeps no heard column: the page's is derived from the views
+// through the chain's interner, and decodeColumns checks it against the
+// same.
 //
 // Pages hold graphs, not letters: letters number the graphs of one
 // session's compiled adversary, while a checkpoint may be resumed by any
@@ -108,8 +111,9 @@ func (f *frontier) encodeColumns() []byte {
 	for _, id := range f.ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
-	for _, h := range f.heard {
-		buf = binary.AppendUvarint(buf, h)
+	in := f.base.interner
+	for _, id := range f.ids {
+		buf = binary.AppendUvarint(buf, in.Heard(id))
 	}
 	alphabet := f.base.auto.Alphabet()
 	// entry[l] is 1 + the dictionary index of letter l, 0 while unseen.
@@ -166,10 +170,11 @@ func (d *pageDecoder) uvarint() uint64 {
 // survives eviction) and every index against its column's range, and maps
 // each dictionary graph back to its letter in the chain's compiled
 // adversary. It accepts exactly what encodeColumns writes — minimal
-// varints, ViewIDs in range, graphs with their self-loops that some
-// compiled row offers, a duplicate-free dictionary in first-occurrence
-// order with every entry used — so an accepted payload re-encodes byte for
-// byte.
+// varints, ViewIDs the chain's interner handed out, each view's heard
+// mask as that interner derives it, graphs with their self-loops that
+// some compiled row offers, a duplicate-free dictionary in
+// first-occurrence order with every entry used — so an accepted payload
+// re-encodes byte for byte. The heard masks are checked and dropped.
 func (f *frontier) decodeColumns(payload []byte) error {
 	d := &pageDecoder{data: payload}
 	h, n, count := d.uvarint(), d.uvarint(), d.uvarint()
@@ -177,17 +182,21 @@ func (f *frontier) decodeColumns(payload []byte) error {
 		return fmt.Errorf("topo: frontier page header (h=%d n=%d count=%d) does not match round (h=%d n=%d count=%d)",
 			h, n, count, f.horizon, f.n, f.count)
 	}
+	in := f.base.interner
+	bound := uint64(in.IDBound())
 	ids := make([]ptg.ViewID, f.count*f.n)
 	for i := range ids {
 		id := d.uvarint()
-		if id > math.MaxInt32 {
-			return fmt.Errorf("topo: frontier page view ID %d out of range", id)
+		if id >= bound {
+			return fmt.Errorf("topo: frontier page references view %d beyond interner ID bound %d", id, bound)
 		}
 		ids[i] = ptg.ViewID(id)
 	}
-	heard := make([]uint64, f.count*f.n)
-	for i := range heard {
-		heard[i] = d.uvarint()
+	for i, id := range ids {
+		if h := d.uvarint(); d.err == nil && h != in.Heard(id) {
+			return fmt.Errorf("topo: frontier page run %d process %d heard %#x, its view %d has %#x",
+				i/f.n, i%f.n, h, id, in.Heard(id))
+		}
 	}
 	dictLen := d.uvarint()
 	if d.err != nil {
@@ -270,7 +279,7 @@ func (f *frontier) decodeColumns(payload []byte) error {
 	if len(d.data) != 0 {
 		return fmt.Errorf("topo: frontier page has %d trailing bytes", len(d.data))
 	}
-	f.ids, f.heard, f.letter, f.parentOf, f.rootOf = ids, heard, letter, parentOf, rootOf
+	f.ids, f.letter, f.parentOf, f.rootOf = ids, letter, parentOf, rootOf
 	return nil
 }
 
@@ -377,7 +386,6 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 	}
 	s.pager = spec.Pager
 	auto := s.fr.base.auto
-	idBound := ptg.ViewID(spec.Interner.IDBound())
 	order := ptg.ViewID(spec.Interner.GroupOrder())
 	for ri, cr := range spec.Rounds {
 		if cr.Horizon != ri+1 {
@@ -404,14 +412,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		if err := f.decodeColumns(payload); err != nil {
 			return nil, fmt.Errorf("topo: RestoreChain: round %d: %w", cr.Horizon, err)
 		}
-		lo, hi := idBound, ptg.ViewID(-1)
-		for _, id := range f.ids {
-			if id < 0 || id >= idBound {
-				return nil, fmt.Errorf("topo: RestoreChain: round %d references view %d beyond interner ID bound %d",
-					cr.Horizon, id, idBound)
-			}
-			lo, hi = min(lo, id), max(hi, id)
-		}
+		lo, hi := slices.Min(f.ids), slices.Max(f.ids)
 		// The round's cone range, whole orbits from its least to its
 		// greatest view: what the original extension recorded, since a
 		// round stores only views of its own depth.
@@ -443,31 +444,29 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 // derives them from s's by extendOne's recurrences. It also checks f
 // against s the way extendOne would have built it: the runs are the
 // children of s's runs in parent order, each parent's in its row's order
-// with relabeled twins dropped, each with its parent's root and the heard
-// row its graph yields from the parent's. A round that is anything else —
-// a run whose parent's state does not offer its graph, a repeated or
-// missing sibling, a foreign root or heard mask — is an error. View IDs
-// are not checked here: the page checksum and RestoreChain's interner
-// range check guard them.
+// with relabeled twins dropped, each with its parent's root. A round that
+// is anything else — a run whose parent's state does not offer its graph,
+// a repeated or missing sibling, a foreign root — is an error. View IDs
+// are not checked here: the page checksum and decodeColumns' interner
+// checks (every ID handed out, every heard mask its view's) guard them.
 func (s *Space) replay(f *frontier) (*Space, error) {
 	pf := s.fr
 	if err := pf.ensure(); err != nil {
 		return nil, err
 	}
-	// Locals keep the parent's columns while faulting f may evict them.
-	pHeard, pRoot := pf.heard, pf.rootOf
+	// A local keeps the parent's column while faulting f may evict it.
+	pRoot := pf.rootOf
 	if err := f.ensure(); err != nil {
 		return nil, err
 	}
-	heard, letter, parentOf, rootOf := f.heard, f.letter, f.parentOf, f.rootOf
-	auto, grp, n := pf.base.auto, s.sym.group, f.n
+	letter, parentOf, rootOf := f.letter, f.parentOf, f.rootOf
+	auto, grp := pf.base.auto, s.sym.group
 	state := make([]int32, f.count)
 	doneAt := make([]int32, f.count)
 	stab := make([]uint64, f.count)
 	c := 0
 	for i, pst := range s.state {
 		row := auto.Row(pst)
-		ph := pHeard[i*n : (i+1)*n]
 		for j, l := range row.Letters {
 			g := auto.Graph(l)
 			cStab := uint64(1)
@@ -481,15 +480,6 @@ func (s *Space) replay(f *frontier) (*Space, error) {
 			}
 			if rootOf[c] != pRoot[i] {
 				return nil, fmt.Errorf("round %d run %d has root %d, its parent %d root %d", f.horizon, c, rootOf[c], i, pRoot[i])
-			}
-			for q, have := range heard[c*n : (c+1)*n] {
-				h := uint64(0)
-				for m := g.In(q); m != 0; m &= m - 1 {
-					h |= ph[bits.TrailingZeros64(m)]
-				}
-				if have != h {
-					return nil, fmt.Errorf("round %d run %d: process %d heard %#x, its graph yields %#x", f.horizon, c, q, have, h)
-				}
 			}
 			st, da := row.Next[j], s.doneAt[i]
 			if da < 0 && auto.Done(st) {

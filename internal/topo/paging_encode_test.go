@@ -23,8 +23,8 @@ func keyEncodeColumns(f *frontier) []byte {
 	for _, id := range f.ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 	}
-	for _, h := range f.heard {
-		buf = binary.AppendUvarint(buf, h)
+	for _, id := range f.ids {
+		buf = binary.AppendUvarint(buf, f.base.interner.Heard(id))
 	}
 	var dict []graph.Graph
 	dictIdx := map[string]int{}
@@ -80,7 +80,8 @@ func assertPageEncodings(t *testing.T, name string, f *frontier) {
 // encoder's dictionary rewrite: on the seed families, generated symmetric
 // adversaries, a round over all 64 graphs on three nodes, and a synthetic
 // 64-process round whose masks use bit 63, every page equals the Key-based
-// reference byte for byte.
+// reference byte for byte. The synthetic round's views are leaves of a
+// plain interner, so its heard masks use bit 63 too.
 func TestEncodeColumnsMatchesKeyReference(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(15))
@@ -126,20 +127,25 @@ func TestEncodeColumnsMatchesKeyReference(t *testing.T) {
 	}
 	// The round's letters spell the pool through a table whose start state
 	// offers every pool graph.
-	base := &frontier{n: n, count: 1, auto: ma.Compile(ma.MustOblivious("pool", pool...))}
+	in := ptg.NewInterner()
+	var leaves []ptg.ViewID
+	for p := 0; p < n; p++ {
+		for x := 0; x < 8; x++ {
+			leaves = append(leaves, in.Leaf(p, x))
+		}
+	}
+	base := &frontier{n: n, count: 1, auto: ma.Compile(ma.MustOblivious("pool", pool...)), interner: in}
 	base.base = base
 	letters := base.auto.Row(base.auto.Start()).Letters
 	f := &frontier{
 		horizon: 1, n: n, count: count, prev: base, base: base,
 		ids:      make([]ptg.ViewID, count*n),
-		heard:    make([]uint64, count*n),
 		letter:   make([]int32, count),
 		parentOf: make([]int32, count),
 		rootOf:   make([]int32, count),
 	}
 	for i := range f.ids {
-		f.ids[i] = ptg.ViewID(rng.Int31())
-		f.heard[i] = rng.Uint64()
+		f.ids[i] = leaves[rng.Intn(len(leaves))]
 	}
 	for i := range f.letter {
 		f.letter[i] = letters[rng.Intn(distinct)]

@@ -3,6 +3,7 @@ package topo
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -277,8 +278,9 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 // case is a page with a valid checksum that keeps the round's size and
 // plays only offered graphs, but is not what extension produces: a child
 // that repeats its sibling (same graph, same views) in place of another,
-// a heard mask its graph does not yield, a root that is not its parent's.
-// Each must fail the restore instead of resuming a wrong chain.
+// a heard mask its view does not have (rejected when the page is
+// decoded), a root that is not its parent's. Each must fail the restore
+// instead of resuming a wrong chain.
 func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 	adv := ma.LossyLink2()
 	in := ptg.NewInterner()
@@ -288,7 +290,7 @@ func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 	}
 	for name, want := range map[string]string{
 		"duplicate-child": "is not the child extension produces next",
-		"foreign-heard":   "its graph yields",
+		"foreign-heard":   "heard",
 		"foreign-root":    "root",
 	} {
 		for _, f := range []*frontier{s.fr.prev, s.fr} {
@@ -309,13 +311,13 @@ var foreignRuns = map[string]func(testing.TB, *frontier) []byte{
 	"duplicate-child": func(tb testing.TB, f *frontier) []byte {
 		return editRound(tb, f, func(g *frontier) {
 			copy(g.ids[f.n:2*f.n], f.ids[:f.n])
-			copy(g.heard[f.n:2*f.n], f.heard[:f.n])
 			g.letter[1] = f.letter[0]
 		})
 	},
-	// Process 0 of run 0 hears process 1 or stops hearing it.
+	// Process 0 of run 0 hears process 1 or stops hearing it: a round
+	// keeps no heard column, so the page's is rewritten byte by byte.
 	"foreign-heard": func(tb testing.TB, f *frontier) []byte {
-		return editRound(tb, f, func(g *frontier) { g.heard[0] ^= 0b10 })
+		return editHeard(tb, f, func(heard []uint64) { heard[0] ^= 0b10 })
 	},
 	// Run 0 claims the next input vector as its root.
 	"foreign-root": func(tb testing.TB, f *frontier) []byte {
@@ -331,13 +333,42 @@ func editRound(tb testing.TB, f *frontier, edit func(*frontier)) []byte {
 	}
 	g := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
 		ids:      slices.Clone(f.ids),
-		heard:    slices.Clone(f.heard),
 		letter:   slices.Clone(f.letter),
 		parentOf: slices.Clone(f.parentOf),
 		rootOf:   slices.Clone(f.rootOf),
 	}
 	edit(g)
 	return g.encodeColumns()
+}
+
+// editHeard returns round f's page with its heard column, the count·n
+// uvarints after the header and the view IDs, changed by edit.
+func editHeard(tb testing.TB, f *frontier, edit func(heard []uint64)) []byte {
+	tb.Helper()
+	page := f.encodeColumns()
+	pos := 0
+	next := func() uint64 {
+		v, k := binary.Uvarint(page[pos:])
+		if k <= 0 {
+			tb.Fatalf("round %d: bad uvarint at page offset %d", f.horizon, pos)
+		}
+		pos += k
+		return v
+	}
+	for i := 0; i < 3+f.count*f.n; i++ { // header, then ids
+		next()
+	}
+	start := pos
+	heard := make([]uint64, f.count*f.n)
+	for i := range heard {
+		heard[i] = next()
+	}
+	edit(heard)
+	out := slices.Clone(page[:start])
+	for _, h := range heard {
+		out = binary.AppendUvarint(out, h)
+	}
+	return append(out, page[pos:]...)
 }
 
 // rewriteChain persists every round of s's chain into a fresh page

@@ -17,16 +17,18 @@
 // # Memory layout
 //
 // A Space is columnar (structure of arrays): the newest round lives in
-// dense per-space columns — ids and heard of length Len()·n, plus letter,
-// state, doneAt, stabilizer and parent-link columns of length Len() — and
+// dense per-space columns — ids of length Len()·n, plus letter, state,
+// doneAt, stabilizer and parent-link columns of length Len() — and
 // earlier rounds are reached through the chain of frontiers the space was
-// extended from. No per-run column holds a pointer: round graphs are
-// letters and automaton states are IDs of the chain's compiled adversary
-// (ma.Table), and a run's valence is its root's, kept once per input vector
-// on the base frontier. There is no per-item object: a run's Views, Run and
-// Item are thin adapters materialized on demand (O(Horizon) slice headers,
-// zero copying), while the hot loops — frontier expansion, decomposition
-// bucket scans, summary folds — read the columns directly. See DESIGN.md §5.
+// extended from. A view's heard mask is its cone's, kept once per stored
+// cone by the interner (ptg.Interner.Heard), not per run. No per-run
+// column holds a pointer: round graphs are letters and automaton states
+// are IDs of the chain's compiled adversary (ma.Table), and a run's
+// valence is its root's, kept once per input vector on the base frontier.
+// There is no per-item object: a run's Views, Run and Item are thin
+// adapters materialized on demand (O(Horizon) slice headers, zero
+// copying), while the hot loops — frontier expansion, decomposition bucket
+// scans, summary folds — read the columns directly. See DESIGN.md §5.
 package topo
 
 import (
@@ -43,8 +45,8 @@ import (
 )
 
 // frontier is the dense columnar storage of one round of one prefix-space
-// chain: row i of ids/heard (the n-element segment at i·n) is the newest
-// view row of item i, and parentOf/letter link the item to the previous
+// chain: row i of ids (the n-element segment at i·n) is the newest view
+// row of item i, and parentOf/letter link the item to the previous
 // round's frontier. Frontiers are immutable once built and shared between
 // a space and its extensions, so earlier rounds are never copied — the
 // chain is the columnar replacement of the per-item cloned row headers
@@ -53,10 +55,8 @@ type frontier struct {
 	horizon int
 	n       int
 	count   int
-	// ids[i*n+p] is the ViewID of process p in item i at this horizon;
-	// heard[i*n+p] its heard-bitmask.
-	ids   []ptg.ViewID
-	heard []uint64
+	// ids[i*n+p] is the ViewID of process p in item i at this horizon.
+	ids []ptg.ViewID
 	// letter[i] is the letter of item i's round-horizon graph in the
 	// chain's compiled adversary (base.auto); nil at horizon 0.
 	letter []int32
@@ -73,7 +73,11 @@ type frontier struct {
 	// auto is the chain's compiled adversary; set only on the horizon-0
 	// frontier. Every round's letters and every space's states index it.
 	auto *ma.Table
-	prev *frontier
+	// interner is the chain's interner, set only on the horizon-0
+	// frontier: every round's views are its IDs, and their heard masks
+	// its Heard. Pages derive and verify their heard column through it.
+	interner *ptg.Interner
+	prev     *frontier
 	// base is the horizon-0 frontier of the chain (itself at horizon 0),
 	// cached so input lookups need no chain walk.
 	base *frontier
@@ -99,9 +103,6 @@ type frontier struct {
 
 // idRow returns the ViewID row of item i (aliases the column; read-only).
 func (f *frontier) idRow(i int) []ptg.ViewID { return f.ids[i*f.n : (i+1)*f.n] }
-
-// heardRow returns the heard-bitmask row of item i (aliases the column).
-func (f *frontier) heardRow(i int) []uint64 { return f.heard[i*f.n : (i+1)*f.n] }
 
 // Item is one admissible run prefix of a Space, materialized by Space.Item
 // for callers that want the pre-columnar object view. The hot paths never
@@ -279,15 +280,15 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	})
 	count := len(inputs)
 	fr := &frontier{
-		horizon: 0,
-		n:       n,
-		count:   count,
-		ids:     make([]ptg.ViewID, count*n),
-		heard:   make([]uint64, count*n),
-		rootOf:  make([]int32, count),
-		inputs:  inputs,
-		valence: valence,
-		auto:    ma.Compile(adv),
+		horizon:  0,
+		n:        n,
+		count:    count,
+		ids:      make([]ptg.ViewID, count*n),
+		rootOf:   make([]int32, count),
+		inputs:   inputs,
+		valence:  valence,
+		auto:     ma.Compile(adv),
+		interner: interner,
 	}
 	fr.base = fr
 	fr.idLo = interner.IDBound()
@@ -307,7 +308,6 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	for i, w := range inputs {
 		for p := 0; p < n; p++ {
 			fr.ids[i*n+p] = interner.Leaf(p, w[p])
-			fr.heard[i*n+p] = 1 << uint(p)
 		}
 		fr.rootOf[i] = int32(i)
 	}
@@ -371,20 +371,17 @@ func (s *Space) ViewAt(i, p int) ptg.ViewID {
 }
 
 // HeardByAll returns the bitmask of processes heard by every process in
-// item i at the space's horizon — a fold over one column row.
+// item i at the space's horizon — a fold of the heard masks of one view
+// row.
 func (s *Space) HeardByAll(i int) uint64 {
 	s.fr.fault()
-	acc := graph.AllNodes(s.fr.n)
-	for _, h := range s.fr.heardRow(i) {
-		acc &= h
-	}
-	return acc
+	return s.heardByAll(s.fr.idRow(i))
 }
 
 // HeardByAllAt is HeardByAll at an earlier round t ≤ Horizon: it walks the
-// frontier chain up to item i's round-t ancestor and folds that heard row
+// frontier chain up to item i's round-t ancestor and folds that view row
 // in place — no Views adapter, no allocation. Callers that only need the
-// horizon row should use HeardByAll (a direct column read).
+// horizon row should use HeardByAll.
 func (s *Space) HeardByAllAt(i, t int) uint64 {
 	f, idx := s.fr, i
 	for f.horizon > t {
@@ -393,9 +390,14 @@ func (s *Space) HeardByAllAt(i, t int) uint64 {
 		f = f.prev
 	}
 	f.fault()
-	acc := graph.AllNodes(f.n)
-	for _, h := range f.heardRow(idx) {
-		acc &= h
+	return s.heardByAll(f.idRow(idx))
+}
+
+// heardByAll folds the heard masks of a view row.
+func (s *Space) heardByAll(row []ptg.ViewID) uint64 {
+	acc := graph.AllNodes(len(row))
+	for _, id := range row {
+		acc &= s.Interner.Heard(id)
 	}
 	return acc
 }
@@ -429,19 +431,17 @@ func (s *Space) Inputs(i int) []int {
 // extended — new rows are appended without touching the shared columns.
 func (s *Space) ViewsOf(i int) *ptg.Views {
 	ids := make([][]ptg.ViewID, s.Horizon+1)
-	heard := make([][]uint64, s.Horizon+1)
 	f, idx := s.fr, i
 	for {
 		f.fault()
 		ids[f.horizon] = f.idRow(idx)
-		heard[f.horizon] = f.heardRow(idx)
 		if f.prev == nil {
 			break
 		}
 		idx = int(f.parentOf[idx])
 		f = f.prev
 	}
-	return ptg.ViewsFromRows(s.Interner, ids, heard)
+	return ptg.ViewsFromRows(s.Interner, ids)
 }
 
 // RunOf materializes the run prefix of item i: inputs via the root column,

@@ -185,39 +185,34 @@ func (s *Space) twinElems(i int) []int {
 
 // PseudoViews materializes the Views adapter of the twin σ_k·(run i): the
 // representative's rows with every id relabeled by k and every position
-// permuted — process σ(p) of the twin holds the relabeled
-// view of the rep's process p, and its heard mask is the rep's mask with
-// the bits renamed. This is a cold path (pair scans, witness expansion);
-// per-call allocation mirrors ViewsOf.
+// permuted — process σ(p) of the twin holds the relabeled view of the
+// rep's process p, whose heard mask (Interner.Heard) is the rep's mask
+// with the bits renamed. This is a cold path (pair scans, witness
+// expansion); per-call allocation mirrors ViewsOf.
 func (s *Space) PseudoViews(i, k int) *ptg.Views {
 	if k == 0 {
 		return s.ViewsOf(i)
 	}
-	perm := s.sym.group.Elem(k)
 	inv := s.sym.group.Inv(k)
 	in := s.Interner
 	n := s.fr.n
 	ids := make([][]ptg.ViewID, s.Horizon+1)
-	heard := make([][]uint64, s.Horizon+1)
 	f, idx := s.fr, i
 	for {
 		f.fault()
-		src, srcHeard := f.idRow(idx), f.heardRow(idx)
+		src := f.idRow(idx)
 		row := make([]ptg.ViewID, n)
-		hrow := make([]uint64, n)
 		for p := 0; p < n; p++ {
 			row[p] = in.Relabel(src[inv[p]], k)
-			hrow[p] = graph.PermuteMask(srcHeard[inv[p]], perm)
 		}
 		ids[f.horizon] = row
-		heard[f.horizon] = hrow
 		if f.prev == nil {
 			break
 		}
 		idx = int(f.parentOf[idx])
 		f = f.prev
 	}
-	return ptg.ViewsFromRows(s.Interner, ids, heard)
+	return ptg.ViewsFromRows(s.Interner, ids)
 }
 
 // PseudoRun materializes the run prefix of the twin σ_k·(run i): the

@@ -362,20 +362,20 @@ func BenchmarkExtendColumnar(b *testing.B) {
 }
 
 // BenchmarkExtendPaged measures the BenchmarkAnalyzerIncremental horizon
-// walk with the frontier paged under a small hot-set budget (2 KiB — a
-// fraction of the all-hot horizon-7 frontier, which the symmetry quotient
-// halves on LossyLink2's order-2 group): cold rounds spill to page files
-// and fault back on demand, so the delta against the incremental bench is
-// the page-IO overhead of out-of-core extension. Each iteration gets a
-// fresh page directory so spills are never served by files a previous
-// iteration wrote.
+// walk with the frontier paged under a small hot-set budget (768 bytes —
+// four fifths of the 959 bytes of pages that rounds 1–6 write under the
+// symmetry quotient of LossyLink2's order-2 group): cold rounds spill to
+// page files and fault back on demand, so the delta against the
+// incremental bench is the page-IO overhead of out-of-core extension. Each
+// iteration gets a fresh page directory so spills are never served by
+// files a previous iteration wrote.
 func BenchmarkExtendPaged(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		pg, err := topocon.NewPager(topocon.PagerConfig{
 			Dir:      b.TempDir(), // fresh per iteration: spills must write, not skip
-			HotBytes: 2 << 10,
+			HotBytes: 768,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -442,9 +442,10 @@ func BenchmarkCheckpointSave(b *testing.B) {
 // shape: lossy-star-4 without the symmetry quotient, extended to horizon 6
 // (65,536 runs) under a 256 KiB pager and snapshotted outside the timer.
 // Every iteration restores the chain from its pages with a fresh pager over
-// the same directory, as a resuming process does: each page is read and
-// validated, and every run's automaton state is looked up from its
-// parent's state and its round graph.
+// the same directory, as a resuming process does: each page of views is
+// read and validated, every run's links and automaton state are derived
+// from its parent's state, and every view's heard mask is checked against
+// its round graph.
 func BenchmarkRestoreChain(b *testing.B) {
 	const horizon = 6
 	ctx := context.Background()
@@ -458,7 +459,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rounds, err := s.SnapshotChain()
+	rounds, rows, err := s.SnapshotChain()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,7 +479,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 			b.Fatal(err)
 		}
 		r, err := topo.RestoreChain(topo.ChainSpec{
-			Adversary: star, InputDomain: 2, Interner: interner, Pager: pg, Rounds: rounds,
+			Adversary: star, InputDomain: 2, Interner: interner, Pager: pg, Rounds: rounds, RowDigest: rows,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -411,14 +411,18 @@ func TestAnalyzerRetention(t *testing.T) {
 	t.Run("no-pager", func(t *testing.T) {
 		replaysEveryHorizon(t, runDeep(t, func(*Analyzer) {}))
 	})
-	// Under a 1-byte budget every interior round is spilled, so the replay
-	// faults each one back from its page.
+	// Under a 1-byte budget every interior round's views are evicted, so
+	// reading a replayed space's views faults its round back from its page.
 	t.Run("pager-rehydrates", func(t *testing.T) {
 		pg, err := pager.New(pager.Config{Dir: t.TempDir(), HotBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		replaysEveryHorizon(t, runDeep(t, func(*Analyzer) {}, WithPager(pg)))
+		a := runDeep(t, func(*Analyzer) {}, WithPager(pg))
+		replaysEveryHorizon(t, a)
+		for horizon := 1; horizon < maxHorizon; horizon++ {
+			a.SpaceAt(horizon).ViewAt(0, 0)
+		}
 		if st := pg.Stats(); st.PagesFaulted == 0 {
 			t.Errorf("no page faulted: %+v", st)
 		}

@@ -17,14 +17,14 @@ import (
 // and are carried by reference (internal/ckpt frames, checksums and
 // validates the whole on disk).
 //
-// Automaton states and decompositions are deliberately absent (ma.State is
-// opaque, and a decomposition is a function of its space): restore
-// recomputes the states by deterministic replay over the persisted round
-// graphs, decomposes the restored head, and — when a separation horizon
-// was already found — decomposes that horizon and recompiles the decision
-// map from it, which reproduces it exactly (DecomposeCtx and
-// BuildDecisionMap are deterministic and the imported interner reassigns
-// identical ViewIDs).
+// Run links, automaton states and decompositions are deliberately absent
+// (ma.State is opaque, and the rest is a function of the adversary and the
+// persisted views): restore recomputes the links and states by
+// deterministic replay of the compiled adversary, decomposes the restored
+// head, and — when a separation horizon was already found — decomposes
+// that horizon and recompiles the decision map from it, which reproduces
+// it exactly (DecomposeCtx and BuildDecisionMap are deterministic and the
+// imported interner reassigns identical ViewIDs).
 type SessionSnapshot struct {
 	// Options are the session's resolved options; a resume must run under
 	// exactly these (the checkpoint is only valid for the configuration
@@ -32,9 +32,12 @@ type SessionSnapshot struct {
 	Options Options `json:"options"`
 
 	// Horizon is the deepest fully-analysed horizon; Rounds reference its
-	// frontier chain's persisted pages, horizons 1..Horizon ascending.
-	Horizon int               `json:"horizon"`
-	Rounds  []topo.ChainRound `json:"rounds"`
+	// frontier chain's persisted pages, horizons 1..Horizon ascending, and
+	// RowDigest is the chain's row digest (topo.Space.SnapshotChain), which
+	// a resume under a respelled adversary does not reproduce.
+	Horizon   int               `json:"horizon"`
+	Rounds    []topo.ChainRound `json:"rounds"`
+	RowDigest string            `json:"rowDigest"`
 
 	SeparationHorizon int `json:"separationHorizon"`
 	BroadcastHorizon  int `json:"broadcastHorizon"`
@@ -56,7 +59,7 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 	if a.finished {
 		return nil, errors.New("check: Snapshot of a finished session (persist the verdict instead)")
 	}
-	rounds, err := a.cur.SnapshotChain()
+	rounds, rows, err := a.cur.SnapshotChain()
 	if err != nil {
 		return nil, err
 	}
@@ -64,6 +67,7 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 		Options:           a.opts,
 		Horizon:           a.cur.Horizon,
 		Rounds:            rounds,
+		RowDigest:         rows,
 		SeparationHorizon: a.res.SeparationHorizon,
 		BroadcastHorizon:  a.res.BroadcastHorizon,
 	}
@@ -79,8 +83,8 @@ func (a *Analyzer) Snapshot() (*SessionSnapshot, error) {
 // it came earlier: the resumed verdict rests on the validated pages and
 // interner alone.
 //
-// Validation is strict and structural: chain shape and page checksums
-// fail the restore cleanly. Caller-level validation — adversary
+// Validation is strict and structural: chain shape, page checksums, heard
+// masks and the row digest fail the restore cleanly. Caller-level validation — adversary
 // fingerprint, options match — is internal/ckpt's job; pass extra options
 // (WithProgress, …) for the new process's observers only, never to change
 // the analysis configuration.
@@ -113,6 +117,7 @@ func RestoreAnalyzer(adv ma.Adversary, snap *SessionSnapshot, interner *ptg.Inte
 		Interner:    interner,
 		Pager:       pg,
 		Rounds:      snap.Rounds,
+		RowDigest:   snap.RowDigest,
 		// The quotient is derived state (pages are symmetry-agnostic): the
 		// restored chain re-derives the same group from the same adversary
 		// and options, so representative selection replays identically.

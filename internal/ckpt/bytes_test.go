@@ -24,13 +24,13 @@ import (
 func TestCheckpointBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"S3/5/interner":      "690252f015a100da10fc16cd10cfcf77780d75a4910f474e7b85034bc108e3c8",
-		"S3/5/pages":         "349764ecdb7ca6c47f2609f515f178b8db404c25f7009085bafd682ffaba0754",
+		"S3/5/pages":         "4e486ffbd3b6671a48959a57e0e05a46f444ed23fbe3e9b5a9bfc20ab29e26bf",
 		"S3/6/interner":      "136260d0972ed72916627691e78716c703adc29113fccd69438122095689b7bc",
-		"S3/6/pages":         "2dd33aebbb5bef5c32049fe1f9325a52a47678f769757b1697d1cdc5f7e9bade",
+		"S3/6/pages":         "bb3e84137696fd28e0a2bb40b4007b1b9c3d00313d46fc3eb821f9a65696422e",
 		"trivial/5/interner": "f4f22334aa24777012f8c7a68a9890e0887f1236455174eacfe0be2c35cb81e9",
-		"trivial/5/pages":    "15de4130a8e3815f2478c8594c36aa7517573d675f440b0270dce5bbdd92e748",
+		"trivial/5/pages":    "dede212511b0e432e425bcce5838999d9aa51fa2cb281745987d89f0f609dbb0",
 		"trivial/6/interner": "91a600166a7158bbc01c5fdbf331fafbc5a5c6e28ce7fccd4fccf4c36517055f",
-		"trivial/6/pages":    "f10a28582466ea7c59faccc05fb849844c1f43018006a859d11f33faabaf8d18",
+		"trivial/6/pages":    "e295e047e694dab38acf0db97707e38bd5bd9129024e3159d9c9fb4b7dcd2646",
 	}
 	for _, noSym := range []bool{false, true} {
 		group := "S3"

@@ -6,22 +6,33 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 7, line-framed like internal/store records):
+// Manifest format (version 8, line-framed like internal/store records):
 //
-//	topocon-ckpt 7
+//	topocon-ckpt 8
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
 //	crc32 <8 lowercase hex digits, IEEE, over the four lines above>
 //
-// Version 7 drops the session meta's "retain" field: a session keeps only
-// its deepest and separation spaces, so there is no retention to restore.
-// Older checkpoints — version 1 (full, unquotiented frontiers), version 2
+// for example, LossyLink3 saved at horizon 2 of 4 (fingerprint, options
+// and digest abridged):
+//
+//	topocon-ckpt 8
+//	fingerprint 757f97d42ea2a449…
+//	interner 169 07063510
+//	meta {"options":{…},"horizon":2,"rounds":[{"horizon":1,"count":7,"pageID":"round-001","bytes":17},{"horizon":2,"count":19,"pageID":"round-002","bytes":41}],"rowDigest":"21aa27eea18e2107…","separationHorizon":-1,"broadcastHorizon":-1}
+//	crc32 68dff037
+//
+// Version 8 pages hold a round's header and view IDs only; a resume
+// rebuilds the run links by replay and checks the rows it compiled
+// against the chain's row digest ("rowDigest" in the meta). Older
+// checkpoints — version 1 (full, unquotiented frontiers), version 2
 // (quotiented sessions under the relabel-memo ID scheme), version 3
 // (decompositions over pseudo-items), version 4 (meta with a
 // "parallelism" field), version 5 (meta with "decomp" and "sepDecomp"
-// fields) and version 6 (meta with a "retain" field) — are quarantined and
-// recomputed rather than resumed (see manifestVersion).
+// fields), version 6 (meta with a "retain" field) and version 7 (pages
+// with heard masks, a graph dictionary and run links) — are quarantined
+// and recomputed rather than resumed (see manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -60,15 +71,17 @@ import (
 )
 
 const (
-	// manifestVersion 7 marks checkpoints whose session meta holds neither
-	// a retention count nor a decomposition; decoding rejects unknown
-	// fields, so a v6 meta (with "retain"), a v5 meta (with "decomp") or a
-	// v4 meta (with "parallelism") would not decode anyway. A v3 snapshot
-	// of a quotiented session holds a pseudo-item partition (|G| labels
-	// per item), v2 view IDs of the relabel-memo scheme, and v1 pages the
+	// manifestVersion 8 marks checkpoints whose pages hold view IDs only
+	// and whose session meta carries the row digest; a v7 page holds four
+	// more columns and would fail page decoding, and a v7 meta lacks the
+	// digest. Decoding rejects unknown fields, so a v6 meta (with
+	// "retain"), a v5 meta (with "decomp") or a v4 meta (with
+	// "parallelism") would not decode anyway. A v3 snapshot of a
+	// quotiented session holds a pseudo-item partition (|G| labels per
+	// item), v2 view IDs of the relabel-memo scheme, and v1 pages the
 	// full, unquotiented frontier; resuming any of them would be wrong.
 	// Older manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 7
+	manifestVersion = 8
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"

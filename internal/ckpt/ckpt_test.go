@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,30 +204,38 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		"interner-bitflip":   func(t *testing.T, dir string) { mutate(t, internerPath(dir), false) },
 		"page-truncated":     func(t *testing.T, dir string) { mutate(t, pageFile(t, dir), true) },
 		"page-bitflip":       func(t *testing.T, dir string) { mutate(t, pageFile(t, dir), false) },
-		// A well-formed page with a valid checksum whose round plays a
-		// graph the adversary never offers (LossyLink3 never drops both
-		// messages) must not resume.
+		// A well-formed page with a valid checksum whose first run's
+		// processes each heard only themselves, as under a graph the
+		// adversary never offers (LossyLink3 never drops both messages),
+		// must not resume.
 		"page-unoffered-graph": func(t *testing.T, dir string) {
-			rewritePage(t, pageFile(t, dir), func(p *framedPage) {
-				p.dict[0] = []uint64{0b01, 0b10} // each process hears only itself
+			in := importInterner(t, dir)
+			rewritePage(t, pageFile(t, dir), func(n int, ids []uint64) {
+				for p := 0; p < n; p++ {
+					k := p
+					for k < len(ids) && in.Heard(ptg.ViewID(ids[k])) != 1<<uint(p) {
+						k += n
+					}
+					if k >= len(ids) {
+						t.Fatalf("no view of process %d that heard only itself", p)
+					}
+					ids[p] = ids[k]
+				}
 			})
 		},
 		// A well-formed page with a valid checksum in which a run repeats
-		// its sibling — same graph, same views — in place of another run
-		// keeps the round's size and plays only offered graphs, but is
-		// not what extension produces; it must not resume. The parent
-		// has three children, so its stabilizer is trivial and every
-		// child's is too: only the order of the runs gives the page away.
+		// the views of the run before it keeps the round's size and holds
+		// only views the interner handed out, but is not what extension
+		// produces; it must not resume. The two runs' views heard
+		// different processes, so the repeat cannot fit both round graphs.
 		"page-duplicate-child": func(t *testing.T, dir string) {
-			rewritePage(t, pageFile(t, dir), func(p *framedPage) {
+			in := importInterner(t, dir)
+			rewritePage(t, pageFile(t, dir), func(n int, ids []uint64) {
 				c := 0
-				for p.parentOf[c] != p.parentOf[c+2] || p.graph[c] == p.graph[c+1] {
+				for heardRow(in, ids[c*n:(c+1)*n]) == heardRow(in, ids[(c+1)*n:(c+2)*n]) {
 					c++
 				}
-				n := len(p.dict[0])
-				copy(p.ids[(c+1)*n:(c+2)*n], p.ids[c*n:(c+1)*n])
-				copy(p.heard[(c+1)*n:(c+2)*n], p.heard[c*n:(c+1)*n])
-				p.graph[c+1] = p.graph[c]
+				copy(ids[(c+1)*n:(c+2)*n], ids[c*n:(c+1)*n])
 			})
 		},
 		"interner-missing": func(t *testing.T, dir string) { os.Remove(internerPath(dir)) },
@@ -263,6 +272,10 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// A version-6 checkpoint's meta carries the retired space-retention
 		// count ("retain"); it must be recomputed, not resumed.
 		"version-6": func(t *testing.T, dir string) { resealManifest(t, dir, 6) },
+		// A version-7 checkpoint's pages carry heard masks, a graph
+		// dictionary and run links, and its meta no row digest; it must be
+		// recomputed, not resumed.
+		"version-7": func(t *testing.T, dir string) { resealManifest(t, dir, 7) },
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -288,23 +301,12 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
-// framedPage is a frontier page's payload, decoded: the header, the
-// per-run view IDs and heard masks (n per run), the graph dictionary (n
-// in-masks per graph), each run's dictionary index, parent and root.
-type framedPage struct {
-	header                []uint64
-	ids, heard            []uint64
-	dict                  [][]uint64
-	graph, parentOf, root []uint64
-}
-
-// rewritePage decodes a frontier page file, lets edit change the payload,
-// and writes it back as the page writer would: the dictionary rebuilt in
-// first-occurrence order over the graphs the runs use, and the file
-// resealed with a valid checksum. The file is the magic line, the
-// uvarint-framed page id and payload, then the CRC32 of everything before
-// it.
-func rewritePage(t *testing.T, path string, edit func(*framedPage)) {
+// rewritePage decodes a frontier page file, lets edit change its view IDs
+// (n per run), and writes it back resealed with a valid checksum, as the
+// page writer would. The file is the magic line, the uvarint-framed page
+// id and payload, then the CRC32 of everything before it; the payload is
+// the header (horizon, n, count) and the view IDs.
+func rewritePage(t *testing.T, path string, edit func(n int, ids []uint64)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -319,58 +321,49 @@ func rewritePage(t *testing.T, path string, edit func(*framedPage)) {
 		pos += k
 		return v
 	}
-	list := func(k uint64) []uint64 {
-		out := make([]uint64, k)
-		for i := range out {
-			out[i] = uvarint()
-		}
-		return out
-	}
 	pos += int(uvarint()) // the page id
 	framed := pos
 	uvarint() // the payload length
-	p := &framedPage{header: list(3)}
-	n, count := p.header[1], p.header[2]
-	p.ids, p.heard = list(count*n), list(count*n)
-	p.dict = make([][]uint64, uvarint())
-	for i := range p.dict {
-		p.dict[i] = list(n)
+	header := []uint64{uvarint(), uvarint(), uvarint()}
+	ids := make([]uint64, header[1]*header[2])
+	for i := range ids {
+		ids[i] = uvarint()
 	}
-	p.graph, p.parentOf, p.root = list(count), list(count), list(count)
-	edit(p)
+	edit(int(header[1]), ids)
 
 	var payload []byte
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			payload = binary.AppendUvarint(payload, v)
-		}
+	for _, v := range append(header, ids...) {
+		payload = binary.AppendUvarint(payload, v)
 	}
-	put(p.header...)
-	put(p.ids...)
-	put(p.heard...)
-	entry := map[uint64]uint64{} // old dictionary index -> new
-	var dict []uint64
-	for _, g := range p.graph {
-		if _, ok := entry[g]; !ok {
-			entry[g] = uint64(len(dict))
-			dict = append(dict, g)
-		}
-	}
-	put(uint64(len(dict)))
-	for _, g := range dict {
-		put(p.dict[g]...)
-	}
-	for _, g := range p.graph {
-		put(entry[g])
-	}
-	put(p.parentOf...)
-	put(p.root...)
 	out := binary.AppendUvarint(data[:framed:framed], uint64(len(payload)))
 	out = append(out, payload...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// importInterner imports the checkpoint's interner blob.
+func importInterner(t *testing.T, dir string) *ptg.Interner {
+	t.Helper()
+	blob, err := os.ReadFile(internerPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := ptg.ImportInterner(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// heardRow returns the heard masks of a run's views, one byte each.
+func heardRow(in *ptg.Interner, ids []uint64) string {
+	out := make([]byte, len(ids))
+	for p, id := range ids {
+		out[p] = byte(in.Heard(ptg.ViewID(id)))
+	}
+	return string(out)
 }
 
 // resealManifest rewrites the checkpoint's manifest under another format
@@ -597,11 +590,14 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 		}
 	}
 	step(resumed, 1) // spills round 4 through the pager
-	// Rehydrating horizon 4 faults rounds 1–3 under the 1 KiB budget, which
-	// evicts round 4, so its views come back from its page file.
+	// Reading a round-3 view faults round 3 under the 1 KiB budget, which
+	// evicts round 4, so the rehydrated horizon 4's views come back from
+	// its page file.
+	resumed.SpaceAt(3).ViewAt(0, 0)
+	faulted := resumed.Pager().Stats().PagesFaulted
 	cold := resumed.SpaceAt(4)
 	if cold == nil || cold == head {
-		t.Fatal("horizon 4 was not rehydrated from its pages")
+		t.Fatal("horizon 4 was not rehydrated")
 	}
 	differ := 0
 	for i := 0; i < cold.Len(); i++ {
@@ -614,7 +610,62 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 	if differ != 0 {
 		t.Fatalf("%d of %d round-4 views read back from disk differ from the session's own", differ, len(want))
 	}
-	if st := resumed.Pager().Stats(); st.PagesFaulted == 0 {
+	if st := resumed.Pager().Stats(); st.PagesFaulted == faulted {
 		t.Fatalf("round 4 never faulted: %+v", st)
+	}
+}
+
+// TestResumeRespelledAdversary pins resumes under a respelling: an
+// oblivious adversary with lossy-star-4's graphs, and so its fingerprint,
+// that lists them in the same order resumes the checkpoint, while one that
+// lists them in another order would put the checkpoint's views onto other
+// runs, so its resume is quarantined and recomputed. Both reach the
+// uninterrupted run's verdict.
+func TestResumeRespelledAdversary(t *testing.T) {
+	star := advgen.LossyStar4()
+	graphs := star.Choices(star.Start())
+	permuted := slices.Clone(graphs)
+	slices.Reverse(permuted)
+	opts := check.Options{MaxHorizon: 6}
+	want, _, err := RunCheck(context.Background(), star, Config{Dir: filepath.Join(t.TempDir(), "fresh")}, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		graphs  []graph.Graph
+		resumes bool
+	}{
+		{"same-order", graphs, true},
+		{"permuted", permuted, false},
+	} {
+		respelled := ma.MustOblivious(tc.name, tc.graphs...)
+		if ma.Fingerprint(respelled, opts.MaxHorizon) != ma.Fingerprint(star, opts.MaxHorizon) {
+			t.Fatalf("%s: the respelling changes the fingerprint", tc.name)
+		}
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if !interruptedRun(t, star, dir, opts, 5) {
+			t.Fatal("setup run was not interrupted")
+		}
+		if _, err := Load(dir, respelled, 0); tc.resumes != (err == nil) || !tc.resumes && !errors.Is(err, ErrNoCheckpoint) {
+			t.Fatalf("%s: Load: %v", tc.name, err)
+		}
+		entries, _ := os.ReadDir(filepath.Join(dir, quarantineName))
+		if quarantined := len(entries) > 0; quarantined == tc.resumes {
+			t.Errorf("%s: quarantined=%v, want %v", tc.name, quarantined, !tc.resumes)
+		}
+		got, info, err := RunCheck(context.Background(), respelled, Config{Dir: dir}, opts, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if info.Resumed != tc.resumes || tc.resumes && info.ResumedAt != 5 {
+			t.Errorf("%s: resumed=%v at horizon %d, want resumed=%v", tc.name, info.Resumed, info.ResumedAt, tc.resumes)
+		}
+		if got.Verdict != want.Verdict || got.SeparationHorizon != want.SeparationHorizon ||
+			got.BroadcastHorizon != want.BroadcastHorizon || got.Broadcaster != want.Broadcaster {
+			t.Errorf("%s: %v sep=%d bcast=%d p*=%d, uninterrupted %v sep=%d bcast=%d p*=%d", tc.name,
+				got.Verdict, got.SeparationHorizon, got.BroadcastHorizon, got.Broadcaster,
+				want.Verdict, want.SeparationHorizon, want.BroadcastHorizon, want.Broadcaster)
+		}
 	}
 }

@@ -1,6 +1,12 @@
 package ma
 
-import "topocon/internal/graph"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+
+	"topocon/internal/graph"
+)
 
 // Table is an adversary compiled to integers for one analysis session: its
 // reachable states get dense IDs (the start state is 0), the distinct
@@ -54,12 +60,6 @@ func (t *Table) Graph(l int32) graph.Graph { return t.alphabet[l] }
 // may compile; the returned slice must not be mutated.
 func (t *Table) Alphabet() []graph.Graph { return t.alphabet }
 
-// Letter returns the letter of g, and false when no compiled row offers g.
-func (t *Table) Letter(g graph.Graph) (int32, bool) {
-	l, ok := t.letters[g.Key()]
-	return l, ok
-}
-
 // Row returns state s's row, compiling it on first use. The row's slices
 // must not be mutated.
 func (t *Table) Row(s int32) Row {
@@ -69,16 +69,26 @@ func (t *Table) Row(s int32) Row {
 	return t.rows[s]
 }
 
-// Step returns the state that playing letter l in state s leads to, and
-// false when s does not offer l.
-func (t *Table) Step(s, l int32) (int32, bool) {
-	r := t.Row(s)
-	for j, x := range r.Letters {
-		if x == l {
-			return r.Next[j], true
+// RowDigest returns a hex-encoded SHA-256 over the rows compiled so far, in
+// state-ID order: for each compiled state its ID and Done flag, then each
+// choice's graph (graph.Key) and successor ID in row order. Rows compile in
+// first-reach order, so two tables that compiled the same rows of one
+// spelling of an adversary digest equally; a spelling that lists some
+// state's choices in another order, or numbers its states otherwise,
+// digests differently even under the same Fingerprint.
+func (t *Table) RowDigest() string {
+	h := sha256.New()
+	for s, r := range t.rows {
+		if r.Letters == nil {
+			continue
 		}
+		fmt.Fprintf(h, "%d %t:", s, t.done[s])
+		for j, l := range r.Letters {
+			fmt.Fprintf(h, " %s>%d", t.alphabet[l].Key(), r.Next[j])
+		}
+		h.Write([]byte{'\n'})
 	}
-	return 0, false
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // compileRow asks the adversary for state s's choices and successors. The

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestTableCallsPerChoice(t *testing.T) {
 		for i := 0; i < anc.Len(); i++ {
 			anc.RunOf(i)
 		}
-		rounds := mustSnapshotChain(t, s)
+		rounds, rows := mustSnapshotChain(t, s)
 		if len(adv.choices) < 2 {
 			t.Fatalf("%s: %d states reached, want a stateful adversary", base.Name(), len(adv.choices))
 		}
@@ -132,7 +133,7 @@ func TestTableCallsPerChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored, err := RestoreChain(ChainSpec{
-			Adversary: restoredAdv, InputDomain: 2, Interner: reimport(t, in), Pager: pg2, Rounds: rounds,
+			Adversary: restoredAdv, InputDomain: 2, Interner: reimport(t, in), Pager: pg2, Rounds: rounds, RowDigest: rows,
 		})
 		if err != nil {
 			t.Fatalf("%s: RestoreChain: %v", base.Name(), err)
@@ -144,52 +145,48 @@ func TestTableCallsPerChoice(t *testing.T) {
 	}
 }
 
-// TestRestoreChainRejectsUnofferedGraph pins that a restore checks every
-// round graph against the automaton: a page that is well formed, with a
-// valid checksum, but plays a graph some state offers while the run's
-// parent state does not, fails RestoreChain instead of resuming a run the
-// adversary does not admit.
-func TestRestoreChainRejectsUnofferedGraph(t *testing.T) {
-	ctx := context.Background()
-	adv := statefulAdversaries()[0]
-	in := ptg.NewInterner()
-	s, err := BuildCtx(ctx, adv, 2, 4, Config{Pager: newTestChainPager(t, 0), Interner: in})
-	if err != nil {
-		t.Fatal(err)
+// respelledAdversary lists the choices of every state but the start state
+// in reverse order: the same language, so the same ma.Fingerprint, but
+// other rows from round 2 on.
+type respelledAdversary struct{ ma.Adversary }
+
+func (r respelledAdversary) Choices(s ma.State) []graph.Graph {
+	gs := r.Adversary.Choices(s)
+	if s == r.Adversary.Start() {
+		return gs
 	}
-	auto := s.fr.base.auto
-	// Find the deepest round with a run whose parent state does not offer
-	// some graph of the alphabet, and play that graph instead.
-	target := -1
-	var payload []byte
-	for f := s.fr; f.horizon > 1 && target < 0; f = f.prev {
-		parents, err := s.AncestorAt(f.horizon - 1)
+	out := slices.Clone(gs)
+	slices.Reverse(out)
+	return out
+}
+
+// TestRestoreChainRejectsRowDigestMismatch pins that a restore checks the
+// chain's compiled rows, not only its pages: an adversary with the
+// checkpointed one's fingerprint that lists some state's choices in
+// another order must not resume the chain. A horizon-1 chain under a
+// respelling of every row but the start state's replays exactly as
+// extension built it — the same runs, views and heard masks — so only the
+// row digest, which covers the head states' rows too, tells them apart.
+func TestRestoreChainRejectsRowDigestMismatch(t *testing.T) {
+	for _, adv := range statefulAdversaries() {
+		respelled := respelledAdversary{adv}
+		if ma.Fingerprint(adv, 4) != ma.Fingerprint(respelled, 4) {
+			t.Fatalf("%s: the respelling changes the fingerprint", adv.Name())
+		}
+		in := ptg.NewInterner()
+		s, err := BuildCtx(context.Background(), adv, 2, 1, Config{Interner: in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.ensure(); err != nil {
-			t.Fatal(err)
+		spec := rewriteChain(t, s, 0, nil) // every round's own page
+		spec.Interner = reimport(t, in)
+		if _, err := RestoreChain(spec); err != nil {
+			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)
 		}
-		for c := 0; c < f.count && target < 0; c++ {
-			ps := parents.state[f.parentOf[c]]
-			for l := range auto.Alphabet() {
-				if _, ok := auto.Step(ps, int32(l)); !ok {
-					bad := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
-						ids: f.ids, parentOf: f.parentOf, rootOf: f.rootOf,
-						letter: append([]int32(nil), f.letter...)}
-					bad.letter[c] = int32(l)
-					payload, target = bad.encodeColumns(), f.horizon
-					break
-				}
-			}
+		spec = rewriteChain(t, s, 0, nil)
+		spec.Adversary, spec.Interner = respelled, reimport(t, in)
+		if _, err := RestoreChain(spec); err == nil || !strings.Contains(err.Error(), "row digest") {
+			t.Errorf("%s: RestoreChain under a respelling: %v, want a row digest mismatch", adv.Name(), err)
 		}
-	}
-	if target < 0 {
-		t.Fatalf("%s: every state offers every graph; the test needs one that does not", adv.Name())
-	}
-	rounds, pg := rewriteChain(t, s, target, payload)
-	_, err = RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg, Rounds: rounds})
-	if err == nil || !strings.Contains(err.Error(), "does not offer") {
-		t.Fatalf("RestoreChain of a round-%d page playing an unoffered graph: %v, want a rejection", target, err)
 	}
 }

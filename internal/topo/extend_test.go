@@ -354,7 +354,7 @@ func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(
 		for s.Horizon < horizon {
 			s = extend(s)
 		}
-		rounds := mustSnapshotChain(t, s)
+		rounds, rows := mustSnapshotChain(t, s)
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -365,6 +365,7 @@ func restoredStart(adv ma.Adversary, horizon int) func(*testing.T, Config, func(
 			Interner:    reimport(t, s.Interner),
 			Pager:       pg2,
 			Rounds:      rounds,
+			RowDigest:   rows,
 			Symmetry:    cfg.Symmetry,
 		})
 		if err != nil {
@@ -392,7 +393,7 @@ func TestRestoreChainRecordsConeRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds := mustSnapshotChain(t, s)
+			rounds, rows := mustSnapshotChain(t, s)
 			pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 1 << 20})
 			if err != nil {
 				t.Fatal(err)
@@ -403,6 +404,7 @@ func TestRestoreChainRecordsConeRange(t *testing.T) {
 				Interner:    reimport(t, s.Interner),
 				Pager:       pg2,
 				Rounds:      rounds,
+				RowDigest:   rows,
 				Symmetry:    sym,
 			})
 			if err != nil {

@@ -11,9 +11,9 @@ import (
 	"topocon/internal/ptg"
 )
 
-// FuzzFrontierPage feeds arbitrary payloads to decodeColumns against one
-// round of a small chain (LossyLink2 at horizon 2): every input must yield
-// an error or columns that encodeColumns writes back byte for byte — never
+// FuzzFrontierPage feeds arbitrary payloads to decodeIDs against one round
+// of a small chain (LossyLink2 at horizon 2): every input must yield an
+// error or a view column that encodeIDs writes back byte for byte — never
 // a panic.
 func FuzzFrontierPage(f *testing.F) {
 	s, err := BuildCtx(context.Background(), ma.LossyLink2(), 2, 2, Config{})
@@ -21,17 +21,17 @@ func FuzzFrontierPage(f *testing.F) {
 		f.Fatal(err)
 	}
 	fr := s.fr
-	good := fr.encodeColumns()
+	good := fr.encodeIDs()
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(append(append([]byte(nil), good...), 0))
 	f.Add([]byte{2, 2, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		round := &frontier{horizon: fr.horizon, n: fr.n, count: fr.count, prev: fr.prev, base: fr.base}
-		if round.decodeColumns(data) != nil {
+		if round.decodeIDs(data) != nil {
 			return
 		}
-		if out := round.encodeColumns(); !bytes.Equal(out, data) {
+		if out := round.encodeIDs(); !bytes.Equal(out, data) {
 			t.Fatalf("decode/encode not byte-identical:\n in  %x\n out %x", data, out)
 		}
 	})
@@ -42,8 +42,8 @@ func FuzzFrontierPage(f *testing.F) {
 // framed with a valid checksum by the pager: RestoreChain must fail, or
 // return a chain whose every round matches the original in all but its
 // view IDs — graphs, parents, roots, heard masks, automaton states,
-// obligations and stabilizers. View IDs are guarded by the page checksum
-// and decodeColumns' interner checks, not by replay.
+// obligations and stabilizers. View IDs themselves are guarded by the page
+// checksum and the interner's ID bound, their heard masks by checkHeard.
 func FuzzRestoreChain(f *testing.F) {
 	adv := ma.LossyLink3()
 	sym := ma.Automorphisms(adv)
@@ -63,19 +63,22 @@ func FuzzRestoreChain(f *testing.F) {
 	}
 	// The first input selects the round: 0 replaces round 1's page.
 	for fr := s.fr; fr.horizon > 0; fr = fr.prev {
-		f.Add(uint8(fr.horizon-1), fr.encodeColumns())
+		f.Add(uint8(fr.horizon-1), fr.encodeIDs())
 	}
 	for _, name := range slices.Sorted(maps.Keys(foreignRuns)) {
 		f.Add(uint8(s.Horizon-1), foreignRuns[name](f, s.fr))
 	}
+	// The parent round's page in the head's place.
+	f.Add(uint8(s.Horizon-1), s.fr.prev.encodeIDs())
 	f.Fuzz(func(t *testing.T, round uint8, payload []byte) {
 		target := 1 + int(round)%s.Horizon
-		rounds, pg := rewriteChain(t, s, target, payload)
+		spec := rewriteChain(t, s, target, payload)
 		in, err := ptg.ImportInterner(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: in, Pager: pg, Rounds: rounds, Symmetry: sym})
+		spec.Interner = in
+		got, err := RestoreChain(spec)
 		if err != nil {
 			return
 		}

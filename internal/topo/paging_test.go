@@ -3,7 +3,6 @@ package topo
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -82,7 +81,8 @@ func TestPagedHotBudgetCeiling(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	var maxPage int64
-	for _, cr := range mustSnapshotChain(t, s) {
+	rounds, _ := mustSnapshotChain(t, s)
+	for _, cr := range rounds {
 		if cr.Bytes > maxPage {
 			maxPage = cr.Bytes
 		}
@@ -103,7 +103,7 @@ func TestSnapshottedHeadSpillsWithoutRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	rounds := mustSnapshotChain(t, s)
+	rounds, rows := mustSnapshotChain(t, s)
 	head, err := os.ReadFile(filepath.Join(pg.Dir(), rounds[2].PageID+".page"))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSnapshottedHeadSpillsWithoutRewrite(t *testing.T) {
 	if again, err := os.ReadFile(filepath.Join(pg.Dir(), rounds[2].PageID+".page")); err != nil || !bytes.Equal(again, head) {
 		t.Fatalf("head page file changed after the spill (err %v)", err)
 	}
-	if got := mustSnapshotChain(t, s); got[2] != rounds[2] {
+	if got, _ := mustSnapshotChain(t, s); got[2] != rounds[2] {
 		t.Fatalf("head round reference %+v after the spill, %+v before", got[2], rounds[2])
 	}
 
@@ -135,7 +135,7 @@ func TestSnapshottedHeadSpillsWithoutRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored, err := RestoreChain(ChainSpec{
-		Adversary: ma.LossyLink2(), InputDomain: 2, Interner: reimport(t, s.Interner), Pager: pg2, Rounds: rounds,
+		Adversary: ma.LossyLink2(), InputDomain: 2, Interner: reimport(t, s.Interner), Pager: pg2, Rounds: rounds, RowDigest: rows,
 	})
 	if err != nil {
 		t.Fatalf("RestoreChain: %v", err)
@@ -166,13 +166,13 @@ func reimport(t *testing.T, in *ptg.Interner) *ptg.Interner {
 	return in2
 }
 
-func mustSnapshotChain(t *testing.T, s *Space) []ChainRound {
+func mustSnapshotChain(t *testing.T, s *Space) ([]ChainRound, string) {
 	t.Helper()
-	rounds, err := s.SnapshotChain()
+	rounds, rows, err := s.SnapshotChain()
 	if err != nil {
 		t.Fatalf("SnapshotChain: %v", err)
 	}
-	return rounds
+	return rounds, rows
 }
 
 // TestSnapshotRestoreChain is the core resume invariant at the topo layer:
@@ -199,7 +199,7 @@ func TestSnapshotRestoreChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
-		rounds := mustSnapshotChain(t, s)
+		rounds, rows := mustSnapshotChain(t, s)
 
 		// "New process": fresh interner, fresh pager over the same dir.
 		in2 := reimport(t, in)
@@ -213,6 +213,7 @@ func TestSnapshotRestoreChain(t *testing.T) {
 			Interner:    in2,
 			Pager:       pg2,
 			Rounds:      rounds,
+			RowDigest:   rows,
 		})
 		if err != nil {
 			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)
@@ -243,8 +244,9 @@ func TestSnapshotRestoreChain(t *testing.T) {
 }
 
 // TestRestoreChainRejectsCorruptPages pins the never-a-wrong-resume
-// contract: a truncated or bit-flipped page file fails the restore with a
-// clean error (and quarantines the page), it never yields a wrong chain.
+// contract: pages swapped between rounds, or a round that holds another
+// number of runs than its parents have children, fail the restore with a
+// clean error; they never yield a wrong chain.
 func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 	adv := ma.LossyLink2()
 	dir := t.TempDir()
@@ -257,7 +259,7 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := mustSnapshotChain(t, s)
+	rounds, rows := mustSnapshotChain(t, s)
 	// Swap two rounds' references: header validation must catch it.
 	swapped := append([]ChainRound(nil), rounds...)
 	swapped[0].PageID, swapped[1].PageID = swapped[1].PageID, swapped[0].PageID
@@ -267,20 +269,38 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RestoreChain(ChainSpec{
-		Adversary: adv, InputDomain: 2, Interner: in2, Pager: pg2, Rounds: swapped,
+		Adversary: adv, InputDomain: 2, Interner: in2, Pager: pg2, Rounds: swapped, RowDigest: rows,
 	}); err == nil {
 		t.Fatal("RestoreChain accepted swapped round pages")
 	}
+	// A head round one run short or one run long, its page and its
+	// reference agreeing: its parents have another number of children.
+	head := s.fr
+	for _, delta := range []int{-1, 1} {
+		ids := slices.Clone(head.ids)
+		if delta < 0 {
+			ids = ids[:len(ids)-head.n]
+		} else {
+			ids = append(ids, ids[len(ids)-head.n:]...)
+		}
+		resized := &frontier{horizon: head.horizon, n: head.n, count: head.count + delta, ids: ids}
+		spec := rewriteChain(t, s, head.horizon, resized.encodeIDs())
+		spec.Rounds[head.horizon-1].Count += delta
+		spec.Interner = reimport(t, in)
+		if _, err := RestoreChain(spec); err == nil || !strings.Contains(err.Error(), "its parents have") {
+			t.Errorf("RestoreChain of a head round %+d runs off: %v, want a rejection", delta, err)
+		}
+	}
 }
 
-// TestRestoreChainRejectsForeignRuns pins that a restore checks each round
-// against its parent round as extension built it, not run by run. Each
-// case is a page with a valid checksum that keeps the round's size and
-// plays only offered graphs, but is not what extension produces: a child
-// that repeats its sibling (same graph, same views) in place of another,
-// a heard mask its view does not have (rejected when the page is
-// decoded), a root that is not its parent's. Each must fail the restore
-// instead of resuming a wrong chain.
+// TestRestoreChainRejectsForeignRuns pins that a restore checks each
+// round's views against the runs replay derives for it. Each case is a
+// page with a valid checksum, the round's size and only views of the
+// round's depth that the interner handed out, but not what extension
+// produces: one process's views traded between two sibling runs, and two
+// sibling runs traded whole, as a page that lists its runs in another
+// order would have them. Each must fail the restore instead of resuming a
+// wrong chain.
 func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 	adv := ma.LossyLink2()
 	in := ptg.NewInterner()
@@ -288,15 +308,12 @@ func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]string{
-		"duplicate-child": "is not the child extension produces next",
-		"foreign-heard":   "heard",
-		"foreign-root":    "root",
-	} {
+	for name, edit := range foreignRuns {
 		for _, f := range []*frontier{s.fr.prev, s.fr} {
-			rounds, pg := rewriteChain(t, s, f.horizon, foreignRuns[name](t, f))
-			_, err := RestoreChain(ChainSpec{Adversary: adv, InputDomain: 2, Interner: reimport(t, in), Pager: pg, Rounds: rounds})
-			if err == nil || !strings.Contains(err.Error(), want) {
+			spec := rewriteChain(t, s, f.horizon, edit(t, f))
+			spec.Interner = reimport(t, in)
+			_, err := RestoreChain(spec)
+			if err == nil || !strings.Contains(err.Error(), "its round graph gives") {
 				t.Errorf("%s: RestoreChain of a round-%d page: %v, want a rejection", name, f.horizon, err)
 			}
 		}
@@ -304,78 +321,59 @@ func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 }
 
 // foreignRuns rewrite a round's page into one that decodes but that
-// extension of the round's parents does not produce; runs 0 and 1 must be
-// distinct siblings.
+// extension of the round's parents does not produce. Both trade views
+// between runs c and c+1 of siblingsApart.
 var foreignRuns = map[string]func(testing.TB, *frontier) []byte{
-	// Run 1 becomes a copy of run 0.
-	"duplicate-child": func(tb testing.TB, f *frontier) []byte {
-		return editRound(tb, f, func(g *frontier) {
-			copy(g.ids[f.n:2*f.n], f.ids[:f.n])
-			g.letter[1] = f.letter[0]
+	"foreign-heard": func(tb testing.TB, f *frontier) []byte {
+		c, p := siblingsApart(tb, f)
+		return editIDs(f, func(ids []ptg.ViewID) {
+			a, b := c*f.n+p, (c+1)*f.n+p
+			ids[a], ids[b] = ids[b], ids[a]
 		})
 	},
-	// Process 0 of run 0 hears process 1 or stops hearing it: a round
-	// keeps no heard column, so the page's is rewritten byte by byte.
-	"foreign-heard": func(tb testing.TB, f *frontier) []byte {
-		return editHeard(tb, f, func(heard []uint64) { heard[0] ^= 0b10 })
-	},
-	// Run 0 claims the next input vector as its root.
-	"foreign-root": func(tb testing.TB, f *frontier) []byte {
-		return editRound(tb, f, func(g *frontier) { g.rootOf[0] = (f.rootOf[0] + 1) % int32(f.base.count) })
+	"swapped-siblings": func(tb testing.TB, f *frontier) []byte {
+		c, _ := siblingsApart(tb, f)
+		return editIDs(f, func(ids []ptg.ViewID) {
+			row := slices.Clone(ids[c*f.n : (c+1)*f.n])
+			copy(ids[c*f.n:], ids[(c+1)*f.n:(c+2)*f.n])
+			copy(ids[(c+1)*f.n:], row)
+		})
 	},
 }
 
-// editRound returns the page of a copy of round f that edit changed.
-func editRound(tb testing.TB, f *frontier, edit func(*frontier)) []byte {
+// siblingsApart returns the first run c of round f whose next run is its
+// sibling, and a process p whose views in the two runs have heard
+// different processes.
+func siblingsApart(tb testing.TB, f *frontier) (c, p int) {
 	tb.Helper()
-	if f.parentOf[0] != f.parentOf[1] || f.letter[0] == f.letter[1] {
-		tb.Fatalf("round %d: runs 0 and 1 are not distinct siblings", f.horizon)
-	}
-	g := &frontier{horizon: f.horizon, n: f.n, count: f.count, prev: f.prev, base: f.base,
-		ids:      slices.Clone(f.ids),
-		letter:   slices.Clone(f.letter),
-		parentOf: slices.Clone(f.parentOf),
-		rootOf:   slices.Clone(f.rootOf),
-	}
-	edit(g)
-	return g.encodeColumns()
-}
-
-// editHeard returns round f's page with its heard column, the count·n
-// uvarints after the header and the view IDs, changed by edit.
-func editHeard(tb testing.TB, f *frontier, edit func(heard []uint64)) []byte {
-	tb.Helper()
-	page := f.encodeColumns()
-	pos := 0
-	next := func() uint64 {
-		v, k := binary.Uvarint(page[pos:])
-		if k <= 0 {
-			tb.Fatalf("round %d: bad uvarint at page offset %d", f.horizon, pos)
+	in := f.base.interner
+	for c = 0; c+1 < f.count; c++ {
+		if f.parentOf[c] != f.parentOf[c+1] {
+			continue
 		}
-		pos += k
-		return v
+		for p = 0; p < f.n; p++ {
+			if in.Heard(f.ids[c*f.n+p]) != in.Heard(f.ids[(c+1)*f.n+p]) {
+				return c, p
+			}
+		}
 	}
-	for i := 0; i < 3+f.count*f.n; i++ { // header, then ids
-		next()
-	}
-	start := pos
-	heard := make([]uint64, f.count*f.n)
-	for i := range heard {
-		heard[i] = next()
-	}
-	edit(heard)
-	out := slices.Clone(page[:start])
-	for _, h := range heard {
-		out = binary.AppendUvarint(out, h)
-	}
-	return append(out, page[pos:]...)
+	tb.Fatalf("round %d: no sibling runs whose views heard different processes", f.horizon)
+	return 0, 0
+}
+
+// editIDs returns the page of a copy of round f whose views edit changed.
+func editIDs(f *frontier, edit func(ids []ptg.ViewID)) []byte {
+	g := &frontier{horizon: f.horizon, n: f.n, count: f.count, ids: slices.Clone(f.ids)}
+	edit(g.ids)
+	return g.encodeIDs()
 }
 
 // rewriteChain persists every round of s's chain into a fresh page
 // directory, round target's page replaced by payload, and returns the
-// round references and a fresh pager over that directory, as a resuming
-// process finds them.
-func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ([]ChainRound, *pager.Pager) {
+// spec of that chain, as a resuming process finds it, without its
+// interner: its round references, s's row digest and a fresh pager over
+// that directory.
+func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ChainSpec {
 	tb.Helper()
 	dir := tb.TempDir()
 	pg, err := pager.New(pager.Config{Dir: dir})
@@ -389,7 +387,7 @@ func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ([]ChainR
 			if err := f.ensure(); err != nil {
 				tb.Fatal(err)
 			}
-			p = f.encodeColumns()
+			p = f.encodeIDs()
 		}
 		id := roundPageID(f.horizon)
 		if err := pg.Persist(id, p); err != nil {
@@ -401,7 +399,8 @@ func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ([]ChainR
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return rounds, pg2
+	return ChainSpec{Adversary: s.Adversary, InputDomain: s.InputDomain, Pager: pg2, Rounds: rounds,
+		RowDigest: s.rowDigest(), Symmetry: s.sym.group}
 }
 
 // TestAncestorAt pins SpaceAt-style rehydration: the ancestor view of a
@@ -458,7 +457,7 @@ func TestDecompSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
-		rounds := mustSnapshotChain(t, s)
+		rounds, rows := mustSnapshotChain(t, s)
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
 		if err != nil {
 			t.Fatal(err)
@@ -469,6 +468,7 @@ func TestDecompSnapshotRoundTrip(t *testing.T) {
 			Interner:    reimport(t, in),
 			Pager:       pg2,
 			Rounds:      rounds,
+			RowDigest:   rows,
 		})
 		if err != nil {
 			t.Fatalf("%s: RestoreChain: %v", adv.Name(), err)

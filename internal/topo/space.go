@@ -75,7 +75,7 @@ type frontier struct {
 	auto *ma.Table
 	// interner is the chain's interner, set only on the horizon-0
 	// frontier: every round's views are its IDs, and their heard masks
-	// its Heard. Pages derive and verify their heard column through it.
+	// its Heard. RestoreChain checks restored views' masks through it.
 	interner *ptg.Interner
 	prev     *frontier
 	// base is the horizon-0 frontier of the chain (itself at horizon 0),
@@ -89,9 +89,10 @@ type frontier struct {
 	idLo, idHi int
 
 	// Out-of-core state (see paging.go): once spilled, pg/pageID locate the
-	// persisted copy of the columns, and ids == nil marks them evicted. The
-	// identity fields above (horizon, n, count, prev, base) always stay
-	// resident. nil pg means the round is not paged.
+	// round's page, which holds its ids, and ids == nil marks them evicted.
+	// The identity fields (horizon, n, count, prev, base) and the run links
+	// (letter, parentOf, rootOf) always stay resident. nil pg means the
+	// round is not paged.
 	pg     *pager.Pager
 	pageID string
 	// pageBytes is the payload size of the round's page file when it is on
@@ -385,7 +386,6 @@ func (s *Space) HeardByAll(i int) uint64 {
 func (s *Space) HeardByAllAt(i, t int) uint64 {
 	f, idx := s.fr, i
 	for f.horizon > t {
-		f.fault()
 		idx = int(f.parentOf[idx])
 		f = f.prev
 	}
@@ -412,7 +412,6 @@ func (s *Space) DoneAt(i int) int { return int(s.doneAt[i]) }
 // Valence returns the common input value of item i if it is valent, else
 // -1: its root's, read through the root-ancestor column.
 func (s *Space) Valence(i int) int {
-	s.fr.fault()
 	return int(s.fr.base.valence[s.fr.rootOf[i]])
 }
 
@@ -420,7 +419,6 @@ func (s *Space) Valence(i int) int {
 // root-ancestor column and the chain's cached horizon-0 frontier. The
 // returned slice is shared; callers must not mutate it.
 func (s *Space) Inputs(i int) []int {
-	s.fr.fault()
 	return s.fr.base.inputs[s.fr.rootOf[i]]
 }
 
@@ -451,7 +449,6 @@ func (s *Space) RunOf(i int) ptg.Run {
 	auto := s.fr.base.auto
 	f, idx := s.fr, i
 	for f.prev != nil {
-		f.fault()
 		graphs[f.horizon-1] = auto.Graph(f.letter[idx])
 		idx = int(f.parentOf[idx])
 		f = f.prev
@@ -493,7 +490,6 @@ func (s *Space) Find(r ptg.Run) int {
 // ValentItems returns the indices of the v-valent runs (the z_v of the
 // paper).
 func (s *Space) ValentItems(v int) []int {
-	s.fr.fault()
 	var out []int
 	for i, r := range s.fr.rootOf {
 		if int(s.fr.base.valence[r]) == v {

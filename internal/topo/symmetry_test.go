@@ -190,7 +190,7 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Build: %v", adv.Name(), err)
 		}
-		rounds := mustSnapshotChain(t, s)
+		rounds, rows := mustSnapshotChain(t, s)
 		in2 := reimport(t, in)
 		pg2, err := pager.New(pager.Config{Dir: dir, HotBytes: 256})
 		if err != nil {
@@ -202,6 +202,7 @@ func TestQuotientSnapshotRestore(t *testing.T) {
 			Interner:    in2,
 			Pager:       pg2,
 			Rounds:      rounds,
+			RowDigest:   rows,
 			Symmetry:    grp,
 		})
 		if err != nil {

@@ -141,9 +141,11 @@ func e3() {
 		res.Verdict, res.Exact, res.Certificate)
 }
 
-// e4 shows the one-round solvability of {<-,->}.
+// e4 shows the one-round solvability of {<-,->}. The table lists every
+// run of the horizon-1 space with its own decisions, so the session
+// analyses the full space rather than one run per symmetry orbit.
 func e4() {
-	res := checked(topocon.LossyLink2(), topocon.CheckOptions{})
+	res := checked(topocon.LossyLink2(), topocon.CheckOptions{NoSymmetry: true})
 	fmt.Printf("verdict: **%v** (exact=%v), separation horizon %d, broadcast horizon %d\n\n",
 		res.Verdict, res.Exact, res.SeparationHorizon, res.BroadcastHorizon)
 	times, values, err := res.Map.DecisionRounds(res.Space)

@@ -72,7 +72,7 @@ func main() {
 		verbose      = flag.Bool("v", false, "print per-horizon decomposition statistics as the session refines (with -sweep: per-cell progress lines)")
 		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint/resume directory: the session checkpoints there as it refines and a rerun resumes from the last completed horizon instead of starting over; with -sweep: per-cell checkpoints under it")
 		hotBytes     = flag.Int64("pager-hot-bytes", 0, "with -checkpoint-dir: frontier hot-set budget in bytes — colder rounds spill to page files and fault back on demand (0 = unlimited)")
-		noSymmetry   = flag.Bool("no-symmetry", false, "analyse the full prefix space instead of quotienting by the adversary's process automorphisms; verdicts are identical, only interned-run counts differ (differential testing)")
+		noSymmetry   = flag.Bool("no-symmetry", false, "analyse the full prefix space instead of quotienting by its symmetries, both the adversary's process automorphisms and the input-value permutations; verdicts are identical, only interned-run counts differ (differential testing)")
 	)
 	flag.Parse()
 

@@ -1,7 +1,8 @@
 // Package advgen generates adversaries for property tests and benchmarks:
 // the lossy-star-4 corpus adversary, random oblivious adversaries closed
 // under a process permutation, or under all of them, so that their
-// automorphism group is nontrivial, and stateful wrappings of them.
+// automorphism group is nontrivial, stateful wrappings of them, and random
+// oblivious adversaries whose automorphism group is trivial.
 package advgen
 
 import (
@@ -57,6 +58,31 @@ func SymmetricOblivious(rng *rand.Rand, n int) *ma.Oblivious {
 		}
 	}
 	return ma.MustOblivious("", graphs...)
+}
+
+// AsymmetricOblivious draws a random graph set on n ≥ 2 processes that
+// is not closed under any process permutation: its automorphism group is
+// trivial, so a quotient of its prefix space relabels input values alone.
+// Draws that happen to be symmetric are discarded.
+func AsymmetricOblivious(rng *rand.Rand, n int) *ma.Oblivious {
+	full := graph.AllNodes(n)
+	for {
+		graphs := make([]graph.Graph, 1+rng.Intn(3))
+		for i := range graphs {
+			masks := make([]uint64, n)
+			for q := range masks {
+				masks[q] = rng.Uint64() & full
+			}
+			g, err := graph.FromInMasks(n, masks)
+			if err != nil {
+				panic(err) // self-loops are added, any mask is valid
+			}
+			graphs[i] = g
+		}
+		if adv := ma.MustOblivious("", graphs...); ma.Automorphisms(adv).Trivial() {
+			return adv
+		}
+	}
 }
 
 // WindowStableSymmetric draws a SymmetricOblivious set and wraps it in

@@ -44,7 +44,7 @@ type HorizonReport struct {
 	// factor.
 	InternedRuns int
 	// InternedViews is the cumulative count of stored views (hash-consed
-	// cones) — one per automorphism orbit under the symmetry quotient
+	// cones) — one per orbit of the symmetry group under the quotient
 	// (DESIGN.md §13) — a proxy for session memory.
 	InternedViews int
 	// Elapsed is the wall-clock cost of this horizon's extension and
@@ -97,8 +97,8 @@ func WithParallelism(int) AnalyzerOption {
 	return func(*Analyzer) {}
 }
 
-// WithNoSymmetry disables the automorphism quotient; see
-// Options.NoSymmetry.
+// WithNoSymmetry disables the symmetry quotient, both its process part
+// and its input-value part; see Options.NoSymmetry.
 func WithNoSymmetry() AnalyzerOption {
 	return func(a *Analyzer) { a.opts.NoSymmetry = true }
 }
@@ -239,24 +239,27 @@ func (a *Analyzer) Finished() bool { return a.finished }
 // Pager returns the pager attached with WithPager, or nil.
 func (a *Analyzer) Pager() *pager.Pager { return a.pager }
 
-// symmetry returns the automorphism group the session quotients by — the
-// trivial group under Options.NoSymmetry, ma.Automorphisms(adv)
-// otherwise. Computed once and cached: the group identity must be stable
-// across Step, Snapshot and restore within one session.
+// symmetry returns the group the session quotients by — the trivial group
+// under Options.NoSymmetry, and otherwise the product of the adversary's
+// automorphism group with the permutations of the input values,
+// ma.Automorphisms(adv).OnDomain(InputDomain), which falls back to the
+// automorphism group alone when the product is too large. Computed once
+// and cached: the group identity must be stable across Step, Snapshot and
+// restore within one session.
 func (a *Analyzer) symmetry() *ma.Group {
 	if a.sym == nil {
 		if a.opts.NoSymmetry {
 			a.sym = ma.TrivialGroup(a.adv.N())
 		} else {
-			a.sym = ma.Automorphisms(a.adv)
+			a.sym = ma.Automorphisms(a.adv).OnDomain(a.opts.InputDomain)
 		}
 	}
 	return a.sym
 }
 
-// Symmetry returns the automorphism group the session quotients its
-// prefix spaces by (trivial when NoSymmetry is set or the adversary has
-// no nontrivial automorphisms).
+// Symmetry returns the group the session quotients its prefix spaces by:
+// pairs of a process automorphism and an input-value permutation, or the
+// trivial group when NoSymmetry is set.
 func (a *Analyzer) Symmetry() *ma.Group { return a.symmetry() }
 
 // buildBase builds the session's horizon-0 base: one item per input
@@ -450,7 +453,9 @@ func (a *Analyzer) finalizeNonCompact() {
 	// DoneAt + LatencySlack. Under the symmetry quotient the counts are
 	// orbit-weighted and every relabeled twin's (permuted) heard mask
 	// joins the candidate intersection, so the evidence — including the
-	// Notes counts — is byte-identical to a full-space session's.
+	// Notes counts — is byte-identical to a full-space session's. Heard
+	// masks and decision times relabel by the process part alone, so the
+	// twins by elements that also move input values are skipped.
 	n := s.N()
 	grp := s.SymGroup()
 	morder := s.SymOrder()
@@ -476,6 +481,9 @@ func (a *Analyzer) finalizeNonCompact() {
 		}
 		heard := s.HeardByAllAt(i, deadline)
 		for k := 0; k < morder; k++ {
+			if grp.MovesValues(k) {
+				continue
+			}
 			hk := graph.PermuteMask(heard, grp.Elem(k))
 			for p := 0; p < n; p++ {
 				if candidates[p] && hk&(1<<uint(p)) == 0 {
@@ -532,6 +540,9 @@ func (a *Analyzer) finalizeNonCompact() {
 			continue
 		}
 		for k := 0; k < morder; k++ {
+			if grp.MovesValues(k) {
+				continue
+			}
 			run := s.PseudoRun(i, k)
 			views := s.PseudoViews(i, k)
 			last := 0

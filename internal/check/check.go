@@ -63,13 +63,15 @@ type Options struct {
 	// are allowed between obligation discharge and full decision before
 	// the checker refuses the solvability evidence (default 2).
 	LatencySlack int
-	// NoSymmetry disables the automorphism quotient (DESIGN.md §13): by
-	// default the session interns one run-prefix representative per orbit
-	// of ma.Automorphisms(adv) and expands orbits where full-space
-	// structure is needed, which changes no observable output — verdicts,
-	// horizons, decision maps and run counts are identical — only the
-	// interned item count. Set NoSymmetry to analyse the full space
-	// directly (differential testing, symmetry-bug triage).
+	// NoSymmetry disables the symmetry quotient (DESIGN.md §13), both
+	// parts of it: by default the session interns one run-prefix
+	// representative per orbit of G × Sym(V) — G = ma.Automorphisms(adv)
+	// relabels processes, Sym(V) relabels input values — and expands
+	// orbits where full-space structure is needed, which changes no
+	// observable output — verdicts, horizons, decision maps and run counts
+	// are identical — only the interned item count. Set NoSymmetry to
+	// analyse the full space directly (differential testing, symmetry-bug
+	// triage).
 	NoSymmetry bool
 }
 

@@ -36,14 +36,17 @@ type DecisionMap struct {
 	interner  *ptg.Interner
 	reference int
 	domain    int
-	// order is |G| of the interner's group: a view ID divided by it is the
-	// view's orbit id.
+	// group is the symmetry group of the reference space, and order its
+	// order: a view ID divided by it is the view's orbit id, and the
+	// remainder ℓ the element reaching the view from its orbit's stored
+	// cone.
+	group *ma.Group
 	order int32
-	// orbit[c] is 1 + the value every twin of the views with orbit id c
-	// decides, or 0 when they do not all decide one value.
+	// orbit[c] is 1 + the value the stored cone of orbit c decides, or 0
+	// when it decides none; the view with coset label ℓ decides π_ℓ of it.
 	orbit []int32
-	// twin holds, by view ID, the decisive views of the orbits whose twins
-	// decide differently (only under a nontrivial group).
+	// twin holds, by view ID, the decisive views of the orbits decided
+	// twin by twin (only under a nontrivial group).
 	twin map[ptg.ViewID]int
 	// size is the number of decisive views of the full space.
 	size int
@@ -52,9 +55,12 @@ type DecisionMap struct {
 	// components).
 	assignment []int
 	// twinValues[ci], when non-nil, holds the value assigned to each twin
-	// σ_g·(base component), indexed by g: the rare valence-free orbits whose
-	// uniform broadcasters hold different inputs, so that the smallest
-	// broadcaster — and with it the value — depends on the relabeling.
+	// σ_g·(base component), indexed by g, for the component orbits whose
+	// assignment is not equivariant: twin σ_g is not assigned π_g of the
+	// base's value. These are valence-free orbits, assigned the input of
+	// their smallest uniform broadcaster, which depends on the relabeling
+	// when the broadcasters hold different inputs, or the default value,
+	// which the value part does not relabel.
 	twinValues [][]int
 }
 
@@ -75,23 +81,27 @@ type DecisionMap struct {
 //  3. a view at time t ≤ reference is decisive for v iff every run
 //     compatible with it lies in a component assigned v.
 //
-// Under a symmetry quotient the map compiles once per orbit: the twins of
-// a component share its valences, and inputs travel with processes, so a
-// view orbit's twins see relabeled copies of the same runs and, almost
-// always, the same assigned values. Views are therefore bucketed by orbit
-// id (ViewID / |G|) over the representative rows, with no relabeling; only
-// an orbit that meets a component orbit whose twins are assigned different
-// values (twinValues) is decided twin by twin.
+// Under a symmetry quotient the map compiles once per orbit where the
+// assignment is equivariant: the twin (σ, π)·C of a component assigned v
+// is assigned π(v), because valences and inputs travel with the
+// relabeling, so the views of an orbit decide π-images of one value. Views
+// are bucketed by orbit id (ViewID / |G|) over the representative rows,
+// and each run's value is carried back to the orbit's stored cone; the
+// view with coset label ℓ then decides π_ℓ of the stored cone's value. An
+// orbit that meets a component orbit whose assignment is not equivariant
+// (twinValues) is decided twin by twin.
 func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	s := d.Space
 	in := s.Interner
 	grp := s.Group()
+	vg := s.SymGroup()
 	order := int32(grp.Order())
 	m := &DecisionMap{
 		adv:        s.Adversary,
 		interner:   in,
 		reference:  s.Horizon,
 		domain:     s.InputDomain,
+		group:      vg,
 		order:      order,
 		assignment: make([]int, len(d.Comps)),
 		twinValues: make([][]int, len(d.Comps)),
@@ -100,13 +110,8 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 		c := &d.Comps[ci]
 		switch len(c.Valences) {
 		case 0:
-			m.assignment[ci] = defaultValue
-			if bc := c.Broadcasters & c.UniformInputs; bc != 0 {
-				// The smallest member's run lies in the base component.
-				inputs := s.Inputs(c.Members[0])
-				m.assignment[ci] = inputs[bits.TrailingZeros64(bc)]
-				m.twinValues[ci] = twinValues(s, bc, inputs)
-			}
+			// The smallest member's run lies in the base component.
+			m.assignment[ci], m.twinValues[ci] = valenceFreeValues(s, c, s.Inputs(c.Members[0]), defaultValue)
 		case 1:
 			m.assignment[ci] = c.Valences[0]
 		default:
@@ -116,10 +121,23 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	// A view is decisive iff all its runs' components share one assigned
 	// value. ViewIDs encode owner and time, so one table over all (t, p)
 	// is sound. state[c] is 0 while orbit c is unseen, 1 once its runs
-	// disagree, v+2 while they all decide v, and -1 once it is decided
-	// twin by twin in twins[c], indexed by the element reaching the twin.
+	// disagree, v+2 while they all decide v (for the stored cone), and -1
+	// once it is decided twin by twin in twins[c], indexed by the element
+	// reaching the twin.
 	state := make([]int32, in.Size())
 	var twins map[int32][]int32
+	toTwins := func(c int32) []int32 {
+		if twins == nil {
+			twins = make(map[int32][]int32)
+		}
+		tw, st := make([]int32, order), state[c]
+		for k := 0; k < int(order); k++ {
+			e := int32(in.Relabel(ptg.ViewID(c*order), k)) - c*order
+			tw[e] = mergeState(tw[e], m.relabelState(k, st))
+		}
+		twins[c], state[c] = tw, -1
+		return tw
+	}
 	for i := 0; i < s.Len(); i++ {
 		ci := d.CompOf[i]
 		v, tv := m.assignment[ci], m.twinValues[ci]
@@ -130,42 +148,37 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 			for p := 0; p < s.N(); p++ {
 				id := views.ID(t, p)
 				c := int32(id) / order
-				if tv == nil {
-					if st := state[c]; st >= 0 {
-						state[c] = mergeDecision(st, v)
-					} else {
-						for e, st := range twins[c] {
-							twins[c][e] = mergeDecision(st, v)
-						}
-					}
+				if tv == nil && state[c] >= 0 {
+					// The twin σ_ℓ⁻¹·(run i) holds the stored cone.
+					l := uint8(int32(id) - c*order)
+					state[c] = mergeState(state[c], valueState(vg.Value(int(grp.Mul(grp.Inv(l), li)), v)))
 					continue
 				}
-				if state[c] >= 0 {
-					if twins == nil {
-						twins = make(map[int32][]int32)
-					}
-					tw := make([]int32, order)
-					for e := range tw {
-						tw[e] = state[c]
-					}
-					twins[c], state[c] = tw, -1
-				}
 				tw := twins[c]
+				if state[c] >= 0 {
+					tw = toTwins(c)
+				}
 				for k := 0; k < int(order); k++ {
 					e := int32(in.Relabel(id, k)) - c*order
-					tw[e] = mergeDecision(tw[e], tv[grp.Mul(uint8(k), li)])
+					tw[e] = mergeState(tw[e], valueState(m.twinValue(ci, grp.Mul(uint8(k), li))))
 				}
 			}
 		}
 	}
 	// Orbit c holds |G| / |Stab(c)| distinct views, one per coset of its
-	// stabilizer; a twin-by-twin orbit counts its decisive cosets.
+	// stabilizer. The stored cone decides u only when every element of
+	// its stabilizer fixes u: σ_h·(a run holding it) holds it too and
+	// lies in a component assigned π_h of that run's value. A twin-by-twin
+	// orbit counts its decisive cosets.
 	for c, st := range state {
-		if st >= 2 {
-			m.size += grp.Index(in.OrbitStab(c))
+		state[c] = 0
+		if st < 2 {
+			continue
+		}
+		u, stab := int(st-2), in.OrbitStab(c)
+		if fixesValue(vg, stab, u) {
+			m.size += grp.Index(stab)
 			state[c] = st - 1
-		} else {
-			state[c] = 0
 		}
 	}
 	m.orbit = state
@@ -184,52 +197,90 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	return m
 }
 
-// mergeDecision folds one run's assigned value v (-1 for a mixed
-// component) into a view's decision state (0 unseen, 1 undecided, v+2
-// decisive for v).
-func mergeDecision(st int32, v int) int32 {
-	want := int32(1)
-	if v >= 0 {
-		want = int32(v) + 2
+// valueState is the decision state of a run assigned value v (-1 for a
+// mixed component): 1 undecided, v+2 decisive for v.
+func valueState(v int) int32 {
+	if v < 0 {
+		return 1
 	}
-	if st == 0 || st == want {
-		return want
+	return int32(v) + 2
+}
+
+// mergeState folds two decision states (0 unseen, 1 undecided, v+2
+// decisive for v).
+func mergeState(a, b int32) int32 {
+	switch {
+	case a == 0:
+		return b
+	case b == 0, a == b:
+		return a
 	}
 	return 1
 }
 
-// twinValues returns the value each twin σ_g of a valence-free base
-// component is assigned — the input of its smallest uniform broadcaster
-// σ_g(p), which is the base component's input at p — or nil when every
-// uniform broadcaster holds the same input, so every twin gets the same
-// value (always under the trivial group).
-func twinValues(s *topo.Space, bc uint64, inputs []int) []int {
-	if s.SymOrder() == 1 {
-		return nil
+// relabelState returns the decision state st of a view relabeled by group
+// element k: a decisive value v becomes π_k(v).
+func (m *DecisionMap) relabelState(k int, st int32) int32 {
+	if st < 2 {
+		return st
 	}
-	p0 := bits.TrailingZeros64(bc)
-	uniform := true
-	for mm := bc; mm != 0; mm &= mm - 1 {
-		if inputs[bits.TrailingZeros64(mm)] != inputs[p0] {
-			uniform = false
+	return valueState(m.group.Value(k, int(st-2)))
+}
+
+// fixesValue reports whether every element of the subgroup stab fixes
+// value u.
+func fixesValue(g *ma.Group, stab uint64, u int) bool {
+	if g.Domain() == 0 {
+		return true
+	}
+	for rest := stab &^ 1; rest != 0; rest &= rest - 1 {
+		if g.Value(bits.TrailingZeros64(rest), u) != u {
+			return false
 		}
 	}
-	if uniform {
-		return nil
-	}
+	return true
+}
+
+// valenceFreeValues returns the value assigned to the base component c of
+// a valence-free orbit — the input of its smallest uniform broadcaster,
+// or defaultValue without one — and, when the assignment is not
+// equivariant, the value of every twin σ_g·c, indexed by g. The twin's
+// uniform broadcasters are σ_g of c's, holding π_g of c's inputs, so its
+// smallest one is σ_g(p) for the p in c's set with the least image; the
+// default value is the same for every twin. The twins' values are nil
+// when each twin gets π_g of the base's value (always under the trivial
+// group).
+func valenceFreeValues(s *topo.Space, c *topo.Component, inputs []int, defaultValue int) (int, []int) {
 	grp := s.SymGroup()
-	out := make([]int, grp.Order())
-	for g := range out {
+	bc := c.Broadcasters & c.UniformInputs
+	value := func(g int) int {
+		if bc == 0 {
+			return defaultValue
+		}
 		perm := grp.Elem(g)
-		best := p0
+		best := bits.TrailingZeros64(bc)
 		for mm := bc; mm != 0; mm &= mm - 1 {
 			if p := bits.TrailingZeros64(mm); perm[p] < perm[best] {
 				best = p
 			}
 		}
-		out[g] = inputs[best]
+		return grp.Value(g, inputs[best])
 	}
-	return out
+	base := value(0)
+	var out []int
+	for g := 1; g < grp.Order(); g++ {
+		v := value(g)
+		if out == nil && v != grp.Value(g, base) {
+			out = make([]int, grp.Order())
+			for k := 0; k < g; k++ {
+				out[k] = grp.Value(k, base)
+			}
+		}
+		if out != nil {
+			out[g] = v
+		}
+	}
+	return base, out
 }
 
 // twinValue returns the value assigned to the twin σ_g of component orbit
@@ -238,7 +289,10 @@ func (m *DecisionMap) twinValue(ci int, g uint8) int {
 	if tv := m.twinValues[ci]; tv != nil {
 		return tv[g]
 	}
-	return m.assignment[ci]
+	if v := m.assignment[ci]; v >= 0 {
+		return m.group.Value(int(g), v)
+	}
+	return -1
 }
 
 // Adversary returns the adversary the map was built for.
@@ -261,7 +315,7 @@ func (m *DecisionMap) Decide(id ptg.ViewID) (int, bool) {
 		return 0, false
 	}
 	if c := int32(id) / m.order; int(c) < len(m.orbit) && m.orbit[c] > 0 {
-		return int(m.orbit[c] - 1), true
+		return m.group.Value(int(int32(id)-c*m.order), int(m.orbit[c]-1)), true
 	}
 	v, ok := m.twin[id]
 	return v, ok

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topocon/internal/advgen"
@@ -122,12 +123,19 @@ func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition)
 				fc = df.CompOf[fi]
 				compOf[key] = fc
 				want := &df.Comps[fc]
+				// The twin relabels processes by g's process part and
+				// valences by its value part.
 				perm := sym.Elem(int(g))
-				if !equalInts(c.Valences, want.Valences) ||
+				var valences []int
+				for _, v := range c.Valences {
+					valences = append(valences, sym.Value(int(g), v))
+				}
+				slices.Sort(valences)
+				if !equalInts(valences, want.Valences) ||
 					graph.PermuteMask(c.Broadcasters, perm) != want.Broadcasters ||
 					graph.PermuteMask(c.UniformInputs, perm) != want.UniformInputs {
 					t.Fatalf("%s: twin %d of orbit %d summarizes to %v/%b/%b, full component %+v",
-						name, g, ci, c.Valences, graph.PermuteMask(c.Broadcasters, perm),
+						name, g, ci, valences, graph.PermuteMask(c.Broadcasters, perm),
 						graph.PermuteMask(c.UniformInputs, perm), *want)
 				}
 			} else if fc != df.CompOf[fi] {

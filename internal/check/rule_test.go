@@ -78,17 +78,24 @@ func TestViewInputGating(t *testing.T) {
 	}
 }
 
+// TestComponentValueAccessor requires every component of a solvable
+// instance to be assigned a value, on the default quotiented session and
+// on the full decomposition. Only the latter must list both values: under
+// the quotient by value permutations the 1-valued components are twins of
+// 0-valued base components.
 func TestComponentValueAccessor(t *testing.T) {
-	res := mustConsensus(t, ma.LossyLink2(), Options{})
-	seen := map[int]bool{}
-	for ci := range res.Decomposition.Comps {
-		v := res.Map.ComponentValue(ci)
-		if v < 0 {
-			t.Errorf("component %d unassigned in a solvable instance", ci)
+	for _, noSym := range []bool{false, true} {
+		res := mustConsensus(t, ma.LossyLink2(), Options{NoSymmetry: noSym})
+		seen := map[int]bool{}
+		for ci := range res.Decomposition.Comps {
+			v := res.Map.ComponentValue(ci)
+			if v < 0 {
+				t.Errorf("NoSymmetry=%v: component %d unassigned in a solvable instance", noSym, ci)
+			}
+			seen[v] = true
 		}
-		seen[v] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("assignments %v, want both values", seen)
+		if noSym && (!seen[0] || !seen[1]) {
+			t.Errorf("assignments %v, want both values", seen)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"topocon/internal/ma"
 )
 
-// TestQuotientMatchesFullSpace is the soundness pin for the automorphism
+// TestQuotientMatchesFullSpace is the soundness pin for the symmetry
 // quotient (DESIGN.md §13): for every seed adversary family, a session
 // analysing the quotiented prefix space and a session analysing the full
 // space (Options.NoSymmetry) must be observationally identical — same
@@ -17,37 +17,49 @@ import (
 // component counts, same full-space run totals, and the same compiled
 // universal algorithm (size, reference horizon, and per-run decision
 // times/values over the whole unquotiented space). The corpus spans the
-// quotient's regimes: order-2 groups (the lossy links), S₃ on the n=3
-// loss-bounded family, the non-compact route (eventually-stable and its
-// deadline compactification), and an asymmetric adversary whose trivial
-// group makes the quotient a structural no-op.
+// quotient's regimes: process groups of order 2 (the lossy links) and
+// S₃ on the n=3 loss-bounded family, each paired with the permutations of
+// two or three input values, the non-compact route (eventually-stable and
+// its deadline compactification), and an asymmetric adversary whose
+// trivial process group leaves the value swap alone in the quotient.
 func TestQuotientMatchesFullSpace(t *testing.T) {
 	stable := ma.MustEventuallyStable("stable-w1",
 		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 1)
 	asym := ma.MustOblivious("asymmetric{<-,<->}", graph.Left, graph.Both)
 	if !ma.Automorphisms(asym).Trivial() {
-		t.Fatal("asymmetric corpus member has a non-trivial group; pick another")
+		t.Fatal("asymmetric corpus member has a non-trivial process group; pick another")
 	}
+	// groupOrder is the order of the session's whole group, |G|·|V|!.
 	cases := []struct {
 		adv        ma.Adversary
+		domain     int
 		maxHorizon int
 		groupOrder int
 	}{
-		{ma.LossyLink2(), 5, 2},
-		{ma.LossyLink3(), 5, 2},
-		{ma.LossBounded(3, 1), 3, 6}, // n=3: horizon capped like the topo suite
-		{stable, 5, 1},
-		{ma.MustDeadlineStable(stable, 2), 5, 1},
-		{asym, 5, 1},
+		{ma.LossyLink2(), 2, 5, 4},
+		{ma.LossyLink3(), 2, 5, 4},
+		{ma.LossBounded(3, 1), 2, 3, 12}, // n=3: horizon capped like the topo suite
+		{stable, 2, 5, 2},
+		{ma.MustDeadlineStable(stable, 2), 2, 5, 2},
+		{asym, 2, 5, 2},
+		{ma.LossyLink2(), 3, 4, 12},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.adv.Name(), func(t *testing.T) {
-			if got := ma.Automorphisms(tc.adv).Order(); got != tc.groupOrder {
+		name := tc.adv.Name()
+		if tc.domain != 2 {
+			name = fmt.Sprintf("%s-domain-%d", name, tc.domain)
+		}
+		t.Run(name, func(t *testing.T) {
+			a, err := NewAnalyzer(tc.adv, WithInputDomain(tc.domain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.Symmetry().Order(); got != tc.groupOrder {
 				t.Fatalf("group order = %d, want %d: the corpus no longer exercises this regime", got, tc.groupOrder)
 			}
-			quot := mustConsensus(t, tc.adv, Options{MaxHorizon: tc.maxHorizon})
-			full := mustConsensus(t, tc.adv, Options{MaxHorizon: tc.maxHorizon, NoSymmetry: true})
+			quot := mustConsensus(t, tc.adv, Options{MaxHorizon: tc.maxHorizon, InputDomain: tc.domain})
+			full := mustConsensus(t, tc.adv, Options{MaxHorizon: tc.maxHorizon, InputDomain: tc.domain, NoSymmetry: true})
 
 			if qp, fp := observableProfile(t, quot), observableProfile(t, full); qp != fp {
 				t.Errorf("quotient and full sessions diverge:\n  quotient %+v\n  full     %+v", qp, fp)

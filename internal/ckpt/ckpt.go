@@ -6,9 +6,9 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 8, line-framed like internal/store records):
+// Manifest format (version 9, line-framed like internal/store records):
 //
-//	topocon-ckpt 8
+//	topocon-ckpt 9
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
 //	interner <byte length> <crc32, 8 lowercase hex digits, IEEE>
 //	meta <compact JSON of check.SessionSnapshot>
@@ -17,22 +17,27 @@
 // for example, LossyLink3 saved at horizon 2 of 4 (fingerprint, options
 // and digest abridged):
 //
-//	topocon-ckpt 8
+//	topocon-ckpt 9
 //	fingerprint 757f97d42ea2a449…
 //	interner 169 07063510
 //	meta {"options":{…},"horizon":2,"rounds":[{"horizon":1,"count":7,"pageID":"round-001","bytes":17},{"horizon":2,"count":19,"pageID":"round-002","bytes":41}],"rowDigest":"21aa27eea18e2107…","separationHorizon":-1,"broadcastHorizon":-1}
 //	crc32 68dff037
 //
-// Version 8 pages hold a round's header and view IDs only; a resume
+// Version 9 checkpoints are written under the session's full symmetry
+// group, G × Sym(V): process automorphisms paired with input-value
+// permutations, whose value part the interner blob's group header
+// records. Their pages hold a round's header and view IDs only; a resume
 // rebuilds the run links by replay and checks the rows it compiled
 // against the chain's row digest ("rowDigest" in the meta). Older
 // checkpoints — version 1 (full, unquotiented frontiers), version 2
 // (quotiented sessions under the relabel-memo ID scheme), version 3
 // (decompositions over pseudo-items), version 4 (meta with a
 // "parallelism" field), version 5 (meta with "decomp" and "sepDecomp"
-// fields), version 6 (meta with a "retain" field) and version 7 (pages
-// with heard masks, a graph dictionary and run links) — are quarantined
-// and recomputed rather than resumed (see manifestVersion).
+// fields), version 6 (meta with a "retain" field), version 7 (pages with
+// heard masks, a graph dictionary and run links) and version 8 (sessions
+// quotiented by the process group alone, whose interner blob has no value
+// part) — are quarantined and recomputed rather than resumed (see
+// manifestVersion).
 //
 // Save writes pages first (via Analyzer.Snapshot), then the interner blob,
 // then the manifest — each through a `.tmp` sibling renamed into place — so
@@ -71,8 +76,13 @@ import (
 )
 
 const (
-	// manifestVersion 8 marks checkpoints whose pages hold view IDs only
-	// and whose session meta carries the row digest; a v7 page holds four
+	// manifestVersion 9 marks checkpoints written under the group
+	// G × Sym(V). A v8 checkpoint of a quotiented session holds the
+	// representatives and view IDs of the process group alone, and its
+	// interner blob's group header has no value-domain field, so it would
+	// not import; a v8 checkpoint without symmetry would resume correctly
+	// but is recomputed with the rest. v8 marked pages holding view IDs
+	// only and a session meta carrying the row digest; a v7 page holds four
 	// more columns and would fail page decoding, and a v7 meta lacks the
 	// digest. Decoding rejects unknown fields, so a v6 meta (with
 	// "retain"), a v5 meta (with "decomp") or a v4 meta (with
@@ -81,7 +91,7 @@ const (
 	// item), v2 view IDs of the relabel-memo scheme, and v1 pages the
 	// full, unquotiented frontier; resuming any of them would be wrong.
 	// Older manifests therefore fail decoding, quarantine, and recompute.
-	manifestVersion = 8
+	manifestVersion = 9
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"

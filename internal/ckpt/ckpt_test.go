@@ -207,19 +207,20 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 		// A well-formed page with a valid checksum whose first run's
 		// processes each heard only themselves, as under a graph the
 		// adversary never offers (LossyLink3 never drops both messages),
-		// must not resume.
+		// must not resume. Each such round-1 view is stored: some run
+		// plays a graph in which that process, or its twin under the
+		// quotient, hears only itself.
 		"page-unoffered-graph": func(t *testing.T, dir string) {
 			in := importInterner(t, dir)
 			rewritePage(t, pageFile(t, dir), func(n int, ids []uint64) {
 				for p := 0; p < n; p++ {
-					k := p
-					for k < len(ids) && in.Heard(ptg.ViewID(ids[k])) != 1<<uint(p) {
-						k += n
-					}
-					if k >= len(ids) {
+					row := make([]ptg.ViewID, n)
+					row[p] = in.Leaf(p, 0)
+					id := in.Lookup(p, 1<<uint(p), row)
+					if id < 0 {
 						t.Fatalf("no view of process %d that heard only itself", p)
 					}
-					ids[p] = ids[k]
+					ids[p] = uint64(id)
 				}
 			})
 		},

@@ -22,17 +22,26 @@ import (
 // FuzzEngineEquivalence checks that the engine's optimizations cannot
 // change an answer on generated adversaries. The fuzz input picks a seed
 // for advgen.SymmetricOblivious (a random graph set on n ∈ {2, 3, 4}
-// processes, closed under a permutation, so the quotient is nontrivial) or,
-// when bit 5 of the shape is set, for advgen.WindowStableSymmetric (the
-// same set behind a repetition obligation, an automaton with several
-// states, so a wrong compiled state table shows), a horizon ≤ 4 and an
-// interruption point k. The reference run analyses the
-// full space in memory (WithNoSymmetry). The candidate runs the quotient
-// through RunCheck under a 1 KiB pager budget, so rounds spill and fault
-// back, is cancelled after horizon k and resumes from its checkpoint. Both
-// must agree on the verdict, the separation and broadcast horizons, the
-// final component counts and every horizon's runs, components and mixed
-// components. Every horizon's run, component and mixed-component counts
+// processes, closed under a permutation, so the process part of the
+// quotient is nontrivial) or, when bit 5 of the shape is set, for
+// advgen.WindowStableSymmetric (the same set behind a repetition
+// obligation, an automaton with several states, so a wrong compiled state
+// table shows). The same seed, drawn afresh, also picks an
+// advgen.AsymmetricOblivious set, whose process group is trivial, so the
+// value part of the quotient acts alone; every input checks both
+// adversaries. Bit 7 of the shape asks for input domain 3 instead of 2,
+// without the impossibility-certificate searches (CertChainLen -1); the
+// shape also picks a horizon ≤ 4 and an interruption point k. The
+// reference run analyses the full space in memory (WithNoSymmetry). The
+// candidate runs the quotient — process automorphisms paired with input
+// value permutations — through RunCheck under a 1 KiB pager budget, so
+// rounds spill and fault back, is cancelled after horizon k and resumes
+// from its checkpoint. Both must agree on the verdict, the separation and
+// broadcast horizons, the final component counts and every horizon's runs,
+// components and mixed components; on a solvable case the candidate's
+// compiled decision map must decide every view of every full-space run —
+// every process at every time up to the map's horizon — as the
+// reference's does. Every horizon's run, component and mixed-component counts
 // must equal naiveSpace's, which shares no code with the engine's
 // decomposer or its compiled adversary, and so must the reference's last
 // space's discharge rounds (Space.DoneAt, counted per round), which read
@@ -47,8 +56,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 	// Shapes 6, 7, 14, 15, 22 and 23 ask for horizon 4 with k = 1, 2 and 3
 	// on two and three processes. Three of these cases are cancelled and
 	// resume; the other three finish by horizon k. Shapes 38 to 55 ask the
-	// same of stateful adversaries, and bit 6 asks for four processes.
-	for i, shape := range []uint8{6, 7, 14, 15, 22, 23, 38, 39, 46, 47, 54, 55, 70, 78, 86, 102, 110, 118} {
+	// same of stateful adversaries, bit 6 asks for four processes and bit
+	// 7 for three input values.
+	for i, shape := range []uint8{6, 7, 14, 15, 22, 23, 38, 39, 46, 47, 54, 55, 70, 78, 86, 102, 110, 118,
+		134, 135, 142, 143, 166, 167, 198} {
 		f.Add(int64(i+1), shape)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
@@ -60,99 +71,152 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if shape&32 != 0 {
 			adv = advgen.WindowStableSymmetric(rng, n)
 		}
-		opts := check.Options{MaxHorizon: 1 + int(shape>>1)%4}
-		resolved, err := opts.Resolved()
+		t.Run("symmetric", func(t *testing.T) { engineEquivalence(t, adv, shape) })
+		asym := advgen.AsymmetricOblivious(rand.New(rand.NewSource(seed)), n)
+		t.Run("asymmetric", func(t *testing.T) { engineEquivalence(t, asym, shape) })
+	})
+}
+
+// engineEquivalence is FuzzEngineEquivalence's check of one adversary
+// under the horizon, interruption point and input domain shape asks for.
+func engineEquivalence(t *testing.T, adv ma.Adversary, shape uint8) {
+	n := adv.N()
+	opts := check.Options{MaxHorizon: 1 + int(shape>>1)%4}
+	if shape&128 != 0 {
+		// The impossibility-certificate searches read no quotient, and
+		// over three values on four processes the pump search alone can
+		// run for minutes: domain-3 cases skip them.
+		opts.InputDomain, opts.CertChainLen = 3, -1
+	}
+	resolved, err := opts.Resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	domain := resolved.InputDomain
+	for opts.MaxHorizon > 1 && combi.CountWords(domain, n)*ma.CountPrefixes(adv, opts.MaxHorizon) > naiveMaxRuns {
+		opts.MaxHorizon--
+	}
+	horizon := opts.MaxHorizon
+	k := 1 + int(shape>>3)%horizon
+
+	var wantReps []check.HorizonReport
+	refOpts := opts
+	refOpts.NoSymmetry = true
+	ref, err := check.NewAnalyzer(adv, check.WithOptions(refOpts),
+		check.WithProgress(func(r check.HorizonReport) { wantReps = append(wantReps, r) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Check(context.Background())
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	var gotReps []check.HorizonReport
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := Config{Dir: filepath.Join(t.TempDir(), "ckpt"), HotBytes: 1 << 10, OnHorizon: func(r check.HorizonReport) {
+		gotReps = append(gotReps, r)
+		if r.Horizon >= k {
+			cancel()
+		}
+	}}
+	got, _, err := RunCheck(ctx, adv, cfg, opts, 0)
+	if errors.Is(err, context.Canceled) {
+		var info *Info
+		got, info, err = RunCheck(context.Background(), adv, cfg, opts, 0)
+		if err == nil && (!info.Resumed || info.ResumedAt != k) {
+			t.Fatalf("resumed=%v at horizon %d, want a resume at %d", info.Resumed, info.ResumedAt, k)
+		}
+	}
+	if err != nil {
+		t.Fatalf("candidate run (interrupted after horizon %d): %v", k, err)
+	}
+
+	if got.Verdict != want.Verdict || got.SeparationHorizon != want.SeparationHorizon ||
+		got.BroadcastHorizon != want.BroadcastHorizon || got.Components != want.Components ||
+		got.MixedComponents != want.MixedComponents {
+		t.Fatalf("n=%d horizon %d k=%d: candidate %v sep=%d bcast=%d comps=%d mixed=%d, reference %v sep=%d bcast=%d comps=%d mixed=%d",
+			adv.N(), horizon, k, got.Verdict, got.SeparationHorizon, got.BroadcastHorizon, got.Components, got.MixedComponents,
+			want.Verdict, want.SeparationHorizon, want.BroadcastHorizon, want.Components, want.MixedComponents)
+	}
+	if want.Map != nil {
+		if err := sameDecisions(got, want); err != nil {
+			t.Fatalf("n=%d domain %d horizon %d k=%d: %v", adv.N(), domain, horizon, k, err)
+		}
+	}
+	if len(gotReps) != len(wantReps) {
+		t.Fatalf("n=%d horizon %d k=%d: candidate reported %d horizons, reference %d", adv.N(), horizon, k, len(gotReps), len(wantReps))
+	}
+	for i, w := range wantReps {
+		if g := gotReps[i]; g.Horizon != w.Horizon || g.Runs != w.Runs ||
+			g.Components != w.Components || g.MixedComponents != w.MixedComponents {
+			t.Fatalf("n=%d horizon %d k=%d: report %d is horizon %d runs=%d comps=%d mixed=%d, reference horizon %d runs=%d comps=%d mixed=%d",
+				adv.N(), horizon, k, i, g.Horizon, g.Runs, g.Components, g.MixedComponents,
+				w.Horizon, w.Runs, w.Components, w.MixedComponents)
+		}
+		if w.Runs > naiveMaxRuns {
+			continue
+		}
+		last := w.Horizon == ref.Horizon()
+		nv := naiveSpace(adv, domain, w.Horizon, last)
+		if w.Runs != nv.runs || w.Components != nv.comps || w.MixedComponents != nv.mixed {
+			t.Fatalf("n=%d horizon %d: the engine reports runs=%d comps=%d mixed=%d, the naive oracle %d, %d and %d",
+				adv.N(), w.Horizon, w.Runs, w.Components, w.MixedComponents, nv.runs, nv.comps, nv.mixed)
+		}
+		if !last {
+			continue
+		}
+		space := ref.SpaceAt(w.Horizon)
+		doneAt := make(map[int]int)
+		for i := 0; i < space.Len(); i++ {
+			doneAt[space.DoneAt(i)]++
+		}
+		if !maps.Equal(doneAt, nv.doneAt) {
+			t.Fatalf("n=%d horizon %d: the engine's runs discharge at rounds %v, the naive oracle's at %v",
+				adv.N(), w.Horizon, doneAt, nv.doneAt)
+		}
+		quotient, err := topo.BuildCtx(context.Background(), adv, domain, w.Horizon, topo.Config{Symmetry: ma.Automorphisms(adv)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		domain := resolved.InputDomain
-		for opts.MaxHorizon > 1 && combi.CountWords(domain, n)*ma.CountPrefixes(adv, opts.MaxHorizon) > naiveMaxRuns {
-			opts.MaxHorizon--
+		for _, s := range []*topo.Space{space, quotient} {
+			if err := checkBroadcasters(s, nv.bcast); err != nil {
+				t.Fatalf("n=%d horizon %d, group order %d: %v", adv.N(), w.Horizon, s.SymOrder(), err)
+			}
 		}
-		horizon := opts.MaxHorizon
-		k := 1 + int(shape>>3)%horizon
+	}
+}
 
-		var wantReps []check.HorizonReport
-		ref, err := check.NewAnalyzer(adv, check.WithOptions(check.Options{MaxHorizon: horizon, NoSymmetry: true}),
-			check.WithProgress(func(r check.HorizonReport) { wantReps = append(wantReps, r) }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Check(context.Background())
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
-		}
-
-		var gotReps []check.HorizonReport
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		cfg := Config{Dir: filepath.Join(t.TempDir(), "ckpt"), HotBytes: 1 << 10, OnHorizon: func(r check.HorizonReport) {
-			gotReps = append(gotReps, r)
-			if r.Horizon >= k {
-				cancel()
-			}
-		}}
-		got, _, err := RunCheck(ctx, adv, cfg, opts, 0)
-		if errors.Is(err, context.Canceled) {
-			var info *Info
-			got, info, err = RunCheck(context.Background(), adv, cfg, opts, 0)
-			if err == nil && (!info.Resumed || info.ResumedAt != k) {
-				t.Fatalf("resumed=%v at horizon %d, want a resume at %d", info.Resumed, info.ResumedAt, k)
-			}
-		}
-		if err != nil {
-			t.Fatalf("candidate run (interrupted after horizon %d): %v", k, err)
-		}
-
-		if got.Verdict != want.Verdict || got.SeparationHorizon != want.SeparationHorizon ||
-			got.BroadcastHorizon != want.BroadcastHorizon || got.Components != want.Components ||
-			got.MixedComponents != want.MixedComponents {
-			t.Fatalf("n=%d horizon %d k=%d: candidate %v sep=%d bcast=%d comps=%d mixed=%d, reference %v sep=%d bcast=%d comps=%d mixed=%d",
-				adv.N(), horizon, k, got.Verdict, got.SeparationHorizon, got.BroadcastHorizon, got.Components, got.MixedComponents,
-				want.Verdict, want.SeparationHorizon, want.BroadcastHorizon, want.Components, want.MixedComponents)
-		}
-		if len(gotReps) != len(wantReps) {
-			t.Fatalf("n=%d horizon %d k=%d: candidate reported %d horizons, reference %d", adv.N(), horizon, k, len(gotReps), len(wantReps))
-		}
-		for i, w := range wantReps {
-			if g := gotReps[i]; g.Horizon != w.Horizon || g.Runs != w.Runs ||
-				g.Components != w.Components || g.MixedComponents != w.MixedComponents {
-				t.Fatalf("n=%d horizon %d k=%d: report %d is horizon %d runs=%d comps=%d mixed=%d, reference horizon %d runs=%d comps=%d mixed=%d",
-					adv.N(), horizon, k, i, g.Horizon, g.Runs, g.Components, g.MixedComponents,
-					w.Horizon, w.Runs, w.Components, w.MixedComponents)
-			}
-			if w.Runs > naiveMaxRuns {
-				continue
-			}
-			last := w.Horizon == ref.Horizon()
-			nv := naiveSpace(adv, domain, w.Horizon, last)
-			if w.Runs != nv.runs || w.Components != nv.comps || w.MixedComponents != nv.mixed {
-				t.Fatalf("n=%d horizon %d: the engine reports runs=%d comps=%d mixed=%d, the naive oracle %d, %d and %d",
-					adv.N(), w.Horizon, w.Runs, w.Components, w.MixedComponents, nv.runs, nv.comps, nv.mixed)
-			}
-			if !last {
-				continue
-			}
-			space := ref.SpaceAt(w.Horizon)
-			doneAt := make(map[int]int)
-			for i := 0; i < space.Len(); i++ {
-				doneAt[space.DoneAt(i)]++
-			}
-			if !maps.Equal(doneAt, nv.doneAt) {
-				t.Fatalf("n=%d horizon %d: the engine's runs discharge at rounds %v, the naive oracle's at %v",
-					adv.N(), w.Horizon, doneAt, nv.doneAt)
-			}
-			quotient, err := topo.BuildCtx(context.Background(), adv, domain, w.Horizon, topo.Config{Symmetry: ma.Automorphisms(adv)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []*topo.Space{space, quotient} {
-				if err := checkBroadcasters(s, nv.bcast); err != nil {
-					t.Fatalf("n=%d horizon %d, group order %d: %v", adv.N(), w.Horizon, s.SymOrder(), err)
+// sameDecisions requires the quotient session got's compiled decision map
+// to decide every view of every full-space run of its reference space —
+// every process at every time up to the map's horizon — as the full-space
+// session want's map decides the same run's view. The candidate's views
+// are recomputed in its map's interner from the run itself
+// (ptg.ComputeViews), which finds every cone already stored: got's
+// checkpoint, and with it its paged rounds, is gone once RunCheck
+// succeeds.
+func sameDecisions(got, want *check.Result) error {
+	if got.Map == nil || got.Map.Reference() != want.Map.Reference() || got.Map.Size() != want.Map.Size() {
+		return fmt.Errorf("decision maps differ: candidate %v, reference at horizon %d with %d decisive views",
+			got.Map != nil, want.Map.Reference(), want.Map.Size())
+	}
+	ws := want.Space
+	for i := 0; i < ws.Len(); i++ {
+		run := ws.RunOf(i)
+		wv, gv := ws.ViewsOf(i), ptg.ComputeViews(got.Map.Interner(), run)
+		for t := 0; t <= want.Map.Reference(); t++ {
+			for p := 0; p < ws.N(); p++ {
+				w, wok := want.Map.Decide(wv.ID(t, p))
+				g, gok := got.Map.Decide(gv.ID(t, p))
+				if w != g || wok != gok {
+					return fmt.Errorf("run %v, process %d at time %d: the candidate decides %d (%v), the reference %d (%v)",
+						run, p, t, g, gok, w, wok)
 				}
 			}
 		}
-	})
+	}
+	return nil
 }
 
 // checkBroadcasters decomposes s and requires every component's

@@ -22,6 +22,12 @@ import (
 // bitmasks.
 const MaxNodes = 64
 
+// MaxQuotientNodes is the largest node count a symmetry quotient with a
+// nontrivial group supports: the orbit-canonical interner keeps its
+// per-process scratch in fixed arrays of this size, so a group on more
+// processes falls back to the trivial one.
+const MaxQuotientNodes = 16
+
 // Graph is a directed graph on n nodes with mandatory self-loops.
 //
 // The zero value is an empty graph on zero nodes; use New or FromEdges to

@@ -33,18 +33,35 @@ const (
 	autoPairCap = 4096
 )
 
-// Group is a permutation group on the process set [0,n) — the
-// automorphism group of an adversary's graph language as computed by
-// Automorphisms. Element 0 is always the identity. Groups are immutable.
+// Group is a permutation group acting on the process set [0,n) and,
+// optionally, on the input values: the symmetry group a consensus session
+// quotients its prefix space by (DESIGN.md §13). An element is a pair
+// (σ, π) of a process permutation σ and a value permutation π; π is the
+// identity in a group without a value part. Element 0 is always the
+// identity. Groups are immutable.
+//
+// Renaming input values is a symmetry of every consensus instance:
+// termination, agreement and validity survive it, whatever the adversary.
+// So the group Automorphisms returns carries an open value part, the
+// symmetric group of whatever input domain the session uses, and OnDomain
+// resolves it over a concrete domain to the product G × Sym(V). The
+// trivial group (TrivialGroup) has no value part.
 type Group struct {
 	n     int
 	elems [][]int // elems[k][p] = image of process p under element k
 	inv   [][]int // inv[k] is the inverse permutation of elems[k]
-	fp    string
+	// values reports that the group has a value part. domain is the size
+	// of the value domain it acts on, 0 while the part is open (not yet
+	// resolved by OnDomain), and vals[k][x] the image of value x under
+	// element k once it is resolved.
+	values bool
+	domain int
+	vals   [][]int
+	fp     string
 }
 
 // TrivialGroup returns the group containing only the identity on n
-// processes.
+// processes, with no value part.
 func TrivialGroup(n int) *Group {
 	id := make([]int, n)
 	for p := range id {
@@ -54,24 +71,83 @@ func TrivialGroup(n int) *Group {
 }
 
 func newGroup(n int, elems [][]int) *Group {
-	g := &Group{n: n, elems: elems, inv: make([][]int, len(elems))}
-	for k, perm := range elems {
-		inv := make([]int, n)
+	return finishGroup(&Group{n: n, elems: elems})
+}
+
+// withOpenValues returns the process group elems with an open value part.
+func withOpenValues(n int, elems [][]int) *Group {
+	return finishGroup(&Group{n: n, elems: elems, values: true})
+}
+
+// finishGroup fills the inverses and the fingerprint of g.
+func finishGroup(g *Group) *Group {
+	g.inv = make([][]int, len(g.elems))
+	for k, perm := range g.elems {
+		inv := make([]int, g.n)
 		for p, q := range perm {
 			inv[q] = p
 		}
 		g.inv[k] = inv
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "n=%d;m=%d;", n, len(elems))
-	for _, perm := range elems {
+	fmt.Fprintf(h, "n=%d;m=%d;", g.n, len(g.elems))
+	for _, perm := range g.elems {
 		for _, q := range perm {
 			fmt.Fprintf(h, "%d,", q)
 		}
 		h.Write([]byte(";"))
 	}
+	if g.values {
+		// A group without a value part keeps the fingerprint it always had.
+		fmt.Fprintf(h, "values=%d;", g.domain)
+		for _, perm := range g.vals {
+			for _, y := range perm {
+				fmt.Fprintf(h, "%d,", y)
+			}
+			h.Write([]byte(";"))
+		}
+	}
 	g.fp = hex.EncodeToString(h.Sum(nil))
 	return g
+}
+
+// OnDomain resolves the group's open value part over the input domain
+// {0, …, d-1}: it returns the product of the process group with Sym(V),
+// whose elements (σ_a, π_b) are numbered b·|G| + a, value permutations in
+// lexicographic order with the identity first. The first |G| elements are
+// therefore the process group itself. When the product is out of bounds —
+// |G|·d! past MaxGroupOrder, the limit of the stabilizer masks, or more
+// than graph.MaxQuotientNodes processes — or d < 2, where Sym(V) is trivial, it
+// returns the process group alone, without a value part. A group without
+// an open value part is returned as it is.
+func (g *Group) OnDomain(d int) *Group {
+	if !g.values || g.domain != 0 {
+		return g
+	}
+	m := len(g.elems)
+	order := m
+	for x := 2; x <= d && order <= MaxGroupOrder; x++ {
+		order *= x
+	}
+	if d < 2 || order > MaxGroupOrder || g.n > graph.MaxQuotientNodes {
+		return newGroup(g.n, g.elems)
+	}
+	var perms [][]int
+	perm := make([]int, d)
+	for x := range perm {
+		perm[x] = x
+	}
+	permute(perm, 0, func(p []int) { perms = append(perms, append([]int(nil), p...)) })
+	canonicalizeGroup(perms)
+	elems := make([][]int, 0, order)
+	vals := make([][]int, 0, order)
+	for _, pi := range perms {
+		for _, sigma := range g.elems {
+			elems = append(elems, sigma)
+			vals = append(vals, pi)
+		}
+	}
+	return finishGroup(&Group{n: g.n, elems: elems, values: true, domain: d, vals: vals})
 }
 
 // N returns the number of processes the group acts on.
@@ -83,20 +159,60 @@ func (g *Group) Order() int { return len(g.elems) }
 // Trivial reports whether the group is just the identity.
 func (g *Group) Trivial() bool { return len(g.elems) <= 1 }
 
-// Elem returns group element k as a process permutation (image-indexed:
-// Elem(k)[p] is where p goes). Element 0 is the identity. The returned
-// slice must not be mutated.
+// Elem returns the process part of group element k as a permutation
+// (image-indexed: Elem(k)[p] is where p goes). Element 0 is the identity.
+// The returned slice must not be mutated.
 func (g *Group) Elem(k int) []int { return g.elems[k] }
 
-// Inv returns the inverse of group element k. The returned slice must
-// not be mutated.
+// Inv returns the inverse of the process part of group element k. The
+// returned slice must not be mutated.
 func (g *Group) Inv(k int) []int { return g.inv[k] }
 
-// Fingerprint returns a canonical hex hash of the group (node count plus
-// the sorted element list). Two adversaries with behaviourally equal
-// graph languages get equal group fingerprints; sweep cache keys include
-// it so orbit-quotiented verdicts never collide with differently-grouped
-// ones.
+// Domain returns the size of the value domain the group's value part acts
+// on: 0 when the group has none, or while it is open (see OnDomain).
+func (g *Group) Domain() int { return g.domain }
+
+// Values returns the value part of group element k as a permutation of the
+// domain (Values(k)[x] is where value x goes), or nil when the group has
+// no resolved value part. The returned slice must not be mutated.
+func (g *Group) Values(k int) []int {
+	if g.vals == nil {
+		return nil
+	}
+	return g.vals[k]
+}
+
+// MovesValues reports whether element k's value part is not the
+// identity. Such an element relabels processes as the element with the
+// same process part and the identity on values does, so paths that read
+// only process structure — heard masks, graphs, decision times — may skip
+// it.
+func (g *Group) MovesValues(k int) bool {
+	if g.vals == nil {
+		return false
+	}
+	for x, y := range g.vals[k] {
+		if x != y {
+			return true
+		}
+	}
+	return false
+}
+
+// Value returns the image of input value x under element k: x itself when
+// the group has no resolved value part or x lies outside its domain.
+func (g *Group) Value(k, x int) int {
+	if g.vals == nil || x < 0 || x >= g.domain {
+		return x
+	}
+	return g.vals[k][x]
+}
+
+// Fingerprint returns a canonical hex hash of the group (node count, the
+// sorted element list and the value part, if any). Two adversaries with
+// behaviourally equal graph languages get equal group fingerprints; sweep
+// cache keys include it so orbit-quotiented verdicts never collide with
+// differently-grouped ones.
 func (g *Group) Fingerprint() string { return g.fp }
 
 // Automorphisms computes the automorphism group of the adversary's graph
@@ -105,15 +221,19 @@ func (g *Group) Fingerprint() string { return g.fp }
 // is exact (a σ-twisted bisimulation over the reachable automaton), so
 // the result is independent of the adversary's syntactic construction.
 //
-// Fallbacks to the trivial group — always sound, the quotient just
-// degenerates to the identity — happen when n > 7 (enumeration cost),
+// Fallbacks to the trivial process group — always sound, the quotient
+// just degenerates to the identity — happen when n > 7 (enumeration cost),
 // when the group order would exceed MaxGroupOrder, or when an automaton
 // is too large to verify within the exploration cap.
+//
+// The returned group carries an open value part: relabeling input values
+// is a symmetry of every consensus instance, so a session resolves it
+// over its input domain (OnDomain) and quotients by G × Sym(V).
 func Automorphisms(a Adversary) *Group {
 	a = Normalize(a)
 	n := a.N()
 	if n > maxAutoN {
-		return TrivialGroup(n)
+		return withOpenValues(n, TrivialGroup(n).elems)
 	}
 	var accepted [][]int
 	overflow := false
@@ -134,17 +254,14 @@ func Automorphisms(a Adversary) *Group {
 			accepted = append(accepted, append([]int(nil), candidate...))
 		}
 	})
-	if overflow || len(accepted) > MaxGroupOrder {
-		return TrivialGroup(n)
-	}
 	// The exact check makes the accepted set a group automatically; keep a
 	// closure sanity check anyway so a checker bug can only ever degrade
 	// to the (sound) trivial group instead of corrupting orbit accounting.
-	if !closedUnderComposition(n, accepted) {
-		return TrivialGroup(n)
+	if overflow || len(accepted) > MaxGroupOrder || !closedUnderComposition(n, accepted) {
+		return withOpenValues(n, TrivialGroup(n).elems)
 	}
 	canonicalizeGroup(accepted)
-	return newGroup(n, accepted)
+	return withOpenValues(n, accepted)
 }
 
 // permute enumerates all permutations of perm[at:] in place (Heap-style

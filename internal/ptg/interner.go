@@ -168,16 +168,9 @@ func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 		return in.orbitNode(p, mask, row)
 	}
 	var stack [nodeKeyStackSize]byte
-	buf := append(stack[:0], 'N')
-	buf = binary.AppendUvarint(buf, uint64(p))
-	for m := mask; m != 0; m &= m - 1 {
-		q := bits.TrailingZeros64(m)
-		id := row[q]
-		if id < 0 {
-			return -1
-		}
-		buf = append(buf, byte(q)) // q < 64 is its own one-byte uvarint
-		buf = binary.AppendUvarint(buf, uint64(id))
+	buf, ok := plainNodeKey(stack[:0], p, mask, row)
+	if !ok {
+		return -1
 	}
 	c, fresh := in.intern(buf)
 	if fresh {
@@ -188,6 +181,55 @@ func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 		in.heard.add(h)
 	}
 	return ViewID(c)
+}
+
+// plainNodeKey appends the plain key of Node's request to buf; ok is false
+// when a masked child has no ID.
+//
+//topocon:allocfree
+func plainNodeKey(buf []byte, p int, mask uint64, row []ViewID) (key []byte, ok bool) {
+	buf = append(buf, 'N')
+	buf = binary.AppendUvarint(buf, uint64(p))
+	for m := mask; m != 0; m &= m - 1 {
+		q := bits.TrailingZeros64(m)
+		id := row[q]
+		if id < 0 {
+			return buf, false
+		}
+		buf = append(buf, byte(q)) // q < 64 is its own one-byte uvarint
+		buf = binary.AppendUvarint(buf, uint64(id))
+	}
+	return buf, true
+}
+
+// Lookup returns the ID Node would return for the same request when that
+// view is already stored, and -1 when it is not: it builds the same key
+// (orbitNodeKey's under a group) but stores nothing, so it never grows
+// the interner or sets Err. Every masked child must be an ID this
+// interner handed out; a child of -1 yields -1.
+//
+//topocon:allocfree
+func (in *Interner) Lookup(p int, mask uint64, row []ViewID) ViewID {
+	var stack [nodeKeyStackSize]byte
+	g := in.grp
+	if g == nil {
+		key, ok := plainNodeKey(stack[:0], p, mask, row)
+		if !ok {
+			return -1
+		}
+		return ViewID(in.find(key))
+	}
+	var kids orbitKids
+	key, arg, ok := in.orbitNodeKey(stack[:0], p, mask, row, &kids)
+	if !ok {
+		return -1
+	}
+	c := in.find(key)
+	if c < 0 {
+		return -1
+	}
+	_, l := g.orbitLabel(arg, bits.TrailingZeros64(arg))
+	return ViewID(c*int32(g.m) + int32(l))
 }
 
 // Heard returns the heard mask of view id: bit q is set iff process q's
@@ -254,23 +296,13 @@ func (w *coneWords) add(v uint64) {
 //
 //topocon:allocfree
 func (in *Interner) intern(key []byte) (c int32, fresh bool) {
-	tag := uint64(uint32(hashKey(key)))
 	if in.table == nil {
 		in.table = make([]uint64, internInitialSize)
 	}
-	mask := len(in.table) - 1
-	i := int(tag >> homeShift(len(in.table)))
-	for {
-		slot := in.table[i]
-		if slot == 0 {
-			break
-		}
-		if slot>>32 == tag {
-			if stored, c, _ := in.recordAt(uint32(slot) - 1); bytes.Equal(stored, key) {
-				return c, false
-			}
-		}
-		i = (i + 1) & mask
+	tag := uint64(uint32(hashKey(key)))
+	c, i := in.probe(key, tag)
+	if c >= 0 {
+		return c, false
 	}
 	// The record goes to the last block, or to a new one when it does not
 	// fit. Its location + 1 must fit the slot's low 32 bits; past that the
@@ -300,6 +332,39 @@ func (in *Interner) intern(key []byte) (c int32, fresh bool) {
 		in.grow()
 	}
 	return c, true
+}
+
+// probe looks key, with hash tag tag, up in the probe table: it returns
+// the key's stored-cone index and slot, or -1 and the empty slot where the
+// key would go. The table must exist.
+//
+//topocon:allocfree
+func (in *Interner) probe(key []byte, tag uint64) (c int32, slot int) {
+	mask := len(in.table) - 1
+	i := int(tag >> homeShift(len(in.table)))
+	for {
+		s := in.table[i]
+		if s == 0 {
+			return -1, i
+		}
+		if s>>32 == tag {
+			if stored, c, _ := in.recordAt(uint32(s) - 1); bytes.Equal(stored, key) {
+				return c, i
+			}
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// find returns the stored-cone index of key, or -1 when it is not stored.
+//
+//topocon:allocfree
+func (in *Interner) find(key []byte) int32 {
+	if in.table == nil {
+		return -1
+	}
+	c, _ := in.probe(key, uint64(uint32(hashKey(key))))
+	return c
 }
 
 // recordAt decodes the record at arena location loc: its key, its

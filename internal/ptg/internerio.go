@@ -15,8 +15,10 @@ import (
 var groupBlobMagic = [2]byte{0x00, 'G'}
 
 // Export serializes the interner: for an orbit-canonical interner the
-// group header (groupBlobMagic, uvarint |G|, uvarint n, then the |G|·n
-// uvarint element images), and then — for every interner — uvarint count
+// group header (groupBlobMagic, uvarint |G|, uvarint n, uvarint d — the
+// size of the value domain, 0 without a value part — then per element its
+// n process images and its d value images, all uvarints), and then — for
+// every interner — uvarint count
 // and, for each stored cone 0..count-1, its uvarint-length-prefixed
 // canonical key encoding. Because stored cones are dense and numbered in
 // insertion order, re-interning the exported keys in order into a fresh
@@ -38,13 +40,19 @@ func (in *Interner) Export() ([]byte, error) {
 	}
 	var buf []byte
 	if g := in.grp; g != nil {
-		buf = make([]byte, 0, size+2+2*binary.MaxVarintLen64+g.m*g.n)
+		buf = make([]byte, 0, size+2+3*binary.MaxVarintLen64+g.m*(g.n+g.d))
 		buf = append(buf, groupBlobMagic[:]...)
 		buf = binary.AppendUvarint(buf, uint64(g.m))
 		buf = binary.AppendUvarint(buf, uint64(g.n))
-		for _, perm := range g.perms {
+		buf = binary.AppendUvarint(buf, uint64(g.d))
+		for k, perm := range g.perms {
 			for _, q := range perm {
 				buf = binary.AppendUvarint(buf, uint64(q))
+			}
+			if g.d > 0 {
+				for _, y := range g.vals[k] {
+					buf = binary.AppendUvarint(buf, uint64(y))
+				}
 			}
 		}
 	} else {
@@ -99,14 +107,14 @@ func ImportInterner(data []byte) (*Interner, error) {
 	in := NewInterner()
 	if len(data) >= 2 && data[0] == groupBlobMagic[0] && data[1] == groupBlobMagic[1] {
 		r.data = data[2:]
-		perms, err := r.group()
+		perms, vals, err := r.group()
 		if err != nil {
 			return nil, err
 		}
 		if len(perms) < 2 {
 			return nil, errors.New("ptg: interner import: group blob of a trivial group")
 		}
-		if err := in.AdoptGroup(perms); err != nil {
+		if err := in.AdoptGroup(perms, vals); err != nil {
 			return nil, fmt.Errorf("ptg: interner import: %w", err)
 		}
 	}
@@ -137,25 +145,44 @@ func ImportInterner(data []byte) (*Interner, error) {
 	return in, nil
 }
 
-// group decodes the group header of an orbit-canonical export.
-func (r *blobReader) group() ([][]int, error) {
+// group decodes the group header of an orbit-canonical export: the
+// elements' process permutations and, when the header's value domain is
+// not 0, their value permutations.
+func (r *blobReader) group() (perms, vals [][]int, err error) {
 	m, ok1 := r.uvarint()
 	n, ok2 := r.uvarint()
-	if !ok1 || !ok2 || m > maxGroupOrder || n < 1 || n > maxOrbitProcs {
-		return nil, errors.New("ptg: interner import: bad group header")
+	d, ok3 := r.uvarint()
+	if !ok1 || !ok2 || !ok3 || m > maxGroupOrder || n < 1 || n > maxOrbitProcs || d > maxValueDomain {
+		return nil, nil, errors.New("ptg: interner import: bad group header")
 	}
-	perms := make([][]int, m)
-	for k := range perms {
-		perms[k] = make([]int, n)
-		for p := range perms[k] {
+	images := func(size uint64) ([]int, bool) {
+		out := make([]int, size)
+		for i := range out {
 			q, ok := r.uvarint()
-			if !ok || q >= n {
-				return nil, errors.New("ptg: interner import: bad group element")
+			if !ok || q >= size {
+				return nil, false
 			}
-			perms[k][p] = int(q)
+			out[i] = int(q)
+		}
+		return out, true
+	}
+	perms = make([][]int, m)
+	if d > 0 {
+		vals = make([][]int, m)
+	}
+	for k := range perms {
+		var ok bool
+		if perms[k], ok = images(n); !ok {
+			return nil, nil, errors.New("ptg: interner import: bad group element")
+		}
+		if d == 0 {
+			continue
+		}
+		if vals[k], ok = images(d); !ok {
+			return nil, nil, errors.New("ptg: interner import: bad group element")
 		}
 	}
-	return perms, nil
+	return perms, vals, nil
 }
 
 // importKey re-interns one exported key as cone c. The key is decoded

@@ -35,9 +35,13 @@ func sortedExport(in *Interner) []byte {
 		buf = append(buf, groupBlobMagic[:]...)
 		buf = binary.AppendUvarint(buf, uint64(g.m))
 		buf = binary.AppendUvarint(buf, uint64(g.n))
-		for _, perm := range g.perms {
+		buf = binary.AppendUvarint(buf, uint64(g.d))
+		for k, perm := range g.perms {
 			for _, q := range perm {
 				buf = binary.AppendUvarint(buf, uint64(q))
+			}
+			for x := 0; x < g.d; x++ {
+				buf = binary.AppendUvarint(buf, uint64(g.vals[k][x]))
 			}
 		}
 	}
@@ -79,12 +83,20 @@ func TestExportMatchesSortedReference(t *testing.T) {
 		blocks.Leaf(x%4, x)
 		blocksOrbit.Leaf(x%4, x)
 	}
+	pairs := ma.Automorphisms(adv).OnDomain(2)
+	bigPairs, err := pairInterner(groupPerms(pairs), groupVals(pairs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		ComputeViews(bigPairs, randomRun(rng, adv, 5))
+	}
 	if len(blocks.blocks) < 3 || len(blocksOrbit.blocks) < 2 {
 		t.Fatalf("20,000 leaves filled %d and %d arena blocks", len(blocks.blocks), len(blocksOrbit.blocks))
 	}
 	for name, in := range map[string]*Interner{
 		"empty": NewInterner(), "plain": plain, "orbit": orbit, "plain-big": big, "orbit-big": bigOrbit,
-		"plain-blocks": blocks, "orbit-blocks": blocksOrbit,
+		"plain-blocks": blocks, "orbit-blocks": blocksOrbit, "pairs-big": bigPairs,
 	} {
 		if got, want := mustExport(t, in), sortedExport(in); !bytes.Equal(got, want) {
 			t.Errorf("%s: Export differs from the sorted reference (%d vs %d bytes)", name, len(got), len(want))

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"topocon/internal/graph"
 )
 
 // FuzzImportInterner feeds arbitrary bytes to ImportInterner, over seeds
-// of both blob layouts (plain, and orbit-canonical with its group header):
+// of both blob layouts (plain, and orbit-canonical with its group header,
+// with and without a value part):
 // every input must yield an error or an interner whose Export is
 // byte-identical to the input — never a panic, never a silently
 // normalized blob — and whose keys obey the rules of producibleKeys.
@@ -24,6 +27,12 @@ func FuzzImportInterner(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mustExport(f, empty))
+	pairs, err := pairInterner([][]int{{0, 1}, {1, 0}, {0, 1}, {1, 0}}, [][]int{{0, 1}, {0, 1}, {1, 0}, {1, 0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ComputeViews(pairs, NewRun([]int{0, 1}).Extend(graph.Both))
+	f.Add(mustExport(f, pairs))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := ImportInterner(data)
 		if err != nil {
@@ -49,13 +58,15 @@ func producibleKeys(blob []byte) error {
 	m, n := uint64(1), uint64(64)
 	if bytes.HasPrefix(blob, groupBlobMagic[:]) {
 		r.data = blob[2:]
-		var ok1, ok2 bool
+		var ok1, ok2, ok3 bool
+		var d uint64
 		m, ok1 = r.uvarint()
 		n, ok2 = r.uvarint()
-		if !ok1 || !ok2 {
+		d, ok3 = r.uvarint()
+		if !ok1 || !ok2 || !ok3 {
 			return errors.New("bad group header")
 		}
-		for i := uint64(0); i < m*n; i++ {
+		for i := uint64(0); i < m*(n+d); i++ {
 			if _, ok := r.uvarint(); !ok {
 				return errors.New("bad group element")
 			}

@@ -6,21 +6,24 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"topocon/internal/graph"
 )
 
 // Orbit-canonical interning (DESIGN.md §13). When the runs under analysis
-// are closed under a permutation group G of the processes, every cone has
-// up to |G| relabeled twins: relabeling by σ maps each node (p, t) to
-// (σ(p), t) and keeps leaf inputs. An interner given the group by
-// AdoptGroup stores one cone per orbit:
+// are closed under a group G whose elements are pairs (σ, π) of a process
+// permutation σ and an input-value permutation π, every cone has up to |G|
+// relabeled twins: relabeling by (σ, π) maps each node (p, t) to (σ(p), t)
+// and each leaf input x to π(x). An interner given the group by AdoptGroup
+// stores one cone per orbit:
 //
 //   - Leaf and Node find the least C of the requested cone's |G|
-//     relabelings (owner first, then the sorted (process, child ID)
-//     pairs; Node prunes the candidates position by position rather than
-//     building each one, see orbitNodeKey) and intern only C — its stored
-//     index c is dense, so Size() counts orbits;
+//     relabelings (owner first, then the leaf's input or the sorted
+//     (process, child ID) pairs; Node prunes the candidates position by
+//     position rather than building each one, see orbitNodeKey) and
+//     intern only C — its stored index c is dense, so Size() counts
+//     orbits;
 //   - C's stabilizer Stab(C) = {h : σ_h·C = C} is recorded as a bitmask;
 //   - the returned ID is c·|G| + ℓ, where ℓ is the least element of the
 //     coset {g : σ_g·C = requested cone} = ℓ·Stab(C).
@@ -28,7 +31,8 @@ import (
 // Equal IDs therefore still mean equal cones: ℓ is a function of the cone,
 // not of the element that happened to reach it. Relabeling by element k is
 // arithmetic — the twin σ_k·(σ_ℓ·C) = σ_{k∘ℓ}·C has ID c·|G| + the least
-// element of (k∘ℓ)·Stab(C) — so no relabel memo is needed anywhere.
+// element of (k∘ℓ)·Stab(C) — so no relabel memo is needed anywhere. The
+// value part acts on leaves alone: heard masks and in-masks relabel by σ.
 //
 // On a plain interner (NewInterner, the trivial group) keys, IDs and
 // per-call cost are exactly the non-group ones.
@@ -38,8 +42,9 @@ const maxGroupOrder = 64
 
 // maxOrbitProcs bounds the process count of an orbit-canonical interner,
 // which keeps its per-call scratch in stack arrays of this size.
-// ma.Automorphisms detects groups only up to n = 7.
-const maxOrbitProcs = 16
+// ma.Automorphisms detects process groups only up to n = 7; the value
+// part alone reaches the same bound (ma.Group.OnDomain).
+const maxOrbitProcs = graph.MaxQuotientNodes
 
 // orbitGroup is the permutation group of an orbit-canonical interner, with
 // its multiplication table.
@@ -48,6 +53,10 @@ type orbitGroup struct {
 	// perms[k][p] is the image of process p under element k; perms[0] is
 	// the identity.
 	perms [][]int
+	// d is the size of the value domain the value part acts on, 0 without
+	// one, and vals[k][x] the image of input value x under element k.
+	d    int
+	vals [][]int
 	// inv[k] is the index of element k's inverse.
 	inv []uint8
 	// mul[a*m+b] is the index of σ_a∘σ_b (σ_b applied first).
@@ -66,11 +75,14 @@ type orbitGroup struct {
 	full uint64
 }
 
-// newOrbitGroup validates perms as a permutation group with the identity
-// first and builds its tables. A group of order 1 yields nil (the plain
-// interner), at any process count a graph supports; only a nontrivial
-// group is bounded by maxOrbitProcs.
-func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
+// newOrbitGroup validates perms and vals as a permutation group with the
+// identity first and builds its tables. Element k is the pair of the
+// process permutation perms[k] and the value permutation vals[k]; vals is
+// nil for a group without a value part, and otherwise holds one
+// permutation of the same domain {0, …, d-1} per element. A group of order
+// 1 yields nil (the plain interner), at any process count a graph
+// supports; only a nontrivial group is bounded by maxOrbitProcs.
+func newOrbitGroup(perms, vals [][]int) (*orbitGroup, error) {
 	m := len(perms)
 	if m == 0 || m > maxGroupOrder {
 		return nil, fmt.Errorf("ptg: group order %d outside 1..%d", m, maxGroupOrder)
@@ -83,11 +95,30 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 	if n < 1 || n > maxN {
 		return nil, fmt.Errorf("ptg: group acts on %d processes, want 1..%d", n, maxN)
 	}
+	d := 0
+	if vals != nil {
+		if len(vals) != m {
+			return nil, fmt.Errorf("ptg: value part of %d elements, want %d", len(vals), m)
+		}
+		if d = len(vals[0]); d < 1 || d > maxValueDomain {
+			return nil, fmt.Errorf("ptg: value part acts on %d values, want 1..%d", d, maxValueDomain)
+		}
+	}
+	// An element's index key is its process images, then its value images.
 	index := make(map[string]int, m)
-	key := func(perm []int) string {
-		b := make([]byte, len(perm))
-		for p, q := range perm {
-			b[p] = byte(q)
+	valsOf := func(k int) []int {
+		if d == 0 {
+			return nil
+		}
+		return vals[k]
+	}
+	key := func(perm, val []int) string {
+		b := make([]byte, 0, n+d)
+		for _, q := range perm {
+			b = append(b, byte(q))
+		}
+		for _, y := range val {
+			b = append(b, byte(y))
 		}
 		return string(b)
 	}
@@ -95,26 +126,22 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 		if len(perm) != n {
 			return nil, fmt.Errorf("ptg: group element %d has %d images, want %d", k, len(perm), n)
 		}
-		var seen uint64
-		for p, q := range perm {
-			if q < 0 || q >= n || seen&(1<<uint(q)) != 0 {
-				return nil, fmt.Errorf("ptg: group element %d is not a permutation", k)
-			}
-			seen |= 1 << uint(q)
-			if k == 0 && q != p {
-				return nil, errors.New("ptg: group element 0 is not the identity")
-			}
+		if !isPerm(perm, k == 0) {
+			return nil, fmt.Errorf("ptg: group element %d is not a permutation", k)
 		}
-		if _, dup := index[key(perm)]; dup {
+		if d > 0 && (len(vals[k]) != d || !isPerm(vals[k], k == 0)) {
+			return nil, fmt.Errorf("ptg: value part of group element %d is not a permutation", k)
+		}
+		if _, dup := index[key(perm, valsOf(k))]; dup {
 			return nil, fmt.Errorf("ptg: group element %d repeats an earlier one", k)
 		}
-		index[key(perm)] = k
+		index[key(perm, valsOf(k))] = k
 	}
 	if m == 1 {
 		return nil, nil
 	}
 	g := &orbitGroup{
-		m: m, n: n, perms: perms,
+		m: m, n: n, perms: perms, d: d, vals: vals,
 		inv: make([]uint8, m), mul: make([]uint8, m*m),
 		least: make([]int, n), toLeast: make([]uint64, n),
 		pinv: make([]uint8, m*n), maskTab: make([]uint16, m*2*256),
@@ -130,13 +157,16 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 			}
 		}
 	}
-	comp := make([]int, n)
+	comp, compVal := make([]int, n), make([]int, d)
 	for a := 0; a < m; a++ {
 		for b := 0; b < m; b++ {
 			for p := 0; p < n; p++ {
 				comp[p] = perms[a][perms[b][p]]
 			}
-			ab, ok := index[key(comp)]
+			for x := 0; x < d; x++ {
+				compVal[x] = vals[a][vals[b][x]]
+			}
+			ab, ok := index[key(comp, compVal)]
 			if !ok {
 				return nil, errors.New("ptg: group is not closed under composition")
 			}
@@ -161,23 +191,28 @@ func newOrbitGroup(perms [][]int) (*orbitGroup, error) {
 	return g, nil
 }
 
-// equal reports whether two groups list the same elements in the same
-// order (element indices are part of the ID scheme).
-func (g *orbitGroup) equal(perms [][]int) bool {
-	if len(perms) != g.m {
-		return false
-	}
-	for k := range perms {
-		if len(perms[k]) != g.n {
+// maxValueDomain bounds the value domain of a group's value part.
+const maxValueDomain = 64
+
+// isPerm reports whether perm is a permutation of {0, …, len(perm)-1},
+// and the identity when identity is set.
+func isPerm(perm []int, identity bool) bool {
+	var seen uint64
+	for p, q := range perm {
+		if q < 0 || q >= len(perm) || q >= 64 || seen&(1<<uint(q)) != 0 || (identity && q != p) {
 			return false
 		}
-		for p, q := range perms[k] {
-			if g.perms[k][p] != q {
-				return false
-			}
-		}
+		seen |= 1 << uint(q)
 	}
 	return true
+}
+
+// equal reports whether two groups list the same elements in the same
+// order (element indices are part of the ID scheme).
+func (g *orbitGroup) equal(o *orbitGroup) bool {
+	return o != nil && o.m == g.m && o.n == g.n && o.d == g.d &&
+		slices.EqualFunc(o.perms, g.perms, slices.Equal) &&
+		(g.d == 0 || slices.EqualFunc(o.vals, g.vals, slices.Equal))
 }
 
 // cosetMin returns the least element of the coset e·H, where H is the
@@ -229,16 +264,18 @@ func (g *orbitGroup) orbitLabel(arg uint64, star int) (stab uint64, l uint8) {
 }
 
 // AdoptGroup makes an empty plain interner orbit-canonical under the
-// process permutation group perms, or checks that the interner already
-// canonicalizes by exactly that group — element order included, since
-// element indices are part of every ID. perms[k][p] is the image of
-// process p under element k, perms[0] must be the identity, and the set
-// must be closed under composition, with at most 64 elements on at most
-// 16 processes; a group of order 1 leaves the interner plain. It errors on
-// an invalid group, on a mismatch, and on a non-empty plain interner asked
-// for a nontrivial group.
-func (in *Interner) AdoptGroup(perms [][]int) error {
-	g, err := newOrbitGroup(perms)
+// group whose element k is the process permutation perms[k] paired with
+// the input-value permutation vals[k] (vals nil for a group without a
+// value part), or checks that the interner already canonicalizes by
+// exactly that group — element order included, since element indices are
+// part of every ID. perms[k][p] is the image of process p and vals[k][x]
+// the image of value x under element k, element 0 must be the identity,
+// and the set must be closed under composition, with at most 64 elements
+// on at most 16 processes; a group of order 1 leaves the interner plain.
+// It errors on an invalid group, on a mismatch, and on a non-empty plain
+// interner asked for a nontrivial group.
+func (in *Interner) AdoptGroup(perms, vals [][]int) error {
+	g, err := newOrbitGroup(perms, vals)
 	if err != nil {
 		return err
 	}
@@ -246,7 +283,7 @@ func (in *Interner) AdoptGroup(perms [][]int) error {
 	case in.grp != nil && g == nil:
 		return fmt.Errorf("ptg: interner is orbit-canonical under a group of order %d, not the trivial group", in.grp.m)
 	case in.grp != nil:
-		if !in.grp.equal(perms) {
+		if !in.grp.equal(g) {
 			return errors.New("ptg: interner is orbit-canonical under a different group")
 		}
 	case g != nil:
@@ -306,13 +343,28 @@ func (in *Interner) Relabel(id ViewID, k int) ViewID {
 }
 
 // orbitLeaf is Leaf on an orbit-canonical interner: the relabelings of the
-// leaf (p, x) are the leaves (σ(p), x), so the least one is owned by the
-// least process of p's orbit.
+// leaf (p, x) are the leaves (σ(p), π(x)), so the least one is owned by
+// the least process of p's orbit and holds the least image of x under
+// the elements that map p there.
 //
 //topocon:allocfree
 func (in *Interner) orbitLeaf(p, x int) ViewID {
 	g := in.grp
 	arg := g.toLeast[p]
+	if g.d > 0 && x >= 0 && x < g.d {
+		var has uint64
+		least := x
+		for rest := arg; rest != 0; rest &= rest - 1 {
+			k := bits.TrailingZeros64(rest)
+			switch y := g.vals[k][x]; {
+			case has == 0 || y < least:
+				has, least = 1<<uint(k), y
+			case y == least:
+				has |= 1 << uint(k)
+			}
+		}
+		arg, x = has, least
+	}
 	var buf [1 + 2*binary.MaxVarintLen64]byte
 	buf[0] = 'L'
 	n := 1

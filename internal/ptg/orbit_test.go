@@ -24,13 +24,43 @@ func groupPerms(g *ma.Group) [][]int {
 	return perms
 }
 
+// groupVals lists the value parts of the group's elements, nil for a
+// group without one.
+func groupVals(g *ma.Group) [][]int {
+	if g.Domain() == 0 {
+		return nil
+	}
+	vals := make([][]int, g.Order())
+	for k := range vals {
+		vals[k] = g.Values(k)
+	}
+	return vals
+}
+
 // groupInterner returns an empty interner that adopted the group perms.
 func groupInterner(perms [][]int) (*Interner, error) {
+	return pairInterner(perms, nil)
+}
+
+// pairInterner returns an empty interner that adopted the group whose
+// elements pair perms with the value permutations vals.
+func pairInterner(perms, vals [][]int) (*Interner, error) {
 	in := NewInterner()
-	if err := in.AdoptGroup(perms); err != nil {
+	if err := in.AdoptGroup(perms, vals); err != nil {
 		return nil, err
 	}
 	return in, nil
+}
+
+// relabelRun returns the twin of r under element k of grp: graphs and
+// input positions relabeled by the process part, inputs by the value
+// part.
+func relabelRun(r Run, grp *ma.Group, k int) Run {
+	rk := r.Relabel(grp.Elem(k))
+	for p, x := range rk.Inputs {
+		rk.Inputs[p] = grp.Value(k, x)
+	}
+	return rk
 }
 
 // randomRun draws a run of the adversary: random binary inputs and rounds
@@ -50,21 +80,24 @@ func randomRun(rng *rand.Rand, adv *ma.Oblivious, rounds int) Run {
 
 // TestOrbitInternerProperties is the orbit-canonical ID contract on random
 // runs of lossy-star-4 (its S₃) and of generated symmetric adversaries with
-// n ≤ 4: relabeling an ID by element k gives the ID of the relabeled run's
-// view, two IDs are equal exactly when a plain interner gives the two cones
-// equal IDs, and the interner stores at most as many cones as the plain one.
+// n ≤ 4, under the process group alone and paired with the swap of the
+// two input values: relabeling an ID by element k gives the ID of the
+// relabeled run's view, two IDs are equal exactly when a plain interner
+// gives the two cones equal IDs, and the interner stores at most as many
+// cones as the plain one.
 func TestOrbitInternerProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	advs := []*ma.Oblivious{advgen.LossyStar4()}
 	for len(advs) < 13 {
 		advs = append(advs, advgen.SymmetricOblivious(rng, 2+len(advs)%3))
 	}
-	for ai, adv := range advs {
-		grp := ma.Automorphisms(adv)
+	for ai := range 2 * len(advs) {
+		adv := advs[ai/2]
+		grp := ma.Automorphisms(adv).OnDomain(1 + ai%2)
 		if grp.Trivial() {
 			t.Fatalf("adversary %d (%v): trivial automorphism group", ai, adv.Graphs())
 		}
-		gi, err := groupInterner(groupPerms(grp))
+		gi, err := pairInterner(groupPerms(grp), groupVals(grp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +119,7 @@ func TestOrbitInternerProperties(t *testing.T) {
 			v := ComputeViews(gi, r)
 			for k := 0; k < grp.Order(); k++ {
 				perm := grp.Elem(k)
-				rk := r.Relabel(perm)
+				rk := relabelRun(r, grp, k)
 				vk := ComputeViews(gi, rk)
 				pk := ComputeViews(plain, rk)
 				for tt := 0; tt <= r.Rounds(); tt++ {
@@ -103,6 +136,32 @@ func TestOrbitInternerProperties(t *testing.T) {
 		if gi.IDBound() != gi.Size()*grp.Order() || gi.Size() > plain.Size() {
 			t.Fatalf("adversary %d: %d stored cones (ID bound %d) against %d plain", ai, gi.Size(), gi.IDBound(), plain.Size())
 		}
+	}
+}
+
+// TestOrbitInternerValueLeaves: under a value part every leaf's stored
+// cone holds input 0, so a leaf and its input-swapped twin share one
+// stored cone with distinct IDs, and relabeling by the swap exchanges
+// them.
+func TestOrbitInternerValueLeaves(t *testing.T) {
+	grp := ma.Automorphisms(advgen.LossyStar4()).OnDomain(2)
+	if grp.Order() != 12 || grp.Domain() != 2 {
+		t.Fatalf("lossy-star-4 group order %d on %d values, want 12 on 2", grp.Order(), grp.Domain())
+	}
+	in, err := pairInterner(groupPerms(grp), groupVals(grp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, one := in.Leaf(0, 0), in.Leaf(0, 1)
+	if in.Size() != 1 || zero == one {
+		t.Fatalf("centre leaves with inputs 0 and 1: %d stored cones, IDs %d and %d", in.Size(), zero, one)
+	}
+	swap := 6 // (identity, the value swap): value permutations come after the |G| process elements
+	if !grp.MovesValues(swap) || grp.MovesValues(swap-1) {
+		t.Fatal("element 6 is not the first to move input values")
+	}
+	if in.Relabel(zero, swap) != one || in.Relabel(one, swap) != zero {
+		t.Fatalf("Relabel by the value swap maps %d to %d and %d to %d", zero, in.Relabel(zero, swap), one, in.Relabel(one, swap))
 	}
 }
 
@@ -202,25 +261,25 @@ func TestOrbitInternerRepeatInternAllocationFree(t *testing.T) {
 func TestAdoptGroup(t *testing.T) {
 	perms := groupPerms(ma.Automorphisms(advgen.LossyStar4()))
 	in := NewInterner()
-	if err := in.AdoptGroup(perms); err != nil || in.GroupOrder() != 6 {
+	if err := in.AdoptGroup(perms, nil); err != nil || in.GroupOrder() != 6 {
 		t.Fatalf("empty plain interner: %v (order %d)", err, in.GroupOrder())
 	}
-	if err := in.AdoptGroup(perms); err != nil {
+	if err := in.AdoptGroup(perms, nil); err != nil {
 		t.Fatalf("re-adopting the same group: %v", err)
 	}
-	if err := in.AdoptGroup(perms[:1]); err == nil {
+	if err := in.AdoptGroup(perms[:1], nil); err == nil {
 		t.Fatal("orbit-canonical interner accepted the trivial group")
 	}
 	swapped := append([][]int{perms[0], perms[2], perms[1]}, perms[3:]...)
-	if err := in.AdoptGroup(swapped); err == nil {
+	if err := in.AdoptGroup(swapped, nil); err == nil {
 		t.Fatal("accepted a reordered group")
 	}
 	used := NewInterner()
 	used.Leaf(0, 0)
-	if err := used.AdoptGroup(perms); err == nil {
+	if err := used.AdoptGroup(perms, nil); err == nil {
 		t.Fatal("populated plain interner adopted a group")
 	}
-	if err := used.AdoptGroup(perms[:1]); err != nil {
+	if err := used.AdoptGroup(perms[:1], nil); err != nil {
 		t.Fatalf("plain interner rejected the trivial group: %v", err)
 	}
 	for name, bad := range map[string][][]int{
@@ -424,9 +483,9 @@ type nodeCase struct {
 // newNodeCase fills an interner under perms (plain for a group of order
 // 1) with the views of random runs of adv, when given, and with three
 // layers of random nodes over every process's leaves, and pools them.
-func newNodeCase(tb testing.TB, name string, perms [][]int, adv *ma.Oblivious, rng *rand.Rand) nodeCase {
+func newNodeCase(tb testing.TB, name string, perms, vals [][]int, adv *ma.Oblivious, rng *rand.Rand) nodeCase {
 	tb.Helper()
-	in, err := groupInterner(perms)
+	in, err := pairInterner(perms, vals)
 	if err != nil {
 		tb.Fatalf("%s: %v", name, err)
 	}
@@ -466,22 +525,25 @@ func newNodeCase(tb testing.TB, name string, perms [][]int, adv *ma.Oblivious, r
 
 // orbitNodeCases returns orbit-canonical node cases for lossy-star-4's
 // S₃, the automorphism groups of generated symmetric adversaries with
-// n ≤ 4, and the cyclic group of order 4 and S₄ on 4 processes.
+// n ≤ 4, the cyclic group of order 4 and S₄ on 4 processes, and
+// lossy-star-4's S₃ paired with the swap of the two input values.
 func orbitNodeCases(tb testing.TB) []nodeCase {
 	rng := rand.New(rand.NewSource(29))
 	star := advgen.LossyStar4()
-	cases := []nodeCase{newNodeCase(tb, "lossy-star-4", groupPerms(ma.Automorphisms(star)), star, rng)}
+	cases := []nodeCase{newNodeCase(tb, "lossy-star-4", groupPerms(ma.Automorphisms(star)), nil, star, rng)}
 	for i := 0; i < 6; i++ {
 		adv := advgen.SymmetricOblivious(rng, 2+i%3)
-		cases = append(cases, newNodeCase(tb, fmt.Sprintf("symmetric-%d", i), groupPerms(ma.Automorphisms(adv)), adv, rng))
+		cases = append(cases, newNodeCase(tb, fmt.Sprintf("symmetric-%d", i), groupPerms(ma.Automorphisms(adv)), nil, adv, rng))
 	}
 	cyclic := [][]int{{0, 1, 2, 3}, {1, 2, 3, 0}, {2, 3, 0, 1}, {3, 0, 1, 2}}
-	cases = append(cases, newNodeCase(tb, "cyclic-4", cyclic, nil, rng))
+	cases = append(cases, newNodeCase(tb, "cyclic-4", cyclic, nil, nil, rng))
 	var sym4 [][]int
 	for _, perm := range permutations(4) {
 		sym4 = append(sym4, perm)
 	}
-	cases = append(cases, newNodeCase(tb, "symmetric-group-4", sym4, nil, rng))
+	cases = append(cases, newNodeCase(tb, "symmetric-group-4", sym4, nil, nil, rng))
+	pairs := ma.Automorphisms(star).OnDomain(2)
+	cases = append(cases, newNodeCase(tb, "lossy-star-4-values", groupPerms(pairs), groupVals(pairs), star, rng))
 	return cases
 }
 
@@ -560,6 +622,7 @@ func FuzzOrbitNode(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint16(0b1111), []byte{0, 1, 2, 3})
 	f.Add(uint8(0), uint8(2), uint16(0b0100), []byte{5})
 	f.Add(uint8(8), uint8(1), uint16(0b1011), []byte{1, 1, 1})
+	f.Add(uint8(9), uint8(1), uint16(0b0011), []byte{2, 3})
 	f.Fuzz(func(t *testing.T, ci, p uint8, mask uint16, picks []byte) {
 		c := cases[int(ci)%len(cases)]
 		n := len(c.pools)

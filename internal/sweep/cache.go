@@ -25,9 +25,11 @@ import (
 //     the adaptive CertChainLen default additionally resolved against the
 //     adversary's process count): a zero field and its effective default
 //     must collide.
-//   - GroupFingerprint identifies the automorphism group the session
-//     quotients by (DESIGN.md §13): ma.Automorphisms(adv).Fingerprint(),
-//     or the trivial group's under Options.NoSymmetry. Verdicts are
+//   - GroupFingerprint identifies the symmetry group the session
+//     quotients by (DESIGN.md §13): the fingerprint of
+//     ma.Automorphisms(adv) resolved over the input domain (G × Sym(V)
+//     when it fits, ma.Group.OnDomain), or the trivial group's under
+//     Options.NoSymmetry. Verdicts are
 //     quotient-invariant, but the group detection itself is budgeted
 //     (Automorphisms falls back to trivial), so two builds of this binary
 //     could in principle detect different groups for one behaviour; keying
@@ -62,7 +64,7 @@ func KeyFor(adv ma.Adversary, opts check.Options) (Key, error) {
 	resolved.CertChainLen = resolved.EffectiveCertChainLen(adv.N())
 	group := ma.TrivialGroup(adv.N())
 	if !resolved.NoSymmetry {
-		group = ma.Automorphisms(adv)
+		group = ma.Automorphisms(adv).OnDomain(resolved.InputDomain)
 	}
 	_, oblivious := ma.Normalize(adv).(*ma.Oblivious)
 	return Key{

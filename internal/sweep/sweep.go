@@ -85,8 +85,8 @@ type Config struct {
 	// bytes (≤ 0: unlimited). Only meaningful with CheckpointDir.
 	PagerHotBytes int64
 	// NoSymmetry forces check.Options.NoSymmetry on every cell: sessions
-	// analyse the full prefix space instead of the automorphism quotient
-	// (DESIGN.md §13). The option enters each cell's cache key, so
+	// analyse the full prefix space instead of the symmetry quotient, with
+	// neither its process part nor its input-value part (DESIGN.md §13). The option enters each cell's cache key, so
 	// quotiented and full runs of the same grid never share records —
 	// verdicts are identical either way, but run-time statistics differ.
 	// A differential-testing override (CI compares the two sweeps).

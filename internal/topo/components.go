@@ -16,7 +16,8 @@ import (
 // Component is one component orbit of the horizon-t prefix space in the
 // minimum topology. A connected component of the full space — equivalently
 // the ε-approximation PS^ε (ε = 2^-t, Definition 6.2) of each of its
-// members — is mapped by every process automorphism σ onto a component
+// members — is mapped by every element σ of the symmetry group, a process
+// automorphism paired with an input-value permutation, onto a component
 // again (comp(σ·r) = σ·comp(r)), so components come in orbits. A
 // Component describes one component C of its orbit, its base; the orbit
 // holds |G|/|Stab| components, the twins σ·C over the cosets of Stab. Under
@@ -32,15 +33,16 @@ type Component struct {
 	// (the identity alone) under the trivial group.
 	Stab uint64
 	// Valences lists the distinct values v for which the component
-	// contains a v-valent run, ascending. Valence is relabel-invariant, so
-	// every twin of C has the same list.
+	// contains a v-valent run, ascending. The twin (σ, π)·C lists the
+	// π-images: a v-valent run's twin is π(v)-valent.
 	Valences []int
 	// Broadcasters is the bitmask of processes p such that in every run of
 	// C, every process has heard p by the horizon (Definition 5.8 at
 	// finite resolution). The twin σ·C has the relabeled mask.
 	Broadcasters uint64
 	// UniformInputs is the bitmask of processes p whose input x_p is the
-	// same across all runs of C. Theorem 5.9 predicts
+	// same across all runs of C; the twin σ·C has the relabeled mask, its
+	// inputs relabeled by the value part. Theorem 5.9 predicts
 	// Broadcasters ⊆ UniformInputs for connected components.
 	UniformInputs uint64
 }
@@ -287,15 +289,17 @@ func materialize(s *Space, u *uf.Labelled) *Decomposition {
 // columns: HeardByAll folds the heard masks of one view row, inputs come
 // through the O(1) root-ancestor lookup. Each member contributes its twin
 // in the base component — heard masks and input positions permuted by its
-// label — and the folds are then closed under the stabilizer, whose
-// elements permute the base component's runs among themselves.
+// label's process part, valences and input values by its value part — and
+// the folds are then closed under the stabilizer, whose elements permute
+// the base component's runs among themselves.
 func (d *Decomposition) summarize(c *Component) {
 	s := d.Space
+	grp := s.sym.group
 	bc := graph.AllNodes(s.fr.n)
 	uc := bc
 	var vmask uint64
 	var vbig []int
-	first := s.Inputs(c.Members[0])
+	first := s.Inputs(c.Members[0]) // its label is the identity
 	prevRoot, prevL := int32(-1), uint8(0)
 	for _, i := range c.Members {
 		l := d.Labels[i]
@@ -309,55 +313,67 @@ func (d *Decomposition) summarize(c *Component) {
 			continue
 		}
 		prevRoot, prevL = r, l
-		if v := int(s.fr.base.valence[r]); v >= 64 {
-			vbig = append(vbig, v)
-		} else if v >= 0 {
-			vmask |= 1 << uint(v)
+		if v := int(s.fr.base.valence[r]); v >= 0 {
+			vmask, vbig = addValence(vmask, vbig, grp.Value(int(l), v))
 		}
 		if uc != 0 {
-			// Process p of the twin σ_l·run holds the run's input at
-			// σ_l⁻¹(p).
+			// Process p of the twin σ_l·run holds π_l of the run's input
+			// at σ_l⁻¹(p).
 			in := s.Inputs(i)
 			var inv []int
 			if l != 0 {
-				inv = s.sym.group.Inv(int(l))
+				inv = grp.Inv(int(l))
 			}
 			for mm := uc; mm != 0; mm &= mm - 1 {
 				p := bits.TrailingZeros64(mm)
-				q := p
+				x := in[p]
 				if inv != nil {
-					q = inv[p]
+					x = grp.Value(int(l), in[inv[p]])
 				}
-				if in[q] != first[p] {
+				if x != first[p] {
 					uc &^= 1 << uint(p)
 				}
 			}
 		}
 	}
 	c.Broadcasters = bc
-	c.Valences = valenceList(vmask, vbig)
 	c.UniformInputs = uc
-	if c.Stab == 1 {
-		return
-	}
-	// The base component is the union of the σ_h-images of the folded
-	// twins: p stays a broadcaster iff every σ_h(p) is one, and stays
-	// uniform iff every σ_h(p) is uniform with the same input.
-	for rest := c.Stab &^ 1; rest != 0; rest &= rest - 1 {
-		perm := s.sym.group.Elem(bits.TrailingZeros64(rest))
-		for mm := c.Broadcasters; mm != 0; mm &= mm - 1 {
-			p := bits.TrailingZeros64(mm)
-			if c.Broadcasters&(1<<uint(perm[p])) == 0 {
-				c.Broadcasters &^= 1 << uint(p)
+	if c.Stab != 1 {
+		// The base component is the union of the σ_h-images of the folded
+		// twins: p stays a broadcaster iff every σ_h(p) is one, stays
+		// uniform iff every σ_h(p) is uniform with π_h of p's input, and
+		// every valence v brings π_h(v).
+		vs := valenceList(vmask, vbig)
+		for rest := c.Stab &^ 1; rest != 0; rest &= rest - 1 {
+			h := bits.TrailingZeros64(rest)
+			perm := grp.Elem(h)
+			for mm := c.Broadcasters; mm != 0; mm &= mm - 1 {
+				p := bits.TrailingZeros64(mm)
+				if c.Broadcasters&(1<<uint(perm[p])) == 0 {
+					c.Broadcasters &^= 1 << uint(p)
+				}
+			}
+			for mm := c.UniformInputs; mm != 0; mm &= mm - 1 {
+				p := bits.TrailingZeros64(mm)
+				if q := perm[p]; c.UniformInputs&(1<<uint(q)) == 0 || first[q] != grp.Value(h, first[p]) {
+					c.UniformInputs &^= 1 << uint(p)
+				}
+			}
+			for _, v := range vs {
+				vmask, vbig = addValence(vmask, vbig, grp.Value(h, v))
 			}
 		}
-		for mm := c.UniformInputs; mm != 0; mm &= mm - 1 {
-			p := bits.TrailingZeros64(mm)
-			if q := perm[p]; c.UniformInputs&(1<<uint(q)) == 0 || first[q] != first[p] {
-				c.UniformInputs &^= 1 << uint(p)
-			}
-		}
 	}
+	c.Valences = valenceList(vmask, vbig)
+}
+
+// addValence adds value v to a valence bitmask, or to the spill list of
+// values ≥ 64.
+func addValence(vmask uint64, vbig []int, v int) (uint64, []int) {
+	if v >= 64 {
+		return vmask, append(vbig, v)
+	}
+	return vmask | 1<<uint(v), vbig
 }
 
 // valenceList expands the valence bitmask (plus the rare ≥ 64 spill) into
@@ -428,21 +444,33 @@ func (d *Decomposition) ValentComponentsBroadcastable() bool {
 // adversaries it grows without bound (Fig. 5: distance-0 limits).
 func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	s := d.Space
-	sig := make([]int32, len(d.Comps))
+	grp, tab := s.sym.group, s.Group()
+	// sig[ci*m+g] is the signature id of twin g of component orbit ci's
+	// base component, whose valences are π_g of the base's.
+	m := s.SymOrder()
+	sig := make([]int32, len(d.Comps)*m)
 	sigIDs := make(map[string]int32)
+	vals := make([]int, 0, 8)
 	for ci := range d.Comps {
 		vs := d.Comps[ci].Valences
-		if len(vs) == 0 {
-			sig[ci] = -1
-			continue
+		for g := 0; g < m; g++ {
+			if len(vs) == 0 {
+				sig[ci*m+g] = -1
+				continue
+			}
+			vals = vals[:0]
+			for _, v := range vs {
+				vals = append(vals, grp.Value(g, v))
+			}
+			sort.Ints(vals)
+			key := fmt.Sprint(vals)
+			id, ok := sigIDs[key]
+			if !ok {
+				id = int32(len(sigIDs))
+				sigIDs[key] = id
+			}
+			sig[ci*m+g] = id
 		}
-		key := fmt.Sprint(vs)
-		id, ok := sigIDs[key]
-		if !ok {
-			id = int32(len(sigIDs))
-			sigIDs[key] = id
-		}
-		sig[ci] = id
 	}
 	if len(sigIDs) < 2 {
 		// All valent components carry the same valence set: no pair can
@@ -450,17 +478,18 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 		return 0, false
 	}
 	// The scan runs over full-space runs: every distinct twin of every
-	// representative in a valent component.
+	// representative in a valent component. Twin σ_k·(run i) lies in twin
+	// σ_{k∘L⁻¹} of its orbit's base component, L the item's label.
 	var views []*ptg.Views
 	var sigs []int32
 	for i := 0; i < s.Len(); i++ {
-		sg := sig[d.CompOf[i]]
-		if sg < 0 {
+		ci, li := d.CompOf[i], tab.Inv(d.Labels[i])
+		if sig[ci*m] < 0 {
 			continue
 		}
 		for _, k := range s.twinElems(i) {
 			views = append(views, s.PseudoViews(i, k))
-			sigs = append(sigs, sg)
+			sigs = append(sigs, sig[ci*m+int(tab.Mul(uint8(k), li))])
 		}
 	}
 	best := -1

@@ -128,9 +128,8 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// across rounds, so the per-child allocation count is 0.
 	sc := extendScratchPool.Get().(*extendScratch)
 	defer extendScratchPool.Put(sc)
-	width := min(widest, memoWidth)
-	sc.acquire(n, width, cones)
-	seen, ins, outs, succ := sc.seen, sc.ins, sc.outs, sc.succ
+	sc.acquire(n, min(widest, memoWidth), cones)
+	succ := sc.succ
 	c := -1 // the last child slot written; children fill the slots in parent order
 	for i := 0; i < nParents; i++ {
 		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
@@ -141,7 +140,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 		pDoneAt := s.doneAt[i]
 		pRoot := s.fr.rootOf[i]
 		pStab := s.stab[i]
-		clear(seen)
+		sc.nextParent()
 		for j, l := range row.Letters {
 			g := alphabet[l]
 			cStab := uint64(1)
@@ -157,8 +156,8 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 				// in-mask: a sibling with the same mask already interned
 				// it, so copy that sibling's view (DESIGN.md §5.1).
 				in := g.In(p)
-				if j := slices.Index(ins[p*width:p*width+seen[p]], in); j >= 0 {
-					dst[p] = outs[p*width+j]
+				if id, ok := sc.memo(p, in); ok {
+					dst[p] = id
 					continue
 				}
 				var id ptg.ViewID
@@ -179,10 +178,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 					id = interner.Node(p, in, prevIDs)
 				}
 				dst[p] = id
-				if k := seen[p]; k < width {
-					ins[p*width+k], outs[p*width+k] = in, id
-					seen[p]++
-				}
+				sc.remember(p, in, id)
 			}
 			state := row.Next[j]
 			doneAt := pDoneAt
@@ -227,17 +223,19 @@ const memoWidth = 8
 // The in-mask memo (DESIGN.md §5.1): for the parent being extended,
 // seen[p] counts the distinct in-masks g.In(p) kept among its children so
 // far, ins[p*width+j] is the j-th and outs[p*width+j] the view it
-// produced.
+// produced. Extension and the restore check (frontier.checkViews) both
+// read it through memo and remember.
 //
 // The successor table (DESIGN.md §5.1) answers self-only requests across
 // the parents of one round: succ[k] holds the child view of the parent
 // round's view prev, for the cone k = prev/|G| − coneLo. It holds view IDs
 // only, so a pooled scratch keeps no finished session's chain alive.
 type extendScratch struct {
-	seen []int
-	ins  []uint64
-	outs []ptg.ViewID
-	succ []succCell
+	width int
+	seen  []int
+	ins   []uint64
+	outs  []ptg.ViewID
+	succ  []succCell
 }
 
 // succCell is one successor table cell: the self-only child view id of
@@ -262,11 +260,34 @@ func (sc *extendScratch) acquire(n, width, cones int) {
 		sc.outs = make([]ptg.ViewID, n*width)
 	}
 	sc.ins, sc.outs = sc.ins[:n*width], sc.outs[:n*width]
+	sc.width = width
 	if cap(sc.succ) < cones {
 		sc.succ = make([]succCell, cones)
 	}
 	sc.succ = sc.succ[:cones]
 	for k := range sc.succ {
 		sc.succ[k] = succCell{prev: -1}
+	}
+}
+
+// nextParent empties the in-mask memo for the next parent's children.
+func (sc *extendScratch) nextParent() { clear(sc.seen) }
+
+// memo returns the view the current parent's children gave process p
+// for in-mask mask, if the memo kept it.
+func (sc *extendScratch) memo(p int, mask uint64) (ptg.ViewID, bool) {
+	w := sc.width
+	if j := slices.Index(sc.ins[p*w:p*w+sc.seen[p]], mask); j >= 0 {
+		return sc.outs[p*w+j], true
+	}
+	return 0, false
+}
+
+// remember keeps view id as the current parent's answer for process p
+// and in-mask mask, while p has a free slot.
+func (sc *extendScratch) remember(p int, mask uint64, id ptg.ViewID) {
+	if k := sc.seen[p]; k < sc.width {
+		sc.ins[p*sc.width+k], sc.outs[p*sc.width+k] = mask, id
+		sc.seen[p]++
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"topocon/internal/ma"
@@ -235,9 +234,9 @@ type ChainSpec struct {
 	// RowDigest the chain's row digest (both from SnapshotChain).
 	Rounds    []ChainRound
 	RowDigest string
-	// Symmetry must be the automorphism group the checkpointed session was
-	// quotiented by (nil or the trivial group for a full-space session), as
-	// in Config.Symmetry. The Interner must be orbit-canonical under it
+	// Symmetry must be the group the checkpointed session was quotiented
+	// by (nil or the trivial group for a full-space session), as in
+	// Config.Symmetry: an open value part is resolved over InputDomain. The Interner must be orbit-canonical under it
 	// (the imported blob carries the group), so restoring a quotiented
 	// chain without its group, or a full-space chain with one, fails on
 	// the interner. The stabilizer column is derived state — never
@@ -253,8 +252,8 @@ type ChainSpec struct {
 // and checksum-verified exactly once, and replay derives everything else —
 // run links, automaton states, obligations and stabilizers — from the
 // restored parent round; the round must hold exactly its parents'
-// children. Every view is then checked against its run's round graph
-// (checkHeard), and the chain's rows against the snapshot's RowDigest, so
+// children. Every view is then checked to be exactly the view its run's
+// round graph gives over its parent's views (checkViews), and the chain's rows against the snapshot's RowDigest, so
 // a respelled adversary that would put valid views onto the wrong runs
 // fails here. A parent round is registered with the pager and evicted once
 // its child has been checked, so restore memory stays at ~two rounds of
@@ -305,7 +304,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 		f.idLo, f.idHi = int(lo/order*order), int((hi/order+1)*order)
 		next, err := s.replay(f)
 		if err == nil {
-			err = f.checkHeard()
+			err = f.checkViews()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("topo: RestoreChain: %w", err)
@@ -340,7 +339,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 // parent's root. A round restored from its page takes the derived links; a
 // round that has them (AncestorAt) keeps its own, which are the same. The
 // round must hold exactly as many runs as s's runs have children. View IDs
-// are not read: checkHeard verifies them on restore.
+// are not read: checkViews verifies them on restore.
 func (s *Space) replay(f *frontier) (*Space, error) {
 	pRoot := s.fr.rootOf
 	auto, grp := s.fr.base.auto, s.sym.group
@@ -380,33 +379,40 @@ func (s *Space) replay(f *frontier) (*Space, error) {
 	return s.atRound(f, state, doneAt, stab), nil
 }
 
-// checkHeard verifies round f's views against the run links replay
-// derived: the view of process p must have heard exactly what p's
-// in-neighbours in the run's round graph had heard in the parent run (a
-// node's cone is the union of its children's). The base round's views are
-// leaves interned from the inputs, so, round by round, every restored
-// view has the heard mask extension gave it. f's and its parent's views
-// must be resident.
-func (f *frontier) checkHeard() error {
-	in, auto, pf := f.base.interner, f.base.auto, f.prev
-	parent := make([]uint64, f.n)
+// checkViews verifies round f's views against the run links replay
+// derived: the view of process p in run c must be exactly the view the
+// interner holds for p's in-neighbourhood in the run's round graph over
+// the parent run's view row — Interner.Lookup builds Node's key (the
+// orbit-canonical one under a group) and stores nothing. The base round's
+// views are leaves interned from the inputs, so, round by round, every
+// restored view is the one extension gave its run: a page that swaps the
+// views of two runs, even runs playing the same graph from different
+// parents, fails here. Siblings share most in-masks, so each parent's
+// answers are kept in extendOne's in-mask memo (DESIGN.md §5.1). f's and
+// its parent's views must be resident.
+func (f *frontier) checkViews() error {
+	in, auto, pf, n := f.base.interner, f.base.auto, f.prev, f.n
+	sc := extendScratchPool.Get().(*extendScratch)
+	defer extendScratchPool.Put(sc)
+	sc.acquire(n, memoWidth, 0)
 	last := int32(-1)
 	for c, i := range f.parentOf {
 		if i != last {
-			for q, id := range pf.idRow(int(i)) {
-				parent[q] = in.Heard(id)
-			}
+			sc.nextParent()
 			last = i
 		}
+		parent := pf.idRow(int(i))
 		g := auto.Graph(f.letter[c])
 		for p, id := range f.idRow(c) {
-			var want uint64
-			for m := g.In(p); m != 0; m &= m - 1 {
-				want |= parent[bits.TrailingZeros64(m)]
+			mask := g.In(p)
+			want, ok := sc.memo(p, mask)
+			if !ok {
+				want = in.Lookup(p, mask, parent)
+				sc.remember(p, mask, want)
 			}
-			if got := in.Heard(id); got != want {
-				return fmt.Errorf("round %d run %d process %d: view %d heard %#x, its round graph gives %#x",
-					f.horizon, c, p, id, got, want)
+			if id != want {
+				return fmt.Errorf("round %d run %d process %d: view %d, its round graph gives view %d over its parent's views",
+					f.horizon, c, p, id, want)
 			}
 		}
 	}

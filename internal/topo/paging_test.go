@@ -297,10 +297,12 @@ func TestRestoreChainRejectsCorruptPages(t *testing.T) {
 // round's views against the runs replay derives for it. Each case is a
 // page with a valid checksum, the round's size and only views of the
 // round's depth that the interner handed out, but not what extension
-// produces: one process's views traded between two sibling runs, and two
+// produces: one process's views traded between two sibling runs, two
 // sibling runs traded whole, as a page that lists its runs in another
-// order would have them. Each must fail the restore instead of resuming a
-// wrong chain.
+// order would have them, and two runs that play the same round graph
+// from different parents traded whole, whose views have heard the same
+// processes. Each must fail the restore instead of resuming a wrong
+// chain.
 func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 	adv := ma.LossyLink2()
 	in := ptg.NewInterner()
@@ -309,7 +311,7 @@ func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, edit := range foreignRuns {
-		for _, f := range []*frontier{s.fr.prev, s.fr} {
+		for _, f := range []*frontier{s.fr.prev.prev, s.fr.prev, s.fr} {
 			spec := rewriteChain(t, s, f.horizon, edit(t, f))
 			spec.Interner = reimport(t, in)
 			_, err := RestoreChain(spec)
@@ -321,9 +323,18 @@ func TestRestoreChainRejectsForeignRuns(t *testing.T) {
 }
 
 // foreignRuns rewrite a round's page into one that decodes but that
-// extension of the round's parents does not produce. Both trade views
-// between runs c and c+1 of siblingsApart.
+// extension of the round's parents does not produce. The first two trade
+// views between runs c and c+1 of siblingsApart, the last the rows of the
+// two runs of crossParents.
 var foreignRuns = map[string]func(testing.TB, *frontier) []byte{
+	"cross-parent-swap": func(tb testing.TB, f *frontier) []byte {
+		a, b := crossParents(tb, f)
+		return editIDs(f, func(ids []ptg.ViewID) {
+			row := slices.Clone(ids[a*f.n : (a+1)*f.n])
+			copy(ids[a*f.n:], ids[b*f.n:(b+1)*f.n])
+			copy(ids[b*f.n:], row)
+		})
+	},
 	"foreign-heard": func(tb testing.TB, f *frontier) []byte {
 		c, p := siblingsApart(tb, f)
 		return editIDs(f, func(ids []ptg.ViewID) {
@@ -358,6 +369,31 @@ func siblingsApart(tb testing.TB, f *frontier) (c, p int) {
 		}
 	}
 	tb.Fatalf("round %d: no sibling runs whose views heard different processes", f.horizon)
+	return 0, 0
+}
+
+// crossParents returns two runs a < b of round f that play the same round
+// graph from different parents, with different views whose heard masks
+// agree process by process — on round 1 of LossyLink2, inputs 00 and 01
+// under one graph: swapping their rows keeps every run's heard masks.
+func crossParents(tb testing.TB, f *frontier) (a, b int) {
+	tb.Helper()
+	in := f.base.interner
+	for a = 0; a < f.count; a++ {
+		for b = a + 1; b < f.count; b++ {
+			if f.letter[a] != f.letter[b] || f.parentOf[a] == f.parentOf[b] || slices.Equal(f.idRow(a), f.idRow(b)) {
+				continue
+			}
+			same := true
+			for p := 0; p < f.n; p++ {
+				same = same && in.Heard(f.ids[a*f.n+p]) == in.Heard(f.ids[b*f.n+p])
+			}
+			if same {
+				return a, b
+			}
+		}
+	}
+	tb.Fatalf("round %d: no runs of one graph from different parents whose views heard alike", f.horizon)
 	return 0, 0
 }
 

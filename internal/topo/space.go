@@ -188,11 +188,14 @@ type Config struct {
 	// representative run per orbit is interned, with orbit sizes tracked
 	// so FullLen and the verdict accounting still report full-space
 	// numbers, and views are interned one cone per orbit
-	// (ptg.Interner.AdoptGroup). nil selects the trivial group, which
-	// interns every run. A supplied Interner must be orbit-canonical under
-	// the same group — for the trivial group, a plain interner — or empty;
-	// BuildCtx rejects any other. Passing a group that is NOT a subgroup
-	// of the adversary's true automorphism group is unsound.
+	// (ptg.Interner.AdoptGroup). The open value part ma.Automorphisms
+	// attaches is resolved over the input domain, so the chain is
+	// quotiented by G × Sym(V) when that group fits (ma.Group.OnDomain).
+	// nil selects the trivial group, with no value part, which interns
+	// every run. A supplied Interner must be orbit-canonical under the
+	// same resolved group — for the trivial group, a plain interner — or
+	// empty; BuildCtx rejects any other. Passing a group that is NOT a
+	// subgroup of the adversary's true automorphism group is unsound.
 	Symmetry *ma.Group
 }
 
@@ -258,14 +261,21 @@ func BuildCtx(ctx context.Context, adv ma.Adversary, inputDomain, horizon int, c
 // adversary's start state, and one item per G-orbit of input vectors — the
 // numerically smallest — with its stabilizer mask (every vector, with
 // stabilizer 1, under the trivial group). A nil group is the trivial
-// group. The interner must be orbit-canonical under the group (an empty
-// one adopts it), so a space and its interner always agree on the group.
+// group, and an open value part (ma.Automorphisms) is resolved over the
+// input domain (ma.Group.OnDomain), so the chain's group is G × Sym(V)
+// whenever that fits. The interner must be orbit-canonical under the
+// resolved group (an empty one adopts it), so a space and its interner
+// always agree on the group.
 func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, maxRuns int, group *ma.Group) (*Space, error) {
 	n := adv.N()
 	if group == nil {
 		group = ma.TrivialGroup(n)
 	}
-	if err := interner.AdoptGroup(groupPerms(group)); err != nil {
+	group = group.OnDomain(inputDomain)
+	if d := group.Domain(); d != 0 && d != inputDomain {
+		return nil, fmt.Errorf("topo: symmetry quotient: the group relabels %d input values, the space has %d", d, inputDomain)
+	}
+	if err := interner.AdoptGroup(groupParts(group)); err != nil {
 		return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
 	}
 	sym := &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
@@ -469,7 +479,8 @@ func (s *Space) Item(i int) Item {
 	}
 }
 
-// Find returns the index of the item with the given run, or -1. The lookup
+// Find returns the index of the item with the given run, or -1: under a
+// quotient only a representative run is found, not its twins. The lookup
 // index is built on first use (concurrent Finds are safe), keeping space
 // construction and extension — the checker's hot path, which never calls
 // Find — free of run-key serialization.
@@ -487,8 +498,10 @@ func (s *Space) Find(r ptg.Run) int {
 	return -1
 }
 
-// ValentItems returns the indices of the v-valent runs (the z_v of the
-// paper).
+// ValentItems returns the indices of the v-valent items (the z_v of the
+// paper). Under a quotient these are the v-valent representatives: with
+// a value part, the twin of a w-valent representative is π(w)-valent, so
+// a value may have none.
 func (s *Space) ValentItems(v int) []int {
 	var out []int
 	for i, r := range s.fr.rootOf {

@@ -9,18 +9,22 @@ import (
 	"topocon/internal/uf"
 )
 
-// Symmetry quotient (DESIGN.md §13). When the adversary's graph language
-// has a nontrivial automorphism group G (ma.Automorphisms), every run
-// prefix has up to |G| relabeled twins carrying the same information up
-// to process renaming. The quotiented space interns exactly one
-// representative per G-orbit:
+// Symmetry quotient (DESIGN.md §13). A consensus instance is symmetric
+// under a group G whose elements are pairs (σ, π): σ an automorphism of
+// the adversary's graph language (ma.Automorphisms), π a permutation of
+// the input values (Sym(V) — renaming values preserves termination,
+// agreement and validity). Every run prefix has up to |G| relabeled twins
+// carrying the same information up to process and value renaming: the
+// twin (σ, π)·r plays σ(g) where r plays g, and gives process σ(p) the
+// input π(x_p). The quotiented space interns exactly one representative
+// per G-orbit:
 //
 //   - the horizon-0 base keeps one input vector per orbit (the
 //     numerically smallest), with stab[i] = the bitmask of group
 //     elements fixing it;
 //   - extendOne keeps child rep·g only when g is the numerically
 //     smallest graph of its Stab(parent)-orbit, and the child inherits
-//     stab[c] = {τ ∈ stab[parent] : τ(g) = g}. By induction this keeps
+//     stab[c] = {τ ∈ stab[parent] : σ_τ(g) = g}. By induction this keeps
 //     exactly one representative per full-space orbit, and the orbit of
 //     item i has |G| / popcount(stab[i]) full-space members — the weight
 //     FullLen and the verdict accounting report.
@@ -29,6 +33,7 @@ import (
 // edges (components.go, uf.Labelled): components are G-equivariant, so a
 // component orbit is described by one base component, the element that
 // moves each member's run into it, and the base component's stabilizer.
+// Valences and inputs travel with π, heard masks and graphs with σ alone.
 //
 // Relabeled rows are never stored. The chain's interner is orbit-canonical
 // under the same group (ptg.Interner.AdoptGroup): it stores one cone per
@@ -47,27 +52,35 @@ import (
 // one: a space without symmetry carries the trivial group, of order 1,
 // under which every stabilizer is 1 and every orbit a single run.
 type symState struct {
-	group *ma.Group
-	m     int      // group order, ≥ 1
-	tab   uf.Group // the interner's multiplication table
+	group *ma.Group // resolved over the chain's input domain
+	m     int       // group order, ≥ 1
+	tab   uf.Group  // the interner's multiplication table
 }
 
-// groupPerms lists the group's elements as image-indexed permutations, the
-// form ptg's orbit-canonical interner takes.
-func groupPerms(g *ma.Group) [][]int {
-	perms := make([][]int, g.Order())
+// groupParts lists the group's elements as image-indexed process and
+// value permutations, the form ptg's orbit-canonical interner takes; vals
+// is nil when the group has no value part.
+func groupParts(g *ma.Group) (perms, vals [][]int) {
+	perms = make([][]int, g.Order())
+	if g.Domain() > 0 {
+		vals = make([][]int, g.Order())
+	}
 	for k := range perms {
 		perms[k] = g.Elem(k)
+		if vals != nil {
+			vals[k] = g.Values(k)
+		}
 	}
-	return perms
+	return perms, vals
 }
 
 // SymOrder returns the order of the chain's symmetry group, 1 for the
 // trivial group.
 func (s *Space) SymOrder() int { return s.sym.m }
 
-// SymGroup returns the automorphism group the chain is quotiented by (the
-// trivial group when the space was built without symmetry).
+// SymGroup returns the group the chain is quotiented by, resolved over
+// its input domain — G × Sym(V) when that fits — or the trivial group when
+// the space was built without symmetry.
 func (s *Space) SymGroup() *ma.Group { return s.sym.group }
 
 // OrbitSize returns the number of full-space runs item i represents:
@@ -91,10 +104,10 @@ func (s *Space) FullLen() int {
 
 // inputOrbitRep decides the base-level quotient for one input vector w:
 // keep reports whether w is the numerically smallest vector of its
-// G-orbit (the relabeling of w by σ assigns w[p] to process σ(p)), and
-// stab is the bitmask of elements fixing w. Vectors that tie with an
-// image under some element are fixed by it, so exactly one vector per
-// orbit is kept.
+// G-orbit (the relabeling of w by (σ, π) assigns π(w[p]) to process
+// σ(p)), and stab is the bitmask of elements fixing w. Vectors that tie
+// with an image under some element are fixed by it, so exactly one vector
+// per orbit is kept.
 func inputOrbitRep(w []int, g *ma.Group) (stab uint64, keep bool) {
 	stab = 1 // the identity
 	for k := 1; k < g.Order(); k++ {
@@ -102,7 +115,7 @@ func inputOrbitRep(w []int, g *ma.Group) (stab uint64, keep bool) {
 		cmp := 0
 		for p := range w {
 			// Image of w under element k at position p.
-			ip := w[inv[p]]
+			ip := g.Value(k, w[inv[p]])
 			if ip != w[p] {
 				if ip < w[p] {
 					cmp = -1
@@ -126,7 +139,8 @@ func inputOrbitRep(w []int, g *ma.Group) (stab uint64, keep bool) {
 // graph: given the parent's stabilizer mask, it returns 0 when some
 // stabilizer element maps g to a numerically smaller graph (g is not the
 // orbit representative and the child is dropped), and otherwise the
-// child's stabilizer mask {τ ∈ parentStab : τ(g) = g}.
+// child's stabilizer mask {τ ∈ parentStab : σ_τ(g) = g}. Graphs relabel
+// by an element's process part alone.
 //
 //topocon:allocfree
 func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
@@ -160,7 +174,7 @@ func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
 func (s *Space) Group() uf.Group { return s.sym.tab }
 
 // permuteMask relabels a process bitmask by group element g: bit p moves to
-// σ_g(p).
+// σ_g(p), whatever g's value part.
 func (s *Space) permuteMask(mask uint64, g uint8) uint64 {
 	if g == 0 {
 		return mask
@@ -186,9 +200,10 @@ func (s *Space) twinElems(i int) []int {
 // PseudoViews materializes the Views adapter of the twin σ_k·(run i): the
 // representative's rows with every id relabeled by k and every position
 // permuted — process σ(p) of the twin holds the relabeled view of the
-// rep's process p, whose heard mask (Interner.Heard) is the rep's mask
-// with the bits renamed. This is a cold path (pair scans, witness
-// expansion); per-call allocation mirrors ViewsOf.
+// rep's process p, whose leaves hold the inputs relabeled by π_k and
+// whose heard mask (Interner.Heard) is the rep's mask with the bits
+// renamed. This is a cold path (pair scans, witness expansion); per-call
+// allocation mirrors ViewsOf.
 func (s *Space) PseudoViews(i, k int) *ptg.Views {
 	if k == 0 {
 		return s.ViewsOf(i)
@@ -216,11 +231,17 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 }
 
 // PseudoRun materializes the run prefix of the twin σ_k·(run i): the
-// representative's run relabeled by group element k.
+// representative's run relabeled by group element k, processes by σ_k and
+// inputs by π_k.
 func (s *Space) PseudoRun(i, k int) ptg.Run {
 	r := s.RunOf(i)
 	if k == 0 {
 		return r
 	}
-	return r.Relabel(s.sym.group.Elem(k))
+	grp := s.sym.group
+	r = r.Relabel(grp.Elem(k))
+	for p, x := range r.Inputs {
+		r.Inputs[p] = grp.Value(k, x)
+	}
+	return r
 }

@@ -2,8 +2,10 @@ package topo
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/pager"
@@ -21,7 +23,7 @@ import (
 func TestQuotientMatchesFull(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
-		grp := ma.Automorphisms(adv)
+		grp := ma.Automorphisms(adv).OnDomain(2)
 		maxT := 4
 		if adv.N() > 2 {
 			maxT = 3
@@ -114,6 +116,62 @@ func TestQuotientShrinksSpace(t *testing.T) {
 	}
 }
 
+// TestValuePartHalvesQuotient pins what pairing the process group with the
+// permutations of the input values buys: with two values the swap fixes
+// no input vector, and so no run, whenever the process group cannot undo
+// it, so the interned representatives are exactly half of the process
+// group's at every horizon while FullLen is unchanged. On lossy-star-4 the
+// S₃ on the leaves fixes the centre, whose input the swap flips; on
+// asymmetric{<-,<->} the process group is trivial, so the quotient is half
+// the full space.
+func TestValuePartHalvesQuotient(t *testing.T) {
+	ctx := context.Background()
+	star := advgen.LossyStar4()
+	asym := ma.MustOblivious("asymmetric{<-,<->}", graph.Left, graph.Both)
+	// The process group's counts, as the quotient interned them before it
+	// had a value part.
+	starProcess := []int{20, 60, 204, 748, 2860, 11180, 44204}
+	for _, tc := range []struct {
+		adv     ma.Adversary
+		process []int // representatives under the process group, horizons 1..7
+	}{
+		{star, starProcess},
+		{asym, nil},
+	} {
+		grp := ma.Automorphisms(tc.adv)
+		full, err := BuildCtx(ctx, tc.adv, 2, 0, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// OnDomain(1) resolves no value part: the process group alone.
+		proc, err := BuildCtx(ctx, tc.adv, 2, 0, Config{Symmetry: grp.OnDomain(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := BuildCtx(ctx, tc.adv, 2, 0, Config{Symmetry: grp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.SymOrder() != 2*grp.Order() || proc.SymOrder() != grp.Order() {
+			t.Fatalf("%s: group orders %d and %d, want %d and %d", tc.adv.Name(), q.SymOrder(), proc.SymOrder(), 2*grp.Order(), grp.Order())
+		}
+		for h := 1; h <= 7; h++ {
+			for _, s := range []**Space{&full, &proc, &q} {
+				if *s, err = (*s).Extend(ctx, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.process != nil && proc.Len() != tc.process[h-1] {
+				t.Fatalf("%s h=%d: the process group interns %d representatives, want %d", tc.adv.Name(), h, proc.Len(), tc.process[h-1])
+			}
+			if 2*q.Len() != proc.Len() || q.FullLen() != full.Len() || proc.FullLen() != full.Len() {
+				t.Fatalf("%s h=%d: %d representatives under G × Sym(V), %d under G, %d full runs (FullLen %d and %d)",
+					tc.adv.Name(), h, q.Len(), proc.Len(), full.Len(), q.FullLen(), proc.FullLen())
+			}
+		}
+	}
+}
+
 // TestQuotientRefineMatchesDecompose pins the orbit decomposition of an
 // extended chain: decomposing each horizon of a chain grown round by round
 // from the horizon-0 base must equal decomposing a from-scratch build of
@@ -172,7 +230,7 @@ func assertQuotientRefineMatchesDecompose(t *testing.T, adv ma.Adversary, grp *m
 func TestQuotientSnapshotRestore(t *testing.T) {
 	ctx := context.Background()
 	for _, adv := range seedAdversaries(t) {
-		grp := ma.Automorphisms(adv)
+		grp := ma.Automorphisms(adv).OnDomain(2)
 		if grp.Trivial() {
 			continue
 		}
@@ -305,18 +363,16 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 			if got, want := q.permuteMask(q.HeardByAll(i), uint8(k)), full.HeardByAll(fi); got != want {
 				t.Fatalf("%s h=%d: twin (%d,%d) heardByAll %b vs full %b", name, q.Horizon, i, k, got, want)
 			}
-			// Process p of the twin holds the rep's input at σ_k⁻¹(p).
+			// Process p of the twin holds π_k of the rep's input at
+			// σ_k⁻¹(p), and the twin's valence is π_k of the rep's.
+			grp := q.SymGroup()
 			for p := 0; p < n; p++ {
-				src := p
-				if k != 0 {
-					src = q.SymGroup().Inv(k)[p]
-				}
-				if got, want := q.Inputs(i)[src], full.Inputs(fi)[p]; got != want {
+				if got, want := grp.Value(k, q.Inputs(i)[grp.Inv(k)[p]]), full.Inputs(fi)[p]; got != want {
 					t.Fatalf("%s h=%d: twin (%d,%d) input[%d] %d vs full %d", name, q.Horizon, i, k, p, got, want)
 				}
 			}
-			if q.Valence(i) != full.Valence(fi) {
-				t.Fatalf("%s h=%d: twin (%d,%d) valence %d vs full %d", name, q.Horizon, i, k, q.Valence(i), full.Valence(fi))
+			if got := grp.Value(k, q.Valence(i)); got != full.Valence(fi) {
+				t.Fatalf("%s h=%d: twin (%d,%d) valence %d vs full %d", name, q.Horizon, i, k, got, full.Valence(fi))
 			}
 			if q.doneAt[i] != full.doneAt[fi] {
 				t.Fatalf("%s h=%d: twin (%d,%d) doneAt %d vs full %d", name, q.Horizon, i, k, q.doneAt[i], full.doneAt[fi])
@@ -377,15 +433,21 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 // it lies in the twin σ_g, g = k∘L_i⁻¹, of its orbit's base component, and
 // σ_g names the same component for every g in the coset g·Stab. The key
 // identifies that full component (orbit and least coset element) and the
-// summary is the base component's, relabeled by σ_g.
+// summary is the base component's, relabeled by σ_g: processes by its
+// process part, valences by its value part.
 func expandTwin(d *Decomposition, i, k int) (int, Component) {
 	s := d.Space
 	grp := s.Group()
 	ci := d.CompOf[i]
 	c := &d.Comps[ci]
 	g := grp.MinCoset(1, grp.Mul(uint8(k), grp.Inv(d.Labels[i])), c.Stab)
+	var valences []int
+	for _, v := range c.Valences {
+		valences = append(valences, s.SymGroup().Value(int(g), v))
+	}
+	slices.Sort(valences)
 	return ci*64 + int(g), Component{
-		Valences:      c.Valences,
+		Valences:      valences,
 		Broadcasters:  s.permuteMask(c.Broadcasters, g),
 		UniformInputs: s.permuteMask(c.UniformInputs, g),
 	}
@@ -418,8 +480,10 @@ func TestSummarizeClosesUnderStabilizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.SymOrder() != 2 {
-		t.Fatalf("lossy-link-2 group order %d, want 2", q.SymOrder())
+	// The order is |S₂ × Sym({0,1})|; element 1 is the process swap with
+	// the identity on values.
+	if q.SymOrder() != 4 {
+		t.Fatalf("lossy-link-2 group order %d, want 4", q.SymOrder())
 	}
 	d := &Decomposition{Space: q, CompOf: make([]int, q.Len()), Labels: make([]uint8, q.Len())}
 	checked := 0

@@ -183,14 +183,15 @@ var (
 	// such as a ∩ unrestricted → a, concat(a, 0, b) → b).
 	Normalize = ma.Normalize
 	// Automorphisms computes the process-relabeling symmetry group of an
-	// adversary — the group the checker quotients prefix spaces by
-	// (DESIGN.md §13). Falls back to the trivial group when detection is
-	// out of budget.
+	// adversary; the checker quotients prefix spaces by its product with
+	// the input-value permutations (DESIGN.md §13). Falls back to the
+	// trivial process group when detection is out of budget.
 	Automorphisms = ma.Automorphisms
 )
 
-// Group is a process-permutation group under which an adversary is
-// invariant; the symmetry quotient's algebraic core.
+// Group is a symmetry group of a consensus instance: process
+// permutations under which the adversary is invariant, paired with
+// input-value permutations; the symmetry quotient's algebraic core.
 type Group = ma.Group
 
 // Scenario is a parsed declarative scenario: a named adversary expression
@@ -367,10 +368,11 @@ var (
 	WithCertChainLen = check.WithCertChainLen
 	// WithLatencySlack sets the non-compact decision-latency budget.
 	WithLatencySlack = check.WithLatencySlack
-	// WithNoSymmetry disables the automorphism quotient (DESIGN.md §13):
-	// the session interns the full prefix space instead of one
-	// representative per orbit. Verdicts and reports are identical either
-	// way; use it for differential testing and symmetry-bug triage.
+	// WithNoSymmetry disables the symmetry quotient (DESIGN.md §13), both
+	// its process-automorphism part and its input-value part: the session
+	// interns the full prefix space instead of one representative per
+	// orbit. Verdicts and reports are identical either way; use it for
+	// differential testing and symmetry-bug triage.
 	WithNoSymmetry = check.WithNoSymmetry
 	// WithProgress registers a per-horizon progress callback.
 	WithProgress = check.WithProgress

@@ -65,7 +65,7 @@ func components() {
 		c := &d.Comps[ci]
 		fmt.Printf("component %d (valences %v):\n", ci, c.Valences)
 		for _, i := range c.Members {
-			fmt.Printf("  %v\n", s.RunOf(i))
+			fmt.Printf("  %v\n", s.RunOf(int(i)))
 		}
 	}
 	fmt.Println()

@@ -102,57 +102,56 @@ func FindPumpCertificate(adv *ma.Oblivious, inputDomain int) (*PumpCertificate, 
 
 // findPumpAnchor looks for a chain of input assignments whose consecutive
 // equal-coordinate sets all equal A or B, connecting two differently-valent
-// assignments. Chain length is bounded by the number of distinct vectors
-// (revisiting a vector never helps).
+// assignments. Whether one exists is reachability in the graph whose edges
+// join two assignments with equal-coordinate set A or B, so a depth-first
+// search that never unmarks a vector suffices: the relation is symmetric,
+// so a vector the search left without success reaches no target by any
+// other path either, and the first chain found is the one an exhaustive
+// simple-path search in the same order would find. The chain is the
+// search's stack.
 func findPumpAnchor(n, inputDomain int, a, b uint64) ([][]int, []uint64, bool) {
 	vectors := allVectors(n, inputDomain)
-	var inputs [][]int
-	var word []uint64
-	used := make(map[int]bool, len(vectors))
-	var dfs func(curIdx int) bool
-	dfs = func(curIdx int) bool {
-		cur := vectors[curIdx]
-		if v, valent := valentValue(cur); valent && len(inputs) > 1 {
-			if v0, _ := valentValue(inputs[0]); v0 != v {
-				return true
-			}
-		}
-		for nextIdx, next := range vectors {
-			if used[nextIdx] {
-				continue
-			}
-			eq := equalCoords(cur, next)
-			if eq != a && eq != b {
-				continue
-			}
-			used[nextIdx] = true
-			inputs = append(inputs, next)
-			word = append(word, eq)
-			if dfs(nextIdx) {
-				return true
-			}
-			used[nextIdx] = false
-			inputs = inputs[:len(inputs)-1]
-			word = word[:len(word)-1]
-		}
-		return false
-	}
+	visited := make([]bool, len(vectors))
+	// frame is one vector on the stack and the index of the next vector
+	// to try from it.
+	type frame struct{ at, next int }
+	var stack []frame
 	for startIdx, start := range vectors {
-		if _, valent := valentValue(start); !valent {
+		v0, valent := valentValue(start)
+		if !valent || visited[startIdx] {
+			// A visited valent start shares its class with an earlier
+			// start that reached no differently-valent vector: neither
+			// does it.
 			continue
 		}
-		inputs = append(inputs[:0], start)
-		word = word[:0]
-		for k := range used {
-			delete(used, k)
-		}
-		used[startIdx] = true
-		if dfs(startIdx) {
-			out := make([][]int, len(inputs))
-			for i := range inputs {
-				out[i] = append([]int(nil), inputs[i]...)
+		visited[startIdx] = true
+		stack = append(stack[:0], frame{at: startIdx})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			cur := vectors[top.at]
+			if v, valent := valentValue(cur); valent && v != v0 {
+				inputs := make([][]int, len(stack))
+				word := make([]uint64, len(stack)-1)
+				for i, f := range stack {
+					inputs[i] = vectors[f.at]
+					if i > 0 {
+						word[i-1] = equalCoords(inputs[i-1], inputs[i])
+					}
+				}
+				return inputs, word, true
 			}
-			return out, append([]uint64(nil), word...), true
+			next := -1
+			for ; top.next < len(vectors) && next < 0; top.next++ {
+				if eq := equalCoords(cur, vectors[top.next]); !visited[top.next] && (eq == a || eq == b) {
+					next = top.next
+				}
+			}
+			if next < 0 {
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			visited[next] = true
+			stack = append(stack, frame{at: next})
 		}
 	}
 	return nil, nil, false

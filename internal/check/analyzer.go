@@ -151,7 +151,7 @@ type Analyzer struct {
 	pager    *pager.Pager // nil = all-hot, not checkpointable
 
 	cur      *topo.Space         // deepest space
-	decomp   *topo.Decomposition // decomposition at the deepest horizon
+	decomp   *topo.Decomposition // decomposition at the deepest horizon; nil after a failed Step
 	sym      *ma.Group           // quotient group, computed at first Step
 	res      *Result
 	finished bool
@@ -221,8 +221,16 @@ func (a *Analyzer) SpaceAt(t int) *topo.Space {
 }
 
 // Decomposition returns the decomposition at the deepest analysed horizon,
-// or nil before the first Step.
-func (a *Analyzer) Decomposition() *topo.Decomposition { return a.decomp }
+// or nil before the first Step. Step drops the head's decomposition before
+// it builds the next one, so after a failed Step the first call decomposes
+// the head again.
+func (a *Analyzer) Decomposition() *topo.Decomposition {
+	if a.decomp == nil && a.Horizon() > 0 {
+		//topocon:allow ctxflow -- an accessor without a context: it rebuilds the decomposition a failed Step dropped, one DecomposeCtx of the resident head
+		a.decomp, _ = topo.DecomposeCtx(context.Background(), a.cur)
+	}
+	return a.decomp
+}
 
 // DecisionMap returns the compiled universal algorithm, or nil until the
 // separation horizon has been found (compact adversaries only).
@@ -295,6 +303,9 @@ func (a *Analyzer) Step(ctx context.Context) (HorizonReport, error) {
 			return HorizonReport{}, err
 		}
 	}
+	// Drop the head's decomposition, so it is not reachable while the next
+	// one is built; Result keeps the separation horizon's.
+	a.decomp = nil
 	next, err := a.cur.Extend(ctx, a.cur.Horizon+1)
 	if err != nil {
 		return HorizonReport{}, fmt.Errorf("check: horizon %d: %w", a.cur.Horizon+1, err)
@@ -445,7 +456,7 @@ func (a *Analyzer) finalizeNonCompact() {
 	}
 	t := s.Horizon
 	res.Space = s
-	res.Decomposition = a.decomp
+	res.Decomposition = a.Decomposition()
 
 	// A witness item is one whose obligations discharged early enough
 	// that broadcast completion is owed within the horizon. Candidate

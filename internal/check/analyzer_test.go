@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"weak"
 
 	"topocon/internal/advgen"
@@ -276,6 +277,93 @@ func TestAnalyzerCancellation(t *testing.T) {
 	}
 }
 
+// countdownCtx reports cancellation from its (n+1)-th Err call on, so a
+// test can cancel a Step at a chosen point of its work.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// errCalls returns how many times f calls Err on the context it is given.
+func errCalls(f func(ctx context.Context)) int {
+	const budget = 1 << 30
+	c := &countdownCtx{Context: context.Background(), n: budget}
+	f(c)
+	return budget - c.n
+}
+
+// TestAnalyzerCancelledDecomposition cancels a Step inside its
+// decomposition, after the extension has finished. Step drops the head's
+// decomposition before it builds the next one, so Decomposition() must
+// then still describe Horizon()'s space, and the resumed Check must reach
+// the uninterrupted session's result.
+func TestAnalyzerCancelledDecomposition(t *testing.T) {
+	stable := ma.MustEventuallyStable("",
+		[]graph.Graph{graph.Left, graph.Both}, []graph.Graph{graph.Right}, 2)
+	for _, adv := range []ma.Adversary{ma.LossyLink3(), stable} {
+		ctx := context.Background()
+		a, err := NewAnalyzer(adv, WithMaxHorizon(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a.Horizon() < 2 {
+			if _, err := a.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Step checks the context once itself, then Extend's checks, then
+		// DecomposeCtx's: fail the first of DecomposeCtx's.
+		var next *topo.Space
+		extendCalls := errCalls(func(c context.Context) {
+			if next, err = a.cur.Extend(c, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := errCalls(func(c context.Context) { topo.DecomposeCtx(c, next) }); n == 0 {
+			t.Fatalf("%s: DecomposeCtx never checks its context", adv.Name())
+		}
+		if _, err := a.Step(&countdownCtx{Context: ctx, n: 1 + extendCalls}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Step cancelled in its decomposition: %v, want context.Canceled", adv.Name(), err)
+		}
+		d := a.Decomposition()
+		if a.Horizon() != 2 || d == nil || d.Space != a.SpaceAt(2) {
+			t.Fatalf("%s: after the cancelled Step, horizon %d, decomposition %v of another space", adv.Name(), a.Horizon(), d)
+		}
+		if d.FullComponents() != a.Result().Components || d.FullMixedComponents() != a.Result().MixedComponents {
+			t.Fatalf("%s: decomposition has %d components (%d mixed), horizon 2 reported %d (%d)", adv.Name(),
+				d.FullComponents(), d.FullMixedComponents(), a.Result().Components, a.Result().MixedComponents)
+		}
+		resumed, err := a.Check(ctx)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", adv.Name(), err)
+		}
+		b, err := NewAnalyzer(adv, WithMaxHorizon(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := b.Check(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Verdict != full.Verdict || resumed.Horizon != full.Horizon ||
+			resumed.Components != full.Components || resumed.MixedComponents != full.MixedComponents ||
+			resumed.SeparationHorizon != full.SeparationHorizon || resumed.BroadcastHorizon != full.BroadcastHorizon {
+			t.Errorf("%s: resumed %+v, uninterrupted %+v", adv.Name(), *resumed, *full)
+		}
+		if d := a.Decomposition(); d == nil || d.Space != a.SpaceAt(a.Horizon()) {
+			t.Errorf("%s: the resumed session's decomposition is not its head's", adv.Name())
+		}
+	}
+}
+
 // TestAnalyzerRejectsNegativeOptions is the Options validation contract:
 // explicitly negative budgets error instead of being silently analysed.
 func TestAnalyzerRejectsNegativeOptions(t *testing.T) {
@@ -473,4 +561,26 @@ func pow(b, e int) int {
 		out *= b
 	}
 	return out
+}
+
+// TestPumpSearchDomain3 runs the compact route's certificate searches over
+// three input values on a four-process oblivious adversary whose anchor
+// search, as an exhaustive simple-path search, ran for minutes: whether an
+// anchor exists is reachability, which a search that never unmarks a
+// vector answers at once.
+func TestPumpSearchDomain3(t *testing.T) {
+	adv := advgen.SymmetricOblivious(rand.New(rand.NewSource(-8)), 4)
+	a, err := NewAnalyzer(adv, WithOptions(Options{InputDomain: 3, MaxHorizon: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := a.Check(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Check took %v, want well under a second", elapsed)
+	}
+	t.Logf("%s: %v after %v", adv.Name(), res.Verdict, time.Since(start))
 }

@@ -111,7 +111,7 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 		switch len(c.Valences) {
 		case 0:
 			// The smallest member's run lies in the base component.
-			m.assignment[ci], m.twinValues[ci] = valenceFreeValues(s, c, s.Inputs(c.Members[0]), defaultValue)
+			m.assignment[ci], m.twinValues[ci] = valenceFreeValues(s, c, s.Inputs(int(c.Members[0])), defaultValue)
 		case 1:
 			m.assignment[ci] = c.Valences[0]
 		default:
@@ -139,7 +139,7 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 		return tw
 	}
 	for i := 0; i < s.Len(); i++ {
-		ci := d.CompOf[i]
+		ci := int(d.CompOf[i])
 		v, tv := m.assignment[ci], m.twinValues[ci]
 		// Twin σ_k·(run i) lies in the twin σ_{k∘L⁻¹} of the base component.
 		li := grp.Inv(d.Labels[i])
@@ -379,7 +379,7 @@ func (m *DecisionMap) CrossAssignmentLevel(d *topo.Decomposition) (int, bool) {
 	var vals []int
 	var views []*ptg.Views
 	for i := 0; i < s.Len(); i++ {
-		ci, li := d.CompOf[i], grp.Inv(d.Labels[i])
+		ci, li := int(d.CompOf[i]), grp.Inv(d.Labels[i])
 		for k := 0; k < grp.Order(); k++ {
 			if v := m.twinValue(ci, grp.Mul(uint8(k), li)); v >= 0 {
 				vals = append(vals, v)

@@ -107,7 +107,7 @@ func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition)
 	}
 	seen := make([]bool, full.Len())
 	for i := 0; i < q.Len(); i++ {
-		ci := dq.CompOf[i]
+		ci := int(dq.CompOf[i])
 		c := &dq.Comps[ci]
 		li := ug.Inv(dq.Labels[i])
 		for k := 0; k < m; k++ {
@@ -120,7 +120,7 @@ func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition)
 			key := twin{ci, g}
 			fc, ok := compOf[key]
 			if !ok {
-				fc = df.CompOf[fi]
+				fc = int(df.CompOf[fi])
 				compOf[key] = fc
 				want := &df.Comps[fc]
 				// The twin relabels processes by g's process part and
@@ -138,7 +138,7 @@ func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition)
 						name, g, ci, valences, graph.PermuteMask(c.Broadcasters, perm),
 						graph.PermuteMask(c.UniformInputs, perm), *want)
 				}
-			} else if fc != df.CompOf[fi] {
+			} else if fc != int(df.CompOf[fi]) {
 				t.Fatalf("%s: twin %d of orbit %d spans full components %d and %d", name, g, ci, fc, df.CompOf[fi])
 			}
 			qv, fv := q.PseudoViews(i, k), full.ViewsOf(fi)

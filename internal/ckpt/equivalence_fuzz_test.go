@@ -29,9 +29,8 @@ import (
 // table shows). The same seed, drawn afresh, also picks an
 // advgen.AsymmetricOblivious set, whose process group is trivial, so the
 // value part of the quotient acts alone; every input checks both
-// adversaries. Bit 7 of the shape asks for input domain 3 instead of 2,
-// without the impossibility-certificate searches (CertChainLen -1); the
-// shape also picks a horizon ≤ 4 and an interruption point k. The
+// adversaries. Bit 7 of the shape asks for input domain 3 instead of 2;
+// the shape also picks a horizon ≤ 4 and an interruption point k. The
 // reference run analyses the full space in memory (WithNoSymmetry). The
 // candidate runs the quotient — process automorphisms paired with input
 // value permutations — through RunCheck under a 1 KiB pager budget, so
@@ -83,10 +82,7 @@ func engineEquivalence(t *testing.T, adv ma.Adversary, shape uint8) {
 	n := adv.N()
 	opts := check.Options{MaxHorizon: 1 + int(shape>>1)%4}
 	if shape&128 != 0 {
-		// The impossibility-certificate searches read no quotient, and
-		// over three values on four processes the pump search alone can
-		// run for minutes: domain-3 cases skip them.
-		opts.InputDomain, opts.CertChainLen = 3, -1
+		opts.InputDomain = 3
 	}
 	resolved, err := opts.Resolved()
 	if err != nil {
@@ -229,7 +225,7 @@ func checkBroadcasters(s *topo.Space, bcast map[string]uint64) error {
 	}
 	for ci, c := range d.Comps {
 		for _, i := range c.Members {
-			run := s.PseudoRun(i, int(d.Labels[i]))
+			run := s.PseudoRun(int(i), int(d.Labels[i]))
 			if want, ok := bcast[run.Key()]; !ok || c.Broadcasters != want {
 				return fmt.Errorf("component %d has broadcasters %#x, the naive component of its run %v %#x (found %v)",
 					ci, c.Broadcasters, run, want, ok)

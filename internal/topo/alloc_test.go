@@ -155,3 +155,62 @@ func TestDecomposeAllocsBounded(t *testing.T) {
 			avg, reads, len(warm.Comps), ceiling)
 	}
 }
+
+// TestDecomposeBytesPerRun pins the decomposition's layout: one call
+// allocates the union-find — an 8-byte node per run, plus an 8-byte
+// stabilizer per run under a nontrivial group — and 9 bytes per run for
+// the partition: the int32 CompOf column, the uint8 Labels column and the
+// int32 permutation whose windows are the components' Members. A fixed
+// part covers the component headers, the per-component summaries and the
+// page rounding of the large allocations. The bucket table is pooled, so
+// after a warm-up it allocates nothing; a second copy of the partition, a
+// per-run root table or any other per-run word trips the budget. The
+// garbage collector is off while it measures, so the pooled scratch stays
+// warm, and the least of five calls counts.
+func TestDecomposeBytesPerRun(t *testing.T) {
+	star := advgen.LossyStar4()
+	for _, c := range []struct {
+		name    string
+		sym     *ma.Group
+		horizon int
+	}{
+		{"lossy-star-4", nil, 6},
+		{"lossy-star-4/S3xSym(V)", ma.Automorphisms(star), 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			s, err := BuildCtx(ctx, star, 2, c.horizon, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := DecomposeCtx(ctx, s) // fill the pool
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			least := uint64(math.MaxUint64)
+			for r := 0; r < 5; r++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := DecomposeCtx(ctx, s)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			runs := s.Len()
+			perRun := 8 + 9
+			if s.SymOrder() > 1 {
+				perRun += 8
+			}
+			const fixed = 64 << 10
+			if budget := uint64(perRun*runs + fixed); least > budget {
+				t.Errorf("DecomposeCtx allocated %d bytes for %d runs (%.1f per run), budget %d (%d per run + %d)",
+					least, runs, float64(least)/float64(runs), budget, perRun, fixed)
+			}
+			t.Logf("%d bytes for %d runs and %d component orbits: %.1f per run",
+				least, runs, len(d.Comps), float64(least)/float64(runs))
+		})
+	}
+}

@@ -3,7 +3,6 @@ package topo
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -27,7 +26,9 @@ type Component struct {
 	// item i is a member iff some twin of run i lies in C, and the twins of
 	// run i in C are σ_h·σ_g·(run i) for h in Stab, with g the item's
 	// Decomposition.Labels entry. The smallest member's run lies in C.
-	Members []int
+	// The Members of all components are windows of one permutation of
+	// the item indices.
+	Members []int32
 	// Stab is the stabilizer of C, a subgroup of the symmetry group as a
 	// bitmask over element indices: bit h is set iff σ_h·C = C. It is 1
 	// (the identity alone) under the trivial group.
@@ -58,7 +59,7 @@ func (c *Component) Mixed() bool { return len(c.Valences) >= 2 }
 type Decomposition struct {
 	Space *Space
 	// CompOf maps each item index to its component orbit.
-	CompOf []int
+	CompOf []int32
 	// Labels[i] is the group element g for which the twin σ_g·(run i) lies
 	// in the base component of orbit CompOf[i]: the least element of the
 	// double coset Stab·g·Stab(i), so 0 for each orbit's smallest member
@@ -124,32 +125,41 @@ func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	m := int32(grp.Order())
 	u := uf.NewLabelled(count, grp)
 	s.fr.fault()
-	// Orbit ids are dense, so a pooled epoch-stamped table replaces a hash
-	// map; one epoch spans the whole space.
+	ids := s.fr.ids
+	// The buckets are the orbits of the head's own views, a dense range of
+	// orbit ids, so a pooled table over that range replaces a hash map.
 	sc := bucketScratchPool.Get().(*bucketScratch)
 	defer bucketScratchPool.Put(sc)
-	entries, epoch := sc.acquire(s.Interner.Size())
-	ids := s.fr.ids
+	cLo := sc.acquire(ids, m)
 	for i := 0; i < count; i++ {
 		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		for _, id := range ids[i*n : (i+1)*n] {
+		row := ids[i*n : (i+1)*n]
+		if m == 1 {
+			for _, id := range row {
+				k := int32(id) - cLo
+				if f := sc.first[k]; f != 0 {
+					u.Union(int(f-1), i, 0)
+					continue
+				}
+				sc.first[k] = int32(i + 1)
+			}
+			continue
+		}
+		for _, id := range row {
 			c, l := orbitOf(id, m)
-			if e := &entries[c]; e.epoch == epoch {
-				u.Union(int(e.first), i, grp.Quo(l, e.label))
+			b := &sc.labelled[c-cLo]
+			if b.first != 0 {
+				u.Union(int(b.first-1), i, grp.Quo(l, b.label))
 				continue
 			}
-			entries[c] = bucketEntry{epoch, int32(i), l}
-			if m > 1 {
-				if st := s.Interner.OrbitStab(int(c)); st != 1 {
-					u.AddStab(i, grp.Conj(l, st))
-				}
+			*b = bucket{int32(i + 1), l}
+			if st := s.Interner.OrbitStab(int(c)); st != 1 {
+				u.AddStab(i, grp.Conj(l, st))
 			}
 		}
-		if m > 1 {
-			u.AddStab(i, s.stab[i])
-		}
+		u.AddStab(i, s.stab[i])
 	}
 	d := materialize(s, u)
 	for ci := range d.Comps {
@@ -167,51 +177,62 @@ func (d *Decomposition) Refine(ctx context.Context, child *Space) (*Decompositio
 	return DecomposeCtx(ctx, child)
 }
 
-// bucketScratch is the reusable dense bucket table of DecomposeCtx,
-// indexed by view orbit id (ViewID / |G|, the ViewID itself under the
-// trivial group). Entries are validated by epoch instead of being cleared:
-// the epoch counter is monotone across calls (one epoch per call), so
-// stale entries from earlier scans never match. The table only ever grows
-// (with geometric headroom, so a session whose interner grows every
-// horizon still amortizes), and pooling keeps it alive across calls
-// instead of feeding the garbage collector a table-sized allocation per
-// horizon.
+// bucketScratch is the reusable bucket table of DecomposeCtx, indexed by
+// view orbit id (ViewID / |G|) less the least orbit id among the scanned
+// views. A bucket holds its first item plus one, 0 while it is empty.
+// Under the trivial group the table is first, a plain int32 per orbit;
+// under a nontrivial group it is labelled, whose buckets also hold the
+// element reaching the first item's view from its orbit's stored cone, in
+// the same 8 bytes, so a lookup reads one cache line. The tables only ever
+// grow (with headroom, so a session whose rounds grow every horizon still
+// amortizes), and pooling keeps them alive across calls instead of
+// feeding the garbage collector a table-sized allocation per horizon.
 type bucketScratch struct {
-	entries []bucketEntry
-	epoch   int32
+	first    []int32
+	labelled []bucket
 }
 
-// bucketEntry is one bucket of the scratch table, packed so that a lookup
-// touches one cache line.
-type bucketEntry struct {
-	epoch int32 // epoch of the entry's last write
-	first int32 // bucket representative (item index)
-	// label is the element reaching the bucket's view from its orbit's
-	// stored cone, for first.
+// bucket is one bucket of the labelled table.
+type bucket struct {
+	first int32
 	label uint8
 }
 
 var bucketScratchPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 
-// acquire readies the table for size orbit ids (the interner's orbit
-// count: every view of the scanned space is interned by now) and returns
-// it with a fresh epoch, re-zeroing only on int32 epoch wraparound (once
-// per ~2 billion scans).
-func (sc *bucketScratch) acquire(size int) ([]bucketEntry, int32) {
-	if cap(sc.entries) < size {
-		// No copy: stale entries are unreadable by design (their epochs
-		// are below every future epoch), so a fresh zeroed table is
-		// equivalent and cheaper.
-		sc.entries = make([]bucketEntry, size, size+size/4+64)
+// acquire readies an empty table over the orbits of the views in ids under
+// a group of order m and returns the least of their orbit ids. The range
+// runs from the least to the greatest view of the scan, not over the
+// round's own IDBound range: on an interner shared with other spaces, some
+// of a round's views were stored first by another space.
+func (sc *bucketScratch) acquire(ids []ptg.ViewID, m int32) int32 {
+	if len(ids) == 0 {
+		return 0
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	cLo, _ := orbitOf(lo, m)
+	cHi, _ := orbitOf(hi, m)
+	size := int(cHi-cLo) + 1
+	if m == 1 {
+		sc.first = resetTable(sc.first, size)
 	} else {
-		sc.entries = sc.entries[:size]
+		sc.labelled = resetTable(sc.labelled, size)
 	}
-	if sc.epoch == math.MaxInt32 {
-		clear(sc.entries[:cap(sc.entries)])
-		sc.epoch = 0
+	return cLo
+}
+
+// resetTable returns a zeroed table of size entries, reusing t's storage
+// when it is large enough.
+func resetTable[T any](t []T, size int) []T {
+	if cap(t) < size {
+		return make([]T, size, size+size/4+64)
 	}
-	sc.epoch++
-	return sc.entries, sc.epoch
+	t = t[:size]
+	clear(t)
+	return t
 }
 
 // orbitOf splits a view ID into its orbit id and the element reaching it
@@ -225,49 +246,55 @@ func orbitOf(id ptg.ViewID, m int32) (int32, uint8) {
 }
 
 // materialize turns the labelled union-find over the space's items into
-// component orbits without the map-based grouping: roots are item indices,
-// so a dense root table and an ascending sweep yield the orbits ordered by
-// smallest member and CompOf, and a sweep over the orbits re-bases each
-// member's label onto the orbit's smallest member and reduces it to its
-// canonical coset element. Summaries are left to the caller.
+// component orbits without the map-based grouping. An ascending sweep
+// numbers the orbits by smallest member and fills CompOf, which doubles as
+// the root → orbit table while it sweeps: a root's entry is written when
+// its first item is met, before the sweep reaches the root itself, and
+// every other entry only when the sweep reaches it. A counting pass then
+// lays the members out as windows of one permutation, and a sweep over the
+// orbits re-bases each member's label onto the orbit's smallest member and
+// reduces it to its canonical coset element. Summaries are left to the
+// caller.
 func materialize(s *Space, u *uf.Labelled) *Decomposition {
 	count := s.Len()
 	grp := s.Group()
 	d := &Decomposition{
 		Space:  s,
-		CompOf: make([]int, count),
+		CompOf: make([]int32, count),
 		Labels: make([]uint8, count),
 	}
-	rootGroup := make([]int32, count) // group id + 1 of each set root
+	for i := range d.CompOf {
+		d.CompOf[i] = -1
+	}
 	var sizes, roots []int32
 	for i := 0; i < count; i++ {
 		r, g := u.Find(i)
-		gi := rootGroup[r]
-		if gi == 0 {
+		ci := d.CompOf[r]
+		if ci < 0 {
+			ci = int32(len(sizes))
 			sizes = append(sizes, 0)
 			roots = append(roots, int32(r))
-			gi = int32(len(sizes))
-			rootGroup[r] = gi
+			d.CompOf[r] = ci
 		}
-		sizes[gi-1]++
-		d.CompOf[i] = int(gi - 1)
+		sizes[ci]++
+		d.CompOf[i] = ci
 		d.Labels[i] = g
 	}
 	d.Comps = make([]Component, len(sizes))
-	arena := make([]int, count)
-	for gi, size := range sizes {
-		d.Comps[gi].Members, arena = arena[:0:size], arena[size:]
+	perm := make([]int32, count)
+	for ci, size := range sizes {
+		d.Comps[ci].Members, perm = perm[:0:size], perm[size:]
 	}
-	for i, gi := range d.CompOf {
-		d.Comps[gi].Members = append(d.Comps[gi].Members, i)
+	for i, ci := range d.CompOf {
+		d.Comps[ci].Members = append(d.Comps[ci].Members, int32(i))
 	}
-	for gi := range d.Comps {
-		c := &d.Comps[gi]
+	for ci := range d.Comps {
+		c := &d.Comps[ci]
 		// σ_g·run i ~ root and σ_g0·first ~ root give σ_{g0⁻¹∘g}·run i ~
 		// first: the twin of run i in the base component, whose stabilizer
 		// is the root's conjugated by g0⁻¹.
 		x := grp.Inv(d.Labels[c.Members[0]])
-		c.Stab = u.Stab(int(roots[gi]))
+		c.Stab = u.Stab(int(roots[ci]))
 		if c.Stab != 1 {
 			c.Stab = grp.Conj(x, c.Stab)
 		}
@@ -299,9 +326,10 @@ func (d *Decomposition) summarize(c *Component) {
 	uc := bc
 	var vmask uint64
 	var vbig []int
-	first := s.Inputs(c.Members[0]) // its label is the identity
+	first := s.Inputs(int(c.Members[0])) // its label is the identity
 	prevRoot, prevL := int32(-1), uint8(0)
-	for _, i := range c.Members {
+	for _, member := range c.Members {
+		i := int(member)
 		l := d.Labels[i]
 		if bc != 0 {
 			bc &= s.permuteMask(s.HeardByAll(i), l)
@@ -483,7 +511,7 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	var views []*ptg.Views
 	var sigs []int32
 	for i := 0; i < s.Len(); i++ {
-		ci, li := d.CompOf[i], tab.Inv(d.Labels[i])
+		ci, li := int(d.CompOf[i]), tab.Inv(d.Labels[i])
 		if sig[ci*m] < 0 {
 			continue
 		}
@@ -511,18 +539,6 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	return best, true
 }
 
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // DiameterLevel returns the diameter of component ci in exponent form:
 // the smallest agreement level over member pairs, so the diameter
 // (Definition 5.7) is 2^-level. The second return is false for singleton
@@ -537,7 +553,8 @@ func (d *Decomposition) DiameterLevel(ci int) (int, bool) {
 	s := d.Space
 	grp := s.Group()
 	var views []*ptg.Views
-	for _, i := range c.Members {
+	for _, member := range c.Members {
+		i := int(member)
 		var seen uint64
 		for rest := c.Stab; rest != 0; rest &= rest - 1 {
 			k := grp.MinCoset(1, grp.Mul(uint8(bits.TrailingZeros64(rest)), d.Labels[i]), s.stab[i])

@@ -198,7 +198,7 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 	}
 	for ci := range want.Comps {
 		w, g := &want.Comps[ci], &got.Comps[ci]
-		if !sameInts(w.Members, g.Members) || !sameInts(w.Valences, g.Valences) || w.Stab != g.Stab ||
+		if !slices.Equal(w.Members, g.Members) || !slices.Equal(w.Valences, g.Valences) || w.Stab != g.Stab ||
 			w.Broadcasters != g.Broadcasters || w.UniformInputs != g.UniformInputs {
 			t.Fatalf("%s horizon %d component %d differs: %+v vs %+v",
 				name, want.Space.Horizon, ci, w, g)

@@ -423,7 +423,7 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 	for ci := range df.Comps {
 		fc := &df.Comps[ci]
 		qc := sums[induced[fc.Members[0]]]
-		if !sameInts(fc.Valences, qc.Valences) || fc.Broadcasters != qc.Broadcasters || fc.UniformInputs != qc.UniformInputs {
+		if !slices.Equal(fc.Valences, qc.Valences) || fc.Broadcasters != qc.Broadcasters || fc.UniformInputs != qc.UniformInputs {
 			t.Fatalf("%s h=%d: component summaries differ: full %+v vs quotient %+v", name, q.Horizon, fc, qc)
 		}
 	}
@@ -438,7 +438,7 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 func expandTwin(d *Decomposition, i, k int) (int, Component) {
 	s := d.Space
 	grp := s.Group()
-	ci := d.CompOf[i]
+	ci := int(d.CompOf[i])
 	c := &d.Comps[ci]
 	g := grp.MinCoset(1, grp.Mul(uint8(k), grp.Inv(d.Labels[i])), c.Stab)
 	var valences []int
@@ -456,9 +456,9 @@ func expandTwin(d *Decomposition, i, k int) (int, Component) {
 // canonPartition relabels component ids by first occurrence, so two
 // partitions over the same index set compare slice-equal iff they are the
 // same partition.
-func canonPartition(labels []int) []int {
+func canonPartition[T comparable](labels []T) []int {
 	out := make([]int, len(labels))
-	remap := make(map[int]int, len(labels))
+	remap := make(map[T]int, len(labels))
 	for i, l := range labels {
 		c, ok := remap[l]
 		if !ok {
@@ -485,14 +485,14 @@ func TestSummarizeClosesUnderStabilizer(t *testing.T) {
 	if q.SymOrder() != 4 {
 		t.Fatalf("lossy-link-2 group order %d, want 4", q.SymOrder())
 	}
-	d := &Decomposition{Space: q, CompOf: make([]int, q.Len()), Labels: make([]uint8, q.Len())}
+	d := &Decomposition{Space: q, CompOf: make([]int32, q.Len()), Labels: make([]uint8, q.Len())}
 	checked := 0
 	for i := 0; i < q.Len(); i++ {
 		in := q.Inputs(i)
 		if in[0] == in[1] {
 			continue
 		}
-		c := Component{Members: []int{i}, Stab: 0b11}
+		c := Component{Members: []int32{int32(i)}, Stab: 0b11}
 		d.summarize(&c)
 		if c.UniformInputs != 0 {
 			t.Errorf("item %d (inputs %v): uniform inputs %b, want none", i, in, c.UniformInputs)

@@ -2,8 +2,10 @@ package topo
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"topocon/internal/advgen"
 	"topocon/internal/combi"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
@@ -277,5 +279,46 @@ func TestSeparationMonotoneQuick(t *testing.T) {
 				separated = true
 			}
 		}
+	}
+}
+
+// TestDecomposeSharedInterner decomposes a head whose views were partly
+// stored first by another space on the same interner: a sub-adversary of
+// lossy-star-4 is built to the head's horizon between the chain's last two
+// rounds, so some head views lie below the range the head's own round
+// stored. The bucket table must cover them, and the decomposition must
+// equal the one of the same chain on a fresh interner.
+func TestDecomposeSharedInterner(t *testing.T) {
+	ctx := context.Background()
+	star := advgen.LossyStar4()
+	sub := ma.MustOblivious("lossy-star-4-leaves", star.Graphs()[1:]...)
+	const horizon = 4
+	for _, c := range []struct {
+		name string
+		sym  *ma.Group
+	}{
+		{"trivial", nil},
+		{"S3xSym(V)", ma.Automorphisms(star)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := BuildCtx(ctx, star, 2, horizon-1, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := BuildCtx(ctx, sub, 2, horizon, Config{Symmetry: c.sym, Interner: s.Interner}); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = s.Extend(ctx, horizon); err != nil {
+				t.Fatal(err)
+			}
+			if lo := slices.Min(s.fr.ids); int(lo) >= s.fr.idLo {
+				t.Fatalf("least head view %d is the head round's own (from %d): no view stored by the other space", lo, s.fr.idLo)
+			}
+			fresh, err := BuildCtx(ctx, star, 2, horizon, Config{Symmetry: c.sym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertDecompositionsEqual(t, c.name, decompose(t, fresh), decompose(t, s))
+		})
 	}
 }

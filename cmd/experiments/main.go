@@ -28,6 +28,12 @@ func main() {
 	var stop context.CancelFunc
 	ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	run(*only)
+}
+
+// run prints every experiment, or only the one whose id is only, to
+// standard output.
+func run(only string) {
 	experiments := []struct {
 		id   string
 		name string
@@ -47,7 +53,7 @@ func main() {
 		{"E12", "adversary algebra: conjunction of obligations, sequencing, filters", e12},
 	}
 	for _, e := range experiments {
-		if *only != "" && !strings.EqualFold(*only, e.id) {
+		if only != "" && !strings.EqualFold(only, e.id) {
 			continue
 		}
 		fmt.Printf("## %s — %s\n\n", e.id, e.name)

@@ -8,10 +8,8 @@
 //	topoconvet ./...                  # standalone, via go list
 //	go vet -vettool=$(which topoconvet) ./...   # vet backend, via vet.cfg
 //
-// Each analyzer has a boolean flag (-atomicwrite, -quarantine, ...);
-// naming any analyzer runs only the named ones, and -name=false disables
-// one while keeping the rest. Exit codes follow vet convention: 0 clean,
-// 1 failure, 2 findings.
+// Every run checks all five analyzers; the tool takes no flags. Exit
+// codes follow vet convention: 0 clean, 1 failure, 2 findings.
 package main
 
 import (
@@ -63,15 +61,14 @@ func main() {
 	}
 
 	fs := flag.NewFlagSet("topoconvet", flag.ExitOnError)
-	fs.Usage = usage(fs)
-	enable := make(map[string]*bool)
-	for _, a := range lint.All() {
-		enable[a.Name] = fs.Bool(a.Name, false, a.Doc)
+	fs.Usage = func() {
+		fmt.Fprintf(os.Stderr, "usage: topoconvet [packages]\n")
+		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which topoconvet) [packages]\n")
 	}
 	if err := fs.Parse(args); err != nil {
 		os.Exit(1)
 	}
-	analyzers := selectAnalyzers(fs, enable)
+	analyzers := lint.All()
 
 	rest := fs.Args()
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
@@ -91,42 +88,5 @@ func main() {
 	}
 	if len(diags) > 0 {
 		os.Exit(2)
-	}
-}
-
-// selectAnalyzers applies vet-style flag semantics: explicitly enabling
-// any analyzer narrows the run to the enabled set; otherwise everything
-// runs except the explicitly disabled.
-func selectAnalyzers(fs *flag.FlagSet, enable map[string]*bool) []*lint.Analyzer {
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) {
-		if _, ok := enable[f.Name]; ok {
-			explicit[f.Name] = *enable[f.Name]
-		}
-	})
-	anyOn := false
-	for _, on := range explicit {
-		if on {
-			anyOn = true
-		}
-	}
-	var out []*lint.Analyzer
-	for _, a := range lint.All() {
-		on, set := explicit[a.Name]
-		switch {
-		case anyOn && set && on:
-			out = append(out, a)
-		case !anyOn && (!set || on):
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func usage(fs *flag.FlagSet) func() {
-	return func() {
-		fmt.Fprintf(os.Stderr, "usage: topoconvet [flags] [packages]\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which topoconvet) [packages]\n\n")
-		fs.PrintDefaults()
 	}
 }

@@ -93,15 +93,14 @@ type DecisionMap struct {
 func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 	s := d.Space
 	in := s.Interner
-	grp := s.Group()
-	vg := s.SymGroup()
+	grp := s.SymGroup()
 	order := int32(grp.Order())
 	m := &DecisionMap{
 		adv:        s.Adversary,
 		interner:   in,
 		reference:  s.Horizon,
 		domain:     s.InputDomain,
-		group:      vg,
+		group:      grp,
 		order:      order,
 		assignment: make([]int, len(d.Comps)),
 		twinValues: make([][]int, len(d.Comps)),
@@ -151,7 +150,7 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 				if tv == nil && state[c] >= 0 {
 					// The twin σ_ℓ⁻¹·(run i) holds the stored cone.
 					l := uint8(int32(id) - c*order)
-					state[c] = mergeState(state[c], valueState(vg.Value(int(grp.Mul(grp.Inv(l), li)), v)))
+					state[c] = mergeState(state[c], valueState(grp.Value(int(grp.Mul(grp.Inv(l), li)), v)))
 					continue
 				}
 				tw := twins[c]
@@ -176,7 +175,7 @@ func BuildDecisionMap(d *topo.Decomposition, defaultValue int) *DecisionMap {
 			continue
 		}
 		u, stab := int(st-2), in.OrbitStab(c)
-		if fixesValue(vg, stab, u) {
+		if fixesValue(grp, stab, u) {
 			m.size += grp.Index(stab)
 			state[c] = st - 1
 		}
@@ -375,7 +374,7 @@ func (m *DecisionMap) CrossAssignmentLevel(d *topo.Decomposition) (int, bool) {
 	// same orbit, so representatives alone would overstate the separation
 	// level. Twin σ_k·(run i) lies in the twin σ_{k∘L⁻¹} of its orbit's
 	// base component.
-	grp := s.Group()
+	grp := s.SymGroup()
 	var vals []int
 	var views []*ptg.Views
 	for i := 0; i < s.Len(); i++ {

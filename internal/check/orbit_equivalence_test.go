@@ -80,8 +80,8 @@ func TestOrbitDecompositionMatchesFullSpace(t *testing.T) {
 func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition) {
 	t.Helper()
 	q, full := dq.Space, df.Space
-	ug, sym := q.Group(), q.SymGroup()
-	m := ug.Order()
+	sym := q.SymGroup()
+	m := sym.Order()
 	if got, want := dq.FullComponents(), len(df.Comps); got != want {
 		t.Fatalf("%s: %d full components from %d orbits, full space has %d", name, got, len(dq.Comps), want)
 	}
@@ -109,14 +109,14 @@ func assertOrbitsExpandTo(t *testing.T, name string, dq, df *topo.Decomposition)
 	for i := 0; i < q.Len(); i++ {
 		ci := int(dq.CompOf[i])
 		c := &dq.Comps[ci]
-		li := ug.Inv(dq.Labels[i])
+		li := sym.Inv(dq.Labels[i])
 		for k := 0; k < m; k++ {
 			fi, ok := fullIdx[q.PseudoRun(i, k).Key()]
 			if !ok {
 				t.Fatalf("%s: twin (%d,%d) is not a full-space run", name, i, k)
 			}
 			seen[fi] = true
-			g := ug.MinCoset(1, ug.Mul(uint8(k), li), c.Stab)
+			g := sym.MinCoset(1, sym.Mul(uint8(k), li), c.Stab)
 			key := twin{ci, g}
 			fc, ok := compOf[key]
 			if !ok {

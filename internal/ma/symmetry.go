@@ -3,7 +3,9 @@ package ma
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"topocon/internal/graph"
 )
@@ -49,7 +51,12 @@ const (
 type Group struct {
 	n     int
 	elems [][]int // elems[k][p] = image of process p under element k
-	inv   [][]int // inv[k] is the inverse permutation of elems[k]
+	pinv  [][]int // pinv[k] is the inverse permutation of elems[k]
+	// mul[a·|G|+b] is the index of the element a∘b (b applied first) and
+	// inv[a] the index of a's inverse: the multiplication table every
+	// subgroup helper below, the labelled union-find and the
+	// orbit-canonical interner compose elements by.
+	mul, inv []uint8
 	// values reports that the group has a value part. domain is the size
 	// of the value domain it acts on, 0 while the part is open (not yet
 	// resolved by OnDomain), and vals[k][x] the image of value x under
@@ -60,6 +67,9 @@ type Group struct {
 	fp     string
 }
 
+// maxValueDomain bounds the value domain NewGroup accepts.
+const maxValueDomain = 64
+
 // TrivialGroup returns the group containing only the identity on n
 // processes, with no value part.
 func TrivialGroup(n int) *Group {
@@ -67,27 +77,121 @@ func TrivialGroup(n int) *Group {
 	for p := range id {
 		id[p] = p
 	}
-	return newGroup(n, [][]int{id})
+	return finishGroup(&Group{n: n, elems: [][]int{id}, mul: []uint8{0}, inv: []uint8{0}})
 }
 
-func newGroup(n int, elems [][]int) *Group {
-	return finishGroup(&Group{n: n, elems: elems})
+// NewGroup returns the group whose element k pairs the process
+// permutation perms[k] with the input-value permutation vals[k] (vals nil
+// for a group without a value part), numbered in the given order:
+// perms[k][p] is the image of process p and vals[k][x] the image of value
+// x. It errors unless element 0 is the identity, every element is a
+// permutation of the same 1..graph.MaxNodes processes (and of the same
+// values), no element repeats and the set is closed under composition,
+// with at most MaxGroupOrder elements. The group keeps the slices, which
+// must not be mutated afterwards.
+func NewGroup(perms, vals [][]int) (*Group, error) {
+	m := len(perms)
+	if m == 0 || m > MaxGroupOrder {
+		return nil, fmt.Errorf("ma: group order %d outside 1..%d", m, MaxGroupOrder)
+	}
+	n, d := len(perms[0]), 0
+	if n < 1 || n > graph.MaxNodes {
+		return nil, fmt.Errorf("ma: group acts on %d processes, want 1..%d", n, graph.MaxNodes)
+	}
+	if vals != nil {
+		if len(vals) != m {
+			return nil, fmt.Errorf("ma: value part of %d elements, want %d", len(vals), m)
+		}
+		if d = len(vals[0]); d < 1 || d > maxValueDomain {
+			return nil, fmt.Errorf("ma: value part acts on %d values, want 1..%d", d, maxValueDomain)
+		}
+	}
+	for k, perm := range perms {
+		if !isPerm(perm, n, k == 0) || (vals != nil && !isPerm(vals[k], d, k == 0)) {
+			if k == 0 {
+				return nil, errors.New("ma: group element 0 is not the identity")
+			}
+			return nil, fmt.Errorf("ma: group element %d is not a permutation", k)
+		}
+	}
+	g := &Group{n: n, elems: perms, values: vals != nil, domain: d, vals: vals}
+	if err := g.buildTable(); err != nil {
+		return nil, err
+	}
+	return finishGroup(g), nil
 }
 
-// withOpenValues returns the process group elems with an open value part.
-func withOpenValues(n int, elems [][]int) *Group {
-	return finishGroup(&Group{n: n, elems: elems, values: true})
+// isPerm reports whether perm is a permutation of {0, …, size-1}, and
+// the identity when identity is set.
+func isPerm(perm []int, size int, identity bool) bool {
+	if len(perm) != size {
+		return false
+	}
+	var seen uint64
+	for p, q := range perm {
+		if q < 0 || q >= size || seen&(1<<uint(q)) != 0 || (identity && q != p) {
+			return false
+		}
+		seen |= 1 << uint(q)
+	}
+	return true
 }
 
-// finishGroup fills the inverses and the fingerprint of g.
+// buildTable fills the multiplication and inverse tables from the
+// elements, each identified by its process images and then its value
+// images. It fails when an element repeats an earlier one or the product
+// of two elements is none of them. Element 0 must be the identity.
+func (g *Group) buildTable() error {
+	m, n := len(g.elems), g.n
+	buf := make([]byte, n+g.domain)
+	key := func(k int) string {
+		for p, q := range g.elems[k] {
+			buf[p] = byte(q)
+		}
+		for x := 0; x < g.domain; x++ {
+			buf[n+x] = byte(g.vals[k][x])
+		}
+		return string(buf)
+	}
+	index := make(map[string]uint8, m)
+	for k := range g.elems {
+		if _, dup := index[key(k)]; dup {
+			return fmt.Errorf("ma: group element %d repeats an earlier one", k)
+		}
+		index[key(k)] = uint8(k)
+	}
+	g.mul, g.inv = make([]uint8, m*m), make([]uint8, m)
+	for a, pa := range g.elems {
+		for b, pb := range g.elems {
+			for p, q := range pb {
+				buf[p] = byte(pa[q])
+			}
+			for x := 0; x < g.domain; x++ {
+				buf[n+x] = byte(g.vals[a][g.vals[b][x]])
+			}
+			ab, ok := index[string(buf)]
+			if !ok {
+				return errors.New("ma: group is not closed under composition")
+			}
+			g.mul[a*m+b] = ab
+			if ab == 0 {
+				g.inv[a] = uint8(b)
+			}
+		}
+	}
+	return nil
+}
+
+// finishGroup fills the inverse permutations and the fingerprint of g,
+// whose elements and tables are set.
 func finishGroup(g *Group) *Group {
-	g.inv = make([][]int, len(g.elems))
+	g.pinv = make([][]int, len(g.elems))
 	for k, perm := range g.elems {
 		inv := make([]int, g.n)
 		for p, q := range perm {
 			inv[q] = p
 		}
-		g.inv[k] = inv
+		g.pinv[k] = inv
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "n=%d;m=%d;", g.n, len(g.elems))
@@ -130,7 +234,7 @@ func (g *Group) OnDomain(d int) *Group {
 		order *= x
 	}
 	if d < 2 || order > MaxGroupOrder || g.n > graph.MaxQuotientNodes {
-		return newGroup(g.n, g.elems)
+		return finishGroup(&Group{n: g.n, elems: g.elems, mul: g.mul, inv: g.inv})
 	}
 	var perms [][]int
 	perm := make([]int, d)
@@ -139,15 +243,28 @@ func (g *Group) OnDomain(d int) *Group {
 	}
 	permute(perm, 0, func(p []int) { perms = append(perms, append([]int(nil), p...)) })
 	canonicalizeGroup(perms)
-	elems := make([][]int, 0, order)
-	vals := make([][]int, 0, order)
-	for _, pi := range perms {
-		for _, sigma := range g.elems {
-			elems = append(elems, sigma)
-			vals = append(vals, pi)
+	sym := &Group{n: d, elems: perms}
+	_ = sym.buildTable() // Sym(V) is a group: no error
+	// (σ_a, π_b)∘(σ_a', π_b') = (σ_a∘σ_a', π_b∘π_b'), so the product's
+	// table is read off the factors'.
+	p := &Group{n: g.n, values: true, domain: d,
+		elems: make([][]int, 0, order), vals: make([][]int, 0, order),
+		mul: make([]uint8, order*order), inv: make([]uint8, order)}
+	for b, pi := range perms {
+		for a, sigma := range g.elems {
+			p.elems = append(p.elems, sigma)
+			p.vals = append(p.vals, pi)
+			k := b*m + a
+			p.inv[k] = sym.inv[b]*uint8(m) + g.inv[a]
+			for b2 := range perms {
+				row := p.mul[k*order+b2*m : k*order+(b2+1)*m]
+				for a2 := range row {
+					row[a2] = sym.mul[b*len(perms)+b2]*uint8(m) + g.mul[a*m+a2]
+				}
+			}
 		}
 	}
-	return finishGroup(&Group{n: g.n, elems: elems, values: true, domain: d, vals: vals})
+	return finishGroup(p)
 }
 
 // N returns the number of processes the group acts on.
@@ -164,9 +281,9 @@ func (g *Group) Trivial() bool { return len(g.elems) <= 1 }
 // The returned slice must not be mutated.
 func (g *Group) Elem(k int) []int { return g.elems[k] }
 
-// Inv returns the inverse of the process part of group element k. The
-// returned slice must not be mutated.
-func (g *Group) Inv(k int) []int { return g.inv[k] }
+// InvPerm returns the inverse of the process part of group element k.
+// The returned slice must not be mutated.
+func (g *Group) InvPerm(k int) []int { return g.pinv[k] }
 
 // Domain returns the size of the value domain the group's value part acts
 // on: 0 when the group has none, or while it is open (see OnDomain).
@@ -208,6 +325,82 @@ func (g *Group) Value(k, x int) int {
 	return g.vals[k][x]
 }
 
+// Mul returns the element a∘b (b applied first).
+func (g *Group) Mul(a, b uint8) uint8 { return g.mul[int(a)*len(g.inv)+int(b)] }
+
+// Quo returns a∘b⁻¹, the element carrying σ_b·x to σ_a·x.
+func (g *Group) Quo(a, b uint8) uint8 {
+	if a|b == 0 {
+		return 0
+	}
+	return g.Mul(a, g.inv[b])
+}
+
+// Inv returns the inverse of element a.
+func (g *Group) Inv(a uint8) uint8 { return g.inv[a] }
+
+// Table returns the multiplication table — mul[a·|G|+b] is a∘b, b applied
+// first — and the inverse of every element, for loops that index them
+// directly. The slices are shared and must not be mutated.
+func (g *Group) Table() (mul, inv []uint8) { return g.mul, g.inv }
+
+// Subgroups are bitmasks over element indices: bit h is set iff element h
+// belongs to the subgroup.
+
+// Index returns |G| / |H|, the number of cosets of subgroup h.
+func (g *Group) Index(h uint64) int { return len(g.inv) / bits.OnesCount64(h) }
+
+// Conj returns the conjugate x·H·x⁻¹ of the element set h.
+func (g *Group) Conj(x uint8, h uint64) uint64 {
+	if x == 0 || h == 1 {
+		return h
+	}
+	xi := g.inv[x]
+	var out uint64
+	for rest := h; rest != 0; rest &= rest - 1 {
+		out |= 1 << g.Mul(g.Mul(x, uint8(bits.TrailingZeros64(rest))), xi)
+	}
+	return out
+}
+
+// Closure returns the subgroup generated by the element set h (the
+// identity included). In a finite group closing under products suffices.
+func (g *Group) Closure(h uint64) uint64 {
+	m := len(g.inv)
+	h |= 1
+	for {
+		next := h
+		for a := h &^ 1; a != 0; a &= a - 1 {
+			row := g.mul[bits.TrailingZeros64(a)*m:]
+			for b := h &^ 1; b != 0; b &= b - 1 {
+				next |= 1 << row[bits.TrailingZeros64(b)]
+			}
+		}
+		if next == h {
+			return h
+		}
+		h = next
+	}
+}
+
+// MinCoset returns the least element of the double coset H·x·S: the
+// identity, without a scan, when H or S is the whole group.
+func (g *Group) MinCoset(h uint64, x uint8, s uint64) uint8 {
+	if full := ^uint64(0) >> uint(64-len(g.inv)); h == full || s == full {
+		return 0
+	}
+	best := x
+	for a := h; a != 0; a &= a - 1 {
+		hx := g.Mul(uint8(bits.TrailingZeros64(a)), x)
+		for b := s; b != 0; b &= b - 1 {
+			if e := g.Mul(hx, uint8(bits.TrailingZeros64(b))); e < best {
+				best = e
+			}
+		}
+	}
+	return best
+}
+
 // Fingerprint returns a canonical hex hash of the group (node count, the
 // sorted element list and the value part, if any). Two adversaries with
 // behaviourally equal graph languages get equal group fingerprints; sweep
@@ -232,36 +425,37 @@ func (g *Group) Fingerprint() string { return g.fp }
 func Automorphisms(a Adversary) *Group {
 	a = Normalize(a)
 	n := a.N()
-	if n > maxAutoN {
-		return withOpenValues(n, TrivialGroup(n).elems)
-	}
 	var accepted [][]int
-	overflow := false
+	overflow := n > maxAutoN
 	perm := make([]int, n)
 	for p := range perm {
 		perm[p] = p
 	}
-	permute(perm, 0, func(candidate []int) {
-		if overflow || len(accepted) > MaxGroupOrder {
-			return
-		}
-		ok, fits := isAutomorphism(a, candidate)
-		if !fits {
-			overflow = true
-			return
-		}
-		if ok {
-			accepted = append(accepted, append([]int(nil), candidate...))
-		}
-	})
-	// The exact check makes the accepted set a group automatically; keep a
-	// closure sanity check anyway so a checker bug can only ever degrade
-	// to the (sound) trivial group instead of corrupting orbit accounting.
-	if overflow || len(accepted) > MaxGroupOrder || !closedUnderComposition(n, accepted) {
-		return withOpenValues(n, TrivialGroup(n).elems)
+	if !overflow {
+		permute(perm, 0, func(candidate []int) {
+			if overflow || len(accepted) > MaxGroupOrder {
+				return
+			}
+			ok, fits := isAutomorphism(a, candidate)
+			if !fits {
+				overflow = true
+				return
+			}
+			if ok {
+				accepted = append(accepted, append([]int(nil), candidate...))
+			}
+		})
 	}
 	canonicalizeGroup(accepted)
-	return withOpenValues(n, accepted)
+	g := &Group{n: n, elems: accepted, values: true}
+	// The exact check makes the accepted set a group automatically; the
+	// table build checks closure anyway, so a checker bug can only ever
+	// degrade to the (sound) trivial group instead of corrupting orbit
+	// accounting.
+	if overflow || len(accepted) == 0 || len(accepted) > MaxGroupOrder || g.buildTable() != nil {
+		g = &Group{n: n, elems: [][]int{perm}, mul: []uint8{0}, inv: []uint8{0}, values: true}
+	}
+	return finishGroup(g)
 }
 
 // permute enumerates all permutations of perm[at:] in place (Heap-style
@@ -332,35 +526,6 @@ func isAutomorphism(a Adversary, sigma []int) (ok, fits bool) {
 		}
 	}
 	return true, true
-}
-
-// closedUnderComposition verifies that the permutation set is a group
-// (contains the identity, as enumeration always visits it, and is closed
-// under composition — finiteness then gives inverses for free).
-func closedUnderComposition(n int, perms [][]int) bool {
-	keys := make(map[string]bool, len(perms))
-	enc := func(p []int) string {
-		b := make([]byte, n)
-		for i, q := range p {
-			b[i] = byte(q)
-		}
-		return string(b)
-	}
-	for _, p := range perms {
-		keys[enc(p)] = true
-	}
-	comp := make([]int, n)
-	for _, p := range perms {
-		for _, q := range perms {
-			for i := 0; i < n; i++ {
-				comp[i] = q[p[i]]
-			}
-			if !keys[enc(comp)] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // canonicalizeGroup orders elements lexicographically with the identity

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"topocon/internal/graph"
 )
 
 // ViewID identifies a hash-consed causal cone. Two views (possibly from
@@ -131,12 +133,17 @@ func (in *Interner) Err() error {
 	return nil
 }
 
-// Leaf interns the time-0 view of process p with input x.
+// Leaf interns the time-0 view of process p with input x. An owner p
+// outside the process range — 0..graph.MaxNodes-1, or the group's
+// processes on an orbit-canonical interner — yields -1 and stores nothing.
 //
 //topocon:allocfree
 func (in *Interner) Leaf(p, x int) ViewID {
 	if in.grp != nil {
 		return in.orbitLeaf(p, x)
+	}
+	if uint(p) >= graph.MaxNodes {
+		return -1
 	}
 	var buf [1 + 2*binary.MaxVarintLen64]byte
 	buf[0] = 'L'
@@ -159,8 +166,9 @@ const nodeKeyStackSize = 1 + binary.MaxVarintLen64 + 8*(1+binary.MaxVarintLen32)
 // are the set bits q of mask, each with time-(t-1) view row[q]; row is
 // indexed by process and only its masked entries are read. Every masked
 // child must be an ID this interner handed out, or -1: a child without an
-// ID (from a request that hit the ID cap) yields -1. The key is 'N', p
-// and the (q, row[q]) pairs in ascending q.
+// ID (from a request that hit the ID cap) yields -1, and so does an owner
+// Leaf would refuse. The key is 'N', p and the (q, row[q]) pairs in
+// ascending q.
 //
 //topocon:allocfree
 func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
@@ -184,10 +192,13 @@ func (in *Interner) Node(p int, mask uint64, row []ViewID) ViewID {
 }
 
 // plainNodeKey appends the plain key of Node's request to buf; ok is false
-// when a masked child has no ID.
+// when a masked child has no ID or the owner is out of range.
 //
 //topocon:allocfree
 func plainNodeKey(buf []byte, p int, mask uint64, row []ViewID) (key []byte, ok bool) {
+	if uint(p) >= graph.MaxNodes {
+		return buf, false
+	}
 	buf = append(buf, 'N')
 	buf = binary.AppendUvarint(buf, uint64(p))
 	for m := mask; m != 0; m &= m - 1 {

@@ -32,7 +32,7 @@ func TestInternerFreshInternAmortizedAllocs(t *testing.T) {
 	const perRun = 512
 	avg := testing.AllocsPerRun(8, func() {
 		for i := 0; i < perRun; i++ {
-			in.Leaf(x%97, x) // fresh (p, x) pair every call
+			in.Leaf(x%64, x) // fresh (p, x) pair every call
 			x++
 		}
 	})

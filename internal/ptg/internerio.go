@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"topocon/internal/graph"
+	"topocon/internal/ma"
 )
 
 // groupBlobMagic opens the export of an orbit-canonical interner. A plain
@@ -40,19 +41,18 @@ func (in *Interner) Export() ([]byte, error) {
 	}
 	var buf []byte
 	if g := in.grp; g != nil {
-		buf = make([]byte, 0, size+2+3*binary.MaxVarintLen64+g.m*(g.n+g.d))
+		d := g.grp.Domain()
+		buf = make([]byte, 0, size+2+3*binary.MaxVarintLen64+g.m*(g.n+d))
 		buf = append(buf, groupBlobMagic[:]...)
 		buf = binary.AppendUvarint(buf, uint64(g.m))
 		buf = binary.AppendUvarint(buf, uint64(g.n))
-		buf = binary.AppendUvarint(buf, uint64(g.d))
-		for k, perm := range g.perms {
-			for _, q := range perm {
+		buf = binary.AppendUvarint(buf, uint64(d))
+		for k := 0; k < g.m; k++ {
+			for _, q := range g.grp.Elem(k) {
 				buf = binary.AppendUvarint(buf, uint64(q))
 			}
-			if g.d > 0 {
-				for _, y := range g.vals[k] {
-					buf = binary.AppendUvarint(buf, uint64(y))
-				}
+			for _, y := range g.grp.Values(k) {
+				buf = binary.AppendUvarint(buf, uint64(y))
 			}
 		}
 	} else {
@@ -114,7 +114,11 @@ func ImportInterner(data []byte) (*Interner, error) {
 		if len(perms) < 2 {
 			return nil, errors.New("ptg: interner import: group blob of a trivial group")
 		}
-		if err := in.AdoptGroup(perms, vals); err != nil {
+		grp, err := ma.NewGroup(perms, vals)
+		if err == nil {
+			err = in.AdoptGroup(grp)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("ptg: interner import: %w", err)
 		}
 	}
@@ -152,7 +156,7 @@ func (r *blobReader) group() (perms, vals [][]int, err error) {
 	m, ok1 := r.uvarint()
 	n, ok2 := r.uvarint()
 	d, ok3 := r.uvarint()
-	if !ok1 || !ok2 || !ok3 || m > maxGroupOrder || n < 1 || n > maxOrbitProcs || d > maxValueDomain {
+	if !ok1 || !ok2 || !ok3 || m > ma.MaxGroupOrder || n < 1 || n > maxOrbitProcs || d > maxValueDomain {
 		return nil, nil, errors.New("ptg: interner import: bad group header")
 	}
 	images := func(size uint64) ([]int, bool) {

@@ -35,13 +35,13 @@ func sortedExport(in *Interner) []byte {
 		buf = append(buf, groupBlobMagic[:]...)
 		buf = binary.AppendUvarint(buf, uint64(g.m))
 		buf = binary.AppendUvarint(buf, uint64(g.n))
-		buf = binary.AppendUvarint(buf, uint64(g.d))
-		for k, perm := range g.perms {
-			for _, q := range perm {
+		buf = binary.AppendUvarint(buf, uint64(g.grp.Domain()))
+		for k := 0; k < g.m; k++ {
+			for _, q := range g.grp.Elem(k) {
 				buf = binary.AppendUvarint(buf, uint64(q))
 			}
-			for x := 0; x < g.d; x++ {
-				buf = binary.AppendUvarint(buf, uint64(g.vals[k][x]))
+			for x := 0; x < g.grp.Domain(); x++ {
+				buf = binary.AppendUvarint(buf, uint64(g.grp.Values(k)[x]))
 			}
 		}
 	}

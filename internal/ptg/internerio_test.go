@@ -131,3 +131,46 @@ func TestNodeOverUnassignedChildFails(t *testing.T) {
 		t.Fatalf("size %d, Err %v after the refused node", in.Size(), in.Err())
 	}
 }
+
+// TestInternerRefusesOwnerOutOfRange pins that Leaf, Node and Lookup store
+// nothing for an owner outside the process range: past graph.MaxNodes on a
+// plain interner, whose heard mask 1<<p would read 0 and whose blob
+// ImportInterner would refuse, and past the group's processes on an
+// orbit-canonical one, whose tables it would index out of range.
+func TestInternerRefusesOwnerOutOfRange(t *testing.T) {
+	plain := NewInterner()
+	orbit, err := pairInterner([][]int{{0, 1, 2}, {1, 0, 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		in    *Interner
+		owner []int
+	}{
+		{"plain", plain, []int{-1, 64, 70}},
+		{"orbit", orbit, []int{-1, 3, 64}},
+	} {
+		in := tc.in
+		leaf := in.Leaf(0, 1)
+		row := []ViewID{leaf}
+		before := in.Size()
+		for _, p := range tc.owner {
+			if id := in.Leaf(p, 1); id != -1 {
+				t.Errorf("%s: Leaf(%d, 1) = %d, want -1", tc.name, p, id)
+			}
+			if id := in.Node(p, 1, row); id != -1 {
+				t.Errorf("%s: Node(%d, …) = %d, want -1", tc.name, p, id)
+			}
+			if id := in.Lookup(p, 1, row); id != -1 {
+				t.Errorf("%s: Lookup(%d, …) = %d, want -1", tc.name, p, id)
+			}
+		}
+		if in.Size() != before || in.Err() != nil {
+			t.Errorf("%s: size %d → %d, Err %v after refused owners", tc.name, before, in.Size(), in.Err())
+		}
+		if _, err := ImportInterner(mustExport(t, in)); err != nil {
+			t.Errorf("%s: export does not import: %v", tc.name, err)
+		}
+	}
+}

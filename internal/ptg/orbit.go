@@ -2,21 +2,20 @@ package ptg
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"topocon/internal/graph"
+	"topocon/internal/ma"
 )
 
 // Orbit-canonical interning (DESIGN.md §13). When the runs under analysis
 // are closed under a group G whose elements are pairs (σ, π) of a process
 // permutation σ and an input-value permutation π, every cone has up to |G|
 // relabeled twins: relabeling by (σ, π) maps each node (p, t) to (σ(p), t)
-// and each leaf input x to π(x). An interner given the group by AdoptGroup
-// stores one cone per orbit:
+// and each leaf input x to π(x). An interner given the group, an
+// ma.Group, by AdoptGroup stores one cone per orbit:
 //
 //   - Leaf and Node find the least C of the requested cone's |G|
 //     relabelings (owner first, then the leaf's input or the sorted
@@ -34,11 +33,16 @@ import (
 // element of (k∘ℓ)·Stab(C) — so no relabel memo is needed anywhere. The
 // value part acts on leaves alone: heard masks and in-masks relabel by σ.
 //
+// The group owns its element numbering and multiplication table
+// (ma.Group.Table), which every ID above is written in; the interner
+// shares the table and derives only the lookups of its own key search —
+// each process's orbit minimum, the inverse process images and the mask
+// relabeling bytes (orbitTables).
+//
 // On a plain interner (NewInterner, the trivial group) keys, IDs and
-// per-call cost are exactly the non-group ones.
-
-// maxGroupOrder bounds |G|: stabilizers are uint64 bitmasks.
-const maxGroupOrder = 64
+// per-call cost are exactly the non-group ones: it keeps its own key path,
+// selected by the group order, as the orbit path's candidate search is
+// pure overhead under a single element.
 
 // maxOrbitProcs bounds the process count of an orbit-canonical interner,
 // which keeps its per-call scratch in stack arrays of this size.
@@ -46,21 +50,15 @@ const maxGroupOrder = 64
 // part alone reaches the same bound (ma.Group.OnDomain).
 const maxOrbitProcs = graph.MaxQuotientNodes
 
-// orbitGroup is the permutation group of an orbit-canonical interner, with
-// its multiplication table.
+// orbitGroup is the group of an orbit-canonical interner with the tables
+// the interner derives from it.
 type orbitGroup struct {
+	grp  *ma.Group
 	m, n int
-	// perms[k][p] is the image of process p under element k; perms[0] is
-	// the identity.
-	perms [][]int
-	// d is the size of the value domain the value part acts on, 0 without
-	// one, and vals[k][x] the image of input value x under element k.
-	d    int
-	vals [][]int
-	// inv[k] is the index of element k's inverse.
-	inv []uint8
-	// mul[a*m+b] is the index of σ_a∘σ_b (σ_b applied first).
-	mul []uint8
+	// mul and inv are the group's own multiplication table and element
+	// inverses (ma.Group.Table): mul[a*m+b] is the index of σ_a∘σ_b (σ_b
+	// applied first), inv[k] the index of element k's inverse.
+	mul, inv []uint8
 	// least[p] is the least process of p's orbit, and toLeast[p] the mask
 	// of the elements mapping p to it: only relabelings owned by least[p]
 	// can be a cone's least relabeling.
@@ -75,80 +73,19 @@ type orbitGroup struct {
 	full uint64
 }
 
-// newOrbitGroup validates perms and vals as a permutation group with the
-// identity first and builds its tables. Element k is the pair of the
-// process permutation perms[k] and the value permutation vals[k]; vals is
-// nil for a group without a value part, and otherwise holds one
-// permutation of the same domain {0, …, d-1} per element. A group of order
-// 1 yields nil (the plain interner), at any process count a graph
-// supports; only a nontrivial group is bounded by maxOrbitProcs.
-func newOrbitGroup(perms, vals [][]int) (*orbitGroup, error) {
-	m := len(perms)
-	if m == 0 || m > maxGroupOrder {
-		return nil, fmt.Errorf("ptg: group order %d outside 1..%d", m, maxGroupOrder)
-	}
-	n := len(perms[0])
-	maxN := maxOrbitProcs
-	if m == 1 {
-		maxN = graph.MaxNodes // the plain interner keeps no per-process scratch
-	}
-	if n < 1 || n > maxN {
-		return nil, fmt.Errorf("ptg: group acts on %d processes, want 1..%d", n, maxN)
-	}
-	d := 0
-	if vals != nil {
-		if len(vals) != m {
-			return nil, fmt.Errorf("ptg: value part of %d elements, want %d", len(vals), m)
-		}
-		if d = len(vals[0]); d < 1 || d > maxValueDomain {
-			return nil, fmt.Errorf("ptg: value part acts on %d values, want 1..%d", d, maxValueDomain)
-		}
-	}
-	// An element's index key is its process images, then its value images.
-	index := make(map[string]int, m)
-	valsOf := func(k int) []int {
-		if d == 0 {
-			return nil
-		}
-		return vals[k]
-	}
-	key := func(perm, val []int) string {
-		b := make([]byte, 0, n+d)
-		for _, q := range perm {
-			b = append(b, byte(q))
-		}
-		for _, y := range val {
-			b = append(b, byte(y))
-		}
-		return string(b)
-	}
-	for k, perm := range perms {
-		if len(perm) != n {
-			return nil, fmt.Errorf("ptg: group element %d has %d images, want %d", k, len(perm), n)
-		}
-		if !isPerm(perm, k == 0) {
-			return nil, fmt.Errorf("ptg: group element %d is not a permutation", k)
-		}
-		if d > 0 && (len(vals[k]) != d || !isPerm(vals[k], k == 0)) {
-			return nil, fmt.Errorf("ptg: value part of group element %d is not a permutation", k)
-		}
-		if _, dup := index[key(perm, valsOf(k))]; dup {
-			return nil, fmt.Errorf("ptg: group element %d repeats an earlier one", k)
-		}
-		index[key(perm, valsOf(k))] = k
-	}
-	if m == 1 {
-		return nil, nil
-	}
+// orbitTables derives the interner's tables from a nontrivial group on
+// at most maxOrbitProcs processes.
+func orbitTables(grp *ma.Group) *orbitGroup {
+	m, n := grp.Order(), grp.N()
+	mul, inv := grp.Table()
 	g := &orbitGroup{
-		m: m, n: n, perms: perms, d: d, vals: vals,
-		inv: make([]uint8, m), mul: make([]uint8, m*m),
+		grp: grp, m: m, n: n, mul: mul, inv: inv,
 		least: make([]int, n), toLeast: make([]uint64, n),
 		pinv: make([]uint8, m*n), maskTab: make([]uint16, m*2*256),
 		full: ^uint64(0) >> uint(64-m),
 	}
-	for k, perm := range perms {
-		for p, q := range perm {
+	for k := 0; k < m; k++ {
+		for p, q := range grp.Elem(k) {
 			g.pinv[k*n+q] = uint8(p)
 			for v := 0; v < 256; v++ {
 				if v&(1<<uint(p%8)) != 0 {
@@ -157,63 +94,23 @@ func newOrbitGroup(perms, vals [][]int) (*orbitGroup, error) {
 			}
 		}
 	}
-	comp, compVal := make([]int, n), make([]int, d)
-	for a := 0; a < m; a++ {
-		for b := 0; b < m; b++ {
-			for p := 0; p < n; p++ {
-				comp[p] = perms[a][perms[b][p]]
-			}
-			for x := 0; x < d; x++ {
-				compVal[x] = vals[a][vals[b][x]]
-			}
-			ab, ok := index[key(comp, compVal)]
-			if !ok {
-				return nil, errors.New("ptg: group is not closed under composition")
-			}
-			g.mul[a*m+b] = uint8(ab)
-			if ab == 0 {
-				g.inv[a] = uint8(b)
-			}
-		}
-	}
 	for p := 0; p < n; p++ {
 		least := p
-		for _, perm := range perms {
-			least = min(least, perm[p])
+		for k := 0; k < m; k++ {
+			least = min(least, grp.Elem(k)[p])
 		}
 		g.least[p] = least
-		for k, perm := range perms {
-			if perm[p] == least {
+		for k := 0; k < m; k++ {
+			if grp.Elem(k)[p] == least {
 				g.toLeast[p] |= 1 << uint(k)
 			}
 		}
 	}
-	return g, nil
+	return g
 }
 
 // maxValueDomain bounds the value domain of a group's value part.
 const maxValueDomain = 64
-
-// isPerm reports whether perm is a permutation of {0, …, len(perm)-1},
-// and the identity when identity is set.
-func isPerm(perm []int, identity bool) bool {
-	var seen uint64
-	for p, q := range perm {
-		if q < 0 || q >= len(perm) || q >= 64 || seen&(1<<uint(q)) != 0 || (identity && q != p) {
-			return false
-		}
-		seen |= 1 << uint(q)
-	}
-	return true
-}
-
-// equal reports whether two groups list the same elements in the same
-// order (element indices are part of the ID scheme).
-func (g *orbitGroup) equal(o *orbitGroup) bool {
-	return o != nil && o.m == g.m && o.n == g.n && o.d == g.d &&
-		slices.EqualFunc(o.perms, g.perms, slices.Equal) &&
-		(g.d == 0 || slices.EqualFunc(o.vals, g.vals, slices.Equal))
-}
 
 // cosetMin returns the least element of the coset e·H, where H is the
 // subgroup with bitmask stab (which always holds the identity): e itself
@@ -263,35 +160,28 @@ func (g *orbitGroup) orbitLabel(arg uint64, star int) (stab uint64, l uint8) {
 	return stab, l
 }
 
-// AdoptGroup makes an empty plain interner orbit-canonical under the
-// group whose element k is the process permutation perms[k] paired with
-// the input-value permutation vals[k] (vals nil for a group without a
-// value part), or checks that the interner already canonicalizes by
-// exactly that group — element order included, since element indices are
-// part of every ID. perms[k][p] is the image of process p and vals[k][x]
-// the image of value x under element k, element 0 must be the identity,
-// and the set must be closed under composition, with at most 64 elements
-// on at most 16 processes; a group of order 1 leaves the interner plain.
-// It errors on an invalid group, on a mismatch, and on a non-empty plain
-// interner asked for a nontrivial group.
-func (in *Interner) AdoptGroup(perms, vals [][]int) error {
-	g, err := newOrbitGroup(perms, vals)
-	if err != nil {
-		return err
-	}
+// AdoptGroup makes an empty plain interner orbit-canonical under grp, a
+// group resolved over its value domain (ma.Group.OnDomain), or checks that
+// the interner already canonicalizes by exactly that group — element
+// order included, since element indices are part of every ID, so the
+// check compares fingerprints. A nontrivial group may act on at most 16
+// processes; the trivial group leaves the interner plain. It errors on a
+// group past that bound, on a mismatch, and on a non-empty plain interner
+// asked for a nontrivial group.
+func (in *Interner) AdoptGroup(grp *ma.Group) error {
 	switch {
-	case in.grp != nil && g == nil:
-		return fmt.Errorf("ptg: interner is orbit-canonical under a group of order %d, not the trivial group", in.grp.m)
 	case in.grp != nil:
-		if !in.grp.equal(g) {
-			return errors.New("ptg: interner is orbit-canonical under a different group")
+		if grp.Fingerprint() != in.grp.grp.Fingerprint() {
+			return fmt.Errorf("ptg: interner is orbit-canonical under a different group, of order %d", in.grp.m)
 		}
-	case g != nil:
-		if in.Size() > 0 {
-			return fmt.Errorf("ptg: cannot make a plain interner holding %d cones orbit-canonical", in.Size())
-		}
-		in.grp = g
-		in.limit = int32((math.MaxInt32 + 1) / int64(g.m))
+	case grp.Trivial():
+	case grp.N() > maxOrbitProcs:
+		return fmt.Errorf("ptg: group acts on %d processes, want at most %d", grp.N(), maxOrbitProcs)
+	case in.Size() > 0:
+		return fmt.Errorf("ptg: cannot make a plain interner holding %d cones orbit-canonical", in.Size())
+	default:
+		in.grp = orbitTables(grp)
+		in.limit = int32((math.MaxInt32 + 1) / int64(in.grp.m))
 	}
 	return nil
 }
@@ -302,20 +192,6 @@ func (in *Interner) GroupOrder() int {
 		return 1
 	}
 	return in.grp.m
-}
-
-// trivialTable is the multiplication table of the group of order 1.
-var trivialTable = []uint8{0}
-
-// GroupTable returns the multiplication table of the interner's group —
-// mul[a·|G|+b] is the index of σ_a∘σ_b (σ_b applied first) — and the index
-// of each element's inverse. A plain interner reports the group of order
-// 1. The slices are shared; callers must not mutate them.
-func (in *Interner) GroupTable() (mul, inv []uint8) {
-	if in.grp == nil {
-		return trivialTable, trivialTable
-	}
-	return in.grp.mul, in.grp.inv
 }
 
 // OrbitStab returns the stabilizer mask of the stored cone with orbit id c
@@ -350,13 +226,16 @@ func (in *Interner) Relabel(id ViewID, k int) ViewID {
 //topocon:allocfree
 func (in *Interner) orbitLeaf(p, x int) ViewID {
 	g := in.grp
+	if uint(p) >= uint(g.n) {
+		return -1
+	}
 	arg := g.toLeast[p]
-	if g.d > 0 && x >= 0 && x < g.d {
+	if d := g.grp.Domain(); d > 0 && x >= 0 && x < d {
 		var has uint64
 		least := x
 		for rest := arg; rest != 0; rest &= rest - 1 {
 			k := bits.TrailingZeros64(rest)
-			switch y := g.vals[k][x]; {
+			switch y := g.grp.Value(k, x); {
 			case has == 0 || y < least:
 				has, least = 1<<uint(k), y
 			case y == least:
@@ -425,7 +304,8 @@ type orbitKids struct {
 
 // orbitNodeKey appends to buf the key of the least relabeling of the node
 // of p over the masked children in row, and returns the set arg of the
-// elements that map the node to it; ok is false when a child has no ID.
+// elements that map the node to it; ok is false when a child has no ID or
+// p is not one of the group's processes.
 // It leaves each masked child's stored cone, label and stabilizer in kids.
 // The relabeling by element k is the node of σ_k(p) whose children are the
 // children relabeled by k, re-slotted at σ_k(q); relabelings compare as
@@ -444,6 +324,9 @@ type orbitKids struct {
 //topocon:allocfree
 func (in *Interner) orbitNodeKey(buf []byte, p int, mask uint64, row []ViewID, kids *orbitKids) (key []byte, arg uint64, ok bool) {
 	g := in.grp
+	if uint(p) >= uint(g.n) {
+		return buf, 0, false
+	}
 	m := int32(g.m)
 	// Each child's stored cone, coset label and stabilizer, indexed by
 	// process and read once for every candidate.

@@ -72,7 +72,7 @@ type Decomposition struct {
 // OrbitSize returns the number of full-space components orbit ci stands
 // for: |G| / |Stab|.
 func (d *Decomposition) OrbitSize(ci int) int {
-	return d.Space.Group().Index(d.Comps[ci].Stab)
+	return d.Space.sym.Index(d.Comps[ci].Stab)
 }
 
 // FullComponents returns the number of connected components of the full
@@ -121,7 +121,7 @@ func (d *Decomposition) FullMixedComponents() int {
 //topocon:allocfree
 func DecomposeCtx(ctx context.Context, s *Space) (*Decomposition, error) {
 	count, n := s.Len(), s.N()
-	grp := s.Group()
+	grp := s.sym
 	m := int32(grp.Order())
 	u := uf.NewLabelled(count, grp)
 	s.fr.fault()
@@ -257,7 +257,7 @@ func orbitOf(id ptg.ViewID, m int32) (int32, uint8) {
 // caller.
 func materialize(s *Space, u *uf.Labelled) *Decomposition {
 	count := s.Len()
-	grp := s.Group()
+	grp := s.sym
 	d := &Decomposition{
 		Space:  s,
 		CompOf: make([]int32, count),
@@ -321,7 +321,7 @@ func materialize(s *Space, u *uf.Labelled) *Decomposition {
 // the base component's runs among themselves.
 func (d *Decomposition) summarize(c *Component) {
 	s := d.Space
-	grp := s.sym.group
+	grp := s.sym
 	bc := graph.AllNodes(s.fr.n)
 	uc := bc
 	var vmask uint64
@@ -350,7 +350,7 @@ func (d *Decomposition) summarize(c *Component) {
 			in := s.Inputs(i)
 			var inv []int
 			if l != 0 {
-				inv = grp.Inv(int(l))
+				inv = grp.InvPerm(int(l))
 			}
 			for mm := uc; mm != 0; mm &= mm - 1 {
 				p := bits.TrailingZeros64(mm)
@@ -472,7 +472,7 @@ func (d *Decomposition) ValentComponentsBroadcastable() bool {
 // adversaries it grows without bound (Fig. 5: distance-0 limits).
 func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	s := d.Space
-	grp, tab := s.sym.group, s.Group()
+	grp := s.sym
 	// sig[ci*m+g] is the signature id of twin g of component orbit ci's
 	// base component, whose valences are π_g of the base's.
 	m := s.SymOrder()
@@ -511,13 +511,13 @@ func (d *Decomposition) CrossValenceLevel() (int, bool) {
 	var views []*ptg.Views
 	var sigs []int32
 	for i := 0; i < s.Len(); i++ {
-		ci, li := int(d.CompOf[i]), tab.Inv(d.Labels[i])
+		ci, li := int(d.CompOf[i]), grp.Inv(d.Labels[i])
 		if sig[ci*m] < 0 {
 			continue
 		}
 		for _, k := range s.twinElems(i) {
 			views = append(views, s.PseudoViews(i, k))
-			sigs = append(sigs, sig[ci*m+int(tab.Mul(uint8(k), li))])
+			sigs = append(sigs, sig[ci*m+int(grp.Mul(uint8(k), li))])
 		}
 	}
 	best := -1
@@ -551,7 +551,7 @@ func (d *Decomposition) DiameterLevel(ci int) (int, bool) {
 	// h in the stabilizer and g the member's label.
 	c := &d.Comps[ci]
 	s := d.Space
-	grp := s.Group()
+	grp := s.sym
 	var views []*ptg.Views
 	for _, member := range c.Members {
 		i := int(member)

@@ -72,7 +72,7 @@ func (s *Space) extendOne(ctx context.Context) (*Space, error) {
 	// the trivial group — keeps every child with stabilizer 1. The cap
 	// check stays in full-space runs (orbit-weighted), so quotiented and
 	// plain sessions hit MaxRuns budgets identically.
-	grp := s.sym.group
+	grp := s.sym
 	total, fullTotal, widest := 0, 0, 0
 	for i := 0; i < nParents; i++ {
 		letters := auto.Row(s.state[i]).Letters

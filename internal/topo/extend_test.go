@@ -212,7 +212,7 @@ func assertDecompositionsEqual(t *testing.T, name string, want, got *Decompositi
 // size cap, and hands the pager on without spilling; it is the oracle the
 // memo and the successor table must match byte for byte.
 func extendOneReference(s *Space) *Space {
-	grp, n := s.sym.group, s.fr.n
+	grp, n := s.sym, s.fr.n
 	nf := &frontier{horizon: s.Horizon + 1, n: n, prev: s.fr, base: s.fr.base}
 	next := &Space{
 		Adversary:   s.Adversary,

@@ -342,7 +342,7 @@ func RestoreChain(spec ChainSpec) (*Space, error) {
 // are not read: checkViews verifies them on restore.
 func (s *Space) replay(f *frontier) (*Space, error) {
 	pRoot := s.fr.rootOf
-	auto, grp := s.fr.base.auto, s.sym.group
+	auto, grp := s.fr.base.auto, s.sym
 	letter := make([]int32, 0, f.count)
 	parentOf := make([]int32, 0, f.count)
 	rootOf := make([]int32, 0, f.count)
@@ -458,7 +458,7 @@ func (s *Space) AncestorAt(t int) (*Space, error) {
 		}
 	}
 	base := path[len(path)-1]
-	state, doneAt, stab := baseColumns(base, s.sym.group)
+	state, doneAt, stab := baseColumns(base, s.sym)
 	cur := s.atRound(base, state, doneAt, stab)
 	for ri := len(path) - 2; ri >= 0; ri-- {
 		next, err := cur.replay(path[ri])

@@ -436,7 +436,7 @@ func rewriteChain(tb testing.TB, s *Space, target int, payload []byte) ChainSpec
 		tb.Fatal(err)
 	}
 	return ChainSpec{Adversary: s.Adversary, InputDomain: s.InputDomain, Pager: pg2, Rounds: rounds,
-		RowDigest: s.rowDigest(), Symmetry: s.sym.group}
+		RowDigest: s.rowDigest(), Symmetry: s.sym}
 }
 
 // TestAncestorAt pins SpaceAt-style rehydration: the ancestor view of a

@@ -41,7 +41,6 @@ import (
 	"topocon/internal/ma"
 	"topocon/internal/pager"
 	"topocon/internal/ptg"
-	"topocon/internal/uf"
 )
 
 // frontier is the dense columnar storage of one round of one prefix-space
@@ -150,12 +149,13 @@ type Space struct {
 	// and bounds the resident set; see paging.go.
 	pager *pager.Pager
 
-	// sym is the symmetry group the chain is quotiented by — the trivial
-	// group, of order 1, when it is built without symmetry: items are
-	// orbit representatives, stab[i] is the bitmask of group elements
+	// sym is the symmetry group the chain is quotiented by, resolved over
+	// its input domain and shared by every Space of the chain — the
+	// trivial group, of order 1, when it is built without symmetry: items
+	// are orbit representatives, stab[i] is the bitmask of group elements
 	// fixing item i (1 under the trivial group), and the interner's IDs
 	// carry each view's orbit. See symmetry.go / DESIGN.md §13.
-	sym  *symState
+	sym  *ma.Group
 	stab []uint64
 }
 
@@ -275,10 +275,9 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 	if d := group.Domain(); d != 0 && d != inputDomain {
 		return nil, fmt.Errorf("topo: symmetry quotient: the group relabels %d input values, the space has %d", d, inputDomain)
 	}
-	if err := interner.AdoptGroup(groupParts(group)); err != nil {
+	if err := interner.AdoptGroup(group); err != nil {
 		return nil, fmt.Errorf("topo: symmetry quotient: %w", err)
 	}
-	sym := &symState{group: group, m: group.Order(), tab: uf.NewGroup(interner.GroupTable())}
 	var inputs [][]int
 	var valence []int32
 	combi.Words(inputDomain, n, func(w []int) bool {
@@ -313,7 +312,7 @@ func buildBaseSym(adv ma.Adversary, inputDomain int, interner *ptg.Interner, max
 		state:       state,
 		doneAt:      doneAt,
 		maxRuns:     maxRuns,
-		sym:         sym,
+		sym:         group,
 		stab:        stab,
 	}
 	for i, w := range inputs {

@@ -6,7 +6,6 @@ import (
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
-	"topocon/internal/uf"
 )
 
 // Symmetry quotient (DESIGN.md §13). A consensus instance is symmetric
@@ -35,6 +34,11 @@ import (
 // moves each member's run into it, and the base component's stabilizer.
 // Valences and inputs travel with π, heard masks and graphs with σ alone.
 //
+// One ma.Group, resolved over the input domain and shared by every Space
+// of the chain, numbers the elements for all of these: its multiplication
+// table composes the union-find's labels, the decomposition's coset
+// reductions and the interner's IDs alike.
+//
 // Relabeled rows are never stored. The chain's interner is orbit-canonical
 // under the same group (ptg.Interner.AdoptGroup): it stores one cone per
 // orbit, and a view's ID says where in its orbit the view sits — ID / |G|
@@ -47,46 +51,20 @@ import (
 // every stabilizer is 1, every label the identity, and the plain interner
 // is the order-1 case of the orbit-canonical one.
 
-// symState is the chain-level symmetry state, shared by every Space of
-// one frontier chain (extensions, restores, ancestors). Every chain has
-// one: a space without symmetry carries the trivial group, of order 1,
-// under which every stabilizer is 1 and every orbit a single run.
-type symState struct {
-	group *ma.Group // resolved over the chain's input domain
-	m     int       // group order, ≥ 1
-	tab   uf.Group  // the interner's multiplication table
-}
-
-// groupParts lists the group's elements as image-indexed process and
-// value permutations, the form ptg's orbit-canonical interner takes; vals
-// is nil when the group has no value part.
-func groupParts(g *ma.Group) (perms, vals [][]int) {
-	perms = make([][]int, g.Order())
-	if g.Domain() > 0 {
-		vals = make([][]int, g.Order())
-	}
-	for k := range perms {
-		perms[k] = g.Elem(k)
-		if vals != nil {
-			vals[k] = g.Values(k)
-		}
-	}
-	return perms, vals
-}
-
 // SymOrder returns the order of the chain's symmetry group, 1 for the
 // trivial group.
-func (s *Space) SymOrder() int { return s.sym.m }
+func (s *Space) SymOrder() int { return s.sym.Order() }
 
 // SymGroup returns the group the chain is quotiented by, resolved over
 // its input domain — G × Sym(V) when that fits — or the trivial group when
-// the space was built without symmetry.
-func (s *Space) SymGroup() *ma.Group { return s.sym.group }
+// the space was built without symmetry. Its table (Mul, Inv, MinCoset, …)
+// composes the decomposition's labels.
+func (s *Space) SymGroup() *ma.Group { return s.sym }
 
 // OrbitSize returns the number of full-space runs item i represents:
 // |G| / |Stab(i)|, 1 under the trivial group.
 func (s *Space) OrbitSize(i int) int {
-	return s.sym.m / bits.OnesCount64(s.stab[i])
+	return s.sym.Order() / bits.OnesCount64(s.stab[i])
 }
 
 // FullLen returns the number of full-space runs the space represents, the
@@ -97,7 +75,7 @@ func (s *Space) OrbitSize(i int) int {
 func (s *Space) FullLen() int {
 	total := 0
 	for _, st := range s.stab {
-		total += s.sym.m / bits.OnesCount64(st)
+		total += s.sym.Order() / bits.OnesCount64(st)
 	}
 	return total
 }
@@ -111,7 +89,7 @@ func (s *Space) FullLen() int {
 func inputOrbitRep(w []int, g *ma.Group) (stab uint64, keep bool) {
 	stab = 1 // the identity
 	for k := 1; k < g.Order(); k++ {
-		inv := g.Inv(k)
+		inv := g.InvPerm(k)
 		cmp := 0
 		for p := range w {
 			// Image of w under element k at position p.
@@ -147,7 +125,7 @@ func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
 	stab := uint64(1)
 	for rest := parentStab &^ 1; rest != 0; rest &= rest - 1 {
 		k := bits.TrailingZeros64(rest)
-		perm, inv := grp.Elem(k), grp.Inv(k)
+		perm, inv := grp.Elem(k), grp.InvPerm(k)
 		cmp := 0
 		for q := 0; q < g.N(); q++ {
 			img := graph.PermuteMask(g.In(inv[q]), perm)
@@ -170,16 +148,13 @@ func graphOrbitStab(g graph.Graph, grp *ma.Group, parentStab uint64) uint64 {
 	return stab
 }
 
-// Group returns the multiplication table of the chain's symmetry group.
-func (s *Space) Group() uf.Group { return s.sym.tab }
-
 // permuteMask relabels a process bitmask by group element g: bit p moves to
 // σ_g(p), whatever g's value part.
 func (s *Space) permuteMask(mask uint64, g uint8) uint64 {
 	if g == 0 {
 		return mask
 	}
-	return graph.PermuteMask(mask, s.sym.group.Elem(int(g)))
+	return graph.PermuteMask(mask, s.sym.Elem(int(g)))
 }
 
 // twinElems lists one group element per distinct twin of item i — the
@@ -190,7 +165,7 @@ func (s *Space) twinElems(i int) []int {
 	out := make([]int, 0, m)
 	st := s.stab[i]
 	for k := 0; k < m; k++ {
-		if st == 1 || s.Group().MinCoset(1, uint8(k), st) == uint8(k) {
+		if st == 1 || s.sym.MinCoset(1, uint8(k), st) == uint8(k) {
 			out = append(out, k)
 		}
 	}
@@ -208,7 +183,7 @@ func (s *Space) PseudoViews(i, k int) *ptg.Views {
 	if k == 0 {
 		return s.ViewsOf(i)
 	}
-	inv := s.sym.group.Inv(k)
+	inv := s.sym.InvPerm(k)
 	in := s.Interner
 	n := s.fr.n
 	ids := make([][]ptg.ViewID, s.Horizon+1)
@@ -238,7 +213,7 @@ func (s *Space) PseudoRun(i, k int) ptg.Run {
 	if k == 0 {
 		return r
 	}
-	grp := s.sym.group
+	grp := s.sym
 	r = r.Relabel(grp.Elem(k))
 	for p, x := range r.Inputs {
 		r.Inputs[p] = grp.Value(k, x)

@@ -367,7 +367,7 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 			// σ_k⁻¹(p), and the twin's valence is π_k of the rep's.
 			grp := q.SymGroup()
 			for p := 0; p < n; p++ {
-				if got, want := grp.Value(k, q.Inputs(i)[grp.Inv(k)[p]]), full.Inputs(fi)[p]; got != want {
+				if got, want := grp.Value(k, q.Inputs(i)[grp.InvPerm(k)[p]]), full.Inputs(fi)[p]; got != want {
 					t.Fatalf("%s h=%d: twin (%d,%d) input[%d] %d vs full %d", name, q.Horizon, i, k, p, got, want)
 				}
 			}
@@ -437,7 +437,7 @@ func assertQuotientExpandsToFull(t *testing.T, name string, full, q *Space) {
 // process part, valences by its value part.
 func expandTwin(d *Decomposition, i, k int) (int, Component) {
 	s := d.Space
-	grp := s.Group()
+	grp := s.sym
 	ci := int(d.CompOf[i])
 	c := &d.Comps[ci]
 	g := grp.MinCoset(1, grp.Mul(uint8(k), grp.Inv(d.Labels[i])), c.Stab)

@@ -1,91 +1,6 @@
 package uf
 
-import "math/bits"
-
-// Group is a finite group of at most 64 elements given by its
-// multiplication table; element 0 is the identity. Subgroups are bitmasks
-// over element indices (bit h set iff h belongs to the subgroup).
-type Group struct {
-	m   int
-	mul []uint8 // mul[a*m+b] is a∘b, b applied first
-	inv []uint8
-}
-
-// NewGroup wraps a multiplication table mul (mul[a·m+b] = a∘b) and the
-// inverse index of every element; m is len(inv).
-func NewGroup(mul, inv []uint8) Group {
-	return Group{m: len(inv), mul: mul, inv: inv}
-}
-
-// Order returns the number of elements.
-func (g Group) Order() int { return g.m }
-
-// Mul returns a∘b (b applied first).
-func (g Group) Mul(a, b uint8) uint8 { return g.mul[int(a)*g.m+int(b)] }
-
-// Quo returns a∘b⁻¹, the element carrying σ_b·x to σ_a·x.
-func (g Group) Quo(a, b uint8) uint8 {
-	if a|b == 0 {
-		return 0
-	}
-	return g.Mul(a, g.inv[b])
-}
-
-// Inv returns the inverse of a.
-func (g Group) Inv(a uint8) uint8 { return g.inv[a] }
-
-// Index returns |G| / |H|, the number of cosets of subgroup h.
-func (g Group) Index(h uint64) int { return g.m / bits.OnesCount64(h) }
-
-// Conj returns the conjugate x·H·x⁻¹ of the element set h.
-func (g Group) Conj(x uint8, h uint64) uint64 {
-	if x == 0 || h == 1 {
-		return h
-	}
-	xi := g.inv[x]
-	var out uint64
-	for rest := h; rest != 0; rest &= rest - 1 {
-		out |= 1 << g.Mul(g.Mul(x, uint8(bits.TrailingZeros64(rest))), xi)
-	}
-	return out
-}
-
-// Closure returns the subgroup generated by the element set h (the
-// identity included). In a finite group closing under products suffices.
-func (g Group) Closure(h uint64) uint64 {
-	h |= 1
-	for {
-		next := h
-		for a := h &^ 1; a != 0; a &= a - 1 {
-			row := g.mul[bits.TrailingZeros64(a)*g.m:]
-			for b := h &^ 1; b != 0; b &= b - 1 {
-				next |= 1 << row[bits.TrailingZeros64(b)]
-			}
-		}
-		if next == h {
-			return h
-		}
-		h = next
-	}
-}
-
-// MinCoset returns the least element of the double coset H·x·S: the
-// identity, without a scan, when H or S is the whole group.
-func (g Group) MinCoset(h uint64, x uint8, s uint64) uint8 {
-	if full := ^uint64(0) >> uint(64-g.m); h == full || s == full {
-		return 0
-	}
-	best := x
-	for a := h; a != 0; a &= a - 1 {
-		hx := g.Mul(uint8(bits.TrailingZeros64(a)), x)
-		for b := s; b != 0; b &= b - 1 {
-			if e := g.Mul(hx, uint8(bits.TrailingZeros64(b))); e < best {
-				best = e
-			}
-		}
-	}
-	return best
-}
+import "topocon/internal/ma"
 
 // Labelled is a union-find over the representatives of the G-orbits of a
 // set X on which a group G acts, for a relation ~ on X that G preserves
@@ -98,7 +13,7 @@ func (g Group) MinCoset(h uint64, x uint8, s uint64) uint8 {
 // of H. With the trivial group every label is the identity, every H is
 // {e}, and Labelled is a plain union-find with union by rank.
 type Labelled struct {
-	g     Group
+	g     *ma.Group
 	nodes []node
 	// stab[r] holds H of root r without the identity bit, so the zero
 	// value means {e}; nil under the trivial group, where H never grows.
@@ -113,14 +28,15 @@ type node struct {
 	rank   int8
 }
 
-// NewLabelled returns a forest of n singleton classes under group g.
-func NewLabelled(n int, g Group) *Labelled {
+// NewLabelled returns a forest of n singleton classes under group g, whose
+// multiplication table (ma.Group.Table) composes the labels.
+func NewLabelled(n int, g *ma.Group) *Labelled {
 	nodes := make([]node, n)
 	for i := range nodes {
 		nodes[i].parent = int32(i)
 	}
 	u := &Labelled{g: g, nodes: nodes}
-	if g.m > 1 {
+	if !g.Trivial() {
 		u.stab = make([]uint64, n)
 	}
 	return u
@@ -140,7 +56,8 @@ func (u *Labelled) Find(x int) (int, uint8) {
 // find is Find's general case: it walks to the root composing the labels,
 // then points every node on the path straight at the root.
 func (u *Labelled) find(x int) (int, uint8) {
-	nodes, m, mul, inv := u.nodes, u.g.m, u.g.mul, u.g.inv
+	mul, inv := u.g.Table()
+	nodes, m := u.nodes, len(inv)
 	var g uint8
 	r := x
 	for nodes[r].parent != int32(r) {
@@ -196,7 +113,7 @@ func (u *Labelled) Union(x, y int, g uint8) {
 	// σ_gx·x ~ rx, σ_g·x ~ y and σ_gy·y ~ ry give σ_e·rx ~ ry.
 	var e uint8
 	if g|gx|gy != 0 {
-		e = u.g.Mul(u.g.Mul(gy, g), u.g.inv[gx])
+		e = u.g.Mul(u.g.Mul(gy, g), u.g.Inv(gx))
 	}
 	if rx == ry {
 		if e != 0 {
@@ -211,7 +128,7 @@ func (u *Labelled) Union(x, y int, g uint8) {
 		}
 		return
 	}
-	ei := u.g.inv[e]
+	ei := u.g.Inv(e)
 	nodes[ry].parent, nodes[ry].label = int32(rx), ei
 	if nodes[rx].rank == nodes[ry].rank {
 		nodes[rx].rank++

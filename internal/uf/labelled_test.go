@@ -4,11 +4,12 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"topocon/internal/ma"
 )
 
-// symmetricGroup returns the multiplication table of the permutations of
-// n points, identity first.
-func symmetricGroup(n int) Group {
+// symmetricGroup returns the permutations of n points, identity first.
+func symmetricGroup(n int) *ma.Group {
 	var perms [][]int
 	var gen func(p []int, used int)
 	gen = func(p []int, used int) {
@@ -23,13 +24,13 @@ func symmetricGroup(n int) Group {
 		}
 	}
 	gen(nil, 0)
-	return permGroup(perms)
+	return mustGroup(perms)
 }
 
-// dihedralGroup returns the multiplication table of the 8 symmetries of a
-// square (its corners 0..3 in cyclic order), identity first: the closure
-// of a quarter turn and a reflection.
-func dihedralGroup() Group {
+// dihedralGroup returns the 8 symmetries of a square (its corners 0..3 in
+// cyclic order), identity first: the closure of a quarter turn and a
+// reflection.
+func dihedralGroup() *ma.Group {
 	perms := [][]int{{0, 1, 2, 3}}
 	index := map[[4]int]bool{{0, 1, 2, 3}: true}
 	gens := [][]int{{1, 2, 3, 0}, {0, 3, 2, 1}}
@@ -45,37 +46,16 @@ func dihedralGroup() Group {
 			}
 		}
 	}
-	return permGroup(perms)
+	return mustGroup(perms)
 }
 
-// permGroup returns the multiplication table of a closed set of
-// permutations of at most 8 points, the identity first.
-func permGroup(perms [][]int) Group {
-	n := len(perms[0])
-	index := map[[8]int]int{}
-	key := func(p []int) (k [8]int) {
-		copy(k[:], p)
-		return k
+// mustGroup returns the group of the closed permutation set perms.
+func mustGroup(perms [][]int) *ma.Group {
+	g, err := ma.NewGroup(perms, nil)
+	if err != nil {
+		panic(err)
 	}
-	for i, p := range perms {
-		index[key(p)] = i
-	}
-	m := len(perms)
-	mul, inv := make([]uint8, m*m), make([]uint8, m)
-	comp := make([]int, n)
-	for a := range perms {
-		for b := range perms {
-			for x := 0; x < n; x++ {
-				comp[x] = perms[a][perms[b][x]]
-			}
-			ab := index[key(comp)]
-			mul[a*m+b] = uint8(ab)
-			if ab == 0 {
-				inv[a] = uint8(b)
-			}
-		}
-	}
-	return NewGroup(mul, inv)
+	return g
 }
 
 // TestLabelledMatchesTwinUnionFind checks the labelled union-find against
@@ -86,7 +66,7 @@ func permGroup(perms [][]int) Group {
 // and the classes of the twins must number Σ |G|/|H| over the roots.
 func TestLabelledMatchesTwinUnionFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, g := range []Group{Trivial, symmetricGroup(2), symmetricGroup(3), symmetricGroup(4)} {
+	for _, g := range []*ma.Group{ma.TrivialGroup(1), symmetricGroup(2), symmetricGroup(3), symmetricGroup(4)} {
 		m := g.Order()
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(12)
@@ -117,7 +97,7 @@ func TestLabelledMatchesTwinUnionFind(t *testing.T) {
 					continue
 				}
 				h := u.Stab(r)
-				if !g.IsSubgroup(h) {
+				if !isSubgroup(g, h) {
 					t.Fatalf("order %d: root %d stabilizer %b is no subgroup", m, r, h)
 				}
 				for k := 0; k < m; k++ {
@@ -138,25 +118,25 @@ func TestLabelledMatchesTwinUnionFind(t *testing.T) {
 // test below).
 func TestGroupCosets(t *testing.T) {
 	g := symmetricGroup(3)
-	if g.Order() != 6 || !g.IsSubgroup(1) || !g.IsSubgroup(1<<6-1) {
+	if g.Order() != 6 || !isSubgroup(g, 1) || !isSubgroup(g, 1<<6-1) {
 		t.Fatal("S3 table is wrong")
 	}
 	for e := 1; e < 6; e++ {
 		h := g.Closure(1 << e)
-		if !g.IsSubgroup(h) || h&(1<<e) == 0 {
+		if !isSubgroup(g, h) || h&(1<<e) == 0 {
 			t.Fatalf("closure of %d is %b", e, h)
 		}
-		if g.IsSubgroup(1 << e) {
+		if isSubgroup(g, 1<<e) {
 			t.Fatalf("%b lacks the identity but passes as a subgroup", 1<<e)
 		}
 		for x := 0; x < 6; x++ {
 			conj := g.Conj(uint8(x), h)
-			if !g.IsSubgroup(conj) || bits.OnesCount64(conj) != bits.OnesCount64(h) {
+			if !isSubgroup(g, conj) || bits.OnesCount64(conj) != bits.OnesCount64(h) {
 				t.Fatalf("conjugate of %b by %d is %b", h, x, conj)
 			}
 		}
 	}
-	if g.IsSubgroup(1 | 1<<1 | 1<<3) {
+	if isSubgroup(g, 1|1<<1|1<<3) {
 		t.Fatal("a non-closed set passes as a subgroup")
 	}
 }
@@ -166,11 +146,11 @@ func TestGroupCosets(t *testing.T) {
 // subgroups H, S (the whole group among them) and every x of S₃ and of the
 // dihedral group of order 8.
 func TestMinCosetMatchesBruteForce(t *testing.T) {
-	for _, g := range []Group{symmetricGroup(3), dihedralGroup()} {
+	for _, g := range []*ma.Group{symmetricGroup(3), dihedralGroup()} {
 		m := g.Order()
 		var subs []uint64
 		for h := uint64(1); h < 1<<m; h += 2 {
-			if g.IsSubgroup(h) {
+			if isSubgroup(g, h) {
 				subs = append(subs, h)
 			}
 		}
@@ -195,13 +175,10 @@ func TestMinCosetMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Trivial is the group of order 1.
-var Trivial = Group{m: 1, mul: []uint8{0}, inv: []uint8{0}}
-
-// IsSubgroup reports whether h names elements of the group only, holds
-// the identity, and is closed under products.
-func (g Group) IsSubgroup(h uint64) bool {
-	if h&1 == 0 || (g.m < 64 && h>>uint(g.m) != 0) {
+// isSubgroup reports whether h names elements of g only, holds the
+// identity, and is closed under products.
+func isSubgroup(g *ma.Group, h uint64) bool {
+	if m := g.Order(); h&1 == 0 || (m < 64 && h>>uint(m) != 0) {
 		return false
 	}
 	return g.Closure(h) == h

@@ -2,7 +2,10 @@
 // compression and union by rank. It is the engine behind the
 // ε-approximation components of Definition 6.2: runs sharing a process view
 // are unioned, and the resulting sets are the connected components of the
-// prefix space in the minimum topology.
+// prefix space in the minimum topology. Labelled carries the same forest
+// over orbit representatives under a symmetry group, an ma.Group whose
+// multiplication table composes the group elements its edges carry
+// (DESIGN.md §13).
 package uf
 
 // UF is a disjoint-set forest over elements 0..n-1.

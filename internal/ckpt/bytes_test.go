@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,4 +98,58 @@ func hashFiles(t *testing.T, paths ...string) string {
 		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestManifestBytesPinned pins the bytes encodeManifest writes for
+// lossy-star-4 saved at horizon 5, under its quotient and without
+// symmetry: the manifest Save wrote, and encodeManifest re-run on its
+// decoded fields. The hashes must not move unless the manifest format is
+// changed on purpose, with a manifestVersion bump.
+func TestManifestBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"S3":      "995db7f1d85563e5842fbb6a140dea4bc09ab77c5d2c64346114ec4ca3606697",
+		"trivial": "9c632d38f9a62d24d4ad37dd94177ab6f451f34f303242e4e68f3ddc01ef086c",
+	}
+	for _, noSym := range []bool{false, true} {
+		group := "S3"
+		if noSym {
+			group = "trivial"
+		}
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		pg, err := Fresh(dir, 256<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := check.NewAnalyzer(advgen.LossyStar4(),
+			check.WithOptions(check.Options{MaxHorizon: 7, NoSymmetry: noSym}), check.WithPager(pg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a.Horizon() < 5 {
+			if _, err := a.Step(context.Background()); err != nil {
+				t.Fatalf("%s: step to horizon %d: %v", group, a.Horizon()+1, err)
+			}
+		}
+		if err := Save(dir, a); err != nil {
+			t.Fatalf("%s: save: %v", group, err)
+		}
+		data, err := os.ReadFile(manifestPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, blobLen, blobCRC, snap, err := decodeManifest(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", group, err)
+		}
+		meta, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{"saved": data, "encoded": encodeManifest(fp, blobLen, blobCRC, meta)} {
+			sum := sha256.Sum256(b)
+			if h := hex.EncodeToString(sum[:]); h != want[group] {
+				t.Errorf("%s/%s: sha256 %s, want %s\n%s", group, name, h, want[group], b)
+			}
+		}
+	}
 }

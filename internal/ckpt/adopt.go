@@ -3,14 +3,14 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
 // Adopt moves a dead worker's cell checkpoint at srcDir into the
 // successor's namespace at dstDir, validate-then-rename: the source
-// manifest and interner blob are fully checked first, any stale state in
+// manifest and interner blob are fully checked first (readCheckpoint, the
+// check Load makes), any stale state in
 // the destination is quarantined, and only then is the whole directory
 // renamed into place — same-filesystem, so the move is atomic and the
 // pager's relative page paths keep working unchanged. A subsequent Load
@@ -32,38 +32,15 @@ func Adopt(srcDir, dstDir string) (int, error) {
 	if srcDir == dstDir {
 		return 0, fmt.Errorf("ckpt: adopt source and destination are the same directory %s", srcDir)
 	}
-	data, err := os.ReadFile(manifestPath(srcDir))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("%w: nothing to adopt at %s", ErrNoCheckpoint, srcDir)
-	}
+	_, snap, _, err := readCheckpoint(srcDir)
 	if err != nil {
-		return 0, fmt.Errorf("ckpt: %w", err)
-	}
-	corrupt := func(detail error) error {
-		if qerr := quarantineState(srcDir, staleState(srcDir)); qerr != nil {
-			return fmt.Errorf("ckpt: adopting %s: %v (and quarantining failed: %v): %w", srcDir, detail, qerr, ErrNoCheckpoint)
-		}
-		return fmt.Errorf("ckpt: adopting %s: %v (checkpoint quarantined): %w", srcDir, detail, ErrNoCheckpoint)
-	}
-	_, blobLen, blobCRC, snap, err := decodeManifest(data)
-	if err != nil {
-		return 0, corrupt(err)
-	}
-	blob, err := os.ReadFile(internerPath(srcDir))
-	if err != nil {
-		return 0, corrupt(fmt.Errorf("reading interner blob: %v", err))
-	}
-	if len(blob) != blobLen || crc32.ChecksumIEEE(blob) != blobCRC {
-		return 0, corrupt(fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
-			len(blob), crc32.ChecksumIEEE(blob), blobLen, blobCRC))
+		return 0, err
 	}
 
 	// The destination may hold the successor's own abandoned state from an
 	// earlier attempt; move it aside so the rename target is clear.
-	if stale := staleState(dstDir); len(stale) > 0 {
-		if err := quarantineState(dstDir, stale); err != nil {
-			return 0, err
-		}
+	if err := quarantineState(dstDir); err != nil {
+		return 0, err
 	}
 	if err := os.MkdirAll(filepath.Dir(dstDir), 0o755); err != nil {
 		return 0, fmt.Errorf("ckpt: %w", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"topocon/internal/check"
+	"topocon/internal/fsx"
 	"topocon/internal/ma"
 )
 
@@ -106,7 +107,7 @@ func TestAdoptCorruptSourceQuarantined(t *testing.T) {
 	if Exists(src) {
 		t.Fatal("corrupt manifest still in place after quarantine")
 	}
-	entries, err := os.ReadDir(filepath.Join(src, quarantineName))
+	entries, err := os.ReadDir(filepath.Join(src, fsx.QuarantineDir))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("corrupt checkpoint not quarantined: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestAdoptIntoDirtyDestination(t *testing.T) {
 	if a.Horizon() != horizon {
 		t.Fatalf("loaded horizon %d, want adopted %d", a.Horizon(), horizon)
 	}
-	entries, err := os.ReadDir(filepath.Join(dst, quarantineName))
+	entries, err := os.ReadDir(filepath.Join(dst, fsx.QuarantineDir))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("destination's stale state not quarantined: %v", err)
 	}

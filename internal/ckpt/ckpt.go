@@ -6,7 +6,8 @@
 //	interner.bin   the exported view-interner arena (package ptg)
 //	ckpt.manifest  the versioned, checksummed manifest tying them together
 //
-// Manifest format (version 9, line-framed like internal/store records):
+// Manifest format (version 9), in the checksummed text framing of
+// fsx.Format that internal/store's records and leases share:
 //
 //	topocon-ckpt 9
 //	fingerprint <ma.Fingerprint of the adversary at the resolved MaxHorizon>
@@ -45,8 +46,9 @@
 // one, never a torn mix: the manifest is the commit point.
 //
 // Load validates strictly and never resumes wrong: a missing manifest is
-// ErrNoCheckpoint; a corrupt manifest, interner blob or page set is moved to
-// the quarantine/ subdirectory (bytes preserved, never deleted) and
+// ErrNoCheckpoint; a corrupt manifest, interner blob or page set is moved
+// into a fresh quarantine/ckpt.<random>/ subdirectory (fsx.Quarantine:
+// bytes preserved, never deleted) and
 // reported as an error wrapping ErrNoCheckpoint so callers fall back to a
 // clean recompute; an adversary-fingerprint or options mismatch is a hard
 // error (ErrFingerprintMismatch / ErrConfigMismatch) — the checkpoint is
@@ -57,16 +59,13 @@
 package ckpt
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"topocon/internal/check"
 	"topocon/internal/fsx"
@@ -95,7 +94,6 @@ const (
 	manifestName    = "ckpt.manifest"
 	internerName    = "interner.bin"
 	pagesDirName    = "pages"
-	quarantineName  = "quarantine"
 )
 
 // ErrNoCheckpoint reports that the directory holds no usable checkpoint —
@@ -131,10 +129,8 @@ func Fresh(dir string, hotBytes int64) (*pager.Pager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
 	}
-	if stale := staleState(dir); len(stale) > 0 {
-		if err := quarantineState(dir, stale); err != nil {
-			return nil, err
-		}
+	if err := quarantineState(dir); err != nil {
+		return nil, err
 	}
 	pg, err := pager.New(pager.Config{Dir: PagesDir(dir), HotBytes: hotBytes})
 	if err != nil {
@@ -143,38 +139,51 @@ func Fresh(dir string, hotBytes int64) (*pager.Pager, error) {
 	return pg, nil
 }
 
-// staleState lists the checkpoint artifacts present in dir.
-func staleState(dir string) []string {
-	var out []string
-	for _, name := range []string{manifestName, internerName, pagesDirName} {
-		p := filepath.Join(dir, name)
-		st, err := os.Stat(p)
-		if err != nil {
-			continue
-		}
-		if st.IsDir() {
-			if entries, err := os.ReadDir(p); err != nil || len(entries) == 0 {
-				continue
-			}
-		}
-		out = append(out, name)
-	}
-	return out
-}
-
-// quarantineState moves the named artifacts into a fresh stamped
-// subdirectory of quarantine/, preserving the bytes for inspection.
-func quarantineState(dir string, names []string) error {
-	qdir := filepath.Join(dir, quarantineName, fmt.Sprintf("ckpt.%d", time.Now().UnixNano()))
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return fmt.Errorf("ckpt: quarantine: %w", err)
-	}
-	for _, name := range names {
-		if err := os.Rename(filepath.Join(dir, name), filepath.Join(qdir, name)); err != nil {
-			return fmt.Errorf("ckpt: quarantine %s: %w", name, err)
-		}
+// quarantineState moves the checkpoint artifacts present in dir —
+// manifest, interner blob, pages — into a fresh `quarantine/ckpt.<random>/`
+// subdirectory (fsx.Quarantine), preserving the bytes for inspection.
+func quarantineState(dir string) error {
+	if err := fsx.Quarantine(dir, "ckpt", manifestName, internerName, pagesDirName); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	return nil
+}
+
+// quarantineCorrupt retires dir's checkpoint state after a validation
+// failure and returns the error for it, wrapping ErrNoCheckpoint so the
+// caller starts fresh.
+func quarantineCorrupt(dir string, detail error) error {
+	if qerr := quarantineState(dir); qerr != nil {
+		return fmt.Errorf("ckpt: %s: %v (and quarantining failed: %v): %w", dir, detail, qerr, ErrNoCheckpoint)
+	}
+	return fmt.Errorf("ckpt: %s: %v (checkpoint quarantined): %w", dir, detail, ErrNoCheckpoint)
+}
+
+// readCheckpoint reads and checks dir's manifest and interner blob: the
+// manifest decodes, and the blob has the length and checksum the manifest
+// records. A missing manifest is ErrNoCheckpoint; a corrupt manifest or
+// blob is quarantined (quarantineCorrupt).
+func readCheckpoint(dir string) (fp string, snap *check.SessionSnapshot, blob []byte, err error) {
+	data, err := os.ReadFile(manifestPath(dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return "", nil, nil, ErrNoCheckpoint
+	}
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("ckpt: %w", err)
+	}
+	fp, blobLen, blobCRC, snap, err := decodeManifest(data)
+	if err != nil {
+		return "", nil, nil, quarantineCorrupt(dir, err)
+	}
+	blob, err = os.ReadFile(internerPath(dir))
+	if err != nil {
+		return "", nil, nil, quarantineCorrupt(dir, fmt.Errorf("reading interner blob: %v", err))
+	}
+	if sum := fsx.Checksum(blob); len(blob) != blobLen || sum != blobCRC {
+		return "", nil, nil, quarantineCorrupt(dir, fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
+			len(blob), sum, blobLen, blobCRC))
+	}
+	return fp, snap, blob, nil
 }
 
 // Save checkpoints the session into dir. The analyzer must run its pager
@@ -206,12 +215,15 @@ func Save(dir string, a *check.Analyzer) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	if err := writeAtomic(internerPath(dir), blob); err != nil {
-		return err
+	if err := fsx.AtomicWrite(internerPath(dir), blob, 0o644); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	fp := ma.Fingerprint(a.Adversary(), a.Options().MaxHorizon)
-	manifest := encodeManifest(fp, len(blob), crc32.ChecksumIEEE(blob), meta)
-	return writeAtomic(manifestPath(dir), manifest)
+	manifest := encodeManifest(fp, len(blob), fsx.Checksum(blob), meta)
+	if err := fsx.AtomicWrite(manifestPath(dir), manifest, 0o644); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
+	}
+	return nil
 }
 
 // Load resumes the session checkpointed in dir for the given adversary,
@@ -220,38 +232,17 @@ func Save(dir string, a *check.Analyzer) error {
 // configuration always comes from the checkpoint. See the package comment
 // for the validation and error contract.
 func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerOption) (*check.Analyzer, error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, ErrNoCheckpoint
-	}
+	fp, snap, blob, err := readCheckpoint(dir)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	corrupt := func(detail error) error {
-		if qerr := quarantineState(dir, staleState(dir)); qerr != nil {
-			return fmt.Errorf("ckpt: %v (and quarantining failed: %v): %w", detail, qerr, ErrNoCheckpoint)
-		}
-		return fmt.Errorf("ckpt: %v (checkpoint quarantined): %w", detail, ErrNoCheckpoint)
-	}
-	fp, blobLen, blobCRC, snap, err := decodeManifest(data)
-	if err != nil {
-		return nil, corrupt(err)
+		return nil, err
 	}
 	if want := ma.Fingerprint(adv, snap.Options.MaxHorizon); fp != want {
 		return nil, fmt.Errorf("%w: checkpoint %s vs adversary %q %s",
 			ErrFingerprintMismatch, shortHex(fp), adv.Name(), shortHex(want))
 	}
-	blob, err := os.ReadFile(internerPath(dir))
-	if err != nil {
-		return nil, corrupt(fmt.Errorf("reading interner blob: %v", err))
-	}
-	if len(blob) != blobLen || crc32.ChecksumIEEE(blob) != blobCRC {
-		return nil, corrupt(fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
-			len(blob), crc32.ChecksumIEEE(blob), blobLen, blobCRC))
-	}
 	interner, err := ptg.ImportInterner(blob)
 	if err != nil {
-		return nil, corrupt(err)
+		return nil, quarantineCorrupt(dir, err)
 	}
 	pg, err := pager.New(pager.Config{Dir: PagesDir(dir), HotBytes: hotBytes})
 	if err != nil {
@@ -270,7 +261,7 @@ func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerO
 	if err != nil {
 		// Structural failure or a corrupt/missing page: the checkpoint
 		// cannot be trusted, so it is retired and the caller recomputes.
-		return nil, corrupt(err)
+		return nil, quarantineCorrupt(dir, err)
 	}
 	return a, nil
 }
@@ -385,59 +376,34 @@ func RunCheck(ctx context.Context, adv ma.Adversary, cfg Config, opts check.Opti
 	return res, info, nil
 }
 
-// writeAtomic writes data through fsx.AtomicWrite (temp sibling, sync,
-// rename — the shared durable-write idiom) with this package's error prefix.
-func writeAtomic(path string, data []byte) error {
-	if err := fsx.AtomicWrite(path, data, 0o644); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	return nil
+// manifestFormat is the framing of a checkpoint manifest (see the package
+// comment); fsx owns the header, line and checksum checks.
+var manifestFormat = fsx.Format{
+	Magic:   "topocon-ckpt",
+	Version: manifestVersion,
+	Tags:    []string{"fingerprint", "interner", "meta"},
 }
 
 // encodeManifest renders the versioned, checksummed manifest bytes.
 func encodeManifest(fp string, blobLen int, blobCRC uint32, meta []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "topocon-ckpt %d\n", manifestVersion)
-	fmt.Fprintf(&b, "fingerprint %s\n", fp)
-	fmt.Fprintf(&b, "interner %d %08x\n", blobLen, blobCRC)
-	fmt.Fprintf(&b, "meta %s\n", meta)
-	fmt.Fprintf(&b, "crc32 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+	return manifestFormat.Encode(fp, fmt.Sprintf("%d %08x", blobLen, blobCRC), string(meta))
 }
 
-// decodeManifest parses and fully validates manifest bytes.
+// decodeManifest parses and fully validates manifest bytes: framing,
+// version and checksum (fsx.Format), then each value, which must be in
+// the one spelling encodeManifest writes.
 func decodeManifest(data []byte) (fp string, blobLen int, blobCRC uint32, snap *check.SessionSnapshot, err error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) != 6 || lines[5] != "" {
-		return "", 0, 0, nil, errors.New("manifest must be exactly 5 newline-terminated lines")
+	values, err := manifestFormat.Decode(data)
+	if err != nil {
+		return "", 0, 0, nil, err
 	}
-	var version int
-	if _, serr := fmt.Sscanf(lines[0], "topocon-ckpt %d", &version); serr != nil ||
-		lines[0] != fmt.Sprintf("topocon-ckpt %d", version) {
-		return "", 0, 0, nil, fmt.Errorf("bad header %q", lines[0])
+	fp, interner, meta := values[0], values[1], values[2]
+	if fp == "" || strings.ContainsAny(fp, " \t") {
+		return "", 0, 0, nil, fmt.Errorf("bad fingerprint %q", fp)
 	}
-	if version != manifestVersion {
-		return "", 0, 0, nil, fmt.Errorf("unsupported manifest version %d", version)
-	}
-	sumLine, ok := strings.CutPrefix(lines[4], "crc32 ")
-	if !ok || len(sumLine) != 8 {
-		return "", 0, 0, nil, fmt.Errorf("bad checksum line %q", lines[4])
-	}
-	body := strings.Join(lines[:4], "\n") + "\n"
-	if want := fmt.Sprintf("%08x", crc32.ChecksumIEEE([]byte(body))); sumLine != want {
-		return "", 0, 0, nil, fmt.Errorf("checksum mismatch (%s != %s)", sumLine, want)
-	}
-	fp, ok = strings.CutPrefix(lines[1], "fingerprint ")
-	if !ok || fp == "" || strings.ContainsAny(fp, " \t") {
-		return "", 0, 0, nil, fmt.Errorf("bad fingerprint line %q", lines[1])
-	}
-	if n, serr := fmt.Sscanf(lines[2], "interner %d %08x", &blobLen, &blobCRC); serr != nil || n != 2 || blobLen < 0 ||
-		lines[2] != fmt.Sprintf("interner %d %08x", blobLen, blobCRC) {
-		return "", 0, 0, nil, fmt.Errorf("bad interner line %q", lines[2])
-	}
-	meta, ok := strings.CutPrefix(lines[3], "meta ")
-	if !ok {
-		return "", 0, 0, nil, fmt.Errorf("bad meta line %q", lines[3])
+	if n, serr := fmt.Sscanf(interner, "%d %08x", &blobLen, &blobCRC); serr != nil || n != 2 || blobLen < 0 ||
+		interner != fmt.Sprintf("%d %08x", blobLen, blobCRC) {
+		return "", 0, 0, nil, fmt.Errorf("bad interner line %q", interner)
 	}
 	dec := json.NewDecoder(strings.NewReader(meta))
 	dec.DisallowUnknownFields()

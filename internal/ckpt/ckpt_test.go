@@ -15,6 +15,7 @@ import (
 
 	"topocon/internal/advgen"
 	"topocon/internal/check"
+	"topocon/internal/fsx"
 	"topocon/internal/graph"
 	"topocon/internal/ma"
 	"topocon/internal/ptg"
@@ -285,7 +286,7 @@ func TestCorruptCheckpointQuarantinedAndRecomputed(t *testing.T) {
 			if _, err := Load(dir, ma.LossyLink3(), 0); !errors.Is(err, ErrNoCheckpoint) {
 				t.Fatalf("Load on corrupt checkpoint: %v, want ErrNoCheckpoint", err)
 			}
-			if entries, err := os.ReadDir(filepath.Join(dir, quarantineName)); err != nil || len(entries) == 0 {
+			if entries, err := os.ReadDir(filepath.Join(dir, fsx.QuarantineDir)); err != nil || len(entries) == 0 {
 				t.Errorf("nothing quarantined (%v)", err)
 			}
 			res, info, err := RunCheck(context.Background(), ma.LossyLink3(), Config{Dir: dir}, opts, 1)
@@ -425,7 +426,7 @@ func TestFreshArchivesStaleState(t *testing.T) {
 		t.Errorf("%d stale pages still visible after Fresh", len(left))
 	}
 	var archived int
-	filepath.Walk(filepath.Join(dir, quarantineName), func(path string, info os.FileInfo, err error) error {
+	filepath.Walk(filepath.Join(dir, fsx.QuarantineDir), func(path string, info os.FileInfo, err error) error {
 		if err == nil && info != nil && !info.IsDir() && strings.HasSuffix(path, ".page") {
 			archived++
 		}
@@ -572,7 +573,7 @@ func TestResumeQuarantinesStalePages(t *testing.T) {
 		t.Fatalf("round-4 page of the crashed run still in place after Load (stat: %v)", err)
 	}
 	var preserved bool
-	filepath.Walk(filepath.Join(PagesDir(dir), quarantineName), func(path string, info os.FileInfo, err error) error {
+	filepath.Walk(filepath.Join(PagesDir(dir), fsx.QuarantineDir), func(path string, info os.FileInfo, err error) error {
 		if err == nil && !info.IsDir() && info.Name() == "round-004.page" {
 			got, rerr := os.ReadFile(path)
 			preserved = rerr == nil && string(got) == string(staleBytes)
@@ -651,7 +652,7 @@ func TestResumeRespelledAdversary(t *testing.T) {
 		if _, err := Load(dir, respelled, 0); tc.resumes != (err == nil) || !tc.resumes && !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("%s: Load: %v", tc.name, err)
 		}
-		entries, _ := os.ReadDir(filepath.Join(dir, quarantineName))
+		entries, _ := os.ReadDir(filepath.Join(dir, fsx.QuarantineDir))
 		if quarantined := len(entries) > 0; quarantined == tc.resumes {
 			t.Errorf("%s: quarantined=%v, want %v", tc.name, quarantined, !tc.resumes)
 		}

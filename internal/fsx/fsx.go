@@ -1,15 +1,10 @@
-// Package fsx holds the one sanctioned implementation of the repo's
-// durable-write idiom: every byte that lands on a final content-addressed
-// path — verdict records, frontier pages, checkpoint manifests, persisted
-// job documents — goes to a temporary sibling in the same directory first,
-// is synced and closed, and only then renamed into place. A crash at any
-// point leaves either the previous file or the new one, plus at worst a
-// stale `*.tmp` sibling that the owning package's startup scan quarantines.
-//
-// The idiom used to be hand-rolled in internal/{store,pager,ckpt,svc};
-// those copies had drifted (none synced, one swallowed the rename error).
-// The atomicwrite analyzer in internal/lint now enforces that these
-// packages write through AtomicWrite and nothing else.
+// Package fsx is the one module that knows how durable files look. The
+// durable packages — store, pager, ckpt and svc — write every final file
+// through AtomicWrite, frame their text records with Format, and move bad
+// bytes aside with Quarantine. A crash can leave at worst a stale `*.tmp`
+// sibling, which the owning package's startup scan quarantines. The
+// atomicwrite analyzer in internal/lint enforces that these packages write
+// through AtomicWrite and nothing else.
 package fsx
 
 import (

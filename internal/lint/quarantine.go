@@ -8,7 +8,7 @@ import (
 // Quarantine enforces the repo's data-hygiene invariant: corrupt or
 // leftover data is renamed aside for inspection, never deleted. Deletion
 // is legal only inside helpers whose name declares the intent ("quarantine"
-// or "retire" — e.g. Store.quarantine, Service.retireJobDoc), or under an
+// or "retire" — e.g. Service.retireJobDoc), or under an
 // explicit //topocon:allow quarantine directive with a justification.
 // Command mains are exempt: a CLI deleting its own scratch output is not a
 // record-hygiene question.

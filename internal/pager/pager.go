@@ -17,13 +17,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"topocon/internal/fsx"
 )
@@ -146,7 +144,7 @@ func encodePage(id string, payload []byte) []byte {
 	buf = append(buf, id...)
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
-	sum := crc32.ChecksumIEEE(buf)
+	sum := fsx.Checksum(buf)
 	return binary.LittleEndian.AppendUint32(buf, sum)
 }
 
@@ -159,7 +157,7 @@ func decodePage(id string, data []byte) ([]byte, error) {
 		return nil, errors.New("short page file")
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
+	if got, want := binary.LittleEndian.Uint32(tail), fsx.Checksum(body); got != want {
 		return nil, fmt.Errorf("crc mismatch: got %08x want %08x", got, want)
 	}
 	if string(body[:len(pageMagic)]) != pageMagic {
@@ -298,13 +296,13 @@ func (pg *Pager) ReadPage(id string) ([]byte, error) {
 }
 
 // QuarantineUnlisted moves every page file in the directory whose id is
-// not in keep into a fresh stamped subdirectory of quarantine/ (bytes
-// preserved, never deleted) and returns the ids it moved. It is the resume
-// path's guard: a crash between checkpoints leaves the pages of rounds the
-// crashed run spilled past the checkpoint, and since persist keeps an
-// existing file, the resumed session's own round of that number would be
-// served from the crashed run's bytes. Call it before any page is
-// registered.
+// not in keep into one fresh `quarantine/unlisted.<random>/` subdirectory
+// (fsx.Quarantine: bytes preserved, never deleted) and returns the ids it
+// moved. It is the resume path's guard: a crash between checkpoints
+// leaves the pages of rounds the crashed run spilled past the checkpoint,
+// and since persist keeps an existing file, the resumed session's own
+// round of that number would be served from the crashed run's bytes.
+// Call it before any page is registered.
 func (pg *Pager) QuarantineUnlisted(keep []string) ([]string, error) {
 	entries, err := os.ReadDir(pg.dir)
 	if err != nil {
@@ -314,22 +312,17 @@ func (pg *Pager) QuarantineUnlisted(keep []string) ([]string, error) {
 	for _, id := range keep {
 		listed[id] = true
 	}
-	var moved []string
-	qdir := filepath.Join(pg.dir, "quarantine", fmt.Sprintf("unlisted.%d", time.Now().UnixNano()))
+	var moved, names []string
 	for _, e := range entries {
 		id, ok := strings.CutSuffix(e.Name(), ".page")
 		if !ok || !e.Type().IsRegular() || listed[id] {
 			continue
 		}
-		if len(moved) == 0 {
-			if err := os.MkdirAll(qdir, 0o755); err != nil {
-				return nil, fmt.Errorf("pager: quarantine: %w", err)
-			}
-		}
-		if err := os.Rename(filepath.Join(pg.dir, e.Name()), filepath.Join(qdir, e.Name())); err != nil {
-			return moved, fmt.Errorf("pager: quarantine page %q: %w", id, err)
-		}
 		moved = append(moved, id)
+		names = append(names, e.Name())
+	}
+	if err := fsx.Quarantine(pg.dir, "unlisted", names...); err != nil {
+		return nil, fmt.Errorf("pager: %w", err)
 	}
 	return moved, nil
 }
@@ -392,21 +385,17 @@ func (pg *Pager) Fault(id string, onEvict func()) ([]byte, error) {
 	return payload, nil
 }
 
-// quarantine moves a damaged page file into the quarantine/ subdirectory,
-// best-effort: recovery must never be blocked by cleanup failures — but a
-// failed move is logged and counted, never swallowed, because a page that
-// cannot be moved aside will be re-read (and re-fail) on every fault.
+// quarantine moves a damaged page file into a fresh subdirectory of
+// quarantine/ (fsx.Quarantine), best-effort: recovery must never be
+// blocked by cleanup failures — but a failed move is logged and counted,
+// never swallowed, because a page that cannot be moved aside will be
+// re-read (and re-fail) on every fault.
 func (pg *Pager) quarantine(id string) {
-	qdir := filepath.Join(pg.dir, "quarantine")
-	err := os.MkdirAll(qdir, 0o755)
-	if err == nil {
-		err = os.Rename(pg.pagePath(id), filepath.Join(qdir, id+".page"))
-	}
-	if err != nil {
+	if err := fsx.Quarantine(pg.dir, "page", id+".page"); err != nil {
 		pg.mu.Lock()
 		pg.quarantineErrs++
 		pg.mu.Unlock()
-		log.Printf("pager: quarantine of page %q: %v", id, err)
+		log.Printf("pager: page %q: %v", id, err)
 	}
 }
 

@@ -150,13 +150,54 @@ func TestFaultCorruptPageQuarantines(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "quarantined") {
 				t.Fatalf("Fault error %q does not mention quarantine", err)
 			}
-			if _, err := os.Stat(filepath.Join(pg.Dir(), "quarantine", "victim.page")); err != nil {
-				t.Fatalf("corrupt page not quarantined: %v", err)
+			if found, _ := filepath.Glob(filepath.Join(pg.Dir(), "quarantine", "page.*", "victim.page")); len(found) != 1 {
+				t.Fatalf("corrupt page not quarantined: %v", found)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatalf("corrupt page still in place: %v", err)
 			}
 		})
+	}
+}
+
+// TestFaultQuarantineKeepsEveryCopy: the same page faulted corrupt twice
+// leaves both corrupt files in quarantine/, byte for byte — the second
+// move must not replace the first copy.
+func TestFaultQuarantineKeepsEveryCopy(t *testing.T) {
+	pg := newTestPager(t, 0)
+	payload := []byte("some page payload bytes")
+	if err := pg.Persist("victim", payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Adopt("victim", int64(len(payload)), nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(pg.Dir(), "victim.page")
+	want := [][]byte{[]byte("first corrupt page"), []byte("second corrupt page")}
+	for _, data := range want {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pg.Fault("victim", nil); err == nil {
+			t.Fatal("Fault of corrupt page succeeded")
+		}
+	}
+	found, _ := filepath.Glob(filepath.Join(pg.Dir(), "quarantine", "*", "victim.page"))
+	if len(found) != len(want) {
+		t.Fatalf("quarantined copies: %v", found)
+	}
+	for _, w := range want {
+		kept := false
+		for _, f := range found {
+			got, err := os.ReadFile(f)
+			kept = kept || err == nil && bytes.Equal(got, w)
+		}
+		if !kept {
+			t.Errorf("quarantined copies lost %q", w)
+		}
+	}
+	if st := pg.Stats(); st.QuarantineErrors != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -187,7 +228,7 @@ func TestQuarantineUnlistedMovesStalePages(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	found, _ := filepath.Glob(filepath.Join(pg.Dir(), "quarantine", "*", "round-003.page"))
+	found, _ := filepath.Glob(filepath.Join(pg.Dir(), "quarantine", "unlisted.*", "round-003.page"))
 	if len(found) != 1 {
 		t.Fatalf("quarantined copies of round-003: %v", found)
 	}

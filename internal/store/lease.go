@@ -8,7 +8,8 @@ package store
 // of workers sharing the directory agree on ownership without a network
 // consensus layer: the filesystem rename is the commit point.
 //
-// Lease format (one file per key, `<sha256(key)>.lease`, version 1):
+// Lease format (one file per key, `<sha256(key)>.lease`, version 1), in
+// the checksummed text framing of fsx.Format:
 //
 //	topocon-lease 1
 //	key <canonical key encoding, sweep.Key.String>
@@ -27,19 +28,16 @@ package store
 // steal (expired, still held) from a graceful handover (released).
 //
 // Corrupt lease files are quarantined exactly like corrupt verdict
-// records — moved aside, counted, never deleted — and then treated as
+// records — moved into a fresh `quarantine/lease.<random>/` subdirectory
+// (fsx.Quarantine), counted, never deleted — and then treated as
 // absent: losing a lease record costs at most one redundant computation,
 // never a wrong answer, because verdicts are idempotent in the shared
 // store.
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"log"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -117,12 +115,11 @@ type Leases struct {
 	// now is the clock, swappable in tests.
 	now func() time.Time
 
-	mu             sync.Mutex
-	acquired       int
-	renewed        int
-	released       int
-	quarantined    int
-	quarantineErrs int
+	mu       sync.Mutex
+	acquired int
+	renewed  int
+	released int
+	q        quarantines
 }
 
 // OpenLeases creates the lease directory if needed. write nil means
@@ -143,13 +140,13 @@ func OpenLeases(dir string, write WriteFunc) (*Leases, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	l.mu.Lock()
+	var stale []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), tmpExt) {
-			l.quarantine(e.Name())
+		if !e.IsDir() && strings.HasSuffix(e.Name(), fsx.TmpExt) {
+			stale = append(stale, e.Name())
 		}
 	}
-	l.mu.Unlock()
+	l.q.quarantine(dir, "lease", stale...)
 	return l, nil
 }
 
@@ -157,10 +154,7 @@ func OpenLeases(dir string, write WriteFunc) (*Leases, error) {
 func (l *Leases) Dir() string { return l.dir }
 
 // leaseName is the content address of a key's lease file.
-func leaseName(key sweep.Key) string {
-	sum := sha256.Sum256([]byte(key.String()))
-	return hex.EncodeToString(sum[:]) + leaseExt
-}
+func leaseName(key sweep.Key) string { return sweep.CellDir(key) + leaseExt }
 
 // Get reads the current lease for the key. A missing or corrupt file is
 // a miss (corrupt ones are quarantined first).
@@ -173,7 +167,7 @@ func (l *Leases) Get(key sweep.Key) (Lease, bool) {
 	lease, err := decodeLease(data)
 	if err != nil || lease.Key != key {
 		l.mu.Lock()
-		l.quarantine(name)
+		l.q.quarantine(l.dir, "lease", name)
 		l.mu.Unlock()
 		return Lease{}, false
 	}
@@ -253,8 +247,8 @@ func (l *Leases) Stats() LeaseStats {
 		Acquired:         l.acquired,
 		Renewed:          l.renewed,
 		Released:         l.released,
-		Quarantined:      l.quarantined,
-		QuarantineErrors: l.quarantineErrs,
+		Quarantined:      l.q.moved,
+		QuarantineErrors: l.q.errs,
 		Dir:              l.dir,
 	}
 }
@@ -268,74 +262,46 @@ func (l *Leases) put(lease Lease) error {
 	return nil
 }
 
-// encodeLease renders the versioned, checksummed lease bytes.
-func encodeLease(lease Lease) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "topocon-lease %d\n", leaseVersion)
-	fmt.Fprintf(&b, "key %s\n", lease.Key.String())
-	fmt.Fprintf(&b, "holder %s\n", lease.Holder)
-	fmt.Fprintf(&b, "state %s\n", lease.State)
-	fmt.Fprintf(&b, "attempt %d\n", lease.Attempt)
-	fmt.Fprintf(&b, "expires %d\n", lease.Expires.UnixNano())
-	fmt.Fprintf(&b, "crc32 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+// leaseFormat is the framing of a lease record (see the comment at the
+// top of this file); fsx owns the header, line and checksum checks.
+var leaseFormat = fsx.Format{
+	Magic:   "topocon-lease",
+	Version: leaseVersion,
+	Tags:    []string{"key", "holder", "state", "attempt", "expires"},
 }
 
-// decodeLease parses and fully validates lease bytes: framing, version,
-// checksum, canonical key round-trip, state and numeric fields, and that
-// the bytes are exactly the lease's canonical encoding.
+// encodeLease renders the versioned, checksummed lease bytes.
+func encodeLease(lease Lease) []byte {
+	return leaseFormat.Encode(lease.Key.String(), lease.Holder, lease.State,
+		strconv.Itoa(lease.Attempt), strconv.FormatInt(lease.Expires.UnixNano(), 10))
+}
+
+// decodeLease parses and fully validates lease bytes: framing, version
+// and checksum (fsx.Format), canonical key round-trip, state and numeric
+// fields, and that the bytes are exactly the lease's canonical encoding.
 func decodeLease(data []byte) (Lease, error) {
-	var zero Lease
-	lines := strings.Split(string(data), "\n")
-	if len(lines) != 8 || lines[7] != "" {
-		return zero, fmt.Errorf("store: lease must be exactly 7 newline-terminated lines")
-	}
-	var version int
-	if _, err := fmt.Sscanf(lines[0], "topocon-lease %d", &version); err != nil || lines[0] != fmt.Sprintf("topocon-lease %d", version) {
-		return zero, fmt.Errorf("store: bad lease header %q", lines[0])
-	}
-	if version != leaseVersion {
-		return zero, fmt.Errorf("store: unsupported lease version %d", version)
-	}
-	sumLine, ok := strings.CutPrefix(lines[6], "crc32 ")
-	if !ok || len(sumLine) != 8 {
-		return zero, fmt.Errorf("store: bad lease checksum line %q", lines[6])
-	}
-	body := []byte(strings.Join(lines[:6], "\n") + "\n")
-	if want := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); sumLine != want {
-		return zero, fmt.Errorf("store: lease checksum mismatch (%s != %s)", sumLine, want)
-	}
-	keyEnc, ok := strings.CutPrefix(lines[1], "key ")
-	if !ok {
-		return zero, fmt.Errorf("store: bad lease key line %q", lines[1])
-	}
-	key, err := sweep.ParseKey(keyEnc)
+	values, err := leaseFormat.Decode(data)
 	if err != nil {
-		return zero, err
+		return Lease{}, fmt.Errorf("store: %w", err)
 	}
-	holder, ok := strings.CutPrefix(lines[2], "holder ")
-	if !ok || holder == "" {
-		return zero, fmt.Errorf("store: bad lease holder line %q", lines[2])
+	key, err := sweep.ParseKey(values[0])
+	if err != nil {
+		return Lease{}, err
 	}
-	state, ok := strings.CutPrefix(lines[3], "state ")
-	if !ok || (state != LeaseHeld && state != LeaseReleased) {
-		return zero, fmt.Errorf("store: bad lease state line %q", lines[3])
+	holder, state := values[1], values[2]
+	if holder == "" {
+		return Lease{}, fmt.Errorf("store: empty lease holder")
 	}
-	attemptStr, ok := strings.CutPrefix(lines[4], "attempt ")
-	if !ok {
-		return zero, fmt.Errorf("store: bad lease attempt line %q", lines[4])
+	if state != LeaseHeld && state != LeaseReleased {
+		return Lease{}, fmt.Errorf("store: bad lease state %q", state)
 	}
-	attempt, err := strconv.Atoi(attemptStr)
+	attempt, err := strconv.Atoi(values[3])
 	if err != nil || attempt < 0 {
-		return zero, fmt.Errorf("store: bad lease attempt %q", attemptStr)
+		return Lease{}, fmt.Errorf("store: bad lease attempt %q", values[3])
 	}
-	expStr, ok := strings.CutPrefix(lines[5], "expires ")
-	if !ok {
-		return zero, fmt.Errorf("store: bad lease expires line %q", lines[5])
-	}
-	expNano, err := strconv.ParseInt(expStr, 10, 64)
+	expNano, err := strconv.ParseInt(values[4], 10, 64)
 	if err != nil {
-		return zero, fmt.Errorf("store: bad lease expiry %q", expStr)
+		return Lease{}, fmt.Errorf("store: bad lease expiry %q", values[4])
 	}
 	lease := Lease{
 		Key:     key,
@@ -347,24 +313,7 @@ func decodeLease(data []byte) (Lease, error) {
 	// strconv accepts a sign and leading zeros ("attempt +05"): only the
 	// bytes encodeLease would write for this lease are a valid lease.
 	if !bytes.Equal(encodeLease(lease), data) {
-		return zero, fmt.Errorf("store: lease is not in canonical form")
+		return Lease{}, fmt.Errorf("store: lease is not in canonical form")
 	}
 	return lease, nil
-}
-
-// quarantine moves a bad lease file into the quarantine subdirectory.
-// Same contract as Store.quarantine: best-effort, logged, counted, never
-// a correctness dependency. Callers hold l.mu.
-func (l *Leases) quarantine(name string) {
-	l.quarantined++
-	qdir := filepath.Join(l.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		l.quarantineErrs++
-		log.Printf("store: lease quarantine of %s: %v", name, err)
-		return
-	}
-	if err := os.Rename(filepath.Join(l.dir, name), filepath.Join(qdir, name)); err != nil {
-		l.quarantineErrs++
-		log.Printf("store: lease quarantine of %s: %v", name, err)
-	}
 }

@@ -181,8 +181,8 @@ func TestLeaseCorruptQuarantined(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("corrupt lease still in place: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(l.Dir(), quarantineDir, leaseName(key))); err != nil {
-		t.Fatalf("corrupt lease not quarantined: %v", err)
+	if got := quarantined(t, l.Dir(), leaseName(key)); len(got) != 1 {
+		t.Fatalf("corrupt lease not quarantined: %q", got)
 	}
 	if st := l.Stats(); st.Quarantined != 1 {
 		t.Fatalf("Stats.Quarantined = %d, want 1", st.Quarantined)
@@ -190,6 +190,29 @@ func TestLeaseCorruptQuarantined(t *testing.T) {
 	// Post-quarantine the key is free to claim again.
 	if _, _, err := l.Acquire(key, "w2", time.Minute, 2); err != nil {
 		t.Fatalf("Acquire after quarantine = %v", err)
+	}
+}
+
+// TestLeaseQuarantineKeepsEveryCopy: the same corrupt lease name read
+// twice leaves two quarantined copies, byte for byte.
+func TestLeaseQuarantineKeepsEveryCopy(t *testing.T) {
+	l, _ := openTestLeases(t)
+	key := testKey(t, 4)
+	name := leaseName(key)
+	want := []string{"first corrupt lease\n", "second corrupt lease\n"}
+	for _, data := range want {
+		if err := os.WriteFile(filepath.Join(l.Dir(), name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := l.Get(key); ok {
+			t.Fatal("corrupt lease served as valid")
+		}
+	}
+	if st := l.Stats(); st.Quarantined != 2 || st.QuarantineErrors != 0 {
+		t.Fatalf("stats = %+v, want 2 quarantined", st)
+	}
+	if got := quarantined(t, l.Dir(), name); !sameStrings(got, want) {
+		t.Fatalf("quarantined copies %q, want %q", got, want)
 	}
 }
 

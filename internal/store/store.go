@@ -6,7 +6,8 @@
 // (memory → disk → compute) makes verdicts survive process restarts and
 // accumulate across CLI runs, daemon jobs and users.
 //
-// Record format (one file per key, `<sha256(key)>.rec`, version 1):
+// Record format (one file per key, `<sha256(key)>.rec`, version 1), in
+// the checksummed text framing of fsx.Format:
 //
 //	topocon-verdict 1
 //	key <canonical key encoding, sweep.Key.String>
@@ -18,19 +19,16 @@
 // startup the whole directory is scanned into an in-memory index; records
 // that fail any validation — unparseable framing, checksum mismatch, a key
 // that does not round-trip, a filename that is not the key's content
-// address, undecodable outcome JSON — are moved to the `quarantine/`
-// subdirectory (bytes preserved for inspection) and their keys simply
-// recompute later. A corrupt record never poisons an answer and never
-// fails Open.
+// address, undecodable outcome JSON — are moved, with the temp files, into
+// one fresh `quarantine/store.<random>/` subdirectory (fsx.Quarantine:
+// bytes preserved for inspection, no earlier copy replaced) and their keys
+// simply recompute later. A corrupt record never poisons an answer and
+// never fails Open.
 package store
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"os"
 	"path/filepath"
@@ -45,20 +43,16 @@ const (
 	// recordVersion is the on-disk record format version; bump it when the
 	// framing or the sweep.Outcome JSON schema changes incompatibly.
 	recordVersion = 1
-	// recordExt is the record file name suffix; tmpExt marks in-flight
-	// writes (fsx.AtomicWrite temp siblings left behind by a crash).
+	// recordExt is the record file name suffix.
 	recordExt = ".rec"
-	tmpExt    = fsx.TmpExt
-	// quarantineDir collects records that failed validation at startup.
-	quarantineDir = "quarantine"
 )
 
 // Stats describes a store's state and traffic.
 type Stats struct {
-	// Records and Bytes size the live index; Quarantined counts records
-	// moved aside (at Open or on read) since the store was opened;
-	// QuarantineErrors counts quarantine moves that themselves failed
-	// (the bad file stayed in place — excluded from the index either way).
+	// Records and Bytes size the live index; Quarantined counts the bad
+	// files (records, temp files) Open found; QuarantineErrors counts Open
+	// scans whose quarantine move failed in part or whole (the files that
+	// could not move stayed in place — excluded from the index either way).
 	Records          int   `json:"records"`
 	Bytes            int64 `json:"bytes"`
 	Quarantined      int   `json:"quarantined"`
@@ -73,11 +67,10 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu             sync.RWMutex
-	index          map[sweep.Key]sweep.Outcome
-	bytes          int64
-	quarantined    int
-	quarantineErrs int
+	mu    sync.RWMutex
+	index map[sweep.Key]sweep.Outcome
+	bytes int64
+	q     quarantines
 }
 
 // Open creates the directory if needed and loads every record into the
@@ -96,21 +89,22 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	var bad []string
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
 		switch {
-		case strings.HasSuffix(name, tmpExt):
+		case strings.HasSuffix(name, fsx.TmpExt):
 			// A crash mid-write: the record was never visible, so there is
 			// nothing to recover — preserve the partial bytes for
 			// inspection and move on.
-			s.quarantine(name)
+			bad = append(bad, name)
 		case strings.HasSuffix(name, recordExt):
 			key, out, size, err := s.loadRecord(name)
 			if err != nil {
-				s.quarantine(name)
+				bad = append(bad, name)
 				continue
 			}
 			s.index[key] = out
@@ -118,6 +112,7 @@ func Open(dir string) (*Store, error) {
 		}
 		// Anything else (editor droppings, the quarantine dir) is ignored.
 	}
+	s.q.quarantine(dir, "store", bad...)
 	return s, nil
 }
 
@@ -169,8 +164,8 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Records:          len(s.index),
 		Bytes:            s.bytes,
-		Quarantined:      s.quarantined,
-		QuarantineErrors: s.quarantineErrs,
+		Quarantined:      s.q.moved,
+		QuarantineErrors: s.q.errs,
 		Dir:              s.dir,
 	}
 }
@@ -186,12 +181,13 @@ func (s *Store) Keys() []sweep.Key {
 	return keys
 }
 
-// recordName is the content address of a key: the SHA-256 of its canonical
-// encoding, hex, plus the record extension.
-func recordName(key sweep.Key) string {
-	sum := sha256.Sum256([]byte(key.String()))
-	return hex.EncodeToString(sum[:]) + recordExt
-}
+// recordName is the content address of a key (sweep.CellDir) plus the
+// record extension.
+func recordName(key sweep.Key) string { return sweep.CellDir(key) + recordExt }
+
+// recordFormat is the framing of a verdict record (see the package
+// comment); fsx owns the header, line and checksum checks.
+var recordFormat = fsx.Format{Magic: "topocon-verdict", Version: recordVersion, Tags: []string{"key", "outcome"}}
 
 // encodeRecord renders the versioned, checksummed record bytes.
 func encodeRecord(key sweep.Key, out sweep.Outcome) ([]byte, error) {
@@ -199,63 +195,35 @@ func encodeRecord(key sweep.Key, out sweep.Outcome) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding outcome: %w", err)
 	}
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "topocon-verdict %d\n", recordVersion)
-	fmt.Fprintf(&b, "key %s\n", key.String())
-	fmt.Fprintf(&b, "outcome %s\n", payload)
-	fmt.Fprintf(&b, "crc32 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes(), nil
+	return recordFormat.Encode(key.String(), string(payload)), nil
 }
 
-// decodeRecord parses and fully validates record bytes: framing, version,
-// checksum, canonical key round-trip, outcome JSON strictness, and that the
-// bytes are exactly the record's canonical encoding.
+// decodeRecord parses and fully validates record bytes: framing, version
+// and checksum (fsx.Format), canonical key round-trip, outcome JSON
+// strictness, and that the bytes are exactly the record's canonical
+// encoding.
 func decodeRecord(data []byte) (sweep.Key, sweep.Outcome, error) {
-	var zero sweep.Key
-	var zeroOut sweep.Outcome
-	lines := strings.Split(string(data), "\n")
-	if len(lines) != 5 || lines[4] != "" {
-		return zero, zeroOut, fmt.Errorf("store: record must be exactly 4 newline-terminated lines")
-	}
-	var version int
-	if _, err := fmt.Sscanf(lines[0], "topocon-verdict %d", &version); err != nil || lines[0] != fmt.Sprintf("topocon-verdict %d", version) {
-		return zero, zeroOut, fmt.Errorf("store: bad header %q", lines[0])
-	}
-	if version != recordVersion {
-		return zero, zeroOut, fmt.Errorf("store: unsupported record version %d", version)
-	}
-	sumLine, ok := strings.CutPrefix(lines[3], "crc32 ")
-	if !ok || len(sumLine) != 8 {
-		return zero, zeroOut, fmt.Errorf("store: bad checksum line %q", lines[3])
-	}
-	body := []byte(lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n")
-	if want := fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)); sumLine != want {
-		return zero, zeroOut, fmt.Errorf("store: checksum mismatch (%s != %s)", sumLine, want)
-	}
-	keyEnc, ok := strings.CutPrefix(lines[1], "key ")
-	if !ok {
-		return zero, zeroOut, fmt.Errorf("store: bad key line %q", lines[1])
-	}
-	key, err := sweep.ParseKey(keyEnc)
+	values, err := recordFormat.Decode(data)
 	if err != nil {
-		return zero, zeroOut, err
+		return sweep.Key{}, sweep.Outcome{}, fmt.Errorf("store: %w", err)
 	}
-	payload, ok := strings.CutPrefix(lines[2], "outcome ")
-	if !ok {
-		return zero, zeroOut, fmt.Errorf("store: bad outcome line %q", lines[2])
+	key, err := sweep.ParseKey(values[0])
+	if err != nil {
+		return sweep.Key{}, sweep.Outcome{}, err
 	}
+	payload := values[1]
 	dec := json.NewDecoder(strings.NewReader(payload))
 	dec.DisallowUnknownFields()
 	var out sweep.Outcome
 	if err := dec.Decode(&out); err != nil {
-		return zero, zeroOut, fmt.Errorf("store: decoding outcome: %w", err)
+		return sweep.Key{}, sweep.Outcome{}, fmt.Errorf("store: decoding outcome: %w", err)
 	}
 	// Decode reads one JSON value and ignores what follows it, and JSON
-	// allows other spellings of the same value. The other lines are
-	// already checked exactly, so comparing the payload with the one
-	// encodeRecord writes makes the record's bytes canonical.
+	// allows other spellings of the same value. The framing is already
+	// checked exactly, so comparing the payload with the one encodeRecord
+	// writes makes the record's bytes canonical.
 	if canon, err := json.Marshal(out); err != nil || string(canon) != payload {
-		return zero, zeroOut, fmt.Errorf("store: outcome is not in canonical form")
+		return sweep.Key{}, sweep.Outcome{}, fmt.Errorf("store: outcome is not in canonical form")
 	}
 	return key, out, nil
 }
@@ -278,22 +246,20 @@ func (s *Store) loadRecord(name string) (sweep.Key, sweep.Outcome, int64, error)
 	return key, out, int64(len(data)), nil
 }
 
-// quarantine moves a bad file into the quarantine subdirectory, creating it
-// lazily. Failures degrade to leaving the file in place — quarantining is
-// best-effort hygiene, never a correctness dependency (the file is already
-// excluded from the index) — but they are logged and counted, never
-// swallowed: a store that cannot move records aside has a misbehaving
-// directory, and the operator should hear about it.
-func (s *Store) quarantine(name string) {
-	s.quarantined++
-	qdir := filepath.Join(s.dir, quarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		s.quarantineErrs++
-		log.Printf("store: quarantine of %s: %v", name, err)
-		return
-	}
-	if err := os.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name)); err != nil {
-		s.quarantineErrs++
-		log.Printf("store: quarantine of %s: %v", name, err)
+// quarantines counts one directory's quarantine traffic; Store and Leases
+// each keep one, under their own lock.
+type quarantines struct{ moved, errs int }
+
+// quarantine moves bad files into a fresh subdirectory of dir's
+// quarantine/ (fsx.Quarantine). Failures degrade to leaving the files in
+// place — quarantining is best-effort hygiene, never a correctness
+// dependency (the files are already excluded from every answer) — but
+// they are logged and counted, never swallowed: a directory that cannot
+// move files aside is misbehaving, and the operator should hear about it.
+func (q *quarantines) quarantine(dir, kind string, names ...string) {
+	q.moved += len(names)
+	if err := fsx.Quarantine(dir, kind, names...); err != nil {
+		q.errs++
+		log.Printf("store: %v", err)
 	}
 }

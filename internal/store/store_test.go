@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -114,9 +115,8 @@ func corruptionCase(t *testing.T, mangle func(t *testing.T, path string)) {
 	if st := reopened.Stats(); st.Quarantined != 1 || st.Records != 0 {
 		t.Fatalf("stats = %+v, want 1 quarantined / 0 records", st)
 	}
-	qfiles, err := os.ReadDir(filepath.Join(dir, "quarantine"))
-	if err != nil || len(qfiles) != 1 {
-		t.Fatalf("quarantine dir: %v, %v", qfiles, err)
+	if qfiles := quarantined(t, dir, "*.rec"); len(qfiles) != 1 {
+		t.Fatalf("quarantined records: %q", qfiles)
 	}
 	// The key recomputes and persists again.
 	if err := reopened.Put(key, out); err != nil {
@@ -207,6 +207,55 @@ func TestStorePartialTempFile(t *testing.T) {
 	if _, err := os.Stat(partial); !os.IsNotExist(err) {
 		t.Fatalf("temp file still in the store dir: %v", err)
 	}
+}
+
+// TestStoreQuarantineKeepsEveryCopy: a corrupt record quarantined at one
+// Open and a second corrupt record under the same name quarantined at the
+// next both stay in quarantine/, byte for byte — the second move must not
+// replace the first copy.
+func TestStoreQuarantineKeepsEveryCopy(t *testing.T) {
+	dir := t.TempDir()
+	name := recordName(testKey(t, 4))
+	want := []string{"first corrupt bytes\n", "second corrupt bytes\n"}
+	for _, data := range want {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Quarantined != 1 || st.QuarantineErrors != 0 {
+			t.Fatalf("stats = %+v, want 1 quarantined", st)
+		}
+	}
+	if got := quarantined(t, dir, name); !sameStrings(got, want) {
+		t.Fatalf("quarantined copies %q, want %q", got, want)
+	}
+}
+
+// quarantined returns the contents of every quarantined file matching the
+// name pattern under dir/quarantine/, sorted.
+func quarantined(t *testing.T, dir, name string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "quarantine", "*", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(data))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func sameStrings(a, b []string) bool {
+	return strings.Join(a, "\x00") == strings.Join(b, "\x00") && len(a) == len(b)
 }
 
 // TestStoreAsSweepTier: the store under a sweep cache — computed once,

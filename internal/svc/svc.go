@@ -461,9 +461,12 @@ func (s *Service) retireJobDoc(j *job) {
 // resumeJobs re-submits job documents left behind by an earlier daemon —
 // jobs that had not reached a verdict when the process died or shut down.
 // Their cells then continue from the per-cell sweep checkpoints. Documents
-// that no longer parse are renamed aside (.bad), never deleted.
+// that no longer parse, and the `*.tmp` siblings of a persistJob that
+// crashed before its rename, are moved into a fresh
+// `quarantine/job.<random>/` subdirectory (fsx.Quarantine), never deleted.
 func (s *Service) resumeJobs() {
-	entries, err := os.ReadDir(s.jobsDir())
+	dir := s.jobsDir()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
@@ -480,18 +483,22 @@ func (s *Service) resumeJobs() {
 			s.mu.Unlock()
 		}
 	}
+	var bad []string
 	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), fsx.TmpExt) {
+			bad = append(bad, e.Name())
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), jobDocExt) {
 			continue
 		}
-		path := filepath.Join(s.jobsDir(), e.Name())
+		path := filepath.Join(dir, e.Name())
 		body, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
 		j, err := buildJob(body)
 		if err != nil {
-			_ = os.Rename(path, path+".bad")
+			bad = append(bad, e.Name())
 			continue
 		}
 		j.resumed = true
@@ -501,6 +508,9 @@ func (s *Service) resumeJobs() {
 		s.jobsResumed.Add(1)
 		//topocon:allow quarantine -- submit just re-persisted the same bytes under the job's new id; the old path is a duplicate, not a record
 		_ = os.Remove(path)
+	}
+	if err := fsx.Quarantine(dir, "job", bad...); err != nil {
+		log.Printf("svc: job documents: %v", err)
 	}
 }
 

@@ -332,13 +332,53 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	if m.Paging.CheckpointsWritten == 0 || m.Paging.PagesSpilled == 0 {
 		t.Fatalf("paging gauges never moved: %+v", m.Paging)
 	}
-	// The corrupt leftover was renamed aside, not deleted or resubmitted.
-	if _, err := os.Stat(filepath.Join(jobsDir, "j-000002.job.bad")); err != nil {
-		t.Fatalf("corrupt document not quarantined: %v", err)
+	// The corrupt leftover was moved aside, not deleted or resubmitted.
+	if found, _ := filepath.Glob(filepath.Join(jobsDir, "quarantine", "job.*", "j-000002.job")); len(found) != 1 {
+		t.Fatalf("corrupt document not quarantined: %v", found)
 	}
 	// The resumed job's fresh document was removed once it finished.
 	if docs := jobDocs(t, dir); len(docs) != 0 {
 		t.Fatalf("documents left after resume: %v", docs)
+	}
+}
+
+// TestResumeQuarantinesLeftovers: a daemon booting over an unparsable
+// job document and the `*.tmp` sibling of a crashed persistJob moves both
+// into jobs/quarantine/ with their bytes intact, and leaves neither (nor a
+// `.bad` rename) in the jobs directory.
+func TestResumeQuarantinesLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	jobsDir := filepath.Join(dir, "jobs")
+	if err := os.MkdirAll(jobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	leftovers := map[string]string{
+		"j-000002.job":         "{not a document",
+		"j-000003.job.123.tmp": `{"name": "torn`,
+	}
+	for name, body := range leftovers {
+		if err := os.WriteFile(filepath.Join(jobsDir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newHarness(t, Config{Workers: 1, CheckpointDir: dir})
+	for name, body := range leftovers {
+		found, _ := filepath.Glob(filepath.Join(jobsDir, "quarantine", "*", name))
+		if len(found) != 1 {
+			t.Fatalf("%s: quarantined copies %v", name, found)
+		}
+		if got, err := os.ReadFile(found[0]); err != nil || string(got) != body {
+			t.Errorf("%s: quarantined bytes %q (%v), want %q", name, got, err, body)
+		}
+	}
+	entries, err := os.ReadDir(jobsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			t.Errorf("left in the jobs directory: %s", e.Name())
+		}
 	}
 }
 

@@ -70,8 +70,8 @@ func main() {
 		window       = flag.Int("window", 1, "stability window for -preset stable")
 		deadline     = flag.Int("deadline", 2, "deadline for -preset committed")
 		verbose      = flag.Bool("v", false, "print per-horizon decomposition statistics as the session refines (with -sweep: per-cell progress lines)")
-		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint/resume directory: the session checkpoints there as it refines and a rerun resumes from the last completed horizon instead of starting over; with -sweep: per-cell checkpoints under it")
-		hotBytes     = flag.Int64("pager-hot-bytes", 0, "with -checkpoint-dir: frontier hot-set budget in bytes — colder rounds spill to page files and fault back on demand (0 = unlimited)")
+		ckptDir      = flag.String("checkpoint-dir", "", "checkpoint/resume directory: the session checkpoints there as it refines and a rerun resumes from the last completed horizon instead of starting over; with -sweep: scratch space where each solving cell pages its frontier (cells never checkpoint: a cut-short cell is recomputed)")
+		hotBytes     = flag.Int64("pager-hot-bytes", 0, "frontier hot-set budget in bytes — colder rounds spill to page files under -checkpoint-dir and fault back on demand (0 = unlimited; needs -checkpoint-dir)")
 		noSymmetry   = flag.Bool("no-symmetry", false, "analyse the full prefix space instead of quotienting by its symmetries, both the adversary's process automorphisms and the input-value permutations; verdicts are identical, only interned-run counts differ (differential testing)")
 	)
 	flag.Parse()
@@ -81,6 +81,10 @@ func main() {
 		return
 	}
 	ckpt := ckptFlags{dir: *ckptDir, hotBytes: *hotBytes}
+	if err := ckpt.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "topocheck:", err)
+		os.Exit(2)
+	}
 	if *sweepPath != "" {
 		runSweep(*sweepPath, *sweepWorkers, *sweepTimeout, *cacheDir, *out, *validate, *verbose, *noSymmetry, ckpt)
 		return
@@ -160,6 +164,15 @@ func printProgress(r topocon.HorizonReport) {
 type ckptFlags struct {
 	dir      string
 	hotBytes int64
+}
+
+// validate rejects a pager budget without a directory: only a paging run
+// reads the budget, and only a run with a directory pages.
+func (c ckptFlags) validate() error {
+	if c.hotBytes != 0 && c.dir == "" {
+		return errors.New("-pager-hot-bytes needs -checkpoint-dir (pages spill there)")
+	}
+	return nil
 }
 
 // runCheckpointed drives one scenario to a verdict with checkpoint/resume:

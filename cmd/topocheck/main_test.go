@@ -92,3 +92,22 @@ func TestSummaryRendering(t *testing.T) {
 		t.Errorf("Summary missing separation line:\n%s", res2.Summary())
 	}
 }
+
+// TestPagerBudgetNeedsDirectory: a pager budget without -checkpoint-dir
+// would be silently ignored, so it is rejected.
+func TestPagerBudgetNeedsDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		flags   ckptFlags
+		wantErr bool
+	}{
+		{ckptFlags{}, false},
+		{ckptFlags{dir: "ckpt"}, false},
+		{ckptFlags{dir: "ckpt", hotBytes: 262144}, false},
+		{ckptFlags{hotBytes: 262144}, true},
+		{ckptFlags{hotBytes: -1}, true},
+	} {
+		if err := tc.flags.validate(); (err != nil) != tc.wantErr {
+			t.Errorf("%+v: validate() = %v, want error %v", tc.flags, err, tc.wantErr)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Command topoconcoord runs one template sweep across a fleet of
 // topoconsvc workers: it expands the grid locally, dispatches each cell
 // to a worker's claim endpoint (POST /v1/cells/{key}/claim), survives
-// worker crashes by letting peers steal expired leases and adopt the dead
-// worker's checkpoints, and writes the merged report — cells in grid
+// worker crashes by letting peers steal expired leases and recompute the
+// dead worker's cells, and writes the merged report — cells in grid
 // order, as if one process had run the sweep.
 //
 //	topoconcoord -workers http://127.0.0.1:8081,http://127.0.0.1:8082 \

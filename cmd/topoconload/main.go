@@ -91,11 +91,9 @@ type metricsView struct {
 		Quarantined int `json:"quarantined"`
 	} `json:"store"`
 	Paging *struct {
-		JobsResumed        int64 `json:"jobsResumed"`
-		PagesSpilled       int64 `json:"pagesSpilled"`
-		PagesFaulted       int64 `json:"pagesFaulted"`
-		CheckpointsWritten int64 `json:"checkpointsWritten"`
-		CellsResumed       int64 `json:"cellsResumed"`
+		JobsResumed  int64 `json:"jobsResumed"`
+		PagesSpilled int64 `json:"pagesSpilled"`
+		PagesFaulted int64 `json:"pagesFaulted"`
 	} `json:"paging"`
 }
 
@@ -180,8 +178,8 @@ func main() {
 		fmt.Printf("topoconload: store: %d records, %d quarantined\n", m.Store.Records, m.Store.Quarantined)
 	}
 	if m.Paging != nil {
-		fmt.Printf("topoconload: paging: %d spilled / %d faulted, %d checkpoints written; %d cells and %d jobs resumed\n",
-			m.Paging.PagesSpilled, m.Paging.PagesFaulted, m.Paging.CheckpointsWritten, m.Paging.CellsResumed, m.Paging.JobsResumed)
+		fmt.Printf("topoconload: paging: %d spilled / %d faulted; %d jobs resumed\n",
+			m.Paging.PagesSpilled, m.Paging.PagesFaulted, m.Paging.JobsResumed)
 	}
 
 	if !*allowErrors && (t.errors > 0 || t.mismatches > 0) {

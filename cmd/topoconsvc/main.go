@@ -48,8 +48,8 @@ func main() {
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell analysis wall-time budget (0 = unbounded)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-time budget (0 = unbounded)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown grace period for draining in-flight jobs")
-		ckptDir     = flag.String("checkpoint-dir", "", "durability directory: per-cell session checkpoints and accepted job documents; leftover jobs are re-submitted at startup (empty = off)")
-		hotBytes    = flag.Int64("pager-hot-bytes", 0, "per-cell frontier hot-set budget in bytes; colder rounds spill to the checkpoint dir (0 = unlimited, with -checkpoint-dir)")
+		ckptDir     = flag.String("checkpoint-dir", "", "durability directory: accepted job documents, re-submitted at startup if left unfinished, plus scratch space where solving cells page their frontiers (cells never checkpoint: an unfinished cell is recomputed) and, with -worker-id, cell leases (empty = off)")
+		hotBytes    = flag.Int64("pager-hot-bytes", 0, "per-cell frontier hot-set budget in bytes; colder rounds spill under -checkpoint-dir (0 = unlimited; needs -checkpoint-dir)")
 		workerID    = flag.String("worker-id", "", "coordinated worker mode: this daemon's id in a fleet sharing one -store-dir/-checkpoint-dir; enables the /v1/cells claim endpoints (needs -checkpoint-dir)")
 		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "cell-lease duration in coordinated worker mode; claims renew every third of it")
 		faultSpec   = flag.String("fault", "", "deterministic fault-injection schedule for chaos testing, e.g. 'fail:lease:2,stall:horizon:3' (see internal/faultfs)")
@@ -61,7 +61,12 @@ func main() {
 		os.Exit(2)
 	}
 	if *workerID != "" && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "topoconsvc: -worker-id needs -checkpoint-dir (leases and adoptable checkpoints live there)")
+		fmt.Fprintln(os.Stderr, "topoconsvc: -worker-id needs -checkpoint-dir (the fleet's cell leases live there)")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *hotBytes != 0 && *ckptDir == "" {
+		fmt.Fprintln(os.Stderr, "topoconsvc: -pager-hot-bytes needs -checkpoint-dir (pages spill there)")
 		flag.Usage()
 		os.Exit(2)
 	}

@@ -159,33 +159,6 @@ func quarantineCorrupt(dir string, detail error) error {
 	return fmt.Errorf("ckpt: %s: %v (checkpoint quarantined): %w", dir, detail, ErrNoCheckpoint)
 }
 
-// readCheckpoint reads and checks dir's manifest and interner blob: the
-// manifest decodes, and the blob has the length and checksum the manifest
-// records. A missing manifest is ErrNoCheckpoint; a corrupt manifest or
-// blob is quarantined (quarantineCorrupt).
-func readCheckpoint(dir string) (fp string, snap *check.SessionSnapshot, blob []byte, err error) {
-	data, err := os.ReadFile(manifestPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", nil, nil, ErrNoCheckpoint
-	}
-	if err != nil {
-		return "", nil, nil, fmt.Errorf("ckpt: %w", err)
-	}
-	fp, blobLen, blobCRC, snap, err := decodeManifest(data)
-	if err != nil {
-		return "", nil, nil, quarantineCorrupt(dir, err)
-	}
-	blob, err = os.ReadFile(internerPath(dir))
-	if err != nil {
-		return "", nil, nil, quarantineCorrupt(dir, fmt.Errorf("reading interner blob: %v", err))
-	}
-	if sum := fsx.Checksum(blob); len(blob) != blobLen || sum != blobCRC {
-		return "", nil, nil, quarantineCorrupt(dir, fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
-			len(blob), sum, blobLen, blobCRC))
-	}
-	return fp, snap, blob, nil
-}
-
 // Save checkpoints the session into dir. The analyzer must run its pager
 // under PagesDir(dir) (Fresh or Load set this up). Page files are persisted
 // by the snapshot itself; Save then writes the interner blob and finally
@@ -232,9 +205,24 @@ func Save(dir string, a *check.Analyzer) error {
 // configuration always comes from the checkpoint. See the package comment
 // for the validation and error contract.
 func Load(dir string, adv ma.Adversary, hotBytes int64, extra ...check.AnalyzerOption) (*check.Analyzer, error) {
-	fp, snap, blob, err := readCheckpoint(dir)
+	data, err := os.ReadFile(manifestPath(dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, ErrNoCheckpoint
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	fp, blobLen, blobCRC, snap, err := decodeManifest(data)
+	if err != nil {
+		return nil, quarantineCorrupt(dir, err)
+	}
+	blob, err := os.ReadFile(internerPath(dir))
+	if err != nil {
+		return nil, quarantineCorrupt(dir, fmt.Errorf("reading interner blob: %v", err))
+	}
+	if sum := fsx.Checksum(blob); len(blob) != blobLen || sum != blobCRC {
+		return nil, quarantineCorrupt(dir, fmt.Errorf("interner blob does not match manifest (%d bytes, crc %08x; manifest says %d, %08x)",
+			len(blob), sum, blobLen, blobCRC))
 	}
 	if want := ma.Fingerprint(adv, snap.Options.MaxHorizon); fp != want {
 		return nil, fmt.Errorf("%w: checkpoint %s vs adversary %q %s",

@@ -9,15 +9,16 @@
 //
 //   - Leases. Workers record a time-bounded lease per cell in the shared
 //     checkpoint directory and renew it while solving. The coordinator
-//     never reads those files — the 409 conflict body (holder + expiry)
-//     tells it exactly who owns a cell and how long to wait before the
-//     next claim can steal it.
+//     never reads those files — the 409 conflict body's expiry tells it
+//     how long to wait before the next claim can steal the cell.
 //
-//   - Steals with checkpoint adoption. When a worker dies, its TCP
-//     connection drops but its lease (and per-cell checkpoint) survive on
-//     disk. The coordinator marks the worker dead, re-dispatches the cell
-//     to a peer naming the dead holder as adoptFrom, and the peer resumes
-//     from the adopted checkpoint with zero horizon re-extension.
+//   - Steals. When a worker dies, its TCP connection drops but its lease
+//     survives on disk. The coordinator marks the worker dead and
+//     re-dispatches the cell to a peer; the claim that outlives the dead
+//     holder's lease takes the cell over and recomputes it from horizon 1.
+//     A cell's verdict depends only on its adversary and options, so a
+//     recompute is always correct, and what the dead worker left under
+//     its own namespace stays where it left it.
 //
 //   - Revival probes. A dead mark is a hypothesis, not a verdict: the
 //     coordinator re-probes a dead worker's GET /healthz on the run's
@@ -263,11 +264,10 @@ func (co *coordinator) runCell(ctx context.Context, w cellWork) sweep.CellResult
 		return w.terminal(0, fmt.Sprintf("keying cell: %v", w.keyErr))
 	}
 	var (
-		attempt   int    // dispatches sent (1-based in the claim body)
-		failures  int    // breaker budget consumed
-		busy      int    // consecutive 429s, for backoff growth
-		adoptFrom string // previous lease holder, once known
-		lastErr   string
+		attempt  int // dispatches sent (1-based in the claim body)
+		failures int // breaker budget consumed
+		busy     int // consecutive 429s, for backoff growth
+		lastErr  string
 	)
 	for {
 		if ctx.Err() != nil {
@@ -285,7 +285,7 @@ func (co *coordinator) runCell(ctx context.Context, w cellWork) sweep.CellResult
 				s.Retries++
 			}
 		})
-		out := co.claim(ctx, worker, w, attempt, adoptFrom)
+		out := co.claim(ctx, worker, w, attempt)
 		switch out.kind {
 		case claimOK:
 			if out.res.Status == sweep.StatusError {
@@ -303,13 +303,9 @@ func (co *coordinator) runCell(ctx context.Context, w cellWork) sweep.CellResult
 			return out.res
 
 		case claimConflicted:
-			// A live peer holds the lease. Remember the holder — if it is
-			// dead, the next claim that outlives the lease steals the cell
-			// and adopts its checkpoint. Poll again at a fraction of the
-			// TTL so a graceful release is picked up early.
-			if out.holder != "" {
-				adoptFrom = out.holder
-			}
+			// A live peer holds the lease. If it is dead, the next claim
+			// that outlives the lease steals the cell. Poll again at a
+			// fraction of the TTL so a graceful release is picked up early.
 			if retry.Sleep(ctx, co.conflictWait(out.expires)) != nil {
 				return w.cancelled(attempt)
 			}
@@ -381,7 +377,6 @@ func (co *coordinator) conflictWait(expires time.Time) time.Duration {
 type claimOutcome struct {
 	kind    claimKind
 	res     sweep.CellResult // claimOK
-	holder  string           // claimConflicted
 	expires time.Time        // claimConflicted
 	err     string           // everything else
 }
@@ -397,20 +392,19 @@ const (
 	claimRejected                    // 400: permanent rejection
 )
 
-// conflictBody mirrors the worker's 409 response.
+// conflictBody is the part of the worker's 409 response the coordinator
+// reads.
 type conflictBody struct {
 	Error   string    `json:"error"`
-	Holder  string    `json:"holder"`
 	Expires time.Time `json:"expires"`
 }
 
 // claim POSTs one dispatch to worker and classifies the answer.
-func (co *coordinator) claim(ctx context.Context, worker string, w cellWork, attempt int, adoptFrom string) claimOutcome {
+func (co *coordinator) claim(ctx context.Context, worker string, w cellWork, attempt int) claimOutcome {
 	body, err := json.Marshal(map[string]any{
 		"scenario":  json.RawMessage(w.spec),
 		"ttlMillis": co.cfg.LeaseTTL.Milliseconds(),
 		"attempt":   attempt,
-		"adoptFrom": adoptFrom,
 	})
 	if err != nil {
 		return claimOutcome{kind: claimRejected, err: fmt.Sprintf("encoding claim: %v", err)}
@@ -442,7 +436,7 @@ func (co *coordinator) claim(ctx context.Context, worker string, w cellWork, att
 	case http.StatusConflict:
 		var c conflictBody
 		_ = json.Unmarshal(data, &c)
-		return claimOutcome{kind: claimConflicted, holder: c.Holder, expires: c.Expires, err: c.Error}
+		return claimOutcome{kind: claimConflicted, expires: c.Expires, err: c.Error}
 	case http.StatusTooManyRequests:
 		return claimOutcome{kind: claimBusy, err: apiErrorText(data)}
 	case http.StatusServiceUnavailable:

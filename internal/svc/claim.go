@@ -3,11 +3,12 @@ package svc
 // The cell-claim surface: the worker-side half of the multi-worker sweep
 // protocol (the coordinator half lives in internal/coord). A claim is a
 // synchronous POST — the coordinator sends one cell's scenario document,
-// the worker takes a time-bounded lease on the cell, solves it (resuming
-// an adopted predecessor checkpoint when the coordinator names one), and
+// the worker takes a time-bounded lease on the cell, solves it, and
 // answers with the decorated CellResult. Worker death is visible to the
 // coordinator twice over: the TCP connection dies, and the lease stops
-// being renewed — after which any peer may steal the cell.
+// being renewed — after which any peer may steal the cell. A steal
+// recomputes the cell from horizon 1; whatever the dead worker left under
+// its own cells/ namespace stays where it left it.
 
 import (
 	"context"
@@ -16,11 +17,9 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"topocon/internal/check"
-	"topocon/internal/ckpt"
 	"topocon/internal/scenario"
 	"topocon/internal/store"
 	"topocon/internal/sweep"
@@ -35,9 +34,6 @@ type claimRequest struct {
 	TTLMillis int64 `json:"ttlMillis,omitempty"`
 	// Attempt is the coordinator's 1-based dispatch attempt for this cell.
 	Attempt int `json:"attempt,omitempty"`
-	// AdoptFrom names the previous lease holder whose per-cell checkpoint
-	// this worker should adopt before solving ("" for first dispatch).
-	AdoptFrom string `json:"adoptFrom,omitempty"`
 }
 
 // claimConflict is the 409 body: who holds the cell and until when, so
@@ -172,26 +168,6 @@ func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Adopt the named predecessor's checkpoint into our namespace so the
-	// solve resumes at its deepest horizon with zero re-extension. No
-	// checkpoint (the predecessor died before its first save) or a corrupt
-	// one (quarantined by Adopt) both mean a fresh start — correct either
-	// way, so adoption failures never fail the claim.
-	adopted := false
-	if req.AdoptFrom != "" && req.AdoptFrom != s.cfg.WorkerID {
-		src := filepath.Join(s.cfg.CheckpointDir, "cells", req.AdoptFrom, sweep.CellDir(key))
-		dst := filepath.Join(s.cellsDir(), sweep.CellDir(key))
-		switch horizon, err := ckpt.Adopt(src, dst); {
-		case err == nil:
-			adopted = true
-			log.Printf("svc: worker %s adopted %s's checkpoint for cell %s at horizon %d",
-				s.cfg.WorkerID, req.AdoptFrom, sc.Name, horizon)
-		case !errors.Is(err, ckpt.ErrNoCheckpoint):
-			log.Printf("svc: worker %s adopting %s's checkpoint for cell %s: %v (starting fresh)",
-				s.cfg.WorkerID, req.AdoptFrom, sc.Name, err)
-		}
-	}
-
 	// Heartbeat: renew at a third of the TTL; a failed renewal means we
 	// can no longer prove liveness — self-fence by cancelling the solve
 	// before a successor's steal turns into two workers on one cell.
@@ -248,12 +224,6 @@ func (s *Service) handleClaim(w http.ResponseWriter, r *http.Request) {
 	res.Worker = s.cfg.WorkerID
 	res.Attempt = attempt
 	res.StolenFrom = stolenFrom
-	if adopted && !res.Resumed && !res.CacheHit {
-		// Resumed is normally stamped by the checkpoint layer; an adopted
-		// checkpoint invalid on arrival would leave it false. Belt and
-		// braces for report consumers asserting zero re-extension.
-		log.Printf("svc: worker %s: adopted checkpoint for %s was not resumed", s.cfg.WorkerID, sc.Name)
-	}
 	writeJSON(w, http.StatusOK, res)
 }
 

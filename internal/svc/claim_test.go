@@ -1,18 +1,25 @@
 package svc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"topocon"
 	"topocon/internal/check"
-	"topocon/internal/ckpt"
+	"topocon/internal/coord"
 	"topocon/internal/faultfs"
+	"topocon/internal/retry"
 	"topocon/internal/scenario"
 	"topocon/internal/store"
 	"topocon/internal/sweep"
@@ -33,10 +40,10 @@ func cellKey(t *testing.T, doc string) (sweep.Key, *scenario.Scenario) {
 }
 
 // claim POSTs a claim for the document's cell and decodes the result.
-func (h *harness) claim(doc string, attempt int, adoptFrom string) (int, sweep.CellResult, string) {
+func (h *harness) claim(doc string, attempt int) (int, sweep.CellResult, string) {
 	h.t.Helper()
 	key, _ := cellKey(h.t, doc)
-	body := fmt.Sprintf(`{"scenario": %s, "attempt": %d, "adoptFrom": %q}`, doc, attempt, adoptFrom)
+	body := fmt.Sprintf(`{"scenario": %s, "attempt": %d}`, doc, attempt)
 	resp, err := http.Post(h.ts.URL+"/v1/cells/"+key.String()+"/claim", "application/json", strings.NewReader(body))
 	if err != nil {
 		h.t.Fatal(err)
@@ -70,7 +77,7 @@ func workerHarness(t *testing.T, storeDir, ckptDir, id string, faults *faultfs.S
 func TestClaimSolvesCell(t *testing.T) {
 	h := workerHarness(t, t.TempDir(), t.TempDir(), "w1", nil)
 	doc := lossyScenario("cell-1")
-	code, res, errBody := h.claim(doc, 1, "")
+	code, res, errBody := h.claim(doc, 1)
 	if code != http.StatusOK {
 		t.Fatalf("claim = %d: %s", code, errBody)
 	}
@@ -91,7 +98,7 @@ func TestClaimSolvesCell(t *testing.T) {
 		t.Fatalf("lease metrics = %+v", m.Leases)
 	}
 	// The verdict is in the shared store: a second claim is a cache hit.
-	code, res2, _ := h.claim(doc, 1, "")
+	code, res2, _ := h.claim(doc, 1)
 	if code != http.StatusOK || !res2.CacheHit {
 		t.Fatalf("second claim = %d cacheHit=%v", code, res2.CacheHit)
 	}
@@ -116,7 +123,7 @@ func TestClaimRejectsKeyMismatch(t *testing.T) {
 func TestClaimRequiresWorkerMode(t *testing.T) {
 	h := newHarness(t, Config{StoreDir: t.TempDir(), Workers: 1})
 	doc := lossyScenario("cell-1")
-	code, _, _ := h.claim(doc, 1, "")
+	code, _, _ := h.claim(doc, 1)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("claim on uncoordinated daemon = %d, want 503", code)
 	}
@@ -135,60 +142,154 @@ func TestClaimConflictWhileLeaseLive(t *testing.T) {
 	if _, _, err := peer.Acquire(key, "w9", time.Hour, 1); err != nil {
 		t.Fatal(err)
 	}
-	code, _, errBody := h.claim(doc, 1, "")
+	code, _, errBody := h.claim(doc, 1)
 	if code != http.StatusConflict || !strings.Contains(errBody, "w9") {
 		t.Fatalf("claim against live lease = %d: %s", code, errBody)
 	}
 }
 
-// TestClaimStealsAndAdopts is the cross-worker resume contract over HTTP:
-// a dead worker left an expired lease and a mid-horizon checkpoint; the
-// claiming worker steals the lease, adopts the checkpoint into its own
-// namespace, and resumes to the same verdict with zero re-extension.
-func TestClaimStealsAndAdopts(t *testing.T) {
+// stealTemplate is lossyScenario as a one-cell grid, for the coordinator.
+const stealTemplate = `{
+  "name": "steal",
+  "params": {"horizon": [4]},
+  "n": 2,
+  "graphs": {"L": "2->1", "R": "1->2", "B": "1<->2"},
+  "adversary": {"op": "oblivious", "graphs": ["L", "R", "B"]},
+  "check": {"maxHorizon": "${horizon}"},
+  "expect": "impossible"
+}`
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestClaimStealsAndRecomputes is the steal contract, driven by a real
+// coordinator so the worker sees the claims a coordinator sends. A dead
+// worker left a live lease and, in its own cells/ namespace, a valid
+// checkpoint killed after two horizons. The first claim is refused with
+// 409 naming the holder; the lease then expires, and the coordinator's
+// next claim steals the cell. The thief recomputes it from horizon 1 to
+// the verdict and leaves the dead worker's directory byte for byte as it
+// was.
+func TestClaimStealsAndRecomputes(t *testing.T) {
 	storeDir, ckptDir := t.TempDir(), t.TempDir()
-	doc := lossyScenario("cell-1")
-	key, sc := cellKey(t, doc)
+	tpl, err := scenario.ParseTemplate([]byte(stealTemplate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := tpl.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cells[0].Scenario
+	key, err := sweep.KeyFor(sc.Adversary, sc.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizons := 0
+	an, err := check.NewAnalyzer(sc.Adversary, check.WithOptions(sc.Options),
+		check.WithProgress(func(check.HorizonReport) { horizons++ }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.Check(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// The dead worker's legacy: a checkpoint killed after two horizons...
 	deadDir := filepath.Join(ckptDir, "cells", "w-dead", sweep.CellDir(key))
 	ctx, cancelRun := context.WithCancel(context.Background())
-	cfg := ckpt.Config{Dir: deadDir, OnHorizon: func(r check.HorizonReport) {
-		if r.Horizon >= 2 {
+	defer cancelRun()
+	cfg := topocon.CheckpointConfig{Dir: deadDir, OnHorizon: func(r check.HorizonReport) {
+		if r.Horizon == 2 {
 			cancelRun()
 		}
 	}}
-	if _, info, err := ckpt.RunCheck(ctx, sc.Adversary, cfg, sc.Options, 1); err == nil || info.Written == 0 {
-		t.Fatalf("setup kill did not leave a checkpoint (err=%v written=%d)", err, info.Written)
+	if _, info, err := topocon.RunCheckpointed(ctx, sc.Adversary, cfg, sc.Options, 0); err == nil || info.Written != 2 {
+		t.Fatalf("setup kill did not leave a checkpoint at horizon 2 (err=%v written=%d)", err, info.Written)
 	}
-	cancelRun()
-	// ...and an expired, still-held lease.
+	before := dirBytes(t, deadDir)
+	// ...and a held lease.
 	leases, err := store.OpenLeases(filepath.Join(ckptDir, "leases"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := leases.Acquire(key, "w-dead", -time.Second, 1); err != nil {
+	if _, _, err := leases.Acquire(key, "w-dead", time.Hour, 1); err != nil {
 		t.Fatal(err)
 	}
 
-	h := workerHarness(t, storeDir, ckptDir, "w2", nil)
-	code, res, errBody := h.claim(doc, 2, "w-dead")
-	if code != http.StatusOK {
-		t.Fatalf("stealing claim = %d: %s", code, errBody)
+	// The worker hits the "horizon" fault point once per analysed horizon.
+	// A fail rule one past the plain session's count fires on the probe
+	// below only if the thief analysed every horizon from 1.
+	faults, err := faultfs.Parse(fmt.Sprintf("fail:horizon:%d", horizons+1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.StolenFrom != "w-dead" || res.Attempt != 2 || res.Worker != "w2" {
-		t.Fatalf("steal provenance = %+v", res)
+	h := workerHarness(t, storeDir, ckptDir, "w2", faults)
+	// The dead holder's lease expires as soon as the worker has refused a
+	// claim over it, so the coordinator's next poll is the steal.
+	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err == nil && resp.StatusCode == http.StatusConflict {
+			if _, _, lerr := leases.Acquire(key, "w-dead", -time.Second, 1); lerr != nil {
+				t.Errorf("expiring the dead holder's lease: %v", lerr)
+			}
+		}
+		return resp, err
+	})}
+	report, stats, err := coord.Run(context.Background(), tpl, coord.Config{
+		Workers:  []string{h.ts.URL},
+		LeaseTTL: 200 * time.Millisecond,
+		Retry:    retry.Policy{Base: 2 * time.Millisecond, Max: 30 * time.Millisecond},
+		Client:   client,
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.Resumed {
-		t.Fatal("stolen cell did not resume from the adopted checkpoint")
+	res := report.Cells[0]
+	if res.StolenFrom != "w-dead" || res.Attempt != 2 || res.Worker != "w2" || stats.Steals != 1 {
+		t.Fatalf("steal provenance = %+v (coordinator stats %+v)", res, stats)
 	}
 	if res.Verdict != "impossible" || res.Status != sweep.StatusDone {
 		t.Fatalf("stolen cell result = %+v", res)
+	}
+	if !errors.Is(faults.Hit("horizon", res.Name), faultfs.ErrInjected) {
+		t.Errorf("the thief did not analyse all %d horizons from 1", horizons)
+	}
+	if after := dirBytes(t, deadDir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Errorf("the dead worker's directory changed: %d files before, %d after", len(before), len(after))
 	}
 	m := h.metrics()
 	if m.Leases == nil || m.Leases.Stolen != 1 || m.Leases.CellRetries != 1 {
 		t.Fatalf("steal metrics = %+v", m.Leases)
 	}
+}
+
+// dirBytes reads every file under dir, keyed by its path relative to dir.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("%s holds no files", dir)
+	}
+	return files
 }
 
 func TestClaimLeaseWriteFaultIsRetryable(t *testing.T) {
@@ -198,12 +299,12 @@ func TestClaimLeaseWriteFaultIsRetryable(t *testing.T) {
 	}
 	h := workerHarness(t, t.TempDir(), t.TempDir(), "w1", faults)
 	doc := lossyScenario("cell-1")
-	code, _, errBody := h.claim(doc, 1, "")
+	code, _, errBody := h.claim(doc, 1)
 	if code != http.StatusInternalServerError || !strings.Contains(errBody, "lease") {
 		t.Fatalf("claim under lease fault = %d: %s", code, errBody)
 	}
 	// The failed acquire never took effect; the retry dispatch succeeds.
-	code, res, errBody := h.claim(doc, 2, "")
+	code, res, errBody := h.claim(doc, 2)
 	if code != http.StatusOK || res.Status != sweep.StatusDone {
 		t.Fatalf("retry claim = %d: %s", code, errBody)
 	}
@@ -225,7 +326,7 @@ func TestDrainReleasesHeldLeases(t *testing.T) {
 
 	claimDone := make(chan int, 1)
 	go func() {
-		code, _, _ := h.claim(doc, 1, "")
+		code, _, _ := h.claim(doc, 1)
 		claimDone <- code
 	}()
 

@@ -53,20 +53,21 @@ type Config struct {
 	// the oldest terminal jobs are evicted first. Verdicts themselves
 	// live in the cache and store, not in jobs.
 	MaxJobsRetained int
-	// CheckpointDir, when set, makes the daemon's work durable across
-	// restarts: every solving cell checkpoints into
-	// CheckpointDir/cells/<content address> (resuming mid-session after a
-	// crash, see internal/ckpt), and every accepted job document is
-	// persisted under CheckpointDir/jobs/ until the job reaches a verdict —
-	// at startup leftover documents are re-submitted automatically and
-	// counted in the metrics' resumed-jobs gauge.
+	// CheckpointDir, when set, makes the daemon's jobs durable across
+	// restarts: every accepted job document is persisted under
+	// CheckpointDir/jobs/ until the job reaches a verdict, and at startup
+	// leftover documents are re-submitted automatically and counted in the
+	// metrics' resumed-jobs gauge. A re-submitted job's finished cells are
+	// store hits; the rest recompute. Every solving cell also pages its
+	// frontier under the scratch directory
+	// CheckpointDir/cells/<content address> (see sweep.Config).
 	CheckpointDir string
-	// PagerHotBytes is each checkpointed cell's pager hot-set budget
-	// (≤ 0: unlimited). Only meaningful with CheckpointDir.
+	// PagerHotBytes is each paging cell's hot-set budget (≤ 0:
+	// unlimited). Only meaningful with CheckpointDir.
 	PagerHotBytes int64
 	// WorkerID identifies this daemon in a coordinated multi-worker fleet
 	// sharing one StoreDir + CheckpointDir. When set (with CheckpointDir),
-	// cell checkpoints move to CheckpointDir/cells/<WorkerID> and job
+	// cell page directories move to CheckpointDir/cells/<WorkerID> and job
 	// documents to CheckpointDir/jobs/<WorkerID> so workers never collide,
 	// cell leases are kept under CheckpointDir/leases, and the
 	// /v1/cells/{key}/claim + release endpoints come alive. Empty keeps the
@@ -407,9 +408,9 @@ func (s *Service) submit(j *job) error {
 const jobDocExt = ".job"
 
 // jobsDir and cellsDir are per-worker in coordinated mode: a fleet
-// shares one CheckpointDir, so each worker's in-flight state gets its own
-// namespace — which is exactly what makes a dead worker's cell
-// checkpoints addressable for adoption (cells/<deadWorker>/<cell sha>).
+// shares one CheckpointDir, so each worker's job documents and cell
+// scratch directories get their own namespace and two workers never
+// write the same files.
 func (s *Service) jobsDir() string {
 	if s.cfg.WorkerID != "" {
 		return filepath.Join(s.cfg.CheckpointDir, "jobs", s.cfg.WorkerID)
@@ -589,8 +590,8 @@ func (s *Service) runJob(j *job) {
 		},
 	}
 	if s.cfg.CheckpointDir != "" {
-		// Cell checkpoints are content-addressed by sweep key, so one cells/
-		// dir is safely shared by every job, past and concurrent.
+		// Cell scratch directories are content-addressed by sweep key, so
+		// one cells/ dir is safely shared by every job, past and concurrent.
 		cfg.CheckpointDir = s.cellsDir()
 		cfg.PagerHotBytes = s.cfg.PagerHotBytes
 	}
@@ -675,8 +676,6 @@ func (s *Service) addPaging(p sweep.PagingSummary) {
 	if p.HotBytes > s.paging.HotBytes {
 		s.paging.HotBytes = p.HotBytes
 	}
-	s.paging.CheckpointsWritten += p.CheckpointsWritten
-	s.paging.CellsResumed += p.CellsResumed
 	s.pagingMu.Unlock()
 }
 

@@ -329,7 +329,7 @@ func TestJobResumeAcrossRestart(t *testing.T) {
 	if m.Paging.JobsResumed != 1 {
 		t.Fatalf("jobsResumed = %d, want 1", m.Paging.JobsResumed)
 	}
-	if m.Paging.CheckpointsWritten == 0 || m.Paging.PagesSpilled == 0 {
+	if m.Paging.PagesSpilled == 0 {
 		t.Fatalf("paging gauges never moved: %+v", m.Paging)
 	}
 	// The corrupt leftover was moved aside, not deleted or resubmitted.

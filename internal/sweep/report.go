@@ -37,15 +37,12 @@ type CellResult struct {
 	// by the persistent verdict store; empty for misses).
 	CacheHit  bool   `json:"cacheHit"`
 	CacheTier string `json:"cacheTier,omitempty"`
-	// Resumed reports that this cell's session was resumed from a
-	// checkpoint left by an earlier killed run (Config.CheckpointDir).
-	Resumed bool `json:"resumed,omitempty"`
 	// Worker, Attempt and StolenFrom attribute the cell in coordinated
 	// multi-worker sweeps: Worker identifies the topoconsvc instance that
 	// produced the result, Attempt is the coordinator's 1-based dispatch
-	// attempt, and StolenFrom names the dead worker whose lease (and
-	// checkpoint) this attempt took over. All empty/zero in single-process
-	// sweeps.
+	// attempt, and StolenFrom names the dead worker whose expired lease
+	// this attempt took over before recomputing the cell. All empty/zero
+	// in single-process sweeps.
 	Worker     string `json:"worker,omitempty"`
 	Attempt    int    `json:"attempt,omitempty"`
 	StolenFrom string `json:"stolenFrom,omitempty"`
@@ -84,7 +81,7 @@ type Summary struct {
 	Paging PagingSummary `json:"paging,omitzero"`
 }
 
-// PagingSummary aggregates paging/checkpoint gauges across a run's solved
+// PagingSummary aggregates paging gauges across a run's solved
 // cells (cache hits contribute nothing — their sessions never run).
 type PagingSummary struct {
 	// PagesSpilled and PagesFaulted total the pager eviction/fault traffic.
@@ -93,10 +90,6 @@ type PagingSummary struct {
 	// HotBytes is the largest peak resident page-payload size any single
 	// cell reached.
 	HotBytes int64 `json:"hotBytes"`
-	// CheckpointsWritten totals checkpoint saves; CellsResumed counts cells
-	// whose sessions continued from a checkpoint instead of starting fresh.
-	CheckpointsWritten int64 `json:"checkpointsWritten"`
-	CellsResumed       int   `json:"cellsResumed"`
 }
 
 // Report is the structured outcome of one sweep run.
@@ -235,8 +228,8 @@ func (r *Report) Table() string {
 	fmt.Fprintf(&sb, "cache %d hits / %d misses (%.0f%% hit rate, %d memory + %d disk, %d distinct keys)  |  wall %.1fms with %d workers\n",
 		s.CacheHits, s.CacheMisses, hitRate, s.MemoryHits, s.DiskHits, s.DistinctKeys, r.WallMillis, r.Workers)
 	if p := s.Paging; p != (PagingSummary{}) {
-		fmt.Fprintf(&sb, "paging %d spilled / %d faulted (peak hot %d B)  |  %d checkpoints written, %d cells resumed\n",
-			p.PagesSpilled, p.PagesFaulted, p.HotBytes, p.CheckpointsWritten, p.CellsResumed)
+		fmt.Fprintf(&sb, "paging %d spilled / %d faulted (peak hot %d B)\n",
+			p.PagesSpilled, p.PagesFaulted, p.HotBytes)
 	}
 	return sb.String()
 }

@@ -29,6 +29,8 @@ import (
 
 	"topocon/internal/check"
 	"topocon/internal/ckpt"
+	"topocon/internal/fsx"
+	"topocon/internal/pager"
 	"topocon/internal/scenario"
 )
 
@@ -73,16 +75,19 @@ type Config struct {
 	// bounded pool can span many concurrent sweeps (the daemon's global
 	// session pool). Its capacity, not Workers, then bounds concurrency.
 	Slots chan struct{}
-	// CheckpointDir, when set, makes every solved cell checkpointable: the
-	// cell runs out-of-core under a pager (hot-set budget PagerHotBytes)
-	// rooted in its own content-addressed subdirectory
-	// (sha256 of the cache key), checkpoints after every horizon, resumes
-	// from a valid checkpoint left by a killed run, and removes its
-	// directory once the verdict is in. Cache hits never
-	// touch checkpoints — their sessions never run.
+	// CheckpointDir, when set, makes every solved cell run out-of-core: its
+	// session pages its frontier under a pager (hot-set budget
+	// PagerHotBytes) rooted in the cell's own scratch subdirectory,
+	// CellDir of its key. Cells never checkpoint and never resume: a cell
+	// cut short is recomputed from horizon 1, since its verdict depends
+	// only on its adversary and options. Whatever a killed run left in the
+	// subdirectory is moved into CheckpointDir's quarantine/ before the
+	// cell starts, and the subdirectory is deleted when the cell returns,
+	// whatever the outcome. Cache hits never page — their sessions never
+	// run.
 	CheckpointDir string
-	// PagerHotBytes is each checkpointed cell's pager hot-set budget in
-	// bytes (≤ 0: unlimited). Only meaningful with CheckpointDir.
+	// PagerHotBytes is each paging cell's hot-set budget in bytes (≤ 0:
+	// unlimited). Only meaningful with CheckpointDir.
 	PagerHotBytes int64
 	// NoSymmetry forces check.Options.NoSymmetry on every cell: sessions
 	// analyse the full prefix space instead of the symmetry quotient, with
@@ -153,26 +158,18 @@ type sweepState struct {
 	cache      *Cache
 	progressMu sync.Mutex
 
-	// pagingMu guards the run's aggregated paging/checkpoint gauges.
+	// pagingMu guards the run's aggregated paging gauges.
 	pagingMu sync.Mutex
 	paging   PagingSummary
 }
 
-// recordCkptInfo folds one solved cell's checkpoint/paging traffic into the
-// run totals.
-func (st *sweepState) recordCkptInfo(info *ckpt.Info) {
-	if info == nil {
-		return
-	}
+// recordPaging folds one solved cell's pager traffic into the run totals.
+func (st *sweepState) recordPaging(ps pager.Stats) {
 	st.pagingMu.Lock()
-	st.paging.PagesSpilled += info.PagerStats.PagesSpilled
-	st.paging.PagesFaulted += info.PagerStats.PagesFaulted
-	if info.PagerStats.PeakHotBytes > st.paging.HotBytes {
-		st.paging.HotBytes = info.PagerStats.PeakHotBytes
-	}
-	st.paging.CheckpointsWritten += int64(info.Written)
-	if info.Resumed {
-		st.paging.CellsResumed++
+	st.paging.PagesSpilled += ps.PagesSpilled
+	st.paging.PagesFaulted += ps.PagesFaulted
+	if ps.PeakHotBytes > st.paging.HotBytes {
+		st.paging.HotBytes = ps.PeakHotBytes
 	}
 	st.pagingMu.Unlock()
 }
@@ -190,7 +187,7 @@ func (st *sweepState) horizonProgress(cell string, rep check.HorizonReport) {
 
 // runCells drives the worker pool over the grid, writing each cell's result
 // into its own slot of results (grid order), and returns the run's
-// aggregated paging/checkpoint gauges.
+// aggregated paging gauges.
 func runCells(ctx context.Context, cells []scenario.Cell, cfg Config, cache *Cache, results []CellResult) PagingSummary {
 	st := &sweepState{cfg: cfg, cache: cache}
 	// Pre-mark every cell cancelled; workers overwrite the slots they run.
@@ -282,19 +279,12 @@ func (st *sweepState) runCell(ctx context.Context, cell scenario.Cell) CellResul
 		cellCtx, cancel = context.WithTimeout(ctx, st.cfg.CellTimeout)
 		defer cancel()
 	}
-	var ck *ckpt.Info
 	out, tier, err := st.cache.Do(cellCtx, key, func() (Outcome, error) {
-		o, info, serr := st.solveCell(cellCtx, sc, key)
-		ck = info
-		return o, serr
+		return st.solveCell(cellCtx, sc, key)
 	})
 	res.WallMillis = millis(time.Since(start))
 	res.CacheHit = tier != TierNone
 	res.CacheTier = tier.String()
-	if ck != nil {
-		res.Resumed = ck.Resumed
-		st.recordCkptInfo(ck)
-	}
 	switch {
 	case err == nil:
 		res.Verdict = out.Verdict.String()
@@ -324,47 +314,48 @@ func (st *sweepState) runCell(ctx context.Context, cell scenario.Cell) CellResul
 	return res
 }
 
-// solveCell is the cache-miss path: one full Analyzer session — plain and
-// in-memory by default, out-of-core with checkpoint/resume when the config
-// names a CheckpointDir (then the returned ckpt.Info carries the cell's
-// paging and resume traffic).
-func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key Key) (Outcome, *ckpt.Info, error) {
+// solveCell is the cache-miss path: one full Analyzer session, in memory
+// by default and paged under the cell's scratch directory when the config
+// names a CheckpointDir.
+func (st *sweepState) solveCell(ctx context.Context, sc *scenario.Scenario, key Key) (Outcome, error) {
 	runs := 0
-	onHorizon := func(r check.HorizonReport) {
-		runs = r.Runs
-		st.horizonProgress(sc.Name, r)
+	opts := []check.AnalyzerOption{
+		check.WithOptions(sc.Options),
+		check.WithProgress(func(r check.HorizonReport) {
+			runs = r.Runs
+			st.horizonProgress(sc.Name, r)
+		}),
+	}
+	if st.cfg.CheckpointDir != "" {
+		// The cell's directory is scratch. A killed run's leftovers are
+		// moved aside whole first, so deleting the directory afterwards
+		// never deletes them.
+		if err := fsx.Quarantine(st.cfg.CheckpointDir, "cell", CellDir(key)); err != nil {
+			return Outcome{}, err
+		}
+		dir := filepath.Join(st.cfg.CheckpointDir, CellDir(key))
+		// Best effort: a directory left behind is moved aside by the next
+		// solve of this key.
+		defer func() { _ = ckpt.Remove(dir) }()
+		pg, err := ckpt.Fresh(dir, st.cfg.PagerHotBytes)
+		if err != nil {
+			return Outcome{}, err
+		}
+		defer func() { st.recordPaging(pg.Stats()) }()
+		opts = append(opts, check.WithPager(pg))
 	}
 	if st.cfg.OnAnalyzerBuilt != nil {
 		st.cfg.OnAnalyzerBuilt(key.Fingerprint)
 	}
-	if st.cfg.CheckpointDir != "" {
-		res, info, err := ckpt.RunCheck(ctx, sc.Adversary, ckpt.Config{
-			Dir:       filepath.Join(st.cfg.CheckpointDir, CellDir(key)),
-			HotBytes:  st.cfg.PagerHotBytes,
-			OnHorizon: onHorizon,
-		}, sc.Options, 0)
-		if err != nil {
-			return Outcome{}, info, err
-		}
-		if runs == 0 {
-			// A session resumed at its deepest horizon analyses no further
-			// ones, so the progress hook never fires; the restored chain
-			// still knows its size.
-			runs = info.Runs
-		}
-		return outcomeOf(res, runs), info, nil
-	}
-	an, err := check.NewAnalyzer(sc.Adversary,
-		check.WithOptions(sc.Options),
-		check.WithProgress(onHorizon))
+	an, err := check.NewAnalyzer(sc.Adversary, opts...)
 	if err != nil {
-		return Outcome{}, nil, err
+		return Outcome{}, err
 	}
 	res, err := an.Check(ctx)
 	if err != nil {
-		return Outcome{}, nil, err
+		return Outcome{}, err
 	}
-	return outcomeOf(res, runs), nil, nil
+	return outcomeOf(res, runs), nil
 }
 
 func outcomeOf(res *check.Result, runs int) Outcome {
@@ -378,11 +369,10 @@ func outcomeOf(res *check.Result, runs int) Outcome {
 	}
 }
 
-// CellDir is the content address of a cell's key: the cell's checkpoint
-// subdirectory name, so retries and resumed daemons land in the same place
-// and distinct cells never collide, and the basename its lease and verdict
-// records derive from. Coordinators use it to locate a dead worker's
-// checkpoint for adoption.
+// CellDir is the content address of a cell's key: the name of the cell's
+// scratch subdirectory under Config.CheckpointDir, so distinct cells never
+// collide and a retry finds what a killed run left, and the basename its
+// lease and verdict records derive from.
 func CellDir(key Key) string {
 	sum := sha256.Sum256([]byte(key.String()))
 	return hex.EncodeToString(sum[:])

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -344,95 +343,6 @@ func TestSweepExpectMatch(t *testing.T) {
 	}
 	if report.Summary.Mismatches != 0 {
 		t.Errorf("mismatches = %d", report.Summary.Mismatches)
-	}
-}
-
-// TestSweepCheckpointResume is the grid-cell kill-and-resume contract: a
-// sweep killed mid-cell leaves a checkpoint in the cell's content-addressed
-// subdirectory; rerunning the sweep over the same CheckpointDir resumes
-// that session (never re-extending checkpointed horizons), reaches the
-// verdict an uncheckpointed sweep reaches, reports the resume in the cell
-// and the paging gauges in the summary, and cleans the checkpoint up.
-func TestSweepCheckpointResume(t *testing.T) {
-	doc := `{
-	  "name": "ckpt-cell",
-	  "params": {"f": "1..1"},
-	  "n": 2,
-	  "adversary": {"op": "loss-bounded", "f": "${f}"},
-	  "check": {"maxHorizon": 5}
-	}`
-	tpl := mustTemplate(t, doc)
-	want, err := Run(context.Background(), tpl, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, err = Run(ctx, tpl, Config{
-		CheckpointDir: dir,
-		PagerHotBytes: 1,
-		CellProgress: func(cell string, rep check.HorizonReport) {
-			if rep.Horizon == 2 {
-				cancel()
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("killed sweep: err = %v, want context.Canceled", err)
-	}
-
-	firstResumed := -1
-	report, err := Run(context.Background(), tpl, Config{
-		CheckpointDir: dir,
-		PagerHotBytes: 1,
-		CellProgress: func(cell string, rep check.HorizonReport) {
-			if firstResumed < 0 {
-				firstResumed = rep.Horizon
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := report.Cells[0]
-	if c.Status != StatusDone || !c.Resumed {
-		t.Fatalf("resumed cell: status %s resumed %v (%s)", c.Status, c.Resumed, c.Err)
-	}
-	if firstResumed >= 0 && firstResumed <= 2 {
-		t.Errorf("resumed cell re-extended horizon %d (checkpoint was at 2)", firstResumed)
-	}
-	w := want.Cells[0]
-	if c.Verdict != w.Verdict || c.SeparationHorizon != w.SeparationHorizon ||
-		c.Horizon != w.Horizon || c.Runs != w.Runs {
-		t.Errorf("resumed cell %s/%d/%d/%d differs from uncheckpointed %s/%d/%d/%d",
-			c.Verdict, c.SeparationHorizon, c.Horizon, c.Runs,
-			w.Verdict, w.SeparationHorizon, w.Horizon, w.Runs)
-	}
-	p := report.Summary.Paging
-	if p.CellsResumed != 1 || p.CheckpointsWritten == 0 {
-		t.Errorf("paging summary %+v: want 1 resumed cell and some checkpoints", p)
-	}
-	// Faults need not occur here: extension only reads the head round and
-	// the certificate search never walks the chain. Spills must.
-	if p.PagesSpilled == 0 || p.HotBytes == 0 {
-		t.Errorf("paging summary %+v: 1-byte budget must spill", p)
-	}
-	if !strings.Contains(report.Table(), "cells resumed") {
-		t.Error("table does not render the paging gauges")
-	}
-	// The verdict is in: the cell's checkpoint directory is gone.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("checkpoint dir not cleaned up: %d entries left", len(entries))
-	}
-	// An uncheckpointed sweep reports no paging block at all.
-	if want.Summary.Paging != (PagingSummary{}) {
-		t.Errorf("plain sweep reports paging traffic: %+v", want.Summary.Paging)
 	}
 }
 
